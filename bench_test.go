@@ -558,6 +558,36 @@ func BenchmarkModelEvaluationPrepared(b *testing.B) {
 	}
 }
 
+// BenchmarkHybridSearch4KB measures the costliest cell of the search-hybrid
+// load: the 4 KB min-EDP optimization over 8 row groups and column-mux
+// ratios up to 4. A 4 KB array admits more row organizations that hold 8
+// groups than the 16 KB one, and its optimum prunes less, so it evaluates
+// more points than BenchmarkHybridSearch16KB.
+func BenchmarkHybridSearch4KB(b *testing.B) {
+	fw := benchFramework(b)
+	sp := core.DefaultSpace()
+	sp.MuxMax = 4
+	opts := core.Options{
+		CapacityBits: 4 * 1024 * 8,
+		Flavor:       device.LVT,
+		Method:       core.M2,
+		HybridGroups: 8,
+		Space:        sp,
+	}
+	var stats SearchStats
+	for i := 0; i < b.N; i++ {
+		opt, err := fw.Core().Optimize(opts)
+		if err != nil {
+			b.Fatal(err)
+		}
+		stats = opt.Stats
+	}
+	b.ReportMetric(float64(stats.Evaluated+stats.SkippedRSNM+stats.PrunedBound), "space-points")
+	b.ReportMetric(float64(stats.Evaluated), "model-evals")
+	b.ReportMetric(float64(stats.PrunedBound), "pruned-bound")
+	b.ReportMetric(stats.BoundEfficiency(), "bound-eff")
+}
+
 // BenchmarkHybridSearch16KB measures the enlarged hybrid search: the 16 KB
 // min-PADP optimization over 8 row groups (every LVT/HVT assignment mask)
 // and column-mux ratios up to 4 — the largest candidate space any search in

@@ -64,3 +64,44 @@ func BenchmarkBoundRect(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkPrepareHybrid measures one hybrid chunk Prepare — 8 row groups,
+// a mixed mask, a muxed divided-wordline organization — through the
+// PrepareHybrid wrapper, which rebuilds the rail stage (device I–V
+// evaluations) on every call, and through PrepareStaged on a prebuilt
+// stage, the form the branch-and-bound searcher pays per unit. Geometries
+// alternate so the decoder memo does not hide the per-organization cost.
+func BenchmarkPrepareHybrid(b *testing.B) {
+	ev, err := NewEvaluator(testTech(b), Activity{Alpha: 0.5, Beta: 0.5})
+	if err != nil {
+		b.Fatal(err)
+	}
+	alt := altTerms()
+	geoms := []wire.Geometry{
+		{NR: 256, NC: 512, W: 64, Npre: 1, Nwr: 1, WLSegs: 2, Mux: 4},
+		{NR: 512, NC: 256, W: 64, Npre: 1, Nwr: 1, WLSegs: 2, Mux: 4},
+	}
+	const vddc, vssc, vwl, mask = 0.55, -0.1, 0.55, 0xA5
+	h := Hybrid{Groups: 8, Mask: mask, Alt: alt}
+	b.Run("wrapper", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if err := ev.PrepareHybrid(geoms[i&1], vddc, vssc, vwl, h); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("staged", func(b *testing.B) {
+		rs, err := ev.Rails(vddc, vssc, vwl, &alt)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if err := ev.PrepareStaged(geoms[i&1], &rs, 8, mask); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 
+	"sramco/internal/periph"
 	"sramco/internal/wire"
 )
 
@@ -27,15 +28,35 @@ import (
 // the remaining per-point operations in Evaluate's order. The property test
 // in evaluator_test.go enforces this on randomized designs.
 //
+// Prepare is staged (DESIGN.md §13.6): technology constants are computed
+// once at construction, the rail-dependent currents live in a RailStage
+// that callers may build once and share, and the decoder blocks are
+// memoized on (n_r, n_c, W). Prepare and PrepareHybrid build a private rail
+// stage and call PrepareStaged, so there is exactly one prepare path.
+//
 // An Evaluator is NOT safe for concurrent use: Prepare mutates its memo
-// state. Share the validated construction by calling Clone once per worker;
-// clones share the read-only *Tech and revalidate nothing.
+// state. Give each goroutine its own Evaluator by calling Clone; clones
+// share the read-only *Tech and revalidate nothing. A RailStage is
+// immutable and may be shared by any number of Evaluators built from the
+// same Tech.
 type Evaluator struct {
 	tech *Tech
 	act  Activity
 
 	// Activity-derived constants (set at construction).
 	alpha, beta, oneMinusBeta float64
+
+	// Technology constants (set at construction): the rail-independent
+	// peripheral currents and the fixed-size WL/COL superbuffer.
+	iCol     float64 // coefCOL·27·ION,pfet
+	iTG      float64 // ION of one write transmission gate fin
+	ionP     float64 // ION,pfet per fin (precharger)
+	driveDrv periph.DriverResult
+
+	// Decoder memo: the row and column decoders depend only on (n_r, n_c, W).
+	decOK              bool
+	decNR, decNC, decW int
+	rowDec, colDec     periph.DecoderResult
 
 	// Prepared-chunk key: Prepare is memoized on the last (geometry base,
 	// rails) so repeated calls inside one chunk cost a few comparisons.
@@ -60,9 +81,6 @@ type Evaluator struct {
 	// Per-point current denominators and voltages.
 	iRead   float64 // cell read current at (VDDC, VSSC)
 	dvBLRd  float64 // VDDC - VSSC: bitline swing voltage of the read component
-	iCol    float64 // coefCOL·27·ION,pfet
-	iTG     float64 // ION of one write transmission gate fin
-	ionP    float64 // ION,pfet per fin (precharger)
 	vdd     float64
 	deltaVS float64
 
@@ -103,11 +121,14 @@ type Evaluator struct {
 	// amps; hBLFix[g] is the effective fixed bitline capacitance seen when
 	// group g's cell drives the read (its rows plus the wire up to it), with
 	// hBLFix[G-1] exactly blFixed so a uniform mask reproduces the global
-	// evaluation bit-identically.
+	// evaluation bit-identically. hNear lists the (at most two) lower groups
+	// that can set the worst-case delay (see hybridBLDelay).
 	hGroups int
 	hMask   uint32
 	hIRead  [MaxGroups]float64
 	hBLFix  [MaxGroups]float64
+	hNear   [2]int
+	hNearN  int
 
 	// §4 rail-settling feasibility (invariant: depends only on rails/WL).
 	settles bool
@@ -140,7 +161,8 @@ func NewEvaluator(t *Tech, act Activity) (*Evaluator, error) {
 }
 
 // init is the unchecked constructor shared by NewEvaluator and the Evaluate
-// wrapper (which performs its own validation in the historical order).
+// wrapper (which performs its own validation in the historical order). It
+// computes the technology constants every Prepare reuses.
 func (e *Evaluator) init(t *Tech, act Activity) {
 	e.tech = t
 	e.act = act
@@ -149,6 +171,11 @@ func (e *Evaluator) init(t *Tech, act Activity) {
 	e.oneMinusBeta = 1 - act.Beta
 	e.vdd = t.Vdd
 	e.deltaVS = t.DeltaVS
+	p := t.Periph
+	e.ionP = p.IONPfet()
+	e.iTG = p.IONTG()
+	e.iCol = coefCOL * driveFins * e.ionP
+	e.driveDrv = p.Driver(driveFins)
 }
 
 // Clone returns a fresh unprepared Evaluator sharing the validated *Tech.
@@ -161,13 +188,70 @@ func (e *Evaluator) Clone() *Evaluator {
 	return &c
 }
 
+// RailStage is the rail stage of a staged Prepare: every quantity that
+// depends only on the assist rails (VDDC, VSSC, VWL) and the flavor pair —
+// the unit currents of the CVDD, CVSS and WL drivers, and the base and
+// alternate flavors' cell read current and write delay. These are device
+// I–V evaluations, by far the costliest part of a Prepare, yet a search
+// shares one set of rails across every organization, segmentation, mux
+// ratio and group mask of a VSSC level. Build the stage once with
+// Evaluator.Rails and pass it to PrepareStaged for each such unit. A
+// RailStage is immutable: any number of goroutines may prepare from it.
+type RailStage struct {
+	tech                 *Tech
+	vddc, vssc, vwl      float64
+	iCVDD, iCVSS, iWL    float64 // rail-driver unit currents
+	iRead, wrDelay       float64 // base flavor (Tech)
+	hasAlt               bool
+	alt                  FlavorTerms
+	altIRead, altWrDelay float64
+}
+
+// Rails validates the assist rails against the technology and builds their
+// rail stage. alt, when non-nil, adds the alternate flavor's terms so the
+// stage can prepare hybrid units; nil builds a base-flavor-only stage.
+func (e *Evaluator) Rails(vddc, vssc, vwl float64, alt *FlavorTerms) (RailStage, error) {
+	t := e.tech
+	if t == nil {
+		return RailStage{}, fmt.Errorf("array: Prepare on zero Evaluator (use NewEvaluator)")
+	}
+	if alt != nil {
+		if err := alt.Validate(); err != nil {
+			return RailStage{}, err
+		}
+	}
+	if vddc < t.Vdd {
+		return RailStage{}, fmt.Errorf("array: VDDC=%g below Vdd=%g", vddc, t.Vdd)
+	}
+	if vssc > 0 {
+		return RailStage{}, fmt.Errorf("array: VSSC=%g must be ≤ 0", vssc)
+	}
+	if vwl < t.Vdd {
+		return RailStage{}, fmt.Errorf("array: VWL=%g below Vdd=%g (WLOD only)", vwl, t.Vdd)
+	}
+	p := t.Periph
+	rs := RailStage{
+		tech: t, vddc: vddc, vssc: vssc, vwl: vwl,
+		iCVDD: p.ICVDD(vddc), iCVSS: p.ICVSS(vssc), iWL: p.IWL(vwl),
+		iRead: t.IRead(vddc, vssc), wrDelay: t.WriteDelayCell(vwl),
+	}
+	if alt != nil {
+		rs.hasAlt = true
+		rs.alt = *alt
+		rs.altIRead = alt.IRead(vddc, vssc)
+		rs.altWrDelay = alt.WriteDelayCell(vwl)
+	}
+	return rs, nil
+}
+
 // Prepare fixes the chunk: the geometry base (N_pre and N_wr in g are
 // ignored) and the assist rails, computing everything invariant across the
 // inner (N_pre, N_wr) sweep. It validates the rails against the technology
 // and the base geometry structurally (with N_pre = N_wr = 1, since validity
 // of the base does not depend on the swept fin counts), and rejects a
 // non-positive read current exactly as Evaluate does. Repeated calls with
-// the same chunk return immediately.
+// the same chunk return immediately. A failed Prepare leaves the Evaluator
+// unprepared.
 func (e *Evaluator) Prepare(g wire.Geometry, vddc, vssc, vwl float64) error {
 	if e.tech == nil {
 		return fmt.Errorf("array: Prepare on zero Evaluator (use NewEvaluator)")
@@ -177,14 +261,21 @@ func (e *Evaluator) Prepare(g wire.Geometry, vddc, vssc, vwl float64) error {
 		vddc == e.vddc && vssc == e.vssc && vwl == e.vwl {
 		return nil
 	}
-	return e.prepare(g, vddc, vssc, vwl, nil)
+	rs, err := e.Rails(vddc, vssc, vwl, nil)
+	if err != nil {
+		e.prepared = false
+		return err
+	}
+	return e.PrepareStaged(g, &rs, 0, 0)
 }
 
 // PrepareHybrid is Prepare for a per-row-group flavor assignment: the chunk
 // additionally fixes (Groups, Mask, alternate flavor terms). Groups ≤ 1
-// degenerates to the global-flavor Prepare (Mask must then be zero). Unlike
-// Prepare it never memoizes, because the alternate terms are not part of the
-// memo key.
+// degenerates to the global-flavor Prepare (Mask must then be zero). The
+// alternate terms cannot be part of a memo key, so every call rebuilds the
+// rail stage (only the decoders are memoized); a caller preparing many
+// units on the same rails should build the stage once with Rails and call
+// PrepareStaged instead.
 func (e *Evaluator) PrepareHybrid(g wire.Geometry, vddc, vssc, vwl float64, h Hybrid) error {
 	if e.tech == nil {
 		return fmt.Errorf("array: Prepare on zero Evaluator (use NewEvaluator)")
@@ -195,35 +286,56 @@ func (e *Evaluator) PrepareHybrid(g wire.Geometry, vddc, vssc, vwl float64, h Hy
 		}
 		return e.Prepare(g, vddc, vssc, vwl)
 	}
-	if err := h.Alt.Validate(); err != nil {
+	rs, err := e.Rails(vddc, vssc, vwl, &h.Alt)
+	if err != nil {
+		e.prepared = false
 		return err
 	}
-	if err := (Design{Geom: g, Groups: h.Groups, GroupMask: h.Mask}).validateHybrid(); err != nil {
-		return err
-	}
-	return e.prepare(g, vddc, vssc, vwl, &h)
+	return e.PrepareStaged(g, &rs, h.Groups, h.Mask)
 }
 
-// prepare is the shared chunk computation behind Prepare and PrepareHybrid;
-// h == nil selects the single global flavor.
-func (e *Evaluator) prepare(g wire.Geometry, vddc, vssc, vwl float64, h *Hybrid) error {
+// decoders returns the row and column decoder blocks of g, recomputing them
+// only when (n_r, n_c, W) — everything periph.RowDecoder and
+// periph.ColumnDecoder read — changes.
+func (e *Evaluator) decoders(g wire.Geometry) (row, col periph.DecoderResult) {
+	if !e.decOK || g.NR != e.decNR || g.NC != e.decNC || g.W != e.decW {
+		p := e.tech.Periph
+		e.rowDec, e.colDec = p.RowDecoder(g), p.ColumnDecoder(g)
+		e.decNR, e.decNC, e.decW, e.decOK = g.NR, g.NC, g.W, true
+	}
+	return e.rowDec, e.colDec
+}
+
+// PrepareStaged is the staged entry behind Prepare and PrepareHybrid: it
+// fixes the chunk from a geometry base, a rail stage built by Rails on this
+// Evaluator's Tech, and a group assignment with Design's encoding (groups 0
+// selects the single global flavor; otherwise a power of two in
+// [2, MaxGroups], which requires a stage built with alternate terms). The
+// result is bit-identical to the wrapper it stands in for. It does not
+// memoize the chunk; a failure leaves the Evaluator unprepared.
+func (e *Evaluator) PrepareStaged(g wire.Geometry, rs *RailStage, groups int, mask uint32) error {
 	e.prepared = false
+	if e.tech == nil {
+		return fmt.Errorf("array: Prepare on zero Evaluator (use NewEvaluator)")
+	}
+	if rs.tech != e.tech {
+		return fmt.Errorf("array: rail stage built for a different technology")
+	}
+	if err := (Design{Geom: g, Groups: groups, GroupMask: mask}).validateHybrid(); err != nil {
+		return err
+	}
+	if groups > 1 && !rs.hasAlt {
+		return fmt.Errorf("array: Groups=%d requires a rail stage with alternate flavor terms", groups)
+	}
 
 	t := e.tech
-	if vddc < t.Vdd {
-		return fmt.Errorf("array: VDDC=%g below Vdd=%g", vddc, t.Vdd)
-	}
-	if vssc > 0 {
-		return fmt.Errorf("array: VSSC=%g must be ≤ 0", vssc)
-	}
-	if vwl < t.Vdd {
-		return fmt.Errorf("array: VWL=%g below Vdd=%g (WLOD only)", vwl, t.Vdd)
-	}
+	vddc, vssc, vwl := rs.vddc, rs.vssc, rs.vwl
 	base := g
 	base.Npre, base.Nwr = 1, 1
 	if err := base.Validate(); err != nil {
 		return err
 	}
+	hybrid := groups > 1
 
 	p := t.Periph
 	var b Breakdown
@@ -234,8 +346,8 @@ func (e *Evaluator) prepare(g wire.Geometry, vddc, vssc, vwl float64, h *Hybrid)
 	cWL := wire.WL(g, t.Caps)
 
 	// --- Table 2 components invariant across the inner sweep ---
-	b.DCVDD, b.ECVDD = component(cCVDD, t.Vdd, vddc-t.Vdd, coefCVDD*railFins*p.ICVDD(vddc))
-	b.DCVSS, b.ECVSS = component(cCVSS, t.Vdd, math.Abs(vssc), coefCVSS*railFins*p.ICVSS(vssc))
+	b.DCVDD, b.ECVDD = component(cCVDD, t.Vdd, vddc-t.Vdd, coefCVDD*railFins*rs.iCVDD)
+	b.DCVSS, b.ECVSS = component(cCVSS, t.Vdd, math.Abs(vssc), coefCVSS*railFins*rs.iCVSS)
 	if segs := g.Segments(); segs > 1 {
 		// Divided wordline: global wire + per-segment AND + local wordline.
 		cGWL := wire.GWL(g, t.Caps)
@@ -243,32 +355,31 @@ func (e *Evaluator) prepare(g wire.Geometry, vddc, vssc, vwl float64, h *Hybrid)
 		lwlFins := float64(wire.LWLDriverFins())
 		dAnd := 2 * p.Tau * (2 + p.PInv) // NAND2 + local driver input stage
 		eAnd := lwlFins * (t.Caps.Cgn + t.Caps.Cgp) * t.Vdd * t.Vdd
-		dg, eg := component(cGWL, t.Vdd, t.Vdd, coefWLrd*driveFins*p.IONPfet())
-		dl, el := component(cLWL, t.Vdd, t.Vdd, coefWLrd*lwlFins*p.IONPfet())
+		dg, eg := component(cGWL, t.Vdd, t.Vdd, coefWLrd*driveFins*e.ionP)
+		dl, el := component(cLWL, t.Vdd, t.Vdd, coefWLrd*lwlFins*e.ionP)
 		b.DWLGlobal, b.DWLLocal = dg, dl
 		b.DWLRead = dg + dAnd + dl
 		b.EWLRead = eg + eAnd + el
-		dlw, elw := component(cLWL, t.Vdd, vwl, coefWLwr*lwlFins*p.IWL(vwl))
+		dlw, elw := component(cLWL, t.Vdd, vwl, coefWLwr*lwlFins*rs.iWL)
 		b.DWLWrite = dg + dAnd + dlw
 		b.EWLWrite = eg + eAnd + elw
 	} else {
-		b.DWLRead, b.EWLRead = component(cWL, t.Vdd, t.Vdd, coefWLrd*driveFins*p.IONPfet())
-		b.DWLWrite, b.EWLWrite = component(cWL, t.Vdd, vwl, coefWLwr*driveFins*p.IWL(vwl))
+		b.DWLRead, b.EWLRead = component(cWL, t.Vdd, t.Vdd, coefWLrd*driveFins*e.ionP)
+		b.DWLWrite, b.EWLWrite = component(cWL, t.Vdd, vwl, coefWLwr*driveFins*rs.iWL)
 	}
 	e.hGroups, e.hMask = 0, 0
 	var iRead float64
-	if h == nil {
-		iRead = t.IRead(vddc, vssc)
+	if !hybrid {
+		iRead = rs.iRead
 		if iRead <= 0 {
 			return fmt.Errorf("array: non-positive read current %g at VDDC=%g VSSC=%g", iRead, vddc, vssc)
 		}
 	} else {
-		for gi := 0; gi < h.Groups; gi++ {
-			ir := t.IRead
-			if h.Mask>>uint(gi)&1 == 1 {
-				ir = h.Alt.IRead
+		for gi := 0; gi < groups; gi++ {
+			v := rs.iRead
+			if mask>>uint(gi)&1 == 1 {
+				v = rs.altIRead
 			}
-			v := ir(vddc, vssc)
 			if v <= 0 {
 				return fmt.Errorf("array: non-positive read current %g at VDDC=%g VSSC=%g (group %d)", v, vddc, vssc, gi)
 			}
@@ -276,36 +387,33 @@ func (e *Evaluator) prepare(g wire.Geometry, vddc, vssc, vwl float64, h *Hybrid)
 		}
 		// The far group sees the full bitline; its current feeds the shared
 		// component call, which the hybrid max in EvalInto then refines.
-		iRead = e.hIRead[h.Groups-1]
+		iRead = e.hIRead[groups-1]
 	}
 
 	// --- Peripheral blocks ---
-	rowDec := p.RowDecoder(g)
-	colDec := p.ColumnDecoder(g)
-	rowDrv := p.Driver(driveFins)
+	rowDec, colDec := e.decoders(g)
 	b.DRowDec, b.ERowDec = rowDec.Delay, rowDec.Energy
-	b.DRowDrv, b.ERowDrv = rowDrv.Delay, rowDrv.Energy
+	b.DRowDrv, b.ERowDrv = e.driveDrv.Delay, e.driveDrv.Energy
 	if g.Muxed() {
-		colDrv := p.Driver(driveFins)
 		b.DColDec, b.EColDec = colDec.Delay, colDec.Energy
-		b.DColDrv, b.EColDrv = colDrv.Delay, colDrv.Energy
+		b.DColDrv, b.EColDrv = e.driveDrv.Delay, e.driveDrv.Energy
 	}
 	b.DSenseAmp, b.ESenseAmp = p.SADelay, p.SAEnergy
-	b.DWriteCell = t.WriteDelayCell(vwl)
+	b.DWriteCell = rs.wrDelay
 	b.EWriteCell = t.WriteEnergyCell
-	if h != nil {
-		full := uint32(1)<<uint(h.Groups) - 1
+	full := uint32(1)<<uint(groups) - 1
+	if hybrid {
 		switch {
-		case h.Mask == 0:
+		case mask == 0:
 			// Uniform base flavor: already exact.
-		case h.Mask == full:
-			b.DWriteCell = h.Alt.WriteDelayCell(vwl)
-			b.EWriteCell = h.Alt.WriteEnergyCell
+		case mask == full:
+			b.DWriteCell = rs.altWrDelay
+			b.EWriteCell = rs.alt.WriteEnergyCell
 		default:
 			// Mixed: the slower flavor's write dominates the cell flip.
-			if ad := h.Alt.WriteDelayCell(vwl); ad > b.DWriteCell {
+			if ad := rs.altWrDelay; ad > b.DWriteCell {
 				b.DWriteCell = ad
-				b.EWriteCell = h.Alt.WriteEnergyCell
+				b.EWriteCell = rs.alt.WriteEnergyCell
 			}
 		}
 	}
@@ -320,9 +428,6 @@ func (e *Evaluator) prepare(g wire.Geometry, vddc, vssc, vwl float64, h *Hybrid)
 	e.sumCg = t.Caps.Cgn + t.Caps.Cgp
 	e.iRead = iRead
 	e.dvBLRd = vddc - vssc
-	e.iCol = coefCOL * driveFins * p.IONPfet()
-	e.iTG = p.IONTG()
-	e.ionP = p.IONPfet()
 
 	// --- Output mux (sense-amp sharing) ---
 	m := g.MuxRatio()
@@ -332,7 +437,7 @@ func (e *Evaluator) prepare(g wire.Geometry, vddc, vssc, vwl float64, h *Hybrid)
 		e.blMuxCd = float64(m) * e.sumCd
 	}
 	cMuxSel := wire.MuxSel(g, t.Caps)
-	b.DMuxSel, b.EMuxSel = component(cMuxSel, t.Vdd, t.Vdd, coefCOL*driveFins*p.IONPfet())
+	b.DMuxSel, b.EMuxSel = component(cMuxSel, t.Vdd, t.Vdd, e.iCol)
 	e.dMuxExtra, e.eMuxExtra = b.DMuxSel, b.EMuxSel
 
 	// --- Layout area (wire.Area factorization) ---
@@ -341,12 +446,24 @@ func (e *Evaluator) prepare(g wire.Geometry, vddc, vssc, vwl float64, h *Hybrid)
 	e.areaWr = wire.AreaWrUnit(g)
 
 	// --- Hybrid per-group effective bitline capacitances ---
-	if h != nil {
-		e.hGroups, e.hMask = h.Groups, h.Mask
-		for gi := 0; gi < h.Groups-1; gi++ {
-			e.hBLFix[gi] = e.blFixed * (float64(gi+1) / float64(h.Groups))
+	if hybrid {
+		e.hGroups, e.hMask = groups, mask
+		for gi := 0; gi < groups-1; gi++ {
+			e.hBLFix[gi] = e.blFixed * (float64(gi+1) / float64(groups))
 		}
-		e.hBLFix[h.Groups-1] = e.blFixed
+		e.hBLFix[groups-1] = e.blFixed
+		// Within one flavor a lower group's delay term never exceeds that of
+		// the farthest lower group of the same flavor, so only the farthest
+		// lower group of each flavor can set the max (DESIGN.md §13.6).
+		var taken [2]bool
+		e.hNearN = 0
+		for gi := groups - 2; gi >= 0; gi-- {
+			if f := mask >> uint(gi) & 1; !taken[f] {
+				taken[f] = true
+				e.hNear[e.hNearN] = gi
+				e.hNearN++
+			}
+		}
 	}
 
 	// --- Partial Table-3 sums (prefixes of Evaluate's left-associative
@@ -378,20 +495,19 @@ func (e *Evaluator) prepare(g wire.Geometry, vddc, vssc, vwl float64, h *Hybrid)
 	e.wrCellE = wrMult * b.EWriteCell
 
 	e.leakCoef = float64(g.Bits()) * t.LeakCell
-	if h != nil {
-		full := uint32(1)<<uint(h.Groups) - 1
-		switch h.Mask {
+	if hybrid {
+		switch mask {
 		case 0:
 			// Uniform base flavor: the single multiply above is already exact.
 		case full:
-			e.leakCoef = float64(g.Bits()) * h.Alt.LeakCell
+			e.leakCoef = float64(g.Bits()) * rs.alt.LeakCell
 		default:
-			perGroup := float64(g.Bits() / h.Groups)
+			perGroup := float64(g.Bits() / groups)
 			sum := 0.0
-			for gi := 0; gi < h.Groups; gi++ {
+			for gi := 0; gi < groups; gi++ {
 				lk := t.LeakCell
-				if h.Mask>>uint(gi)&1 == 1 {
-					lk = h.Alt.LeakCell
+				if mask>>uint(gi)&1 == 1 {
+					lk = rs.alt.LeakCell
 				}
 				sum += perGroup * lk
 			}
@@ -418,10 +534,16 @@ func (e *Evaluator) prepare(g wire.Geometry, vddc, vssc, vwl float64, h *Hybrid)
 // full per-point (precharger, write-buffer, mux) drain terms. The far group
 // uses cBL verbatim, so a uniform mask reproduces the global-flavor
 // component delay bit-identically.
+//
+// Only the far group and the hNear groups are divided: within one flavor the
+// term is non-decreasing in the group index (hBLFix is, and correctly
+// rounded +, × and ÷ are monotone), so the farthest lower group of each
+// flavor dominates the others and the max is exactly the all-groups max.
+// The same-flavor representative stays because (cBL − blFixed) + blFixed
+// may round above cBL.
 func (e *Evaluator) hybridBLDelay(cBL float64) float64 {
-	last := e.hGroups - 1
-	d := cBL * e.deltaVS / e.hIRead[last]
-	for gi := 0; gi < last; gi++ {
+	d := cBL * e.deltaVS / e.hIRead[e.hGroups-1]
+	for _, gi := range e.hNear[:e.hNearN] {
 		ce := (cBL - e.blFixed) + e.hBLFix[gi]
 		if dg := ce * e.deltaVS / e.hIRead[gi]; dg > d {
 			d = dg

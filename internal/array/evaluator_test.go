@@ -198,8 +198,9 @@ func TestEvaluatorErrors(t *testing.T) {
 
 // TestEvaluatorClonesShareTechConcurrently mirrors the sharded search's use
 // of the engine: one validated Evaluator, one clone per worker, all sharing
-// the read-only *Tech while preparing different chunks concurrently. Run
-// under -race (the Makefile check gate) this proves the sharing is sound.
+// the read-only *Tech and one rail stage while preparing different chunks
+// concurrently. Run under -race (the Makefile check gate) this proves the
+// sharing is sound.
 func TestEvaluatorClonesShareTechConcurrently(t *testing.T) {
 	tech := testTech(t)
 	proto, err := NewEvaluator(tech, act)
@@ -207,6 +208,10 @@ func TestEvaluatorClonesShareTechConcurrently(t *testing.T) {
 		t.Fatal(err)
 	}
 	ref, err := Evaluate(tech, design(512, 64, 5, 2, 0.55, -0.12, 0.55), act)
+	if err != nil {
+		t.Fatal(err)
+	}
+	shared, err := proto.Rails(0.55, -0.12, 0.55, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -234,10 +239,16 @@ func TestEvaluatorClonesShareTechConcurrently(t *testing.T) {
 					}
 				}
 			}
-			// One worker re-derives the reference point on its clone.
+			// Every worker re-derives the reference point on its clone from
+			// the shared rail stage; one worker first through Prepare.
+			g := wire.Geometry{NR: 512, NC: 64, W: 64}
+			var prepares []func() error
 			if worker == 5 {
-				g := wire.Geometry{NR: 512, NC: 64, W: 64}
-				if err := ev.Prepare(g, 0.55, -0.12, 0.55); err != nil {
+				prepares = append(prepares, func() error { return ev.Prepare(g, 0.55, -0.12, 0.55) })
+			}
+			prepares = append(prepares, func() error { return ev.PrepareStaged(g, &shared, 0, 0) })
+			for _, prepare := range prepares {
+				if err := prepare(); err != nil {
 					errs <- err
 					return
 				}

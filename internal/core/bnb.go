@@ -15,11 +15,11 @@ import (
 
 // This file is the branch-and-bound fast path of the exhaustive searchers.
 //
-// The search space factors into (chunk × segmentation) units, each an
-// (N_pre, N_wr) rectangle sharing one Prepare. A cheap certified lower bound
-// (array.BoundRect) over a unit — or a single N_pre row of it — lets the
-// searcher skip the rectangle wholesale when even the bound cannot beat the
-// incumbent, charging the skipped points to SearchStats.PrunedBound.
+// The search space factors into (chunk × segmentation × mux × mask) units,
+// each an (N_pre, N_wr) rectangle sharing one Prepare. A cheap certified
+// lower bound (array.BoundRect) over a unit — or a single N_pre row of it —
+// lets the searcher skip the rectangle wholesale when even the bound cannot
+// beat the incumbent, charging the skipped points to SearchStats.PrunedBound.
 //
 // Determinism: SearchStats documents that every count is bit-identical for a
 // given Options regardless of GOMAXPROCS, and the serving layer's catalog
@@ -28,12 +28,20 @@ import (
 // scheduling, so pruning thresholds are derived only from
 // schedule-independent state (DESIGN.md §11):
 //
-//  1. a bound pass prepares every unit and bounds its full rectangle;
+//  1. a bound pass prepares every unit on its worker's Evaluator, bounds its
+//     full rectangle and keeps only a compact record (searchUnit);
 //  2. the unit with the best bound seeds the search: its chunk is swept
 //     first, alone, and its best objective freezes the global threshold T;
 //  3. the remaining chunks are sharded over workers, each pruning against
 //     min(T, chunk-local best) — both independent of which worker runs the
 //     chunk or in what order.
+//
+// Units that survive their record's bound are prepared again on the
+// sweeping worker's Evaluator. Prepare is a pure function of the unit, so
+// the re-prepared chunk is bit-identical to the one the bound pass saw.
+// Every Prepare draws its rail-dependent currents from a rail stage built
+// once per (rail class × VSSC level) before the bound pass and shared
+// read-only by all workers.
 //
 // The cross-worker atomic best-so-far (bestSoFar) is still published on
 // every improvement — observers (the run span, tests, a progress ticker)
@@ -71,26 +79,44 @@ func (m *atomicMin) Publish(v float64) {
 // Load returns the current minimum (+Inf before any Publish).
 func (m *atomicMin) Load() float64 { return math.Float64frombits(m.bits.Load()) }
 
-// searchUnit is one (chunk, segmentation, mux, group-mask) rectangle of the
-// bounded search: a prepared Evaluator plus the lower bound over its full
-// (N_pre, N_wr) range. Invalid base geometries keep ev == nil and are charged
-// to SkippedGeom; RSNM-infeasible mask classes set rsnmSkip and are charged
-// to SkippedRSNM, mirroring the unpruned path's in-loop counts.
+// unitStatus classifies a searchUnit after the bound pass.
+type unitStatus uint8
+
+const (
+	unitLive      unitStatus = iota // prepared and bounded: sweep or prune on the bound
+	unitGeom                        // invalid base geometry: charged to SkippedGeom
+	unitRSNM                        // RSNM-infeasible mask class: charged to SkippedRSNM
+	unitUnsettled                   // rails cannot settle in time: charged to PrunedBound
+)
+
+// searchUnit is the bound pass's record of one (chunk, segmentation, mux,
+// group-mask) rectangle: which unit it is, how the pass classified it, and
+// the lower bounds over its full (N_pre, N_wr) range that the reducers and
+// pickSeed read. It holds no Evaluator: the sweep re-prepares its own for
+// the units that survive the bound. The skip classes mirror the unpruned
+// path's in-loop counts.
 type searchUnit struct {
-	segs     int
-	mux      int
-	spec     maskSpec
-	valid    bool
-	rsnmSkip bool
-	ev       *array.Evaluator
-	bound    array.Bound
+	spec   uint16 // index into bnbSearch.specs
+	segs   uint8
+	status unitStatus
+	mux    int32
+	obj    float64 // objective bound (the Pareto search seeds on EDP)
+	d, e   float64 // DArray and EArray bounds (Pareto pruning)
+}
+
+// railEntry is one shared rail stage, or the error building it returned;
+// the error surfaces at the first unit that needs the stage, where a
+// per-unit Prepare would have failed.
+type railEntry struct {
+	stage array.RailStage
+	err   error
 }
 
 // bnbSearch carries the shared state of one bounded search run.
 type bnbSearch struct {
 	opts      *Options
 	specs     []maskSpec
-	alt       array.FlavorTerms
+	groups    int // Design.Groups of every unit: 0, or HybridGroups when hybrid
 	cc, altCC *CellChar
 	delta     float64
 	evProto   *array.Evaluator
@@ -98,20 +124,99 @@ type bnbSearch struct {
 	units     [][]searchUnit // aligned with chunks
 	kind      objKind
 	sctx      context.Context
+	done      <-chan struct{} // sctx.Done(), captured once
 	cancel    context.CancelCauseFunc
 	bestSoFar *atomicMin
+
+	// rails[level*nClass + specClass[spec]] is the rail stage of a spec at a
+	// VSSC level. A rail class is the set of specs sharing (VDDC, VWL): a
+	// hybrid search has at most three (pure base, pure alternate, mixed).
+	rails     []railEntry
+	specClass []int
+	nClass    int
+}
+
+// newBnbSearch assembles a bounded search over chunks and builds its rail
+// stages. The returned search owns a cancelable child of ctx; the caller
+// must defer s.cancel(nil).
+func (f *Framework) newBnbSearch(ctx context.Context, opts *Options, chunks []chunk,
+	evProto *array.Evaluator, specs []maskSpec, alt array.FlavorTerms, cc, altCC *CellChar, kind objKind) *bnbSearch {
+
+	sctx, cancel := context.WithCancelCause(ctx)
+	s := &bnbSearch{
+		opts: opts, specs: specs, cc: cc, altCC: altCC, delta: f.Delta,
+		evProto: evProto, chunks: chunks, kind: kind,
+		sctx: sctx, done: sctx.Done(), cancel: cancel, bestSoFar: newAtomicMin(),
+	}
+	var altp *array.FlavorTerms
+	if opts.hybridOn() {
+		s.groups, altp = opts.HybridGroups, &alt
+	}
+	var classes [][2]float64
+	s.specClass = make([]int, len(specs))
+	for i, sp := range specs {
+		k := 0
+		for k < len(classes) && classes[k] != [2]float64{sp.vddc, sp.vwl} {
+			k++
+		}
+		if k == len(classes) {
+			classes = append(classes, [2]float64{sp.vddc, sp.vwl})
+		}
+		s.specClass[i] = k
+	}
+	s.nClass = len(classes)
+	levels := 0
+	for _, c := range chunks {
+		levels = max(levels, c.level+1)
+	}
+	s.rails = make([]railEntry, levels*s.nClass)
+	built := make([]bool, levels)
+	for _, c := range chunks {
+		if built[c.level] {
+			continue
+		}
+		built[c.level] = true
+		for k, cl := range classes {
+			r := &s.rails[c.level*s.nClass+k]
+			r.stage, r.err = evProto.Rails(cl[0], c.vssc, cl[1], altp)
+		}
+	}
+	return s
+}
+
+// canceled polls the search context without locking it: ctx.Err takes the
+// context's mutex, and the sweep polls once per unit and per N_pre row.
+func (s *bnbSearch) canceled() bool {
+	select {
+	case <-s.done:
+		return true
+	default:
+		return false
+	}
+}
+
+// prepareUnit prepares ev for unit u of chunk c from the shared rail stage.
+func (s *bnbSearch) prepareUnit(ev *array.Evaluator, c chunk, u *searchUnit) error {
+	r := &s.rails[c.level*s.nClass+s.specClass[u.spec]]
+	if r.err != nil {
+		return r.err
+	}
+	base := wire.Geometry{NR: c.rc.nr, NC: c.rc.nc, W: accessWidth(s.opts.W, c.rc.nc), Npre: 1, Nwr: 1,
+		WLSegs: int(u.segs), Mux: int(u.mux)}
+	return ev.PrepareStaged(base, &r.stage, s.groups, s.specs[u.spec].mask)
 }
 
 // unitDesign materializes the Design identity of one point of a unit, with
 // the hybrid fields stamped exactly as the evaluator stamps its Results so
 // tie-break comparisons see identical values.
 func (s *bnbSearch) unitDesign(u *searchUnit, nr, nc, width, npre, nwr int, vssc float64) array.Design {
+	sp := &s.specs[u.spec]
 	d := array.Design{
-		Geom: wire.Geometry{NR: nr, NC: nc, W: width, Npre: npre, Nwr: nwr, WLSegs: u.segs, Mux: u.mux},
-		VDDC: u.spec.vddc, VSSC: vssc, VWL: u.spec.vwl,
+		Geom: wire.Geometry{NR: nr, NC: nc, W: width, Npre: npre, Nwr: nwr, WLSegs: int(u.segs), Mux: int(u.mux)},
+		VDDC: sp.vddc, VSSC: vssc, VWL: sp.vwl,
 	}
 	if s.opts.hybridOn() {
-		d.Groups, d.GroupMask = s.opts.HybridGroups, u.spec.mask
+		d.Groups, d.GroupMask = s.opts.HybridGroups, sp.mask
 	}
 	return d
 }
@@ -146,9 +251,10 @@ func (s *bnbSearch) objLane(sw *array.SweepBlock) []float64 {
 	return sw.EDP
 }
 
-// boundPass prepares every (chunk, segmentation) unit and bounds its full
-// rectangle, striping chunks over workers. Unit construction is pure
-// per-chunk work, so the stripe assignment cannot affect the result.
+// boundPass prepares every unit on one Evaluator per worker, bounds its
+// full rectangle and records the result, striping chunks over workers.
+// Unit construction is pure per-chunk work, so the stripe assignment cannot
+// affect the result.
 func (s *bnbSearch) boundPass(workers int) error {
 	s.units = make([][]searchUnit, len(s.chunks))
 	var wg sync.WaitGroup
@@ -156,8 +262,9 @@ func (s *bnbSearch) boundPass(workers int) error {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
+			ev := s.evProto.Clone()
 			for ci := w; ci < len(s.chunks); ci += workers {
-				if s.sctx.Err() != nil {
+				if s.canceled() {
 					return
 				}
 				c := s.chunks[ci]
@@ -168,37 +275,23 @@ func (s *bnbSearch) boundPass(workers int) error {
 				for _, segs := range segsList {
 					for _, mux := range muxList {
 						base := wire.Geometry{NR: c.rc.nr, NC: c.rc.nc, W: width, Npre: 1, Nwr: 1, WLSegs: segs, Mux: mux}
+						status := unitLive
 						if base.Validate() != nil || (s.opts.hybridOn() && c.rc.nr%s.opts.HybridGroups != 0) {
-							for _, sp := range s.specs {
-								us = append(us, searchUnit{segs: segs, mux: mux, spec: sp})
-							}
-							continue
+							status = unitGeom
 						}
-						for _, sp := range s.specs {
-							if !specRSNMOK(sp, c.vssc, s.cc, s.altCC, s.delta) {
-								us = append(us, searchUnit{segs: segs, mux: mux, spec: sp, rsnmSkip: true})
-								continue
+						for si, sp := range s.specs {
+							u := searchUnit{spec: uint16(si), segs: uint8(segs), mux: int32(mux), status: status}
+							if status == unitLive && !specRSNMOK(sp, c.vssc, s.cc, s.altCC, s.delta) {
+								u.status = unitRSNM
 							}
-							ev := s.evProto.Clone()
-							var perr error
-							if s.opts.hybridOn() {
-								perr = ev.PrepareHybrid(base, sp.vddc, c.vssc, sp.vwl,
-									array.Hybrid{Groups: s.opts.HybridGroups, Mask: sp.mask, Alt: s.alt})
-							} else {
-								perr = ev.Prepare(base, sp.vddc, c.vssc, sp.vwl)
+							if u.status == unitLive {
+								if err := s.boundUnit(ev, c, &u); err != nil {
+									s.cancel(fmt.Errorf("core: evaluating n_r=%d n_c=%d N_pre=%d N_wr=%d VSSC=%g: %w",
+										c.rc.nr, c.rc.nc, 1, 1, c.vssc, err))
+									return
+								}
 							}
-							if perr != nil {
-								s.cancel(fmt.Errorf("core: evaluating n_r=%d n_c=%d N_pre=%d N_wr=%d VSSC=%g: %w",
-									c.rc.nr, c.rc.nc, 1, 1, c.vssc, perr))
-								return
-							}
-							b, err := ev.BoundRect(1, s.opts.Space.NpreMax, 1, s.opts.Space.NwrMax)
-							if err != nil {
-								s.cancel(fmt.Errorf("core: evaluating n_r=%d n_c=%d N_pre=%d N_wr=%d VSSC=%g: %w",
-									c.rc.nr, c.rc.nc, 1, 1, c.vssc, err))
-								return
-							}
-							us = append(us, searchUnit{segs: segs, mux: mux, spec: sp, valid: true, ev: ev, bound: b})
+							us = append(us, u)
 						}
 					}
 				}
@@ -210,6 +303,23 @@ func (s *bnbSearch) boundPass(workers int) error {
 	return context.Cause(s.sctx)
 }
 
+// boundUnit prepares a live unit and records the bounds over its full
+// rectangle, demoting it to unitUnsettled when its rails cannot settle.
+func (s *bnbSearch) boundUnit(ev *array.Evaluator, c chunk, u *searchUnit) error {
+	if err := s.prepareUnit(ev, c, u); err != nil {
+		return err
+	}
+	b, err := ev.BoundRect(1, s.opts.Space.NpreMax, 1, s.opts.Space.NwrMax)
+	if err != nil {
+		return err
+	}
+	u.obj, u.d, u.e = s.objBound(b), b.DArray, b.EArray
+	if !b.RailsSettleInTime {
+		u.status = unitUnsettled
+	}
+	return nil
+}
+
 // pickSeed returns the chunk containing the unit with the smallest objective
 // bound among rail-feasible units (ties: lowest chunk index, then unit
 // order) — the rectangle most likely to contain the global optimum, so the
@@ -218,11 +328,8 @@ func (s *bnbSearch) pickSeed() (int, bool) {
 	best, ci := math.Inf(1), -1
 	for i, us := range s.units {
 		for _, u := range us {
-			if !u.valid || !u.bound.RailsSettleInTime {
-				continue
-			}
-			if b := s.objBound(u.bound); b < best {
-				best, ci = b, i
+			if u.status == unitLive && u.obj < best {
+				best, ci = u.obj, i
 			}
 		}
 	}
@@ -231,6 +338,7 @@ func (s *bnbSearch) pickSeed() (int, bool) {
 
 // bnbWorker accumulates one worker's partial view of the bounded search.
 type bnbWorker struct {
+	ev      *array.Evaluator // re-prepared for each unit that survives its bound
 	best    *DesignPoint
 	obj     float64
 	stats   SearchStats
@@ -269,33 +377,39 @@ func (s *bnbSearch) processChunk(ci int, T float64, slot *bnbWorker) bool {
 	}
 
 	local := math.Inf(1) // chunk-local incumbent objective
+	ev := slot.ev
 	for ui := range s.units[ci] {
 		u := &s.units[ci][ui]
-		if s.sctx.Err() != nil {
+		if s.canceled() {
 			endChunk(false)
 			return false
 		}
-		if u.rsnmSkip {
+		switch u.status {
+		case unitRSNM:
 			slot.stats.SkippedRSNM += pts
 			continue
-		}
-		if !u.valid {
+		case unitGeom:
 			slot.stats.SkippedGeom += pts
 			continue
-		}
-		if !u.bound.RailsSettleInTime {
+		case unitUnsettled:
 			// Rail settling is chunk-invariant (§4): the whole rectangle is
 			// infeasible and pruned without evaluation. (The unpruned path
 			// evaluates these points and counts them under SkippedRails.)
 			slot.stats.PrunedBound += pts
 			continue
 		}
-		if s.objBound(u.bound) > math.Min(T, local) {
+		if u.obj > math.Min(T, local) {
 			slot.stats.PrunedBound += pts
 			continue
 		}
+		if err := s.prepareUnit(ev, c, u); err != nil {
+			s.cancel(fmt.Errorf("core: evaluating n_r=%d n_c=%d N_pre=%d N_wr=%d VSSC=%g: %w",
+				c.rc.nr, c.rc.nc, 1, 1, c.vssc, err))
+			endChunk(false)
+			return false
+		}
 		for npre := 1; npre <= space.NpreMax; npre++ {
-			if s.sctx.Err() != nil {
+			if s.canceled() {
 				endChunk(false)
 				return false
 			}
@@ -307,7 +421,7 @@ func (s *bnbSearch) processChunk(ci int, T float64, slot *bnbWorker) bool {
 			// and the incumbent updates stay deterministic.
 			var refine func(lo, hi int) bool
 			refine = func(lo, hi int) bool {
-				rb, err := u.ev.BoundRect(npre, npre, lo, hi)
+				rb, err := ev.BoundRect(npre, npre, lo, hi)
 				if err != nil {
 					s.cancel(fmt.Errorf("core: evaluating n_r=%d n_c=%d N_pre=%d N_wr=%d VSSC=%g: %w",
 						c.rc.nr, c.rc.nc, npre, lo, c.vssc, err))
@@ -321,7 +435,7 @@ func (s *bnbSearch) processChunk(ci int, T float64, slot *bnbWorker) bool {
 					mid := (lo + hi) / 2
 					return refine(lo, mid) && refine(mid+1, hi)
 				}
-				if err := u.ev.EvalSweep(npre, lo, hi, &slot.sweep); err != nil {
+				if err := ev.EvalSweep(npre, lo, hi, &slot.sweep); err != nil {
 					s.cancel(fmt.Errorf("core: evaluating n_r=%d n_c=%d N_pre=%d N_wr=%d VSSC=%g: %w",
 						c.rc.nr, c.rc.nc, npre, lo, c.vssc, err))
 					return false
@@ -342,7 +456,7 @@ func (s *bnbSearch) processChunk(ci int, T float64, slot *bnbWorker) bool {
 						// Materialize the winning point once; the sweep lanes
 						// are bit-identical to EvalInto, so the stored
 						// objective v matches the Result exactly.
-						if err := u.ev.EvalInto(npre, nwr, &slot.scratch); err != nil {
+						if err := ev.EvalInto(npre, nwr, &slot.scratch); err != nil {
 							s.cancel(fmt.Errorf("core: evaluating n_r=%d n_c=%d N_pre=%d N_wr=%d VSSC=%g: %w",
 								c.rc.nr, c.rc.nc, npre, nwr, c.vssc, err))
 							return false
@@ -373,14 +487,9 @@ func (f *Framework) optimizeBounded(runSpan obs.Span, start time.Time, opts *Opt
 	stats SearchStats, chunks []chunk, workers int, evProto *array.Evaluator,
 	specs []maskSpec, alt array.FlavorTerms, cc, altCC *CellChar, ctx context.Context) (*Optimum, error) {
 
-	sctx, cancel := context.WithCancelCause(ctx)
-	defer cancel(nil)
-	s := &bnbSearch{
-		opts: opts, specs: specs, alt: alt, cc: cc, altCC: altCC, delta: f.Delta,
-		evProto: evProto, chunks: chunks,
-		kind: objectiveKind(opts.Objective), sctx: sctx, cancel: cancel,
-		bestSoFar: newAtomicMin(),
-	}
+	s := f.newBnbSearch(ctx, opts, chunks, evProto, specs, alt, cc, altCC, objectiveKind(opts.Objective))
+	defer s.cancel(nil)
+	sctx := s.sctx
 
 	finish := func(slots []bnbWorker) (SearchStats, *DesignPoint, float64) {
 		var best *DesignPoint
@@ -401,7 +510,7 @@ func (f *Framework) optimizeBounded(runSpan obs.Span, start time.Time, opts *Opt
 
 	slots := make([]bnbWorker, workers)
 	for i := range slots {
-		slots[i].obj = math.Inf(1)
+		slots[i].ev, slots[i].obj = evProto.Clone(), math.Inf(1)
 	}
 
 	if err := s.boundPass(workers); err != nil {
@@ -488,6 +597,7 @@ func paretoWouldChange(front []DesignPoint, d, e float64, cand array.Design) boo
 
 // bnbParetoWorker accumulates one worker's partial frontier.
 type bnbParetoWorker struct {
+	ev      *array.Evaluator // re-prepared for each unit that survives its bound
 	front   []DesignPoint
 	stats   SearchStats
 	sweep   array.SweepBlock
@@ -525,30 +635,36 @@ func (s *bnbSearch) processParetoChunk(ci int, f0 []DesignPoint, slot *bnbPareto
 		sp.End()
 	}
 
+	ev := slot.ev
 	for ui := range s.units[ci] {
 		u := &s.units[ci][ui]
-		if s.sctx.Err() != nil {
+		if s.canceled() {
 			endChunk(false)
 			return false
 		}
-		if u.rsnmSkip {
+		switch u.status {
+		case unitRSNM:
 			slot.stats.SkippedRSNM += pts
 			continue
-		}
-		if !u.valid {
+		case unitGeom:
 			slot.stats.SkippedGeom += pts
 			continue
-		}
-		if !u.bound.RailsSettleInTime {
+		case unitUnsettled:
 			slot.stats.PrunedBound += pts
 			continue
 		}
-		if frontDominatesRect(f0, u.bound.DArray, u.bound.EArray) {
+		if frontDominatesRect(f0, u.d, u.e) {
 			slot.stats.PrunedBound += pts
 			continue
+		}
+		if err := s.prepareUnit(ev, c, u); err != nil {
+			s.cancel(fmt.Errorf("core: pareto evaluating n_r=%d N_pre=%d N_wr=%d VSSC=%g: %w",
+				c.rc.nr, 1, 1, c.vssc, err))
+			endChunk(false)
+			return false
 		}
 		for npre := 1; npre <= space.NpreMax; npre++ {
-			if s.sctx.Err() != nil {
+			if s.canceled() {
 				endChunk(false)
 				return false
 			}
@@ -556,7 +672,7 @@ func (s *bnbSearch) processParetoChunk(ci int, f0 []DesignPoint, slot *bnbPareto
 			// tightens the bound's write-buffer-current slack 2× per level.
 			var refine func(lo, hi int) bool
 			refine = func(lo, hi int) bool {
-				rb, err := u.ev.BoundRect(npre, npre, lo, hi)
+				rb, err := ev.BoundRect(npre, npre, lo, hi)
 				if err != nil {
 					s.cancel(fmt.Errorf("core: pareto evaluating n_r=%d N_pre=%d N_wr=%d VSSC=%g: %w",
 						c.rc.nr, npre, lo, c.vssc, err))
@@ -570,7 +686,7 @@ func (s *bnbSearch) processParetoChunk(ci int, f0 []DesignPoint, slot *bnbPareto
 					mid := (lo + hi) / 2
 					return refine(lo, mid) && refine(mid+1, hi)
 				}
-				if err := u.ev.EvalSweep(npre, lo, hi, &slot.sweep); err != nil {
+				if err := ev.EvalSweep(npre, lo, hi, &slot.sweep); err != nil {
 					s.cancel(fmt.Errorf("core: pareto evaluating n_r=%d N_pre=%d N_wr=%d VSSC=%g: %w",
 						c.rc.nr, npre, lo, c.vssc, err))
 					return false
@@ -583,7 +699,7 @@ func (s *bnbSearch) processParetoChunk(ci int, f0 []DesignPoint, slot *bnbPareto
 					if !paretoWouldChange(slot.front, d, e, cand) {
 						continue
 					}
-					if err := u.ev.EvalInto(npre, nwr, &slot.scratch); err != nil {
+					if err := ev.EvalInto(npre, nwr, &slot.scratch); err != nil {
 						s.cancel(fmt.Errorf("core: pareto evaluating n_r=%d N_pre=%d N_wr=%d VSSC=%g: %w",
 							c.rc.nr, npre, nwr, c.vssc, err))
 						return false
@@ -615,15 +731,14 @@ func (f *Framework) paretoBounded(runSpan obs.Span, start time.Time, opts *Optio
 	stats SearchStats, chunks []chunk, workers int, evProto *array.Evaluator,
 	specs []maskSpec, alt array.FlavorTerms, cc, altCC *CellChar, ctx context.Context) (*ParetoResult, error) {
 
-	sctx, cancel := context.WithCancelCause(ctx)
-	defer cancel(nil)
-	s := &bnbSearch{
-		opts: opts, specs: specs, alt: alt, cc: cc, altCC: altCC, delta: f.Delta,
-		evProto: evProto, chunks: chunks,
-		kind: objEDP, sctx: sctx, cancel: cancel, bestSoFar: newAtomicMin(),
-	}
+	s := f.newBnbSearch(ctx, opts, chunks, evProto, specs, alt, cc, altCC, objEDP)
+	defer s.cancel(nil)
+	sctx := s.sctx
 
 	slots := make([]bnbParetoWorker, workers)
+	for i := range slots {
+		slots[i].ev = evProto.Clone()
+	}
 	finish := func() SearchStats {
 		for i := range slots {
 			stats.addWorker(slots[i].stats)

@@ -286,3 +286,30 @@ func TestHybridRejectsUnsupportedModes(t *testing.T) {
 		t.Error("sensitivity analysis accepted a hybrid design point")
 	}
 }
+
+// TestHybridSearchAllocsDoNotScaleWithUnits guards the clone-free bound
+// pass: the bound pass keeps one fixed-size record per unit and prepares
+// every unit on a per-worker Evaluator, so an 8-group hybrid search — 64×
+// the units of a 2-group one — may allocate at most twice as often. A
+// per-unit allocation (an Evaluator clone, a prepared-state copy) creeping
+// back into the loop breaks the ratio.
+func TestHybridSearchAllocsDoNotScaleWithUnits(t *testing.T) {
+	f := paperFramework(t)
+	padp, _ := ObjectiveByName("padp")
+	sp := DefaultSpace()
+	sp.MuxMax = 4
+	allocs := func(groups int) float64 {
+		opts := Options{CapacityBits: 16 * 1024 * 8, Flavor: device.LVT, Method: M2,
+			Objective: padp, HybridGroups: groups, Space: sp}
+		return testing.AllocsPerRun(2, func() {
+			if _, err := f.Optimize(opts); err != nil {
+				t.Fatalf("groups=%d: %v", groups, err)
+			}
+		})
+	}
+	a2, a8 := allocs(2), allocs(8)
+	t.Logf("allocations per search: 2 groups %.0f, 8 groups %.0f", a2, a8)
+	if a8 > 2*a2 {
+		t.Errorf("8-group hybrid search allocates %.0f times, more than twice the 2-group search's %.0f", a8, a2)
+	}
+}

@@ -115,8 +115,8 @@ func (f *Framework) ParetoSearchContext(ctx context.Context, opts Options) (*Par
 	}
 	var chunks []chunk
 	for _, rc := range rows {
-		for _, vssc := range feasVSSC {
-			chunks = append(chunks, chunk{rc: rc, vssc: vssc})
+		for li, vssc := range feasVSSC {
+			chunks = append(chunks, chunk{rc: rc, vssc: vssc, level: li})
 		}
 	}
 	if len(chunks) == 0 {

@@ -26,8 +26,9 @@ type rowCand struct{ nr, nc int }
 // alone keeps every core busy — a 16 KB capacity has only four row
 // candidates but ~100 chunks.
 type chunk struct {
-	rc   rowCand
-	vssc float64
+	rc    rowCand
+	vssc  float64
+	level int // index of vssc among the search's feasible VSSC levels
 }
 
 // vsscCandidates enumerates the negative-Gnd sweep (a single zero level
@@ -271,8 +272,8 @@ func (f *Framework) OptimizeContext(ctx context.Context, opts Options) (*Optimum
 
 	chunks := make([]chunk, 0, len(rows)*len(feasVSSC))
 	for _, rc := range rows {
-		for _, vssc := range feasVSSC {
-			chunks = append(chunks, chunk{rc: rc, vssc: vssc})
+		for li, vssc := range feasVSSC {
+			chunks = append(chunks, chunk{rc: rc, vssc: vssc, level: li})
 		}
 	}
 	stats.Chunks = len(chunks)

@@ -28,28 +28,33 @@ func normalizeOptimum(o *Optimum) Optimum {
 }
 
 // TestOptimizeDeterministicAcrossGOMAXPROCS is the acceptance gate for the
-// deterministic reduction: the 4 KB HVT/M2 search must return a
-// bit-identical Optimum — design, result and counts — for any worker count,
-// and across repeated runs.
+// deterministic reduction: the 4 KB HVT/M2 search, plain and hybrid with
+// muxing (whose workers share rail stages carrying both flavors), must
+// return a bit-identical Optimum — design, result and counts — for any
+// worker count, and across repeated runs.
 func TestOptimizeDeterministicAcrossGOMAXPROCS(t *testing.T) {
 	f := paperFramework(t)
-	opts := Options{CapacityBits: 4 * 1024 * 8, Flavor: device.HVT, Method: M2}
-	var ref Optimum
-	for i, procs := range []int{1, 2, 8, 8} {
-		prev := runtime.GOMAXPROCS(procs)
-		opt, err := f.Optimize(opts)
-		runtime.GOMAXPROCS(prev)
-		if err != nil {
-			t.Fatalf("GOMAXPROCS=%d: %v", procs, err)
-		}
-		got := normalizeOptimum(opt)
-		if i == 0 {
-			ref = got
-			continue
-		}
-		if !reflect.DeepEqual(ref, got) {
-			t.Errorf("GOMAXPROCS=%d run %d: Optimum differs from GOMAXPROCS=1 baseline:\n  base %+v\n  got  %+v",
-				procs, i, ref.Best.Design, got.Best.Design)
+	hybrid := Options{CapacityBits: 4 * 1024 * 8, Flavor: device.HVT, Method: M2, HybridGroups: 4,
+		Space: DefaultSpace()}
+	hybrid.Space.MuxMax = 2
+	for _, opts := range []Options{{CapacityBits: 4 * 1024 * 8, Flavor: device.HVT, Method: M2}, hybrid} {
+		var ref Optimum
+		for i, procs := range []int{1, 2, 8, 8} {
+			prev := runtime.GOMAXPROCS(procs)
+			opt, err := f.Optimize(opts)
+			runtime.GOMAXPROCS(prev)
+			if err != nil {
+				t.Fatalf("groups=%d GOMAXPROCS=%d: %v", opts.HybridGroups, procs, err)
+			}
+			got := normalizeOptimum(opt)
+			if i == 0 {
+				ref = got
+				continue
+			}
+			if !reflect.DeepEqual(ref, got) {
+				t.Errorf("groups=%d GOMAXPROCS=%d run %d: Optimum differs from GOMAXPROCS=1 baseline:\n  base %+v\n  got  %+v",
+					opts.HybridGroups, procs, i, ref.Best.Design, got.Best.Design)
+			}
 		}
 	}
 }
