@@ -15,11 +15,13 @@ test:
 # and cmd/sramopt) and the serving layer's coalescing/drain tests, so check
 # is also the service e2e gate. The core search engine and the server are
 # explicitly concurrent — run this before every commit touching either. The
-# branch-and-bound parity and best-so-far race gates run first and verbosely,
-# so a pruning correctness break is named in the output, not buried in ./...
+# formatting gate fails on any file gofmt would rewrite. The branch-and-bound
+# parity gates run first and verbosely under the race detector, so a pruning
+# correctness break is named in the output, not buried in ./...
 check: vet-obs
+	test -z "$$(gofmt -l .)"
 	$(GO) vet ./...
-	$(GO) test -race -run 'TestBranchAndBound|TestAtomicMinNeverRegresses' -v ./internal/core/
+	$(GO) test -race -run 'TestBranchAndBound' -v ./internal/core/
 	$(GO) test -race ./...
 	$(MAKE) loadtest-smoke
 	$(MAKE) yieldstream-smoke
@@ -77,12 +79,12 @@ bench:
 BENCH_BASELINE = $(shell ls BENCH_2*.json 2>/dev/null | sort | tail -n 1)
 bench-compare:
 	@test -n "$(BENCH_BASELINE)" || { echo "bench-compare: no BENCH_<date>.json baseline; run 'make bench' first"; exit 1; }
-	$(GO) test -json -bench='^(BenchmarkExhaustiveSearch16KB|BenchmarkExhaustiveSearch16KBPruned|BenchmarkHybridSearch16KB|BenchmarkModelEvaluation|BenchmarkMonteCarloYieldBatched)$$' -benchmem -run='^$$'  -count=3 . > bench_current.tmp.json || { rm -f bench_current.tmp.json; exit 1; }
+	$(GO) test -json -bench='^(BenchmarkExhaustiveSearch16KB|BenchmarkHybridSearch16KB|BenchmarkModelEvaluation|BenchmarkMonteCarloYieldBatched)$$' -benchmem -run='^$$'  -count=3 . > bench_current.tmp.json || { rm -f bench_current.tmp.json; exit 1; }
 	$(GO) test -json -bench='^(BenchmarkServeOptimizeCached|BenchmarkServeOptimizeCatalogHit|BenchmarkBatch64)$$' -benchmem -run='^$$'  -count=3 ./internal/serve/ >> bench_current.tmp.json || { rm -f bench_current.tmp.json; exit 1; }
 	$(GO) test -json -bench='^BenchmarkCatalogLookup$$' -benchmem -run='^$$'  -count=3 ./internal/catalog/ >> bench_current.tmp.json || { rm -f bench_current.tmp.json; exit 1; }
 	$(GO) test -json -bench='^BenchmarkEvalBlock$$' -benchmem -run='^$$'  -count=3 ./internal/array/ >> bench_current.tmp.json || { rm -f bench_current.tmp.json; exit 1; }
 	$(GO) run ./cmd/benchcompare -baseline $(BENCH_BASELINE) -current bench_current.tmp.json \
-		BenchmarkExhaustiveSearch16KB BenchmarkExhaustiveSearch16KBPruned BenchmarkHybridSearch16KB BenchmarkModelEvaluation \
+		BenchmarkExhaustiveSearch16KB BenchmarkHybridSearch16KB BenchmarkModelEvaluation \
 		BenchmarkMonteCarloYieldBatched \
 		BenchmarkServeOptimizeCached BenchmarkServeOptimizeCatalogHit BenchmarkBatch64 \
 		BenchmarkCatalogLookup BenchmarkEvalBlock; \

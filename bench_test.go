@@ -5,6 +5,7 @@
 package sramco
 
 import (
+	"context"
 	"sync"
 	"testing"
 
@@ -155,12 +156,14 @@ func BenchmarkFig7DelayEnergyEDP(b *testing.B) {
 // branch-and-bound path. The space-points metric is the full candidate
 // space (Evaluated + SkippedRSNM + PrunedBound) — constant whether or not
 // pruning fires — so benchcompare can normalize to ns per candidate point
-// instead of misreading a pruning change as a latency shift.
+// instead of misreading a pruning change as a latency shift, and bound-eff
+// shows a bound going loose — pruning less while staying correct — as an
+// efficiency drop.
 func BenchmarkExhaustiveSearch16KB(b *testing.B) {
 	fw := benchFramework(b)
 	var stats SearchStats
 	for i := 0; i < b.N; i++ {
-		opt, err := fw.Optimize(16*1024, HVT, M2)
+		opt, err := fw.Optimize(context.Background(), Options{CapacityBits: 16 * 1024 * 8, Flavor: HVT, Method: M2})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -169,31 +172,9 @@ func BenchmarkExhaustiveSearch16KB(b *testing.B) {
 	b.ReportMetric(float64(stats.Evaluated+stats.SkippedRSNM+stats.PrunedBound), "space-points")
 	b.ReportMetric(float64(stats.Evaluated), "model-evals")
 	b.ReportMetric(float64(stats.PrunedBound), "pruned-bound")
+	b.ReportMetric(stats.BoundEfficiency(), "bound-eff")
 	b.ReportMetric(float64(stats.Chunks), "chunks")
 	b.ReportMetric(float64(stats.Workers), "workers")
-}
-
-// BenchmarkExhaustiveSearch16KBPruned pins the branch-and-bound path
-// explicitly (the default path falls back to full enumeration only for
-// custom objectives) and reports the evaluated/pruned/skipped breakdown, so
-// a bound going loose — pruning less while staying correct — shows up in the
-// bench log as a bound-eff drop, not just latency drift.
-func BenchmarkExhaustiveSearch16KBPruned(b *testing.B) {
-	fw := benchFramework(b)
-	opts := core.Options{CapacityBits: 16 * 1024 * 8, Flavor: device.HVT, Method: core.M2}
-	var stats SearchStats
-	for i := 0; i < b.N; i++ {
-		opt, err := fw.Core().Optimize(opts)
-		if err != nil {
-			b.Fatal(err)
-		}
-		stats = opt.Stats
-	}
-	b.ReportMetric(float64(stats.Evaluated+stats.SkippedRSNM+stats.PrunedBound), "space-points")
-	b.ReportMetric(float64(stats.Evaluated), "model-evals")
-	b.ReportMetric(float64(stats.PrunedBound), "pruned-bound")
-	b.ReportMetric(float64(stats.SkippedTotal()), "skipped")
-	b.ReportMetric(stats.BoundEfficiency(), "bound-eff")
 }
 
 // BenchmarkAblationGreedyVsExhaustive compares the greedy coordinate-descent
@@ -204,11 +185,11 @@ func BenchmarkAblationGreedyVsExhaustive(b *testing.B) {
 	opts := core.Options{CapacityBits: 4 * 1024 * 8, Flavor: device.HVT, Method: core.M2}
 	var ratio, gEvals float64
 	for i := 0; i < b.N; i++ {
-		full, err := fw.Core().Optimize(opts)
+		full, err := fw.Core().Optimize(context.Background(), opts)
 		if err != nil {
 			b.Fatal(err)
 		}
-		greedy, err := fw.Core().GreedyOptimize(opts)
+		greedy, err := fw.Core().GreedyOptimize(context.Background(), opts)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -230,11 +211,11 @@ func BenchmarkAblationEnergyAccounting(b *testing.B) {
 	}
 	var red float64
 	for i := 0; i < b.N; i++ {
-		lvt, err := fw.Optimize(16*1024, LVT, M2)
+		lvt, err := fw.Optimize(context.Background(), Options{CapacityBits: 16 * 1024 * 8, Flavor: LVT, Method: M2})
 		if err != nil {
 			b.Fatal(err)
 		}
-		hvt, err := fw.Optimize(16*1024, HVT, M2)
+		hvt, err := fw.Optimize(context.Background(), Options{CapacityBits: 16 * 1024 * 8, Flavor: HVT, Method: M2})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -252,11 +233,11 @@ func BenchmarkAblationRailRestriction(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		ratio = 0
 		for _, bits := range PaperCapacities() {
-			m1, err := fw.OptimizeWith(Options{CapacityBits: bits, Flavor: HVT, Method: M1})
+			m1, err := fw.Optimize(context.Background(), Options{CapacityBits: bits, Flavor: HVT, Method: M1})
 			if err != nil {
 				b.Fatal(err)
 			}
-			m2, err := fw.OptimizeWith(Options{CapacityBits: bits, Flavor: HVT, Method: M2})
+			m2, err := fw.Optimize(context.Background(), Options{CapacityBits: bits, Flavor: HVT, Method: M2})
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -311,11 +292,11 @@ func BenchmarkAblationFinFreeze(b *testing.B) {
 	frozen.Space.NwrMax = 1
 	var ratio float64
 	for i := 0; i < b.N; i++ {
-		f, err := fw.Core().Optimize(free)
+		f, err := fw.Core().Optimize(context.Background(), free)
 		if err != nil {
 			b.Fatal(err)
 		}
-		z, err := fw.Core().Optimize(frozen)
+		z, err := fw.Core().Optimize(context.Background(), frozen)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -331,11 +312,11 @@ func BenchmarkParetoFront(b *testing.B) {
 	fw := benchFramework(b)
 	var size float64
 	for i := 0; i < b.N; i++ {
-		front, err := fw.ParetoFront(Options{CapacityBits: 4 * 1024 * 8, Flavor: HVT, Method: M2})
+		res, err := fw.Pareto(context.Background(), Options{CapacityBits: 4 * 1024 * 8, Flavor: HVT, Method: M2})
 		if err != nil {
 			b.Fatal(err)
 		}
-		size = float64(len(front))
+		size = float64(len(res.Front))
 	}
 	b.ReportMetric(size, "frontier-points")
 }
@@ -416,13 +397,13 @@ func BenchmarkExtDividedWordline(b *testing.B) {
 	base := Options{CapacityBits: 16 * 1024 * 8, Flavor: HVT, Method: M2}
 	var ratio, segs float64
 	for i := 0; i < b.N; i++ {
-		flat, err := fw.OptimizeWith(base)
+		flat, err := fw.Optimize(context.Background(), base)
 		if err != nil {
 			b.Fatal(err)
 		}
 		dwlOpts := base
 		dwlOpts.SearchWLSegs = true
-		dwl, err := fw.OptimizeWith(dwlOpts)
+		dwl, err := fw.Optimize(context.Background(), dwlOpts)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -439,7 +420,7 @@ func BenchmarkExtDividedWordline(b *testing.B) {
 func BenchmarkSensitivity(b *testing.B) {
 	fw := benchFramework(b)
 	opts := core.Options{CapacityBits: 4 * 1024 * 8, Flavor: device.HVT, Method: core.M2}
-	opt, err := fw.Core().Optimize(opts)
+	opt, err := fw.Core().Optimize(context.Background(), opts)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -470,11 +451,11 @@ func BenchmarkExtBankPartitioning(b *testing.B) {
 	opts := core.Options{CapacityBits: 64 * 1024 * 8, Flavor: device.HVT, Method: core.M2}
 	var banks, ratio float64
 	for i := 0; i < b.N; i++ {
-		best, err := fw.Core().OptimizeBanked(opts, 8)
+		best, err := fw.Core().OptimizeBanked(context.Background(), opts, 8)
 		if err != nil {
 			b.Fatal(err)
 		}
-		mono, err := fw.Core().OptimizeBanked(opts, 1)
+		mono, err := fw.Core().OptimizeBanked(context.Background(), opts, 1)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -512,7 +493,7 @@ func BenchmarkExtWorkloadSweep(b *testing.B) {
 // evaluation — the inner loop of the exhaustive search.
 func BenchmarkModelEvaluation(b *testing.B) {
 	fw := benchFramework(b)
-	opt, err := fw.Optimize(4*1024, HVT, M2)
+	opt, err := fw.Optimize(context.Background(), Options{CapacityBits: 4 * 1024 * 8, Flavor: HVT, Method: M2})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -533,7 +514,7 @@ func BenchmarkModelEvaluation(b *testing.B) {
 // BenchmarkModelEvaluation is the per-point work the factorization removed.
 func BenchmarkModelEvaluationPrepared(b *testing.B) {
 	fw := benchFramework(b)
-	opt, err := fw.Optimize(4*1024, HVT, M2)
+	opt, err := fw.Optimize(context.Background(), Options{CapacityBits: 4 * 1024 * 8, Flavor: HVT, Method: M2})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -576,7 +557,7 @@ func BenchmarkHybridSearch4KB(b *testing.B) {
 	}
 	var stats SearchStats
 	for i := 0; i < b.N; i++ {
-		opt, err := fw.Core().Optimize(opts)
+		opt, err := fw.Core().Optimize(context.Background(), opts)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -614,7 +595,7 @@ func BenchmarkHybridSearch16KB(b *testing.B) {
 	}
 	var stats SearchStats
 	for i := 0; i < b.N; i++ {
-		opt, err := fw.Core().Optimize(opts)
+		opt, err := fw.Core().Optimize(context.Background(), opts)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -3,7 +3,7 @@
 // the search evaluated, how many the lower bound pruned, how many each
 // constraint skipped, and the resulting bound efficiency. Run it when
 // touching the bound (internal/array/bound.go) or the searcher
-// (internal/core/bnb.go) — a correctness-preserving change that loosens the
+// (internal/core/walk.go) — a correctness-preserving change that loosens the
 // bound shows up here as an efficiency drop long before it shows up as a
 // latency regression.
 //
@@ -13,6 +13,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"strings"
@@ -45,7 +46,7 @@ func main() {
 	for _, kb := range []int{1, 2, 4, 8, 16} {
 		for _, flavor := range []device.Flavor{device.LVT, device.HVT} {
 			for _, method := range []core.Method{core.M1, core.M2} {
-				opt, err := fw.Optimize(core.Options{
+				opt, err := fw.Optimize(context.Background(), core.Options{
 					CapacityBits: kb * 1024 * 8,
 					Flavor:       flavor,
 					Method:       method,
@@ -78,7 +79,7 @@ func main() {
 	sp := core.DefaultSpace()
 	sp.MuxMax = 4
 	hybridOpts.Space = sp
-	opt, err := fw.Optimize(hybridOpts)
+	opt, err := fw.Optimize(context.Background(), hybridOpts)
 	if err != nil {
 		cliutil.Fatalf("16 KB hybrid: %v", err)
 	}

@@ -125,7 +125,7 @@ func main() {
 			reg.CounterValue("core.search.chunks_done"),
 			int64(reg.GaugeValue("core.search.chunks_total")))
 	})
-	opt, err := fw.OptimizeContext(ctx, opts)
+	opt, err := fw.Optimize(ctx, opts)
 	stopProgress()
 	if err != nil {
 		var serr *core.SearchError
@@ -239,7 +239,7 @@ func runJSON(ctx context.Context, w io.Writer, mode core.Mode, capacityBytes int
 	if err != nil {
 		return err
 	}
-	opt, err := fw.OptimizeContext(ctx, core.Options{
+	opt, err := fw.Optimize(ctx, core.Options{
 		CapacityBits: capacityBytes * 8,
 		Flavor:       flavor,
 		Method:       method,

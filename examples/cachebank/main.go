@@ -8,6 +8,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 
 	"sramco"
@@ -19,6 +20,7 @@ const bankBytes = 16 * 1024
 
 func main() {
 	cliutil.SetName("cachebank")
+	ctx := context.Background()
 
 	fw, err := sramco.NewFramework(sramco.TechPaper)
 	if err != nil {
@@ -40,7 +42,7 @@ func main() {
 		{"6T-LVT-M2", sramco.LVT, sramco.M2},
 		{"6T-HVT-M2", sramco.HVT, sramco.M2},
 	} {
-		opt, err := fw.Optimize(bankBytes, cfg.flavor, cfg.method)
+		opt, err := fw.Optimize(ctx, sramco.Options{CapacityBits: bankBytes * 8, Flavor: cfg.flavor, Method: cfg.method})
 		if err != nil {
 			cliutil.Fatalf("%s: %v", cfg.name, err)
 		}
@@ -70,7 +72,7 @@ func main() {
 		name   string
 		flavor sramco.Flavor
 	}{{"6T-LVT-M2", sramco.LVT}, {"6T-HVT-M2", sramco.HVT}} {
-		opt, err := fw.OptimizeWith(sramco.Options{
+		opt, err := fw.Optimize(ctx, sramco.Options{
 			CapacityBits: bankBytes * 8,
 			Flavor:       cfg.flavor,
 			Method:       sramco.M2,
@@ -87,7 +89,7 @@ func main() {
 	// Scale up: a 64 KB L2 slice partitioned into banks (extension beyond
 	// the paper's 16 KB single-array scope).
 	fmt.Printf("\n64 KB HVT-M2 slice, bank partitioning sweep:\n")
-	sweep, err := fw.Core().BankSweep(sramco.Options{
+	sweep, err := fw.Core().BankSweep(ctx, sramco.Options{
 		CapacityBits: 64 * 1024 * 8,
 		Flavor:       sramco.HVT,
 		Method:       sramco.M2,

@@ -6,6 +6,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 
 	"sramco"
@@ -21,7 +22,11 @@ func main() {
 	}
 
 	const capacityBytes = 4 * 1024
-	best, err := fw.Optimize(capacityBytes, sramco.HVT, sramco.M2)
+	best, err := fw.Optimize(context.Background(), sramco.Options{
+		CapacityBits: capacityBytes * 8,
+		Flavor:       sramco.HVT,
+		Method:       sramco.M2,
+	})
 	if err != nil {
 		cliutil.Fatalf("optimization failed: %v", err)
 	}

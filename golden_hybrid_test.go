@@ -1,6 +1,7 @@
 package sramco
 
 import (
+	"context"
 	"encoding/json"
 	"os"
 	"path/filepath"
@@ -87,7 +88,7 @@ func computeGoldenHybrid(t *testing.T) *hybridGoldenFile {
 			HybridGroups: tc.groups,
 			Space:        sp,
 		}
-		opt, err := fw.OptimizeWith(opts)
+		opt, err := fw.Optimize(context.Background(), opts)
 		if err != nil {
 			t.Fatalf("%s: %v", tc.label, err)
 		}

@@ -27,55 +27,25 @@ type BankedOptimum struct {
 	EArray float64 // α-weighted switching (+wire) + all-bank leakage
 	EDP    float64
 
-	Evaluated int // total model evaluations across bank candidates
+	// Model evaluations: of this bank count's search in BankSweep, of
+	// every candidate's in OptimizeBanked.
+	Evaluated int
 }
 
-// OptimizeBanked is OptimizeBankedContext without cancellation.
-func (f *Framework) OptimizeBanked(opts Options, maxBanks int) (*BankedOptimum, error) {
-	return f.OptimizeBankedContext(context.Background(), opts, maxBanks)
-}
-
-// OptimizeBankedContext searches bank counts 1, 2, …, maxBanks (powers of
-// two), optimizing each bank's internal design with the usual exhaustive
-// search and charging the bank decoder, global wiring and the idle banks'
-// leakage. It returns the bank count minimizing the macro EDP.
-//
-// Partitionings with an empty feasible region are skipped; a model error or
-// a ctx cancellation aborts the whole sweep.
-func (f *Framework) OptimizeBankedContext(ctx context.Context, opts Options, maxBanks int) (*BankedOptimum, error) {
-	if maxBanks < 1 {
-		return nil, fmt.Errorf("core: maxBanks %d must be ≥ 1", maxBanks)
-	}
-	if err := opts.normalize(); err != nil {
+// OptimizeBanked returns the bank count of BankSweep minimizing the macro
+// EDP (the first on ties); its Evaluated totals the model evaluations of
+// every bank candidate.
+func (f *Framework) OptimizeBanked(ctx context.Context, opts Options, maxBanks int) (*BankedOptimum, error) {
+	sweep, err := f.BankSweep(ctx, opts, maxBanks)
+	if err != nil {
 		return nil, err
 	}
-	cc, ok := f.Cells[opts.Flavor]
-	if !ok {
-		return nil, fmt.Errorf("core: flavor %v not characterized", opts.Flavor)
-	}
-	var best *BankedOptimum
-	evaluated := 0
-	for banks := 1; banks <= maxBanks; banks *= 2 {
-		if opts.CapacityBits%banks != 0 || opts.CapacityBits/banks < 4 {
-			continue
+	best, evaluated := &sweep[0], 0
+	for i := range sweep {
+		evaluated += sweep[i].Evaluated
+		if sweep[i].EDP < best.EDP {
+			best = &sweep[i]
 		}
-		bankOpts := opts
-		bankOpts.CapacityBits = opts.CapacityBits / banks
-		opt, err := f.OptimizeContext(ctx, bankOpts)
-		if errors.Is(err, ErrInfeasible) {
-			continue // this partitioning has no feasible bank organization
-		}
-		if err != nil {
-			return nil, err
-		}
-		evaluated += opt.Evaluated
-		cand := f.assembleBanked(banks, opt.Best, cc.Leak, opts)
-		if best == nil || cand.EDP < best.EDP {
-			best = cand
-		}
-	}
-	if best == nil {
-		return nil, fmt.Errorf("core: %w: no banked organization for %d bits", ErrInfeasible, opts.CapacityBits)
 	}
 	best.Evaluated = evaluated
 	return best, nil
@@ -127,10 +97,18 @@ func log2i(n int) int {
 	return b
 }
 
-// BankSweep evaluates every bank count up to maxBanks (not just the best),
-// for plotting the partitioning trade-off. Like OptimizeBankedContext it
-// skips infeasible partitionings but propagates model errors.
-func (f *Framework) BankSweep(opts Options, maxBanks int) ([]BankedOptimum, error) {
+// BankSweep searches bank counts 1, 2, …, maxBanks (powers of two),
+// optimizing each bank's internal design with the usual exhaustive search
+// and charging the bank decoder, global wiring and the idle banks'
+// leakage. It returns every feasible bank count, for plotting the
+// partitioning trade-off.
+//
+// Partitionings with an empty feasible region are skipped; a model error or
+// a ctx cancellation aborts the whole sweep.
+func (f *Framework) BankSweep(ctx context.Context, opts Options, maxBanks int) ([]BankedOptimum, error) {
+	if maxBanks < 1 {
+		return nil, fmt.Errorf("core: maxBanks %d must be ≥ 1", maxBanks)
+	}
 	if err := opts.normalize(); err != nil {
 		return nil, err
 	}
@@ -145,9 +123,9 @@ func (f *Framework) BankSweep(opts Options, maxBanks int) ([]BankedOptimum, erro
 		}
 		bankOpts := opts
 		bankOpts.CapacityBits = opts.CapacityBits / banks
-		opt, err := f.Optimize(bankOpts)
+		opt, err := f.Optimize(ctx, bankOpts)
 		if errors.Is(err, ErrInfeasible) {
-			continue
+			continue // this partitioning has no feasible bank organization
 		}
 		if err != nil {
 			return nil, err

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -10,11 +11,11 @@ import (
 func TestOptimizeBankedSingleBankMatchesPlain(t *testing.T) {
 	f := paperFramework(t)
 	opts := Options{CapacityBits: 32768, Flavor: device.HVT, Method: M2}
-	plain, err := f.Optimize(opts)
+	plain, err := f.Optimize(context.Background(), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	banked, err := f.OptimizeBanked(opts, 1)
+	banked, err := f.OptimizeBanked(context.Background(), opts, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -35,7 +36,7 @@ func TestOptimizeBankedSingleBankMatchesPlain(t *testing.T) {
 func TestOptimizeBankedLargeCapacity(t *testing.T) {
 	f := paperFramework(t)
 	opts := Options{CapacityBits: 64 * 1024 * 8, Flavor: device.HVT, Method: M2}
-	best, err := f.OptimizeBanked(opts, 8)
+	best, err := f.OptimizeBanked(context.Background(), opts, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,7 +55,7 @@ func TestOptimizeBankedLargeCapacity(t *testing.T) {
 		t.Fatalf("EDP = %g", best.EDP)
 	}
 	// The chosen point must be the best of the sweep.
-	sweep, err := f.BankSweep(opts, 8)
+	sweep, err := f.BankSweep(context.Background(), opts, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,7 +74,7 @@ func TestOptimizeBankedLargeCapacity(t *testing.T) {
 
 func TestOptimizeBankedValidation(t *testing.T) {
 	f := paperFramework(t)
-	if _, err := f.OptimizeBanked(Options{CapacityBits: 32768, Flavor: device.HVT}, 0); err == nil {
+	if _, err := f.OptimizeBanked(context.Background(), Options{CapacityBits: 32768, Flavor: device.HVT}, 0); err == nil {
 		t.Error("maxBanks=0 accepted")
 	}
 }

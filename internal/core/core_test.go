@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math"
 	"sync"
 	"testing"
@@ -96,7 +97,7 @@ func TestRails(t *testing.T) {
 
 func TestOptimize4KBHVTM2(t *testing.T) {
 	f := paperFramework(t)
-	opt, err := f.Optimize(Options{CapacityBits: 4 * 1024 * 8, Flavor: device.HVT, Method: M2})
+	opt, err := f.Optimize(context.Background(), Options{CapacityBits: 4 * 1024 * 8, Flavor: device.HVT, Method: M2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,11 +125,11 @@ func TestM2NeverWorseThanM1(t *testing.T) {
 	f := paperFramework(t)
 	for _, flavor := range []device.Flavor{device.LVT, device.HVT} {
 		for _, bits := range []int{1024, 8192, 131072} {
-			m1, err := f.Optimize(Options{CapacityBits: bits, Flavor: flavor, Method: M1})
+			m1, err := f.Optimize(context.Background(), Options{CapacityBits: bits, Flavor: flavor, Method: M1})
 			if err != nil {
 				t.Fatal(err)
 			}
-			m2, err := f.Optimize(Options{CapacityBits: bits, Flavor: flavor, Method: M2})
+			m2, err := f.Optimize(context.Background(), Options{CapacityBits: bits, Flavor: flavor, Method: M2})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -144,7 +145,7 @@ func TestDelayGrowsWithCapacity(t *testing.T) {
 	f := paperFramework(t)
 	prev := 0.0
 	for _, bits := range []int{1024, 8192, 32768, 131072} {
-		opt, err := f.Optimize(Options{CapacityBits: bits, Flavor: device.HVT, Method: M2})
+		opt, err := f.Optimize(context.Background(), Options{CapacityBits: bits, Flavor: device.HVT, Method: M2})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -164,11 +165,11 @@ func TestHeadlineEDPReduction(t *testing.T) {
 	var edpGain, worstPenalty float64
 	caps := []int{8192, 32768, 131072} // 1KB, 4KB, 16KB
 	for _, bits := range caps {
-		lvt, err := f.Optimize(Options{CapacityBits: bits, Flavor: device.LVT, Method: M2})
+		lvt, err := f.Optimize(context.Background(), Options{CapacityBits: bits, Flavor: device.LVT, Method: M2})
 		if err != nil {
 			t.Fatal(err)
 		}
-		hvt, err := f.Optimize(Options{CapacityBits: bits, Flavor: device.HVT, Method: M2})
+		hvt, err := f.Optimize(context.Background(), Options{CapacityBits: bits, Flavor: device.HVT, Method: M2})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -191,11 +192,11 @@ func TestHeadlineEDPReduction(t *testing.T) {
 func TestGreedyMatchesOrApproachesExhaustive(t *testing.T) {
 	f := paperFramework(t)
 	opts := Options{CapacityBits: 8192, Flavor: device.HVT, Method: M2}
-	full, err := f.Optimize(opts)
+	full, err := f.Optimize(context.Background(), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	greedy, err := f.GreedyOptimize(opts)
+	greedy, err := f.GreedyOptimize(context.Background(), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -216,19 +217,19 @@ func TestGreedyMatchesOrApproachesExhaustive(t *testing.T) {
 func TestAlternativeObjectives(t *testing.T) {
 	f := paperFramework(t)
 	base := Options{CapacityBits: 32768, Flavor: device.HVT, Method: M2}
-	edp, err := f.Optimize(base)
+	edp, err := f.Optimize(context.Background(), base)
 	if err != nil {
 		t.Fatal(err)
 	}
 	dOpts := base
 	dOpts.Objective = ObjectiveDelay
-	dOpt, err := f.Optimize(dOpts)
+	dOpt, err := f.Optimize(context.Background(), dOpts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	eOpts := base
 	eOpts.Objective = ObjectiveEnergy
-	eOpt, err := f.Optimize(eOpts)
+	eOpt, err := f.Optimize(context.Background(), eOpts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -242,10 +243,10 @@ func TestAlternativeObjectives(t *testing.T) {
 
 func TestOptimizeValidation(t *testing.T) {
 	f := paperFramework(t)
-	if _, err := f.Optimize(Options{CapacityBits: 1000, Flavor: device.HVT}); err == nil {
+	if _, err := f.Optimize(context.Background(), Options{CapacityBits: 1000, Flavor: device.HVT}); err == nil {
 		t.Error("non-power-of-two capacity accepted")
 	}
-	if _, err := f.Optimize(Options{CapacityBits: 2, Flavor: device.HVT}); err == nil {
+	if _, err := f.Optimize(context.Background(), Options{CapacityBits: 2, Flavor: device.HVT}); err == nil {
 		t.Error("tiny capacity accepted")
 	}
 }
@@ -284,11 +285,11 @@ func TestSimulatedOptimizeAgreesInShape(t *testing.T) {
 	fPaper := paperFramework(t)
 	bits := 32768
 	for _, m := range []Method{M1, M2} {
-		sim, err := fSim.Optimize(Options{CapacityBits: bits, Flavor: device.HVT, Method: m})
+		sim, err := fSim.Optimize(context.Background(), Options{CapacityBits: bits, Flavor: device.HVT, Method: m})
 		if err != nil {
 			t.Fatal(err)
 		}
-		pap, err := fPaper.Optimize(Options{CapacityBits: bits, Flavor: device.HVT, Method: m})
+		pap, err := fPaper.Optimize(context.Background(), Options{CapacityBits: bits, Flavor: device.HVT, Method: m})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -301,8 +302,8 @@ func TestSimulatedOptimizeAgreesInShape(t *testing.T) {
 		}
 	}
 	// The two modes agree that HVT-M2 beats HVT-M1 on EDP.
-	simM1, _ := fSim.Optimize(Options{CapacityBits: bits, Flavor: device.HVT, Method: M1})
-	simM2, _ := fSim.Optimize(Options{CapacityBits: bits, Flavor: device.HVT, Method: M2})
+	simM1, _ := fSim.Optimize(context.Background(), Options{CapacityBits: bits, Flavor: device.HVT, Method: M1})
+	simM2, _ := fSim.Optimize(context.Background(), Options{CapacityBits: bits, Flavor: device.HVT, Method: M2})
 	if simM2.Best.Result.EDP >= simM1.Best.Result.EDP {
 		t.Error("simulated mode: M2 should beat M1 on EDP")
 	}
@@ -315,11 +316,11 @@ func TestWorstCaseAccountingAblation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	lvt, err := fw.Optimize(Options{CapacityBits: 131072, Flavor: device.LVT, Method: M2})
+	lvt, err := fw.Optimize(context.Background(), Options{CapacityBits: 131072, Flavor: device.LVT, Method: M2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	hvt, err := fw.Optimize(Options{CapacityBits: 131072, Flavor: device.HVT, Method: M2})
+	hvt, err := fw.Optimize(context.Background(), Options{CapacityBits: 131072, Flavor: device.HVT, Method: M2})
 	if err != nil {
 		t.Fatal(err)
 	}

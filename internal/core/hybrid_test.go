@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"reflect"
 	"testing"
 
@@ -56,13 +57,13 @@ func TestHybridDegenerateParity(t *testing.T) {
 						Objective:    obj,
 						SearchWLSegs: segs,
 					}
-					plain, err := acc.fw.Optimize(opts)
+					plain, err := acc.fw.Optimize(context.Background(), opts)
 					if err != nil {
 						t.Fatalf("%s %v segs=%v %s plain: %v", acc.name, flavor, segs, objName, err)
 					}
 					hyb := opts
 					hyb.HybridGroups = 1
-					degen, err := acc.fw.Optimize(hyb)
+					degen, err := acc.fw.Optimize(context.Background(), hyb)
 					if err != nil {
 						t.Fatalf("%s %v segs=%v %s groups=1: %v", acc.name, flavor, segs, objName, err)
 					}
@@ -87,13 +88,13 @@ func TestHybridDegenerateParityPareto(t *testing.T) {
 	f := paperFramework(t)
 	for _, flavor := range []device.Flavor{device.LVT, device.HVT} {
 		opts := Options{CapacityBits: 4 * 1024 * 8, Flavor: flavor, Method: M2}
-		plain, err := f.ParetoSearch(opts)
+		plain, err := f.Pareto(context.Background(), opts)
 		if err != nil {
 			t.Fatalf("%v plain: %v", flavor, err)
 		}
 		hyb := opts
 		hyb.HybridGroups = 1
-		degen, err := f.ParetoSearch(hyb)
+		degen, err := f.Pareto(context.Background(), hyb)
 		if err != nil {
 			t.Fatalf("%v groups=1: %v", flavor, err)
 		}
@@ -141,13 +142,13 @@ func TestBranchAndBoundParityHybrid(t *testing.T) {
 			HybridGroups: tc.groups,
 			Space:        sp,
 		}
-		pruned, err := f.Optimize(opts)
+		pruned, err := f.Optimize(context.Background(), opts)
 		if err != nil {
 			t.Fatalf("%s pruned: %v", tc.name, err)
 		}
 		full := opts
 		full.DisableBounds = true
-		ref, err := f.Optimize(full)
+		ref, err := f.Optimize(context.Background(), full)
 		if err != nil {
 			t.Fatalf("%s full: %v", tc.name, err)
 		}
@@ -200,13 +201,13 @@ func TestBranchAndBoundParityHybridPareto(t *testing.T) {
 		HybridGroups: 2,
 		Space:        sp,
 	}
-	pruned, err := f.ParetoSearch(opts)
+	pruned, err := f.Pareto(context.Background(), opts)
 	if err != nil {
 		t.Fatalf("pruned: %v", err)
 	}
 	full := opts
 	full.DisableBounds = true
-	ref, err := f.ParetoSearch(full)
+	ref, err := f.Pareto(context.Background(), full)
 	if err != nil {
 		t.Fatalf("full: %v", err)
 	}
@@ -236,19 +237,19 @@ func TestHybridNeverWorseThanPure(t *testing.T) {
 				Method:       M2,
 				Objective:    obj,
 			}
-			lvt, err := f.Optimize(base)
+			lvt, err := f.Optimize(context.Background(), base)
 			if err != nil {
 				t.Fatalf("%s pure LVT: %v", objName, err)
 			}
 			hvtOpts := base
 			hvtOpts.Flavor = device.HVT
-			hvt, err := f.Optimize(hvtOpts)
+			hvt, err := f.Optimize(context.Background(), hvtOpts)
 			if err != nil {
 				t.Fatalf("%s pure HVT: %v", objName, err)
 			}
 			hybOpts := base
 			hybOpts.HybridGroups = groups
-			hyb, err := f.Optimize(hybOpts)
+			hyb, err := f.Optimize(context.Background(), hybOpts)
 			if err != nil {
 				t.Fatalf("%s groups=%d: %v", objName, groups, err)
 			}
@@ -269,16 +270,16 @@ func TestHybridNeverWorseThanPure(t *testing.T) {
 // refuse hybrid inputs instead of silently mis-evaluating them.
 func TestHybridRejectsUnsupportedModes(t *testing.T) {
 	f := paperFramework(t)
-	if _, err := f.Optimize(Options{CapacityBits: 1024, Flavor: device.LVT, Method: M2, HybridGroups: 3}); err == nil {
+	if _, err := f.Optimize(context.Background(), Options{CapacityBits: 1024, Flavor: device.LVT, Method: M2, HybridGroups: 3}); err == nil {
 		t.Error("HybridGroups=3 (not a power of two) accepted")
 	}
-	if _, err := f.Optimize(Options{CapacityBits: 1024, Flavor: device.LVT, Method: M2, HybridGroups: 16}); err == nil {
+	if _, err := f.Optimize(context.Background(), Options{CapacityBits: 1024, Flavor: device.LVT, Method: M2, HybridGroups: 16}); err == nil {
 		t.Error("HybridGroups=16 (> array.MaxGroups) accepted")
 	}
-	if _, err := f.GreedyOptimize(Options{CapacityBits: 1024, Flavor: device.LVT, Method: M2, HybridGroups: 2}); err == nil {
+	if _, err := f.GreedyOptimize(context.Background(), Options{CapacityBits: 1024, Flavor: device.LVT, Method: M2, HybridGroups: 2}); err == nil {
 		t.Error("greedy search accepted a hybrid configuration")
 	}
-	opt, err := f.Optimize(Options{CapacityBits: 1024, Flavor: device.LVT, Method: M2, HybridGroups: 2})
+	opt, err := f.Optimize(context.Background(), Options{CapacityBits: 1024, Flavor: device.LVT, Method: M2, HybridGroups: 2})
 	if err != nil {
 		t.Fatalf("hybrid optimize: %v", err)
 	}
@@ -302,7 +303,7 @@ func TestHybridSearchAllocsDoNotScaleWithUnits(t *testing.T) {
 		opts := Options{CapacityBits: 16 * 1024 * 8, Flavor: device.LVT, Method: M2,
 			Objective: padp, HybridGroups: groups, Space: sp}
 		return testing.AllocsPerRun(2, func() {
-			if _, err := f.Optimize(opts); err != nil {
+			if _, err := f.Optimize(context.Background(), opts); err != nil {
 				t.Fatalf("groups=%d: %v", groups, err)
 			}
 		})

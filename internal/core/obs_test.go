@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"testing"
 
 	"sramco/internal/device"
@@ -28,7 +29,7 @@ func TestSearchTraceReconciles(t *testing.T) {
 	prev := obs.SetSink(col)
 	defer obs.SetSink(prev)
 
-	opt, err := f.Optimize(Options{
+	opt, err := f.Optimize(context.Background(), Options{
 		CapacityBits: 16 * 1024,
 		Flavor:       device.HVT,
 		Method:       M2,
@@ -71,7 +72,7 @@ func TestSearchCounterMatchesStats(t *testing.T) {
 	f := paperFramework(t)
 	reg := obs.Default()
 	before := reg.CounterValue("core.search.evaluated")
-	opt, err := f.Optimize(Options{
+	opt, err := f.Optimize(context.Background(), Options{
 		CapacityBits: 4096,
 		Flavor:       device.LVT,
 		Method:       M1,

@@ -164,13 +164,9 @@ type Options struct {
 	// space. The optimum, Pareto front and infeasibility outcomes are
 	// bit-identical either way (the parity tests enforce it) — only
 	// SearchStats.Evaluated/PrunedBound and the wall time change. Pruning is
-	// also disabled automatically for custom Objective functions (no lower
-	// bound is known for them) and when an evalHook is injected.
+	// also disabled automatically for custom Objective functions, for which
+	// no lower bound is known.
 	DisableBounds bool
-
-	// evalHook replaces array.Evaluate in tests (error injection,
-	// search-space tracing). nil selects the real model.
-	evalHook evalFunc
 }
 
 func (o *Options) normalize() error {
@@ -248,32 +244,18 @@ func (f *Framework) Rails(flavor device.Flavor, m Method) (vddc, vwl float64, er
 	}
 }
 
-// Optimize exhaustively searches (V_SSC, n_r, N_pre, N_wr) for the design
-// minimizing the objective under the yield constraint, with VDDC/VWL pinned
-// by the method. It is OptimizeContext without cancellation; see there for
-// the sharding and determinism guarantees.
-func (f *Framework) Optimize(opts Options) (*Optimum, error) {
-	return f.OptimizeContext(context.Background(), opts)
-}
-
-// GreedyOptimize is the coordinate-descent ablation searcher without
-// cancellation; see GreedyOptimizeContext.
-func (f *Framework) GreedyOptimize(opts Options) (*Optimum, error) {
-	return f.GreedyOptimizeContext(context.Background(), opts)
-}
-
-// GreedyOptimizeContext is the coordinate-descent ablation searcher:
-// starting from a balanced square-ish organization with minimum fins and no
-// negative Gnd, it repeatedly sweeps one variable at a time (n_r, V_SSC,
-// wordline segmentation when enabled, N_pre, N_wr) keeping the others fixed,
-// until no single-variable move improves the objective. It typically needs
-// orders of magnitude fewer evaluations than the exhaustive search but may
-// land in a local minimum.
+// GreedyOptimize is the coordinate-descent ablation searcher: starting from
+// a balanced square-ish organization with minimum fins and no negative Gnd,
+// it repeatedly sweeps one variable at a time (n_r, V_SSC, wordline
+// segmentation when enabled, N_pre, N_wr) keeping the others fixed, until no
+// single-variable move improves the objective. It typically needs orders of
+// magnitude fewer evaluations than the exhaustive search but may land in a
+// local minimum.
 //
 // A model-evaluation error aborts the search and is propagated (wrapped in a
 // *SearchError carrying the counts so far), as is a ctx cancellation;
 // infeasible points are merely skipped.
-func (f *Framework) GreedyOptimizeContext(ctx context.Context, opts Options) (*Optimum, error) {
+func (f *Framework) GreedyOptimize(ctx context.Context, opts Options) (*Optimum, error) {
 	start := time.Now()
 	if err := opts.normalize(); err != nil {
 		return nil, err
@@ -290,17 +272,12 @@ func (f *Framework) GreedyOptimizeContext(ctx context.Context, opts Options) (*O
 	if err != nil {
 		return nil, err
 	}
-	eval := opts.evalHook
-	// Without a test hook, coordinate descent uses the chunk-amortized
-	// Evaluator: the N_pre and N_wr sweeps revisit one (geometry, rails)
-	// chunk, so Prepare memo-hits and each step costs only the per-point
-	// terms.
-	var ev *array.Evaluator
-	if eval == nil {
-		ev, err = array.NewEvaluator(tech, opts.Activity)
-		if err != nil {
-			return nil, err
-		}
+	// Coordinate descent uses the chunk-amortized Evaluator: the N_pre and
+	// N_wr sweeps revisit one (geometry, rails) chunk, so Prepare memo-hits
+	// and each step costs only the per-point terms.
+	ev, err := array.NewEvaluator(tech, opts.Activity)
+	if err != nil {
+		return nil, err
 	}
 
 	mSearchRuns.Inc()
@@ -331,25 +308,18 @@ func (f *Framework) GreedyOptimizeContext(ctx context.Context, opts Options) (*O
 			stats.SkippedRSNM++
 			return nil, nil
 		}
-		d := array.Design{
-			Geom: wire.Geometry{NR: nrI, NC: nc, W: width, Npre: npre, Nwr: nwr, WLSegs: segs},
-			VDDC: vddc, VSSC: vssc, VWL: vwl,
-		}
-		if d.Geom.Validate() != nil {
+		g := wire.Geometry{NR: nrI, NC: nc, W: width, Npre: npre, Nwr: nwr, WLSegs: segs}
+		if g.Validate() != nil {
 			stats.SkippedGeom++
 			return nil, nil
 		}
+		err := ev.Prepare(g, vddc, vssc, vwl)
 		var r *array.Result
-		var evalErr error
-		if ev != nil {
-			if evalErr = ev.Prepare(d.Geom, d.VDDC, d.VSSC, d.VWL); evalErr == nil {
-				r, evalErr = ev.Eval(d.Geom.Npre, d.Geom.Nwr)
-			}
-		} else {
-			r, evalErr = eval(tech, d, opts.Activity)
+		if err == nil {
+			r, err = ev.Eval(npre, nwr)
 		}
-		if evalErr != nil {
-			return nil, fmt.Errorf("core: greedy evaluating n_r=%d N_pre=%d N_wr=%d VSSC=%g: %w", nrI, npre, nwr, vssc, evalErr)
+		if err != nil {
+			return nil, fmt.Errorf("core: greedy evaluating n_r=%d N_pre=%d N_wr=%d VSSC=%g: %w", nrI, npre, nwr, vssc, err)
 		}
 		stats.Evaluated++
 		mSearchEvaluated.Inc()
@@ -368,67 +338,47 @@ func (f *Framework) GreedyOptimizeContext(ctx context.Context, opts Options) (*O
 	}
 	vssc, segs, npre, nwr := 0.0, 1, 1, 1
 	var bestR *array.Result
-	var bestD array.Design
 	bestObj := math.Inf(1)
-	improve := func(r *array.Result, nrI int, vs float64, sg, np, nw int) bool {
-		if r == nil {
-			return false
+	var evalErr error
+	changed := false
+	// try evaluates one move and takes it when it improves the objective;
+	// after the first error every further move is a no-op.
+	try := func(nrI int, vs float64, sg, np, nw int) {
+		if evalErr != nil {
+			return
+		}
+		var r *array.Result
+		if r, evalErr = evalAt(nrI, vs, sg, np, nw); r == nil {
+			return
 		}
 		if v := opts.Objective(r); v < bestObj {
-			bestObj = v
-			bestR = r
-			bestD = r.Design
+			bestObj, bestR = v, r
 			nr, vssc, segs, npre, nwr = nrI, vs, sg, np, nw
-			return true
+			changed = true
 		}
-		return false
 	}
-	r, err := evalAt(nr, vssc, segs, npre, nwr)
-	if err != nil {
-		return nil, &SearchError{Stats: finishStats(stats, start, 1), Cause: err}
-	}
-	improve(r, nr, vssc, segs, npre, nwr)
-	for pass := 0; pass < 20; pass++ {
-		changed := false
+	try(nr, vssc, segs, npre, nwr)
+	for pass := 0; pass < 20 && evalErr == nil; pass++ {
+		changed = false
 		for cand := 2; cand <= opts.Space.NRMax; cand *= 2 {
-			r, err := evalAt(cand, vssc, segs, npre, nwr)
-			if err != nil {
-				return nil, &SearchError{Stats: finishStats(stats, start, 1), Cause: err}
-			}
-			changed = improve(r, cand, vssc, segs, npre, nwr) || changed
+			try(cand, vssc, segs, npre, nwr)
 		}
 		// The shared index-based candidate helper keeps the greedy sweep on
 		// exactly the levels the exhaustive search visits (a lone zero level
 		// under M1) — no accumulated float drift, no divergent copies.
 		for _, v := range vsscCandidates(opts.Method, opts.Space) {
-			r, err := evalAt(nr, v, segs, npre, nwr)
-			if err != nil {
-				return nil, &SearchError{Stats: finishStats(stats, start, 1), Cause: err}
-			}
-			changed = improve(r, nr, v, segs, npre, nwr) || changed
+			try(nr, v, segs, npre, nwr)
 		}
 		if opts.SearchWLSegs {
 			for sg := 1; sg <= 8; sg *= 2 {
-				r, err := evalAt(nr, vssc, sg, npre, nwr)
-				if err != nil {
-					return nil, &SearchError{Stats: finishStats(stats, start, 1), Cause: err}
-				}
-				changed = improve(r, nr, vssc, sg, npre, nwr) || changed
+				try(nr, vssc, sg, npre, nwr)
 			}
 		}
 		for np := 1; np <= opts.Space.NpreMax; np++ {
-			r, err := evalAt(nr, vssc, segs, np, nwr)
-			if err != nil {
-				return nil, &SearchError{Stats: finishStats(stats, start, 1), Cause: err}
-			}
-			changed = improve(r, nr, vssc, segs, np, nwr) || changed
+			try(nr, vssc, segs, np, nwr)
 		}
 		for nw := 1; nw <= opts.Space.NwrMax; nw++ {
-			r, err := evalAt(nr, vssc, segs, npre, nw)
-			if err != nil {
-				return nil, &SearchError{Stats: finishStats(stats, start, 1), Cause: err}
-			}
-			changed = improve(r, nr, vssc, segs, npre, nw) || changed
+			try(nr, vssc, segs, npre, nw)
 		}
 		if !changed {
 			break
@@ -437,11 +387,14 @@ func (f *Framework) GreedyOptimizeContext(ctx context.Context, opts Options) (*O
 	stats = finishStats(stats, start, 1)
 	sp.Int("evaluated", int64(stats.Evaluated))
 	sp.End()
+	if evalErr != nil {
+		return nil, &SearchError{Stats: stats, Cause: evalErr}
+	}
 	if bestR == nil {
 		return nil, fmt.Errorf("core: greedy search: %w for %d bits", ErrInfeasible, opts.CapacityBits)
 	}
 	return &Optimum{
-		Best:      DesignPoint{Design: bestD, Result: bestR},
+		Best:      DesignPoint{Design: bestR.Design, Result: bestR},
 		Evaluated: stats.Evaluated,
 		Skipped:   stats.SkippedTotal(),
 		Stats:     stats,

@@ -4,14 +4,9 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"runtime"
 	"sort"
-	"sync"
-	"time"
 
 	"sramco/internal/array"
-	"sramco/internal/obs"
-	"sramco/internal/wire"
 )
 
 // ParetoResult pairs the energy-delay frontier with the search statistics of
@@ -21,278 +16,36 @@ type ParetoResult struct {
 	Stats SearchStats
 }
 
-// ParetoFront is ParetoFrontContext without cancellation.
-func (f *Framework) ParetoFront(opts Options) ([]DesignPoint, error) {
-	return f.ParetoFrontContext(context.Background(), opts)
-}
-
-// ParetoFrontContext returns just the frontier of ParetoSearchContext,
-// preserving the historical signature.
-func (f *Framework) ParetoFrontContext(ctx context.Context, opts Options) ([]DesignPoint, error) {
-	res, err := f.ParetoSearchContext(ctx, opts)
-	if err != nil {
-		return nil, err
-	}
-	return res.Front, nil
-}
-
-// ParetoSearch is ParetoSearchContext without cancellation.
-func (f *Framework) ParetoSearch(opts Options) (*ParetoResult, error) {
-	return f.ParetoSearchContext(context.Background(), opts)
-}
-
-// ParetoSearchContext exhaustively enumerates the same search space as
-// Optimize — including divided-wordline segmentation when
-// Options.SearchWLSegs is set — but returns the full energy-delay Pareto
-// frontier instead of the single minimum-EDP point: every feasible design
-// for which no other feasible design is both faster and lower-energy. Points
-// are returned sorted by increasing delay (hence decreasing energy),
-// together with the same SearchStats the other searchers report.
+// Pareto exhaustively enumerates the same search space as Optimize —
+// including divided-wordline segmentation, mux ratios and group masks when
+// enabled — but returns the full energy-delay Pareto frontier instead of
+// the single minimum-objective point: every feasible design for which no
+// other feasible design is both faster and lower-energy. Points are
+// returned sorted by increasing delay (hence decreasing energy), together
+// with the same SearchStats Optimize reports. Options.Objective is ignored.
 //
 // The frontier exposes the trade-off the EDP scalarization hides — e.g. how
 // much energy a delay-critical cache bank must pay to match LVT speed.
 //
-// Like OptimizeContext the sweep shards (row × VSSC) chunks over workers,
-// uses the chunk-amortized array.Evaluator on the hot path, emits the
-// core.search span/counter scheme (run span core.search.pareto, one
-// core.search.chunk span per shard), cancels on the first model error or ctx
+// The search runs on Optimize's walker with the front as its reducer (run
+// span core.search.pareto), cancels on the first model error or ctx
 // cancellation — returning a *SearchError carrying the counts so far — and
 // resolves metric ties canonically so the returned frontier is
 // deterministic for any GOMAXPROCS.
-func (f *Framework) ParetoSearchContext(ctx context.Context, opts Options) (*ParetoResult, error) {
-	start := time.Now()
-	if err := opts.normalize(); err != nil {
-		return nil, err
-	}
-	tech, err := f.ArrayTech(opts.Flavor)
+func (f *Framework) Pareto(ctx context.Context, opts Options) (*ParetoResult, error) {
+	s, err := f.newSearch(ctx, opts, true)
 	if err != nil {
 		return nil, err
 	}
-	cc := f.Cells[opts.Flavor]
-	specs, alt, altCC, err := f.maskSpecs(&opts)
+	slots, st, err := s.walk()
 	if err != nil {
 		return nil, err
 	}
-	if altCC != nil && altCC.HSNM < f.Delta {
-		return nil, fmt.Errorf("core: 6T-%v HSNM %.3f below δ=%.3f at Vdd=%.3f", altCC.Flavor, altCC.HSNM, f.Delta, f.Vdd)
-	}
-	eval := opts.evalHook
-	if eval != nil && opts.hybridOn() {
-		return nil, fmt.Errorf("core: hybrid groups are not supported with an eval hook")
-	}
-	var evProto *array.Evaluator
-	if eval == nil {
-		evProto, err = array.NewEvaluator(tech, opts.Activity)
-		if err != nil {
-			return nil, err
-		}
-	}
-
-	rows := rowCandidates(opts.CapacityBits, opts.Space)
-	if len(rows) == 0 {
-		return nil, fmt.Errorf("core: %w: no feasible organization for %d bits", ErrInfeasible, opts.CapacityBits)
-	}
-	var stats SearchStats
-	// Prune a VSSC level only when every group-assignment class fails the
-	// read-stability constraint, as in OptimizeContext.
-	var feasVSSC []float64
-	for _, v := range vsscCandidates(opts.Method, opts.Space) {
-		anyOK := false
-		for _, s := range specs {
-			if specRSNMOK(s, v, cc, altCC, f.Delta) {
-				anyOK = true
-				break
-			}
-		}
-		if !anyOK {
-			stats.PrunedVSSC++
-			continue
-		}
-		feasVSSC = append(feasVSSC, v)
-	}
-	if stats.PrunedVSSC > 0 {
-		stats.SkippedRSNM = stats.PrunedVSSC * validCombosPerLevel(&opts, rows)
-	}
-	var chunks []chunk
-	for _, rc := range rows {
-		for li, vssc := range feasVSSC {
-			chunks = append(chunks, chunk{rc: rc, vssc: vssc, level: li})
-		}
-	}
-	if len(chunks) == 0 {
-		return nil, &SearchError{
-			Stats: finishStats(stats, start, 0),
-			Cause: fmt.Errorf("%w: empty Pareto front for %d bits", ErrInfeasible, opts.CapacityBits),
-		}
-	}
-	stats.Chunks = len(chunks)
-
-	workers := runtime.GOMAXPROCS(0)
-	if workers > len(chunks) {
-		workers = len(chunks)
-	}
-
-	mSearchRuns.Inc()
-	gSearchChunks.Set(float64(len(chunks)))
-	runSpan := obs.StartSpanCtx(ctx, "core.search.pareto")
-	runSpan.Int("capacity_bits", int64(opts.CapacityBits))
-	runSpan.Str("method", opts.Method.String())
-	runSpan.Int("chunks", int64(len(chunks)))
-	runSpan.Int("workers", int64(workers))
-
-	// Branch-and-bound fast path: a rectangle some frozen-front member
-	// dominates in both metrics cannot contribute to the frontier, so it is
-	// pruned without evaluation; the merged front is bit-identical to the
-	// full enumeration's (DESIGN.md §11).
-	if eval == nil && !opts.DisableBounds {
-		return f.paretoBounded(runSpan, start, &opts, stats, chunks, workers, evProto, specs, alt, cc, altCC, ctx)
-	}
-
-	sctx, cancel := context.WithCancelCause(ctx)
-	defer cancel(nil)
-	jobs := make(chan chunk, len(chunks))
-	for _, c := range chunks {
-		jobs <- c
-	}
-	close(jobs)
-
-	type paretoWorker struct {
-		front []DesignPoint
-		stats SearchStats
-	}
-	slots := make([]paretoWorker, workers)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(slot *paretoWorker) {
-			defer wg.Done()
-			var ev *array.Evaluator
-			if evProto != nil {
-				ev = evProto.Clone()
-			}
-			var scratch array.Result
-			for c := range jobs {
-				if sctx.Err() != nil {
-					return
-				}
-				chunkStart := time.Now()
-				sp := obs.StartSpanCtx(sctx, "core.search.chunk")
-				evals0 := slot.stats.Evaluated
-				flushed := evals0
-				endChunk := func(completed bool) {
-					mSearchEvaluated.Add(int64(slot.stats.Evaluated - flushed))
-					flushed = slot.stats.Evaluated
-					if completed {
-						mSearchChunks.Inc()
-						hChunkDur.Observe(time.Since(chunkStart))
-					}
-					sp.Int("nr", int64(c.rc.nr))
-					sp.Int("nc", int64(c.rc.nc))
-					sp.Float("vssc", c.vssc)
-					sp.Int("evaluated", int64(slot.stats.Evaluated-evals0))
-					sp.End()
-				}
-				nr, nc := c.rc.nr, c.rc.nc
-				width := accessWidth(opts.W, nc)
-				pts := opts.Space.NpreMax * opts.Space.NwrMax
-				for _, segs := range segCandidates(&opts, nc, width) {
-					for _, mux := range muxCandidates(opts.Space, width) {
-						base := wire.Geometry{NR: nr, NC: nc, W: width, Npre: 1, Nwr: 1, WLSegs: segs, Mux: mux}
-						if ev != nil {
-							if base.Validate() != nil || (opts.hybridOn() && nr%opts.HybridGroups != 0) {
-								slot.stats.SkippedGeom += pts * len(specs)
-								continue
-							}
-						}
-						for _, s := range specs {
-							if !specRSNMOK(s, c.vssc, cc, altCC, f.Delta) {
-								slot.stats.SkippedRSNM += pts
-								continue
-							}
-							if ev != nil {
-								var perr error
-								if opts.hybridOn() {
-									perr = ev.PrepareHybrid(base, s.vddc, c.vssc, s.vwl,
-										array.Hybrid{Groups: opts.HybridGroups, Mask: s.mask, Alt: alt})
-								} else {
-									perr = ev.Prepare(base, s.vddc, c.vssc, s.vwl)
-								}
-								if perr != nil {
-									cancel(fmt.Errorf("core: pareto evaluating n_r=%d N_pre=%d N_wr=%d VSSC=%g: %w",
-										nr, 1, 1, c.vssc, perr))
-									endChunk(false)
-									return
-								}
-							}
-							for npre := 1; npre <= opts.Space.NpreMax; npre++ {
-								if sctx.Err() != nil {
-									endChunk(false)
-									return
-								}
-								for nwr := 1; nwr <= opts.Space.NwrMax; nwr++ {
-									var r *array.Result
-									var d array.Design
-									if ev != nil {
-										if err := ev.EvalInto(npre, nwr, &scratch); err != nil {
-											cancel(fmt.Errorf("core: pareto evaluating n_r=%d N_pre=%d N_wr=%d VSSC=%g: %w",
-												nr, npre, nwr, c.vssc, err))
-											endChunk(false)
-											return
-										}
-										r, d = &scratch, scratch.Design
-									} else {
-										d = array.Design{
-											Geom: wire.Geometry{NR: nr, NC: nc, W: width, Npre: npre, Nwr: nwr, WLSegs: segs, Mux: mux},
-											VDDC: s.vddc, VSSC: c.vssc, VWL: s.vwl,
-										}
-										if d.Geom.Validate() != nil {
-											slot.stats.SkippedGeom++
-											continue
-										}
-										var err error
-										r, err = eval(tech, d, opts.Activity)
-										if err != nil {
-											cancel(fmt.Errorf("core: pareto evaluating n_r=%d N_pre=%d N_wr=%d VSSC=%g: %w",
-												nr, npre, nwr, c.vssc, err))
-											endChunk(false)
-											return
-										}
-									}
-									slot.stats.Evaluated++
-									if !r.RailsSettleInTime {
-										slot.stats.SkippedRails++
-										continue
-									}
-									rc := *r
-									slot.front = insertPareto(slot.front, DesignPoint{Design: d, Result: &rc})
-								}
-								mSearchEvaluated.Add(int64(slot.stats.Evaluated - flushed))
-								flushed = slot.stats.Evaluated
-							}
-						}
-					}
-				}
-				endChunk(true)
-			}
-		}(&slots[w])
-	}
-	wg.Wait()
-
-	for i := range slots {
-		stats.addWorker(slots[i].stats)
-	}
-	stats = finishStats(stats, start, workers)
-	runSpan.Int("evaluated", int64(stats.Evaluated))
-	runSpan.End()
-	if cause := context.Cause(sctx); cause != nil {
-		return nil, &SearchError{Stats: stats, Cause: cause}
-	}
-
 	var candidates []DesignPoint
 	for i := range slots {
 		candidates = append(candidates, slots[i].front...)
 	}
-	return mergePareto(candidates, stats, opts.CapacityBits)
+	return mergePareto(candidates, st, s.opts.CapacityBits)
 }
 
 // mergePareto reduces worker-local fronts to the global frontier. A globally
@@ -353,6 +106,38 @@ func insertPareto(front []DesignPoint, p DesignPoint) []DesignPoint {
 		}
 	}
 	return append(keep, p)
+}
+
+// frontDominatesRect reports whether a front member proves every point of a
+// rectangle with metric lower bounds (bD, bE) redundant: some q is ≤ the
+// bound in both metrics and strictly below in at least one. Strictness in
+// one coordinate protects exact metric ties, whose canonical replacement in
+// insertPareto must still see the candidate.
+func frontDominatesRect(front []DesignPoint, bD, bE float64) bool {
+	for i := range front { // by index: a DesignPoint copy per member costs more than the test
+		qd, qe := front[i].Result.DArray, front[i].Result.EArray
+		if (qd <= bD && qe < bE) || (qd < bD && qe <= bE) {
+			return true
+		}
+	}
+	return false
+}
+
+// paretoWouldChange mirrors insertPareto's decision for a point with metrics
+// (d, e) and design cand without materializing its Result: false when an
+// existing member weakly dominates it (and an exact tie would keep the
+// canonical incumbent), true when inserting would alter the front.
+func paretoWouldChange(front []DesignPoint, d, e float64, cand array.Design) bool {
+	for i := range front { // by index, as in frontDominatesRect
+		qd, qe := front[i].Result.DArray, front[i].Result.EArray
+		if qd == d && qe == e {
+			return designLess(cand, front[i].Design)
+		}
+		if qd <= d && qe <= e {
+			return false
+		}
+	}
+	return true
 }
 
 // KneePoint returns the index of the frontier point closest (in normalized

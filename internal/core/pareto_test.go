@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"testing"
 
 	"sramco/internal/array"
@@ -10,10 +11,11 @@ import (
 func TestParetoFrontProperties(t *testing.T) {
 	f := paperFramework(t)
 	opts := Options{CapacityBits: 8192, Flavor: device.HVT, Method: M2}
-	front, err := f.ParetoFront(opts)
+	res, err := f.Pareto(context.Background(), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
+	front := res.Front
 	if len(front) < 3 {
 		t.Fatalf("frontier has only %d points", len(front))
 	}
@@ -28,7 +30,7 @@ func TestParetoFrontProperties(t *testing.T) {
 		}
 	}
 	// The EDP optimum must lie on (or at least not dominate) the frontier.
-	opt, err := f.Optimize(opts)
+	opt, err := f.Optimize(context.Background(), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,14 +55,15 @@ func TestParetoFrontProperties(t *testing.T) {
 
 func TestParetoFrontM1SubsetDominatedByM2(t *testing.T) {
 	f := paperFramework(t)
-	m1, err := f.ParetoFront(Options{CapacityBits: 8192, Flavor: device.HVT, Method: M1})
+	r1, err := f.Pareto(context.Background(), Options{CapacityBits: 8192, Flavor: device.HVT, Method: M1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	m2, err := f.ParetoFront(Options{CapacityBits: 8192, Flavor: device.HVT, Method: M2})
+	r2, err := f.Pareto(context.Background(), Options{CapacityBits: 8192, Flavor: device.HVT, Method: M2})
 	if err != nil {
 		t.Fatal(err)
 	}
+	m1, m2 := r1.Front, r2.Front
 	// M2's search space contains M1's designs with VSSC = 0 — wait: M1 pins
 	// VDDC = VWL = max(VDDC*, VWL*) which differs from M2's rails, so the
 	// frontiers are not strictly nested. But M2's fastest point must be at

@@ -1,11 +1,8 @@
 package core
 
 import (
-	"math"
-	"math/rand"
+	"context"
 	"reflect"
-	"sync"
-	"sync/atomic"
 	"testing"
 
 	"sramco/internal/device"
@@ -24,13 +21,13 @@ func TestBranchAndBoundParity(t *testing.T) {
 		for _, flavor := range []device.Flavor{device.LVT, device.HVT} {
 			for _, method := range []Method{M1, M2} {
 				opts := Options{CapacityBits: kb * 1024 * 8, Flavor: flavor, Method: method}
-				pruned, err := f.Optimize(opts)
+				pruned, err := f.Optimize(context.Background(), opts)
 				if err != nil {
 					t.Fatalf("%dKB %v %v pruned: %v", kb, flavor, method, err)
 				}
 				full := opts
 				full.DisableBounds = true
-				ref, err := f.Optimize(full)
+				ref, err := f.Optimize(context.Background(), full)
 				if err != nil {
 					t.Fatalf("%dKB %v %v full: %v", kb, flavor, method, err)
 				}
@@ -86,13 +83,13 @@ func TestBranchAndBoundParityPareto(t *testing.T) {
 		{8, device.HVT, M1},
 	} {
 		opts := Options{CapacityBits: tc.kb * 1024 * 8, Flavor: tc.flavor, Method: tc.method}
-		pruned, err := f.ParetoSearch(opts)
+		pruned, err := f.Pareto(context.Background(), opts)
 		if err != nil {
 			t.Fatalf("%dKB %v %v pruned: %v", tc.kb, tc.flavor, tc.method, err)
 		}
 		full := opts
 		full.DisableBounds = true
-		ref, err := f.ParetoSearch(full)
+		ref, err := f.Pareto(context.Background(), full)
 		if err != nil {
 			t.Fatalf("%dKB %v %v full: %v", tc.kb, tc.flavor, tc.method, err)
 		}
@@ -126,79 +123,12 @@ func TestBranchAndBoundParityInfeasible(t *testing.T) {
 		Method:       M2,
 		Space:        SearchSpace{VSSCMin: -0.03, VSSCStep: 0.01, NRMax: 1024, NCMax: 1024, NpreMax: 2, NwrMax: 2},
 	}
-	if _, err := f.Optimize(opts); err == nil {
+	if _, err := f.Optimize(context.Background(), opts); err == nil {
 		t.Fatal("pruned search of an infeasible space succeeded")
 	}
 	full := opts
 	full.DisableBounds = true
-	if _, err := f.Optimize(full); err == nil {
+	if _, err := f.Optimize(context.Background(), full); err == nil {
 		t.Fatal("full search of an infeasible space succeeded")
-	}
-}
-
-// TestAtomicMinNeverRegresses is the race gate for the published best-so-far
-// (run with -race via make check): GOMAXPROCS publishers hammer the cell
-// with random values while readers assert the loaded minimum is monotonically
-// non-increasing and finally equals the true minimum of everything published.
-func TestAtomicMinNeverRegresses(t *testing.T) {
-	m := newAtomicMin()
-	if v := m.Load(); !math.IsInf(v, 1) {
-		t.Fatalf("initial value %v, want +Inf", v)
-	}
-
-	const publishers = 8
-	const perPublisher = 2000
-	var trueMin atomic.Uint64
-	trueMin.Store(math.Float64bits(math.Inf(1)))
-	stop := make(chan struct{})
-
-	// Readers: the observed minimum must never increase.
-	var readers sync.WaitGroup
-	for r := 0; r < 2; r++ {
-		readers.Add(1)
-		go func() {
-			defer readers.Done()
-			last := math.Inf(1)
-			for {
-				select {
-				case <-stop:
-					return
-				default:
-				}
-				v := m.Load()
-				if v > last {
-					t.Errorf("best-so-far regressed: %v after %v", v, last)
-					return
-				}
-				last = v
-			}
-		}()
-	}
-
-	var pubs sync.WaitGroup
-	for p := 0; p < publishers; p++ {
-		pubs.Add(1)
-		go func(seed int64) {
-			defer pubs.Done()
-			rng := rand.New(rand.NewSource(seed))
-			for i := 0; i < perPublisher; i++ {
-				v := rng.Float64()
-				m.Publish(v)
-				for {
-					old := trueMin.Load()
-					if v >= math.Float64frombits(old) ||
-						trueMin.CompareAndSwap(old, math.Float64bits(v)) {
-						break
-					}
-				}
-			}
-		}(int64(p) + 1)
-	}
-	pubs.Wait()
-	close(stop)
-	readers.Wait()
-
-	if got, want := m.Load(), math.Float64frombits(trueMin.Load()); got != want {
-		t.Errorf("final minimum %v, want %v", got, want)
 	}
 }

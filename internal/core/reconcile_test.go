@@ -3,21 +3,18 @@ package core
 import (
 	"context"
 	"math"
+	"reflect"
 	"strconv"
 	"strings"
-	"sync"
 	"testing"
 
-	"sramco/internal/array"
 	"sramco/internal/device"
 	"sramco/internal/obs"
 )
 
-// pruningFramework returns a shallow copy of the paper framework whose HVT
-// cell fails read stability below cutoff — TechPaper's RSNMAt is the
-// constant δ (the starred rails are chosen to meet it), so pruning tests
-// need an explicit cliff.
-func pruningFramework(t *testing.T, cutoff float64) *Framework {
+// hvtVariant returns a shallow copy of the paper framework whose HVT
+// characterization is edited by edit; the shared framework is untouched.
+func hvtVariant(t *testing.T, edit func(hvt *CellChar)) *Framework {
 	t.Helper()
 	base := paperFramework(t)
 	f := *base
@@ -26,15 +23,25 @@ func pruningFramework(t *testing.T, cutoff float64) *Framework {
 		cc := *v
 		f.Cells[k] = &cc
 	}
-	hvt := f.Cells[device.HVT]
-	delta := base.Delta
-	hvt.RSNMAt = func(vssc float64) float64 {
-		if vssc < cutoff {
-			return 0
-		}
-		return delta
-	}
+	edit(f.Cells[device.HVT])
 	return &f
+}
+
+// pruningFramework returns a copy of the paper framework whose HVT cell
+// fails read stability below cutoff — TechPaper's RSNMAt is the constant δ
+// (the starred rails are chosen to meet it), so pruning tests need an
+// explicit cliff.
+func pruningFramework(t *testing.T, cutoff float64) *Framework {
+	t.Helper()
+	delta := paperFramework(t).Delta
+	return hvtVariant(t, func(hvt *CellChar) {
+		hvt.RSNMAt = func(vssc float64) float64 {
+			if vssc < cutoff {
+				return 0
+			}
+			return delta
+		}
+	})
 }
 
 // TestSkippedRSNMReconcilesWithValidatedSpace covers the up-front pruning
@@ -58,7 +65,7 @@ func TestSkippedRSNMReconcilesWithValidatedSpace(t *testing.T) {
 		W:            6,
 		Space:        SearchSpace{VSSCMin: -0.03, VSSCStep: 0.01, NRMax: 1024, NCMax: 1024, NpreMax: 2, NwrMax: 2},
 	}
-	opt, err := f.Optimize(opts)
+	opt, err := f.Optimize(context.Background(), opts)
 	if err != nil {
 		t.Fatalf("Optimize: %v", err)
 	}
@@ -162,7 +169,7 @@ func TestGreedySweepsSameVSSCLevelsAsExhaustive(t *testing.T) {
 		Method:       M2,
 		Space:        SearchSpace{VSSCMin: -0.07, VSSCStep: 0.01, NRMax: 1024, NCMax: 1024, NpreMax: 6, NwrMax: 4},
 	}
-	opt, err := f.GreedyOptimize(opts)
+	opt, err := f.GreedyOptimize(context.Background(), opts)
 	if err != nil {
 		t.Fatalf("GreedyOptimize: %v", err)
 	}
@@ -199,9 +206,9 @@ func TestParetoStatsAndTraceReconcile(t *testing.T) {
 		Method:       M2,
 		Space:        SearchSpace{VSSCMin: -0.03, VSSCStep: 0.01, NRMax: 1024, NCMax: 1024, NpreMax: 4, NwrMax: 3},
 	}
-	res, err := f.ParetoSearch(opts)
+	res, err := f.Pareto(context.Background(), opts)
 	if err != nil {
-		t.Fatalf("ParetoSearch: %v", err)
+		t.Fatalf("Pareto: %v", err)
 	}
 	if len(res.Front) == 0 {
 		t.Fatal("empty frontier")
@@ -266,9 +273,8 @@ func TestParetoStatsAndTraceReconcile(t *testing.T) {
 
 // TestParetoHonorsSearchWLSegs covers the parity gap where the Pareto sweep
 // silently ignored Options.SearchWLSegs: with segmentation enabled it must
-// enumerate the same divided-wordline candidates as Optimize (observed
-// through the evalHook seam), and the hook-free Evaluator fast path must
-// agree with the hooked sweep point for point.
+// enumerate the same divided-wordline candidates as the per-point oracle,
+// and agree with it on the front and the evaluation count exactly.
 func TestParetoHonorsSearchWLSegs(t *testing.T) {
 	f := paperFramework(t)
 	opts := Options{
@@ -277,54 +283,34 @@ func TestParetoHonorsSearchWLSegs(t *testing.T) {
 		Method:       M1,
 		Space:        SearchSpace{VSSCMin: -0.01, VSSCStep: 0.01, NRMax: 1024, NCMax: 1024, NpreMax: 3, NwrMax: 2},
 	}
-	flat, err := f.ParetoSearch(opts)
+	flat, err := f.Pareto(context.Background(), opts)
 	if err != nil {
-		t.Fatalf("flat ParetoSearch: %v", err)
+		t.Fatalf("flat Pareto: %v", err)
 	}
 
+	// Bounds stay disabled so the walker enumerates the full space and the
+	// evaluation counts — not just the frontiers — compare 1:1.
 	segOpts := opts
 	segOpts.SearchWLSegs = true
-	var mu sync.Mutex
-	segSeen := make(map[int]bool)
-	segOpts.evalHook = func(tech *array.Tech, d array.Design, act array.Activity) (*array.Result, error) {
-		mu.Lock()
-		segSeen[d.Geom.Segments()] = true
-		mu.Unlock()
-		return array.Evaluate(tech, d, act)
-	}
-	hooked, err := f.ParetoSearchContext(context.Background(), segOpts)
+	segOpts.DisableBounds = true
+	full, err := f.Pareto(context.Background(), segOpts)
 	if err != nil {
-		t.Fatalf("segmented ParetoSearch: %v", err)
+		t.Fatalf("segmented Pareto: %v", err)
 	}
+	ref := oracleSearch(t, f, segOpts)
 	for _, s := range []int{1, 2, 4, 8} {
-		if !segSeen[s] {
+		if ref.segs[s] == 0 {
 			t.Errorf("segmentation %d never evaluated", s)
 		}
 	}
-	if hooked.Stats.Evaluated <= flat.Stats.Evaluated {
+	if full.Stats.Evaluated <= flat.Stats.Evaluated {
 		t.Errorf("SearchWLSegs did not widen the sweep: %d vs %d evaluations",
-			hooked.Stats.Evaluated, flat.Stats.Evaluated)
+			full.Stats.Evaluated, flat.Stats.Evaluated)
 	}
-
-	// The hook-free fast path must agree with the hooked sweep exactly.
-	// Bounds stay disabled so both runs enumerate the full space and the
-	// evaluation counts — not just the frontiers — can be compared 1:1.
-	segOpts.evalHook = nil
-	segOpts.DisableBounds = true
-	fast, err := f.ParetoSearch(segOpts)
-	if err != nil {
-		t.Fatalf("fast segmented ParetoSearch: %v", err)
+	if full.Stats.Evaluated != ref.stats.Evaluated {
+		t.Errorf("walker evaluated %d points, oracle %d", full.Stats.Evaluated, ref.stats.Evaluated)
 	}
-	if fast.Stats.Evaluated != hooked.Stats.Evaluated {
-		t.Errorf("fast path evaluated %d points, hook path %d", fast.Stats.Evaluated, hooked.Stats.Evaluated)
-	}
-	if len(fast.Front) != len(hooked.Front) {
-		t.Fatalf("fast front has %d points, hook front %d", len(fast.Front), len(hooked.Front))
-	}
-	for i := range fast.Front {
-		if fast.Front[i].Design != hooked.Front[i].Design ||
-			fast.Front[i].Result.EDP != hooked.Front[i].Result.EDP {
-			t.Fatalf("frontier point %d diverges between fast and hook paths", i)
-		}
+	if !reflect.DeepEqual(full.Front, ref.front) {
+		t.Fatalf("walker front (%d points) diverges from the oracle's (%d points)", len(full.Front), len(ref.front))
 	}
 }

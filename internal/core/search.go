@@ -4,18 +4,11 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"runtime"
-	"sync"
 	"time"
 
 	"sramco/internal/array"
-	"sramco/internal/obs"
 	"sramco/internal/wire"
 )
-
-// evalFunc matches array.Evaluate; Options.evalHook substitutes it in tests
-// to inject model errors and observe the explored space.
-type evalFunc func(*array.Tech, array.Design, array.Activity) (*array.Result, error)
 
 // rowCand is one feasible array organization: a power-of-two row count with
 // an integral column count inside the search space.
@@ -173,302 +166,38 @@ func betterPoint(cand *DesignPoint, candObj float64, inc *DesignPoint, incObj fl
 	return designLess(cand.Design, inc.Design)
 }
 
-// searchWorker accumulates one worker's partial view of the search.
-type searchWorker struct {
-	best  *DesignPoint
-	obj   float64
-	stats SearchStats // Evaluated / SkippedGeom / SkippedRails only
-	err   error
-}
-
-// OptimizeContext is Optimize with cancellation: the search stops at the
-// first model error or when ctx is done, whichever comes first, and the
-// returned *SearchError carries the counts accumulated by every worker up to
-// the abort together with the causal error.
+// Optimize exhaustively searches (V_SSC, n_r, N_pre, N_wr) — plus wordline
+// segmentation, mux ratio and group mask when enabled — for the design
+// minimizing the objective under the yield constraint, with VDDC/VWL pinned
+// by the method (§5). The search stops at the first model error or when ctx
+// is done, and the returned *SearchError carries the counts accumulated by
+// every worker up to the abort together with the causal error.
 //
-// The search shards (row organization × VSSC) chunks over GOMAXPROCS
+// The walker shards (row organization × VSSC) chunks over GOMAXPROCS
 // workers and reduces worker-local optima with a total order (objective,
 // then the design tuple), so the returned Optimum — design, result and
 // counts — is bit-identical for any GOMAXPROCS.
-func (f *Framework) OptimizeContext(ctx context.Context, opts Options) (*Optimum, error) {
-	start := time.Now()
-	if err := opts.normalize(); err != nil {
-		return nil, err
-	}
-	tech, err := f.ArrayTech(opts.Flavor)
+func (f *Framework) Optimize(ctx context.Context, opts Options) (*Optimum, error) {
+	s, err := f.newSearch(ctx, opts, false)
 	if err != nil {
 		return nil, err
 	}
-	cc := f.Cells[opts.Flavor]
-	specs, alt, altCC, err := f.maskSpecs(&opts)
+	slots, st, err := s.walk()
 	if err != nil {
 		return nil, err
 	}
-	// Yield feasibility that does not depend on the searched variables:
-	// HSNM at nominal and WM at VWL* are met by construction of the starred
-	// rails; HSNM is checked here (for both flavors of a hybrid search).
-	if cc.HSNM < f.Delta {
-		return nil, fmt.Errorf("core: 6T-%v HSNM %.3f below δ=%.3f at Vdd=%.3f", opts.Flavor, cc.HSNM, f.Delta, f.Vdd)
-	}
-	if altCC != nil && altCC.HSNM < f.Delta {
-		return nil, fmt.Errorf("core: 6T-%v HSNM %.3f below δ=%.3f at Vdd=%.3f", altCC.Flavor, altCC.HSNM, f.Delta, f.Vdd)
-	}
-	eval := opts.evalHook
-	if eval != nil && opts.hybridOn() {
-		return nil, fmt.Errorf("core: hybrid groups are not supported with an eval hook")
-	}
-	// The hot path uses the chunk-amortized Evaluator (one Prepare per
-	// (organization, segmentation, VSSC), allocation-free Eval per point);
-	// an evalHook opts tests into the per-point wrapper seam instead. Both
-	// paths produce bit-identical optima and counts.
-	var evProto *array.Evaluator
-	if eval == nil {
-		evProto, err = array.NewEvaluator(tech, opts.Activity)
-		if err != nil {
-			return nil, err
-		}
-	}
-
-	rows := rowCandidates(opts.CapacityBits, opts.Space)
-	if len(rows) == 0 {
-		return nil, fmt.Errorf("core: %w: no feasible organization for %d bits within the search space", ErrInfeasible, opts.CapacityBits)
-	}
-
-	var stats SearchStats
-	// Read-stability feasibility depends on VSSC alone: prune a sweep level
-	// up front only when every group-assignment class fails it (a
-	// global-flavor search has one class, so this is the historical
-	// single-flavor prune). Levels where only some classes fail are kept and
-	// the infeasible classes are skipped — and counted — per unit.
-	var feasVSSC []float64
-	for _, v := range vsscCandidates(opts.Method, opts.Space) {
-		anyOK := false
-		for _, s := range specs {
-			if specRSNMOK(s, v, cc, altCC, f.Delta) {
-				anyOK = true
-				break
-			}
-		}
-		if !anyOK {
-			stats.PrunedVSSC++
-			continue
-		}
-		feasVSSC = append(feasVSSC, v)
-	}
-	if stats.PrunedVSSC > 0 {
-		// Charge pruned levels only for candidates the sweep would actually
-		// have evaluated: combinations Geom.Validate rejects are SkippedGeom
-		// on feasible levels and must not be double-booked as RSNM skips,
-		// or Evaluated + SkippedTotal() stops reconciling with the candidate
-		// count.
-		stats.SkippedRSNM = stats.PrunedVSSC * validCombosPerLevel(&opts, rows)
-	}
-	if len(feasVSSC) == 0 {
-		return nil, &SearchError{
-			Stats: finishStats(stats, start, 0),
-			Cause: fmt.Errorf("%w: every VSSC level fails the read-stability constraint", ErrInfeasible),
-		}
-	}
-
-	chunks := make([]chunk, 0, len(rows)*len(feasVSSC))
-	for _, rc := range rows {
-		for li, vssc := range feasVSSC {
-			chunks = append(chunks, chunk{rc: rc, vssc: vssc, level: li})
-		}
-	}
-	stats.Chunks = len(chunks)
-	workers := runtime.GOMAXPROCS(0)
-	if workers > len(chunks) {
-		workers = len(chunks)
-	}
-
-	mSearchRuns.Inc()
-	gSearchChunks.Set(float64(len(chunks)))
-	runSpan := obs.StartSpanCtx(ctx, "core.search")
-	runSpan.Int("capacity_bits", int64(opts.CapacityBits))
-	runSpan.Str("method", opts.Method.String())
-	runSpan.Int("chunks", int64(len(chunks)))
-	runSpan.Int("workers", int64(workers))
-
-	// Branch-and-bound fast path: built-in objectives admit a certified
-	// per-rectangle lower bound, letting the searcher skip most of the space
-	// while returning bit-identical optima and deterministic counts
-	// (DESIGN.md §11). Custom objectives have no bound, evalHook bypasses the
-	// Evaluator the bound is computed from, and DisableBounds opts parity
-	// tests back into full enumeration.
-	if eval == nil && !opts.DisableBounds && objectiveKind(opts.Objective) != objCustom {
-		return f.optimizeBounded(runSpan, start, &opts, stats, chunks, workers, evProto, specs, alt, cc, altCC, ctx)
-	}
-
-	sctx, cancel := context.WithCancelCause(ctx)
-	defer cancel(nil)
-	jobs := make(chan chunk, len(chunks))
-	for _, c := range chunks {
-		jobs <- c
-	}
-	close(jobs)
-
-	slots := make([]searchWorker, workers)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(slot *searchWorker) {
-			defer wg.Done()
-			slot.obj = math.Inf(1)
-			// Each worker owns an Evaluator clone (Prepare mutates memo
-			// state) plus a scratch Result, copied only when a point wins —
-			// the inner sweep itself allocates nothing.
-			var ev *array.Evaluator
-			if evProto != nil {
-				ev = evProto.Clone()
-			}
-			var scratch array.Result
-			for c := range jobs {
-				if sctx.Err() != nil {
-					return
-				}
-				chunkStart := time.Now()
-				sp := obs.StartSpanCtx(sctx, "core.search.chunk")
-				evals0 := slot.stats.Evaluated
-				flushed := evals0
-				// endChunk publishes the chunk's evaluation count to the
-				// live counter and closes its trace span; it runs on every
-				// exit from the chunk, including cancellation and error.
-				endChunk := func(completed bool) {
-					mSearchEvaluated.Add(int64(slot.stats.Evaluated - flushed))
-					flushed = slot.stats.Evaluated
-					if completed {
-						mSearchChunks.Inc()
-						hChunkDur.Observe(time.Since(chunkStart))
-					}
-					sp.Int("nr", int64(c.rc.nr))
-					sp.Int("nc", int64(c.rc.nc))
-					sp.Float("vssc", c.vssc)
-					sp.Int("evaluated", int64(slot.stats.Evaluated-evals0))
-					sp.End()
-				}
-				nr, nc := c.rc.nr, c.rc.nc
-				width := accessWidth(opts.W, nc)
-				pts := opts.Space.NpreMax * opts.Space.NwrMax
-				for _, segs := range segCandidates(&opts, nc, width) {
-					for _, mux := range muxCandidates(opts.Space, width) {
-						base := wire.Geometry{NR: nr, NC: nc, W: width, Npre: 1, Nwr: 1, WLSegs: segs, Mux: mux}
-						if ev != nil {
-							// Structural validity is invariant across the inner
-							// sweep: decide it once on the base geometry instead
-							// of per point, then fix the chunk's invariants. A
-							// hybrid organization that cannot hold the row
-							// groups is structurally invalid the same way.
-							if base.Validate() != nil || (opts.hybridOn() && nr%opts.HybridGroups != 0) {
-								slot.stats.SkippedGeom += pts * len(specs)
-								continue
-							}
-						}
-						for _, s := range specs {
-							if !specRSNMOK(s, c.vssc, cc, altCC, f.Delta) {
-								slot.stats.SkippedRSNM += pts
-								continue
-							}
-							if ev != nil {
-								var perr error
-								if opts.hybridOn() {
-									perr = ev.PrepareHybrid(base, s.vddc, c.vssc, s.vwl,
-										array.Hybrid{Groups: opts.HybridGroups, Mask: s.mask, Alt: alt})
-								} else {
-									perr = ev.Prepare(base, s.vddc, c.vssc, s.vwl)
-								}
-								if perr != nil {
-									slot.err = fmt.Errorf("core: evaluating n_r=%d n_c=%d N_pre=%d N_wr=%d VSSC=%g: %w",
-										nr, nc, 1, 1, c.vssc, perr)
-									cancel(slot.err)
-									endChunk(false)
-									return
-								}
-							}
-							for npre := 1; npre <= opts.Space.NpreMax; npre++ {
-								if sctx.Err() != nil {
-									endChunk(false)
-									return
-								}
-								for nwr := 1; nwr <= opts.Space.NwrMax; nwr++ {
-									var r *array.Result
-									var d array.Design
-									if ev != nil {
-										if err := ev.EvalInto(npre, nwr, &scratch); err != nil {
-											slot.err = fmt.Errorf("core: evaluating n_r=%d n_c=%d N_pre=%d N_wr=%d VSSC=%g: %w",
-												nr, nc, npre, nwr, c.vssc, err)
-											cancel(slot.err)
-											endChunk(false)
-											return
-										}
-										r, d = &scratch, scratch.Design
-									} else {
-										d = array.Design{
-											Geom: wire.Geometry{NR: nr, NC: nc, W: width, Npre: npre, Nwr: nwr, WLSegs: segs, Mux: mux},
-											VDDC: s.vddc, VSSC: c.vssc, VWL: s.vwl,
-										}
-										if d.Geom.Validate() != nil {
-											slot.stats.SkippedGeom++
-											continue
-										}
-										var err error
-										r, err = eval(tech, d, opts.Activity)
-										if err != nil {
-											slot.err = fmt.Errorf("core: evaluating n_r=%d n_c=%d N_pre=%d N_wr=%d VSSC=%g: %w",
-												nr, nc, npre, nwr, c.vssc, err)
-											cancel(slot.err)
-											endChunk(false)
-											return
-										}
-									}
-									slot.stats.Evaluated++
-									if !r.RailsSettleInTime {
-										slot.stats.SkippedRails++
-										continue
-									}
-									// Allocate the candidate point only when it wins,
-									// keeping the hot loop free of per-point garbage
-									// (the fast path's scratch is copied out here).
-									if v := opts.Objective(r); slot.best == nil || v < slot.obj ||
-										(v == slot.obj && designLess(d, slot.best.Design)) {
-										rc := *r
-										slot.best, slot.obj = &DesignPoint{Design: d, Result: &rc}, v
-									}
-								}
-								// Flush the live counter once per N_wr sweep — cheap
-								// enough for the hot loop, fresh enough for -progress.
-								mSearchEvaluated.Add(int64(slot.stats.Evaluated - flushed))
-								flushed = slot.stats.Evaluated
-							}
-						}
-					}
-				}
-				endChunk(true)
-			}
-		}(&slots[w])
-	}
-	wg.Wait()
-
 	var best *DesignPoint
 	obj := math.Inf(1)
 	for i := range slots {
-		stats.addWorker(slots[i].stats)
 		if slots[i].best != nil && betterPoint(slots[i].best, slots[i].obj, best, obj) {
 			best, obj = slots[i].best, slots[i].obj
 		}
 	}
-	stats = finishStats(stats, start, workers)
-	runSpan.Int("evaluated", int64(stats.Evaluated))
-	runSpan.End()
-
-	if cause := context.Cause(sctx); cause != nil {
-		return nil, &SearchError{Stats: stats, Cause: cause}
-	}
 	if best == nil {
 		return nil, fmt.Errorf("core: %w for %d bits (all %d candidates rejected)",
-			ErrInfeasible, opts.CapacityBits, stats.SkippedTotal())
+			ErrInfeasible, s.opts.CapacityBits, st.SkippedTotal()+st.PrunedBound)
 	}
-	return &Optimum{Best: *best, Evaluated: stats.Evaluated, Skipped: stats.SkippedTotal(), Stats: stats}, nil
+	return &Optimum{Best: *best, Evaluated: st.Evaluated, Skipped: st.SkippedTotal(), Stats: st}, nil
 }
 
 func finishStats(s SearchStats, start time.Time, workers int) SearchStats {

@@ -6,6 +6,7 @@ import (
 	"math"
 	"reflect"
 	"runtime"
+	"strings"
 	"sync/atomic"
 	"testing"
 
@@ -41,7 +42,7 @@ func TestOptimizeDeterministicAcrossGOMAXPROCS(t *testing.T) {
 		var ref Optimum
 		for i, procs := range []int{1, 2, 8, 8} {
 			prev := runtime.GOMAXPROCS(procs)
-			opt, err := f.Optimize(opts)
+			opt, err := f.Optimize(context.Background(), opts)
 			runtime.GOMAXPROCS(prev)
 			if err != nil {
 				t.Fatalf("groups=%d GOMAXPROCS=%d: %v", opts.HybridGroups, procs, err)
@@ -73,7 +74,7 @@ func TestOptimizeTieBreakOnObjectiveTies(t *testing.T) {
 	var ref Optimum
 	for i, procs := range []int{1, 8} {
 		prev := runtime.GOMAXPROCS(procs)
-		opt, err := f.Optimize(opts)
+		opt, err := f.Optimize(context.Background(), opts)
 		runtime.GOMAXPROCS(prev)
 		if err != nil {
 			t.Fatalf("GOMAXPROCS=%d: %v", procs, err)
@@ -140,46 +141,44 @@ func TestBetterPointTotalOrder(t *testing.T) {
 	}
 }
 
-// TestOptimizeErrorCancelsWithAccurateCounts injects a model error mid-search
-// and checks the search aborts with the causal error and with Evaluated
-// equal to the number of evaluations that actually succeeded — including
-// those of workers that were cancelled rather than erroring themselves.
+// TestOptimizeErrorCancelsWithAccurateCounts cancels the search from inside
+// a custom objective at its 50th call and checks the search aborts with the
+// cause and with Evaluated equal to the number of points the objective
+// actually saw — including those of workers that were cancelled rather than
+// cancelling themselves.
 func TestOptimizeErrorCancelsWithAccurateCounts(t *testing.T) {
 	f := paperFramework(t)
-	sentinel := errors.New("injected model failure")
-	var calls, successes atomic.Int64
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	var calls atomic.Int64
 	opts := Options{
 		CapacityBits: 4 * 1024 * 8,
 		Flavor:       device.HVT,
 		Method:       M2,
 		Space:        SearchSpace{VSSCMin: -0.240, VSSCStep: 0.010, NRMax: 1024, NCMax: 1024, NpreMax: 10, NwrMax: 10},
-		evalHook: func(tech *array.Tech, d array.Design, act array.Activity) (*array.Result, error) {
-			if calls.Add(1) > 50 {
-				return nil, sentinel
+		Objective: func(r *array.Result) float64 {
+			if calls.Add(1) == 50 {
+				cancel()
 			}
-			r, err := array.Evaluate(tech, d, act)
-			if err == nil {
-				successes.Add(1)
-			}
-			return r, err
+			return r.EDP
 		},
 	}
 	prev := runtime.GOMAXPROCS(4)
 	defer runtime.GOMAXPROCS(prev)
-	_, err := f.Optimize(opts)
-	if !errors.Is(err, sentinel) {
-		t.Fatalf("Optimize error = %v, want the injected sentinel", err)
+	_, err := f.Optimize(ctx, opts)
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("Optimize error = %v, want context.Canceled", err)
 	}
 	var serr *SearchError
 	if !errors.As(err, &serr) {
 		t.Fatalf("Optimize error %T does not carry SearchStats", err)
 	}
-	if got, want := serr.Stats.Evaluated, int(successes.Load()); got != want {
-		t.Errorf("aborted search reports %d evaluations, %d actually succeeded", got, want)
+	if got, want := serr.Stats.Evaluated, int(calls.Load()); got != want {
+		t.Errorf("aborted search reports %d evaluations, the objective saw %d", got, want)
 	}
 	full := 6 * 25 * 10 * 10 // rows × VSSC levels × Npre × Nwr
 	if serr.Stats.Evaluated >= full {
-		t.Errorf("search ran to completion (%d evals) despite the error", serr.Stats.Evaluated)
+		t.Errorf("search ran to completion (%d evals) despite the cancellation", serr.Stats.Evaluated)
 	}
 }
 
@@ -187,7 +186,7 @@ func TestOptimizePreCancelledContext(t *testing.T) {
 	f := paperFramework(t)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, err := f.OptimizeContext(ctx, Options{CapacityBits: 4 * 1024 * 8, Flavor: device.HVT, Method: M2})
+	_, err := f.Optimize(ctx, Options{CapacityBits: 4 * 1024 * 8, Flavor: device.HVT, Method: M2})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("error = %v, want context.Canceled", err)
 	}
@@ -201,28 +200,40 @@ func TestOptimizePreCancelledContext(t *testing.T) {
 }
 
 // TestGreedyPropagatesModelError: a model bug must surface as an error, not
-// masquerade as an infeasible search space.
+// masquerade as an infeasible search space — in every searcher. The HVT
+// read current collapses to zero below VSSC = -0.1 V, which Prepare
+// rejects.
 func TestGreedyPropagatesModelError(t *testing.T) {
-	f := paperFramework(t)
-	sentinel := errors.New("injected model failure")
-	opts := Options{
-		CapacityBits: 8192,
-		Flavor:       device.HVT,
-		Method:       M2,
-		evalHook: func(*array.Tech, array.Design, array.Activity) (*array.Result, error) {
-			return nil, sentinel
-		},
+	f := hvtVariant(t, func(hvt *CellChar) {
+		iRead := hvt.IRead
+		hvt.IRead = func(vddc, vssc float64) float64 {
+			if vssc < -0.1 {
+				return 0
+			}
+			return iRead(vddc, vssc)
+		}
+	})
+	opts := Options{CapacityBits: 8192, Flavor: device.HVT, Method: M2}
+	full := opts
+	full.DisableBounds = true
+	searches := map[string]func() error{
+		"bounded": func() error { _, err := f.Optimize(context.Background(), opts); return err },
+		"full":    func() error { _, err := f.Optimize(context.Background(), full); return err },
+		"pareto":  func() error { _, err := f.Pareto(context.Background(), opts); return err },
+		"greedy":  func() error { _, err := f.GreedyOptimize(context.Background(), opts); return err },
 	}
-	_, err := f.GreedyOptimize(opts)
-	if !errors.Is(err, sentinel) {
-		t.Fatalf("GreedyOptimize error = %v, want the injected sentinel", err)
-	}
-	if errors.Is(err, ErrInfeasible) {
-		t.Error("model error misreported as an infeasible search space")
-	}
-	var serr *SearchError
-	if !errors.As(err, &serr) {
-		t.Fatalf("error %T does not carry SearchStats", err)
+	for name, search := range searches {
+		err := search()
+		if err == nil || !strings.Contains(err.Error(), "non-positive read current") {
+			t.Errorf("%s: error = %v, want the model's non-positive read current", name, err)
+		}
+		if errors.Is(err, ErrInfeasible) {
+			t.Errorf("%s: model error misreported as an infeasible search space", name)
+		}
+		var serr *SearchError
+		if !errors.As(err, &serr) {
+			t.Errorf("%s: error %T does not carry SearchStats", name, err)
+		}
 	}
 }
 
@@ -230,26 +241,17 @@ func TestGreedyPropagatesModelError(t *testing.T) {
 // searchers report ErrInfeasible (so bank sweeps can skip the partitioning)
 // rather than a generic error.
 func TestInfeasibleSpaceIsClassified(t *testing.T) {
-	f := paperFramework(t)
-	hook := func(tech *array.Tech, d array.Design, act array.Activity) (*array.Result, error) {
-		r, err := array.Evaluate(tech, d, act)
-		if err != nil {
-			return nil, err
-		}
-		r.RailsSettleInTime = false
-		return r, nil
-	}
+	f := pruningFramework(t, 1) // every VSSC level fails read stability
 	opts := Options{
 		CapacityBits: 4096,
 		Flavor:       device.HVT,
 		Method:       M2,
 		Space:        SearchSpace{VSSCMin: -0.02, VSSCStep: 0.01, NRMax: 1024, NCMax: 1024, NpreMax: 2, NwrMax: 2},
-		evalHook:     hook,
 	}
-	if _, err := f.Optimize(opts); !errors.Is(err, ErrInfeasible) {
+	if _, err := f.Optimize(context.Background(), opts); !errors.Is(err, ErrInfeasible) {
 		t.Errorf("Optimize error = %v, want ErrInfeasible", err)
 	}
-	if _, err := f.GreedyOptimize(opts); !errors.Is(err, ErrInfeasible) {
+	if _, err := f.GreedyOptimize(context.Background(), opts); !errors.Is(err, ErrInfeasible) {
 		t.Errorf("GreedyOptimize error = %v, want ErrInfeasible", err)
 	}
 }
@@ -268,14 +270,14 @@ func TestGreedyHonorsSearchWLSegs(t *testing.T) {
 			W:            8,
 			Space:        SearchSpace{VSSCMin: -0.02, VSSCStep: 0.01, NRMax: 1024, NCMax: 1024, NpreMax: 5, NwrMax: 5},
 			SearchWLSegs: dwl,
-			evalHook: func(tech *array.Tech, d array.Design, act array.Activity) (*array.Result, error) {
-				if s := d.Geom.Segments(); s > maxSegs {
+			Objective: func(r *array.Result) float64 {
+				if s := r.Design.Geom.Segments(); s > maxSegs {
 					maxSegs = s
 				}
-				return array.Evaluate(tech, d, act)
+				return r.EDP
 			},
 		}
-		if _, err := f.GreedyOptimize(opts); err != nil {
+		if _, err := f.GreedyOptimize(context.Background(), opts); err != nil {
 			t.Fatalf("SearchWLSegs=%v: %v", dwl, err)
 		}
 		if dwl && maxSegs < 2 {
@@ -298,7 +300,7 @@ func TestOptimizeShardsFinerThanRows(t *testing.T) {
 		Method:       M2,
 		Space:        SearchSpace{VSSCMin: -0.240, VSSCStep: 0.010, NRMax: 1024, NCMax: 1024, NpreMax: 2, NwrMax: 2},
 	}
-	opt, err := f.Optimize(opts)
+	opt, err := f.Optimize(context.Background(), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -338,11 +340,12 @@ func TestParetoFrontDeterministic(t *testing.T) {
 	var ref []DesignPoint
 	for i, procs := range []int{1, 8} {
 		prev := runtime.GOMAXPROCS(procs)
-		front, err := f.ParetoFront(opts)
+		res, err := f.Pareto(context.Background(), opts)
 		runtime.GOMAXPROCS(prev)
 		if err != nil {
 			t.Fatalf("GOMAXPROCS=%d: %v", procs, err)
 		}
+		front := res.Front
 		if i == 0 {
 			ref = front
 			continue

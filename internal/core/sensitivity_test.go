@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -16,7 +17,7 @@ func TestSensitivityCertifiesLocalOptimality(t *testing.T) {
 	f := paperFramework(t)
 	for _, flavor := range []device.Flavor{device.LVT, device.HVT} {
 		opts := Options{CapacityBits: 32768, Flavor: flavor, Method: M2}
-		opt, err := f.Optimize(opts)
+		opt, err := f.Optimize(context.Background(), opts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -43,7 +44,7 @@ func TestSensitivityCertifiesLocalOptimality(t *testing.T) {
 func TestSensitivityM1FreezesVSSC(t *testing.T) {
 	f := paperFramework(t)
 	opts := Options{CapacityBits: 8192, Flavor: device.HVT, Method: M1}
-	opt, err := f.Optimize(opts)
+	opt, err := f.Optimize(context.Background(), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,7 +64,7 @@ func TestSensitivityM1FreezesVSSC(t *testing.T) {
 func TestSensitivityDetectsNonOptimum(t *testing.T) {
 	f := paperFramework(t)
 	opts := Options{CapacityBits: 8192, Flavor: device.HVT, Method: M2}
-	opt, err := f.Optimize(opts)
+	opt, err := f.Optimize(context.Background(), opts)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -66,7 +66,7 @@ func Table4Context(ctx context.Context, fw *core.Framework, capacities []int) ([
 	var rows []Table4Row
 	for _, bits := range capacities {
 		for _, cfg := range AllConfigs() {
-			opt, err := fw.OptimizeContext(ctx, core.Options{
+			opt, err := fw.Optimize(ctx, core.Options{
 				CapacityBits: bits,
 				Flavor:       cfg.Flavor,
 				Method:       cfg.Method,

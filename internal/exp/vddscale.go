@@ -46,7 +46,7 @@ func VddScalingContext(ctx context.Context, capacityBits int, vdds []float64) ([
 			return nil, fmt.Errorf("exp: VddScaling framework at %gV: %w", vdd, err)
 		}
 		for _, flavor := range []device.Flavor{device.LVT, device.HVT} {
-			opt, err := fw.OptimizeContext(ctx, core.Options{CapacityBits: capacityBits, Flavor: flavor, Method: core.M2})
+			opt, err := fw.Optimize(ctx, core.Options{CapacityBits: capacityBits, Flavor: flavor, Method: core.M2})
 			if err != nil {
 				return nil, fmt.Errorf("exp: VddScaling %v at %gV: %w", flavor, vdd, err)
 			}

@@ -36,7 +36,7 @@ func WorkloadSweepContext(ctx context.Context, fw *core.Framework, capacityBits 
 		for _, b := range betas {
 			row := WorkloadRow{Alpha: a, Beta: b}
 			for _, flavor := range []device.Flavor{device.LVT, device.HVT} {
-				opt, err := fw.OptimizeContext(ctx, core.Options{
+				opt, err := fw.Optimize(ctx, core.Options{
 					CapacityBits: capacityBits,
 					Flavor:       flavor,
 					Method:       core.M2,

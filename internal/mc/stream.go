@@ -74,9 +74,9 @@ type MetricStat struct {
 	Std    float64 `json:"std"`
 	Min    float64 `json:"min"`
 	Max    float64 `json:"max"`
-	Mu3    float64 `json:"mu3sigma"`  // μ − 3σ, the paper's yield statistic
-	CIHalf float64 `json:"ci_half"`   // 95% half-width on μ−3σ; −1 when not yet computable
-	RelCI  float64 `json:"rel_ci"`    // CIHalf / |μ−3σ|; −1 when not yet computable
+	Mu3    float64 `json:"mu3sigma"` // μ − 3σ, the paper's yield statistic
+	CIHalf float64 `json:"ci_half"`  // 95% half-width on μ−3σ; −1 when not yet computable
+	RelCI  float64 `json:"rel_ci"`   // CIHalf / |μ−3σ|; −1 when not yet computable
 }
 
 // Checkpoint is one emitted line of a streaming run: the state of all
@@ -315,9 +315,9 @@ func RunStream(ctx context.Context, cfg StreamConfig, emit func(Checkpoint) erro
 
 	acc := newStreamAcc(&cfg)
 	ready := make([]bool, nBlocks)
-	frontier := 0   // blocks merged so far
-	merged := 0     // samples merged so far
-	emitted := 0    // checkpoints emitted
+	frontier := 0 // blocks merged so far
+	merged := 0   // samples merged so far
+	emitted := 0  // checkpoints emitted
 	var final *Checkpoint
 	var runErr error
 

@@ -25,7 +25,7 @@ func TestCatalogServesLookups(t *testing.T) {
 	var searches atomic.Int64
 	s.optimizeFn = func(ctx context.Context, opts sramco.Options) (*sramco.Optimum, error) {
 		searches.Add(1)
-		return fw.OptimizeWithContext(ctx, opts)
+		return fw.Optimize(ctx, opts)
 	}
 
 	req := OptimizeRequest{CapacityBytes: 128, Flavor: "hvt"}

@@ -29,11 +29,11 @@ func fuzzServer(f *testing.F) *Server {
 	if err != nil {
 		f.Fatal(err)
 	}
-	opt, err := fw.OptimizeWithContext(context.Background(), opts)
+	opt, err := fw.Optimize(context.Background(), opts)
 	if err != nil {
 		f.Fatalf("seed optimize: %v", err)
 	}
-	pareto, err := fw.ParetoSearchContext(context.Background(), opts)
+	pareto, err := fw.Pareto(context.Background(), opts)
 	if err != nil {
 		f.Fatalf("seed pareto: %v", err)
 	}
@@ -92,11 +92,11 @@ func FuzzDecodeRequest(f *testing.F) {
 		{3, `{"flavor":"hvt","metrics":["bad"]}`}, // unknown metric
 		{0, `{"capacity_bytes":1024,"flavor":"lvt","objective":"padp","groups":8,"mux":4}`},
 		{0, `{"capacity_bytes":1024,"flavor":"hvt","objective":"area"}`},
-		{0, `{"capacity_bytes":128,"flavor":"hvt","groups":3}`},                 // non-power-of-two groups
-		{0, `{"capacity_bytes":128,"flavor":"hvt","w":64,"groups":8}`},          // groups exceed the tallest organization's rows
-		{0, `{"capacity_bytes":128,"flavor":"hvt","mux":3}`},                    // non-power-of-two mux
-		{0, `{"capacity_bytes":128,"flavor":"hvt","mux":-2}`},                   // negative mux
-		{0, `{"capacity_bytes":1024,"flavor":"lvt","w":16,"mux":32}`},           // mux wider than the access width
+		{0, `{"capacity_bytes":128,"flavor":"hvt","groups":3}`},        // non-power-of-two groups
+		{0, `{"capacity_bytes":128,"flavor":"hvt","w":64,"groups":8}`}, // groups exceed the tallest organization's rows
+		{0, `{"capacity_bytes":128,"flavor":"hvt","mux":3}`},           // non-power-of-two mux
+		{0, `{"capacity_bytes":128,"flavor":"hvt","mux":-2}`},          // negative mux
+		{0, `{"capacity_bytes":1024,"flavor":"lvt","w":16,"mux":32}`},  // mux wider than the access width
 		{1, `{"nr":32,"nc":64,"w":32,"flavor":"lvt","method":"m2","mux":2,"groups":4,"group_mask":5}`},
 		{1, `{"nr":32,"nc":64,"w":32,"flavor":"lvt","method":"m2","group_mask":3}`}, // mask without groups
 		{1, `{"nr":36,"nc":64,"w":32,"flavor":"lvt","method":"m2","groups":8}`},     // rows not divisible by groups

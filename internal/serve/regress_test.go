@@ -34,7 +34,7 @@ func TestCoalescedFillSurvivesFirstCallersDeadline(t *testing.T) {
 		case <-ctx.Done():
 			return nil, context.Cause(ctx)
 		}
-		return fw.OptimizeWithContext(ctx, opts)
+		return fw.Optimize(ctx, opts)
 	}
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()

@@ -141,15 +141,15 @@ func New(fw *sramco.Framework, cfg Config) *Server {
 	cfg = cfg.withDefaults()
 	baseCtx, cancel := context.WithCancelCause(context.Background())
 	s := &Server{
-		fw:         fw,
-		cfg:        cfg,
-		cache:      newLRUCache(cfg.CacheSize),
-		flight:     newFlightGroup(),
-		sem:        make(chan struct{}, cfg.Workers),
-		baseCtx:    baseCtx,
-		baseCancel: cancel,
-		optimizeFn:    fw.OptimizeWithContext,
-		paretoFn:      fw.ParetoSearchContext,
+		fw:            fw,
+		cfg:           cfg,
+		cache:         newLRUCache(cfg.CacheSize),
+		flight:        newFlightGroup(),
+		sem:           make(chan struct{}, cfg.Workers),
+		baseCtx:       baseCtx,
+		baseCancel:    cancel,
+		optimizeFn:    fw.Optimize,
+		paretoFn:      fw.Pareto,
 		yieldFn:       sramco.MonteCarloYieldContext,
 		yieldStreamFn: sramco.MonteCarloYieldStream,
 	}

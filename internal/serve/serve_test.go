@@ -155,7 +155,7 @@ func TestCoalescing(t *testing.T) {
 	s.optimizeFn = func(ctx context.Context, opts sramco.Options) (*sramco.Optimum, error) {
 		searches.Add(1)
 		<-gate
-		return fw.OptimizeWithContext(ctx, opts)
+		return fw.Optimize(ctx, opts)
 	}
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
@@ -241,7 +241,7 @@ func TestDrain(t *testing.T) {
 	s.optimizeFn = func(ctx context.Context, opts sramco.Options) (*sramco.Optimum, error) {
 		enterOnce.Do(func() { close(entered) })
 		<-gate
-		return fw.OptimizeWithContext(ctx, opts)
+		return fw.Optimize(ctx, opts)
 	}
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()

@@ -22,13 +22,13 @@
 //
 //	fw, err := sramco.NewFramework(sramco.TechPaper)
 //	if err != nil { ... }
-//	opt, err := fw.Optimize(4096, sramco.HVT, sramco.M2) // a 4 KB array
+//	opt, err := fw.Optimize(ctx, sramco.Options{ // a 4 KB array
+//		CapacityBits: 4096 * 8, Flavor: sramco.HVT, Method: sramco.M2})
 //	fmt.Println(opt.Best.Design.Geom.NR, opt.Best.Result.EDP)
 package sramco
 
 import (
 	"context"
-	"fmt"
 	"sync"
 
 	"sramco/internal/array"
@@ -187,34 +187,15 @@ func (f *Framework) Core() *core.Framework { return f.core }
 // the precomputed design-space catalog is versioned by it.
 func (f *Framework) Fingerprint() [32]byte { return f.core.Fingerprint() }
 
-// Optimize finds the minimum-EDP design for an array of capacityBytes using
-// the paper's default workload (α = β = 0.5, W = 64, δ = 0.35·Vdd) and
-// search ranges. The search is deterministic: the returned Optimum is
-// bit-identical for any GOMAXPROCS.
-func (f *Framework) Optimize(capacityBytes int, flavor Flavor, method Method) (*Optimum, error) {
-	return f.OptimizeContext(context.Background(), capacityBytes, flavor, method)
-}
-
-// OptimizeContext is Optimize with cancellation: the search stops at the
-// first model error or when ctx is done, returning a *SearchError that
-// carries the causal error and the counts accumulated up to the abort.
-func (f *Framework) OptimizeContext(ctx context.Context, capacityBytes int, flavor Flavor, method Method) (*Optimum, error) {
-	if capacityBytes <= 0 {
-		return nil, fmt.Errorf("sramco: capacity %d bytes must be positive", capacityBytes)
-	}
-	return f.core.OptimizeContext(ctx, core.Options{
-		CapacityBits: capacityBytes * 8,
-		Flavor:       flavor,
-		Method:       method,
-	})
-}
-
-// OptimizeWith runs an optimization with fully explicit options.
-func (f *Framework) OptimizeWith(opts Options) (*Optimum, error) { return f.core.Optimize(opts) }
-
-// OptimizeWithContext is OptimizeWith with cancellation.
-func (f *Framework) OptimizeWithContext(ctx context.Context, opts Options) (*Optimum, error) {
-	return f.core.OptimizeContext(ctx, opts)
+// Optimize runs the exhaustive design search: the minimum of
+// opts.Objective (EDP when nil) under the yield constraint. Zero fields
+// select the paper's defaults (α = β = 0.5, W = 64, δ = 0.35·Vdd, §5 search
+// ranges). The search is deterministic — the returned Optimum is
+// bit-identical for any GOMAXPROCS — and stops at the first model error or
+// when ctx is done, returning a *SearchError that carries the causal error
+// and the counts accumulated up to the abort.
+func (f *Framework) Optimize(ctx context.Context, opts Options) (*Optimum, error) {
+	return f.core.Optimize(ctx, opts)
 }
 
 // Evaluate runs the analytical array model on one explicit design point. A
@@ -323,31 +304,20 @@ func MonteCarloYieldStream(ctx context.Context, cfg MCStreamConfig, emit func(MC
 // ParseMCSampler parses a sampler name ("mc", "sobol", "lhs").
 func ParseMCSampler(s string) (MCSampler, error) { return mc.ParseSampler(s) }
 
-// DesignPoint pairs a design with its evaluated metrics (see ParetoFront).
+// DesignPoint pairs a design with its evaluated metrics (see Pareto).
 type DesignPoint = core.DesignPoint
 
 // ParetoResult pairs the energy-delay frontier with the search statistics
-// of the sweep that produced it (see ParetoSearch).
+// of the sweep that produced it (see Pareto).
 type ParetoResult = core.ParetoResult
 
-// ParetoFront returns the full energy-delay frontier of the search space
-// instead of the single EDP optimum: every feasible design no other design
-// beats on both delay and energy, sorted by increasing delay. Use
+// Pareto returns the full energy-delay frontier of the search space
+// instead of the single optimum: every feasible design no other design
+// beats on both delay and energy, sorted by increasing delay, with the
+// SearchStats of the sweep. Cancellation works as in Optimize. Use
 // core.KneePoint (via Core()) to pick a balanced point.
-func (f *Framework) ParetoFront(opts Options) ([]DesignPoint, error) {
-	return f.core.ParetoFront(opts)
-}
-
-// ParetoSearch is ParetoFront returning the SearchStats of the sweep
-// alongside the frontier, mirroring what Optimize reports.
-func (f *Framework) ParetoSearch(opts Options) (*ParetoResult, error) {
-	return f.core.ParetoSearch(opts)
-}
-
-// ParetoSearchContext is ParetoSearch with cancellation threaded through
-// every chunk of the sweep.
-func (f *Framework) ParetoSearchContext(ctx context.Context, opts Options) (*ParetoResult, error) {
-	return f.core.ParetoSearchContext(ctx, opts)
+func (f *Framework) Pareto(ctx context.Context, opts Options) (*ParetoResult, error) {
+	return f.core.Pareto(ctx, opts)
 }
 
 // CornerRow and TempRow are the extension-experiment row types.

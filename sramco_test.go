@@ -26,7 +26,7 @@ func TestOptimizePublicAPI(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	best, err := fw.Optimize(1024, HVT, M2)
+	best, err := fw.Optimize(context.Background(), Options{CapacityBits: 1024 * 8, Flavor: HVT, Method: M2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -36,10 +36,10 @@ func TestOptimizePublicAPI(t *testing.T) {
 	if best.Best.Result.EDP <= 0 {
 		t.Error("non-positive EDP")
 	}
-	if _, err := fw.Optimize(0, HVT, M2); err == nil {
+	if _, err := fw.Optimize(context.Background(), Options{CapacityBits: 0, Flavor: HVT, Method: M2}); err == nil {
 		t.Error("zero capacity accepted")
 	}
-	if _, err := fw.Optimize(-4, HVT, M2); err == nil {
+	if _, err := fw.Optimize(context.Background(), Options{CapacityBits: -32, Flavor: HVT, Method: M2}); err == nil {
 		t.Error("negative capacity accepted")
 	}
 	if best.Stats.Evaluated != best.Evaluated || best.Stats.Chunks < 1 || best.Stats.Workers < 1 {
@@ -54,9 +54,9 @@ func TestOptimizeContextPublicAPI(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, err = fw.OptimizeContext(ctx, 1024, HVT, M2)
+	_, err = fw.Optimize(ctx, Options{CapacityBits: 1024 * 8, Flavor: HVT, Method: M2})
 	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("cancelled OptimizeContext error = %v, want context.Canceled", err)
+		t.Fatalf("cancelled Optimize error = %v, want context.Canceled", err)
 	}
 	var serr *SearchError
 	if !errors.As(err, &serr) {
@@ -66,11 +66,11 @@ func TestOptimizeContextPublicAPI(t *testing.T) {
 		t.Errorf("cancelled Table4Context error = %v, want context.Canceled", err)
 	}
 	// A live context behaves exactly like the plain call.
-	got, err := fw.OptimizeWithContext(context.Background(), Options{CapacityBits: 8192, Flavor: HVT, Method: M2})
+	got, err := fw.Optimize(context.Background(), Options{CapacityBits: 8192, Flavor: HVT, Method: M2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	plain, err := fw.Optimize(1024, HVT, M2)
+	plain, err := fw.Optimize(context.Background(), Options{CapacityBits: 1024 * 8, Flavor: HVT, Method: M2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,7 +84,7 @@ func TestEvaluateRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	best, err := fw.Optimize(1024, HVT, M2)
+	best, err := fw.Optimize(context.Background(), Options{CapacityBits: 1024 * 8, Flavor: HVT, Method: M2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,10 +153,11 @@ func TestParetoFrontPublic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	front, err := fw.ParetoFront(Options{CapacityBits: 8192, Flavor: HVT, Method: M2})
+	res, err := fw.Pareto(context.Background(), Options{CapacityBits: 8192, Flavor: HVT, Method: M2})
 	if err != nil {
 		t.Fatal(err)
 	}
+	front := res.Front
 	if len(front) < 2 {
 		t.Fatalf("frontier size %d", len(front))
 	}
