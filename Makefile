@@ -70,22 +70,23 @@ vet-obs:
 bench:
 	$(GO) test -json -bench=. -benchmem -run='^$$'  -count=3 ./... | tee BENCH_$(BENCH_DATE).json
 
-# bench-compare re-runs the search hot-path benchmarks and fails if either
-# regressed by more than 10% against the most recent archived BENCH_<date>.json
-# baseline. The current log is written to a name the baseline glob cannot
-# match, so an aborted run never becomes tomorrow's baseline. Each benchmark
-# runs -count=3 and benchcompare keeps the fastest run, so one slow iteration
-# on a loaded machine does not fail the gate.
+# bench-compare re-runs the search, Monte Carlo and serving hot-path
+# benchmarks and fails if any regressed by more than 10% against the most
+# recent archived BENCH_<date>.json baseline. The current log is written to
+# a name the baseline glob cannot match, so an aborted run never becomes
+# tomorrow's baseline. Each benchmark runs -count=3 and benchcompare keeps
+# the fastest run, so one slow iteration on a loaded machine does not fail
+# the gate.
 BENCH_BASELINE = $(shell ls BENCH_2*.json 2>/dev/null | sort | tail -n 1)
 bench-compare:
 	@test -n "$(BENCH_BASELINE)" || { echo "bench-compare: no BENCH_<date>.json baseline; run 'make bench' first"; exit 1; }
-	$(GO) test -json -bench='^(BenchmarkExhaustiveSearch16KB|BenchmarkHybridSearch16KB|BenchmarkModelEvaluation|BenchmarkMonteCarloYieldBatched)$$' -benchmem -run='^$$'  -count=3 . > bench_current.tmp.json || { rm -f bench_current.tmp.json; exit 1; }
+	$(GO) test -json -bench='^(BenchmarkExhaustiveSearch16KB|BenchmarkHybridSearch16KB|BenchmarkModelEvaluation|BenchmarkMonteCarloYieldBatched|BenchmarkMonteCarloWriteMargin)$$' -benchmem -run='^$$'  -count=3 . > bench_current.tmp.json || { rm -f bench_current.tmp.json; exit 1; }
 	$(GO) test -json -bench='^(BenchmarkServeOptimizeCached|BenchmarkServeOptimizeCatalogHit|BenchmarkBatch64)$$' -benchmem -run='^$$'  -count=3 ./internal/serve/ >> bench_current.tmp.json || { rm -f bench_current.tmp.json; exit 1; }
 	$(GO) test -json -bench='^BenchmarkCatalogLookup$$' -benchmem -run='^$$'  -count=3 ./internal/catalog/ >> bench_current.tmp.json || { rm -f bench_current.tmp.json; exit 1; }
 	$(GO) test -json -bench='^BenchmarkEvalBlock$$' -benchmem -run='^$$'  -count=3 ./internal/array/ >> bench_current.tmp.json || { rm -f bench_current.tmp.json; exit 1; }
 	$(GO) run ./cmd/benchcompare -baseline $(BENCH_BASELINE) -current bench_current.tmp.json \
 		BenchmarkExhaustiveSearch16KB BenchmarkHybridSearch16KB BenchmarkModelEvaluation \
-		BenchmarkMonteCarloYieldBatched \
+		BenchmarkMonteCarloYieldBatched BenchmarkMonteCarloWriteMargin \
 		BenchmarkServeOptimizeCached BenchmarkServeOptimizeCatalogHit BenchmarkBatch64 \
 		BenchmarkCatalogLookup BenchmarkEvalBlock; \
 		status=$$?; rm -f bench_current.tmp.json; exit $$status

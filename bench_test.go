@@ -279,6 +279,21 @@ func BenchmarkMonteCarloYieldBatched(b *testing.B) {
 	b.ReportMetric(n, "samples")
 }
 
+// BenchmarkMonteCarloWriteMargin measures the per-sample cost of Monte Carlo
+// write margin: the certified write-trip bisection on the reusable
+// per-worker scratch netlist. The samples metric lets benchcompare
+// normalize to ns per sample.
+func BenchmarkMonteCarloWriteMargin(b *testing.B) {
+	const n = 8
+	cfg := MCConfig{Flavor: HVT, N: n, Seed: 7, Metrics: 4 /* WM */}
+	for i := 0; i < b.N; i++ {
+		if _, err := MonteCarloYield(cfg); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(n, "samples")
+}
+
 // BenchmarkAblationFinFreeze quantifies the value of the N_pre/N_wr fin
 // sizing freedom the paper adds to the search (DESIGN.md ablation list):
 // the same 4 KB HVT-M2 search with both fin counts frozen at 1. Reported

@@ -119,6 +119,20 @@ func (c *Cell) fullCell(cvdd, cvss, vwl, vbl, vblb float64) *circuit.Circuit {
 	return ckt
 }
 
+// writeCell builds the full cell under write rails — CVDD = BLB = vdd,
+// CVSS = 0, BL = vbl, wordline wl — with each storage node loaded by its
+// capacitance and the cell holding '1' on Q.
+func (c *Cell) writeCell(wl circuit.Waveform, vdd, vbl float64) *circuit.Circuit {
+	ckt := c.fullCell(vdd, 0, 0, vbl, vdd)
+	ckt.SetV("vwl", wl)
+	cq := c.StorageNodeCap()
+	ckt.AddC("cq", "Q", circuit.Ground, cq)
+	ckt.AddC("cqb", "QB", circuit.Ground, cq)
+	ckt.SetIC("Q", vdd)
+	ckt.SetIC("QB", 0)
+	return ckt
+}
+
 // StorageNodeCap returns the total capacitance loading one storage node
 // (gate caps of the opposite inverter plus local drain junctions).
 func (c *Cell) StorageNodeCap() float64 {

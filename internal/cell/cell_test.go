@@ -267,6 +267,59 @@ func TestPaperVWLStarAnchors(t *testing.T) {
 	}
 }
 
+// TestVWLStarPinned pins the simulated-mode VWL* rail (δ = 0.35·Vdd, search
+// ceiling Vdd + 0.30 V) at three supplies for both flavors, as 10 mV grid
+// steps above Vdd. At each pinned level the write margin clears δ by at
+// least 0.82 mV, so a nanovolt-level change in how the trip is computed
+// cannot move these values; anything larger is a physics change.
+func TestVWLStarPinned(t *testing.T) {
+	cases := []struct {
+		vdd      float64
+		lvt, hvt int // grid steps above Vdd
+	}{
+		{0.40, 5, 7},
+		{0.45, 4, 7},
+		{0.50, 4, 7},
+	}
+	for _, tc := range cases {
+		for _, f := range []struct {
+			flavor device.Flavor
+			steps  int
+		}{{device.LVT, tc.lvt}, {device.HVT, tc.hvt}} {
+			got, err := New(f.flavor).MinVWLForWriteMargin(NominalWrite(tc.vdd), 0.35*tc.vdd, tc.vdd+0.30)
+			if err != nil {
+				t.Fatalf("%v at Vdd=%g: %v", f.flavor, tc.vdd, err)
+			}
+			if want := tc.vdd + float64(f.steps)*0.010; got != want {
+				t.Errorf("%v at Vdd=%g: VWL* = %v, want %v", f.flavor, tc.vdd, got, want)
+			}
+		}
+	}
+}
+
+// TestVWLStarAboveVddTrip covers a cell whose trip lies above Vdd: HVT with
+// both access transistors 100 mV weaker trips at ~0.46 V, so every grid
+// level up to ~0.61 V fails the margin — the search must read those levels
+// as failing, not abort at the first one the cell cannot write at.
+func TestVWLStarAboveVddTrip(t *testing.T) {
+	c := New(device.HVT)
+	c.DVt[AXL], c.DVt[AXR] = 0.10, 0.10
+	trip, err := c.WriteTripWL(WriteBias{Vdd: vdd, VWL: vdd + 0.30})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if trip <= vdd {
+		t.Fatalf("trip %g, want above Vdd = %g for this case", trip, vdd)
+	}
+	got, err := c.MinVWLForWriteMargin(NominalWrite(vdd), 0.35*vdd, vdd+0.30)
+	if err != nil {
+		t.Fatalf("VWL* search failed: %v", err)
+	}
+	if want := vdd + 17*0.010; got != want {
+		t.Errorf("VWL* = %v, want %v (trip %.4f + δ %.4f, on the 10 mV grid)", got, want, trip, 0.35*vdd)
+	}
+}
+
 func TestWriteDelayProperties(t *testing.T) {
 	c := New(device.HVT)
 	dNom, err := c.WriteDelay(NominalWrite(vdd))

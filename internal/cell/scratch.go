@@ -33,8 +33,7 @@ type Scratch struct {
 	vtc   [2]*circuit.Circuit // half-cell VTC netlists, side 0 (left) and 1 (right)
 	sweep [2]*circuit.Sweeper
 
-	wr     *circuit.Circuit // full-cell write netlist with storage caps
-	wrTran *circuit.TranRunner
+	wr *writeProbe // write-trip probe on the full-cell write netlist
 
 	xs, ysA, ysB []float64 // sweep buffers (vtcPoints long)
 }
@@ -59,19 +58,7 @@ func NewScratch(c *Cell) (*Scratch, error) {
 		s.sweep[side] = sw
 	}
 
-	wr := circuit.New()
-	wr.AddV("vcvdd", "CVDD", circuit.Ground, circuit.DC(0))
-	wr.AddV("vcvss", "CVSS", circuit.Ground, circuit.DC(0))
-	wr.AddV("vwl", "WL", circuit.Ground, circuit.DC(0))
-	wr.AddV("vbl", "BL", circuit.Ground, circuit.DC(0))
-	wr.AddV("vblb", "BLB", circuit.Ground, circuit.DC(0))
-	s.cell.addHalf(wr, 0, "QB", "Q", "CVDD", "CVSS", "BL", "WL")
-	s.cell.addHalf(wr, 1, "Q", "QB", "CVDD", "CVSS", "BLB", "WL")
-	cq := s.cell.StorageNodeCap()
-	wr.AddC("cq", "Q", circuit.Ground, cq)
-	wr.AddC("cqb", "QB", circuit.Ground, cq)
-	s.wr = wr
-	s.wrTran = wr.NewTranRunner()
+	s.wr = newWriteProbe(c.Lib, c.Flavor)
 
 	s.xs = make([]float64, vtcPoints)
 	s.ysA = make([]float64, vtcPoints)
@@ -169,74 +156,17 @@ func (s *Scratch) ReadSNM(dvt Variation, b ReadBias) (float64, error) {
 	return snm, err
 }
 
-// writeFlips runs one transient probe at wordline level vwl on the prebuilt
-// write netlist and reports whether the cell flipped.
-func (s *Scratch) writeFlips(b WriteBias, vwl float64) (bool, error) {
-	mWriteProbes.Inc()
-	wr := s.wr
-	wr.SetV("vwl", circuit.DC(vwl))
-	if err := s.wrTran.Run(circuit.TranOpts{TStop: 300e-12, DT: 0.5e-12, UIC: true}); err != nil {
-		return false, err
-	}
-	return s.wrTran.FinalV("Q") < s.wrTran.FinalV("QB"), nil
-}
-
 // WriteMargin returns the write margin of the perturbed cell under bias b:
-// VWL minus the trip wordline voltage, found by tolerance bisection on the
-// reusable write netlist. Semantics match Cell.WriteMargin (including
+// VWL minus the trip wordline voltage, found on the reusable write netlist
+// by the same bisection as Cell.WriteTripWL, stopped once the interval is
+// writeTripTolV wide. Semantics match Cell.WriteMargin (including
 // ErrWriteFail when the cell does not flip at full VWL); the trip differs
 // from the 28-step bisection by at most writeTripTolV/2.
 func (s *Scratch) WriteMargin(dvt Variation, b WriteBias) (float64, error) {
-	sp := obs.StartSpan("cell.write_trip")
-	mWriteTrips.Inc()
-	probes := 0
-	wr := s.wr
-	setHalfDVt(wr, 0, "Q", dvt)
-	setHalfDVt(wr, 1, "QB", dvt)
-	wr.SetV("vcvdd", circuit.DC(b.Vdd))
-	wr.SetV("vcvss", circuit.DC(0))
-	wr.SetV("vbl", circuit.DC(b.VBL))
-	wr.SetV("vblb", circuit.DC(b.Vdd))
-	wr.SetIC("Q", b.Vdd)
-	wr.SetIC("QB", 0)
-
-	flips := func(vwl float64) (bool, error) {
-		probes++
-		return s.writeFlips(b, vwl)
-	}
-	lo, hi := 0.0, b.VWL
-	fl, err := flips(lo)
+	s.wr.load(dvt, b)
+	trip, err := s.wr.trip(b.VWL, writeTripTolV)
 	if err != nil {
-		return 0, fmt.Errorf("cell: write trip at WL=0: %w", err)
+		return 0, err
 	}
-	if fl {
-		sp.Int("probes", int64(probes))
-		sp.Float("trip", 0)
-		sp.End()
-		return b.VWL, nil // flips even with WL off — degenerate, trip = 0
-	}
-	fh, err := flips(hi)
-	if err != nil {
-		return 0, fmt.Errorf("cell: write trip at WL=%g: %w", hi, err)
-	}
-	if !fh {
-		return 0, fmt.Errorf("cell: write fails even at WL=%gV: %w", hi, ErrWriteFail)
-	}
-	for hi-lo > writeTripTolV {
-		mid := 0.5 * (lo + hi)
-		fm, err := flips(mid)
-		if err != nil {
-			return 0, fmt.Errorf("cell: write trip at WL=%g: %w", mid, err)
-		}
-		if fm {
-			hi = mid
-		} else {
-			lo = mid
-		}
-	}
-	trip := 0.5 * (lo + hi)
-	sp.Int("probes", int64(probes))
-	sp.Float("trip", trip)
-	sp.End()
 	return b.VWL - trip, nil
 }

@@ -17,74 +17,19 @@ import (
 var ErrWriteFail = errors.New("write margin ≤ 0")
 
 // WriteTripWL returns the minimum wordline voltage that flips a cell holding
-// '1' on Q when BL is driven to b.VBL (writing a '0'). The paper defines the
-// write margin relative to this trip point.
+// '1' on Q when BL is driven to b.VBL (writing a '0'), bisected 28 times
+// over [0, b.VWL]. The paper defines the write margin relative to this trip
+// point.
 //
 // Flip detection is transient (dynamic): the DC problem is singular exactly
 // at the trip fold, so each probe applies the wordline level to the cell
 // with its storage nodes loaded by their physical capacitances and checks
-// whether the state flips within a generous settling window.
+// whether the state flips within a generous settling window. A probe's
+// outcome does not depend on b.VWL, which only bounds the search.
 func (c *Cell) WriteTripWL(b WriteBias) (float64, error) {
-	sp := obs.StartSpan("cell.write_trip")
-	mWriteTrips.Inc()
-	probes := 0
-	flips := func(vwl float64) (bool, error) {
-		probes++
-		mWriteProbes.Inc()
-		ckt := circuit.New()
-		ckt.AddV("vcvdd", "CVDD", circuit.Ground, circuit.DC(b.Vdd))
-		ckt.AddV("vcvss", "CVSS", circuit.Ground, circuit.DC(0))
-		ckt.AddV("vwl", "WL", circuit.Ground, circuit.DC(vwl))
-		ckt.AddV("vbl", "BL", circuit.Ground, circuit.DC(b.VBL))
-		ckt.AddV("vblb", "BLB", circuit.Ground, circuit.DC(b.Vdd))
-		c.addHalf(ckt, 0, "QB", "Q", "CVDD", "CVSS", "BL", "WL")
-		c.addHalf(ckt, 1, "Q", "QB", "CVDD", "CVSS", "BLB", "WL")
-		cq := c.StorageNodeCap()
-		ckt.AddC("cq", "Q", circuit.Ground, cq)
-		ckt.AddC("cqb", "QB", circuit.Ground, cq)
-		ckt.SetIC("Q", b.Vdd)
-		ckt.SetIC("QB", 0)
-		res, err := ckt.Transient(circuit.TranOpts{TStop: 300e-12, DT: 0.5e-12, UIC: true})
-		if err != nil {
-			return false, err
-		}
-		return res.Final("Q") < res.Final("QB"), nil
-	}
-	lo, hi := 0.0, b.VWL
-	fl, err := flips(lo)
-	if err != nil {
-		return 0, fmt.Errorf("cell: write trip at WL=0: %w", err)
-	}
-	if fl {
-		sp.Int("probes", int64(probes))
-		sp.Float("trip", 0)
-		sp.End()
-		return 0, nil // flips even with WL off — degenerate
-	}
-	fh, err := flips(hi)
-	if err != nil {
-		return 0, fmt.Errorf("cell: write trip at WL=%g: %w", hi, err)
-	}
-	if !fh {
-		return 0, fmt.Errorf("cell: write fails even at WL=%gV: %w", hi, ErrWriteFail)
-	}
-	for i := 0; i < 28; i++ {
-		mid := 0.5 * (lo + hi)
-		fm, err := flips(mid)
-		if err != nil {
-			return 0, fmt.Errorf("cell: write trip at WL=%g: %w", mid, err)
-		}
-		if fm {
-			hi = mid
-		} else {
-			lo = mid
-		}
-	}
-	trip := 0.5 * (lo + hi)
-	sp.Int("probes", int64(probes))
-	sp.Float("trip", trip)
-	sp.End()
-	return trip, nil
+	p := newWriteProbe(c.Lib, c.Flavor)
+	p.load(c.DVt, b)
+	return p.trip(b.VWL, 0)
 }
 
 // WriteMargin returns the write margin under bias b: the applied wordline
@@ -108,20 +53,7 @@ func (c *Cell) WriteDelay(b WriteBias) (float64, error) {
 		tStop  = 60e-12 // simulation window
 		dt     = 0.05e-12
 	)
-	ckt := circuit.New()
-	ckt.AddV("vcvdd", "CVDD", circuit.Ground, circuit.DC(b.Vdd))
-	ckt.AddV("vcvss", "CVSS", circuit.Ground, circuit.DC(0))
-	ckt.AddV("vwl", "WL", circuit.Ground, circuit.Step(0, b.VWL, tStart, tRise))
-	ckt.AddV("vbl", "BL", circuit.Ground, circuit.DC(b.VBL))
-	ckt.AddV("vblb", "BLB", circuit.Ground, circuit.DC(b.Vdd))
-	c.addHalf(ckt, 0, "QB", "Q", "CVDD", "CVSS", "BL", "WL")
-	c.addHalf(ckt, 1, "Q", "QB", "CVDD", "CVSS", "BLB", "WL")
-	cq := c.StorageNodeCap()
-	ckt.AddC("cq", "Q", circuit.Ground, cq)
-	ckt.AddC("cqb", "QB", circuit.Ground, cq)
-	ckt.SetIC("Q", b.Vdd)
-	ckt.SetIC("QB", 0)
-
+	ckt := c.writeCell(circuit.Step(0, b.VWL, tStart, tRise), b.Vdd, b.VBL)
 	res, err := ckt.Transient(circuit.TranOpts{TStop: tStop, DT: dt})
 	if err != nil {
 		return 0, fmt.Errorf("cell: write-delay transient: %w", err)
@@ -173,17 +105,15 @@ func (c *Cell) MinVDDCForReadSNM(b ReadBias, target, vMax float64) (float64, err
 }
 
 // MinVWLForWriteMargin returns the smallest write-assist VWL (10 mV grid) at
-// which the write margin meets target.
+// which the write margin meets target. The trip is computed once, at vMax:
+// a level below the trip is a failing grid point, not a failed search.
 func (c *Cell) MinVWLForWriteMargin(b WriteBias, target, vMax float64) (float64, error) {
-	meets := func(vwl float64) (bool, error) {
-		bb := b
-		bb.VWL = vwl
-		wm, err := c.WriteMargin(bb)
-		if err != nil {
-			return false, err
-		}
-		return wm >= target, nil
+	b.VWL = vMax
+	trip, err := c.WriteTripWL(b)
+	if err != nil {
+		return 0, err
 	}
+	meets := func(vwl float64) (bool, error) { return vwl-trip >= target, nil }
 	return minRailSearch(meets, b.Vdd, vMax, "VWL")
 }
 

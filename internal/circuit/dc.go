@@ -51,7 +51,9 @@ type tranCtx struct {
 	xprev []float64
 }
 
-// assembler holds the reusable Newton workspace for one circuit.
+// assembler holds the reusable Newton workspace for one circuit. Every
+// solve iterates in buffers it owns, so a DC sweep point or a transient step
+// allocates nothing.
 type assembler struct {
 	c   *Circuit
 	nn  int // nodes incl. ground
@@ -60,9 +62,11 @@ type assembler struct {
 	a   *num.Matrix
 	rhs []float64
 
-	lu   *num.LU   // reusable factorization storage
-	xn   []float64 // reusable Newton-solve output
-	fres []float64 // reusable KCL residual vector
+	lu   *num.LU     // reusable factorization storage
+	xn   []float64   // reusable linear-solve output
+	fres []float64   // reusable KCL residual vector
+	sol  []float64   // solveRobust output of sweeps and operating points
+	half [][]float64 // per-depth midpoints of transient step halving
 
 	halvings int64 // transient step halvings of this analysis (for tracing)
 }
@@ -78,7 +82,17 @@ func newAssembler(c *Circuit) *assembler {
 		c: c, nn: nn, nv: nv, dim: dim,
 		a: num.NewMatrix(dim, dim), rhs: make([]float64, dim),
 		lu: num.NewLU(dim), xn: make([]float64, dim), fres: make([]float64, nn-1),
+		sol: make([]float64, dim),
 	}
+}
+
+// halfBuf returns the midpoint buffer of a step halving at the given depth,
+// allocating it on the first halving that deep.
+func (as *assembler) halfBuf(depth int) []float64 {
+	for len(as.half) <= depth {
+		as.half = append(as.half, make([]float64, as.dim))
+	}
+	return as.half[depth]
 }
 
 // row maps a node index to its matrix row, or -1 for ground.
@@ -216,7 +230,8 @@ func (as *assembler) residual(x []float64, t, srcScale float64, tc *tranCtx) flo
 		addI(r.b, -i)
 	}
 	for _, ft := range as.c.fets {
-		id, _, _ := fetEval(ft, nodeV(x, ft.d), nodeV(x, ft.g), nodeV(x, ft.s))
+		vs := nodeV(x, ft.s)
+		id := float64(ft.Fins) * ft.Model.IdsShift(nodeV(x, ft.g)-vs, nodeV(x, ft.d)-vs, ft.DVt)
 		addI(ft.d, id)
 		addI(ft.s, -id)
 	}
@@ -240,22 +255,37 @@ func (as *assembler) residual(x []float64, t, srcScale float64, tc *tranCtx) flo
 	return num.NormInf(f)
 }
 
-// newton runs damped Newton from x0 with the default damping clamp.
-func (as *assembler) newton(x0 []float64, t, gmin, srcScale float64, tc *tranCtx) ([]float64, error) {
-	return as.newtonDamped(x0, t, gmin, srcScale, tc, dampClampV)
+// newton runs damped Newton in place on x with the default damping clamp.
+func (as *assembler) newton(x []float64, t, gmin, srcScale float64, tc *tranCtx) error {
+	return as.newtonDamped(x, t, gmin, srcScale, tc, dampClampV)
 }
 
-// newtonDamped runs damped Newton from x0 with an explicit per-iteration
-// voltage clamp. Smaller clamps converge on stiffer problems (e.g. near a
-// bistability fold) at the cost of more iterations.
-func (as *assembler) newtonDamped(x0 []float64, t, gmin, srcScale float64, tc *tranCtx, clamp float64) ([]float64, error) {
-	x := append([]float64(nil), x0...)
-	for it := 0; it < maxNewton; it++ {
+// newtonDamped runs damped Newton in place on x — the start point on entry,
+// the solution on success, unspecified on failure — with an explicit
+// per-iteration voltage clamp. Smaller clamps converge on stiffer problems
+// (e.g. near a bistability fold) at the cost of more iterations.
+func (as *assembler) newtonDamped(x []float64, t, gmin, srcScale float64, tc *tranCtx, clamp float64) error {
+	its, ok, err := as.iterate(x, t, gmin, srcScale, tc, clamp, maxNewton)
+	mNewtonIters.Add(int64(its))
+	if err != nil {
+		mNewtonSingular.Inc()
+		return err
+	}
+	if !ok {
+		mNewtonFails.Inc()
+		return fmt.Errorf("circuit: Newton did not converge in %d iterations", maxNewton)
+	}
+	return nil
+}
+
+// iterate runs at most maxIt damped Newton iterations in place on x and
+// reports how many it ran and whether they converged. A singular Jacobian
+// is an error. It touches no counters; callers account for the attempt.
+func (as *assembler) iterate(x []float64, t, gmin, srcScale float64, tc *tranCtx, clamp float64, maxIt int) (int, bool, error) {
+	for it := 0; it < maxIt; it++ {
 		as.assemble(x, t, gmin, srcScale, tc)
 		if err := as.lu.Refactor(as.a); err != nil {
-			mNewtonIters.Add(int64(it) + 1)
-			mNewtonSingular.Inc()
-			return nil, fmt.Errorf("circuit: singular Jacobian at iteration %d: %w", it, err)
+			return it + 1, false, fmt.Errorf("circuit: singular Jacobian at iteration %d: %w", it, err)
 		}
 		as.lu.SolveInto(as.xn, as.rhs)
 		xn := as.xn
@@ -278,64 +308,62 @@ func (as *assembler) newtonDamped(x0 []float64, t, gmin, srcScale float64, tc *t
 		if maxDx < dxTol {
 			// Re-solve branch currents at the final voltages, then verify KCL.
 			if r := as.residual(x, t, srcScale, tc); r < residTol {
-				mNewtonIters.Add(int64(it) + 1)
-				return x, nil
+				return it + 1, true, nil
 			}
 		}
 	}
-	mNewtonIters.Add(maxNewton)
-	mNewtonFails.Inc()
-	return nil, fmt.Errorf("circuit: Newton did not converge in %d iterations", maxNewton)
+	return maxIt, false, nil
 }
 
-// solveRobust tries plain Newton, then gmin stepping, then source stepping —
-// first with the standard damping clamp, then with a small clamp that
-// handles stiff points such as bistability folds.
-func (as *assembler) solveRobust(x0 []float64, t float64, tc *tranCtx) ([]float64, error) {
+// solveRobust solves into out from the start point x0, trying plain Newton,
+// then gmin stepping, then source stepping — first with the standard
+// damping clamp, then with a small clamp that handles stiff points such as
+// bistability folds. out must not alias x0, which every fallback restarts
+// from.
+func (as *assembler) solveRobust(x0 []float64, t float64, tc *tranCtx, out []float64) error {
 	var lastErr error
-	for _, clamp := range []float64{dampClampV, dampClampV / 8} {
-		if x, err := as.newtonDamped(x0, t, 0, 1, tc, clamp); err == nil {
-			return x, nil
+	for _, clamp := range [...]float64{dampClampV, dampClampV / 8} {
+		copy(out, x0)
+		if err := as.newtonDamped(out, t, 0, 1, tc, clamp); err == nil {
+			return nil
 		}
 		// gmin stepping: relax with a strong leak and tighten it
 		// continuously.
 		mGminSteppings.Inc()
-		x := append([]float64(nil), x0...)
+		copy(out, x0)
 		ok := true
-		for _, gmin := range []float64{1e-3, 1e-5, 1e-7, 1e-9, 1e-11, 1e-13, 0} {
-			xn, err := as.newtonDamped(x, t, gmin, 1, tc, clamp)
-			if err != nil {
+		for _, gmin := range [...]float64{1e-3, 1e-5, 1e-7, 1e-9, 1e-11, 1e-13, 0} {
+			if err := as.newtonDamped(out, t, gmin, 1, tc, clamp); err != nil {
 				lastErr = err
 				ok = false
 				break
 			}
-			x = xn
 		}
 		if ok {
-			return x, nil
+			return nil
 		}
 		// Source stepping: ramp all sources from 10% to 100%.
 		mSrcSteppings.Inc()
-		x = make([]float64, as.dim)
+		for i := range out {
+			out[i] = 0
+		}
 		ok = true
-		for _, scale := range []float64{0.1, 0.2, 0.4, 0.6, 0.8, 1.0} {
-			xn, err := as.newtonDamped(x, t, 1e-12, scale, tc, clamp)
-			if err != nil {
+		for _, scale := range [...]float64{0.1, 0.2, 0.4, 0.6, 0.8, 1.0} {
+			if err := as.newtonDamped(out, t, 1e-12, scale, tc, clamp); err != nil {
 				lastErr = fmt.Errorf("circuit: source stepping failed at scale %.1f: %w", scale, err)
 				ok = false
 				break
 			}
-			x = xn
 		}
 		if ok {
-			if xn, err := as.newtonDamped(x, t, 0, 1, tc, clamp); err == nil {
-				return xn, nil
+			if err := as.newtonDamped(out, t, 0, 1, tc, clamp); err == nil {
+				return nil
 			} else {
 				lastErr = err
 			}
 		}
 	}
-	return nil, lastErr
+	return lastErr
 }
 
 func (as *assembler) result(x []float64) *DCResult {
@@ -358,13 +386,13 @@ func (c *Circuit) DCOperatingPoint() (*DCResult, error) {
 	start := time.Now()
 	as := newAssembler(c)
 	x0 := c.initialGuess(0, as.dim)
-	x, err := as.solveRobust(x0, 0, nil)
+	err := as.solveRobust(x0, 0, nil, as.sol)
 	mDCOps.Inc()
 	hDCOpDur.Observe(time.Since(start))
 	if err != nil {
 		return nil, err
 	}
-	return as.result(x), nil
+	return as.result(as.sol), nil
 }
 
 // DCSweep solves the operating point for each value of the named voltage
@@ -390,12 +418,11 @@ func (c *Circuit) DCSweep(source string, values []float64) ([]*DCResult, error) 
 	x := c.initialGuess(0, as.dim)
 	for i, val := range values {
 		src.wave = DC(val)
-		xn, err := as.solveRobust(x, 0, nil)
-		if err != nil {
+		if err := as.solveRobust(x, 0, nil, as.sol); err != nil {
 			mDCSweepPoints.Add(int64(i))
 			return nil, fmt.Errorf("circuit: DCSweep %s=%g (point %d): %w", source, val, i, err)
 		}
-		x = xn
+		copy(x, as.sol)
 		results = append(results, as.result(x))
 	}
 	mDCSweepPoints.Add(int64(len(values)))

@@ -1,12 +1,6 @@
 package circuit
 
-import (
-	"fmt"
-	"math"
-	"time"
-
-	"sramco/internal/obs"
-)
+import "fmt"
 
 // TranResult holds a transient waveform set.
 type TranResult struct {
@@ -98,78 +92,58 @@ type TranOpts struct {
 	UIC bool
 }
 
-// Transient runs a backward-Euler transient analysis. Each step solves the
-// nonlinear companion system with the robust Newton strategy; on failure the
-// step is recursively halved (up to 12 levels) before giving up.
+// Transient runs a backward-Euler transient analysis and records every
+// node's waveform. Each step solves the nonlinear companion system with the
+// robust Newton strategy; on failure the step is recursively halved (up to
+// 12 levels) before giving up. It is a TranRunner run whose observer records
+// each accepted step and never settles.
 func (c *Circuit) Transient(opts TranOpts) (*TranResult, error) {
-	if opts.TStop <= 0 || opts.DT <= 0 {
-		return nil, fmt.Errorf("circuit: Transient requires positive TStop and DT (got %g, %g)", opts.TStop, opts.DT)
-	}
-	start := time.Now()
-	sp := obs.StartSpan("circuit.transient")
-	mTranRuns.Inc()
-	as := newAssembler(c)
-	var x []float64
-	if opts.UIC {
-		x = c.initialGuess(0, as.dim)
-	} else {
-		var err error
-		x, err = as.solveRobust(c.initialGuess(0, as.dim), 0, nil)
-		if err != nil {
-			return nil, fmt.Errorf("circuit: transient initial operating point: %w", err)
-		}
-	}
-
-	res := &TranResult{names: make(map[string]int, as.nn)}
+	res := &TranResult{names: make(map[string]int, len(c.nodeNames)), volts: make([][]float64, len(c.nodeNames))}
 	for i, name := range c.nodeNames {
 		res.names[name] = i
 	}
-	res.volts = make([][]float64, as.nn)
 	record := func(t float64, x []float64) {
 		res.Times = append(res.Times, t)
-		for n := 0; n < as.nn; n++ {
+		for n := range res.volts {
 			res.volts[n] = append(res.volts[n], nodeV(x, n))
 		}
 	}
-	record(0, x)
-
-	t := 0.0
-	for t < opts.TStop-opts.DT*1e-9 {
-		dt := math.Min(opts.DT, opts.TStop-t)
-		xn, tn, err := c.step(as, x, t, dt, 0)
-		if err != nil {
-			mTranFails.Inc()
-			hTranDur.Observe(time.Since(start))
-			return nil, err
+	tr := c.NewTranRunner()
+	err := tr.Run(opts, func(tr *TranRunner) bool {
+		if tr.steps == 1 {
+			record(0, tr.prev)
 		}
-		x, t = xn, tn
-		record(t, x)
+		record(tr.t, tr.x)
+		return false
+	})
+	if err != nil {
+		return nil, err
 	}
-	steps := int64(len(res.Times) - 1)
-	mTranSteps.Add(steps)
-	hTranDur.Observe(time.Since(start))
-	sp.Int("steps", steps)
-	sp.Int("halvings", as.halvings)
-	sp.End()
+	if tr.steps == 0 {
+		record(0, tr.x)
+	}
 	return res, nil
 }
 
-// step advances one (possibly subdivided) time step.
-func (c *Circuit) step(as *assembler, x []float64, t, dt float64, depth int) ([]float64, float64, error) {
-	tc := &tranCtx{dt: dt, xprev: x}
-	xn, err := as.newton(x, t+dt, 0, 1, tc)
+// step advances one (possibly subdivided) time step from state x at time t
+// into out, which must not alias x, and returns the new time.
+func (c *Circuit) step(as *assembler, x []float64, t, dt float64, depth int, out []float64) (float64, error) {
+	tc := tranCtx{dt: dt, xprev: x}
+	copy(out, x)
+	err := as.newton(out, t+dt, 0, 1, &tc)
 	if err == nil {
-		return xn, t + dt, nil
+		return t + dt, nil
 	}
 	if depth >= 12 {
-		return nil, 0, fmt.Errorf("circuit: transient step at t=%g failed after 12 halvings: %w", t, err)
+		return 0, fmt.Errorf("circuit: transient step at t=%g failed after 12 halvings: %w", t, err)
 	}
 	mTranHalvings.Inc()
 	as.halvings++
 	half := dt / 2
-	xm, tm, err := c.step(as, x, t, half, depth+1)
+	mid := as.halfBuf(depth)
+	tm, err := c.step(as, x, t, half, depth+1, mid)
 	if err != nil {
-		return nil, 0, err
+		return 0, err
 	}
-	return c.step(as, xm, tm, half, depth+1)
+	return c.step(as, mid, tm, half, depth+1, out)
 }
