@@ -1,6 +1,8 @@
 # Tier-1 verification gate and developer targets.
 GO ?= go
-BENCH_DATE := $(shell date +%Y%m%d)
+# BENCH_STAMP names a benchmark archive: the local time to the second and
+# the commit the benchmarked tree was built from.
+BENCH_STAMP := $(shell date +%Y%m%dT%H%M%S)_$(shell git rev-parse --short HEAD 2>/dev/null || echo nogit)
 
 .PHONY: build test check race-core race-serve vet-obs fuzz-smoke loadtest-smoke yieldstream-smoke bench bench-compare bench-prune catalog
 
@@ -66,20 +68,25 @@ vet-obs:
 	$(GO) test -race ./internal/obs/...
 
 # bench runs every benchmark across the module and archives the machine-
-# readable log as BENCH_<date>.json for regression comparison.
+# readable log as BENCH_<yyyymmdd>T<hhmmss>_<short-sha>.json for regression
+# comparison. The timestamp keeps a second archive of the same day from
+# overwriting the first, and the names sort after the date-only
+# BENCH_<yyyymmdd>.json archives of earlier rounds, so the newest archive is
+# still the last one in sort order.
 bench:
-	$(GO) test -json -bench=. -benchmem -run='^$$'  -count=3 ./... | tee BENCH_$(BENCH_DATE).json
+	$(GO) test -json -bench=. -benchmem -run='^$$'  -count=3 ./... | tee BENCH_$(BENCH_STAMP).json
 
 # bench-compare re-runs the search, Monte Carlo and serving hot-path
 # benchmarks and fails if any regressed by more than 10% against the most
-# recent archived BENCH_<date>.json baseline. The current log is written to
-# a name the baseline glob cannot match, so an aborted run never becomes
-# tomorrow's baseline. Each benchmark runs -count=3 and benchcompare keeps
-# the fastest run, so one slow iteration on a loaded machine does not fail
-# the gate.
+# recent archived baseline — the last BENCH_<yyyymmdd>T<hhmmss>_<short-sha>.json
+# (or date-only BENCH_<yyyymmdd>.json) in sort order. The current log is
+# written to a name the baseline glob cannot match, so an aborted run never
+# becomes the next baseline. Each benchmark runs -count=3 and benchcompare
+# keeps the fastest run, so one slow iteration on a loaded machine does not
+# fail the gate.
 BENCH_BASELINE = $(shell ls BENCH_2*.json 2>/dev/null | sort | tail -n 1)
 bench-compare:
-	@test -n "$(BENCH_BASELINE)" || { echo "bench-compare: no BENCH_<date>.json baseline; run 'make bench' first"; exit 1; }
+	@test -n "$(BENCH_BASELINE)" || { echo "bench-compare: no BENCH_<yyyymmdd>T<hhmmss>_<short-sha>.json baseline; run 'make bench' first"; exit 1; }
 	$(GO) test -json -bench='^(BenchmarkExhaustiveSearch16KB|BenchmarkHybridSearch16KB|BenchmarkModelEvaluation|BenchmarkMonteCarloYieldBatched|BenchmarkMonteCarloWriteMargin)$$' -benchmem -run='^$$'  -count=3 . > bench_current.tmp.json || { rm -f bench_current.tmp.json; exit 1; }
 	$(GO) test -json -bench='^(BenchmarkServeOptimizeCached|BenchmarkServeOptimizeCatalogHit|BenchmarkBatch64)$$' -benchmem -run='^$$'  -count=3 ./internal/serve/ >> bench_current.tmp.json || { rm -f bench_current.tmp.json; exit 1; }
 	$(GO) test -json -bench='^BenchmarkCatalogLookup$$' -benchmem -run='^$$'  -count=3 ./internal/catalog/ >> bench_current.tmp.json || { rm -f bench_current.tmp.json; exit 1; }

@@ -9,8 +9,8 @@
 // that alters how much of the space is evaluated is judged by its effect on
 // total cost per unit of search, not misread as a benchmark-shape change.
 //
-// Both `go test -json` logs (the BENCH_<date>.json archives written by
-// `make bench`) and plain `go test -bench` text output are accepted. When a
+// Both `go test -json` logs (the BENCH_<yyyymmdd>T<hhmmss>_<short-sha>.json
+// archives written by `make bench`) and plain `go test -bench` text output are accepted. When a
 // log repeats a benchmark (`-count=N`), the fastest run is used — noise only
 // ever adds time, so min-of-N is the stable estimate of true cost.
 //

@@ -368,7 +368,7 @@ func TestAsymmetricVariationBreaksSymmetry(t *testing.T) {
 	var v Variation
 	v[PDL] = 0.06
 	c := &Cell{Lib: device.Default7nm(), Flavor: device.LVT, DVt: v}
-	bf, err := c.readButterfly(NominalRead(vdd))
+	bf, err := c.ReadButterfly(NominalRead(vdd))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,12 +1,6 @@
 package cell
 
-import (
-	"fmt"
-	"math"
-
-	"sramco/internal/circuit"
-	"sramco/internal/obs"
-)
+import "sramco/internal/circuit"
 
 // writeTripTolV is the wordline-interval width at which the scratch-path
 // write-trip bisection stops. The naive WriteTripWL runs a fixed 28
@@ -21,49 +15,25 @@ const writeTripTolV = 0.5e-3
 // metrics. It builds each netlist once and re-solves it under new ΔVt
 // perturbations and rail biases via SetFETDVt/SetV, reusing the circuit
 // package's Newton workspaces instead of reconstructing circuits, result
-// maps, and waveform records per sample. SNM results are bit-identical to
-// the Cell methods; the write margin differs only by the trip tolerance
-// above.
+// maps, and waveform records per sample. Its SNMs run the same VTC sweeps
+// as the Cell methods; its write margin differs from Cell.WriteMargin only
+// by the trip tolerance above.
 //
 // A Scratch is not safe for concurrent use; the Monte Carlo engine keeps one
 // per worker.
 type Scratch struct {
-	cell Cell // copy with zeroed DVt; flavor and library are fixed
-
-	vtc   [2]*circuit.Circuit // half-cell VTC netlists, side 0 (left) and 1 (right)
-	sweep [2]*circuit.Sweeper
-
-	wr *writeProbe // write-trip probe on the full-cell write netlist
-
-	xs, ysA, ysB []float64 // sweep buffers (vtcPoints long)
+	vtc *vtcSweeps  // half-cell VTC netlists
+	wr  *writeProbe // write-trip probe on the full-cell write netlist
 }
 
 // NewScratch builds the reusable netlists for cells of c's library and
 // flavor. Per-sample ΔVt arrives via the method arguments, not c.DVt.
 func NewScratch(c *Cell) (*Scratch, error) {
-	s := &Scratch{cell: Cell{Lib: c.Lib, Flavor: c.Flavor}}
-	for side := 0; side < 2; side++ {
-		ckt := circuit.New()
-		ckt.AddV("vcvdd", "CVDD", circuit.Ground, circuit.DC(0))
-		ckt.AddV("vcvss", "CVSS", circuit.Ground, circuit.DC(0))
-		ckt.AddV("vwl", "WL", circuit.Ground, circuit.DC(0))
-		ckt.AddV("vbl", "BL", circuit.Ground, circuit.DC(0))
-		ckt.AddV("vin", "IN", circuit.Ground, circuit.DC(0))
-		s.cell.addHalf(ckt, side, "IN", "OUT", "CVDD", "CVSS", "BL", "WL")
-		sw, err := ckt.NewSweeper("vin", "OUT")
-		if err != nil {
-			return nil, err
-		}
-		s.vtc[side] = ckt
-		s.sweep[side] = sw
+	v, err := newVTCSweeps(c.Lib, c.Flavor)
+	if err != nil {
+		return nil, err
 	}
-
-	s.wr = newWriteProbe(c.Lib, c.Flavor)
-
-	s.xs = make([]float64, vtcPoints)
-	s.ysA = make([]float64, vtcPoints)
-	s.ysB = make([]float64, vtcPoints)
-	return s, nil
+	return &Scratch{vtc: v, wr: newWriteProbe(c.Lib, c.Flavor)}, nil
 }
 
 // setHalfDVt loads one side's ΔVt triple into a netlist built by addHalf
@@ -85,75 +55,16 @@ func linspaceInto(dst []float64, lo, hi float64) {
 	dst[n-1] = hi
 }
 
-// halfVTC sweeps one prebuilt half-cell under the given rails into ys,
-// mirroring Cell.halfVTC's numerics exactly.
-func (s *Scratch) halfVTC(side int, dvt Variation, cvdd, cvss, bl, wl, lo, hi float64, ys []float64) (*VTC, error) {
-	ckt := s.vtc[side]
-	setHalfDVt(ckt, side, "OUT", dvt)
-	ckt.SetV("vcvdd", circuit.DC(cvdd))
-	ckt.SetV("vcvss", circuit.DC(cvss))
-	ckt.SetV("vwl", circuit.DC(wl))
-	ckt.SetV("vbl", circuit.DC(bl))
-	ckt.SetV("vin", circuit.DC(lo))
-	ckt.SetIC("OUT", cvdd)
-
-	mVTCSweeps.Inc()
-	linspaceInto(s.xs, lo, hi)
-	if err := s.sweep[side].Sweep(s.xs, ys); err != nil {
-		return nil, fmt.Errorf("cell: VTC sweep (side %d): %w", side, err)
-	}
-	return &VTC{X: s.xs, Y: ys}, nil
-}
-
-// butterfly builds the butterfly under explicit rails; the flip of side B
-// allocates its own storage, so the returned butterfly does not alias ysB.
-func (s *Scratch) butterfly(dvt Variation, cvdd, cvss, bl, wl, lo, hi float64) (*Butterfly, error) {
-	a, err := s.halfVTC(0, dvt, cvdd, cvss, bl, wl, lo, hi, s.ysA)
-	if err != nil {
-		return nil, err
-	}
-	bRaw, err := s.halfVTC(1, dvt, cvdd, cvss, bl, wl, lo, hi, s.ysB)
-	if err != nil {
-		return nil, err
-	}
-	return &Butterfly{A: a, B: bRaw.flip()}, nil
-}
-
 // HoldSNM returns the hold static noise margin of the perturbed cell,
-// bit-identical to Cell.HoldSNM with c.DVt = dvt.
+// Cell.HoldSNM with c.DVt = dvt.
 func (s *Scratch) HoldSNM(dvt Variation, vdd float64) (float64, error) {
-	sp := obs.StartSpan("cell.hold_snm")
-	mSNMExtractions.Inc()
-	bf, err := s.butterfly(dvt, vdd, 0, vdd, 0, 0, vdd)
-	if err != nil {
-		return 0, err
-	}
-	snm, err := bf.SNM()
-	if err == nil {
-		sp.Float("snm", snm)
-		sp.End()
-	}
-	return snm, err
+	return s.vtc.holdSNM(dvt, vdd)
 }
 
 // ReadSNM returns the read static noise margin of the perturbed cell under
-// bias b, bit-identical to Cell.ReadSNM with c.DVt = dvt.
+// bias b, Cell.ReadSNM with c.DVt = dvt.
 func (s *Scratch) ReadSNM(dvt Variation, b ReadBias) (float64, error) {
-	sp := obs.StartSpan("cell.read_snm")
-	mSNMExtractions.Inc()
-	lo, hi := math.Min(b.VSSC, 0), math.Max(b.VDDC, b.Vdd)
-	bf, err := s.butterfly(dvt, b.VDDC, b.VSSC, b.Vdd, b.VWL, lo, hi)
-	if err != nil {
-		return 0, err
-	}
-	snm, err := bf.SNM()
-	if err == nil {
-		sp.Float("vddc", b.VDDC)
-		sp.Float("vssc", b.VSSC)
-		sp.Float("snm", snm)
-		sp.End()
-	}
-	return snm, err
+	return s.vtc.readSNM(dvt, b)
 }
 
 // WriteMargin returns the write margin of the perturbed cell under bias b:

@@ -5,6 +5,7 @@ import (
 	"math"
 
 	"sramco/internal/circuit"
+	"sramco/internal/device"
 	"sramco/internal/num"
 	"sramco/internal/obs"
 )
@@ -20,34 +21,6 @@ type VTC struct {
 // interp returns a linear interpolant over the curve (clamping at the ends
 // via flat extension, achieved by evaluating within the hull only).
 func (v *VTC) interp() (num.Interp1D, error) { return num.NewLinear1D(v.X, v.Y) }
-
-// halfVTC sweeps the input of one half-cell (inverter + access transistor
-// loading) and records the output, under explicit rail voltages.
-//
-// side selects which physical half (0 = left: output Q; 1 = right: output
-// QB) so that per-transistor variation lands on the right devices.
-func (c *Cell) halfVTC(side int, cvdd, cvss, bl, wl float64, lo, hi float64) (*VTC, error) {
-	ckt := circuit.New()
-	ckt.AddV("vcvdd", "CVDD", circuit.Ground, circuit.DC(cvdd))
-	ckt.AddV("vcvss", "CVSS", circuit.Ground, circuit.DC(cvss))
-	ckt.AddV("vwl", "WL", circuit.Ground, circuit.DC(wl))
-	ckt.AddV("vbl", "BL", circuit.Ground, circuit.DC(bl))
-	ckt.AddV("vin", "IN", circuit.Ground, circuit.DC(lo))
-	c.addHalf(ckt, side, "IN", "OUT", "CVDD", "CVSS", "BL", "WL")
-	ckt.SetIC("OUT", cvdd)
-
-	mVTCSweeps.Inc()
-	xs := num.Linspace(lo, hi, vtcPoints)
-	rs, err := ckt.DCSweep("vin", xs)
-	if err != nil {
-		return nil, fmt.Errorf("cell: VTC sweep (side %d): %w", side, err)
-	}
-	ys := make([]float64, len(rs))
-	for i, r := range rs {
-		ys[i] = r.V("OUT")
-	}
-	return &VTC{X: xs, Y: ys}, nil
-}
 
 // flip mirrors a VTC across the diagonal: the curve x = f(y) becomes
 // y = f⁻¹(x), resampled with strictly increasing x.
@@ -124,48 +97,91 @@ func maxSquare(up, low num.Interp1D, lo, hi float64) float64 {
 	return best
 }
 
-// holdButterfly builds the butterfly of the cell in hold (WL = 0, rails
-// nominal, BLs precharged to vdd).
-func (c *Cell) holdButterfly(vdd float64) (*Butterfly, error) {
-	a, err := c.halfVTC(0, vdd, 0, vdd, 0, 0, vdd)
+// vtcSweeps is the one path of every SNM extraction: the two half-cell VTC
+// netlists of one library and flavor (inverter plus access-transistor
+// loading, side 0 with output Q's devices, side 1 with QB's), built once and
+// re-solved under each perturbation and rail bias with SetFETDVt/SetV. The
+// Cell methods build one per call; a Scratch keeps one.
+type vtcSweeps struct {
+	vtc   [2]*circuit.Circuit
+	sweep [2]*circuit.Sweeper
+
+	xs []float64    // swept input (vtcPoints long)
+	ys [2][]float64 // each side's output (vtcPoints long)
+}
+
+func newVTCSweeps(lib *device.Library, flavor device.Flavor) (*vtcSweeps, error) {
+	c := Cell{Lib: lib, Flavor: flavor}
+	v := &vtcSweeps{xs: make([]float64, vtcPoints)}
+	for side := range v.vtc {
+		v.ys[side] = make([]float64, vtcPoints)
+		ckt := circuit.New()
+		ckt.AddV("vcvdd", "CVDD", circuit.Ground, circuit.DC(0))
+		ckt.AddV("vcvss", "CVSS", circuit.Ground, circuit.DC(0))
+		ckt.AddV("vwl", "WL", circuit.Ground, circuit.DC(0))
+		ckt.AddV("vbl", "BL", circuit.Ground, circuit.DC(0))
+		ckt.AddV("vin", "IN", circuit.Ground, circuit.DC(0))
+		c.addHalf(ckt, side, "IN", "OUT", "CVDD", "CVSS", "BL", "WL")
+		sw, err := ckt.NewSweeper("vin", "OUT")
+		if err != nil {
+			return nil, err
+		}
+		v.vtc[side], v.sweep[side] = ckt, sw
+	}
+	return v, nil
+}
+
+// halfVTC sweeps one half-cell's input over [lo, hi] under the given rails
+// into the side's output buffer.
+func (v *vtcSweeps) halfVTC(side int, dvt Variation, cvdd, cvss, bl, wl, lo, hi float64) (*VTC, error) {
+	ckt := v.vtc[side]
+	setHalfDVt(ckt, side, "OUT", dvt)
+	ckt.SetV("vcvdd", circuit.DC(cvdd))
+	ckt.SetV("vcvss", circuit.DC(cvss))
+	ckt.SetV("vwl", circuit.DC(wl))
+	ckt.SetV("vbl", circuit.DC(bl))
+	ckt.SetIC("OUT", cvdd)
+
+	mVTCSweeps.Inc()
+	linspaceInto(v.xs, lo, hi)
+	if err := v.sweep[side].Sweep(v.xs, v.ys[side]); err != nil {
+		return nil, fmt.Errorf("cell: VTC sweep (side %d): %w", side, err)
+	}
+	return &VTC{X: v.xs, Y: v.ys[side]}, nil
+}
+
+// butterfly builds the butterfly under explicit rails. Branch A aliases the
+// sweep buffers; the flip of side B allocates its own storage.
+func (v *vtcSweeps) butterfly(dvt Variation, cvdd, cvss, bl, wl, lo, hi float64) (*Butterfly, error) {
+	a, err := v.halfVTC(0, dvt, cvdd, cvss, bl, wl, lo, hi)
 	if err != nil {
 		return nil, err
 	}
-	bRaw, err := c.halfVTC(1, vdd, 0, vdd, 0, 0, vdd)
+	bRaw, err := v.halfVTC(1, dvt, cvdd, cvss, bl, wl, lo, hi)
 	if err != nil {
 		return nil, err
 	}
 	return &Butterfly{A: a, B: bRaw.flip()}, nil
 }
 
-// readButterfly builds the butterfly during a read access: both access
-// transistors on at VWL, both bitlines clamped at Vdd, rails at VDDC/VSSC.
-func (c *Cell) readButterfly(b ReadBias) (*Butterfly, error) {
+// hold builds the butterfly in hold: WL = 0, rails nominal, BLs precharged
+// to vdd.
+func (v *vtcSweeps) hold(dvt Variation, vdd float64) (*Butterfly, error) {
+	return v.butterfly(dvt, vdd, 0, vdd, 0, 0, vdd)
+}
+
+// read builds the butterfly during a read access: both access transistors
+// on at VWL, both bitlines clamped at Vdd, rails at VDDC/VSSC.
+func (v *vtcSweeps) read(dvt Variation, b ReadBias) (*Butterfly, error) {
 	lo, hi := math.Min(b.VSSC, 0), math.Max(b.VDDC, b.Vdd)
-	a, err := c.halfVTC(0, b.VDDC, b.VSSC, b.Vdd, b.VWL, lo, hi)
-	if err != nil {
-		return nil, err
-	}
-	bRaw, err := c.halfVTC(1, b.VDDC, b.VSSC, b.Vdd, b.VWL, lo, hi)
-	if err != nil {
-		return nil, err
-	}
-	return &Butterfly{A: a, B: bRaw.flip()}, nil
+	return v.butterfly(dvt, b.VDDC, b.VSSC, b.Vdd, b.VWL, lo, hi)
 }
 
-// HoldButterfly returns the two branches of the hold-state butterfly for
-// plotting or export (cmd/cellchar -butterfly).
-func (c *Cell) HoldButterfly(vdd float64) (*Butterfly, error) { return c.holdButterfly(vdd) }
-
-// ReadButterfly returns the two branches of the read-access butterfly under
-// the given assist bias.
-func (c *Cell) ReadButterfly(b ReadBias) (*Butterfly, error) { return c.readButterfly(b) }
-
-// HoldSNM returns the hold static noise margin (paper Fig. 2(a)).
-func (c *Cell) HoldSNM(vdd float64) (float64, error) {
+// holdSNM returns the hold static noise margin of the perturbed cell.
+func (v *vtcSweeps) holdSNM(dvt Variation, vdd float64) (float64, error) {
 	sp := obs.StartSpan("cell.hold_snm")
 	mSNMExtractions.Inc()
-	bf, err := c.holdButterfly(vdd)
+	bf, err := v.hold(dvt, vdd)
 	if err != nil {
 		return 0, err
 	}
@@ -177,12 +193,12 @@ func (c *Cell) HoldSNM(vdd float64) (float64, error) {
 	return snm, err
 }
 
-// ReadSNM returns the read static noise margin under the given assist bias
-// (paper Figs. 3(a)-(d)).
-func (c *Cell) ReadSNM(b ReadBias) (float64, error) {
+// readSNM returns the read static noise margin of the perturbed cell under
+// bias b.
+func (v *vtcSweeps) readSNM(dvt Variation, b ReadBias) (float64, error) {
 	sp := obs.StartSpan("cell.read_snm")
 	mSNMExtractions.Inc()
-	bf, err := c.readButterfly(b)
+	bf, err := v.read(dvt, b)
 	if err != nil {
 		return 0, err
 	}
@@ -194,4 +210,43 @@ func (c *Cell) ReadSNM(b ReadBias) (float64, error) {
 		sp.End()
 	}
 	return snm, err
+}
+
+// HoldButterfly returns the two branches of the hold-state butterfly for
+// plotting or export (cmd/cellchar -butterfly).
+func (c *Cell) HoldButterfly(vdd float64) (*Butterfly, error) {
+	v, err := newVTCSweeps(c.Lib, c.Flavor)
+	if err != nil {
+		return nil, err
+	}
+	return v.hold(c.DVt, vdd)
+}
+
+// ReadButterfly returns the two branches of the read-access butterfly under
+// the given assist bias.
+func (c *Cell) ReadButterfly(b ReadBias) (*Butterfly, error) {
+	v, err := newVTCSweeps(c.Lib, c.Flavor)
+	if err != nil {
+		return nil, err
+	}
+	return v.read(c.DVt, b)
+}
+
+// HoldSNM returns the hold static noise margin (paper Fig. 2(a)).
+func (c *Cell) HoldSNM(vdd float64) (float64, error) {
+	v, err := newVTCSweeps(c.Lib, c.Flavor)
+	if err != nil {
+		return 0, err
+	}
+	return v.holdSNM(c.DVt, vdd)
+}
+
+// ReadSNM returns the read static noise margin under the given assist bias
+// (paper Figs. 3(a)-(d)).
+func (c *Cell) ReadSNM(b ReadBias) (float64, error) {
+	v, err := newVTCSweeps(c.Lib, c.Flavor)
+	if err != nil {
+		return 0, err
+	}
+	return v.readSNM(c.DVt, b)
 }

@@ -1,12 +1,15 @@
 // Package circuit is a compact SPICE-like simulator used to characterize the
-// SRAM cell and peripheral circuits: modified nodal analysis (MNA) with a
-// damped Newton DC operating-point solver, gmin/source-stepping fallbacks,
-// DC sweeps with continuation, and a backward-Euler transient engine.
+// SRAM cell and peripheral circuits: one Newton kernel — nodal analysis over
+// the nodes no grounded voltage source pins, floating sources keeping their
+// MNA branch, FET conductances from the device model's analytic partials —
+// under a damped DC operating-point solver with gmin/source-stepping
+// fallbacks, DC sweeps with continuation, and a backward-Euler transient
+// engine.
 //
 // It supports exactly the elements this project needs — FinFETs (via
 // internal/device compact models), resistors, capacitors, and independent
 // voltage/current sources with time-dependent waveforms. Circuits here are
-// tiny (a 6T cell plus rails is ~10 nodes), so the solver uses dense LU.
+// tiny (a 6T cell has two free nodes), so the solver uses dense LU.
 package circuit
 
 import (
@@ -120,7 +123,6 @@ type vsource struct {
 	name string
 	a, b int // positive terminal a, negative terminal b
 	wave Waveform
-	br   int // branch-current index, assigned at solve time
 }
 
 // AddV adds an independent voltage source; terminal a is positive.
@@ -184,25 +186,4 @@ func (c *Circuit) ClearICs() {
 	for k := range c.ic {
 		delete(c.ic, k)
 	}
-}
-
-// initialGuess builds the starting unknown vector (node voltages at index
-// node-1, then source branch currents) from ICs; sources pin their nodes
-// when directly grounded, which speeds convergence.
-func (c *Circuit) initialGuess(t float64, dim int) []float64 {
-	x := make([]float64, dim)
-	for _, v := range c.vsrc {
-		if v.b == 0 && v.a != 0 {
-			x[v.a-1] = v.wave.At(t)
-		}
-		if v.a == 0 && v.b != 0 {
-			x[v.b-1] = -v.wave.At(t)
-		}
-	}
-	for name, vv := range c.ic {
-		if i := c.nodeIndex[name]; i > 0 {
-			x[i-1] = vv
-		}
-	}
-	return x
 }

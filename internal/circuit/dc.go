@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"sramco/internal/num"
-	"sramco/internal/obs"
 )
 
 // Solver tolerances and limits.
@@ -15,7 +14,6 @@ const (
 	residTol   = 1e-13 // A, KCL residual threshold
 	maxNewton  = 400   // Newton iterations per solve attempt
 	dampClampV = 0.15  // V, max per-iteration node-voltage change
-	fdStep     = 1e-7  // V, finite-difference step for FET conductances
 )
 
 // DCResult is the outcome of a DC analysis.
@@ -36,7 +34,8 @@ func (r *DCResult) V(node string) float64 {
 
 // SourceCurrent returns the current delivered by the named voltage source
 // out of its positive terminal into the circuit (positive when the source
-// powers the circuit).
+// powers the circuit). For a source that pins a node to ground it is the
+// KCL current at that node; a floating source's is its branch current.
 func (r *DCResult) SourceCurrent(name string) float64 {
 	i, ok := r.isrcs[name]
 	if !ok {
@@ -51,39 +50,86 @@ type tranCtx struct {
 	xprev []float64
 }
 
-// assembler holds the reusable Newton workspace for one circuit. Every
-// solve iterates in buffers it owns, so a DC sweep point or a transient step
+// pin is a node held by a grounded voltage source: V(n) is the source's
+// value, negated when the source's positive terminal is the ground.
+type pin struct {
+	n   int
+	src *vsource
+	neg bool
+}
+
+// branch is a floating voltage source. Unknown k of the Newton system, and
+// entry si of the state, carry its current a→b through the source.
+type branch struct {
+	src   *vsource
+	k, si int
+}
+
+// assembler holds the reusable Newton workspace for one circuit. A node that
+// a grounded voltage source pins is no unknown: its voltage is known at
+// every time and source scale, so the Newton system holds only the free
+// nodes plus one branch current per floating source (DESIGN.md §14). The
+// state vector still carries every node voltage — pinned ones written
+// before each solve — so readers index it by node. Every solve iterates in
+// buffers the assembler owns, so a DC sweep point or a transient step
 // allocates nothing.
 type assembler struct {
-	c   *Circuit
-	nn  int // nodes incl. ground
-	nv  int // voltage sources
-	dim int // unknowns: (nn-1) node voltages + nv branch currents
-	a   *num.Matrix
-	rhs []float64
+	c    *Circuit
+	nn   int      // nodes incl. ground
+	dim  int      // state length: nn−1 node voltages, then the branch currents
+	col  []int    // node → Newton unknown; −1 for ground and pinned nodes
+	free []int    // Newton unknown → node, for the free nodes
+	pins []pin    // nodes held by grounded sources
+	brs  []branch // floating sources, which keep their MNA stamp
+	a    *num.Matrix
+	rhs  []float64
 
 	lu   *num.LU     // reusable factorization storage
 	xn   []float64   // reusable linear-solve output
-	fres []float64   // reusable KCL residual vector
+	fres []float64   // reusable per-node KCL currents
 	sol  []float64   // solveRobust output of sweeps and operating points
 	half [][]float64 // per-depth midpoints of transient step halving
 
 	halvings int64 // transient step halvings of this analysis (for tracing)
 }
 
+// newAssembler classifies the circuit's nodes. A source with exactly one
+// grounded terminal pins the other one; every other source — including a
+// second grounded source on a node already pinned, whose empty equation
+// then makes the Jacobian singular just as two parallel sources do in full
+// MNA — is a floating branch.
 func newAssembler(c *Circuit) *assembler {
 	nn := c.NumNodes()
-	nv := len(c.vsrc)
-	dim := nn - 1 + nv
-	for i, v := range c.vsrc {
-		v.br = nn - 1 + i
+	as := &assembler{c: c, nn: nn, col: make([]int, nn)}
+	as.col[0] = -1
+	for _, v := range c.vsrc { // col = −1 marks a pinned node
+		n, neg := v.a, false
+		if v.a == 0 {
+			n, neg = v.b, true
+		}
+		if (v.a == 0) != (v.b == 0) && as.col[n] == 0 {
+			as.col[n] = -1
+			as.pins = append(as.pins, pin{n: n, src: v, neg: neg})
+			continue
+		}
+		as.brs = append(as.brs, branch{src: v})
 	}
-	return &assembler{
-		c: c, nn: nn, nv: nv, dim: dim,
-		a: num.NewMatrix(dim, dim), rhs: make([]float64, dim),
-		lu: num.NewLU(dim), xn: make([]float64, dim), fres: make([]float64, nn-1),
-		sol: make([]float64, dim),
+	for n := 1; n < nn; n++ {
+		if as.col[n] == 0 {
+			as.col[n] = len(as.free)
+			as.free = append(as.free, n)
+		}
 	}
+	for i := range as.brs {
+		as.brs[i].k = len(as.free) + i
+		as.brs[i].si = nn - 1 + i
+	}
+	as.dim = nn - 1 + len(as.brs)
+	m := len(as.free) + len(as.brs)
+	as.a, as.rhs = num.NewMatrix(m, m), make([]float64, m)
+	as.lu, as.xn = num.NewLU(m), make([]float64, m)
+	as.fres, as.sol = make([]float64, nn-1), make([]float64, as.dim)
+	return as
 }
 
 // halfBuf returns the midpoint buffer of a step halving at the given depth,
@@ -95,49 +141,75 @@ func (as *assembler) halfBuf(depth int) []float64 {
 	return as.half[depth]
 }
 
-// row maps a node index to its matrix row, or -1 for ground.
-func row(node int) int { return node - 1 }
-
-// fetEval returns the drain current and small-signal conductances of a FET
-// instance at the given terminal voltages.
-func fetEval(f *fet, vd, vg, vs float64) (id, gm, gds float64) {
-	w := float64(f.Fins)
-	eval := func(vd, vg, vs float64) float64 {
-		return w * f.Model.IdsShift(vg-vs, vd-vs, f.DVt)
+// pin writes every pinned node's voltage at time t and source scale
+// srcScale into the state x.
+func (as *assembler) pin(x []float64, t, srcScale float64) {
+	for _, p := range as.pins {
+		v := p.src.wave.At(t) * srcScale
+		if p.neg {
+			v = -v
+		}
+		x[p.n-1] = v
 	}
-	id = eval(vd, vg, vs)
-	gm = (eval(vd, vg+fdStep, vs) - eval(vd, vg-fdStep, vs)) / (2 * fdStep)
-	gds = (eval(vd+fdStep, vg, vs) - eval(vd-fdStep, vg, vs)) / (2 * fdStep)
-	return id, gm, gds
 }
 
-// assemble builds the linearized MNA system A·x_new = rhs around iterate x.
-// srcScale scales all independent sources (source stepping); gmin adds a
-// leak conductance from every node to ground; tc enables capacitor
-// companions for transient steps.
+// start fills the state x with the Newton start point at time t: zero,
+// pinned nodes at their voltages, then the SetIC values.
+func (as *assembler) start(x []float64, t float64) {
+	for i := range x {
+		x[i] = 0
+	}
+	as.pin(x, t, 1)
+	for name, v := range as.c.ic {
+		if i := as.c.nodeIndex[name]; i > 0 {
+			x[i-1] = v
+		}
+	}
+}
+
+// fetEval returns the drain current and small-signal conductances of a FET
+// instance at the given terminal voltages, from the model's analytic
+// partials.
+func fetEval(f *fet, vd, vg, vs float64) (id, gm, gds float64) {
+	w := float64(f.Fins)
+	id, gm, gds = f.Model.IdsShiftGrad(vg-vs, vd-vs, f.DVt)
+	return w * id, w * gm, w * gds
+}
+
+// assemble builds the linearized system A·x_new = rhs over the free nodes
+// and floating-source branches around the state x, whose pinned entries
+// must already hold their voltages. A pinned node's column moves to the
+// right-hand side at its known voltage. srcScale scales all independent
+// sources (source stepping); gmin adds a leak conductance from every free
+// node to ground; tc enables capacitor companions for transient steps.
 func (as *assembler) assemble(x []float64, t, gmin, srcScale float64, tc *tranCtx) {
 	as.a.Zero()
 	for i := range as.rhs {
 		as.rhs[i] = 0
 	}
-	a, rhs := as.a, as.rhs
+	a, rhs, col := as.a, as.rhs, as.col
 
+	// stamp adds g·V(n) to the left side of equation r.
+	stamp := func(r, n int, g float64) {
+		if r < 0 {
+			return
+		}
+		if k := col[n]; k >= 0 {
+			a.Add(r, k, g)
+		} else if n != 0 {
+			rhs[r] -= g * x[n-1]
+		}
+	}
 	stampG := func(na, nb int, g float64) {
-		ra, rb := row(na), row(nb)
-		if ra >= 0 {
-			a.Add(ra, ra, g)
-		}
-		if rb >= 0 {
-			a.Add(rb, rb, g)
-		}
-		if ra >= 0 && rb >= 0 {
-			a.Add(ra, rb, -g)
-			a.Add(rb, ra, -g)
-		}
+		ra, rb := col[na], col[nb]
+		stamp(ra, na, g)
+		stamp(ra, nb, -g)
+		stamp(rb, nb, g)
+		stamp(rb, na, -g)
 	}
 	// Current i injected INTO node n (from a companion/current source).
 	inject := func(n int, i float64) {
-		if r := row(n); r >= 0 {
+		if r := col[n]; r >= 0 {
 			rhs[r] += i
 		}
 	}
@@ -146,30 +218,28 @@ func (as *assembler) assemble(x []float64, t, gmin, srcScale float64, tc *tranCt
 		stampG(r.a, r.b, r.g)
 	}
 	if gmin > 0 {
-		for n := 1; n < as.nn; n++ {
-			a.Add(row(n), row(n), gmin)
+		for k := range as.free {
+			a.Add(k, k, gmin)
 		}
 	}
 	for _, f := range as.c.fets {
+		rd, rs := col[f.d], col[f.s]
+		if rd < 0 && rs < 0 {
+			continue // no free node carries its current
+		}
 		vd, vg, vs := nodeV(x, f.d), nodeV(x, f.g), nodeV(x, f.s)
 		id, gm, gds := fetEval(f, vd, vg, vs)
 		gs := -(gm + gds)
 		// Companion current source: the linearization offset.
 		ieq := id - gm*vg - gds*vd - gs*vs
-		rd, rg, rs := row(f.d), row(f.g), row(f.s)
-		add := func(r, cnode int, v float64) {
-			if r >= 0 && cnode >= 0 {
-				a.Add(r, cnode, v)
-			}
-		}
 		// KCL: current id leaves the drain node into the channel and exits
 		// at the source node.
-		add(rd, rg, gm)
-		add(rd, rd, gds)
-		add(rd, rs, gs)
-		add(rs, rg, -gm)
-		add(rs, rd, -gds)
-		add(rs, rs, -gs)
+		stamp(rd, f.g, gm)
+		stamp(rd, f.d, gds)
+		stamp(rd, f.s, gs)
+		stamp(rs, f.g, -gm)
+		stamp(rs, f.d, -gds)
+		stamp(rs, f.s, -gs)
 		inject(f.d, -ieq)
 		inject(f.s, ieq)
 	}
@@ -189,21 +259,21 @@ func (as *assembler) assemble(x []float64, t, gmin, srcScale float64, tc *tranCt
 		inject(s.a, -i)
 		inject(s.b, i)
 	}
-	for _, v := range as.c.vsrc {
-		ra, rb, br := row(v.a), row(v.b), v.br
-		if ra >= 0 {
-			a.Add(ra, br, 1)
-			a.Add(br, ra, 1)
+	for _, b := range as.brs {
+		v := b.src
+		if r := col[v.a]; r >= 0 {
+			a.Add(r, b.k, 1)
 		}
-		if rb >= 0 {
-			a.Add(rb, br, -1)
-			a.Add(br, rb, -1)
+		if r := col[v.b]; r >= 0 {
+			a.Add(r, b.k, -1)
 		}
-		rhs[br] = v.wave.At(t) * srcScale
+		stamp(b.k, v.a, 1)
+		stamp(b.k, v.b, -1)
+		rhs[b.k] += v.wave.At(t) * srcScale
 	}
 }
 
-// nodeV reads node n's voltage from the unknown vector (ground = 0).
+// nodeV reads node n's voltage from the state vector (ground = 0).
 func nodeV(x []float64, n int) float64 {
 	if n == 0 {
 		return 0
@@ -211,17 +281,19 @@ func nodeV(x []float64, n int) float64 {
 	return x[n-1]
 }
 
-// residual computes the KCL residual (net current leaving each non-ground
-// node) at iterate x, excluding voltage-source branches, whose currents are
-// free variables that absorb their node residuals.
-func (as *assembler) residual(x []float64, t, srcScale float64, tc *tranCtx) float64 {
+// kcl fills as.fres with the net current leaving each non-ground node
+// through the circuit's elements and floating-source branches at state x.
+// A pinned node's entry is then the current its grounded source delivers
+// into the circuit there, negated for a source whose positive terminal is
+// the ground.
+func (as *assembler) kcl(x []float64, t, srcScale float64, tc *tranCtx) {
 	f := as.fres
 	for i := range f {
 		f[i] = 0
 	}
 	addI := func(n int, i float64) { // current i leaves node n
-		if r := row(n); r >= 0 {
-			f[r] += i
+		if n > 0 {
+			f[n-1] += i
 		}
 	}
 	for _, r := range as.c.res {
@@ -247,12 +319,24 @@ func (as *assembler) residual(x []float64, t, srcScale float64, tc *tranCtx) flo
 		addI(s.a, i)
 		addI(s.b, -i)
 	}
-	for _, v := range as.c.vsrc {
-		i := x[v.br]
-		addI(v.a, i)
-		addI(v.b, -i)
+	for _, b := range as.brs {
+		i := x[b.si]
+		addI(b.src.a, i)
+		addI(b.src.b, -i)
 	}
-	return num.NormInf(f)
+}
+
+// residual returns the largest KCL imbalance over the free nodes at state
+// x. Pinned nodes have none to check: their sources absorb it.
+func (as *assembler) residual(x []float64, t, srcScale float64, tc *tranCtx) float64 {
+	as.kcl(x, t, srcScale, tc)
+	var r float64
+	for _, n := range as.free {
+		if a := math.Abs(as.fres[n-1]); a > r {
+			r = a
+		}
+	}
+	return r
 }
 
 // newton runs damped Newton in place on x with the default damping clamp.
@@ -279,34 +363,36 @@ func (as *assembler) newtonDamped(x []float64, t, gmin, srcScale float64, tc *tr
 }
 
 // iterate runs at most maxIt damped Newton iterations in place on x and
-// reports how many it ran and whether they converged. A singular Jacobian
-// is an error. It touches no counters; callers account for the attempt.
+// reports how many it ran and whether they converged. It first writes the
+// pinned voltages, which no iteration changes. A singular Jacobian is an
+// error. It touches no counters; callers account for the attempt.
 func (as *assembler) iterate(x []float64, t, gmin, srcScale float64, tc *tranCtx, clamp float64, maxIt int) (int, bool, error) {
+	as.pin(x, t, srcScale)
 	for it := 0; it < maxIt; it++ {
-		as.assemble(x, t, gmin, srcScale, tc)
-		if err := as.lu.Refactor(as.a); err != nil {
-			return it + 1, false, fmt.Errorf("circuit: singular Jacobian at iteration %d: %w", it, err)
-		}
-		as.lu.SolveInto(as.xn, as.rhs)
-		xn := as.xn
 		var maxDx float64
-		for i := 0; i < as.nn-1; i++ {
-			dx := xn[i] - x[i]
-			if a := math.Abs(dx); a > maxDx {
-				maxDx = a
+		if len(as.rhs) > 0 {
+			as.assemble(x, t, gmin, srcScale, tc)
+			if err := as.lu.Refactor(as.a); err != nil {
+				return it + 1, false, fmt.Errorf("circuit: singular Jacobian at iteration %d: %w", it, err)
 			}
-			if dx > clamp {
-				dx = clamp
-			} else if dx < -clamp {
-				dx = -clamp
+			as.lu.SolveInto(as.xn, as.rhs)
+			for k, n := range as.free {
+				dx := as.xn[k] - x[n-1]
+				if a := math.Abs(dx); a > maxDx {
+					maxDx = a
+				}
+				if dx > clamp {
+					dx = clamp
+				} else if dx < -clamp {
+					dx = -clamp
+				}
+				x[n-1] += dx
 			}
-			x[i] += dx
-		}
-		for i := as.nn - 1; i < as.dim; i++ {
-			x[i] = xn[i]
+			for _, b := range as.brs {
+				x[b.si] = as.xn[b.k]
+			}
 		}
 		if maxDx < dxTol {
-			// Re-solve branch currents at the final voltages, then verify KCL.
 			if r := as.residual(x, t, srcScale, tc); r < residTol {
 				return it + 1, true, nil
 			}
@@ -366,15 +452,27 @@ func (as *assembler) solveRobust(x0 []float64, t float64, tc *tranCtx, out []flo
 	return lastErr
 }
 
+// result snapshots a DC solution. A pinned source's current is the KCL
+// current at its node — the one place the solver computes it.
 func (as *assembler) result(x []float64) *DCResult {
-	r := &DCResult{volts: make(map[string]float64, as.nn), isrcs: make(map[string]float64, as.nv)}
+	r := &DCResult{volts: make(map[string]float64, as.nn), isrcs: make(map[string]float64, len(as.pins)+len(as.brs))}
 	for i, name := range as.c.nodeNames {
 		r.volts[name] = nodeV(x, i)
 	}
-	for _, v := range as.c.vsrc {
-		// x[v.br] is the current a→b inside the source; the delivered
+	if len(as.pins) > 0 {
+		as.kcl(x, 0, 1, nil)
+	}
+	for _, p := range as.pins {
+		i := as.fres[p.n-1]
+		if p.neg {
+			i = -i
+		}
+		r.isrcs[p.src.name] = i
+	}
+	for _, b := range as.brs {
+		// x[b.si] is the current a→b inside the source; the delivered
 		// current out of the positive terminal is its negation.
-		r.isrcs[v.name] = -x[v.br]
+		r.isrcs[b.src.name] = -x[b.si]
 	}
 	return r
 }
@@ -385,7 +483,8 @@ func (as *assembler) result(x []float64) *DCResult {
 func (c *Circuit) DCOperatingPoint() (*DCResult, error) {
 	start := time.Now()
 	as := newAssembler(c)
-	x0 := c.initialGuess(0, as.dim)
+	x0 := make([]float64, as.dim)
+	as.start(x0, 0)
 	err := as.solveRobust(x0, 0, nil, as.sol)
 	mDCOps.Inc()
 	hDCOpDur.Observe(time.Since(start))
@@ -396,38 +495,17 @@ func (c *Circuit) DCOperatingPoint() (*DCResult, error) {
 }
 
 // DCSweep solves the operating point for each value of the named voltage
-// source, using continuation (each solution seeds the next). The source's
-// waveform is restored afterwards.
+// source, using continuation (each solution seeds the next), and returns
+// one DCResult per point. It is a Sweeper run that snapshots every point.
+// The source's waveform is restored afterwards.
 func (c *Circuit) DCSweep(source string, values []float64) ([]*DCResult, error) {
-	var src *vsource
-	for _, v := range c.vsrc {
-		if v.name == source {
-			src = v
-			break
-		}
+	s, err := c.newSweeper(source)
+	if err != nil {
+		return nil, err
 	}
-	if src == nil {
-		return nil, fmt.Errorf("circuit: DCSweep: no voltage source %q", source)
-	}
-	orig := src.wave
-	defer func() { src.wave = orig }()
-
-	sp := obs.StartSpan("circuit.dc_sweep")
-	as := newAssembler(c)
 	results := make([]*DCResult, 0, len(values))
-	x := c.initialGuess(0, as.dim)
-	for i, val := range values {
-		src.wave = DC(val)
-		if err := as.solveRobust(x, 0, nil, as.sol); err != nil {
-			mDCSweepPoints.Add(int64(i))
-			return nil, fmt.Errorf("circuit: DCSweep %s=%g (point %d): %w", source, val, i, err)
-		}
-		copy(x, as.sol)
-		results = append(results, as.result(x))
+	if err := s.sweep(values, func(_ int, x []float64) { results = append(results, s.as.result(x)) }); err != nil {
+		return nil, err
 	}
-	mDCSweepPoints.Add(int64(len(values)))
-	sp.Str("source", source)
-	sp.Int("points", int64(len(values)))
-	sp.End()
 	return results, nil
 }

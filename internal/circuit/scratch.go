@@ -8,23 +8,21 @@ import (
 	"sramco/internal/obs"
 )
 
-// Sweeper is a reusable DC-sweep evaluator bound to one circuit, one swept
-// voltage source, and one observed node. It produces exactly the voltages
-// DCSweep would report for that node — same continuation, same robust-Newton
-// strategy, bit-identical numerics — but reuses the Newton workspace across
-// calls and never materializes per-point DCResult maps. The Monte Carlo
+// Sweeper is a reusable DC-sweep evaluator bound to one circuit and one
+// swept voltage source: every DC sweep runs as a Sweeper's continuation
+// loop. Sweep reports one observed node per point and never materializes a
+// DCResult; it reuses the Newton workspace across calls. The Monte Carlo
 // scratch path sweeps the same two VTC netlists tens of thousands of times;
 // this is its hot loop.
 type Sweeper struct {
-	c    *Circuit
 	src  *vsource
-	node int
+	node int // observed node of Sweep
 	as   *assembler
 	x    []float64 // continuation state, reused across calls
-	lvl  level     // the swept source's waveform during a Sweep
+	lvl  level     // the swept source's waveform during a sweep
 }
 
-// level is a constant waveform whose value a Sweep moves point by point,
+// level is a constant waveform whose value a sweep moves point by point,
 // so re-biasing the swept source allocates no fresh interface value.
 type level struct{ v float64 }
 
@@ -35,22 +33,26 @@ func (l *level) At(float64) float64 { return l.v }
 // The circuit's topology must not change afterwards (SetV, SetIC, and
 // SetFETDVt are fine; Add* are not).
 func (c *Circuit) NewSweeper(source, node string) (*Sweeper, error) {
-	var src *vsource
-	for _, v := range c.vsrc {
-		if v.name == source {
-			src = v
-			break
-		}
-	}
-	if src == nil {
-		return nil, fmt.Errorf("circuit: NewSweeper: no voltage source %q", source)
+	s, err := c.newSweeper(source)
+	if err != nil {
+		return nil, err
 	}
 	ni, ok := c.nodeIndex[node]
 	if !ok {
 		return nil, fmt.Errorf("circuit: NewSweeper: no node %q", node)
 	}
-	as := newAssembler(c)
-	return &Sweeper{c: c, src: src, node: ni, as: as, x: make([]float64, as.dim)}, nil
+	s.node = ni
+	return s, nil
+}
+
+func (c *Circuit) newSweeper(source string) (*Sweeper, error) {
+	for _, v := range c.vsrc {
+		if v.name == source {
+			as := newAssembler(c)
+			return &Sweeper{src: v, as: as, x: make([]float64, as.dim)}, nil
+		}
+	}
+	return nil, fmt.Errorf("circuit: no voltage source %q to sweep", source)
 }
 
 // Sweep solves the operating point at each source value with continuation and
@@ -60,13 +62,19 @@ func (s *Sweeper) Sweep(values []float64, out []float64) error {
 	if len(out) != len(values) {
 		return fmt.Errorf("circuit: Sweep: len(out)=%d, len(values)=%d", len(out), len(values))
 	}
+	return s.sweep(values, func(i int, x []float64) { out[i] = nodeV(x, s.node) })
+}
+
+// sweep is the continuation loop: it solves each point from the previous
+// point's solution and hands point(i, state) the solution of point i.
+func (s *Sweeper) sweep(values []float64, point func(i int, x []float64)) error {
 	orig := s.src.wave
 	defer func() { s.src.wave = orig }()
 
 	sp := obs.StartSpan("circuit.dc_sweep")
 	// Fresh initial guess per call: continuation state must not leak across
 	// Monte Carlo samples, or results would depend on evaluation order.
-	s.c.initialGuessInto(s.x, 0)
+	s.as.start(s.x, 0)
 	s.src.wave = &s.lvl
 	for i, val := range values {
 		s.lvl.v = val
@@ -75,34 +83,13 @@ func (s *Sweeper) Sweep(values []float64, out []float64) error {
 			return fmt.Errorf("circuit: DCSweep %s=%g (point %d): %w", s.src.name, val, i, err)
 		}
 		copy(s.x, s.as.sol)
-		out[i] = nodeV(s.x, s.node)
+		point(i, s.x)
 	}
 	mDCSweepPoints.Add(int64(len(values)))
 	sp.Str("source", s.src.name)
 	sp.Int("points", int64(len(values)))
 	sp.End()
 	return nil
-}
-
-// initialGuessInto is initialGuess without the allocation: it fills x
-// (len ≥ dim) instead of returning a fresh slice.
-func (c *Circuit) initialGuessInto(x []float64, t float64) {
-	for i := range x {
-		x[i] = 0
-	}
-	for _, v := range c.vsrc {
-		if v.b == 0 && v.a != 0 {
-			x[v.a-1] = v.wave.At(t)
-		}
-		if v.a == 0 && v.b != 0 {
-			x[v.b-1] = -v.wave.At(t)
-		}
-	}
-	for name, vv := range c.ic {
-		if i := c.nodeIndex[name]; i > 0 {
-			x[i-1] = vv
-		}
-	}
 }
 
 // TranRunner is a reusable backward-Euler transient evaluator bound to one
@@ -147,7 +134,7 @@ func (tr *TranRunner) Run(opts TranOpts, settled Certificate) error {
 	mTranRuns.Inc()
 	as := tr.as
 	as.halvings = 0
-	tr.c.initialGuessInto(tr.x, 0)
+	as.start(tr.x, 0)
 	if !opts.UIC {
 		if err := as.solveRobust(tr.x, 0, nil, as.sol); err != nil {
 			return fmt.Errorf("circuit: transient initial operating point: %w", err)

@@ -104,27 +104,11 @@ type Model struct {
 }
 
 // ids computes the per-fin drain current for vds ≥ 0 with a threshold shift
-// dvt (positive dvt raises the threshold).
+// dvt (positive dvt raises the threshold). It is idsGrad's current with the
+// partials dropped, so the I–V formula exists once.
 func (m *Model) ids(vgs, vds, dvt float64) float64 {
-	vt := m.Vt0 + dvt - m.DIBL*vds
-	nphit := m.N * PhiT
-	x := (vgs - vt) / nphit
-	// Smooth overdrive: n·φt·ln(1+e^x), guarded against overflow.
-	var veff float64
-	switch {
-	case x > 40:
-		veff = nphit * x
-	case x < -40:
-		veff = nphit * math.Exp(x)
-	default:
-		veff = nphit * math.Log1p(math.Exp(x))
-	}
-	if veff <= 0 {
-		return 0
-	}
-	vdsat := m.VsatK*veff + 2*PhiT
-	fsat := math.Tanh(vds / vdsat)
-	return m.I0 * math.Pow(veff, m.Alpha) * fsat * (1 + m.Lambda*vds)
+	id, _, _ := m.idsGrad(vgs, vds, dvt)
+	return id
 }
 
 // Ids returns the per-fin drain current (A) as a function of gate-source and
@@ -156,6 +140,67 @@ func (m *Model) idsSym(vgs, vds, dvt float64) float64 {
 		return -m.ids(vgs-vds, -vds, dvt)
 	}
 	return m.ids(vgs, vds, dvt)
+}
+
+// IdsShiftGrad is IdsShift together with its analytic partial derivatives
+// gm = ∂id/∂vgs and gds = ∂id/∂vds, from one pass through the model's
+// exp/log1p/pow/tanh. The current is bit-identical to IdsShift's. The PFET
+// mirror negates the current and leaves both partials as they are; the
+// source/drain exchange of a negative vds maps them to gm′ = −gm and
+// gds′ = gm + gds of the exchanged device.
+func (m *Model) IdsShiftGrad(vgs, vds, dvt float64) (id, gm, gds float64) {
+	if m.Polarity == PFET {
+		id, gm, gds = m.idsSymGrad(-vgs, -vds, dvt)
+		return -id, gm, gds
+	}
+	return m.idsSymGrad(vgs, vds, dvt)
+}
+
+func (m *Model) idsSymGrad(vgs, vds, dvt float64) (id, gm, gds float64) {
+	if vds < 0 {
+		id, gm, gds = m.idsGrad(vgs-vds, -vds, dvt)
+		return -id, -gm, gm + gds
+	}
+	return m.idsGrad(vgs, vds, dvt)
+}
+
+// idsGrad is the device's I–V formula: the per-fin drain current for
+// vds ≥ 0 with a threshold shift dvt, and its partials gm = ∂id/∂vgs and
+// gds = ∂id/∂vds.
+func (m *Model) idsGrad(vgs, vds, dvt float64) (id, gm, gds float64) {
+	vt := m.Vt0 + dvt - m.DIBL*vds
+	nphit := m.N * PhiT
+	x := (vgs - vt) / nphit
+	// Smooth overdrive veff = n·φt·ln(1+e^x), guarded against overflow, and
+	// s = ∂veff/∂vgs; DIBL makes ∂veff/∂vds = DIBL·s.
+	var veff, s float64
+	switch {
+	case x > 40:
+		veff, s = nphit*x, 1
+	case x < -40:
+		e := math.Exp(x)
+		veff, s = nphit*e, e
+	default:
+		e := math.Exp(x)
+		veff, s = nphit*math.Log1p(e), e/(1+e)
+	}
+	if veff <= 0 {
+		return 0, 0, 0
+	}
+	vdsat := m.VsatK*veff + 2*PhiT
+	u := vds / vdsat
+	fsat := math.Tanh(u)
+	p := math.Pow(veff, m.Alpha)
+	clm := 1 + m.Lambda*vds
+	id = m.I0 * p * fsat * clm
+
+	// id = I0·p(veff)·tanh(vds/vdsat(veff))·clm(vds):
+	// ∂id/∂veff = I0·clm·(α·p/veff·fsat − p·sech²·u·VsatK/vdsat).
+	sech2 := 1 - fsat*fsat
+	dVeff := m.I0 * clm * (m.Alpha*p/veff*fsat - p*sech2*u*m.VsatK/vdsat)
+	gm = dVeff * s
+	gds = dVeff*m.DIBL*s + m.I0*p*(sech2/vdsat*clm+fsat*m.Lambda)
+	return id, gm, gds
 }
 
 // ION returns the per-fin on current at |vgs| = |vds| = Vdd.

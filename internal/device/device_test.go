@@ -171,3 +171,80 @@ func TestStringers(t *testing.T) {
 		t.Error("empty Model.String")
 	}
 }
+
+// TestIdsShiftGradMatchesFiniteDifferences is the oracle of the analytic
+// conductances the circuit kernel stamps: over the four default models,
+// ΔVt ∈ [−0.3, 0.3] V, vgs ∈ [−1.0, 0.8] V and vds ∈ [−0.8, 0.8] V — both
+// source/drain orientations, both polarities' mirrors and both asymptotic
+// branches of the smoothed overdrive (vgs reaches below −0.8 V because
+// x < −40 needs vgs − Vt < −1.47 V) — IdsShiftGrad's current must equal
+// IdsShift's bit for bit, and its gm and gds must match central differences
+// of IdsShift at h = 10⁻⁷ V to 10⁻⁶ relative. The vds grid has an even
+// number of points, so vds = 0, where the exchange makes a central
+// difference one-sided, is not on it.
+func TestIdsShiftGradMatchesFiniteDifferences(t *testing.T) {
+	const (
+		h      = 1e-7
+		relTol = 1e-6
+		points = 40
+	)
+	grid := func(lo, hi float64, k int) []float64 {
+		out := make([]float64, k)
+		for i := range out {
+			out[i] = lo + (hi-lo)*float64(i)/float64(k-1)
+		}
+		return out
+	}
+	rel := func(a, b float64) float64 {
+		if d := math.Abs(a - b); d > 0 {
+			return d / math.Max(math.Abs(a), math.Abs(b))
+		}
+		return 0
+	}
+	lib := Default7nm()
+	var worst float64
+	var above, below, reversed int
+	for _, m := range []*Model{lib.NLVT, lib.NHVT, lib.PLVT, lib.PHVT} {
+		for _, dvt := range grid(-0.3, 0.3, 7) {
+			for _, vgs := range grid(-1.0, 0.8, points) {
+				for _, vds := range grid(-0.8, 0.8, points) {
+					id, gm, gds := m.IdsShiftGrad(vgs, vds, dvt)
+					if want := m.IdsShift(vgs, vds, dvt); id != want {
+						t.Fatalf("%v vgs=%g vds=%g dvt=%g: IdsShiftGrad current %v != IdsShift %v", m, vgs, vds, dvt, id, want)
+					}
+					fgm := (m.IdsShift(vgs+h, vds, dvt) - m.IdsShift(vgs-h, vds, dvt)) / (2 * h)
+					fgds := (m.IdsShift(vgs, vds+h, dvt) - m.IdsShift(vgs, vds-h, dvt)) / (2 * h)
+					for _, c := range []struct {
+						name     string
+						got, ref float64
+					}{{"gm", gm, fgm}, {"gds", gds, fgds}} {
+						e := rel(c.got, c.ref)
+						if e > relTol {
+							t.Fatalf("%v vgs=%g vds=%g dvt=%g: %s = %v, central difference %v (rel %.2g)", m, vgs, vds, dvt, c.name, c.got, c.ref, e)
+						}
+						worst = math.Max(worst, e)
+					}
+					// Which branch of ids did this point take?
+					g, d := vgs, vds
+					if m.Polarity == PFET {
+						g, d = -g, -d
+					}
+					if d < 0 {
+						g, d = g-d, -d
+						reversed++
+					}
+					switch x := (g - (m.Vt0 + dvt - m.DIBL*d)) / (m.N * PhiT); {
+					case x > 40:
+						above++
+					case x < -40:
+						below++
+					}
+				}
+			}
+		}
+	}
+	if above == 0 || below == 0 || reversed == 0 {
+		t.Fatalf("grid misses a branch: %d points with x > 40, %d with x < −40, %d with exchanged source/drain", above, below, reversed)
+	}
+	t.Logf("worst relative conductance error %.2g (x > 40: %d points, x < −40: %d, exchanged: %d)", worst, above, below, reversed)
+}

@@ -36,9 +36,12 @@ import (
 
 // Monte Carlo run metrics: total/done counts drive progress tickers; the
 // histogram records per-sample wall time. Sample counts are deterministic
-// for a given Config regardless of GOMAXPROCS (streaming early-stop runs may
-// evaluate — and discard — blocks past the stop point, so only their merged
-// statistics are scheduling-independent, not mc.samples.done).
+// for a given Config regardless of GOMAXPROCS, with one bounded exception:
+// an early-stop stream whose checkpoints lie fewer than streamWindow blocks
+// apart may compute up to streamWindow − cpBlocks blocks past the checkpoint
+// that stops it, so its mc.samples.done can exceed the samples it merges by
+// a scheduling-dependent amount. Every other early-stop run computes exactly
+// the samples it merges.
 // mc.samples.total is the number of samples belonging to runs currently in
 // flight — each run adds its N on entry and subtracts it on exit, so
 // concurrent runs compose instead of clobbering each other.

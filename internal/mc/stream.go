@@ -22,6 +22,16 @@ const ci95Z = 1.959963984540054
 // itself too noisy to trust.
 const minESSForStop = 16
 
+// streamWindow is the least number of blocks an early-stopping run admits
+// past its last undecided checkpoint. Where checkpoints lie at least this
+// many blocks apart (N ≤ 128 at the default 32-sample interval), no block
+// past the next checkpoint starts before the reducer has decided it, so the
+// run computes exactly the samples it merges. Where they lie closer, up to
+// this many blocks still run at once, and a run computes at most
+// streamWindow − cpBlocks blocks past the checkpoint that stops it. It is a
+// constant, not GOMAXPROCS, so that bound is the same on every host.
+const streamWindow = 8
+
 // StreamConfig configures a streaming Monte Carlo run.
 type StreamConfig struct {
 	Config
@@ -219,13 +229,15 @@ func (cp *Checkpoint) converged(target float64) bool {
 	return true
 }
 
-// RunStream executes a streaming Monte Carlo run: workers claim fixed sample
-// blocks through an atomic cursor, and the calling goroutine merges finished
-// blocks in index order, emitting a Checkpoint to emit (if non-nil) at every
-// block-aligned interval. When cfg.RelCI > 0, the run stops at the first
-// checkpoint whose CIs are all inside the target; blocks evaluated beyond
-// that point are discarded, so the merged statistics — and therefore the
-// entire checkpoint sequence — are bit-identical for any GOMAXPROCS.
+// RunStream executes a streaming Monte Carlo run: workers take fixed sample
+// blocks from a queue in index order, and the calling goroutine merges
+// finished blocks in index order, emitting a Checkpoint to emit (if non-nil)
+// at every block-aligned interval. When cfg.RelCI > 0, the run stops at the
+// first checkpoint whose CIs are all inside the target, and the queue holds
+// only a window of blocks past the last undecided checkpoint (streamWindow,
+// DESIGN.md §12), so little or no work is spent past the stop. The merged
+// statistics — and therefore the entire checkpoint sequence — are
+// bit-identical for any GOMAXPROCS.
 //
 // emit runs on the caller's goroutine (safe for HTTP streaming). A non-nil
 // error from emit aborts the run and is returned.
@@ -258,12 +270,29 @@ func RunStream(ctx context.Context, cfg StreamConfig, emit func(Checkpoint) erro
 
 	var wg sync.WaitGroup
 	var done atomic.Int64
-	var cursor atomic.Int64
 	var stop atomic.Bool
 	workers := runtime.GOMAXPROCS(0)
 	if workers > nBlocks {
 		workers = nBlocks
 	}
+
+	// Workers take block indices from queue. A fixed-N run queues every
+	// block up front; an early-stop run queues the first window, and the
+	// reducer queues the next blocks up to one window past each undecided
+	// checkpoint. finish closes the queue.
+	window := nBlocks
+	if cfg.RelCI > 0 {
+		window = max(cpBlocks, streamWindow)
+	}
+	queue := make(chan int, nBlocks)
+	queued := 0
+	admit := func(limit int) {
+		for ; queued < min(limit, nBlocks); queued++ {
+			queue <- queued
+		}
+	}
+	admit(window)
+
 	doneCh := make(chan int, nBlocks)
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
@@ -271,8 +300,13 @@ func RunStream(ctx context.Context, cfg StreamConfig, emit func(Checkpoint) erro
 			defer wg.Done()
 			ev := newEvaluator(lib, &cfg.Config, dr)
 			for {
-				b := int(cursor.Add(1)) - 1
-				if b >= nBlocks || stop.Load() || ctx.Err() != nil {
+				var b int
+				var open bool
+				select {
+				case b, open = <-queue:
+				case <-ctx.Done():
+				}
+				if !open || stop.Load() || ctx.Err() != nil {
 					return
 				}
 				lo, hi := b*blockSize, (b+1)*blockSize
@@ -310,6 +344,7 @@ func RunStream(ctx context.Context, cfg StreamConfig, emit func(Checkpoint) erro
 	// before touching shared state or returning.
 	finish := func() {
 		stop.Store(true)
+		close(queue)
 		<-workersDone
 	}
 
@@ -347,6 +382,9 @@ func RunStream(ctx context.Context, cfg StreamConfig, emit func(Checkpoint) erro
 				if cp.converged(cfg.RelCI) {
 					cp.Converged = true
 					cp.Final = true
+				} else {
+					// Undecided: queue the next window before emit runs.
+					admit(frontier + window)
 				}
 				emitted++
 				if emit != nil {

@@ -8,9 +8,11 @@ import (
 	"strings"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"sramco/internal/cell"
 	"sramco/internal/device"
+	"sramco/internal/obs"
 )
 
 // syntheticWM wires a cheap deterministic write margin through the seam so
@@ -99,6 +101,64 @@ func TestStreamEarlyStopHonorsRelCI(t *testing.T) {
 	for _, cp := range cps[:len(cps)-1] {
 		if cp.Converged {
 			t.Fatalf("non-final checkpoint marked converged: %+v", cp)
+		}
+	}
+}
+
+// TestEarlyStopComputesOnlyMergedSamples proves the stream window on one,
+// two and four workers, while a slow emit holds the reducer at every
+// checkpoint. A run whose checkpoints lie at least streamWindow blocks apart
+// (N = 96: 3-sample blocks, a checkpoint every 11) computes exactly the
+// samples it merges: the mc.samples.done delta equals Stats.Samples. A large
+// run (N = 4096: a checkpoint at every 32-sample block) computes at most
+// streamWindow − 1 blocks past its stop, and still runs several blocks at
+// once. A run that never converges computes and merges all N.
+func TestEarlyStopComputesOnlyMergedSamples(t *testing.T) {
+	var inFlight, peak atomic.Int64
+	swapWriteMargin(t, func(c *cell.Cell, _ cell.WriteBias) (float64, error) {
+		n := inFlight.Add(1)
+		for p := peak.Load(); n > p && !peak.CompareAndSwap(p, n); p = peak.Load() {
+		}
+		time.Sleep(100 * time.Microsecond)
+		inFlight.Add(-1)
+		m := 0.5
+		for _, d := range c.DVt {
+			m += d
+		}
+		return m, nil
+	})
+	cases := []struct {
+		cfg      StreamConfig
+		converge bool
+		overrun  int // most samples computed past the stop
+	}{
+		{StreamConfig{Config: Config{Flavor: device.HVT, N: 96, Seed: 2, Metrics: HSNM, Sampler: SamplerSobol}, RelCI: 0.1}, true, 0},
+		{StreamConfig{Config: Config{Flavor: device.HVT, N: 4096, Seed: 4, Metrics: WM}, RelCI: 0.1}, true, (streamWindow - 1) * 32},
+		{StreamConfig{Config: Config{Flavor: device.HVT, N: 256, Seed: 4, Metrics: WM}, RelCI: 0.001}, false, 0},
+	}
+	reg := obs.Default()
+	slowEmit := func(Checkpoint) error { time.Sleep(20 * time.Millisecond); return nil }
+	prev := runtime.GOMAXPROCS(0)
+	defer runtime.GOMAXPROCS(prev)
+	for _, tc := range cases {
+		for _, procs := range []int{1, 2, 4} {
+			runtime.GOMAXPROCS(procs)
+			peak.Store(0)
+			done0 := reg.CounterValue("mc.samples.done")
+			res, err := RunStream(context.Background(), tc.cfg, slowEmit)
+			if err != nil {
+				t.Fatal(err)
+			}
+			n, merged := tc.cfg.N, res.Stats.Samples
+			if res.Final.Converged != tc.converge || (merged < n) != tc.converge {
+				t.Fatalf("N=%d GOMAXPROCS=%d: merged %d samples, converged %v; want converged %v", n, procs, merged, res.Final.Converged, tc.converge)
+			}
+			if got := reg.CounterValue("mc.samples.done") - done0; got < int64(merged) || got-int64(merged) > int64(tc.overrun) {
+				t.Errorf("N=%d GOMAXPROCS=%d: computed %d samples, merged %d; want at most %d past the stop", n, procs, got, merged, tc.overrun)
+			}
+			if tc.cfg.Metrics == WM && procs > 1 && peak.Load() < 2 {
+				t.Errorf("N=%d GOMAXPROCS=%d: at most %d sample ran at once", n, procs, peak.Load())
+			}
 		}
 	}
 }
