@@ -13,6 +13,7 @@ import (
 	"sramco/internal/core"
 	"sramco/internal/device"
 	"sramco/internal/exp"
+	"sramco/internal/obs"
 )
 
 var (
@@ -558,7 +559,8 @@ func BenchmarkModelEvaluationPrepared(b *testing.B) {
 // load: the 4 KB min-EDP optimization over 8 row groups and column-mux
 // ratios up to 4. A 4 KB array admits more row organizations that hold 8
 // groups than the 16 KB one, and its optimum prunes less, so it evaluates
-// more points than BenchmarkHybridSearch16KB.
+// more points than BenchmarkHybridSearch16KB. units-prepared counts the
+// units the bound pass and the sweep prepared per search.
 func BenchmarkHybridSearch4KB(b *testing.B) {
 	fw := benchFramework(b)
 	sp := core.DefaultSpace()
@@ -571,6 +573,7 @@ func BenchmarkHybridSearch4KB(b *testing.B) {
 		Space:        sp,
 	}
 	var stats SearchStats
+	units0 := obs.Default().CounterValue("core.search.units_prepared")
 	for i := 0; i < b.N; i++ {
 		opt, err := fw.Core().Optimize(context.Background(), opts)
 		if err != nil {
@@ -582,6 +585,7 @@ func BenchmarkHybridSearch4KB(b *testing.B) {
 	b.ReportMetric(float64(stats.Evaluated), "model-evals")
 	b.ReportMetric(float64(stats.PrunedBound), "pruned-bound")
 	b.ReportMetric(stats.BoundEfficiency(), "bound-eff")
+	b.ReportMetric(float64(obs.Default().CounterValue("core.search.units_prepared")-units0)/float64(b.N), "units-prepared")
 }
 
 // BenchmarkHybridSearch16KB measures the enlarged hybrid search: the 16 KB
@@ -609,6 +613,7 @@ func BenchmarkHybridSearch16KB(b *testing.B) {
 		Space:        sp,
 	}
 	var stats SearchStats
+	units0 := obs.Default().CounterValue("core.search.units_prepared")
 	for i := 0; i < b.N; i++ {
 		opt, err := fw.Core().Optimize(context.Background(), opts)
 		if err != nil {
@@ -620,4 +625,5 @@ func BenchmarkHybridSearch16KB(b *testing.B) {
 	b.ReportMetric(float64(stats.Evaluated), "model-evals")
 	b.ReportMetric(float64(stats.PrunedBound), "pruned-bound")
 	b.ReportMetric(stats.BoundEfficiency(), "bound-eff")
+	b.ReportMetric(float64(obs.Default().CounterValue("core.search.units_prepared")-units0)/float64(b.N), "units-prepared")
 }

@@ -1,7 +1,8 @@
 // Command prunestats prints the branch-and-bound breakdown for the golden
-// capacity grid: per (capacity, flavor, method), how many candidate points
-// the search evaluated, how many the lower bound pruned, how many each
-// constraint skipped, and the resulting bound efficiency. Run it when
+// capacity grid and two 8-group hybrid points: per search, how many
+// candidate points it evaluated, how many the lower bound pruned, how many
+// each constraint skipped, the resulting bound efficiency, and how many
+// units (chunk × segmentation × mux × mask rectangles) it prepared. Run it when
 // touching the bound (internal/array/bound.go) or the searcher
 // (internal/core/walk.go) — a correctness-preserving change that loosens the
 // bound shows up here as an efficiency drop long before it shows up as a
@@ -21,6 +22,7 @@ import (
 	"sramco/internal/cliutil"
 	"sramco/internal/core"
 	"sramco/internal/device"
+	"sramco/internal/obs"
 	"sramco/internal/unit"
 )
 
@@ -40,62 +42,68 @@ func main() {
 		cliutil.Fatalf("%v", err)
 	}
 
-	fmt.Printf("%-8s %-6s %-6s %12s %12s %12s %10s %10s\n",
-		"capacity", "flavor", "method", "evaluated", "pruned", "skipped", "bound-eff", "wall")
+	fmt.Printf("%-8s %-6s %-6s %12s %12s %12s %10s %9s %10s\n",
+		"capacity", "flavor", "method", "evaluated", "pruned", "skipped", "bound-eff", "prepared", "wall")
 	var totalEval, totalPruned, totalSkipped int
+	var totalPrepared int64
+	// row runs one search and prints its breakdown, with the units it
+	// prepared (the advance of the core.search.units_prepared counter).
+	row := func(capacity, flavor, method string, opts core.Options) {
+		before := obs.Default().CounterValue("core.search.units_prepared")
+		opt, err := fw.Optimize(context.Background(), opts)
+		if err != nil {
+			cliutil.Fatalf("%s %s %s: %v", capacity, flavor, method, err)
+		}
+		prepared := obs.Default().CounterValue("core.search.units_prepared") - before
+		st := opt.Stats
+		fmt.Printf("%-8s %-6s %-6s %12d %12d %12d %9.1f%% %9d %10s\n",
+			capacity, flavor, method, st.Evaluated, st.PrunedBound, st.SkippedTotal(),
+			100*st.BoundEfficiency(), prepared, st.Wall.Round(10_000))
+		totalEval += st.Evaluated
+		totalPruned += st.PrunedBound
+		totalSkipped += st.SkippedTotal()
+		totalPrepared += prepared
+	}
 	for _, kb := range []int{1, 2, 4, 8, 16} {
 		for _, flavor := range []device.Flavor{device.LVT, device.HVT} {
 			for _, method := range []core.Method{core.M1, core.M2} {
-				opt, err := fw.Optimize(context.Background(), core.Options{
+				row(unit.Bytes(kb*1024*8), flavor.String(), method.String(), core.Options{
 					CapacityBits: kb * 1024 * 8,
 					Flavor:       flavor,
 					Method:       method,
 				})
-				if err != nil {
-					cliutil.Fatalf("%d KB %v %v: %v", kb, flavor, method, err)
-				}
-				st := opt.Stats
-				fmt.Printf("%-8s %-6v %-6v %12d %12d %12d %9.1f%% %10s\n",
-					unit.Bytes(kb*1024*8), flavor, method,
-					st.Evaluated, st.PrunedBound, st.SkippedTotal(),
-					100*st.BoundEfficiency(), st.Wall.Round(10_000))
-				totalEval += st.Evaluated
-				totalPruned += st.PrunedBound
-				totalSkipped += st.SkippedTotal()
 			}
 		}
 	}
-	// One hybrid point: the enlarged (group-assignment × mux) space leans on
-	// the bound far harder than the paper grid, so its efficiency is the
-	// first number to drop when a bound change loosens the hybrid terms.
+	// Two hybrid points over 8 row groups and mux ratios up to 4: the
+	// enlarged (group-assignment × mux) space leans on the bound far harder
+	// than the paper grid, so their efficiency is the first number to drop
+	// when a bound change loosens the hybrid terms. The 16 KB min-PADP point
+	// is the largest space any search covers; the 4 KB min-EDP point is the
+	// costliest cell of the sramperf search-hybrid workload.
+	sp := core.DefaultSpace()
+	sp.MuxMax = 4
 	padp, _ := core.ObjectiveByName("padp")
-	hybridOpts := core.Options{
+	row("16KB*", "hyb8", "m2", core.Options{
 		CapacityBits: 16 * 1024 * 8,
 		Flavor:       device.LVT,
 		Method:       core.M2,
 		Objective:    padp,
 		HybridGroups: 8,
-	}
-	sp := core.DefaultSpace()
-	sp.MuxMax = 4
-	hybridOpts.Space = sp
-	opt, err := fw.Optimize(context.Background(), hybridOpts)
-	if err != nil {
-		cliutil.Fatalf("16 KB hybrid: %v", err)
-	}
-	st := opt.Stats
-	fmt.Printf("%-8s %-6s %-6s %12d %12d %12d %9.1f%% %10s\n",
-		"16KB*", "hyb8", "m2", st.Evaluated, st.PrunedBound, st.SkippedTotal(),
-		100*st.BoundEfficiency(), st.Wall.Round(10_000))
-	totalEval += st.Evaluated
-	totalPruned += st.PrunedBound
-	totalSkipped += st.SkippedTotal()
+		Space:        sp,
+	})
+	row("4KB*", "hyb8", "m2", core.Options{
+		CapacityBits: 4 * 1024 * 8,
+		Flavor:       device.LVT,
+		Method:       core.M2,
+		HybridGroups: 8,
+		Space:        sp,
+	})
 
-	total := totalEval + totalPruned
 	eff := 0.0
-	if total > 0 {
+	if total := totalEval + totalPruned; total > 0 {
 		eff = float64(totalPruned) / float64(total)
 	}
-	fmt.Printf("%-8s %-6s %-6s %12d %12d %12d %9.1f%%\n",
-		"total", "", "", totalEval, totalPruned, totalSkipped, 100*eff)
+	fmt.Printf("%-8s %-6s %-6s %12d %12d %12d %9.1f%% %9d\n",
+		"total", "", "", totalEval, totalPruned, totalSkipped, 100*eff, totalPrepared)
 }

@@ -1,9 +1,6 @@
 package array
 
-import (
-	"fmt"
-	"math"
-)
+import "fmt"
 
 // Bound is a certified lower bound on the array metrics over a whole
 // (N_pre, N_wr) rectangle of the prepared chunk: no point inside the
@@ -92,10 +89,10 @@ func (e *Evaluator) BoundRect(npreLo, npreHi, nwrLo, nwrHi int) (Bound, error) {
 	b := &e.parts
 	readRow := e.dReadRow + dBLr
 	readCol := e.dColBase + dCOL
-	dRead := math.Max(readRow, readCol) + b.DSenseAmp + dPreR + e.dMuxExtra
+	dRead := max(readRow, readCol) + b.DSenseAmp + dPreR + e.dMuxExtra
 	writeCol := e.dColBase + dCOL + dBLw
-	dWrite := math.Max(e.dWriteRow, writeCol) + b.DWriteCell + dPreW
-	dArray := math.Max(dRead, dWrite)
+	dWrite := max(e.dWriteRow, writeCol) + b.DWriteCell + dPreW
+	dArray := max(dRead, dWrite)
 
 	preWrE := ePreW
 	if e.allCols {

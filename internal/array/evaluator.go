@@ -368,6 +368,7 @@ func (e *Evaluator) PrepareStaged(g wire.Geometry, rs *RailStage, groups int, ma
 		b.DWLWrite, b.EWLWrite = component(cWL, t.Vdd, vwl, coefWLwr*driveFins*rs.iWL)
 	}
 	e.hGroups, e.hMask = 0, 0
+	var mt maskTerms // a global-flavor chunk keeps the zero value: base write terms
 	var iRead float64
 	if !hybrid {
 		iRead = rs.iRead
@@ -375,6 +376,7 @@ func (e *Evaluator) PrepareStaged(g wire.Geometry, rs *RailStage, groups int, ma
 			return fmt.Errorf("array: non-positive read current %g at VDDC=%g VSSC=%g", iRead, vddc, vssc)
 		}
 	} else {
+		mt = hybridMaskTerms(g.Bits(), groups, mask, t.LeakCell, rs.alt.LeakCell)
 		for gi := 0; gi < groups; gi++ {
 			v := rs.iRead
 			if mask>>uint(gi)&1 == 1 {
@@ -401,20 +403,15 @@ func (e *Evaluator) PrepareStaged(g wire.Geometry, rs *RailStage, groups int, ma
 	b.DSenseAmp, b.ESenseAmp = p.SADelay, p.SAEnergy
 	b.DWriteCell = rs.wrDelay
 	b.EWriteCell = t.WriteEnergyCell
-	full := uint32(1)<<uint(groups) - 1
-	if hybrid {
-		switch {
-		case mask == 0:
-			// Uniform base flavor: already exact.
-		case mask == full:
-			b.DWriteCell = rs.altWrDelay
+	switch mt.write {
+	case writeAlt:
+		b.DWriteCell = rs.altWrDelay
+		b.EWriteCell = rs.alt.WriteEnergyCell
+	case writeSlower:
+		// Mixed: the slower flavor's write dominates the cell flip.
+		if ad := rs.altWrDelay; ad > b.DWriteCell {
+			b.DWriteCell = ad
 			b.EWriteCell = rs.alt.WriteEnergyCell
-		default:
-			// Mixed: the slower flavor's write dominates the cell flip.
-			if ad := rs.altWrDelay; ad > b.DWriteCell {
-				b.DWriteCell = ad
-				b.EWriteCell = rs.alt.WriteEnergyCell
-			}
 		}
 	}
 
@@ -452,18 +449,7 @@ func (e *Evaluator) PrepareStaged(g wire.Geometry, rs *RailStage, groups int, ma
 			e.hBLFix[gi] = e.blFixed * (float64(gi+1) / float64(groups))
 		}
 		e.hBLFix[groups-1] = e.blFixed
-		// Within one flavor a lower group's delay term never exceeds that of
-		// the farthest lower group of the same flavor, so only the farthest
-		// lower group of each flavor can set the max (DESIGN.md §13.6).
-		var taken [2]bool
-		e.hNearN = 0
-		for gi := groups - 2; gi >= 0; gi-- {
-			if f := mask >> uint(gi) & 1; !taken[f] {
-				taken[f] = true
-				e.hNear[e.hNearN] = gi
-				e.hNearN++
-			}
-		}
+		e.hNear, e.hNearN = mt.near, mt.nearN
 	}
 
 	// --- Partial Table-3 sums (prefixes of Evaluate's left-associative
@@ -496,23 +482,7 @@ func (e *Evaluator) PrepareStaged(g wire.Geometry, rs *RailStage, groups int, ma
 
 	e.leakCoef = float64(g.Bits()) * t.LeakCell
 	if hybrid {
-		switch mask {
-		case 0:
-			// Uniform base flavor: the single multiply above is already exact.
-		case full:
-			e.leakCoef = float64(g.Bits()) * rs.alt.LeakCell
-		default:
-			perGroup := float64(g.Bits() / groups)
-			sum := 0.0
-			for gi := 0; gi < groups; gi++ {
-				lk := t.LeakCell
-				if mask>>uint(gi)&1 == 1 {
-					lk = rs.alt.LeakCell
-				}
-				sum += perGroup * lk
-			}
-			e.leakCoef = sum
-		}
+		e.leakCoef = mt.leakCoef
 	}
 
 	// Rails must settle before WL reaches 50% (§4) — invariant, as neither
@@ -527,6 +497,91 @@ func (e *Evaluator) PrepareStaged(g wire.Geometry, rs *RailStage, groups int, ma
 	e.geom = g
 	e.prepared = true
 	return nil
+}
+
+// writeCell selects the write-cell terms of a hybrid chunk.
+type writeCell uint8
+
+const (
+	writeBase   writeCell = iota // every group holds the base flavor (and every global-flavor chunk)
+	writeAlt                     // every group holds the alternate flavor
+	writeSlower                  // mixed: the slower flavor's write dominates the cell flip
+)
+
+// maskTerms is everything PrepareStaged derives from a hybrid group mask
+// except the per-group read currents, which follow the mask bit by bit and
+// are read only through far and near: the flavor of the far group, the
+// farthest lower group of each flavor present below it (hNear), the
+// write-cell terms and the leakage weight. PrepareStaged takes its hybrid
+// state from hybridMaskTerms and HybridMaskKey keys on the same value, so
+// the key cannot drift from Prepare.
+type maskTerms struct {
+	farAlt   bool    // the far group holds the alternate flavor
+	near     [2]int  // hNear, farthest first
+	nearAlt  [2]bool // the flavor of each near group
+	nearN    int
+	write    writeCell
+	leakCoef float64 // Σ_g (Bits/Groups)·LeakCell_g; a pure mask keeps the global Bits·LeakCell
+}
+
+// hybridMaskTerms computes the mask terms of an array of bits cells in
+// groups row groups, from the base and alternate flavors' cell leakage.
+func hybridMaskTerms(bits, groups int, mask uint32, leakBase, leakAlt float64) maskTerms {
+	m := maskTerms{farAlt: mask>>uint(groups-1)&1 == 1}
+	switch full := uint32(1)<<uint(groups) - 1; mask {
+	case 0:
+		// Uniform base flavor: the global path's single multiply is exact.
+		m.leakCoef = float64(bits) * leakBase
+	case full:
+		m.write = writeAlt
+		m.leakCoef = float64(bits) * leakAlt
+	default:
+		m.write = writeSlower
+		perGroup := float64(bits / groups)
+		for gi := 0; gi < groups; gi++ {
+			lk := leakBase
+			if mask>>uint(gi)&1 == 1 {
+				lk = leakAlt
+			}
+			m.leakCoef += perGroup * lk
+		}
+	}
+	// Within one flavor a lower group's delay term never exceeds that of
+	// the farthest lower group of the same flavor, so only the farthest
+	// lower group of each flavor can set the max (DESIGN.md §13.6).
+	var taken [2]bool
+	for gi := groups - 2; gi >= 0; gi-- {
+		if f := mask >> uint(gi) & 1; !taken[f] {
+			taken[f] = true
+			m.near[m.nearN], m.nearAlt[m.nearN] = gi, f == 1
+			m.nearN++
+		}
+	}
+	return m
+}
+
+// MaskKey identifies a hybrid group mask up to equivalence (DESIGN.md
+// §13.7): two masks of one capacity and group count whose keys are equal,
+// prepared on the same geometry base and rail stage, give EvalInto Results
+// that are == apart from Design.GroupMask, and == EvalSweep lanes and
+// BoundRect bounds. It holds the mask terms, with the exact bits of the
+// leakage weight.
+type MaskKey struct {
+	leak    uint64
+	near    [2]int8
+	nearAlt [2]bool
+	nearN   int8
+	farAlt  bool
+	write   writeCell
+}
+
+// HybridMaskKey returns the equivalence key of mask for an array of bits
+// cells in groups row groups, whose base and alternate flavors leak
+// leakBase (Tech.LeakCell) and leakAlt (FlavorTerms.LeakCell) per cell.
+func HybridMaskKey(bits, groups int, mask uint32, leakBase, leakAlt float64) MaskKey {
+	m := hybridMaskTerms(bits, groups, mask, leakBase, leakAlt)
+	return MaskKey{leak: math.Float64bits(m.leakCoef), near: [2]int8{int8(m.near[0]), int8(m.near[1])},
+		nearAlt: m.nearAlt, nearN: int8(m.nearN), farAlt: m.farAlt, write: m.write}
 }
 
 // hybridBLDelay returns the read bitline delay of a hybrid chunk: the worst
@@ -604,10 +659,10 @@ func (e *Evaluator) EvalInto(npre, nwr int, res *Result) error {
 	// --- Table 3 delays ---
 	readRow := e.dReadRow + b.DBLRead
 	readCol := e.dColBase + b.DCOL
-	dRead := math.Max(readRow, readCol) + b.DSenseAmp + b.DPreRead + e.dMuxExtra
+	dRead := max(readRow, readCol) + b.DSenseAmp + b.DPreRead + e.dMuxExtra
 
 	writeCol := e.dColBase + b.DCOL + b.DBLWrite
-	dWrite := math.Max(e.dWriteRow, writeCol) + b.DWriteCell + b.DPreWrite
+	dWrite := max(e.dWriteRow, writeCol) + b.DWriteCell + b.DPreWrite
 
 	// --- Table 3 energies ---
 	preWrE := b.EPreWrite
@@ -622,7 +677,7 @@ func (e *Evaluator) EvalInto(npre, nwr int, res *Result) error {
 		e.wrMult*b.EBLWrite + e.wrCellE + preWrE
 
 	// --- Eqs. (2)-(5), area and the products ---
-	dArray := math.Max(dRead, dWrite)
+	dArray := max(dRead, dWrite)
 	eSw := e.beta*eRead + e.oneMinusBeta*eWrite
 	eLeak := e.leakCoef * dArray
 	eArray := e.alpha*eSw + eLeak

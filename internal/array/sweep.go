@@ -135,9 +135,9 @@ func (e *Evaluator) EvalSweep(npre, nwrLo, nwrHi int, out *SweepBlock) error {
 
 		readRow := e.dReadRow + dblr
 		readCol := e.dColBase + dcol[i]
-		dRead := math.Max(readRow, readCol) + saD + dpr + e.dMuxExtra
+		dRead := max(readRow, readCol) + saD + dpr + e.dMuxExtra
 		writeCol := e.dColBase + dcol[i] + dblw
-		dWrite := math.Max(e.dWriteRow, writeCol) + wcD + dpw
+		dWrite := max(e.dWriteRow, writeCol) + wcD + dpw
 
 		preWrE := epw
 		if allCols {
@@ -150,7 +150,7 @@ func (e *Evaluator) EvalSweep(npre, nwrLo, nwrHi int, out *SweepBlock) error {
 		eWrite := e.eWriteBase + ecol[i] +
 			e.wrMult*eblw + e.wrCellE + preWrE
 
-		dArray := math.Max(dRead, dWrite)
+		dArray := max(dRead, dWrite)
 		eSw := e.beta*eRead + e.oneMinusBeta*eWrite
 		eLeak := e.leakCoef * dArray
 		eArray := e.alpha*eSw + eLeak

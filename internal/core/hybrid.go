@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"sramco/internal/array"
 	"sramco/internal/device"
@@ -76,6 +77,39 @@ func (f *Framework) maskSpecs(opts *Options) ([]maskSpec, array.FlavorTerms, *Ce
 		specs = append(specs, s)
 	}
 	return specs, altTerms(altCC), altCC, nil
+}
+
+// maskClasses partitions a search's specs into mask classes: specs sharing
+// a rail class and an array.MaskKey, so their prepared units differ only in
+// the GroupMask stamped on each Result (DESIGN.md §13.7). It returns each
+// spec's representative — the class's smallest mask, which specs list
+// first — and the number of classes. Every unit of a search has the same
+// capacity, so one partition serves every chunk. A global-flavor search
+// has one class.
+func maskClasses(specs []maskSpec, specClass []int, bits, groups int, leakBase, leakAlt float64) ([]uint16, int) {
+	type classKey struct {
+		mask array.MaskKey
+		rail int
+	}
+	// At most one class per mask: the scratch stays on the stack.
+	var keyBuf [1 << array.MaxGroups]classKey
+	var firstBuf [1 << array.MaxGroups]uint16
+	keys, first := keyBuf[:0], firstBuf[:0]
+	rep := make([]uint16, len(specs))
+	for i, sp := range specs {
+		k := classKey{rail: specClass[i]}
+		if groups > 1 {
+			k.mask = array.HybridMaskKey(bits, groups, sp.mask, leakBase, leakAlt)
+		}
+		j := slices.Index(keys, k)
+		if j < 0 {
+			j = len(keys)
+			keys = append(keys, k)
+			first = append(first, uint16(i))
+		}
+		rep[i] = first[j]
+	}
+	return rep, len(keys)
 }
 
 // HybridAltTerms returns the evaluator cell terms of base's hybrid alternate

@@ -11,6 +11,7 @@ var (
 	mSearchRuns      = obs.NewCounter("core.search.runs")
 	mSearchEvaluated = obs.NewCounter("core.search.evaluated")
 	mSearchChunks    = obs.NewCounter("core.search.chunks_done")
+	mUnitsPrepared   = obs.NewCounter("core.search.units_prepared")
 	gSearchChunks    = obs.NewGauge("core.search.chunks_total")
 	hChunkDur        = obs.NewHistogram("core.search.chunk_duration")
 )

@@ -141,10 +141,13 @@ func oracleSearch(t *testing.T, f *Framework, opts Options) oracleRun {
 // read-stability cliffs — the bounded and the full-enumeration optima must
 // equal the oracle's bit for bit, both policies' Pareto fronts must equal
 // the oracle's front, the full enumeration's counts must equal the
-// oracle's, and the bounded counts must reconcile with them.
+// oracle's, and the bounded counts must reconcile with them. Only 8-group
+// searches have equivalent masks (DESIGN.md §13.7), so they are drawn too,
+// in narrower spaces under a larger point budget.
 func TestWalkerMatchesOracle(t *testing.T) {
 	const cases = 40
-	const maxPoints = 12000 // oracle points per case, to keep the test fast
+	const maxPoints = 12000   // oracle points per case, to keep the test fast
+	const maxPoints8 = 120000 // the same for 8 groups: 256 masks per geometry
 	objectives := []string{"edp", "delay", "energy", "area", "padp", "custom"}
 	rng := rand.New(rand.NewSource(1))
 	for i := 0; i < cases; {
@@ -172,7 +175,7 @@ func TestWalkerMatchesOracle(t *testing.T) {
 			Method:       []Method{M1, M2}[rng.Intn(2)],
 			W:            []int{8, 16, 64}[rng.Intn(3)],
 			Objective:    obj,
-			HybridGroups: []int{0, 2, 4}[rng.Intn(3)],
+			HybridGroups: []int{0, 2, 4, 8}[rng.Intn(4)],
 			SearchWLSegs: rng.Intn(2) == 0,
 			Space: SearchSpace{
 				VSSCMin:  -0.24,
@@ -184,49 +187,123 @@ func TestWalkerMatchesOracle(t *testing.T) {
 				MuxMax:   []int{0, 2, 4}[rng.Intn(3)],
 			},
 		}
+		budget := maxPoints
+		if opts.HybridGroups == 8 {
+			opts.CapacityBits = 512 << rng.Intn(3) // 512 b … 2 KB
+			opts.Space.NpreMax = 1 + rng.Intn(2)
+			opts.Space.VSSCStep = 0.24
+			budget = maxPoints8
+			if rng.Intn(2) == 0 {
+				f = sharedLeakFramework(f)
+				cliff += "shared-leak "
+			}
+		}
 		norm := opts
 		if err := norm.normalize(); err != nil {
 			t.Fatal(err)
 		}
 		levels := len(vsscCandidates(norm.Method, norm.Space))
-		if levels*validCombosPerLevel(&norm, rowCandidates(norm.CapacityBits, norm.Space)) > maxPoints {
+		if levels*validCombosPerLevel(&norm, rowCandidates(norm.CapacityBits, norm.Space)) > budget {
 			continue // redraw: the oracle costs microseconds per point
 		}
 		name := cliff + objName + " " + describeOptions(opts)
 		i++
 
-		ref := oracleSearch(t, f, opts)
-		if ref.best == nil {
-			t.Fatalf("%s: oracle found no feasible design", name)
+		checkWalker(t, f, name, opts, objName == "custom")
+	}
+}
+
+// checkWalker runs both policies' Optimize and Pareto on opts and compares
+// them with the oracle, which it returns. custom marks an objective without
+// a bound, whose Optimize never prunes.
+func checkWalker(t *testing.T, f *Framework, name string, opts Options, custom bool) oracleRun {
+	t.Helper()
+	ref := oracleSearch(t, f, opts)
+	if ref.best == nil {
+		t.Fatalf("%s: oracle found no feasible design", name)
+	}
+	t.Logf("%s: %d oracle evaluations, %d-point front", name, ref.stats.Evaluated, len(ref.front))
+	full := opts
+	full.DisableBounds = true
+	for _, o := range []Options{opts, full} {
+		policy := "bounded"
+		if o.DisableBounds {
+			policy = "full"
 		}
-		t.Logf("%s: %d oracle evaluations, %d-point front", name, ref.stats.Evaluated, len(ref.front))
-		full := opts
-		full.DisableBounds = true
-		for _, o := range []Options{opts, full} {
-			policy := "bounded"
-			if o.DisableBounds {
-				policy = "full"
+		opt, err := f.Optimize(context.Background(), o)
+		if err != nil {
+			t.Fatalf("%s %s Optimize: %v", name, policy, err)
+		}
+		if !reflect.DeepEqual(opt.Best, *ref.best) {
+			t.Errorf("%s %s: optimum diverges from the oracle:\nwalker %+v\noracle %+v",
+				name, policy, opt.Best.Design, ref.best.Design)
+		}
+		front, err := f.Pareto(context.Background(), o)
+		if err != nil {
+			t.Fatalf("%s %s Pareto: %v", name, policy, err)
+		}
+		if !reflect.DeepEqual(front.Front, ref.front) {
+			t.Errorf("%s %s: front (%d points) diverges from the oracle's (%d points)",
+				name, policy, len(front.Front), len(ref.front))
+		}
+		// The front ignores the objective.
+		checkOracleCounts(t, name+" "+policy+" Optimize", opt.Stats, ref.stats, o.DisableBounds || custom)
+		checkOracleCounts(t, name+" "+policy+" Pareto", front.Stats, ref.stats, o.DisableBounds)
+	}
+	return ref
+}
+
+// sharedLeakFramework returns a copy of f whose HVT cell leaks exactly as
+// much as its LVT cell and reads at half its own current. The leakage
+// weight then no longer tells masks apart, so an 8-group class holds every
+// mask whose far and near groups carry the same flavors, and the slower HVT
+// reads make the far groups' flavors matter: optima and fronts fall in
+// classes of many masks, where only the smallest may answer. In the paper
+// technology they keep to masks alone in their class.
+func sharedLeakFramework(f *Framework) *Framework {
+	leak := f.Cells[device.LVT].Leak
+	return withHVT(f, func(hvt *CellChar) {
+		iRead := hvt.IRead
+		hvt.Leak = leak
+		hvt.IRead = func(vddc, vssc float64) float64 { return 0.5 * iRead(vddc, vssc) }
+	})
+}
+
+// TestWalkerMatchesOracleInMaskClasses compares the walker with the oracle
+// on 8-group searches whose optimum and front lie in mask classes of
+// several masks (DESIGN.md §13.7), which the random draws reach only by
+// chance: the bounded walker prepares and sweeps one mask per class, and
+// only the class's smallest mask may answer. The test also checks that
+// precondition, so it cannot pass vacuously.
+func TestWalkerMatchesOracleInMaskClasses(t *testing.T) {
+	f := sharedLeakFramework(paperFramework(t))
+	for _, objName := range []string{"edp", "delay"} {
+		obj, _ := ObjectiveByName(objName)
+		opts := Options{CapacityBits: 512, Flavor: device.HVT, Method: M2, W: 64, Objective: obj, HybridGroups: 8,
+			Space: SearchSpace{VSSCMin: -0.24, VSSCStep: 0.24, NRMax: 1024, NCMax: 1024, NpreMax: 2, NwrMax: 8}}
+		name := objName + " " + describeOptions(opts)
+		s, err := f.newSearch(context.Background(), opts, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s.cancel(nil)
+		s.span.End()
+		members := make(map[uint16]int)
+		for _, r := range s.rep {
+			members[r]++
+		}
+		ref := checkWalker(t, f, name, opts, false)
+		if m := ref.best.Design.GroupMask; members[s.rep[m]] < 2 {
+			t.Errorf("%s: the optimum's mask %#x is alone in its class", name, m)
+		}
+		inClass := 0
+		for _, p := range ref.front {
+			if members[s.rep[p.Design.GroupMask]] > 1 {
+				inClass++
 			}
-			opt, err := f.Optimize(context.Background(), o)
-			if err != nil {
-				t.Fatalf("%s %s Optimize: %v", name, policy, err)
-			}
-			if !reflect.DeepEqual(opt.Best, *ref.best) {
-				t.Errorf("%s %s: optimum diverges from the oracle:\nwalker %+v\noracle %+v",
-					name, policy, opt.Best.Design, ref.best.Design)
-			}
-			front, err := f.Pareto(context.Background(), o)
-			if err != nil {
-				t.Fatalf("%s %s Pareto: %v", name, policy, err)
-			}
-			if !reflect.DeepEqual(front.Front, ref.front) {
-				t.Errorf("%s %s: front (%d points) diverges from the oracle's (%d points)",
-					name, policy, len(front.Front), len(ref.front))
-			}
-			// A custom objective has no bound, so its Optimize never prunes;
-			// the front ignores the objective.
-			checkOracleCounts(t, name+" "+policy+" Optimize", opt.Stats, ref.stats, o.DisableBounds || objName == "custom")
-			checkOracleCounts(t, name+" "+policy+" Pareto", front.Stats, ref.stats, o.DisableBounds)
+		}
+		if inClass == 0 {
+			t.Errorf("%s: no front point lies in a class of several masks", name)
 		}
 	}
 }

@@ -16,7 +16,12 @@ import (
 // characterization is edited by edit; the shared framework is untouched.
 func hvtVariant(t *testing.T, edit func(hvt *CellChar)) *Framework {
 	t.Helper()
-	base := paperFramework(t)
+	return withHVT(paperFramework(t), edit)
+}
+
+// withHVT returns a shallow copy of base whose HVT characterization is
+// edited by edit; base is untouched.
+func withHVT(base *Framework, edit func(hvt *CellChar)) *Framework {
 	f := *base
 	f.Cells = make(map[device.Flavor]*CellChar, len(base.Cells))
 	for k, v := range base.Cells {

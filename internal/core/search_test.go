@@ -32,13 +32,16 @@ func normalizeOptimum(o *Optimum) Optimum {
 // deterministic reduction: the 4 KB HVT/M2 search, plain and hybrid with
 // muxing (whose workers share rail stages carrying both flavors), must
 // return a bit-identical Optimum — design, result and counts — for any
-// worker count, and across repeated runs.
+// worker count, and across repeated runs. The 8-group search also sweeps
+// one mask per equivalence class (DESIGN.md §13.7).
 func TestOptimizeDeterministicAcrossGOMAXPROCS(t *testing.T) {
 	f := paperFramework(t)
 	hybrid := Options{CapacityBits: 4 * 1024 * 8, Flavor: device.HVT, Method: M2, HybridGroups: 4,
 		Space: DefaultSpace()}
 	hybrid.Space.MuxMax = 2
-	for _, opts := range []Options{{CapacityBits: 4 * 1024 * 8, Flavor: device.HVT, Method: M2}, hybrid} {
+	hybrid8 := hybrid
+	hybrid8.Flavor, hybrid8.HybridGroups = device.LVT, 8
+	for _, opts := range []Options{{CapacityBits: 4 * 1024 * 8, Flavor: device.HVT, Method: M2}, hybrid, hybrid8} {
 		var ref Optimum
 		for i, procs := range []int{1, 2, 8, 8} {
 			prev := runtime.GOMAXPROCS(procs)

@@ -21,7 +21,13 @@ type SearchStats struct {
 	SkippedGeom  int // points rejected by geometry validation (never evaluated)
 	SkippedRails int // evaluated points whose assist rails miss the access cycle
 	PrunedVSSC   int // VSSC sweep levels removed up front by the read-stability check
-	PrunedBound  int // points skipped by branch-and-bound: their rectangle's lower bound (or rail feasibility) proved they cannot win (never evaluated)
+	// PrunedBound counts the points branch-and-bound skipped, never
+	// evaluated: their rectangle's lower bound (or rail feasibility) proved
+	// they cannot win, or their group mask is equivalent to a smaller mask
+	// of the same (chunk, segmentation, mux) block, whose identical points
+	// answer for them (DESIGN.md §13.7). Only 8-group searches have
+	// equivalent masks.
+	PrunedBound int
 
 	Chunks  int           // (row organization × VSSC) work units sharded across workers
 	Workers int           // goroutines the shards were distributed over

@@ -22,9 +22,14 @@ import (
 // designLess) and the energy-delay Pareto front — under one of two pruning
 // policies. Branch-and-bound skips a rectangle, or a single N_pre row of
 // it, when a cheap certified lower bound (array.BoundRect) cannot beat the
-// incumbent, charging the skipped points to SearchStats.PrunedBound. Full
-// enumeration (Options.DisableBounds, or a custom objective, which has no
-// bound) is the policy that never prunes: it walks the same units and
+// incumbent, charging the skipped points to SearchStats.PrunedBound. It
+// also prepares, bounds and sweeps one group mask per equivalence class
+// (DESIGN.md §13.7): masks sharing a rail class and an array.MaskKey
+// prepare chunks that differ only in the GroupMask stamped on each Result,
+// so the class's smallest mask answers for the others, whose rectangles
+// are charged to PrunedBound unprepared. Full enumeration
+// (Options.DisableBounds, or a custom objective, which has no bound and may
+// read GroupMask) is the policy that never prunes: it walks every unit and
 // sweeps every point.
 //
 // Determinism: SearchStats documents that every count is bit-identical for a
@@ -34,8 +39,9 @@ import (
 // scheduling, so pruning thresholds are derived only from
 // schedule-independent state (DESIGN.md §11):
 //
-//  1. a bound pass prepares every unit on its worker's Evaluator, bounds its
-//     full rectangle and keeps only a compact record (searchUnit);
+//  1. a bound pass prepares every unit (under branch-and-bound, every
+//     class representative) on its worker's Evaluator, bounds its full
+//     rectangle and keeps only a compact record (searchUnit);
 //  2. the unit with the best bound seeds the search: its chunk is swept
 //     first, alone, and its result freezes the global threshold (the best
 //     objective T, or the front f0);
@@ -48,11 +54,14 @@ import (
 // the re-prepared chunk is bit-identical to the one the bound pass saw.
 // Every Prepare draws its rail-dependent currents from a rail stage built
 // once per (rail class × VSSC level) before the bound pass and shared
-// read-only by all workers.
+// read-only by all workers. The core.search.units_prepared counter and the
+// run span's units_prepared attribute count the Prepares of both passes.
 
 // bnbMinRun is the N_wr range width below which the searcher sweeps the
-// points instead of bisecting further: a BoundRect costs about an eighth of
-// sweeping this many points, so bounding smaller ranges stops paying.
+// points instead of bisecting further: a BoundRect costs about as much as
+// sweeping three points (sramperf's traced search-hybrid run measures ~86 ns
+// per BoundRect against ~26 ns per swept point on a 2-vCPU x86-64 VM), so
+// the two bounds of a split range of this width cost more than sweeping it.
 const bnbMinRun = 4
 
 // unitStatus classifies a searchUnit after the bound pass.
@@ -63,6 +72,7 @@ const (
 	unitGeom                        // invalid base geometry: charged to SkippedGeom
 	unitRSNM                        // RSNM-infeasible mask class: charged to SkippedRSNM
 	unitUnsettled                   // rails cannot settle in time: no point is feasible
+	unitEquiv                       // a mask equivalent to an earlier unit's (§13.7): charged to PrunedBound
 )
 
 // searchUnit is the bound pass's record of one (chunk, segmentation, mux,
@@ -109,6 +119,13 @@ type search struct {
 	rails     []railEntry
 	specClass []int
 	nClass    int
+
+	// rep[spec] is the spec's mask-class representative: the smallest mask
+	// sharing its rail class and array.MaskKey (DESIGN.md §13.7). Under
+	// branch-and-bound a unit whose spec is not its own representative is
+	// neither prepared nor swept.
+	rep      []uint16
+	nClasses int
 
 	stats   SearchStats // setup counts: pruned VSSC levels and chunks
 	start   time.Time
@@ -213,6 +230,7 @@ func (f *Framework) newSearch(ctx context.Context, opts Options, pareto bool) (*
 		s.specClass[i] = k
 	}
 	s.nClass = len(classes)
+	s.rep, s.nClasses = maskClasses(specs, s.specClass, opts.CapacityBits, s.groups, tech.LeakCell, alt.LeakCell)
 	s.rails = make([]railEntry, len(feasVSSC)*s.nClass)
 	for li, vssc := range feasVSSC {
 		for k, cl := range classes {
@@ -256,15 +274,17 @@ func (s *search) fail(c chunk, npre, nwr int, err error) bool {
 	return false
 }
 
-// prepareUnit prepares ev for unit u of chunk c from the shared rail stage.
-func (s *search) prepareUnit(ev *array.Evaluator, c chunk, u *searchUnit) error {
+// prepareUnit prepares the slot's Evaluator for unit u of chunk c from the
+// shared rail stage, counting the prepare.
+func (s *search) prepareUnit(slot *walkWorker, c chunk, u *searchUnit) error {
+	slot.prepared++
 	r := &s.rails[c.level*s.nClass+s.specClass[u.spec]]
 	if r.err != nil {
 		return r.err
 	}
 	base := wire.Geometry{NR: c.rc.nr, NC: c.rc.nc, W: accessWidth(s.opts.W, c.rc.nc), Npre: 1, Nwr: 1,
 		WLSegs: int(u.segs), Mux: int(u.mux)}
-	return ev.PrepareStaged(base, &r.stage, s.groups, s.specs[u.spec].mask)
+	return slot.ev.PrepareStaged(base, &r.stage, s.groups, s.specs[u.spec].mask)
 }
 
 // unitDesign materializes the Design identity of one point of a unit, with
@@ -319,6 +339,9 @@ type walkWorker struct {
 	best    *DesignPoint
 	obj     float64
 	front   []DesignPoint
+	// prepared counts the units this worker prepared, in the bound pass and
+	// in the sweep.
+	prepared int
 
 	// The workers' slots are adjacent in one slice: the pad keeps this
 	// slot's obj and best, read at every swept point, off the cache line
@@ -367,13 +390,18 @@ func (s *search) walk() ([]walkWorker, SearchStats, error) {
 	wg.Wait()
 
 	st := s.stats
+	prepared := 0
 	for i := range slots {
 		st.addWorker(slots[i].stats)
+		prepared += slots[i].prepared
 	}
 	st = finishStats(st, s.start, s.workers)
+	mUnitsPrepared.Add(int64(prepared))
 	s.span.Int("evaluated", int64(st.Evaluated))
 	s.span.Int("pruned_bound", int64(st.PrunedBound))
 	s.span.Float("bound_efficiency", st.BoundEfficiency())
+	s.span.Int("units_prepared", int64(prepared))
+	s.span.Int("mask_classes", int64(s.nClasses))
 	s.span.End()
 	if cause := context.Cause(s.sctx); cause != nil {
 		return nil, st, &SearchError{Stats: st, Cause: cause}
@@ -382,10 +410,11 @@ func (s *search) walk() ([]walkWorker, SearchStats, error) {
 }
 
 // boundPass prepares every unit on its worker's Evaluator, bounds its full
-// rectangle and records the result, striping chunks over workers. Unit
-// construction is pure per-chunk work, so the stripe assignment cannot
-// affect the result. A Prepare error cancels the search here, before any
-// point is swept.
+// rectangle and records the result, striping chunks over workers. Under
+// branch-and-bound a unit whose mask is not its class representative is
+// recorded as unitEquiv without a Prepare. Unit construction is pure
+// per-chunk work, so the stripe assignment cannot affect the result. A
+// Prepare error cancels the search here, before any point is swept.
 func (s *search) boundPass(slots []walkWorker) {
 	s.units = make([][]searchUnit, len(s.chunks))
 	var wg sync.WaitGroup
@@ -393,7 +422,7 @@ func (s *search) boundPass(slots []walkWorker) {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			ev := slots[w].ev
+			slot := &slots[w]
 			for ci := w; ci < len(s.chunks); ci += len(slots) {
 				if s.canceled() {
 					return
@@ -412,11 +441,14 @@ func (s *search) boundPass(slots []walkWorker) {
 						}
 						for si, sp := range s.specs {
 							u := searchUnit{spec: uint16(si), segs: uint8(segs), mux: int32(mux), status: status}
-							if status == unitLive && !specRSNMOK(sp, c.vssc, s.cc, s.altCC, s.delta) {
+							if u.status == unitLive && !specRSNMOK(sp, c.vssc, s.cc, s.altCC, s.delta) {
 								u.status = unitRSNM
 							}
+							if u.status == unitLive && s.prunes && s.rep[si] != u.spec {
+								u.status = unitEquiv // the class representative is an earlier unit of this block
+							}
 							if u.status == unitLive {
-								if err := s.boundUnit(ev, c, &u); err != nil {
+								if err := s.boundUnit(slot, c, &u); err != nil {
 									s.fail(c, 1, 1, err)
 									return
 								}
@@ -434,11 +466,11 @@ func (s *search) boundPass(slots []walkWorker) {
 
 // boundUnit prepares a live unit and records the bounds over its full
 // rectangle, demoting it to unitUnsettled when its rails cannot settle.
-func (s *search) boundUnit(ev *array.Evaluator, c chunk, u *searchUnit) error {
-	if err := s.prepareUnit(ev, c, u); err != nil {
+func (s *search) boundUnit(slot *walkWorker, c chunk, u *searchUnit) error {
+	if err := s.prepareUnit(slot, c, u); err != nil {
 		return err
 	}
-	b, err := ev.BoundRect(1, s.opts.Space.NpreMax, 1, s.opts.Space.NwrMax)
+	b, err := slot.ev.BoundRect(1, s.opts.Space.NpreMax, 1, s.opts.Space.NwrMax)
 	if err != nil {
 		return err
 	}
@@ -516,6 +548,13 @@ func (s *search) processChunk(ci int, T float64, f0 []DesignPoint, slot *walkWor
 		case unitGeom:
 			st.SkippedGeom += pts
 			continue
+		case unitEquiv:
+			// Its representative, the smallest equivalent mask, is the same
+			// block's earlier unit: it swept the same values against a
+			// threshold that has only fallen since, so no point here can
+			// win or enter a front (DESIGN.md §13.7).
+			st.PrunedBound += pts
+			continue
 		case unitUnsettled:
 			// Rail settling is unit-invariant (§4): no point of the
 			// rectangle is feasible. Branch-and-bound prunes it unevaluated;
@@ -534,14 +573,14 @@ func (s *search) processChunk(ci int, T float64, f0 []DesignPoint, slot *walkWor
 			if s.pareto {
 				pruned = frontDominatesRect(f0, u.d, u.e)
 			} else {
-				pruned = u.obj > math.Min(T, r.local)
+				pruned = u.obj > min(T, r.local)
 			}
 			if pruned {
 				st.PrunedBound += pts
 				continue
 			}
 		}
-		if err := s.prepareUnit(slot.ev, c, u); err != nil {
+		if err := s.prepareUnit(slot, c, u); err != nil {
 			return endChunk(s.fail(c, 1, 1, err))
 		}
 		r.u = u
@@ -576,10 +615,10 @@ type rowSweep struct {
 // refine sweeps N_wr ∈ [lo, hi] of the current row into the worker's
 // reduction. Branch-and-bound bisects the range: the bound's write-buffer
 // current is taken at the range's high end, so its slack on a full row is
-// ~NwrMax×; each halving tightens it 2×, and a BoundRect is ~an eighth of
-// sweeping the points it can prune. Recursion is sequential within the
-// chunk, so the counts and the incumbent updates stay deterministic. The
-// never-prune policy sweeps the row whole. Returns false on error.
+// ~NwrMax×; each halving tightens it 2×, down to bnbMinRun points.
+// Recursion is sequential within the chunk, so the counts and the incumbent
+// updates stay deterministic. The never-prune policy sweeps the row whole.
+// Returns false on error.
 func (r *rowSweep) refine(lo, hi int) bool {
 	s, slot, ev := r.s, r.slot, r.slot.ev
 	n := hi - lo + 1
@@ -592,7 +631,7 @@ func (r *rowSweep) refine(lo, hi int) bool {
 		if s.pareto {
 			pruned = frontDominatesRect(r.f0, rb.DArray, rb.EArray)
 		} else {
-			pruned = s.objBound(rb) > math.Min(r.T, r.local)
+			pruned = s.objBound(rb) > min(r.T, r.local)
 		}
 		if pruned {
 			slot.stats.PrunedBound += n

@@ -126,8 +126,9 @@ func Enabled() bool { return globalSink.Load() != nil }
 // maxSpanAttrs is the fixed attribute capacity of a Span. Instrumentation
 // sites use at most this many annotations; the cap keeps Span stack-only.
 // (The core.search run span is the widest user: capacity/method/chunks/
-// workers at start plus evaluated/pruned_bound/bound_efficiency at end.)
-const maxSpanAttrs = 8
+// workers at start plus evaluated/pruned_bound/bound_efficiency/
+// units_prepared/mask_classes at end.)
+const maxSpanAttrs = 10
 
 // Span is an in-flight trace span. The zero Span (returned when tracing is
 // disabled) is inert: all methods are cheap no-ops. Span is a value type —
