@@ -47,6 +47,7 @@ fuzz-smoke:
 	$(GO) test -fuzz=FuzzDecodeBatch -fuzztime=$(FUZZTIME) ./internal/serve/
 	$(GO) test -fuzz=FuzzConfigNormalize -fuzztime=$(FUZZTIME) ./internal/mc/
 	$(GO) test -fuzz=FuzzOptionsNormalize -fuzztime=$(FUZZTIME) ./internal/core/
+	$(GO) test -fuzz=FuzzLinearMatchesOracle -fuzztime=$(FUZZTIME) ./internal/num/
 
 # loadtest-smoke drives a short closed-loop load burst through an in-process
 # sramd with the real request mix; -check fails the target on zero recorded

@@ -18,29 +18,6 @@ type VTC struct {
 	X, Y []float64
 }
 
-// interp returns a linear interpolant over the curve (clamping at the ends
-// via flat extension, achieved by evaluating within the hull only).
-func (v *VTC) interp() (num.Interp1D, error) { return num.NewLinear1D(v.X, v.Y) }
-
-// flip mirrors a VTC across the diagonal: the curve x = f(y) becomes
-// y = f⁻¹(x), resampled with strictly increasing x.
-func (v *VTC) flip() *VTC {
-	n := len(v.X)
-	fx := make([]float64, 0, n)
-	fy := make([]float64, 0, n)
-	// Walking the original curve from last to first sample yields ascending
-	// x (= original y) because the VTC is nonincreasing.
-	for i := n - 1; i >= 0; i-- {
-		x, y := v.Y[i], v.X[i]
-		if len(fx) > 0 && x <= fx[len(fx)-1]+1e-9 {
-			continue // drop duplicates from rail-flat segments
-		}
-		fx = append(fx, x)
-		fy = append(fy, y)
-	}
-	return &VTC{X: fx, Y: fy}
-}
-
 // Butterfly holds the two butterfly branches in a common (x, y) plane:
 // A is the left half-cell VTC y = f(x); B is the mirrored right half-cell
 // VTC y = g⁻¹(x).
@@ -50,18 +27,19 @@ type Butterfly struct {
 
 // SNM returns the static noise margin: the side of the largest square that
 // fits inside each butterfly lobe, minimized over the two lobes (Seevinck).
-// A non-bistable butterfly (fewer than two lobes) yields 0.
+// A non-bistable butterfly (fewer than two lobes) yields 0. It interpolates
+// the branches in place and allocates nothing.
 func (b *Butterfly) SNM() (float64, error) {
-	fa, err := b.A.interp()
+	fa, err := num.NewLinear(b.A.X, b.A.Y)
 	if err != nil {
 		return 0, fmt.Errorf("cell: butterfly branch A: %w", err)
 	}
-	fb, err := b.B.interp()
+	fb, err := num.NewLinear(b.B.X, b.B.Y)
 	if err != nil {
 		return 0, fmt.Errorf("cell: butterfly branch B: %w", err)
 	}
-	lobe1 := maxSquare(fa, fb, b.A.X[0], b.A.X[len(b.A.X)-1])
-	lobe2 := maxSquare(fb, fa, b.B.X[0], b.B.X[len(b.B.X)-1])
+	lobe1 := maxSquare(&fa, &fb, b.A.X[0], b.A.X[len(b.A.X)-1])
+	lobe2 := maxSquare(&fb, &fa, b.B.X[0], b.B.X[len(b.B.X)-1])
 	return math.Min(lobe1, lobe2), nil
 }
 
@@ -69,13 +47,21 @@ func (b *Butterfly) SNM() (float64, error) {
 // corner on curve up and lower-right corner on curve low, i.e. the largest s
 // such that up(x) − s = low(x + s) for some x — the embedded square of one
 // butterfly lobe. Returns 0 when the lobe is absent.
-func maxSquare(up, low num.Interp1D, lo, hi float64) float64 {
+//
+// For each of 161 x it scans s upward for the first sign change of the gap
+// and bisects inside it. Only a bracket whose upper end s exceeds the best
+// side so far is bisected: Bisect's root lies in [prevS, s], so any other
+// cannot raise the maximum. up(x) is evaluated once per x, and both
+// interpolants walk from the previous probe's segment, so the answer is the
+// same as with a fresh binary search per probe.
+func maxSquare(up, low *num.Linear, lo, hi float64) float64 {
 	span := hi - lo
 	best := 0.0
 	const xSteps = 160
 	for i := 0; i <= xSteps; i++ {
 		x := lo + span*float64(i)/xSteps
-		gap := func(s float64) float64 { return up.Eval(x) - s - low.Eval(x+s) }
+		ux := up.Eval(x)
+		gap := func(s float64) float64 { return ux - s - low.Eval(x+s) }
 		if gap(0) <= 0 {
 			continue // not inside this lobe
 		}
@@ -85,9 +71,11 @@ func maxSquare(up, low num.Interp1D, lo, hi float64) float64 {
 		for j := 1; j <= sSteps; j++ {
 			s := span * float64(j) / sSteps
 			if gap(s) <= 0 {
-				root, err := num.Bisect(gap, prevS, s, 1e-7)
-				if err == nil && root > best {
-					best = root
+				if s > best {
+					root, err := num.Bisect(gap, prevS, s, 1e-7)
+					if err == nil && root > best {
+						best = root
+					}
 				}
 				break
 			}
@@ -106,13 +94,22 @@ type vtcSweeps struct {
 	vtc   [2]*circuit.Circuit
 	sweep [2]*circuit.Sweeper
 
-	xs []float64    // swept input (vtcPoints long)
-	ys [2][]float64 // each side's output (vtcPoints long)
+	xs     []float64    // swept input (vtcPoints long)
+	ys     [2][]float64 // each side's output (vtcPoints long)
+	fx, fy []float64    // side 1's VTC mirrored across the diagonal
+
+	a, b VTC       // the butterfly's branches, over the buffers above
+	bf   Butterfly // {&a, &b}
 }
 
 func newVTCSweeps(lib *device.Library, flavor device.Flavor) (*vtcSweeps, error) {
 	c := Cell{Lib: lib, Flavor: flavor}
-	v := &vtcSweeps{xs: make([]float64, vtcPoints)}
+	v := &vtcSweeps{
+		xs: make([]float64, vtcPoints),
+		fx: make([]float64, 0, vtcPoints),
+		fy: make([]float64, 0, vtcPoints),
+	}
+	v.bf = Butterfly{A: &v.a, B: &v.b}
 	for side := range v.vtc {
 		v.ys[side] = make([]float64, vtcPoints)
 		ckt := circuit.New()
@@ -133,7 +130,7 @@ func newVTCSweeps(lib *device.Library, flavor device.Flavor) (*vtcSweeps, error)
 
 // halfVTC sweeps one half-cell's input over [lo, hi] under the given rails
 // into the side's output buffer.
-func (v *vtcSweeps) halfVTC(side int, dvt Variation, cvdd, cvss, bl, wl, lo, hi float64) (*VTC, error) {
+func (v *vtcSweeps) halfVTC(side int, dvt Variation, cvdd, cvss, bl, wl, lo, hi float64) error {
 	ckt := v.vtc[side]
 	setHalfDVt(ckt, side, "OUT", dvt)
 	ckt.SetV("vcvdd", circuit.DC(cvdd))
@@ -145,23 +142,35 @@ func (v *vtcSweeps) halfVTC(side int, dvt Variation, cvdd, cvss, bl, wl, lo, hi 
 	mVTCSweeps.Inc()
 	linspaceInto(v.xs, lo, hi)
 	if err := v.sweep[side].Sweep(v.xs, v.ys[side]); err != nil {
-		return nil, fmt.Errorf("cell: VTC sweep (side %d): %w", side, err)
+		return fmt.Errorf("cell: VTC sweep (side %d): %w", side, err)
 	}
-	return &VTC{X: v.xs, Y: v.ys[side]}, nil
+	return nil
 }
 
-// butterfly builds the butterfly under explicit rails. Branch A aliases the
-// sweep buffers; the flip of side B allocates its own storage.
+// butterfly builds the butterfly under explicit rails into the sweeps' own
+// buffers: branch A is side 0's VTC as swept, branch B side 1's mirrored
+// across the diagonal — the curve x = g(y) becomes y = g⁻¹(x), resampled
+// with strictly increasing x. The result is valid until the next sweep.
 func (v *vtcSweeps) butterfly(dvt Variation, cvdd, cvss, bl, wl, lo, hi float64) (*Butterfly, error) {
-	a, err := v.halfVTC(0, dvt, cvdd, cvss, bl, wl, lo, hi)
-	if err != nil {
-		return nil, err
+	for side := range v.ys {
+		if err := v.halfVTC(side, dvt, cvdd, cvss, bl, wl, lo, hi); err != nil {
+			return nil, err
+		}
 	}
-	bRaw, err := v.halfVTC(1, dvt, cvdd, cvss, bl, wl, lo, hi)
-	if err != nil {
-		return nil, err
+	v.a = VTC{X: v.xs, Y: v.ys[0]}
+	// Walking side 1 from last to first sample yields ascending x
+	// (= its output) because the VTC is nonincreasing.
+	fx, fy := v.fx[:0], v.fy[:0]
+	for i := len(v.xs) - 1; i >= 0; i-- {
+		x, y := v.ys[1][i], v.xs[i]
+		if len(fx) > 0 && x <= fx[len(fx)-1]+1e-9 {
+			continue // drop duplicates from rail-flat segments
+		}
+		fx = append(fx, x)
+		fy = append(fy, y)
 	}
-	return &Butterfly{A: a, B: bRaw.flip()}, nil
+	v.b = VTC{X: fx, Y: fy}
+	return &v.bf, nil
 }
 
 // hold builds the butterfly in hold: WL = 0, rails nominal, BLs precharged

@@ -268,8 +268,8 @@ func TestWriteProbePremise(t *testing.T) {
 // TestWriteTripSpanOnEveryPath proves every trip search ends its
 // cell.write_trip span — a write-fail Monte Carlo sample is a valid outcome
 // and must show in traces — with its outcome, probe count and total
-// transient steps, and that certificate equilibrium attempts never count as
-// Newton failures.
+// transient steps, that certificate equilibrium attempts never count as
+// Newton failures, and that no span drops an attribute past its cap.
 func TestWriteTripSpanOnEveryPath(t *testing.T) {
 	col := &obs.CollectorSink{}
 	prev := obs.SetSink(col)
@@ -277,6 +277,7 @@ func TestWriteTripSpanOnEveryPath(t *testing.T) {
 	reg := obs.Default()
 	fails0 := reg.CounterValue("circuit.newton.failures")
 	steps0 := reg.CounterValue("circuit.tran.steps")
+	dropped0 := reg.CounterValue("obs.span.attrs_dropped")
 
 	s, err := NewScratch(New(device.HVT))
 	if err != nil {
@@ -313,5 +314,8 @@ func TestWriteTripSpanOnEveryPath(t *testing.T) {
 	}
 	if got := reg.CounterValue("circuit.newton.failures") - fails0; got != 0 {
 		t.Errorf("circuit.newton.failures advanced by %d, want 0", got)
+	}
+	if got := reg.CounterValue("obs.span.attrs_dropped") - dropped0; got != 0 {
+		t.Errorf("spans dropped %d attributes past their cap", got)
 	}
 }

@@ -28,6 +28,7 @@ func attrInt(t *testing.T, ev obs.Event, key string) int64 {
 // with the counts as units_prepared·N_pre·N_wr = 2·Evaluated − SkippedRails.
 // Branch-and-bound prepares fewer units, and an 8-group search prepares and
 // sweeps one mask per class: the paper technology's 256 masks fall into 94.
+// No span drops an attribute past its cap.
 func TestSearchTraceReconciles(t *testing.T) {
 	f := paperFramework(t)
 	space := SearchSpace{VSSCMin: -0.04, VSSCStep: 0.02, NRMax: 1024, NCMax: 1024, NpreMax: 4, NwrMax: 3}
@@ -47,10 +48,14 @@ func TestSearchTraceReconciles(t *testing.T) {
 		col := &obs.CollectorSink{}
 		prev := obs.SetSink(col)
 		before := obs.Default().CounterValue("core.search.units_prepared")
+		dropped := obs.Default().CounterValue("obs.span.attrs_dropped")
 		opt, err := f.Optimize(context.Background(), tc.opts)
 		obs.SetSink(prev)
 		if err != nil {
 			t.Fatalf("%s: Optimize: %v", tc.name, err)
+		}
+		if got := obs.Default().CounterValue("obs.span.attrs_dropped") - dropped; got != 0 {
+			t.Errorf("%s: spans dropped %d attributes past their cap", tc.name, got)
 		}
 		st := opt.Stats
 

@@ -190,7 +190,7 @@ func (m *Model) idsGrad(vgs, vds, dvt float64) (id, gm, gds float64) {
 	vdsat := m.VsatK*veff + 2*PhiT
 	u := vds / vdsat
 	fsat := math.Tanh(u)
-	p := math.Pow(veff, m.Alpha)
+	p := powAlpha(veff, m.Alpha)
 	clm := 1 + m.Lambda*vds
 	id = m.I0 * p * fsat * clm
 
@@ -201,6 +201,21 @@ func (m *Model) idsGrad(vgs, vds, dvt float64) (id, gm, gds float64) {
 	gm = dVeff * s
 	gds = dVeff*m.DIBL*s + m.I0*p*(sech2/vdsat*clm+fsat*m.Lambda)
 	return id, gm, gds
+}
+
+// powAlpha returns math.Pow(veff, alpha) bit for bit. For 1 < alpha ≤ 1.5
+// and veff in [1e-200, 1e200] it does only the arithmetic Go's pure-Go Pow
+// does there, without its special-case dispatch, Modf, Frexp and Ldexp:
+// Modf splits alpha into yi = 1 and yf = alpha−1 exactly; Pow computes
+// Exp(yf·Log(veff)), multiplies it by veff's mantissa and rescales by
+// veff's power of two, which commutes with the rounding because the
+// product stays a normal float. Everywhere else it calls math.Pow. (On
+// s390x math.Pow is an assembly routine the identity does not cover.)
+func powAlpha(veff, alpha float64) float64 {
+	if alpha > 1 && alpha <= 1.5 && veff >= 1e-200 && veff <= 1e200 {
+		return veff * math.Exp((alpha-1)*math.Log(veff))
+	}
+	return math.Pow(veff, alpha)
 }
 
 // ION returns the per-fin on current at |vgs| = |vds| = Vdd.

@@ -2,6 +2,8 @@ package device
 
 import (
 	"math"
+	"math/rand"
+	"runtime"
 	"testing"
 	"testing/quick"
 )
@@ -247,4 +249,38 @@ func TestIdsShiftGradMatchesFiniteDifferences(t *testing.T) {
 		t.Fatalf("grid misses a branch: %d points with x > 40, %d with x < −40, %d with exchanged source/drain", above, below, reversed)
 	}
 	t.Logf("worst relative conductance error %.2g (x > 40: %d points, x < −40: %d, exchanged: %d)", worst, above, below, reversed)
+}
+
+// TestPowAlphaMatchesPow requires powAlpha to equal math.Pow bit for bit on
+// log-uniform random overdrives in [2e-22, 2e4] at the exponents 1.01, 1.25,
+// 1.3 (the library's) and 1.5 and at random exponents in (1, 1.5], on the
+// edges of its fast range, and on the inputs it hands to math.Pow.
+func TestPowAlphaMatchesPow(t *testing.T) {
+	if runtime.GOARCH == "s390x" {
+		t.Skip("math.Pow is an assembly routine on s390x")
+	}
+	check := func(veff, alpha float64) {
+		t.Helper()
+		if got, want := powAlpha(veff, alpha), math.Pow(veff, alpha); math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("powAlpha(%.17g, %.17g) = %.17g, math.Pow = %.17g", veff, alpha, got, want)
+		}
+	}
+	rng := rand.New(rand.NewSource(18))
+	alphas := []float64{1.01, 1.25, 1.3, 1.5}
+	for i := 0; i < 1_000_000; i++ {
+		veff := 2e-22 * math.Pow(1e26, rng.Float64())
+		alpha := alphas[i%len(alphas)]
+		if i%5 == 4 {
+			alpha = 1.5 - 0.5*rng.Float64()
+		}
+		check(veff, alpha)
+	}
+	edges := []float64{0, math.SmallestNonzeroFloat64, 1e-300, 1e-200, math.Nextafter(1e-200, 0),
+		0.5, 1, 2, 1e200, math.Nextafter(1e200, math.Inf(1)), 1e300, math.MaxFloat64,
+		math.Inf(1), math.NaN(), -1, -1e-3}
+	for _, veff := range edges {
+		for _, alpha := range []float64{1, math.Nextafter(1, 2), 1.3, 1.5, math.Nextafter(1.5, 2), 2, 0.5} {
+			check(veff, alpha)
+		}
+	}
 }

@@ -306,7 +306,7 @@ func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			ev := newEvaluator(lib, &cfg, dr)
+			ev := newEvaluator(lib, &cfg, dr.fork())
 			for {
 				i := int(cursor.Add(1)) - 1
 				if i >= cfg.N || ctx.Err() != nil {

@@ -88,12 +88,19 @@ func planBlocks(n int) (size, count int) {
 }
 
 // drawer generates the ΔVt vector and importance weight of a sample from its
-// index alone. It is safe for concurrent use (the Sobol generator is
-// read-only after construction).
+// index alone: a draw depends only on (seed, i), never on the samples drawn
+// before it. A drawer reuses one PRNG source, re-seeded for every sample,
+// and keeps the LHS permutations of the block it drew from last, so it is
+// not safe for concurrent use: the Monte Carlo engine gives each worker its
+// own fork, and the forks share the read-only Sobol generator.
 type drawer struct {
 	cfg       *Config
 	sob       *num.Sobol
 	blockSize int
+
+	rng      *rand.Rand
+	lhsBlock int                        // block whose permutations perm holds; −1 for none
+	perm     [cell.NumTransistors][]int // per dimension, blockSize long
 }
 
 func newDrawer(cfg *Config) (*drawer, error) {
@@ -106,16 +113,33 @@ func newDrawer(cfg *Config) (*drawer, error) {
 		}
 		d.sob = sob
 	}
-	return d, nil
+	return d.fork(), nil
+}
+
+// fork returns a drawer with the same configuration and Sobol generator and
+// its own PRNG source and LHS permutations.
+func (d *drawer) fork() *drawer {
+	f := &drawer{cfg: d.cfg, sob: d.sob, blockSize: d.blockSize, lhsBlock: -1}
+	f.rng = rand.New(rand.NewSource(0))
+	if d.cfg.Sampler == SamplerLHS {
+		for t := range f.perm {
+			f.perm[t] = make([]int, d.blockSize)
+		}
+	}
+	return f
 }
 
 // draw fills s.DVt and s.Weight for sample i. All draws depend only on
 // (seed, i): x = τ·σ·z with z standard normal under the chosen sequence, and
 // w = Π_t τ·exp(−(τ²−1)·z_t²/2) the exact density ratio N(0,σ²)/N(0,(τσ)²)
 // at x (DESIGN.md §12), so weighted averages stay unbiased under the tilt.
+// Plain Monte Carlo and the LHS jitter read the stream of
+// rand.NewSource(sampleSeed(seed, i)), and the LHS strata the permutation
+// rand.New(rand.NewSource(lhsSeed(seed, b, t))).Perm(bn) of block b.
+// Re-seeding the reused source restarts exactly that stream (DESIGN.md
+// §12.2).
 func (d *drawer) draw(i int, s *Sample) {
 	cfg := d.cfg
-	rng := rand.New(rand.NewSource(sampleSeed(cfg.Seed, i)))
 	var z [cell.NumTransistors]float64
 	switch cfg.Sampler {
 	case SamplerSobol:
@@ -127,24 +151,27 @@ func (d *drawer) draw(i int, s *Sample) {
 			z[t] = num.InvNormCDF(u[t])
 		}
 	case SamplerLHS:
-		b := i / d.blockSize
-		j := i % d.blockSize
-		bn := d.blockSize
-		if rem := cfg.N - b*d.blockSize; rem < bn {
-			bn = rem
+		b, j := i/d.blockSize, i%d.blockSize
+		bn := min(d.blockSize, cfg.N-b*d.blockSize)
+		if b != d.lhsBlock {
+			for t := range d.perm {
+				d.permute(lhsSeed(cfg.Seed, b, t), d.perm[t][:bn])
+			}
+			d.lhsBlock = b
 		}
+		d.rng.Seed(sampleSeed(cfg.Seed, i))
 		for t := range z {
-			perm := rand.New(rand.NewSource(lhsSeed(cfg.Seed, b, t))).Perm(bn)
-			jit := rng.Float64()
-			u := (float64(perm[j]) + jit) / float64(bn)
+			jit := d.rng.Float64()
+			u := (float64(d.perm[t][j]) + jit) / float64(bn)
 			if u <= 0 { // jit can be exactly 0; keep Φ⁻¹ finite
 				u = 0.5 / float64(bn)
 			}
 			z[t] = num.InvNormCDF(u)
 		}
 	default:
+		d.rng.Seed(sampleSeed(cfg.Seed, i))
 		for t := range z {
-			z[t] = rng.NormFloat64()
+			z[t] = d.rng.NormFloat64()
 		}
 	}
 	tau := cfg.Tilt
@@ -156,4 +183,15 @@ func (d *drawer) draw(i int, s *Sample) {
 		}
 	}
 	s.Weight = w
+}
+
+// permute fills p with rand.New(rand.NewSource(seed)).Perm(len(p)) on the
+// drawer's reused source: Perm's exact loop, its first Intn(1) included.
+func (d *drawer) permute(seed int64, p []int) {
+	d.rng.Seed(seed)
+	for i := range p {
+		j := d.rng.Intn(i + 1)
+		p[i] = p[j]
+		p[j] = i
+	}
 }

@@ -2,9 +2,12 @@ package mc
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 
+	"sramco/internal/cell"
 	"sramco/internal/device"
+	"sramco/internal/num"
 )
 
 // normCDF is Φ, used to map drawn z values back into (0,1) for
@@ -175,6 +178,120 @@ func TestTiltWeights(t *testing.T) {
 		}
 		if s0.Weight != 1 {
 			t.Fatalf("untilted sample %d has weight %g", i, s0.Weight)
+		}
+	}
+}
+
+// oracleDraw is the draw before drawers reused their PRNG source: a fresh
+// rand.New(rand.NewSource(sampleSeed(seed, i))) per sample, and for LHS a
+// fresh source and Perm per (block, dimension) on every draw. sob is a Sobol
+// generator built for cfg.Seed, or nil for the other samplers.
+func oracleDraw(cfg *Config, sob *num.Sobol, i int, s *Sample) {
+	rng := rand.New(rand.NewSource(sampleSeed(cfg.Seed, i)))
+	var z [cell.NumTransistors]float64
+	switch cfg.Sampler {
+	case SamplerSobol:
+		var u [cell.NumTransistors]float64
+		sob.At(int64(i)+1, u[:])
+		for t := range z {
+			z[t] = num.InvNormCDF(u[t])
+		}
+	case SamplerLHS:
+		blockSize, _ := planBlocks(cfg.N)
+		b, j := i/blockSize, i%blockSize
+		bn := blockSize
+		if rem := cfg.N - b*blockSize; rem < bn {
+			bn = rem
+		}
+		for t := range z {
+			perm := rand.New(rand.NewSource(lhsSeed(cfg.Seed, b, t))).Perm(bn)
+			jit := rng.Float64()
+			u := (float64(perm[j]) + jit) / float64(bn)
+			if u <= 0 {
+				u = 0.5 / float64(bn)
+			}
+			z[t] = num.InvNormCDF(u)
+		}
+	default:
+		for t := range z {
+			z[t] = rng.NormFloat64()
+		}
+	}
+	tau := cfg.Tilt
+	w := 1.0
+	for t := range z {
+		s.DVt[t] = tau * cfg.SigmaVt * z[t]
+		if tau != 1 {
+			w *= tau * math.Exp(-(tau*tau-1)*z[t]*z[t]/2)
+		}
+	}
+	s.Weight = w
+}
+
+// TestDrawMatchesOracle requires one drawer, as one worker holds it, to
+// reproduce the oracle's ΔVt and weights bit for bit for every sampler,
+// with and without tilt, at N = 7, 96 and 1000 (single-sample blocks, full
+// 3-sample and 32-sample blocks, and a short last block), drawing the
+// indices in shuffled order so that its cached LHS block changes on
+// almost every draw.
+func TestDrawMatchesOracle(t *testing.T) {
+	rng := rand.New(rand.NewSource(18))
+	for s := SamplerMC; s < numSamplers; s++ {
+		for _, tilt := range []float64{1, 2.5} {
+			for _, n := range []int{7, 96, 1000} {
+				cfg := Config{Flavor: device.HVT, N: n, Seed: int64(n) + 3, Sampler: s, Tilt: tilt}
+				if err := cfg.normalize(); err != nil {
+					t.Fatal(err)
+				}
+				var sob *num.Sobol
+				if s == SamplerSobol {
+					var err error
+					if sob, err = num.NewSobol(int(cell.NumTransistors), uint64(cfg.Seed)); err != nil {
+						t.Fatal(err)
+					}
+				}
+				d, err := newDrawer(&cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				d = d.fork()
+				for _, i := range rng.Perm(n) {
+					var got, want Sample
+					d.draw(i, &got)
+					oracleDraw(&cfg, sob, i, &want)
+					if got.DVt != want.DVt || math.Float64bits(got.Weight) != math.Float64bits(want.Weight) {
+						t.Fatalf("%v tilt %g N %d sample %d: drew %v w=%v, oracle %v w=%v",
+							s, tilt, n, i, got.DVt, got.Weight, want.DVt, want.Weight)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestDrawNoAllocs pins one draw of each sampler to zero allocations. LHS is
+// measured on draws after the first of their block, which computes the
+// block's permutations into the drawer's own buffers.
+func TestDrawNoAllocs(t *testing.T) {
+	for s := SamplerMC; s < numSamplers; s++ {
+		cfg := Config{Flavor: device.HVT, N: 1024, Seed: 9, Sampler: s, Tilt: 2}
+		if err := cfg.normalize(); err != nil {
+			t.Fatal(err)
+		}
+		d, err := newDrawer(&cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// AllocsPerRun draws once more than it counts: samples 1 to 31, all
+		// in block 0 of 32.
+		var smp Sample
+		d.draw(0, &smp)
+		i := 0
+		if n := testing.AllocsPerRun(d.blockSize-2, func() {
+			i++
+			d.draw(i, &smp)
+		}); n != 0 {
+			t.Errorf("%v: a draw allocates %v times, want 0", s, n)
 		}
 	}
 }

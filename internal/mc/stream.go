@@ -298,7 +298,7 @@ func RunStream(ctx context.Context, cfg StreamConfig, emit func(Checkpoint) erro
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			ev := newEvaluator(lib, &cfg.Config, dr)
+			ev := newEvaluator(lib, &cfg.Config, dr.fork())
 			for {
 				var b int
 				var open bool

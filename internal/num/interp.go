@@ -7,33 +7,47 @@ import (
 )
 
 // Interp1D interpolates tabulated (x, y) samples. X must be strictly
-// increasing. Evaluation outside the domain clamps to the end intervals
-// (linear extrapolation for Linear1D, flat clamp for PCHIP).
+// increasing.
 type Interp1D interface {
 	Eval(x float64) float64
 	Domain() (lo, hi float64)
 }
 
-// linear1D is a piecewise-linear interpolant.
-type linear1D struct {
+// Linear is a piecewise-linear interpolant over tables the caller owns. It
+// validates them with NewPCHIP's checks but does not copy them, so the
+// caller must leave them unchanged while the Linear is in use. Each segment
+// search starts at the previous probe's segment, so probes that move by a
+// few knots cost amortized O(1) instead of a binary search. Evaluation
+// beyond the domain extrapolates linearly along the boundary segments.
+//
+// For every non-NaN x the walk lands on the segment sort.SearchFloat64s
+// picks — the first i with x ≤ xs[i+1], clamped to [0, len(xs)−2] — and
+// applies the same formula, so values do not depend on the probe order.
+// A Linear is not safe for concurrent use.
+type Linear struct {
 	xs, ys []float64
+	seg    int // segment of the previous probe
 }
 
-// NewLinear1D builds a piecewise-linear interpolant over strictly increasing
-// xs. It linearly extrapolates beyond the domain using the boundary segments.
-func NewLinear1D(xs, ys []float64) (Interp1D, error) {
+// NewLinear returns a Linear over strictly increasing xs and finite ys.
+func NewLinear(xs, ys []float64) (Linear, error) {
 	if err := checkTable(xs, ys); err != nil {
-		return nil, err
+		return Linear{}, err
 	}
-	l := &linear1D{xs: append([]float64(nil), xs...), ys: append([]float64(nil), ys...)}
-	return l, nil
+	return Linear{xs: xs, ys: ys}, nil
 }
 
-func (l *linear1D) Domain() (float64, float64) { return l.xs[0], l.xs[len(l.xs)-1] }
-
-func (l *linear1D) Eval(x float64) float64 {
-	i := segIndex(l.xs, x)
-	x0, x1 := l.xs[i], l.xs[i+1]
+// Eval returns the interpolant at x.
+func (l *Linear) Eval(x float64) float64 {
+	xs, i := l.xs, l.seg
+	for i > 0 && x <= xs[i] {
+		i--
+	}
+	for i < len(xs)-2 && xs[i+1] < x {
+		i++
+	}
+	l.seg = i
+	x0, x1 := xs[i], xs[i+1]
 	y0, y1 := l.ys[i], l.ys[i+1]
 	t := (x - x0) / (x1 - x0)
 	return y0 + t*(y1-y0)

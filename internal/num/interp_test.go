@@ -11,9 +11,9 @@ import (
 func TestLinear1DExactAtKnots(t *testing.T) {
 	xs := []float64{0, 1, 2, 4}
 	ys := []float64{1, 3, 2, 8}
-	li, err := NewLinear1D(xs, ys)
+	li, err := NewLinear(xs, ys)
 	if err != nil {
-		t.Fatalf("NewLinear1D: %v", err)
+		t.Fatalf("NewLinear: %v", err)
 	}
 	for i := range xs {
 		if got := li.Eval(xs[i]); math.Abs(got-ys[i]) > 1e-12 {
@@ -104,14 +104,17 @@ func TestPCHIPMonotonePreserving(t *testing.T) {
 }
 
 func TestInterpTableValidation(t *testing.T) {
-	if _, err := NewLinear1D([]float64{0, 1}, []float64{1}); err == nil {
+	if _, err := NewLinear([]float64{0, 1}, []float64{1}); err == nil {
 		t.Fatal("expected length-mismatch error")
 	}
-	if _, err := NewLinear1D([]float64{0}, []float64{1}); err == nil {
+	if _, err := NewLinear([]float64{0}, []float64{1}); err == nil {
 		t.Fatal("expected too-few-points error")
 	}
-	if _, err := NewLinear1D([]float64{0, 0}, []float64{1, 2}); err == nil {
+	if _, err := NewLinear([]float64{0, 0}, []float64{1, 2}); err == nil {
 		t.Fatal("expected non-increasing error")
+	}
+	if _, err := NewLinear([]float64{0, 1}, []float64{math.Inf(1), 2}); err == nil {
+		t.Fatal("expected Inf rejection")
 	}
 	if _, err := NewPCHIP([]float64{0, 1}, []float64{1, math.NaN()}); err == nil {
 		t.Fatal("expected NaN rejection")

@@ -130,6 +130,13 @@ func Enabled() bool { return globalSink.Load() != nil }
 // units_prepared/mask_classes at end.)
 const maxSpanAttrs = 10
 
+// mSpanAttrsDropped counts annotations a live span dropped because it
+// already held maxSpanAttrs: a nonzero value means some instrumentation
+// site outgrew the cap and its trace lacks attributes. End adds a span's
+// drops, so the disabled path stays free and the inlined annotation
+// methods stay as small as a plain store.
+var mSpanAttrsDropped = NewCounter("obs.span.attrs_dropped")
+
 // Span is an in-flight trace span. The zero Span (returned when tracing is
 // disabled) is inert: all methods are cheap no-ops. Span is a value type —
 // keep it on the stack and call End exactly once; do not copy it after
@@ -140,7 +147,7 @@ type Span struct {
 	start time.Time
 	trace TraceID
 	attrs [maxSpanAttrs]Attr
-	n     int
+	n     int // annotations made; those past maxSpanAttrs are dropped
 }
 
 // StartSpan opens a span against the process sink. When tracing is
@@ -169,10 +176,12 @@ func StartSpanCtx(ctx context.Context, name string) Span {
 func (sp *Span) On() bool { return sp.sink != nil }
 
 func (sp *Span) add(a Attr) {
-	if sp.sink == nil || sp.n == maxSpanAttrs {
+	if sp.sink == nil {
 		return
 	}
-	sp.attrs[sp.n] = a
+	if sp.n < maxSpanAttrs {
+		sp.attrs[sp.n] = a
+	}
 	sp.n++
 }
 
@@ -192,11 +201,15 @@ func (sp *Span) End() {
 		return
 	}
 	end := time.Now()
+	n := min(sp.n, maxSpanAttrs)
+	if n < sp.n {
+		mSpanAttrsDropped.Add(int64(sp.n - n))
+	}
 	var attrs []Attr
-	if sp.n > 0 {
+	if n > 0 {
 		// Copy out of the stack array: the Event may outlive the Span.
-		attrs = make([]Attr, sp.n)
-		copy(attrs, sp.attrs[:sp.n])
+		attrs = make([]Attr, n)
+		copy(attrs, sp.attrs[:n])
 	}
 	sp.sink.Emit(Event{
 		Time:  end,

@@ -153,6 +153,43 @@ func TestSpanThroughCollector(t *testing.T) {
 	}
 }
 
+// TestSpanAttrsDroppedCounted proves an annotation past maxSpanAttrs on a
+// live span advances obs.span.attrs_dropped by one when the span ends, while
+// the same overflow on a disabled span counts nothing.
+func TestSpanAttrsDroppedCounted(t *testing.T) {
+	dropped := func() int64 { return Default().CounterValue("obs.span.attrs_dropped") }
+	prev := SetSink(nil)
+	defer SetSink(prev)
+
+	before := dropped()
+	off := StartSpan("off")
+	for i := 0; i <= maxSpanAttrs; i++ {
+		off.Int("k", int64(i))
+	}
+	off.End()
+	if got := dropped() - before; got != 0 {
+		t.Fatalf("disabled span advanced attrs_dropped by %d, want 0", got)
+	}
+
+	col := &CollectorSink{}
+	SetSink(col)
+	sp := StartSpan("wide")
+	for i := 0; i < maxSpanAttrs; i++ {
+		sp.Int("k", int64(i))
+	}
+	if got := dropped() - before; got != 0 {
+		t.Fatalf("a span at its cap advanced attrs_dropped by %d, want 0", got)
+	}
+	sp.Str("past_cap", "x")
+	sp.End()
+	if got := dropped() - before; got != 1 {
+		t.Fatalf("one attribute past the cap advanced attrs_dropped by %d, want 1", got)
+	}
+	if evs := col.Events(); len(evs) != 1 || len(evs[0].Attrs) != maxSpanAttrs {
+		t.Fatalf("events %+v, want one span with %d attrs", evs, maxSpanAttrs)
+	}
+}
+
 func TestMultiSink(t *testing.T) {
 	a, b := &CollectorSink{}, &CollectorSink{}
 	m := MultiSink{a, b}
