@@ -19,7 +19,8 @@ test:
 # explicitly concurrent — run this before every commit touching either. The
 # formatting gate fails on any file gofmt would rewrite. The branch-and-bound
 # parity gates run first and verbosely under the race detector, so a pruning
-# correctness break is named in the output, not buried in ./...
+# correctness break is named in the output, not buried in ./... The fuzz
+# targets then run briefly past their committed corpora.
 check: vet-obs
 	test -z "$$(gofmt -l .)"
 	$(GO) vet ./...
@@ -27,6 +28,7 @@ check: vet-obs
 	$(GO) test -race ./...
 	$(MAKE) loadtest-smoke
 	$(MAKE) yieldstream-smoke
+	$(MAKE) fuzz-smoke FUZZTIME=3s
 
 # race-core is the fast inner loop: only the search-engine package under the
 # race detector.
@@ -46,6 +48,7 @@ fuzz-smoke:
 	$(GO) test -fuzz=FuzzDecodeRequest -fuzztime=$(FUZZTIME) ./internal/serve/
 	$(GO) test -fuzz=FuzzDecodeBatch -fuzztime=$(FUZZTIME) ./internal/serve/
 	$(GO) test -fuzz=FuzzConfigNormalize -fuzztime=$(FUZZTIME) ./internal/mc/
+	$(GO) test -fuzz=FuzzRunMatchesOracle -fuzztime=$(FUZZTIME) ./internal/mc/
 	$(GO) test -fuzz=FuzzOptionsNormalize -fuzztime=$(FUZZTIME) ./internal/core/
 	$(GO) test -fuzz=FuzzLinearMatchesOracle -fuzztime=$(FUZZTIME) ./internal/num/
 
@@ -91,12 +94,12 @@ bench-compare:
 	$(GO) test -json -bench='^(BenchmarkExhaustiveSearch16KB|BenchmarkHybridSearch16KB|BenchmarkModelEvaluation|BenchmarkMonteCarloYieldBatched|BenchmarkMonteCarloWriteMargin)$$' -benchmem -run='^$$'  -count=3 . > bench_current.tmp.json || { rm -f bench_current.tmp.json; exit 1; }
 	$(GO) test -json -bench='^(BenchmarkServeOptimizeCached|BenchmarkServeOptimizeCatalogHit|BenchmarkBatch64)$$' -benchmem -run='^$$'  -count=3 ./internal/serve/ >> bench_current.tmp.json || { rm -f bench_current.tmp.json; exit 1; }
 	$(GO) test -json -bench='^BenchmarkCatalogLookup$$' -benchmem -run='^$$'  -count=3 ./internal/catalog/ >> bench_current.tmp.json || { rm -f bench_current.tmp.json; exit 1; }
-	$(GO) test -json -bench='^BenchmarkEvalBlock$$' -benchmem -run='^$$'  -count=3 ./internal/array/ >> bench_current.tmp.json || { rm -f bench_current.tmp.json; exit 1; }
+	$(GO) test -json -bench='^BenchmarkEvalSweep$$' -benchmem -run='^$$'  -count=3 ./internal/array/ >> bench_current.tmp.json || { rm -f bench_current.tmp.json; exit 1; }
 	$(GO) run ./cmd/benchcompare -baseline $(BENCH_BASELINE) -current bench_current.tmp.json \
 		BenchmarkExhaustiveSearch16KB BenchmarkHybridSearch16KB BenchmarkModelEvaluation \
 		BenchmarkMonteCarloYieldBatched BenchmarkMonteCarloWriteMargin \
 		BenchmarkServeOptimizeCached BenchmarkServeOptimizeCatalogHit BenchmarkBatch64 \
-		BenchmarkCatalogLookup BenchmarkEvalBlock; \
+		BenchmarkCatalogLookup BenchmarkEvalSweep; \
 		status=$$?; rm -f bench_current.tmp.json; exit $$status
 
 # bench-prune prints the branch-and-bound evaluated/pruned/skipped breakdown

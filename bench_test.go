@@ -112,7 +112,7 @@ func BenchmarkTable4Optimize(b *testing.B) {
 	fw := benchFramework(b)
 	var evals int
 	for i := 0; i < b.N; i++ {
-		rows, err := fw.Table4(PaperCapacities())
+		rows, err := fw.Table4(context.Background(), PaperCapacities())
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -132,7 +132,7 @@ func BenchmarkFig7DelayEnergyEDP(b *testing.B) {
 	var h *Headline
 	var blReduction float64
 	for i := 0; i < b.N; i++ {
-		rows, err := fw.Table4(PaperCapacities())
+		rows, err := fw.Table4(context.Background(), PaperCapacities())
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -255,7 +255,7 @@ func BenchmarkAblationRailRestriction(b *testing.B) {
 func BenchmarkMonteCarloYield(b *testing.B) {
 	var fail float64
 	for i := 0; i < b.N; i++ {
-		r, err := MonteCarloYield(MCConfig{Flavor: HVT, N: 16, Seed: 7, Metrics: 2 /* RSNM */})
+		r, err := MonteCarloYield(context.Background(), MCConfig{Flavor: HVT, N: 16, Seed: 7, Metrics: 2 /* RSNM */}, nil)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -273,7 +273,7 @@ func BenchmarkMonteCarloYieldBatched(b *testing.B) {
 	const n = 32
 	cfg := MCConfig{Flavor: HVT, N: n, Seed: 7, Metrics: 1 /* HSNM */}
 	for i := 0; i < b.N; i++ {
-		if _, err := MonteCarloYield(cfg); err != nil {
+		if _, err := MonteCarloYield(context.Background(), cfg, nil); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -288,7 +288,7 @@ func BenchmarkMonteCarloWriteMargin(b *testing.B) {
 	const n = 8
 	cfg := MCConfig{Flavor: HVT, N: n, Seed: 7, Metrics: 4 /* WM */}
 	for i := 0; i < b.N; i++ {
-		if _, err := MonteCarloYield(cfg); err != nil {
+		if _, err := MonteCarloYield(context.Background(), cfg, nil); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -383,7 +383,7 @@ func BenchmarkExtVddScaling(b *testing.B) {
 	}
 	var rel float64
 	for i := 0; i < b.N; i++ {
-		rows, err := exp.VddScaling(16*1024*8, []float64{0.35, 0.45})
+		rows, err := exp.VddScaling(context.Background(), 16*1024*8, []float64{0.35, 0.45})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -489,7 +489,7 @@ func BenchmarkExtWorkloadSweep(b *testing.B) {
 	fw := benchFramework(b)
 	var idleGain, busyGain float64
 	for i := 0; i < b.N; i++ {
-		rows, err := exp.WorkloadSweep(fw.Core(), 16*1024*8, []float64{0.1, 1.0}, []float64{0.5})
+		rows, err := exp.WorkloadSweep(context.Background(), fw.Core(), 16*1024*8, []float64{0.1, 1.0}, []float64{0.5})
 		if err != nil {
 			b.Fatal(err)
 		}

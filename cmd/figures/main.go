@@ -8,6 +8,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"log"
@@ -93,7 +94,7 @@ func main() {
 	log.Printf("characterizing %s framework...", mode)
 	fw, err := core.NewFramework(mode, core.FrameworkOpts{})
 	check(err)
-	rows, err := exp.Table4(fw, exp.PaperCapacities())
+	rows, err := exp.Table4(context.Background(), fw, exp.PaperCapacities())
 	check(err)
 	emit("table4", exp.Table4Render(rows))
 	emit("fig7", exp.Fig7Render(rows))
@@ -117,7 +118,7 @@ func main() {
 	}
 	if *extVdd {
 		log.Print("re-characterizing per supply (slow)...")
-		vs, err := exp.VddScaling(16*1024*8, []float64{0.30, 0.35, 0.40, 0.45})
+		vs, err := exp.VddScaling(context.Background(), 16*1024*8, []float64{0.30, 0.35, 0.40, 0.45})
 		check(err)
 		emit("ext_vddscale", exp.VddScaleTable(vs))
 	}

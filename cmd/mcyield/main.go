@@ -1,9 +1,9 @@
 // Command mcyield runs Monte Carlo yield analysis of the 6T SRAM cell under
 // per-transistor threshold variation, reporting margin statistics, μ−kσ
 // values and the failure fraction against the paper's δ = 0.35·Vdd
-// constraint. With -stream it runs the streaming engine instead: checkpoint
-// lines with converging confidence intervals, stopping early once the
-// requested relative CI on μ−3σ is met.
+// constraint. With -stream or -rel-ci it prints checkpoint lines with
+// converging confidence intervals instead, and -rel-ci stops the run early
+// once the requested relative CI on μ−3σ is met.
 //
 // Usage:
 //
@@ -99,10 +99,11 @@ func main() {
 	write := cell.NominalWrite(device.Vdd)
 	write.VWL = *vwl
 
+	streaming := *stream || *relCI > 0
 	cfg := mc.Config{
 		Flavor: flavor, N: *n, SigmaVt: *sigma, Seed: *seed,
 		Read: read, Write: write, Metrics: metrics,
-		Sampler: sampler, Tilt: *tilt,
+		Sampler: sampler, Tilt: *tilt, RelCI: *relCI,
 	}
 
 	// Ctrl-C / SIGTERM abandons the pending samples; in-flight ones finish.
@@ -121,16 +122,23 @@ func main() {
 		flavor, *n, unit.Volts(*sigma), sampler, *tilt,
 		unit.Volts(*vddc), unit.Volts(*vssc), unit.Volts(*vwl))
 
-	if *stream || *relCI > 0 {
-		runStream(ctx, cfg, *relCI, stopProgress)
-		cliutil.Shutdown()
-		return
+	var emit func(mc.Checkpoint) error
+	if streaming {
+		emit = printCheckpoint
 	}
-
-	res, err := mc.RunContext(ctx, cfg)
+	res, err := mc.Run(ctx, cfg, emit)
 	stopProgress()
 	if err != nil {
 		cliutil.Fatalf("%v", err)
+	}
+	if streaming {
+		fmt.Printf("done: %s, %d checkpoints", res.Stats, res.Checkpoints)
+		if res.Final.Converged {
+			fmt.Printf(", converged inside rel CI %g after %d of %d samples", *relCI, res.Final.Samples, *n)
+		}
+		fmt.Println()
+		cliutil.Shutdown()
+		return
 	}
 	fmt.Printf("  run: %s\n", res.Stats)
 	report := func(name string, s num.Summary) {
@@ -148,41 +156,31 @@ func main() {
 	cliutil.Shutdown()
 }
 
-// runStream drives the streaming engine, printing one line per checkpoint.
-func runStream(ctx context.Context, cfg mc.Config, relCI float64, stopProgress func()) {
-	printStat := func(name string, m *mc.MetricStat) {
-		if m == nil {
-			return
-		}
-		rel := "n/a"
-		if m.RelCI >= 0 {
-			rel = fmt.Sprintf("%.2f%%", m.RelCI*100)
-		}
-		fmt.Printf("  %-5s μ=%s σ=%s  μ-3σ=%s ±%s (rel %s)\n",
-			name, unit.Volts(m.Mean), unit.Volts(m.Std), unit.Volts(m.Mu3),
-			unit.Volts(m.CIHalf), rel)
+// printCheckpoint prints one streaming checkpoint line per interval.
+func printCheckpoint(cp mc.Checkpoint) error {
+	tag := ""
+	if cp.Converged {
+		tag = "  [converged]"
+	} else if cp.Final {
+		tag = "  [final]"
 	}
-	res, err := mc.RunStream(ctx, mc.StreamConfig{Config: cfg, RelCI: relCI}, func(cp mc.Checkpoint) error {
-		tag := ""
-		if cp.Converged {
-			tag = "  [converged]"
-		} else if cp.Final {
-			tag = "  [final]"
-		}
-		fmt.Printf("checkpoint: %d samples, ESS %.0f, fail %.2f%% [%.2f%%, %.2f%%]%s\n",
-			cp.Samples, cp.ESS, cp.FailFraction*100, cp.FailLo*100, cp.FailHi*100, tag)
-		printStat("HSNM", cp.HSNM)
-		printStat("RSNM", cp.RSNM)
-		printStat("WM", cp.WM)
-		return nil
-	})
-	stopProgress()
-	if err != nil {
-		cliutil.Fatalf("%v", err)
+	fmt.Printf("checkpoint: %d samples, ESS %.0f, fail %.2f%% [%.2f%%, %.2f%%]%s\n",
+		cp.Samples, cp.ESS, cp.FailFraction*100, cp.FailLo*100, cp.FailHi*100, tag)
+	printStat("HSNM", cp.HSNM)
+	printStat("RSNM", cp.RSNM)
+	printStat("WM", cp.WM)
+	return nil
+}
+
+func printStat(name string, m *mc.MetricStat) {
+	if m == nil {
+		return
 	}
-	fmt.Printf("done: %s, %d checkpoints", res.Stats, res.Checkpoints)
-	if res.Final.Converged {
-		fmt.Printf(", converged inside rel CI %g after %d of %d samples", relCI, res.Final.Samples, cfg.N)
+	rel := "n/a"
+	if m.RelCI >= 0 {
+		rel = fmt.Sprintf("%.2f%%", m.RelCI*100)
 	}
-	fmt.Println()
+	fmt.Printf("  %-5s μ=%s σ=%s  μ-3σ=%s ±%s (rel %s)\n",
+		name, unit.Volts(m.Mean), unit.Volts(m.Std), unit.Volts(m.Mu3),
+		unit.Volts(m.CIHalf), rel)
 }

@@ -7,6 +7,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 
 	"sramco"
@@ -32,13 +33,13 @@ func main() {
 	} {
 		read := cell.NominalRead(sramco.Vdd)
 		read.VDDC = pt.vddc
-		res, err := sramco.MonteCarloYield(sramco.MCConfig{
+		res, err := sramco.MonteCarloYield(context.Background(), sramco.MCConfig{
 			Flavor:  sramco.HVT,
 			N:       samples,
 			Seed:    2016, // the paper's year, for reproducibility
 			Read:    read,
 			Metrics: 2, // RSNM only
-		})
+		}, nil)
 		if err != nil {
 			cliutil.Fatalf("%v", err)
 		}

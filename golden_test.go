@@ -1,6 +1,7 @@
 package sramco
 
 import (
+	"context"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -67,7 +68,7 @@ func computeGolden(t *testing.T) *goldenFile {
 	if err != nil {
 		t.Fatalf("Default: %v", err)
 	}
-	rows, err := fw.Table4(goldenCapacities())
+	rows, err := fw.Table4(context.Background(), goldenCapacities())
 	if err != nil {
 		t.Fatalf("Table4: %v", err)
 	}

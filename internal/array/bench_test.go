@@ -19,24 +19,6 @@ func benchEvaluator(b *testing.B) *Evaluator {
 	return ev
 }
 
-// BenchmarkEvalBlock measures the batched per-point cost of an 8-point block
-// (two N_pre rows of four N_wr points each — the shape the issue targets),
-// reported per point for comparison with BenchmarkModelEvaluationPrepared.
-func BenchmarkEvalBlock(b *testing.B) {
-	ev := benchEvaluator(b)
-	npres := []int{7, 7, 7, 7, 8, 8, 8, 8}
-	nwrs := []int{1, 2, 3, 4, 1, 2, 3, 4}
-	out := make([]Result, len(npres))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := ev.EvalBlock(npres, nwrs, out); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(npres)), "ns/point")
-}
-
 // BenchmarkEvalSweep measures the struct-of-arrays row kernel on a full
 // 20-point N_wr row — the exact shape the branch-and-bound searcher runs.
 func BenchmarkEvalSweep(b *testing.B) {

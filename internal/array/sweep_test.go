@@ -2,7 +2,6 @@ package array
 
 import (
 	"math/rand"
-	"reflect"
 	"testing"
 
 	"sramco/internal/wire"
@@ -23,140 +22,6 @@ func randomChunk(rng *rand.Rand) (wire.Geometry, float64) {
 		if g.Validate() == nil {
 			return g, -0.01 * float64(rng.Intn(25))
 		}
-	}
-}
-
-// TestEvalNextBitIdenticalToEvalInto is the delta-evaluation contract:
-// advancing a Result along the inner N_wr sweep with EvalNext must reproduce
-// a fresh EvalInto of the same point field for field at the == level, across
-// all four (accounting × flavor) variants, random chunks and every N_wr step
-// of several N_pre rows.
-func TestEvalNextBitIdenticalToEvalInto(t *testing.T) {
-	rng := rand.New(rand.NewSource(20260808))
-	acts := []Activity{{Alpha: 0.5, Beta: 0.5}, {Alpha: 0.31, Beta: 0.82}}
-	for _, tech := range evaluatorTechs(t) {
-		for _, a := range acts {
-			ev, err := NewEvaluator(tech, a)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for chunkN := 0; chunkN < 40; chunkN++ {
-				g, vssc := randomChunk(rng)
-				if err := ev.Prepare(g, 0.55, vssc, 0.55); err != nil {
-					t.Fatalf("Prepare(%+v): %v", g, err)
-				}
-				for _, npre := range []int{1, 1 + rng.Intn(50), 50} {
-					var walk, fresh Result
-					if err := ev.EvalInto(npre, 1, &walk); err != nil {
-						t.Fatalf("EvalInto(%d,1): %v", npre, err)
-					}
-					for nwr := 2; nwr <= 20; nwr++ {
-						if err := ev.EvalNext(&walk); err != nil {
-							t.Fatalf("EvalNext to N_wr=%d: %v", nwr, err)
-						}
-						if err := ev.EvalInto(npre, nwr, &fresh); err != nil {
-							t.Fatalf("EvalInto(%d,%d): %v", npre, nwr, err)
-						}
-						if !reflect.DeepEqual(walk, fresh) {
-							t.Fatalf("EvalNext diverges from EvalInto at chunk %+v VSSC=%g N_pre=%d N_wr=%d:\n  walk  %+v\n  fresh %+v",
-								g, vssc, npre, nwr, walk, fresh)
-						}
-					}
-				}
-			}
-		}
-	}
-}
-
-// TestEvalNextRejectsForeignResult: a Result from another chunk (or a
-// zero/unevaluated Result) must be rejected instead of silently producing a
-// mixed-chunk evaluation.
-func TestEvalNextRejectsForeignResult(t *testing.T) {
-	tech := testTech(t)
-	ev, err := NewEvaluator(tech, act)
-	if err != nil {
-		t.Fatal(err)
-	}
-	g := wire.Geometry{NR: 256, NC: 64, W: 64, Npre: 1, Nwr: 1}
-	if err := ev.Prepare(g, 0.55, -0.1, 0.55); err != nil {
-		t.Fatal(err)
-	}
-	var r Result
-	if err := ev.EvalNext(&r); err == nil {
-		t.Error("EvalNext accepted a zero Result")
-	}
-	if err := ev.EvalInto(3, 2, &r); err != nil {
-		t.Fatal(err)
-	}
-	foreign := r
-	foreign.Design.VSSC = -0.2
-	if err := ev.EvalNext(&foreign); err == nil {
-		t.Error("EvalNext accepted a Result from different rails")
-	}
-	var unprepared Evaluator
-	if err := unprepared.EvalNext(&r); err == nil {
-		t.Error("EvalNext on an unprepared Evaluator succeeded")
-	}
-}
-
-// TestEvalBlockBitIdenticalToEvalInto: a batched block over random
-// (N_pre, N_wr) pairs — deliberately including runs sharing one N_pre so the
-// row-term amortization path is exercised — must fill out[i] exactly as
-// per-point EvalInto calls would.
-func TestEvalBlockBitIdenticalToEvalInto(t *testing.T) {
-	rng := rand.New(rand.NewSource(20260809))
-	for _, tech := range evaluatorTechs(t) {
-		ev, err := NewEvaluator(tech, Activity{Alpha: 0.5, Beta: 0.5})
-		if err != nil {
-			t.Fatal(err)
-		}
-		for chunkN := 0; chunkN < 25; chunkN++ {
-			g, vssc := randomChunk(rng)
-			if err := ev.Prepare(g, 0.55, vssc, 0.55); err != nil {
-				t.Fatalf("Prepare(%+v): %v", g, err)
-			}
-			n := 1 + rng.Intn(16)
-			npres := make([]int, n)
-			nwrs := make([]int, n)
-			npre := 1 + rng.Intn(50)
-			for i := range npres {
-				if rng.Intn(3) == 0 { // start a new N_pre run
-					npre = 1 + rng.Intn(50)
-				}
-				npres[i], nwrs[i] = npre, 1+rng.Intn(20)
-			}
-			out := make([]Result, n)
-			if err := ev.EvalBlock(npres, nwrs, out); err != nil {
-				t.Fatalf("EvalBlock: %v", err)
-			}
-			var want Result
-			for i := range npres {
-				if err := ev.EvalInto(npres[i], nwrs[i], &want); err != nil {
-					t.Fatalf("EvalInto(%d,%d): %v", npres[i], nwrs[i], err)
-				}
-				if !reflect.DeepEqual(out[i], want) {
-					t.Fatalf("EvalBlock[%d] diverges at (%d,%d) chunk %+v:\n  got  %+v\n  want %+v",
-						i, npres[i], nwrs[i], g, out[i], want)
-				}
-			}
-		}
-	}
-	// Shape validation.
-	ev, err := NewEvaluator(testTech(t), act)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := ev.Prepare(wire.Geometry{NR: 256, NC: 64, W: 64, Npre: 1, Nwr: 1}, 0.55, 0, 0.55); err != nil {
-		t.Fatal(err)
-	}
-	if err := ev.EvalBlock([]int{1, 2}, []int{1}, make([]Result, 2)); err == nil {
-		t.Error("EvalBlock accepted mismatched npre/nwr lengths")
-	}
-	if err := ev.EvalBlock([]int{1, 2}, []int{1, 1}, make([]Result, 1)); err == nil {
-		t.Error("EvalBlock accepted an undersized out slice")
-	}
-	if err := ev.EvalBlock([]int{0}, []int{1}, make([]Result, 1)); err == nil {
-		t.Error("EvalBlock accepted N_pre = 0")
 	}
 }
 

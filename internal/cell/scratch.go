@@ -1,6 +1,9 @@
 package cell
 
-import "sramco/internal/circuit"
+import (
+	"sramco/internal/circuit"
+	"sramco/internal/device"
+)
 
 // writeTripTolV is the wordline-interval width at which the scratch-path
 // write-trip bisection stops. The naive WriteTripWL runs a fixed 28
@@ -22,18 +25,22 @@ const writeTripTolV = 0.5e-3
 // A Scratch is not safe for concurrent use; the Monte Carlo engine keeps one
 // per worker.
 type Scratch struct {
-	vtc *vtcSweeps  // half-cell VTC netlists
-	wr  *writeProbe // write-trip probe on the full-cell write netlist
+	lib    *device.Library
+	flavor device.Flavor
+	vtc    *vtcSweeps  // half-cell VTC netlists
+	wr     *writeProbe // write-trip probe on the full-cell write netlist; built on the first WriteMargin
 }
 
 // NewScratch builds the reusable netlists for cells of c's library and
-// flavor. Per-sample ΔVt arrives via the method arguments, not c.DVt.
+// flavor. Per-sample ΔVt arrives via the method arguments, not c.DVt. The
+// write netlist waits for the first WriteMargin call, so a Scratch that only
+// extracts SNMs never builds it.
 func NewScratch(c *Cell) (*Scratch, error) {
 	v, err := newVTCSweeps(c.Lib, c.Flavor)
 	if err != nil {
 		return nil, err
 	}
-	return &Scratch{vtc: v, wr: newWriteProbe(c.Lib, c.Flavor)}, nil
+	return &Scratch{lib: c.Lib, flavor: c.Flavor, vtc: v}, nil
 }
 
 // setHalfDVt loads one side's ΔVt triple into a netlist built by addHalf
@@ -74,6 +81,9 @@ func (s *Scratch) ReadSNM(dvt Variation, b ReadBias) (float64, error) {
 // ErrWriteFail when the cell does not flip at full VWL); the trip differs
 // from the 28-step bisection by at most writeTripTolV/2.
 func (s *Scratch) WriteMargin(dvt Variation, b WriteBias) (float64, error) {
+	if s.wr == nil {
+		s.wr = newWriteProbe(s.lib, s.flavor)
+	}
 	s.wr.load(dvt, b)
 	trip, err := s.wr.trip(b.VWL, writeTripTolV)
 	if err != nil {

@@ -1,6 +1,7 @@
 package exp
 
 import (
+	"context"
 	"math"
 	"strings"
 	"sync"
@@ -158,7 +159,7 @@ func TestReadCurrentFitAgainstPaperLaw(t *testing.T) {
 func TestTable4AndFig7(t *testing.T) {
 	fw := paperFW(t)
 	caps := []int{1024, 8192, 131072} // 128 B, 1 KB, 16 KB for test speed
-	rows, err := Table4(fw, caps)
+	rows, err := Table4(context.Background(), fw, caps)
 	if err != nil {
 		t.Fatal(err)
 	}

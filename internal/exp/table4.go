@@ -56,13 +56,9 @@ type Table4Row struct {
 	Evaluated int // search cost
 }
 
-// Table4 runs the co-optimization for every capacity × configuration.
-func Table4(fw *core.Framework, capacities []int) ([]Table4Row, error) {
-	return Table4Context(context.Background(), fw, capacities)
-}
-
-// Table4Context is Table4 with cancellation threaded through every search.
-func Table4Context(ctx context.Context, fw *core.Framework, capacities []int) ([]Table4Row, error) {
+// Table4 runs the co-optimization for every capacity × configuration, with
+// cancellation threaded through every search.
+func Table4(ctx context.Context, fw *core.Framework, capacities []int) ([]Table4Row, error) {
 	var rows []Table4Row
 	for _, bits := range capacities {
 		for _, cfg := range AllConfigs() {

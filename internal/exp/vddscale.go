@@ -28,14 +28,9 @@ type VddScaleRow struct {
 // simulated framework (rails, leakage and current laws re-derived at that
 // Vdd), optimizes the array for both flavors under M2, and reports the
 // resulting metrics. Expect the LVT array's energy to fall with Vdd but its
-// EDP to remain above the HVT array at nominal supply.
-func VddScaling(capacityBits int, vdds []float64) ([]VddScaleRow, error) {
-	return VddScalingContext(context.Background(), capacityBits, vdds)
-}
-
-// VddScalingContext is VddScaling with cancellation threaded through every
-// per-supply framework build and search.
-func VddScalingContext(ctx context.Context, capacityBits int, vdds []float64) ([]VddScaleRow, error) {
+// EDP to remain above the HVT array at nominal supply. Cancellation is
+// threaded through every per-supply framework build and search.
+func VddScaling(ctx context.Context, capacityBits int, vdds []float64) ([]VddScaleRow, error) {
 	var rows []VddScaleRow
 	for _, vdd := range vdds {
 		if err := ctx.Err(); err != nil {

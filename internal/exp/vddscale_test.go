@@ -1,6 +1,7 @@
 package exp
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -14,7 +15,7 @@ func TestVddScalingArgument(t *testing.T) {
 	// The paper's §1 claim: lowering Vdd on an LVT array is a weaker lever
 	// than adopting HVT cells at nominal supply, because leakage dominates
 	// large arrays and FinFET DIBL is negligible.
-	rows, err := VddScaling(16*1024*8, []float64{0.35, 0.45})
+	rows, err := VddScaling(context.Background(), 16*1024*8, []float64{0.35, 0.45})
 	if err != nil {
 		t.Fatal(err)
 	}

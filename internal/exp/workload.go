@@ -23,14 +23,9 @@ func (r WorkloadRow) HVTGain() float64 { return 1 - r.EDPHVT/r.EDPLVT }
 // WorkloadSweep re-optimizes both flavors (method M2) over a grid of
 // activity factors. The paper fixes α = β = 0.5; this extension shows how
 // the HVT advantage grows as the array idles more (lower α: leakage
-// dominates) and shrinks for switching-dominated profiles.
-func WorkloadSweep(fw *core.Framework, capacityBits int, alphas, betas []float64) ([]WorkloadRow, error) {
-	return WorkloadSweepContext(context.Background(), fw, capacityBits, alphas, betas)
-}
-
-// WorkloadSweepContext is WorkloadSweep with cancellation threaded through
-// every search.
-func WorkloadSweepContext(ctx context.Context, fw *core.Framework, capacityBits int, alphas, betas []float64) ([]WorkloadRow, error) {
+// dominates) and shrinks for switching-dominated profiles. Cancellation is
+// threaded through every search.
+func WorkloadSweep(ctx context.Context, fw *core.Framework, capacityBits int, alphas, betas []float64) ([]WorkloadRow, error) {
 	var rows []WorkloadRow
 	for _, a := range alphas {
 		for _, b := range betas {

@@ -1,13 +1,14 @@
 package exp
 
 import (
+	"context"
 	"strings"
 	"testing"
 )
 
 func TestWorkloadSweep(t *testing.T) {
 	fw := paperFW(t)
-	rows, err := WorkloadSweep(fw, 16*1024*8, []float64{0.1, 1.0}, []float64{0.5})
+	rows, err := WorkloadSweep(context.Background(), fw, 16*1024*8, []float64{0.1, 1.0}, []float64{0.5})
 	if err != nil {
 		t.Fatal(err)
 	}

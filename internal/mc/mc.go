@@ -12,20 +12,16 @@
 // exact importance weights (Config.Tilt). Sampling is deterministic for a
 // given seed, independent of parallel scheduling.
 //
-// RunContext evaluates a fixed N; RunStream additionally maintains streaming
-// Welford statistics with confidence intervals on μ−3σ and the fail
-// fraction, emitting checkpoints and stopping early once a requested
-// relative CI is met.
+// Run merges the samples in index order into streaming Welford statistics
+// with confidence intervals on μ−3σ and the fail fraction, emitting
+// checkpoints as it goes. It stops early once a requested relative CI is met
+// (Config.RelCI); with no target it runs all N samples.
 package mc
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"math"
-	"runtime"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"sramco/internal/cell"
@@ -99,6 +95,10 @@ type Config struct {
 	// N(0, (τσ)²) with exact density-ratio weights, concentrating samples in
 	// the μ−kσ tail. 0 or 1 disables the tilt; valid range is [1, MaxTilt].
 	Tilt float64
+	// RelCI is the early-stop target: the run stops at the first checkpoint
+	// where every requested metric's 95% CI half-width on μ−3σ is within
+	// RelCI·|μ−3σ|. 0 runs all N samples; valid range is [0, 1).
+	RelCI float64
 }
 
 func (c *Config) normalize() error {
@@ -134,6 +134,9 @@ func (c *Config) normalize() error {
 	}
 	if !(c.Tilt >= 1 && c.Tilt <= MaxTilt) { // rejects NaN too
 		return fmt.Errorf("mc: tilt %g must be in [1, %g]", c.Tilt, MaxTilt)
+	}
+	if !(c.RelCI >= 0 && c.RelCI < 1) { // rejects NaN too
+		return fmt.Errorf("mc: rel_ci %g must be in [0, 1)", c.RelCI)
 	}
 	return nil
 }
@@ -189,13 +192,16 @@ func (s RunStats) String() string {
 // Result aggregates a Monte Carlo run.
 type Result struct {
 	Config  Config
-	Samples []Sample
-	Stats   RunStats
+	Samples []Sample // the merged samples, in index order
+	Stats   RunStats // Samples = samples merged
 
 	// Summaries of the raw computed metric values. Under an importance tilt
 	// these describe the tilted draw distribution; the weighted (unbiased)
-	// estimators live in RunStream's checkpoints.
+	// estimators live in the checkpoints.
 	HSNM, RSNM, WM num.Summary
+
+	Final       Checkpoint // the last checkpoint
+	Checkpoints int        // checkpoints emitted, the final one included
 }
 
 // evaluator characterizes perturbed cells for one worker, holding the
@@ -261,110 +267,19 @@ func (e *evaluator) sample(i int) (Sample, error) {
 	return s, nil
 }
 
-// Run executes the experiment, parallelized across CPU cores. It is
-// RunContext without cancellation.
-func Run(cfg Config) (*Result, error) { return RunContext(context.Background(), cfg) }
-
-// RunContext executes the experiment, parallelized across CPU cores, and
-// stops early when ctx is done: in-flight samples finish, pending ones are
-// abandoned, and the cancellation cause is returned (wrapping the first real
-// sample error, if any sample also failed). Sampling stays deterministic for
-// a given seed — each sample's draws depend only on its index — so a
-// completed run is bit-identical for any GOMAXPROCS. Work is claimed through
-// an atomic cursor, so scheduling memory is O(workers) regardless of N.
-func RunContext(ctx context.Context, cfg Config) (*Result, error) {
-	start := time.Now()
-	if err := cfg.normalize(); err != nil {
-		return nil, err
-	}
-	dr, err := newDrawer(&cfg)
-	if err != nil {
-		return nil, err
-	}
-	lib := device.Default7nm()
-	samples := make([]Sample, cfg.N)
-	errs := make([]error, cfg.N)
-
-	mRuns.Inc()
-	// The gauge is a shared in-flight total: delta it rather than Set it, so
-	// two overlapping runs (e.g. concurrent /v1/yield requests) report
-	// N1+N2 pending samples instead of whichever run registered last.
-	gSamplesTotal.Add(float64(cfg.N))
-	defer gSamplesTotal.Add(-float64(cfg.N))
-	runSpan := obs.StartSpanCtx(ctx, "mc.run")
-	runSpan.Int("n", int64(cfg.N))
-	runSpan.Int("seed", cfg.Seed)
-
-	var wg sync.WaitGroup
-	var done atomic.Int64
-	var cursor atomic.Int64
-	workers := runtime.GOMAXPROCS(0)
-	if workers > cfg.N {
-		workers = cfg.N
-	}
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			ev := newEvaluator(lib, &cfg, dr.fork())
-			for {
-				i := int(cursor.Add(1)) - 1
-				if i >= cfg.N || ctx.Err() != nil {
-					return
-				}
-				t0 := time.Now()
-				samples[i], errs[i] = ev.sample(i)
-				done.Add(1)
-				mSamplesDone.Inc()
-				hSampleDur.Observe(time.Since(t0))
-				if errs[i] != nil {
-					mSampleFails.Inc()
-				} else if obs.Enabled() {
-					obs.PointCtx(ctx, "mc.sample", obs.I64("i", int64(i)), obs.F64("min_margin", samples[i].Min()))
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	runSpan.Int("done", done.Load())
-	runSpan.End()
-	if ctx.Err() != nil {
-		// A cancellation must not mask a real failure: if any completed
-		// sample hit a solver error, surface it alongside the cause.
-		for i, serr := range errs {
-			if serr != nil {
-				return nil, fmt.Errorf("mc: sample %d: %w (run canceled after %d of %d samples: %w)",
-					i, serr, done.Load(), cfg.N, context.Cause(ctx))
-			}
-		}
-		return nil, fmt.Errorf("mc: run canceled after %d of %d samples: %w", done.Load(), cfg.N, context.Cause(ctx))
-	}
-	for i, err := range errs {
-		if err != nil {
-			return nil, fmt.Errorf("mc: sample %d: %w", i, err)
+// summarize is num.Summarize over the computed (non-NaN) values of one
+// metric: the zero Summary when the run did not compute it.
+func summarize(samples []Sample, get func(*Sample) float64) num.Summary {
+	vals := make([]float64, 0, len(samples))
+	for i := range samples {
+		if v := get(&samples[i]); !math.IsNaN(v) {
+			vals = append(vals, v)
 		}
 	}
-	res := &Result{
-		Config:  cfg,
-		Samples: samples,
-		Stats:   RunStats{Samples: cfg.N, Workers: workers, Wall: time.Since(start)},
+	if len(vals) == 0 {
+		return num.Summary{}
 	}
-	collect := func(get func(Sample) float64) num.Summary {
-		vals := make([]float64, 0, cfg.N)
-		for _, s := range samples {
-			if v := get(s); !math.IsNaN(v) {
-				vals = append(vals, v)
-			}
-		}
-		if len(vals) == 0 {
-			return num.Summary{}
-		}
-		return num.Summarize(vals)
-	}
-	res.HSNM = collect(func(s Sample) float64 { return s.HSNM })
-	res.RSNM = collect(func(s Sample) float64 { return s.RSNM })
-	res.WM = collect(func(s Sample) float64 { return s.WM })
-	return res, nil
+	return num.Summarize(vals)
 }
 
 // MuMinusKSigma returns μ − k·σ for a summary — the paper's yield statistic.

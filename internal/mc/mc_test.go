@@ -1,6 +1,7 @@
 package mc
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -11,11 +12,11 @@ import (
 
 func TestRunDeterministic(t *testing.T) {
 	cfg := Config{Flavor: device.HVT, N: 4, Seed: 42, Metrics: HSNM}
-	r1, err := Run(cfg)
+	r1, err := Run(context.Background(), cfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r2, err := Run(cfg)
+	r2, err := Run(context.Background(), cfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -27,7 +28,7 @@ func TestRunDeterministic(t *testing.T) {
 			t.Fatalf("sample %d HSNM differs between identical runs", i)
 		}
 	}
-	r3, err := Run(Config{Flavor: device.HVT, N: 4, Seed: 43, Metrics: HSNM})
+	r3, err := Run(context.Background(), Config{Flavor: device.HVT, N: 4, Seed: 43, Metrics: HSNM}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -37,7 +38,7 @@ func TestRunDeterministic(t *testing.T) {
 }
 
 func TestRunComputesRequestedMetricsOnly(t *testing.T) {
-	r, err := Run(Config{Flavor: device.HVT, N: 2, Seed: 7, Metrics: RSNM})
+	r, err := Run(context.Background(), Config{Flavor: device.HVT, N: 2, Seed: 7, Metrics: RSNM}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,7 +59,7 @@ func TestVariationSpreadsMargins(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-sample MC skipped in -short mode")
 	}
-	r, err := Run(Config{Flavor: device.HVT, N: 12, Seed: 1, Metrics: RSNM})
+	r, err := Run(context.Background(), Config{Flavor: device.HVT, N: 12, Seed: 1, Metrics: RSNM}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,10 +109,10 @@ func TestSampleMin(t *testing.T) {
 }
 
 func TestConfigValidation(t *testing.T) {
-	if _, err := Run(Config{Flavor: device.HVT, N: 1}); err == nil {
+	if _, err := Run(context.Background(), Config{Flavor: device.HVT, N: 1}, nil); err == nil {
 		t.Error("N=1 accepted")
 	}
-	if _, err := Run(Config{Flavor: device.HVT, N: 4, SigmaVt: -0.01}); err == nil {
+	if _, err := Run(context.Background(), Config{Flavor: device.HVT, N: 4, SigmaVt: -0.01}, nil); err == nil {
 		t.Error("negative sigma accepted")
 	}
 }

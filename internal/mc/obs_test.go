@@ -18,7 +18,7 @@ func snapshotAfterRun(t *testing.T, procs int, cfg Config) obs.Snapshot {
 	prev := runtime.GOMAXPROCS(procs)
 	defer runtime.GOMAXPROCS(prev)
 	obs.Default().Reset()
-	if _, err := Run(cfg); err != nil {
+	if _, err := Run(context.Background(), cfg, nil); err != nil {
 		t.Fatalf("Run at GOMAXPROCS=%d: %v", procs, err)
 	}
 	return obs.Default().Snapshot()
@@ -53,9 +53,9 @@ func TestCountersDeterministicAcrossGOMAXPROCS(t *testing.T) {
 func TestRunContextCanceled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, err := RunContext(ctx, Config{N: 8, Seed: 1, Metrics: HSNM})
+	_, err := Run(ctx, Config{N: 8, Seed: 1, Metrics: HSNM}, nil)
 	if err == nil {
-		t.Fatal("RunContext on a canceled context succeeded")
+		t.Fatal("Run on a canceled context succeeded")
 	}
 	if !errors.Is(err, context.Canceled) {
 		t.Errorf("error %v does not wrap context.Canceled", err)
@@ -67,7 +67,7 @@ func TestRunContextCanceled(t *testing.T) {
 
 // TestRunStatsPopulated checks the execution summary of a completed run.
 func TestRunStatsPopulated(t *testing.T) {
-	res, err := Run(Config{N: 2, Seed: 3, Metrics: HSNM})
+	res, err := Run(context.Background(), Config{N: 2, Seed: 3, Metrics: HSNM}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -32,48 +33,10 @@ const minESSForStop = 16
 // constant, not GOMAXPROCS, so that bound is the same on every host.
 const streamWindow = 8
 
-// StreamConfig configures a streaming Monte Carlo run.
-type StreamConfig struct {
-	Config
-
-	// RelCI is the early-stop target: the run stops at the first checkpoint
-	// where every requested metric's 95% CI half-width on μ−3σ is within
-	// RelCI·|μ−3σ|. 0 disables early stop (all N samples run).
-	RelCI float64
-	// Delta is the fail threshold for the fail-fraction estimate; 0 selects
-	// the paper's δ = 0.35·Vdd.
-	Delta float64
-	// CheckpointEvery is the approximate number of samples between emitted
-	// checkpoints; 0 selects 32. Checkpoints land on block boundaries, so
-	// the effective interval is rounded up to whole blocks.
-	CheckpointEvery int
-	// KeepValues retains each metric's raw sample values (in index order) in
-	// the StreamResult, enabling full summaries (median/quantiles) after a
-	// streaming run.
-	KeepValues bool
-}
-
-func (c *StreamConfig) normalize() error {
-	if err := c.Config.normalize(); err != nil {
-		return err
-	}
-	if !(c.RelCI >= 0 && c.RelCI < 1) || math.IsNaN(c.RelCI) {
-		return fmt.Errorf("mc: rel_ci %g must be in [0, 1)", c.RelCI)
-	}
-	if c.Delta == 0 {
-		c.Delta = 0.35 * c.Vdd // core.DefaultDelta, inlined to avoid the framework dependency
-	}
-	if !(c.Delta > 0) || math.IsInf(c.Delta, 0) {
-		return fmt.Errorf("mc: delta %g must be positive and finite", c.Delta)
-	}
-	if c.CheckpointEvery == 0 {
-		c.CheckpointEvery = 32
-	}
-	if c.CheckpointEvery < 0 {
-		return fmt.Errorf("mc: checkpoint interval %d must be ≥ 0", c.CheckpointEvery)
-	}
-	return nil
-}
+// checkpointEvery is the approximate number of samples between emitted
+// checkpoints. Checkpoints land on block boundaries, so the interval is
+// rounded up to whole blocks.
+const checkpointEvery = 32
 
 // MetricStat is the streaming estimate of one margin at a checkpoint. All
 // moments are importance-weighted; for untilted samplers they reduce to the
@@ -109,60 +72,37 @@ type Checkpoint struct {
 	Final     bool `json:"final"`     // last checkpoint of the run
 }
 
-// StreamResult is the outcome of a streaming run.
-type StreamResult struct {
-	Config      StreamConfig
-	Final       Checkpoint
-	Checkpoints int      // checkpoints emitted (including the final one)
-	Stats       RunStats // Samples = samples actually merged
-
-	// Values holds each requested metric's raw sample values in index order
-	// when KeepValues was set.
-	Values map[Metric][]float64
-}
-
 // streamAcc accumulates the streaming estimators over merged samples.
 type streamAcc struct {
-	cfg    *StreamConfig
-	hsnm   num.Welford
-	rsnm   num.Welford
-	wm     num.Welford
-	all    num.Welford // min-margin accumulator; carries ΣW/ΣW² for ESS
-	failW  float64     // Σw over samples with min margin < δ
-	values map[Metric][]float64
+	cfg   *Config
+	delta float64 // fail threshold δ
+	hsnm  num.Welford
+	rsnm  num.Welford
+	wm    num.Welford
+	all   num.Welford // min-margin accumulator; carries ΣW/ΣW² for ESS
+	failW float64     // Σw over samples with min margin < δ
 }
 
-func newStreamAcc(cfg *StreamConfig) *streamAcc {
-	a := &streamAcc{cfg: cfg}
-	if cfg.KeepValues {
-		a.values = map[Metric][]float64{}
-	}
-	return a
+func newStreamAcc(cfg *Config) *streamAcc {
+	// δ = 0.35·Vdd is core.DefaultDelta, inlined to avoid the framework
+	// dependency.
+	return &streamAcc{cfg: cfg, delta: 0.35 * cfg.Vdd}
 }
 
 func (a *streamAcc) add(s *Sample) {
 	w := s.weight()
 	if a.cfg.Metrics&HSNM != 0 {
 		a.hsnm.Add(s.HSNM, w)
-		if a.values != nil {
-			a.values[HSNM] = append(a.values[HSNM], s.HSNM)
-		}
 	}
 	if a.cfg.Metrics&RSNM != 0 {
 		a.rsnm.Add(s.RSNM, w)
-		if a.values != nil {
-			a.values[RSNM] = append(a.values[RSNM], s.RSNM)
-		}
 	}
 	if a.cfg.Metrics&WM != 0 {
 		a.wm.Add(s.WM, w)
-		if a.values != nil {
-			a.values[WM] = append(a.values[WM], s.WM)
-		}
 	}
 	min := s.Min()
 	a.all.Add(min, w)
-	if min < a.cfg.Delta {
+	if min < a.delta {
 		a.failW += w
 	}
 }
@@ -191,7 +131,7 @@ func (a *streamAcc) checkpoint(samples int, final bool) Checkpoint {
 	cp := Checkpoint{
 		Samples: samples,
 		ESS:     a.all.ESS(),
-		Delta:   a.cfg.Delta,
+		Delta:   a.delta,
 		Final:   final,
 	}
 	if a.cfg.Metrics&HSNM != 0 {
@@ -229,42 +169,47 @@ func (cp *Checkpoint) converged(target float64) bool {
 	return true
 }
 
-// RunStream executes a streaming Monte Carlo run: workers take fixed sample
-// blocks from a queue in index order, and the calling goroutine merges
-// finished blocks in index order, emitting a Checkpoint to emit (if non-nil)
-// at every block-aligned interval. When cfg.RelCI > 0, the run stops at the
-// first checkpoint whose CIs are all inside the target, and the queue holds
-// only a window of blocks past the last undecided checkpoint (streamWindow,
-// DESIGN.md §12), so little or no work is spent past the stop. The merged
-// statistics — and therefore the entire checkpoint sequence — are
-// bit-identical for any GOMAXPROCS.
+// Run executes a Monte Carlo experiment, parallelized across CPU cores:
+// workers take fixed sample blocks from a queue in index order, and the
+// calling goroutine merges finished blocks in index order, emitting a
+// Checkpoint to emit (if non-nil) at every block-aligned interval. With
+// cfg.RelCI = 0 the run merges all N samples. With cfg.RelCI > 0 it stops at
+// the first checkpoint whose CIs are all inside the target, and the queue
+// holds only a window of blocks past the last undecided checkpoint
+// (streamWindow, DESIGN.md §12), so little or no work is spent past the
+// stop. Each draw depends only on (seed, index) and merging is in index
+// order, so the samples, summaries and every checkpoint are bit-identical
+// for any GOMAXPROCS.
 //
 // emit runs on the caller's goroutine (safe for HTTP streaming). A non-nil
-// error from emit aborts the run and is returned.
-func RunStream(ctx context.Context, cfg StreamConfig, emit func(Checkpoint) error) (*StreamResult, error) {
+// error from emit aborts the run and is returned. When ctx is done, pending
+// samples are abandoned and the cancellation cause is returned. A run that
+// stops on a failed sample returns the lowest-index sample error, wrapped
+// together with the cancellation cause when ctx is done too.
+func Run(ctx context.Context, cfg Config, emit func(Checkpoint) error) (*Result, error) {
 	start := time.Now()
 	if err := cfg.normalize(); err != nil {
 		return nil, err
 	}
-	dr, err := newDrawer(&cfg.Config)
+	dr, err := newDrawer(&cfg)
 	if err != nil {
 		return nil, err
 	}
 	lib := device.Default7nm()
 	blockSize, nBlocks := planBlocks(cfg.N)
-	cpBlocks := (cfg.CheckpointEvery + blockSize - 1) / blockSize
-	if cpBlocks < 1 {
-		cpBlocks = 1
-	}
+	cpBlocks := (checkpointEvery + blockSize - 1) / blockSize
 
 	samples := make([]Sample, cfg.N)
 	errs := make([]error, cfg.N)
 	blockOK := make([]bool, nBlocks) // block fully evaluated (no cancellation mid-block)
 
 	mRuns.Inc()
+	// The gauge is a shared in-flight total: delta it rather than Set it, so
+	// two overlapping runs (e.g. concurrent /v1/yield requests) report
+	// N1+N2 pending samples instead of whichever run registered last.
 	gSamplesTotal.Add(float64(cfg.N))
 	defer gSamplesTotal.Add(-float64(cfg.N))
-	runSpan := obs.StartSpanCtx(ctx, "mc.stream")
+	runSpan := obs.StartSpanCtx(ctx, "mc.run")
 	runSpan.Int("n", int64(cfg.N))
 	runSpan.Int("seed", cfg.Seed)
 
@@ -276,10 +221,10 @@ func RunStream(ctx context.Context, cfg StreamConfig, emit func(Checkpoint) erro
 		workers = nBlocks
 	}
 
-	// Workers take block indices from queue. A fixed-N run queues every
-	// block up front; an early-stop run queues the first window, and the
-	// reducer queues the next blocks up to one window past each undecided
-	// checkpoint. finish closes the queue.
+	// Workers take block indices from queue. A run without an early-stop
+	// target queues every block up front; an early-stop run queues the first
+	// window, and the reducer queues the next blocks up to one window past
+	// each undecided checkpoint. finish closes the queue.
 	window := nBlocks
 	if cfg.RelCI > 0 {
 		window = max(cpBlocks, streamWindow)
@@ -298,7 +243,7 @@ func RunStream(ctx context.Context, cfg StreamConfig, emit func(Checkpoint) erro
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			ev := newEvaluator(lib, &cfg.Config, dr.fork())
+			ev := newEvaluator(lib, &cfg, dr.fork())
 			for {
 				var b int
 				var open bool
@@ -354,7 +299,7 @@ func RunStream(ctx context.Context, cfg StreamConfig, emit func(Checkpoint) erro
 	merged := 0   // samples merged so far
 	emitted := 0  // checkpoints emitted
 	var final *Checkpoint
-	var runErr error
+	var emitErr error
 
 	// advance merges every ready in-order block, emitting checkpoints at
 	// block-aligned intervals. It returns false when the run should stop
@@ -370,7 +315,6 @@ func RunStream(ctx context.Context, cfg StreamConfig, emit func(Checkpoint) erro
 			}
 			for i := lo; i < hi; i++ {
 				if errs[i] != nil {
-					runErr = fmt.Errorf("mc: sample %d: %w", i, errs[i])
 					return false
 				}
 				acc.add(&samples[i])
@@ -389,7 +333,7 @@ func RunStream(ctx context.Context, cfg StreamConfig, emit func(Checkpoint) erro
 				emitted++
 				if emit != nil {
 					if err := emit(cp); err != nil {
-						runErr = fmt.Errorf("mc: checkpoint emit: %w", err)
+						emitErr = fmt.Errorf("mc: checkpoint emit: %w", err)
 						return false
 					}
 				}
@@ -429,33 +373,34 @@ loop:
 	runSpan.Int("merged", int64(merged))
 	runSpan.End()
 
-	if runErr != nil {
-		return nil, runErr
+	if emitErr != nil {
+		return nil, emitErr
 	}
 	if final == nil {
-		// The reducer stopped before reaching a final checkpoint: either the
-		// context fired or a worker died without finishing its blocks.
-		if ctx.Err() != nil {
-			for i, serr := range errs {
-				if serr != nil {
-					return nil, fmt.Errorf("mc: sample %d: %w (run canceled after %d of %d samples: %w)",
-						i, serr, done.Load(), cfg.N, context.Cause(ctx))
-				}
-			}
+		// The reducer stopped short of a final checkpoint: a sample failed,
+		// the context fired, or both. Every sample below the merge frontier
+		// succeeded, so the lowest-index error is the one that stopped it.
+		i := slices.IndexFunc(errs, func(err error) bool { return err != nil })
+		switch {
+		case i >= 0 && ctx.Err() != nil:
+			return nil, fmt.Errorf("mc: sample %d: %w (run canceled after %d of %d samples: %w)",
+				i, errs[i], done.Load(), cfg.N, context.Cause(ctx))
+		case i >= 0:
+			return nil, fmt.Errorf("mc: sample %d: %w", i, errs[i])
+		case ctx.Err() != nil:
 			return nil, fmt.Errorf("mc: run canceled after %d of %d samples: %w", done.Load(), cfg.N, context.Cause(ctx))
 		}
-		for i, serr := range errs {
-			if serr != nil {
-				return nil, fmt.Errorf("mc: sample %d: %w", i, serr)
-			}
-		}
-		return nil, fmt.Errorf("mc: stream ended after %d of %d samples without a final checkpoint", merged, cfg.N)
+		return nil, fmt.Errorf("mc: run ended after %d of %d samples without a final checkpoint", merged, cfg.N)
 	}
-	return &StreamResult{
+	samples = samples[:merged]
+	return &Result{
 		Config:      cfg,
+		Samples:     samples,
+		Stats:       RunStats{Samples: merged, Workers: workers, Wall: time.Since(start)},
+		HSNM:        summarize(samples, func(s *Sample) float64 { return s.HSNM }),
+		RSNM:        summarize(samples, func(s *Sample) float64 { return s.RSNM }),
+		WM:          summarize(samples, func(s *Sample) float64 { return s.WM }),
 		Final:       *final,
 		Checkpoints: emitted,
-		Stats:       RunStats{Samples: merged, Workers: workers, Wall: time.Since(start)},
-		Values:      acc.values,
 	}, nil
 }

@@ -3,6 +3,7 @@ package mc
 import (
 	"context"
 	"errors"
+	"math"
 	"reflect"
 	"runtime"
 	"strings"
@@ -30,10 +31,10 @@ func syntheticWM(t *testing.T, offset float64) {
 	})
 }
 
-func collectStream(t *testing.T, ctx context.Context, cfg StreamConfig) (*StreamResult, []Checkpoint) {
+func collectStream(t *testing.T, ctx context.Context, cfg Config) (*Result, []Checkpoint) {
 	t.Helper()
 	var cps []Checkpoint
-	res, err := RunStream(ctx, cfg, func(cp Checkpoint) error {
+	res, err := Run(ctx, cfg, func(cp Checkpoint) error {
 		cps = append(cps, cp)
 		return nil
 	})
@@ -49,7 +50,7 @@ func collectStream(t *testing.T, ctx context.Context, cfg StreamConfig) (*Stream
 // at fixed boundaries, so scheduling must not leak into any estimate.
 func TestStreamCheckpointsDeterministicAcrossGOMAXPROCS(t *testing.T) {
 	syntheticWM(t, 0.5)
-	cfg := StreamConfig{Config: Config{Flavor: device.HVT, N: 301, Seed: 12, Metrics: WM}}
+	cfg := Config{Flavor: device.HVT, N: 301, Seed: 12, Metrics: WM}
 
 	prev := runtime.GOMAXPROCS(1)
 	res1, cps1 := collectStream(t, context.Background(), cfg)
@@ -79,12 +80,14 @@ func TestStreamEarlyStopHonorsRelCI(t *testing.T) {
 	syntheticWM(t, 0.5)
 	base := Config{Flavor: device.HVT, N: 4096, Seed: 4, Metrics: WM}
 
-	full, _ := collectStream(t, context.Background(), StreamConfig{Config: base})
+	full, _ := collectStream(t, context.Background(), base)
 	if full.Final.Samples != base.N {
 		t.Fatalf("RelCI=0 run stopped at %d of %d samples", full.Final.Samples, base.N)
 	}
 
-	res, cps := collectStream(t, context.Background(), StreamConfig{Config: base, RelCI: 0.10})
+	early := base
+	early.RelCI = 0.10
+	res, cps := collectStream(t, context.Background(), early)
 	if !res.Final.Converged || !res.Final.Final {
 		t.Fatalf("early-stop run did not converge: %+v", res.Final)
 	}
@@ -128,13 +131,13 @@ func TestEarlyStopComputesOnlyMergedSamples(t *testing.T) {
 		return m, nil
 	})
 	cases := []struct {
-		cfg      StreamConfig
+		cfg      Config
 		converge bool
 		overrun  int // most samples computed past the stop
 	}{
-		{StreamConfig{Config: Config{Flavor: device.HVT, N: 96, Seed: 2, Metrics: HSNM, Sampler: SamplerSobol}, RelCI: 0.1}, true, 0},
-		{StreamConfig{Config: Config{Flavor: device.HVT, N: 4096, Seed: 4, Metrics: WM}, RelCI: 0.1}, true, (streamWindow - 1) * 32},
-		{StreamConfig{Config: Config{Flavor: device.HVT, N: 256, Seed: 4, Metrics: WM}, RelCI: 0.001}, false, 0},
+		{Config{Flavor: device.HVT, N: 96, Seed: 2, Metrics: HSNM, Sampler: SamplerSobol, RelCI: 0.1}, true, 0},
+		{Config{Flavor: device.HVT, N: 4096, Seed: 4, Metrics: WM, RelCI: 0.1}, true, (streamWindow - 1) * 32},
+		{Config{Flavor: device.HVT, N: 256, Seed: 4, Metrics: WM, RelCI: 0.001}, false, 0},
 	}
 	reg := obs.Default()
 	slowEmit := func(Checkpoint) error { time.Sleep(20 * time.Millisecond); return nil }
@@ -145,7 +148,7 @@ func TestEarlyStopComputesOnlyMergedSamples(t *testing.T) {
 			runtime.GOMAXPROCS(procs)
 			peak.Store(0)
 			done0 := reg.CounterValue("mc.samples.done")
-			res, err := RunStream(context.Background(), tc.cfg, slowEmit)
+			res, err := Run(context.Background(), tc.cfg, slowEmit)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -173,7 +176,7 @@ func TestStreamWriteFailsCountedInFailFraction(t *testing.T) {
 		}
 		return 0.5, nil
 	})
-	cfg := StreamConfig{Config: Config{Flavor: device.HVT, N: 512, Seed: 21, Metrics: WM}}
+	cfg := Config{Flavor: device.HVT, N: 512, Seed: 21, Metrics: WM}
 	res, _ := collectStream(t, context.Background(), cfg)
 
 	f := res.Final
@@ -202,7 +205,7 @@ func TestStreamCancellation(t *testing.T) {
 		}
 		return 0.5, nil
 	})
-	_, err := RunStream(ctx, StreamConfig{Config: Config{Flavor: device.HVT, N: 8192, Seed: 2, Metrics: WM}}, nil)
+	_, err := Run(ctx, Config{Flavor: device.HVT, N: 8192, Seed: 2, Metrics: WM}, nil)
 	if err == nil {
 		t.Fatal("canceled stream returned no error")
 	}
@@ -217,7 +220,7 @@ func TestStreamCancellation(t *testing.T) {
 func TestStreamSampleErrorAborts(t *testing.T) {
 	boom := errors.New("newton diverged")
 	swapWriteMargin(t, func(*cell.Cell, cell.WriteBias) (float64, error) { return 0, boom })
-	_, err := RunStream(context.Background(), StreamConfig{Config: Config{Flavor: device.HVT, N: 128, Seed: 2, Metrics: WM}}, nil)
+	_, err := Run(context.Background(), Config{Flavor: device.HVT, N: 128, Seed: 2, Metrics: WM}, nil)
 	if err == nil || !errors.Is(err, boom) {
 		t.Fatalf("stream error %v does not wrap the sample error", err)
 	}
@@ -231,28 +234,28 @@ func TestStreamSampleErrorAborts(t *testing.T) {
 func TestStreamEmitErrorAborts(t *testing.T) {
 	syntheticWM(t, 0.5)
 	sink := errors.New("client went away")
-	_, err := RunStream(context.Background(), StreamConfig{Config: Config{Flavor: device.HVT, N: 2048, Seed: 6, Metrics: WM}},
+	_, err := Run(context.Background(), Config{Flavor: device.HVT, N: 2048, Seed: 6, Metrics: WM},
 		func(Checkpoint) error { return sink })
 	if err == nil || !errors.Is(err, sink) {
 		t.Fatalf("stream error %v does not wrap the emit error", err)
 	}
 }
 
-// TestStreamKeepValues asserts raw metric values are retained in merge order
-// when requested, matching the merged sample count.
-func TestStreamKeepValues(t *testing.T) {
+// TestRunSamplesInIndexOrder asserts Result.Samples holds every merged
+// sample in index order: sample 0 recomputed directly matches the first.
+func TestRunSamplesInIndexOrder(t *testing.T) {
 	syntheticWM(t, 0.5)
-	cfg := StreamConfig{Config: Config{Flavor: device.HVT, N: 96, Seed: 8, Metrics: WM}, KeepValues: true}
+	cfg := Config{Flavor: device.HVT, N: 96, Seed: 8, Metrics: WM}
 	res, _ := collectStream(t, context.Background(), cfg)
-	if got := len(res.Values[WM]); got != res.Final.Samples {
-		t.Fatalf("retained %d WM values, want %d", got, res.Final.Samples)
+	if got := len(res.Samples); got != res.Final.Samples || got != cfg.N {
+		t.Fatalf("kept %d samples, want %d (final checkpoint covers %d)", got, cfg.N, res.Final.Samples)
 	}
-	// Values are in sample-index order: recompute sample 0 directly
-	// (normalize first — RunStream normalized its own copy, not ours).
-	if err := cfg.Config.normalize(); err != nil {
+	// Recompute sample 0 directly (normalize first — Run normalized its own
+	// copy, not ours).
+	if err := cfg.normalize(); err != nil {
 		t.Fatal(err)
 	}
-	dr, err := newDrawer(&cfg.Config)
+	dr, err := newDrawer(&cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -262,29 +265,27 @@ func TestStreamKeepValues(t *testing.T) {
 	for _, d := range s.DVt {
 		want += d
 	}
-	if res.Values[WM][0] != want {
-		t.Fatalf("Values[WM][0] = %g, want %g", res.Values[WM][0], want)
+	if res.Samples[0].WM != want || res.Samples[0].DVt != s.DVt {
+		t.Fatalf("Samples[0] = %+v, want WM %g from ΔVt %v", res.Samples[0], want, s.DVt)
 	}
 }
 
-// TestStreamConfigValidation covers the streaming-specific knobs.
+// TestStreamConfigValidation covers the early-stop target's domain.
 func TestStreamConfigValidation(t *testing.T) {
-	ok := Config{Flavor: device.HVT, N: 4, Metrics: WM}
-	bad := []StreamConfig{
-		{Config: ok, RelCI: -0.1},
-		{Config: ok, RelCI: 1},
-		{Config: ok, Delta: -0.2},
-		{Config: ok, CheckpointEvery: -1},
-		{Config: Config{Flavor: device.HVT, N: 1, Metrics: WM}},
+	bad := []Config{
+		{Flavor: device.HVT, N: 4, Metrics: WM, RelCI: -0.1},
+		{Flavor: device.HVT, N: 4, Metrics: WM, RelCI: 1},
+		{Flavor: device.HVT, N: 4, Metrics: WM, RelCI: math.NaN()},
+		{Flavor: device.HVT, N: 1, Metrics: WM},
 	}
 	for i, cfg := range bad {
-		if _, err := RunStream(context.Background(), cfg, nil); err == nil {
+		if _, err := Run(context.Background(), cfg, nil); err == nil {
 			t.Errorf("config %d accepted: %+v", i, cfg)
 		}
 	}
 }
 
-// TestCanceledRunSurfacesSampleError pins the RunContext cancellation fix: a
+// TestCanceledRunSurfacesSampleError pins the cancellation contract: a
 // cancellation racing a genuine sample failure must surface the failure
 // wrapped together with the cancellation cause, not mask it.
 func TestCanceledRunSurfacesSampleError(t *testing.T) {
@@ -299,7 +300,7 @@ func TestCanceledRunSurfacesSampleError(t *testing.T) {
 		}
 		return 0.5, nil
 	})
-	_, err := RunContext(ctx, Config{Flavor: device.HVT, N: 64, Seed: 3, Metrics: WM})
+	_, err := Run(ctx, Config{Flavor: device.HVT, N: 64, Seed: 3, Metrics: WM}, nil)
 	if err == nil {
 		t.Fatal("run returned no error")
 	}

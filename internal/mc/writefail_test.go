@@ -27,7 +27,7 @@ func TestWriteFailSampleIsLegitFail(t *testing.T) {
 	write := cell.NominalWrite(device.Vdd)
 	write.VWL = 0.05 // cannot flip the cell: write margin ≤ 0 for every draw
 	before := obs.Default().CounterValue("mc.samples.writefail")
-	res, err := Run(Config{Flavor: device.HVT, N: 2, Seed: 7, Write: write, Metrics: WM})
+	res, err := Run(context.Background(), Config{Flavor: device.HVT, N: 2, Seed: 7, Write: write, Metrics: WM}, nil)
 	if err != nil {
 		t.Fatalf("write-fail samples must not fail the run: %v", err)
 	}
@@ -47,7 +47,7 @@ func TestWriteFailSampleIsLegitFail(t *testing.T) {
 func TestRealWriteMarginErrorPropagates(t *testing.T) {
 	boom := errors.New("transient solver diverged")
 	swapWriteMargin(t, func(*cell.Cell, cell.WriteBias) (float64, error) { return 0, boom })
-	_, err := Run(Config{Flavor: device.HVT, N: 2, Seed: 7, Metrics: WM})
+	_, err := Run(context.Background(), Config{Flavor: device.HVT, N: 2, Seed: 7, Metrics: WM}, nil)
 	if err == nil {
 		t.Fatal("infrastructure error swallowed: run succeeded")
 	}
@@ -73,7 +73,7 @@ func TestConcurrentRunsShareSamplesTotal(t *testing.T) {
 	const n1, n2 = 7, 11
 	errc := make(chan error, 2)
 	run := func(n int, seed int64) {
-		_, err := RunContext(context.Background(), Config{Flavor: device.HVT, N: n, Seed: seed, Metrics: WM})
+		_, err := Run(context.Background(), Config{Flavor: device.HVT, N: n, Seed: seed, Metrics: WM}, nil)
 		errc <- err
 	}
 	go run(n1, 1)

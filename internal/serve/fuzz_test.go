@@ -45,14 +45,16 @@ func fuzzServer(f *testing.F) *Server {
 	if err != nil {
 		f.Fatal(err)
 	}
-	yres, err := sramco.MonteCarloYieldContext(context.Background(), ycfg)
+	yres, err := sramco.MonteCarloYield(context.Background(), ycfg, nil)
 	if err != nil {
 		f.Fatalf("seed yield: %v", err)
 	}
 
 	s.optimizeFn = func(context.Context, sramco.Options) (*sramco.Optimum, error) { return opt, nil }
 	s.paretoFn = func(context.Context, sramco.Options) (*sramco.ParetoResult, error) { return pareto, nil }
-	s.yieldFn = func(context.Context, sramco.MCConfig) (*sramco.MCResult, error) { return yres, nil }
+	s.yieldFn = func(context.Context, sramco.MCConfig, func(sramco.MCCheckpoint) error) (*sramco.MCResult, error) {
+		return yres, nil
+	}
 	return s
 }
 

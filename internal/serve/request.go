@@ -459,16 +459,8 @@ func (r *YieldRequest) config() (sramco.MCConfig, error) {
 		Metrics: metrics,
 		Sampler: sampler,
 		Tilt:    r.Tilt,
+		RelCI:   r.RelCI,
 	}, nil
-}
-
-// streamConfig maps a normalized request onto the streaming configuration.
-func (r *YieldRequest) streamConfig() (sramco.MCStreamConfig, error) {
-	cfg, err := r.config()
-	if err != nil {
-		return sramco.MCStreamConfig{}, err
-	}
-	return sramco.MCStreamConfig{Config: cfg, RelCI: r.RelCI}, nil
 }
 
 func ptr[T any](v T) *T { return &v }

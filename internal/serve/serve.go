@@ -129,11 +129,10 @@ type Server struct {
 	// Test seams: the concurrency tests gate these to hold fills open.
 	// evalHook, when set, runs at the top of every shared-Evaluator batch
 	// eval so tests can hold an evaluate fill open past the batch deadline.
-	optimizeFn    func(context.Context, sramco.Options) (*sramco.Optimum, error)
-	paretoFn      func(context.Context, sramco.Options) (*sramco.ParetoResult, error)
-	yieldFn       func(context.Context, sramco.MCConfig) (*sramco.MCResult, error)
-	yieldStreamFn func(context.Context, sramco.MCStreamConfig, func(sramco.MCCheckpoint) error) (*sramco.MCStreamResult, error)
-	evalHook      func()
+	optimizeFn func(context.Context, sramco.Options) (*sramco.Optimum, error)
+	paretoFn   func(context.Context, sramco.Options) (*sramco.ParetoResult, error)
+	yieldFn    func(context.Context, sramco.MCConfig, func(sramco.MCCheckpoint) error) (*sramco.MCResult, error)
+	evalHook   func()
 }
 
 // New builds a Server over a characterized framework.
@@ -141,17 +140,16 @@ func New(fw *sramco.Framework, cfg Config) *Server {
 	cfg = cfg.withDefaults()
 	baseCtx, cancel := context.WithCancelCause(context.Background())
 	s := &Server{
-		fw:            fw,
-		cfg:           cfg,
-		cache:         newLRUCache(cfg.CacheSize),
-		flight:        newFlightGroup(),
-		sem:           make(chan struct{}, cfg.Workers),
-		baseCtx:       baseCtx,
-		baseCancel:    cancel,
-		optimizeFn:    fw.Optimize,
-		paretoFn:      fw.Pareto,
-		yieldFn:       sramco.MonteCarloYieldContext,
-		yieldStreamFn: sramco.MonteCarloYieldStream,
+		fw:         fw,
+		cfg:        cfg,
+		cache:      newLRUCache(cfg.CacheSize),
+		flight:     newFlightGroup(),
+		sem:        make(chan struct{}, cfg.Workers),
+		baseCtx:    baseCtx,
+		baseCancel: cancel,
+		optimizeFn: fw.Optimize,
+		paretoFn:   fw.Pareto,
+		yieldFn:    sramco.MonteCarloYield,
 	}
 	s.mux = http.NewServeMux()
 	s.mux.HandleFunc("/v1/optimize", s.handleOptimize)
@@ -526,94 +524,60 @@ func (s *Server) handleYield(w http.ResponseWriter, r *http.Request) {
 	timeoutMS := req.TimeoutMS
 	req.TimeoutMS = 0
 	s.serveCached(w, r, req.key(), timeoutMS, func(ctx context.Context) (any, error) {
-		if req.RelCI > 0 || req.Tilt > 1 {
-			return s.yieldStreamResult(ctx, req)
-		}
 		cfg, err := req.config()
 		if err != nil {
 			return nil, err
 		}
-		res, err := s.yieldFn(ctx, cfg)
+		res, err := s.yieldFn(ctx, cfg, nil)
 		if err != nil {
 			return nil, err
 		}
-		resp := &YieldResponse{
-			Request:       req,
-			Samples:       len(res.Samples),
-			MuMinus3Sigma: map[string]float64{},
-			DeltaV:        sramco.Delta(),
-			FailFraction:  res.FailFraction(sramco.Delta()),
-		}
-		if cfg.Metrics&mc.HSNM != 0 {
-			s := res.HSNM
-			resp.HSNM = &s
-			resp.MuMinus3Sigma["hsnm"] = mc.MuMinusKSigma(s, 3)
-		}
-		if cfg.Metrics&mc.RSNM != 0 {
-			s := res.RSNM
-			resp.RSNM = &s
-			resp.MuMinus3Sigma["rsnm"] = mc.MuMinusKSigma(s, 3)
-		}
-		if cfg.Metrics&mc.WM != 0 {
-			s := res.WM
-			resp.WM = &s
-			resp.MuMinus3Sigma["wm"] = mc.MuMinusKSigma(s, 3)
-		}
-		return resp, nil
+		return yieldResponse(req, res), nil
 	})
 }
 
-// yieldStreamResult fills a non-streaming /v1/yield request through the
-// streaming engine, used whenever the request asks for estimator features
-// the fixed-N path does not have (early stop on rel_ci, importance tilt).
-// Raw-value summaries describe the drawn distribution; μ−3σ and the fail
-// fraction come from the weighted checkpoint estimators.
-func (s *Server) yieldStreamResult(ctx context.Context, req YieldRequest) (any, error) {
-	scfg, err := req.streamConfig()
-	if err != nil {
-		return nil, err
-	}
-	scfg.KeepValues = true
-	res, err := s.yieldStreamFn(ctx, scfg, nil)
-	if err != nil {
-		return nil, err
-	}
+// yieldResponse builds the body of a non-streaming /v1/yield answer. The
+// summaries describe the drawn values. A request that set rel_ci or a tilt
+// gets the final checkpoint's weighted estimators: μ−3σ, the fail fraction
+// with its Wilson bounds, and whether the run converged. Any other request
+// gets μ−3σ from the summary and the plain fail fraction; the checkpoint's
+// Welford μ−3σ differs from the summary's two-pass value by a few ulps, so
+// those answers keep the two-pass value.
+func yieldResponse(req YieldRequest, res *sramco.MCResult) *YieldResponse {
 	final := res.Final
 	resp := &YieldResponse{
 		Request:       req,
-		Samples:       final.Samples,
+		Samples:       res.Stats.Samples,
 		MuMinus3Sigma: map[string]float64{},
 		DeltaV:        final.Delta,
-		FailFraction:  final.FailFraction,
-		Converged:     final.Converged,
-		FailLo:        &final.FailLo,
-		FailHi:        &final.FailHi,
 	}
-	summarize := func(m mc.Metric) *num.Summary {
-		vals := res.Values[m]
-		if len(vals) == 0 {
-			return nil
+	weighted := req.RelCI > 0 || req.Tilt > 1
+	if weighted {
+		resp.FailFraction = final.FailFraction
+		resp.Converged = final.Converged
+		resp.FailLo, resp.FailHi = &final.FailLo, &final.FailHi
+	} else {
+		resp.FailFraction = res.FailFraction(final.Delta)
+	}
+	metric := func(name string, sum num.Summary, stat *sramco.MCMetricStat) *num.Summary {
+		if stat == nil {
+			return nil // not requested
 		}
-		sum := num.Summarize(vals)
+		mu3 := mc.MuMinusKSigma(sum, 3)
+		if weighted {
+			mu3 = stat.Mu3
+		}
+		resp.MuMinus3Sigma[name] = mu3
 		return &sum
 	}
-	if final.HSNM != nil {
-		resp.HSNM = summarize(mc.HSNM)
-		resp.MuMinus3Sigma["hsnm"] = final.HSNM.Mu3
-	}
-	if final.RSNM != nil {
-		resp.RSNM = summarize(mc.RSNM)
-		resp.MuMinus3Sigma["rsnm"] = final.RSNM.Mu3
-	}
-	if final.WM != nil {
-		resp.WM = summarize(mc.WM)
-		resp.MuMinus3Sigma["wm"] = final.WM.Mu3
-	}
-	return resp, nil
+	resp.HSNM = metric("hsnm", res.HSNM, final.HSNM)
+	resp.RSNM = metric("rsnm", res.RSNM, final.RSNM)
+	resp.WM = metric("wm", res.WM, final.WM)
+	return resp
 }
 
 // handleYieldStream answers POST /v1/yield?stream=1: NDJSON checkpoint
-// lines as the streaming engine converges, the last one marked final (and
+// lines as the Monte Carlo engine converges, the last one marked final (and
 // converged when the run early-stopped on rel_ci). Streams are never cached
 // or coalesced — each request runs its own engine under the client's
 // deadline — so two identical streams emit identical lines but compute
@@ -638,7 +602,7 @@ func (s *Server) handleYieldStream(w http.ResponseWriter, r *http.Request, req Y
 	}
 	defer s.release()
 
-	scfg, err := req.streamConfig()
+	cfg, err := req.config()
 	if err != nil {
 		writeError(w, badRequest("%v", err))
 		return
@@ -648,7 +612,7 @@ func (s *Server) handleYieldStream(w http.ResponseWriter, r *http.Request, req Y
 	w.WriteHeader(http.StatusOK)
 	flusher, _ := w.(http.Flusher)
 	enc := json.NewEncoder(w)
-	_, err = s.yieldStreamFn(ctx, scfg, func(cp sramco.MCCheckpoint) error {
+	_, err = s.yieldFn(ctx, cfg, func(cp sramco.MCCheckpoint) error {
 		if err := enc.Encode(cp); err != nil {
 			return err
 		}

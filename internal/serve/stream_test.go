@@ -13,13 +13,15 @@ import (
 
 	"sramco"
 	"sramco/internal/mc"
+	"sramco/internal/num"
 )
 
-// fakeStream installs a yieldStreamFn stub that emits the given checkpoints
-// and returns a result built from the last one, counting invocations.
-func fakeStream(s *Server, cps []sramco.MCCheckpoint, values map[mc.Metric][]float64, fail error) *atomic.Int64 {
+// fakeYield installs a yieldFn stub that emits the given checkpoints and
+// returns a result whose final checkpoint is the last one and whose WM
+// summary is wm, counting invocations.
+func fakeYield(s *Server, cps []sramco.MCCheckpoint, wm num.Summary, fail error) *atomic.Int64 {
 	var calls atomic.Int64
-	s.yieldStreamFn = func(ctx context.Context, cfg sramco.MCStreamConfig, emit func(sramco.MCCheckpoint) error) (*sramco.MCStreamResult, error) {
+	s.yieldFn = func(ctx context.Context, cfg sramco.MCConfig, emit func(sramco.MCCheckpoint) error) (*sramco.MCResult, error) {
 		calls.Add(1)
 		for _, cp := range cps {
 			if emit != nil {
@@ -31,11 +33,13 @@ func fakeStream(s *Server, cps []sramco.MCCheckpoint, values map[mc.Metric][]flo
 		if fail != nil {
 			return nil, fail
 		}
-		return &sramco.MCStreamResult{
+		final := cps[len(cps)-1]
+		return &sramco.MCResult{
 			Config:      cfg,
-			Final:       cps[len(cps)-1],
+			Stats:       mc.RunStats{Samples: final.Samples},
+			WM:          wm,
+			Final:       final,
 			Checkpoints: len(cps),
-			Values:      values,
 		}, nil
 	}
 	return &calls
@@ -100,7 +104,7 @@ func TestYieldStreamEndpoint(t *testing.T) {
 func TestYieldStreamNotCached(t *testing.T) {
 	s := New(framework(t), Config{})
 	cp := sramco.MCCheckpoint{Samples: 32, Final: true}
-	calls := fakeStream(s, []sramco.MCCheckpoint{cp}, nil, nil)
+	calls := fakeYield(s, []sramco.MCCheckpoint{cp}, num.Summary{}, nil)
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
@@ -123,7 +127,7 @@ func TestYieldStreamNotCached(t *testing.T) {
 func TestYieldStreamMidStreamError(t *testing.T) {
 	s := New(framework(t), Config{})
 	cp := sramco.MCCheckpoint{Samples: 32}
-	fakeStream(s, []sramco.MCCheckpoint{cp}, nil, errors.New("sample 33: newton diverged"))
+	fakeYield(s, []sramco.MCCheckpoint{cp}, num.Summary{}, errors.New("sample 33: newton diverged"))
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
@@ -145,8 +149,9 @@ func TestYieldStreamMidStreamError(t *testing.T) {
 }
 
 // TestYieldRelCIRoutesThroughStreamEngine asserts a non-stream request with
-// rel_ci set fills through the streaming engine and surfaces its weighted
-// estimators, and that the response is cached like any other yield fill.
+// rel_ci set surfaces the engine's weighted checkpoint estimators next to
+// the raw-value summary, and that the response is cached like any other
+// yield fill.
 func TestYieldRelCIRoutesThroughStreamEngine(t *testing.T) {
 	s := New(framework(t), Config{})
 	mu3 := 0.121
@@ -160,7 +165,7 @@ func TestYieldRelCIRoutesThroughStreamEngine(t *testing.T) {
 		Converged:    true,
 		Final:        true,
 	}
-	calls := fakeStream(s, []sramco.MCCheckpoint{cp}, map[mc.Metric][]float64{mc.WM: {0.18, 0.2, 0.22}}, nil)
+	calls := fakeYield(s, []sramco.MCCheckpoint{cp}, num.Summarize([]float64{0.18, 0.2, 0.22}), nil)
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 

@@ -86,12 +86,10 @@ type (
 	MCResult = mc.Result
 	// MCSampler selects the Monte Carlo draw sequence (plain, Sobol', LHS).
 	MCSampler = mc.Sampler
-	// MCStreamConfig, MCCheckpoint, MCMetricStat and MCStreamResult drive
-	// the streaming yield engine (MonteCarloYieldStream).
-	MCStreamConfig = mc.StreamConfig
-	MCCheckpoint   = mc.Checkpoint
-	MCMetricStat   = mc.MetricStat
-	MCStreamResult = mc.StreamResult
+	// MCCheckpoint and MCMetricStat are the streaming estimates a Monte
+	// Carlo run emits at each checkpoint (MonteCarloYield).
+	MCCheckpoint = mc.Checkpoint
+	MCMetricStat = mc.MetricStat
 )
 
 // Re-exported constants.
@@ -224,15 +222,10 @@ func (f *Framework) Rails(flavor Flavor, m Method) (vddc, vwl float64, err error
 }
 
 // Table4 reproduces the paper's Table 4 (and the data behind Fig. 7) over
-// the given capacities in bits; pass exp.PaperCapacities() via
-// PaperCapacities() for the paper's set.
-func (f *Framework) Table4(capacityBits []int) ([]Table4Row, error) {
-	return exp.Table4(f.core, capacityBits)
-}
-
-// Table4Context is Table4 with cancellation threaded through every search.
-func (f *Framework) Table4Context(ctx context.Context, capacityBits []int) ([]Table4Row, error) {
-	return exp.Table4Context(ctx, f.core, capacityBits)
+// the given capacities in bits; pass PaperCapacities() for the paper's set.
+// Cancellation is threaded through every search.
+func (f *Framework) Table4(ctx context.Context, capacityBits []int) ([]Table4Row, error) {
+	return exp.Table4(ctx, f.core, capacityBits)
 }
 
 // HeadlineStats computes the abstract's aggregate numbers from Table-4
@@ -282,23 +275,14 @@ func CharacterizeCell(flavor Flavor) (*CellReport, error) {
 }
 
 // MonteCarloYield runs a Monte Carlo margin analysis (paper §2/§4: the
-// yield justification for δ = 0.35·Vdd).
-func MonteCarloYield(cfg MCConfig) (*MCResult, error) { return mc.Run(cfg) }
-
-// MonteCarloYieldContext is MonteCarloYield with cancellation: the run stops
-// early when ctx is done, abandoning pending samples and returning the
-// cancellation cause with the done/total counts.
-func MonteCarloYieldContext(ctx context.Context, cfg MCConfig) (*MCResult, error) {
-	return mc.RunContext(ctx, cfg)
-}
-
-// MonteCarloYieldStream runs the streaming Monte Carlo engine: incremental
-// Welford statistics with confidence intervals on μ−3σ and the fail
-// fraction, a checkpoint emitted at each block-aligned interval, and an
-// early stop once every requested metric's relative CI is inside
-// cfg.RelCI. emit may be nil to collect only the final result.
-func MonteCarloYieldStream(ctx context.Context, cfg MCStreamConfig, emit func(MCCheckpoint) error) (*MCStreamResult, error) {
-	return mc.RunStream(ctx, cfg, emit)
+// yield justification for δ = 0.35·Vdd): incremental Welford statistics
+// with confidence intervals on μ−3σ and the fail fraction, a checkpoint
+// passed to emit at each block-aligned interval, and an early stop once
+// every requested metric's relative CI is inside cfg.RelCI (0 runs all N).
+// emit may be nil. When ctx is done the run abandons pending samples and
+// returns the cancellation cause with the done/total counts.
+func MonteCarloYield(ctx context.Context, cfg MCConfig, emit func(MCCheckpoint) error) (*MCResult, error) {
+	return mc.Run(ctx, cfg, emit)
 }
 
 // ParseMCSampler parses a sampler name ("mc", "sobol", "lhs").

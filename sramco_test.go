@@ -62,8 +62,8 @@ func TestOptimizeContextPublicAPI(t *testing.T) {
 	if !errors.As(err, &serr) {
 		t.Fatalf("error %T does not expose SearchStats", err)
 	}
-	if _, err := fw.Table4Context(ctx, []int{8192}); !errors.Is(err, context.Canceled) {
-		t.Errorf("cancelled Table4Context error = %v, want context.Canceled", err)
+	if _, err := fw.Table4(ctx, []int{8192}); !errors.Is(err, context.Canceled) {
+		t.Errorf("cancelled Table4 error = %v, want context.Canceled", err)
 	}
 	// A live context behaves exactly like the plain call.
 	got, err := fw.Optimize(context.Background(), Options{CapacityBits: 8192, Flavor: HVT, Method: M2})
@@ -139,7 +139,7 @@ func TestDeltaAndCapacities(t *testing.T) {
 }
 
 func TestMonteCarloYieldPublic(t *testing.T) {
-	r, err := MonteCarloYield(MCConfig{Flavor: HVT, N: 3, Seed: 9, Metrics: 1 /* HSNM */})
+	r, err := MonteCarloYield(context.Background(), MCConfig{Flavor: HVT, N: 3, Seed: 9, Metrics: 1 /* HSNM */}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -195,7 +195,7 @@ func TestHeadlineStatsPublic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rows, err := fw.Table4([]int{8192, 131072})
+	rows, err := fw.Table4(context.Background(), []int{8192, 131072})
 	if err != nil {
 		t.Fatal(err)
 	}
