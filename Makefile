@@ -4,7 +4,7 @@ GO ?= go
 # the commit the benchmarked tree was built from.
 BENCH_STAMP := $(shell date +%Y%m%dT%H%M%S)_$(shell git rev-parse --short HEAD 2>/dev/null || echo nogit)
 
-.PHONY: build test check race-core race-serve vet-obs fuzz-smoke loadtest-smoke yieldstream-smoke bench bench-compare bench-prune catalog
+.PHONY: build test check race-core race-serve vet-obs fuzz-smoke loadtest-smoke yieldstream-smoke bench bench-compare bench-prune catalog loc
 
 build:
 	$(GO) build ./...
@@ -107,6 +107,15 @@ bench-compare:
 # staying correct — is visible in review as an efficiency drop.
 bench-prune:
 	$(GO) run ./cmd/prunestats
+
+# loc prints the non-blank, non-comment lines of non-test Go code per
+# package directory and in total, leaving out the separate sramperf/ module
+# and the benchmark's .bench_build/ cache: the line count a simplicity
+# change reports before and after.
+loc:
+	@find . -name '*.go' ! -name '*_test.go' ! -path './sramperf/*' ! -path './.bench_build/*' -print0 | \
+		xargs -0 awk '!/^[[:space:]]*(\/\/|$$)/ { d = FILENAME; sub(/\/[^\/]*$$/, "", d); sub(/^\.\//, "", d); n[d]++; t++ } \
+		END { for (d in n) printf "%6d %s\n", n[d], d | "sort -k2"; close("sort -k2"); printf "%6d total\n", t }'
 
 # catalog precomputes the default design-space grid into catalog.bin; sramd
 # loads it with -catalog and answers grid lookups without running a search.

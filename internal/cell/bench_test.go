@@ -31,9 +31,9 @@ func BenchmarkLeakagePower(b *testing.B) {
 	}
 }
 
-// BenchmarkWriteMargin measures one write-margin extraction on the
-// allocating path: Cell.WriteMargin builds its write netlist and bisects the
-// trip 28 times (30 flip probes).
+// BenchmarkWriteMargin measures one write-margin extraction through the
+// Cell method: a fresh workspace builds its write netlist and bisects the
+// trip to writeTripTolV (12 flip probes at the nominal bias).
 func BenchmarkWriteMargin(b *testing.B) {
 	c := New(device.HVT)
 	bias := NominalWrite(device.Vdd)

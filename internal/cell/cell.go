@@ -55,15 +55,6 @@ func New(f device.Flavor) *Cell {
 	return &Cell{Lib: device.Default7nm(), Flavor: f}
 }
 
-// ForRegion returns a cell instance of flavor f sharing this cell's library
-// and per-transistor variation — the per-region characterization hook of a
-// hybrid array, where each row group may carry its own cell flavor.
-func (c *Cell) ForRegion(f device.Flavor) *Cell {
-	rc := *c
-	rc.Flavor = f
-	return &rc
-}
-
 // ReadBias is the rail condition during a read access (paper Fig. 4):
 // BLs precharged to Vdd, wordline at VWL (= Vdd unless WL underdrive is being
 // evaluated), cell rails at VDDC (boost) and VSSC (negative ground).
@@ -97,12 +88,14 @@ func (c *Cell) n() *device.Model { return c.Lib.Model(device.NFET, c.Flavor) }
 func (c *Cell) p() *device.Model { return c.Lib.Model(device.PFET, c.Flavor) }
 
 // addHalf adds one half-cell (inverter + access transistor) with the given
-// node names. side 0 is left (PUL/PDL/AXL), side 1 is right.
+// node names. side 0 is left (PUL/PDL/AXL), side 1 is right. Each FET is
+// named after its Transistor, so a reused netlist loads a perturbation with
+// SetFETDVt(t.String(), dvt[t]) and builds no name.
 func (c *Cell) addHalf(ckt *circuit.Circuit, side int, in, out, cvdd, cvss, bl, wl string) {
-	base := Transistor(side * 3)
-	ckt.AddFET(circuit.FET{Name: "pu" + out, Model: c.p(), Fins: 1, DVt: c.DVt[base+PUL], D: out, G: in, S: cvdd})
-	ckt.AddFET(circuit.FET{Name: "pd" + out, Model: c.n(), Fins: 1, DVt: c.DVt[base+PDL], D: out, G: in, S: cvss})
-	ckt.AddFET(circuit.FET{Name: "ax" + out, Model: c.n(), Fins: 1, DVt: c.DVt[base+AXL], D: bl, G: wl, S: out})
+	pu, pd, ax := Transistor(side*3)+PUL, Transistor(side*3)+PDL, Transistor(side*3)+AXL
+	ckt.AddFET(circuit.FET{Name: pu.String(), Model: c.p(), Fins: 1, DVt: c.DVt[pu], D: out, G: in, S: cvdd})
+	ckt.AddFET(circuit.FET{Name: pd.String(), Model: c.n(), Fins: 1, DVt: c.DVt[pd], D: out, G: in, S: cvss})
+	ckt.AddFET(circuit.FET{Name: ax.String(), Model: c.n(), Fins: 1, DVt: c.DVt[ax], D: bl, G: wl, S: out})
 }
 
 // fullCell builds the complete 6T cell with independently forced rails.

@@ -1,91 +1,101 @@
 package cell
 
 import (
-	"sramco/internal/circuit"
+	"errors"
+
 	"sramco/internal/device"
+	"sramco/internal/obs"
 )
 
-// writeTripTolV is the wordline-interval width at which the scratch-path
-// write-trip bisection stops. The naive WriteTripWL runs a fixed 28
-// iterations (interval ~2 nV) because the rail searches built on it pin
-// results to a 10 mV grid; the Monte Carlo path only needs the trip well
-// below the ΔVt-induced write-margin spread (σ_WM ~ tens of mV), so it stops
-// at 0.5 mV — trip error ≤ 0.25 mV — and saves ~17 transient probes per
-// sample.
-const writeTripTolV = 0.5e-3
-
-// Scratch is a reusable per-worker evaluator for the three Monte Carlo cell
-// metrics. It builds each netlist once and re-solves it under new ΔVt
-// perturbations and rail biases via SetFETDVt/SetV, reusing the circuit
-// package's Newton workspaces instead of reconstructing circuits, result
-// maps, and waveform records per sample. Its SNMs run the same VTC sweeps
-// as the Cell methods; its write margin differs from Cell.WriteMargin only
-// by the trip tolerance above.
+// Scratch is the one workspace behind every cell margin: hold and read
+// SNMs, the butterflies they come from, and the write trip and margin. It
+// builds each netlist the first time a call needs it (the two half-cell VTC
+// netlists on the first SNM or butterfly, the write netlist on the first
+// write trip) and then re-solves it in place under each perturbation and
+// rail bias, so a margin after the first allocates nothing. The Cell
+// methods run on a fresh Scratch per call, MinVDDCForReadSNM on one for its
+// whole search; the Monte Carlo engine keeps one per worker.
 //
-// A Scratch is not safe for concurrent use; the Monte Carlo engine keeps one
-// per worker.
+// A Scratch is not safe for concurrent use.
 type Scratch struct {
 	lib    *device.Library
 	flavor device.Flavor
 	vtc    *vtcSweeps  // half-cell VTC netlists
-	wr     *writeProbe // write-trip probe on the full-cell write netlist; built on the first WriteMargin
+	wr     *writeProbe // write-trip probe on the full-cell write netlist
 }
 
-// NewScratch builds the reusable netlists for cells of c's library and
-// flavor. Per-sample ΔVt arrives via the method arguments, not c.DVt. The
-// write netlist waits for the first WriteMargin call, so a Scratch that only
-// extracts SNMs never builds it.
+// NewScratch returns an empty workspace for cells of c's library and
+// flavor. Each call passes its own per-transistor ΔVt; c.DVt is not read.
 func NewScratch(c *Cell) (*Scratch, error) {
-	v, err := newVTCSweeps(c.Lib, c.Flavor)
-	if err != nil {
-		return nil, err
+	if c.Lib == nil {
+		return nil, errors.New("cell: NewScratch: nil device library")
 	}
-	return &Scratch{lib: c.Lib, flavor: c.Flavor, vtc: v}, nil
+	return c.scratch(), nil
 }
 
-// setHalfDVt loads one side's ΔVt triple into a netlist built by addHalf
-// with output node out.
-func setHalfDVt(ckt *circuit.Circuit, side int, out string, dvt Variation) {
-	base := Transistor(side * 3)
-	ckt.SetFETDVt("pu"+out, dvt[base+PUL])
-	ckt.SetFETDVt("pd"+out, dvt[base+PDL])
-	ckt.SetFETDVt("ax"+out, dvt[base+AXL])
-}
+// scratch returns a fresh workspace for c's library and flavor.
+func (c *Cell) scratch() *Scratch { return &Scratch{lib: c.Lib, flavor: c.Flavor} }
 
-// linspaceInto fills dst exactly like num.Linspace(lo, hi, len(dst)).
-func linspaceInto(dst []float64, lo, hi float64) {
-	n := len(dst)
-	step := (hi - lo) / float64(n-1)
-	for i := range dst {
-		dst[i] = lo + float64(i)*step
+// sweeps returns the VTC netlists, building them on the first call.
+func (s *Scratch) sweeps() *vtcSweeps {
+	if s.vtc == nil {
+		s.vtc = newVTCSweeps(s.lib, s.flavor)
 	}
-	dst[n-1] = hi
+	return s.vtc
 }
 
-// HoldSNM returns the hold static noise margin of the perturbed cell,
-// Cell.HoldSNM with c.DVt = dvt.
+// HoldSNM returns the hold static noise margin (paper Fig. 2(a)) of the
+// cell perturbed by dvt.
 func (s *Scratch) HoldSNM(dvt Variation, vdd float64) (float64, error) {
-	return s.vtc.holdSNM(dvt, vdd)
+	sp := obs.StartSpan("cell.hold_snm")
+	mSNMExtractions.Inc()
+	bf, err := s.sweeps().hold(dvt, vdd)
+	if err != nil {
+		return 0, err
+	}
+	snm, err := bf.SNM()
+	if err == nil {
+		sp.Float("snm", snm)
+		sp.End()
+	}
+	return snm, err
 }
 
-// ReadSNM returns the read static noise margin of the perturbed cell under
-// bias b, Cell.ReadSNM with c.DVt = dvt.
+// ReadSNM returns the read static noise margin under bias b (paper Figs.
+// 3(a)-(d)) of the cell perturbed by dvt.
 func (s *Scratch) ReadSNM(dvt Variation, b ReadBias) (float64, error) {
-	return s.vtc.readSNM(dvt, b)
+	sp := obs.StartSpan("cell.read_snm")
+	mSNMExtractions.Inc()
+	bf, err := s.sweeps().read(dvt, b)
+	if err != nil {
+		return 0, err
+	}
+	snm, err := bf.SNM()
+	if err == nil {
+		sp.Float("vddc", b.VDDC)
+		sp.Float("vssc", b.VSSC)
+		sp.Float("snm", snm)
+		sp.End()
+	}
+	return snm, err
 }
 
-// WriteMargin returns the write margin of the perturbed cell under bias b:
-// VWL minus the trip wordline voltage, found on the reusable write netlist
-// by the same bisection as Cell.WriteTripWL, stopped once the interval is
-// writeTripTolV wide. Semantics match Cell.WriteMargin (including
-// ErrWriteFail when the cell does not flip at full VWL); the trip differs
-// from the 28-step bisection by at most writeTripTolV/2.
-func (s *Scratch) WriteMargin(dvt Variation, b WriteBias) (float64, error) {
+// writeTrip returns the trip wordline voltage of the cell perturbed by dvt
+// under bias b (see Cell.WriteTripWL), building the write probe on the
+// first call.
+func (s *Scratch) writeTrip(dvt Variation, b WriteBias) (float64, error) {
 	if s.wr == nil {
 		s.wr = newWriteProbe(s.lib, s.flavor)
 	}
 	s.wr.load(dvt, b)
-	trip, err := s.wr.trip(b.VWL, writeTripTolV)
+	return s.wr.trip(b.VWL)
+}
+
+// WriteMargin returns the write margin under bias b of the cell perturbed
+// by dvt: VWL minus the trip wordline voltage (paper §3.2), or
+// ErrWriteFail when the cell does not flip at full VWL.
+func (s *Scratch) WriteMargin(dvt Variation, b WriteBias) (float64, error) {
+	trip, err := s.writeTrip(dvt, b)
 	if err != nil {
 		return 0, err
 	}

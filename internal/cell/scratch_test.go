@@ -2,17 +2,16 @@ package cell
 
 import (
 	"errors"
-	"math"
 	"math/rand"
 	"testing"
 
 	"sramco/internal/device"
 )
 
-// TestScratchMatchesNaive proves the reusable scratch path reproduces the
-// per-sample Cell methods: SNMs bit-identical, write margin within the trip
-// tolerance. Several variations run through ONE scratch back to back, so any
-// state leaking between samples would show up as a mismatch.
+// TestScratchMatchesNaive proves one reused workspace reproduces the Cell
+// methods, which build a fresh one per call: SNMs and write margins
+// bit-identical. Several variations run through ONE scratch back to back, so
+// any state leaking between samples would show up as a mismatch.
 func TestScratchMatchesNaive(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full-sim parity test")
@@ -62,8 +61,8 @@ func TestScratchMatchesNaive(t *testing.T) {
 		if err0 != nil || err1 != nil {
 			t.Fatalf("var %d write: %v / %v", vi, err0, err1)
 		}
-		if math.Abs(w0-w1) > writeTripTolV {
-			t.Errorf("var %d: WriteMargin naive %v vs scratch %v (> %v apart)", vi, w0, w1, writeTripTolV)
+		if w0 != w1 {
+			t.Errorf("var %d: WriteMargin naive %v != scratch %v", vi, w0, w1)
 		}
 	}
 }
@@ -81,5 +80,79 @@ func TestScratchWriteFail(t *testing.T) {
 	wb := WriteBias{Vdd: device.Vdd, VWL: 0.05, VBL: 0}
 	if _, err := s.WriteMargin(Variation{}, wb); !errors.Is(err, ErrWriteFail) {
 		t.Fatalf("want ErrWriteFail, got %v", err)
+	}
+}
+
+// TestScratchBuildsOnDemand proves a Scratch builds only the netlists its
+// calls need: SNMs alone never build the write probe, and write margins
+// alone never build the VTC netlists.
+func TestScratchBuildsOnDemand(t *testing.T) {
+	snm, err := NewScratch(New(device.HVT))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := snm.HoldSNM(Variation{}, device.Vdd); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := snm.ReadSNM(Variation{}, NominalRead(device.Vdd)); err != nil {
+		t.Fatal(err)
+	}
+	if snm.vtc == nil || snm.wr != nil {
+		t.Errorf("after SNMs: VTC netlists built %v, write probe built %v; want true, false", snm.vtc != nil, snm.wr != nil)
+	}
+
+	wm, err := NewScratch(New(device.HVT))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := wm.WriteMargin(Variation{}, NominalWrite(device.Vdd)); err != nil {
+		t.Fatal(err)
+	}
+	if wm.wr == nil || wm.vtc != nil {
+		t.Errorf("after a write margin: write probe built %v, VTC netlists built %v; want true, false", wm.wr != nil, wm.vtc != nil)
+	}
+}
+
+// TestScratchMarginsNoAllocs pins every Monte Carlo margin at zero
+// allocations once a Scratch has built its netlists: rails move in place
+// and FET names are fixed at build time, so a new perturbation or bias
+// boxes no value and builds no string.
+func TestScratchMarginsNoAllocs(t *testing.T) {
+	s, err := NewScratch(New(device.LVT))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(3))
+	draws := make([]Variation, 3)
+	for k := range draws {
+		for i := range draws[k] {
+			draws[k][i] = rng.NormFloat64() * 0.025
+		}
+	}
+	rb, wb := NominalRead(device.Vdd), NominalWrite(device.Vdd)
+	margins := []struct {
+		name string
+		f    func(Variation) (float64, error)
+	}{
+		{"HoldSNM", func(v Variation) (float64, error) { return s.HoldSNM(v, device.Vdd) }},
+		{"ReadSNM", func(v Variation) (float64, error) { return s.ReadSNM(v, rb) }},
+		{"WriteMargin", func(v Variation) (float64, error) { return s.WriteMargin(v, wb) }},
+	}
+	for _, m := range margins {
+		for _, v := range draws { // warm-up: builds the netlists and step-halving buffers
+			if _, err := m.f(v); err != nil {
+				t.Fatalf("%s: %v", m.name, err)
+			}
+		}
+		k := 0
+		n := testing.AllocsPerRun(len(draws), func() {
+			if _, err := m.f(draws[k%len(draws)]); err != nil {
+				t.Fatalf("%s: %v", m.name, err)
+			}
+			k++
+		})
+		if n != 0 {
+			t.Errorf("Scratch.%s allocates %v times per call after warm-up, want 0", m.name, n)
+		}
 	}
 }

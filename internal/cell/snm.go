@@ -7,7 +7,6 @@ import (
 	"sramco/internal/circuit"
 	"sramco/internal/device"
 	"sramco/internal/num"
-	"sramco/internal/obs"
 )
 
 // vtcPoints is the sweep resolution used for butterfly curves.
@@ -87,12 +86,13 @@ func maxSquare(up, low *num.Linear, lo, hi float64) float64 {
 
 // vtcSweeps is the one path of every SNM extraction: the two half-cell VTC
 // netlists of one library and flavor (inverter plus access-transistor
-// loading, side 0 with output Q's devices, side 1 with QB's), built once and
-// re-solved under each perturbation and rail bias with SetFETDVt/SetV. The
-// Cell methods build one per call; a Scratch keeps one.
+// loading, side 0 with output Q's devices, side 1 with QB's), built once
+// per Scratch and re-solved under each perturbation and rail bias in place.
 type vtcSweeps struct {
 	vtc   [2]*circuit.Circuit
 	sweep [2]*circuit.Sweeper
+
+	cvdd, cvss, bl, wl circuit.Level // the rails, shared by both netlists
 
 	xs     []float64    // swept input (vtcPoints long)
 	ys     [2][]float64 // each side's output (vtcPoints long)
@@ -102,7 +102,7 @@ type vtcSweeps struct {
 	bf   Butterfly // {&a, &b}
 }
 
-func newVTCSweeps(lib *device.Library, flavor device.Flavor) (*vtcSweeps, error) {
+func newVTCSweeps(lib *device.Library, flavor device.Flavor) *vtcSweeps {
 	c := Cell{Lib: lib, Flavor: flavor}
 	v := &vtcSweeps{
 		xs: make([]float64, vtcPoints),
@@ -113,34 +113,31 @@ func newVTCSweeps(lib *device.Library, flavor device.Flavor) (*vtcSweeps, error)
 	for side := range v.vtc {
 		v.ys[side] = make([]float64, vtcPoints)
 		ckt := circuit.New()
-		ckt.AddV("vcvdd", "CVDD", circuit.Ground, circuit.DC(0))
-		ckt.AddV("vcvss", "CVSS", circuit.Ground, circuit.DC(0))
-		ckt.AddV("vwl", "WL", circuit.Ground, circuit.DC(0))
-		ckt.AddV("vbl", "BL", circuit.Ground, circuit.DC(0))
+		ckt.AddV("vcvdd", "CVDD", circuit.Ground, &v.cvdd)
+		ckt.AddV("vcvss", "CVSS", circuit.Ground, &v.cvss)
+		ckt.AddV("vwl", "WL", circuit.Ground, &v.wl)
+		ckt.AddV("vbl", "BL", circuit.Ground, &v.bl)
 		ckt.AddV("vin", "IN", circuit.Ground, circuit.DC(0))
 		c.addHalf(ckt, side, "IN", "OUT", "CVDD", "CVSS", "BL", "WL")
 		sw, err := ckt.NewSweeper("vin", "OUT")
 		if err != nil {
-			return nil, err
+			panic(err) // the netlist above has both
 		}
 		v.vtc[side], v.sweep[side] = ckt, sw
 	}
-	return v, nil
+	return v
 }
 
-// halfVTC sweeps one half-cell's input over [lo, hi] under the given rails
-// into the side's output buffer.
-func (v *vtcSweeps) halfVTC(side int, dvt Variation, cvdd, cvss, bl, wl, lo, hi float64) error {
+// halfVTC sweeps one half-cell's input over v.xs, under the rails set on
+// v, into the side's output buffer.
+func (v *vtcSweeps) halfVTC(side int, dvt Variation) error {
 	ckt := v.vtc[side]
-	setHalfDVt(ckt, side, "OUT", dvt)
-	ckt.SetV("vcvdd", circuit.DC(cvdd))
-	ckt.SetV("vcvss", circuit.DC(cvss))
-	ckt.SetV("vwl", circuit.DC(wl))
-	ckt.SetV("vbl", circuit.DC(bl))
-	ckt.SetIC("OUT", cvdd)
+	for t := Transistor(side * 3); t < Transistor(side*3+3); t++ {
+		ckt.SetFETDVt(t.String(), dvt[t])
+	}
+	ckt.SetIC("OUT", v.cvdd.V)
 
 	mVTCSweeps.Inc()
-	linspaceInto(v.xs, lo, hi)
 	if err := v.sweep[side].Sweep(v.xs, v.ys[side]); err != nil {
 		return fmt.Errorf("cell: VTC sweep (side %d): %w", side, err)
 	}
@@ -148,12 +145,15 @@ func (v *vtcSweeps) halfVTC(side int, dvt Variation, cvdd, cvss, bl, wl, lo, hi 
 }
 
 // butterfly builds the butterfly under explicit rails into the sweeps' own
-// buffers: branch A is side 0's VTC as swept, branch B side 1's mirrored
-// across the diagonal — the curve x = g(y) becomes y = g⁻¹(x), resampled
-// with strictly increasing x. The result is valid until the next sweep.
+// buffers: branch A is side 0's VTC as swept over [lo, hi], branch B side
+// 1's mirrored across the diagonal — the curve x = g(y) becomes
+// y = g⁻¹(x), resampled with strictly increasing x. The result is valid
+// until the next sweep.
 func (v *vtcSweeps) butterfly(dvt Variation, cvdd, cvss, bl, wl, lo, hi float64) (*Butterfly, error) {
+	v.cvdd.V, v.cvss.V, v.bl.V, v.wl.V = cvdd, cvss, bl, wl
+	linspaceInto(v.xs, lo, hi)
 	for side := range v.ys {
-		if err := v.halfVTC(side, dvt, cvdd, cvss, bl, wl, lo, hi); err != nil {
+		if err := v.halfVTC(side, dvt); err != nil {
 			return nil, err
 		}
 	}
@@ -173,6 +173,16 @@ func (v *vtcSweeps) butterfly(dvt Variation, cvdd, cvss, bl, wl, lo, hi float64)
 	return &v.bf, nil
 }
 
+// linspaceInto fills dst exactly like num.Linspace(lo, hi, len(dst)).
+func linspaceInto(dst []float64, lo, hi float64) {
+	n := len(dst)
+	step := (hi - lo) / float64(n-1)
+	for i := range dst {
+		dst[i] = lo + float64(i)*step
+	}
+	dst[n-1] = hi
+}
+
 // hold builds the butterfly in hold: WL = 0, rails nominal, BLs precharged
 // to vdd.
 func (v *vtcSweeps) hold(dvt Variation, vdd float64) (*Butterfly, error) {
@@ -186,76 +196,25 @@ func (v *vtcSweeps) read(dvt Variation, b ReadBias) (*Butterfly, error) {
 	return v.butterfly(dvt, b.VDDC, b.VSSC, b.Vdd, b.VWL, lo, hi)
 }
 
-// holdSNM returns the hold static noise margin of the perturbed cell.
-func (v *vtcSweeps) holdSNM(dvt Variation, vdd float64) (float64, error) {
-	sp := obs.StartSpan("cell.hold_snm")
-	mSNMExtractions.Inc()
-	bf, err := v.hold(dvt, vdd)
-	if err != nil {
-		return 0, err
-	}
-	snm, err := bf.SNM()
-	if err == nil {
-		sp.Float("snm", snm)
-		sp.End()
-	}
-	return snm, err
-}
-
-// readSNM returns the read static noise margin of the perturbed cell under
-// bias b.
-func (v *vtcSweeps) readSNM(dvt Variation, b ReadBias) (float64, error) {
-	sp := obs.StartSpan("cell.read_snm")
-	mSNMExtractions.Inc()
-	bf, err := v.read(dvt, b)
-	if err != nil {
-		return 0, err
-	}
-	snm, err := bf.SNM()
-	if err == nil {
-		sp.Float("vddc", b.VDDC)
-		sp.Float("vssc", b.VSSC)
-		sp.Float("snm", snm)
-		sp.End()
-	}
-	return snm, err
-}
-
 // HoldButterfly returns the two branches of the hold-state butterfly for
 // plotting or export (cmd/cellchar -butterfly).
 func (c *Cell) HoldButterfly(vdd float64) (*Butterfly, error) {
-	v, err := newVTCSweeps(c.Lib, c.Flavor)
-	if err != nil {
-		return nil, err
-	}
-	return v.hold(c.DVt, vdd)
+	return c.scratch().sweeps().hold(c.DVt, vdd)
 }
 
 // ReadButterfly returns the two branches of the read-access butterfly under
 // the given assist bias.
 func (c *Cell) ReadButterfly(b ReadBias) (*Butterfly, error) {
-	v, err := newVTCSweeps(c.Lib, c.Flavor)
-	if err != nil {
-		return nil, err
-	}
-	return v.read(c.DVt, b)
+	return c.scratch().sweeps().read(c.DVt, b)
 }
 
 // HoldSNM returns the hold static noise margin (paper Fig. 2(a)).
 func (c *Cell) HoldSNM(vdd float64) (float64, error) {
-	v, err := newVTCSweeps(c.Lib, c.Flavor)
-	if err != nil {
-		return 0, err
-	}
-	return v.holdSNM(c.DVt, vdd)
+	return c.scratch().HoldSNM(c.DVt, vdd)
 }
 
 // ReadSNM returns the read static noise margin under the given assist bias
 // (paper Figs. 3(a)-(d)).
 func (c *Cell) ReadSNM(b ReadBias) (float64, error) {
-	v, err := newVTCSweeps(c.Lib, c.Flavor)
-	if err != nil {
-		return 0, err
-	}
-	return v.readSNM(c.DVt, b)
+	return c.scratch().ReadSNM(c.DVt, b)
 }

@@ -17,9 +17,9 @@ import (
 var ErrWriteFail = errors.New("write margin ≤ 0")
 
 // WriteTripWL returns the minimum wordline voltage that flips a cell holding
-// '1' on Q when BL is driven to b.VBL (writing a '0'), bisected 28 times
-// over [0, b.VWL]. The paper defines the write margin relative to this trip
-// point.
+// '1' on Q when BL is driven to b.VBL (writing a '0'), bisected over
+// [0, b.VWL] to writeTripTolV. The paper defines the write margin relative
+// to this trip point.
 //
 // Flip detection is transient (dynamic): the DC problem is singular exactly
 // at the trip fold, so each probe applies the wordline level to the cell
@@ -27,20 +27,14 @@ var ErrWriteFail = errors.New("write margin ≤ 0")
 // whether the state flips within a generous settling window. A probe's
 // outcome does not depend on b.VWL, which only bounds the search.
 func (c *Cell) WriteTripWL(b WriteBias) (float64, error) {
-	p := newWriteProbe(c.Lib, c.Flavor)
-	p.load(c.DVt, b)
-	return p.trip(b.VWL, 0)
+	return c.scratch().writeTrip(c.DVt, b)
 }
 
 // WriteMargin returns the write margin under bias b: the applied wordline
 // voltage minus the minimum wordline voltage needed to flip the cell
 // (paper §3.2; at VWL = Vdd this is exactly the paper's WM definition).
 func (c *Cell) WriteMargin(b WriteBias) (float64, error) {
-	trip, err := c.WriteTripWL(b)
-	if err != nil {
-		return 0, err
-	}
-	return b.VWL - trip, nil
+	return c.scratch().WriteMargin(c.DVt, b)
 }
 
 // WriteDelay returns the cell-level write delay (s): the time from the
@@ -89,13 +83,14 @@ func crossEachOther(res *circuit.TranResult, a, b string, tMin float64) (float64
 
 // MinVDDCForReadSNM returns the smallest VDDC (searched on a 10 mV grid like
 // the paper's rail granularity) at which the read SNM meets target, with the
-// other read-bias fields taken from b. It returns an error if even vMax
-// fails.
+// other read-bias fields taken from b. Every grid level runs on one
+// workspace. It returns an error if even vMax fails.
 func (c *Cell) MinVDDCForReadSNM(b ReadBias, target, vMax float64) (float64, error) {
+	s := c.scratch()
 	meets := func(vddc float64) (bool, error) {
 		bb := b
 		bb.VDDC = vddc
-		snm, err := c.ReadSNM(bb)
+		snm, err := s.ReadSNM(c.DVt, bb)
 		if err != nil {
 			return false, err
 		}

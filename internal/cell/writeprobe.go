@@ -16,10 +16,14 @@ import (
 const (
 	probeStop = 300e-12 // s, settling window of one probe
 	probeDT   = 0.5e-12 // s, backward-Euler step
-	// tripBisections bounds the trip bisection over [0, VWL]: 28 halvings
-	// pin the trip to ~2 nV, below any rail grid built on it.
-	tripBisections = 28
 )
+
+// writeTripTolV is the wordline-interval width at which every write-trip
+// bisection stops, so the trip lies within writeTripTolV/2 = 0.25 mV of the
+// flip threshold: far below the ΔVt-induced write-margin spread (σ_WM ~
+// tens of mV) and below the ≥ 0.82 mV by which each pinned VWL* grid level
+// clears δ (DESIGN.md §12.1).
+const writeTripTolV = 0.5e-3
 
 // Certificates that end a probe before 300 ps once its outcome is certain
 // (DESIGN.md §12.1). With VBL = 0 the cell is cooperative in (Q, −QB) and
@@ -58,8 +62,7 @@ const (
 // writeProbe is the write-trip search's flip probe: the full-cell write
 // netlist with its storage-node capacitances, a reusable transient runner,
 // and the certificates that end a probe once its outcome is certain. One
-// probe serves every trip search of a Scratch; Cell.WriteTripWL builds one
-// per call.
+// probe serves every trip search of a Scratch.
 type writeProbe struct {
 	lib    *device.Library
 	flavor device.Flavor
@@ -67,6 +70,8 @@ type writeProbe struct {
 	tran   *circuit.TranRunner
 	settle circuit.Certificate // p.settled, bound once so a probe allocates no closure
 	q, qb  int                 // storage-node indices
+
+	vdd, vbl, vwl circuit.Level // the rails: CVDD and BLB at vdd, BL at vbl, the wordline at vwl
 
 	certified bool  // the loaded bias lies in the certificates' domain
 	nextEq    int64 // step of the next equilibrium attempt
@@ -78,8 +83,12 @@ type writeProbe struct {
 
 func newWriteProbe(lib *device.Library, flavor device.Flavor) *writeProbe {
 	c := Cell{Lib: lib, Flavor: flavor}
-	ckt := c.writeCell(circuit.DC(0), 0, 0)
-	p := &writeProbe{lib: lib, flavor: flavor, ckt: ckt, tran: ckt.NewTranRunner()}
+	p := &writeProbe{lib: lib, flavor: flavor}
+	p.ckt = c.writeCell(&p.vwl, 0, 0)
+	p.ckt.SetV("vcvdd", &p.vdd)
+	p.ckt.SetV("vblb", &p.vdd)
+	p.ckt.SetV("vbl", &p.vbl)
+	p.tran = p.ckt.NewTranRunner()
 	p.q, p.qb = p.tran.Node("Q"), p.tran.Node("QB")
 	p.settle = p.settled
 	return p
@@ -87,11 +96,10 @@ func newWriteProbe(lib *device.Library, flavor device.Flavor) *writeProbe {
 
 // load applies a cell perturbation and write bias to the netlist.
 func (p *writeProbe) load(dvt Variation, b WriteBias) {
-	setHalfDVt(p.ckt, 0, "Q", dvt)
-	setHalfDVt(p.ckt, 1, "QB", dvt)
-	p.ckt.SetV("vcvdd", circuit.DC(b.Vdd))
-	p.ckt.SetV("vbl", circuit.DC(b.VBL))
-	p.ckt.SetV("vblb", circuit.DC(b.Vdd))
+	for t := range NumTransistors {
+		p.ckt.SetFETDVt(t.String(), dvt[t])
+	}
+	p.vdd.V, p.vbl.V = b.Vdd, b.VBL
 	p.ckt.SetIC("Q", b.Vdd)
 	p.certified = p.inDomain(dvt, b)
 }
@@ -127,7 +135,7 @@ func (p *writeProbe) inDomain(dvt Variation, b WriteBias) bool {
 func (p *writeProbe) flips(vwl float64) (bool, error) {
 	p.probes++
 	mWriteProbes.Inc()
-	p.ckt.SetV("vwl", circuit.DC(vwl))
+	p.vwl.V = vwl
 	var settle circuit.Certificate
 	if p.certified {
 		settle = p.settle
@@ -165,15 +173,15 @@ func (p *writeProbe) settled(tr *circuit.TranRunner) bool {
 	return false
 }
 
-// trip bisects the flip threshold over [0, vMax] for at most tripBisections
-// halvings, stopping early once the interval is no wider than tol (0 runs
-// them all). The cell.write_trip span ends on every return, with the
-// search's outcome, probe count and total transient steps.
-func (p *writeProbe) trip(vMax, tol float64) (float64, error) {
+// trip bisects the flip threshold over [0, vMax] until the interval is no
+// wider than writeTripTolV and returns its midpoint. The cell.write_trip
+// span ends on every return, with the search's outcome, probe count and
+// total transient steps.
+func (p *writeProbe) trip(vMax float64) (float64, error) {
 	sp := obs.StartSpan("cell.write_trip")
 	mWriteTrips.Inc()
 	p.probes, p.steps = 0, 0
-	trip, err := p.bisect(vMax, tol)
+	trip, err := p.bisect(vMax)
 	switch {
 	case err == nil:
 		sp.Str("outcome", "trip")
@@ -189,7 +197,7 @@ func (p *writeProbe) trip(vMax, tol float64) (float64, error) {
 	return trip, err
 }
 
-func (p *writeProbe) bisect(vMax, tol float64) (float64, error) {
+func (p *writeProbe) bisect(vMax float64) (float64, error) {
 	lo, hi := 0.0, vMax
 	fl, err := p.flips(lo)
 	if err != nil {
@@ -205,7 +213,7 @@ func (p *writeProbe) bisect(vMax, tol float64) (float64, error) {
 	if !fh {
 		return 0, fmt.Errorf("cell: write fails even at WL=%gV: %w", hi, ErrWriteFail)
 	}
-	for i := 0; i < tripBisections && hi-lo > tol; i++ {
+	for hi-lo > writeTripTolV {
 		mid := 0.5 * (lo + hi)
 		fm, err := p.flips(mid)
 		if err != nil {

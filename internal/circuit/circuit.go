@@ -180,10 +180,3 @@ func (c *Circuit) SetIC(node string, v float64) {
 	c.node(node)
 	c.ic[node] = v
 }
-
-// ClearICs removes all initial conditions.
-func (c *Circuit) ClearICs() {
-	for k := range c.ic {
-		delete(c.ic, k)
-	}
-}

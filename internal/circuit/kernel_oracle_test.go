@@ -21,20 +21,20 @@ import (
 // bit, so the comparison with the reference is a comparison of kernels.
 
 const (
-	vtcPoints    = 181    // cell's butterfly sweep resolution
-	tripTolV     = 0.5e-3 // cell's Monte Carlo write-trip tolerance
-	probeStop    = 300e-12
-	probeDT      = 0.5e-12
-	tripHalvings = 28
+	vtcPoints = 181    // cell's butterfly sweep resolution
+	tripTolV  = 0.5e-3 // cell's write-trip tolerance
+	probeStop = 300e-12
+	probeDT   = 0.5e-12
 )
 
-// addHalf adds one half-cell: pull-up, pull-down, access transistor.
+// addHalf adds one half-cell: pull-up, pull-down, access transistor, each
+// named after its cell.Transistor.
 func addHalf(ckt *circuit.Circuit, c *cell.Cell, side int, in, out, cvdd, cvss, bl, wl string) {
 	n, p := c.Lib.Model(device.NFET, c.Flavor), c.Lib.Model(device.PFET, c.Flavor)
-	dvt := c.DVt[side*3 : side*3+3]
-	ckt.AddFET(circuit.FET{Name: "pu" + out, Model: p, Fins: 1, DVt: dvt[0], D: out, G: in, S: cvdd})
-	ckt.AddFET(circuit.FET{Name: "pd" + out, Model: n, Fins: 1, DVt: dvt[1], D: out, G: in, S: cvss})
-	ckt.AddFET(circuit.FET{Name: "ax" + out, Model: n, Fins: 1, DVt: dvt[2], D: bl, G: wl, S: out})
+	pu, pd, ax := cell.Transistor(side*3)+cell.PUL, cell.Transistor(side*3)+cell.PDL, cell.Transistor(side*3)+cell.AXL
+	ckt.AddFET(circuit.FET{Name: pu.String(), Model: p, Fins: 1, DVt: c.DVt[pu], D: out, G: in, S: cvdd})
+	ckt.AddFET(circuit.FET{Name: pd.String(), Model: n, Fins: 1, DVt: c.DVt[pd], D: out, G: in, S: cvss})
+	ckt.AddFET(circuit.FET{Name: ax.String(), Model: n, Fins: 1, DVt: c.DVt[ax], D: bl, G: wl, S: out})
 }
 
 // halfCell is one side's VTC netlist, input swept by source vin.
@@ -245,9 +245,9 @@ func TestCurrentsMatchMNA(t *testing.T) {
 	t.Logf("largest relative differences from the MNA reference: %v", worst)
 }
 
-// mnaWriteTrip is the write-trip bisection of the cell package, each flip
-// probe a full 300 ps window on the full-MNA reference.
-func mnaWriteTrip(c *cell.Cell, b cell.WriteBias, tol float64) (float64, error) {
+// mnaWriteTrip is the write-trip bisection of the cell package, to
+// tripTolV, each flip probe a full 300 ps window on the full-MNA reference.
+func mnaWriteTrip(c *cell.Cell, b cell.WriteBias) (float64, error) {
 	flips := func(vwl float64) (bool, error) {
 		ckt := fullCell(c, b.Vdd, 0, vwl, b.VBL, b.Vdd)
 		cq := c.StorageNodeCap()
@@ -268,7 +268,7 @@ func mnaWriteTrip(c *cell.Cell, b cell.WriteBias, tol float64) (float64, error) 
 		}
 		return 0, err
 	}
-	for i := 0; i < tripHalvings && hi-lo > tol; i++ {
+	for hi-lo > tripTolV {
 		mid := 0.5 * (lo + hi)
 		fm, err := flips(mid)
 		if err != nil {
@@ -287,8 +287,8 @@ func mnaWriteTrip(c *cell.Cell, b cell.WriteBias, tol float64) (float64, error) 
 // TestWriteProbeMatchesOracle (seed 21, both flavors, one draw at σ = 25
 // and 75 mV, wordline at nominal, 0.54 V and 0.40 V), the certified probes
 // on the kernel make every flip decision the full-window reference makes:
-// Monte Carlo write margins equal bit for bit, and so do the 28-halving
-// margins of every fourth case.
+// write margins on a reused Scratch equal the reference's bit for bit, and
+// so do Cell.WriteMargin's on every fourth case.
 func TestWriteFlipsMatchMNA(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full-window MNA reference")
@@ -308,7 +308,7 @@ func TestWriteFlipsMatchMNA(t *testing.T) {
 				c.DVt[k] = rng.NormFloat64() * sigma
 			}
 			for _, b := range biases {
-				trip, errR := mnaWriteTrip(c, b, tripTolV)
+				trip, errR := mnaWriteTrip(c, b)
 				wm, errK := s.WriteMargin(c.DVt, b)
 				switch {
 				case errors.Is(errR, cell.ErrWriteFail):
@@ -321,12 +321,8 @@ func TestWriteFlipsMatchMNA(t *testing.T) {
 				case wm != b.VWL-trip:
 					t.Errorf("%v ΔVt %.3f %+v: kernel WM %v, reference %v", fl, c.DVt, b, wm, b.VWL-trip)
 				case i%4 == 0:
-					full, err := mnaWriteTrip(c, b, 0)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if got, err := c.WriteMargin(b); err != nil || got != b.VWL-full {
-						t.Errorf("%v ΔVt %.3f %+v: 28-halving WM %v (%v), reference %v", fl, c.DVt, b, got, err, b.VWL-full)
+					if got, err := c.WriteMargin(b); err != nil || got != b.VWL-trip {
+						t.Errorf("%v ΔVt %.3f %+v: Cell.WriteMargin %v (%v), reference %v", fl, c.DVt, b, got, err, b.VWL-trip)
 					}
 				}
 				i++

@@ -19,15 +19,8 @@ type Sweeper struct {
 	node int // observed node of Sweep
 	as   *assembler
 	x    []float64 // continuation state, reused across calls
-	lvl  level     // the swept source's waveform during a sweep
+	lvl  Level     // the swept source's waveform during a sweep
 }
-
-// level is a constant waveform whose value a sweep moves point by point,
-// so re-biasing the swept source allocates no fresh interface value.
-type level struct{ v float64 }
-
-// At returns the current level regardless of time.
-func (l *level) At(float64) float64 { return l.v }
 
 // NewSweeper binds a sweeper to the named voltage source and observed node.
 // The circuit's topology must not change afterwards (SetV, SetIC, and
@@ -77,7 +70,7 @@ func (s *Sweeper) sweep(values []float64, point func(i int, x []float64)) error 
 	s.as.start(s.x, 0)
 	s.src.wave = &s.lvl
 	for i, val := range values {
-		s.lvl.v = val
+		s.lvl.V = val
 		if err := s.as.solveRobust(s.x, 0, nil, s.as.sol); err != nil {
 			mDCSweepPoints.Add(int64(i))
 			return fmt.Errorf("circuit: DCSweep %s=%g (point %d): %w", s.src.name, val, i, err)

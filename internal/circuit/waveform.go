@@ -17,6 +17,14 @@ type DC float64
 // At returns the constant value regardless of time.
 func (d DC) At(float64) float64 { return float64(d) }
 
+// Level is a constant waveform that its owner moves in place. A source
+// installed once with a *Level is re-biased by assigning V, which allocates
+// nothing, where SetV with a fresh DC boxes each new value.
+type Level struct{ V float64 }
+
+// At returns the current level regardless of time.
+func (l *Level) At(float64) float64 { return l.V }
+
 // PWLPoint is one breakpoint of a piecewise-linear waveform.
 type PWLPoint struct {
 	T float64 // time (s)

@@ -113,12 +113,11 @@ type Framework struct {
 }
 
 // FrameworkOpts tunes framework construction; zero values select the
-// paper's defaults.
+// paper's defaults. The sense voltage ΔVs and the DC-DC factor are always
+// DefaultDeltaVS and DefaultDCDC.
 type FrameworkOpts struct {
 	Vdd        float64
-	DeltaVS    float64
 	Delta      float64
-	DCDC       float64
 	Accounting array.EnergyAccounting
 }
 
@@ -131,26 +130,18 @@ func NewFramework(mode Mode, opts FrameworkOpts) (*Framework, error) {
 	if vdd == 0 {
 		vdd = DefaultVdd
 	}
-	dvs := opts.DeltaVS
-	if dvs == 0 {
-		dvs = DefaultDeltaVS
-	}
 	delta := opts.Delta
 	if delta == 0 {
 		delta = DefaultDelta(vdd)
 	}
-	dcdc := opts.DCDC
-	if dcdc == 0 {
-		dcdc = DefaultDCDC
-	}
-	p, err := periph.Characterize(lib, periph.CharacterizeOpts{Vdd: vdd, DeltaV: dvs})
+	p, err := periph.Characterize(lib, periph.CharacterizeOpts{Vdd: vdd, DeltaV: DefaultDeltaVS})
 	if err != nil {
 		return nil, fmt.Errorf("core: peripheral characterization: %w", err)
 	}
 	f := &Framework{
 		Mode:    mode,
 		Vdd:     vdd,
-		DeltaVS: dvs,
+		DeltaVS: DefaultDeltaVS,
 		Delta:   delta,
 		Periph:  p,
 		Caps: wire.DeviceCaps{
@@ -158,7 +149,7 @@ func NewFramework(mode Mode, opts FrameworkOpts) (*Framework, error) {
 			Cgn: lib.NLVT.CgFin, Cgp: lib.PLVT.CgFin,
 		},
 		Cells:      make(map[device.Flavor]*CellChar, 2),
-		DCDC:       dcdc,
+		DCDC:       DefaultDCDC,
 		Accounting: opts.Accounting,
 	}
 	for _, flavor := range []device.Flavor{device.LVT, device.HVT} {

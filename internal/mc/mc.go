@@ -224,8 +224,8 @@ func (e *evaluator) sample(i int) (Sample, error) {
 	s.HSNM, s.RSNM, s.WM = math.NaN(), math.NaN(), math.NaN()
 	e.dr.draw(i, &s)
 
-	needScratch := cfg.Metrics&(HSNM|RSNM) != 0 || (cfg.Metrics&WM != 0 && writeMarginFn == nil)
-	if needScratch && e.scr == nil {
+	// A Scratch builds each netlist on the first margin that needs it.
+	if e.scr == nil {
 		scr, err := cell.NewScratch(&cell.Cell{Lib: e.lib, Flavor: cfg.Flavor})
 		if err != nil {
 			return s, err

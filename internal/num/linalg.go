@@ -1,6 +1,6 @@
 // Package num provides the numerical kernels used throughout sramco:
-// dense linear algebra, scalar root finding, interpolation, minimization,
-// and summary statistics.
+// dense linear algebra, scalar root finding, interpolation, a scrambled
+// Sobol' sequence, and summary statistics.
 //
 // The package is deliberately small and dependency-free. Circuit matrices in
 // this project are tiny (tens of unknowns), so a dense LU with partial
@@ -73,10 +73,9 @@ func (m *Matrix) MulVec(x []float64) []float64 {
 
 // LU holds an in-place LU factorization with partial pivoting.
 type LU struct {
-	n    int
-	lu   []float64
-	piv  []int
-	sign int
+	n   int
+	lu  []float64
+	piv []int
 }
 
 // NewLU allocates factorization storage for n×n systems, for use with
@@ -86,7 +85,7 @@ func NewLU(n int) *LU {
 	if n < 0 {
 		panic(fmt.Sprintf("num: invalid LU size %d", n))
 	}
-	return &LU{n: n, lu: make([]float64, n*n), piv: make([]int, n), sign: 1}
+	return &LU{n: n, lu: make([]float64, n*n), piv: make([]int, n)}
 }
 
 // Factor computes the LU factorization of a square matrix. The input is not
@@ -111,7 +110,6 @@ func (f *LU) Refactor(m *Matrix) error {
 		return fmt.Errorf("num: Refactor size mismatch: LU n=%d, matrix %d×%d", f.n, m.Rows, m.Cols)
 	}
 	n := f.n
-	f.sign = 1
 	copy(f.lu, m.Data)
 	for i := range f.piv {
 		f.piv[i] = i
@@ -144,7 +142,6 @@ func (f *LU) Refactor(m *Matrix) error {
 				a[k*n+j], a[p*n+j] = a[p*n+j], a[k*n+j]
 			}
 			f.piv[k], f.piv[p] = f.piv[p], f.piv[k]
-			f.sign = -f.sign
 		}
 		pivot := a[k*n+k]
 		for i := k + 1; i < n; i++ {
@@ -198,15 +195,6 @@ func (f *LU) SolveInto(dst, b []float64) {
 	}
 }
 
-// Det returns the determinant from the factorization.
-func (f *LU) Det() float64 {
-	d := float64(f.sign)
-	for i := 0; i < f.n; i++ {
-		d *= f.lu[i*f.n+i]
-	}
-	return d
-}
-
 // SolveLinear is a convenience wrapper: factor A and solve A·x = b.
 func SolveLinear(a *Matrix, b []float64) ([]float64, error) {
 	f, err := Factor(a)
@@ -225,13 +213,4 @@ func NormInf(v []float64) float64 {
 		}
 	}
 	return m
-}
-
-// Norm2 returns the Euclidean norm of a vector.
-func Norm2(v []float64) float64 {
-	var s float64
-	for _, x := range v {
-		s += x * x
-	}
-	return math.Sqrt(s)
 }

@@ -80,21 +80,6 @@ func TestPivotingHandlesZeroDiagonal(t *testing.T) {
 	}
 }
 
-func TestDet(t *testing.T) {
-	a := NewMatrix(2, 2)
-	a.Set(0, 0, 3)
-	a.Set(0, 1, 1)
-	a.Set(1, 0, 4)
-	a.Set(1, 1, 2)
-	f, err := Factor(a)
-	if err != nil {
-		t.Fatalf("Factor: %v", err)
-	}
-	if d := f.Det(); math.Abs(d-2) > 1e-12 {
-		t.Fatalf("Det = %g, want 2", d)
-	}
-}
-
 // TestSolveRandomResidual is a property test: for random well-conditioned
 // systems, A·x must reproduce b to near machine precision.
 func TestSolveRandomResidual(t *testing.T) {
@@ -142,10 +127,7 @@ func TestNorms(t *testing.T) {
 	if NormInf(v) != 4 {
 		t.Fatalf("NormInf = %g", NormInf(v))
 	}
-	if math.Abs(Norm2(v)-5) > 1e-12 {
-		t.Fatalf("Norm2 = %g", Norm2(v))
-	}
-	if NormInf(nil) != 0 || Norm2(nil) != 0 {
-		t.Fatal("norms of empty vector should be 0")
+	if NormInf(nil) != 0 {
+		t.Fatal("norm of empty vector should be 0")
 	}
 }

@@ -80,11 +80,3 @@ func TestBrentMatchesBisect(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-func TestGoldenMin(t *testing.T) {
-	f := func(x float64) float64 { return (x - 1.7) * (x - 1.7) }
-	x := GoldenMin(f, -10, 10, 1e-9)
-	if math.Abs(x-1.7) > 1e-6 {
-		t.Fatalf("argmin = %g, want 1.7", x)
-	}
-}

@@ -84,9 +84,6 @@ func NewSobol(dim int, seed uint64) (*Sobol, error) {
 	return s, nil
 }
 
-// Dim returns the dimensionality of the sequence.
-func (s *Sobol) Dim() int { return s.dim }
-
 // At fills u[0:dim] with point i (i ≥ 0) of the scrambled sequence. Every
 // coordinate lies strictly inside (0, 1), so Φ⁻¹ of a coordinate is always
 // finite.

@@ -66,15 +66,3 @@ func Quantile(sorted []float64, q float64) float64 {
 	}
 	return sorted[i]*(1-frac) + sorted[i+1]*frac
 }
-
-// GeoMean returns the geometric mean of positive samples.
-func GeoMean(xs []float64) float64 {
-	if len(xs) == 0 {
-		panic("num: GeoMean of empty sample")
-	}
-	var s float64
-	for _, x := range xs {
-		s += math.Log(x)
-	}
-	return math.Exp(s / float64(len(xs)))
-}

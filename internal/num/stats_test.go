@@ -44,15 +44,6 @@ func TestQuantile(t *testing.T) {
 	}
 }
 
-func TestGeoMean(t *testing.T) {
-	if g := GeoMean([]float64{1, 4}); math.Abs(g-2) > 1e-12 {
-		t.Fatalf("GeoMean = %g, want 2", g)
-	}
-	if g := GeoMean([]float64{8}); math.Abs(g-8) > 1e-12 {
-		t.Fatalf("GeoMean = %g, want 8", g)
-	}
-}
-
 func TestSummarizeEmptyPanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {

@@ -2,14 +2,14 @@ package num
 
 import "math"
 
-// Welford accumulates weighted running moments (West's update, Chan's
-// merge): mean and variance in one pass, numerically stable, with the
-// effective sample size needed for confidence intervals over importance-
-// weighted draws. The zero value is an empty accumulator.
+// Welford accumulates weighted running moments (West's update): mean and
+// variance in one pass, numerically stable, with the effective sample size
+// needed for confidence intervals over importance-weighted draws. The zero
+// value is an empty accumulator.
 //
-// Merging is deterministic only for a fixed merge order; parallel reducers
-// must combine partial accumulators in a canonical (e.g. block-index) order
-// to keep results bit-identical across schedules.
+// The result depends on the order of Add calls; parallel reducers must add
+// samples in a canonical (e.g. sample-index) order to keep results
+// bit-identical across schedules.
 type Welford struct {
 	Count int64   // number of observations
 	SumW  float64 // Σw
@@ -38,30 +38,6 @@ func (a *Welford) Add(x, w float64) {
 	d := x - a.M
 	a.M += (w / a.SumW) * d
 	a.M2 += w * d * (x - a.M)
-}
-
-// Merge folds accumulator b into a (Chan et al. pairwise combination).
-func (a *Welford) Merge(b Welford) {
-	if b.Count == 0 {
-		return
-	}
-	if a.Count == 0 {
-		*a = b
-		return
-	}
-	if b.MinV < a.MinV {
-		a.MinV = b.MinV
-	}
-	if b.MaxV > a.MaxV {
-		a.MaxV = b.MaxV
-	}
-	d := b.M - a.M
-	w := a.SumW + b.SumW
-	a.M2 += b.M2 + d*d*a.SumW*b.SumW/w
-	a.M += d * b.SumW / w
-	a.SumW = w
-	a.SumW2 += b.SumW2
-	a.Count += b.Count
 }
 
 // Mean returns the weighted mean (NaN when empty).

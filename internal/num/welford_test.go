@@ -29,44 +29,6 @@ func TestWelfordMatchesSummarize(t *testing.T) {
 	}
 }
 
-// TestWelfordMergeInOrderDeterministic proves block-wise accumulation merged
-// in a fixed block order agrees with the sequential accumulator to rounding
-// error and — the property the Monte Carlo streaming reducer depends on —
-// that the same merge order reproduces identical bits every time.
-func TestWelfordMergeInOrderDeterministic(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	const blocks, per = 9, 17
-	var seq Welford
-	parts := make([]Welford, blocks)
-	for b := 0; b < blocks; b++ {
-		for j := 0; j < per; j++ {
-			x := rng.NormFloat64()
-			w := 0.5 + rng.Float64()
-			seq.Add(x, w)
-			parts[b].Add(x, w)
-		}
-	}
-	var merged Welford
-	for b := 0; b < blocks; b++ {
-		merged.Merge(parts[b])
-	}
-	if merged.Count != seq.Count {
-		t.Fatalf("counts differ: %+v vs %+v", merged, seq)
-	}
-	if math.Abs(merged.Mean()-seq.Mean()) > 1e-12 || math.Abs(merged.Var()-seq.Var()) > 1e-12 {
-		t.Errorf("moments differ: mean %g vs %g, var %g vs %g",
-			merged.Mean(), seq.Mean(), merged.Var(), seq.Var())
-	}
-	// And the merge order is reproducible: merging again gives identical bits.
-	var again Welford
-	for b := 0; b < blocks; b++ {
-		again.Merge(parts[b])
-	}
-	if again != merged {
-		t.Error("in-order merge is not bit-reproducible")
-	}
-}
-
 func TestWelfordWeighted(t *testing.T) {
 	// A weight-2 observation must equal two unit observations for the mean
 	// (frequency view) while ESS drops below the raw count.

@@ -11,8 +11,6 @@ import (
 	"sync"
 	"time"
 
-	"sramco"
-	"sramco/internal/array"
 	"sramco/internal/obs"
 )
 
@@ -153,70 +151,14 @@ func toBatchResult(idx int, op string, res cached, state string, err error, d ti
 	return batchResult{Index: idx, Op: op, Status: res.status, Cache: state, Body: res.body}
 }
 
-// batchEvaluator shares prepared array.Evaluator instances across the
-// evaluate items of one batch, one per (flavor, activity): consecutive
-// items differing only in fin counts reuse the memoized chunk-invariant
-// state from Prepare instead of recomputing it. The batch handler drives
-// evaluate items sequentially, but a fill whose waiter timed out keeps
-// running on its flightGroup goroutine — the mutex makes that overlap safe
-// (Prepare/Eval share per-Evaluator state), and handleBatch additionally
-// stops launching new fills once the batch deadline has passed so nothing
-// queues up behind a straggler.
-type batchEvaluator struct {
-	fw   *sramco.Framework
-	hook func() // test seam (Server.evalHook); nil in production
-
-	mu sync.Mutex
-	m  map[batchEvalKey]*array.Evaluator
-}
-
-type batchEvalKey struct {
-	flavor      sramco.Flavor
-	alpha, beta float64
-}
-
-func newBatchEvaluator(fw *sramco.Framework, hook func()) *batchEvaluator {
-	return &batchEvaluator{fw: fw, hook: hook, m: make(map[batchEvalKey]*array.Evaluator)}
-}
-
-func (e *batchEvaluator) eval(flavor sramco.Flavor, d sramco.Design, act sramco.Activity) (*sramco.Result, error) {
-	if e.hook != nil {
-		e.hook()
-	}
-	if d.Groups != 0 {
-		// Hybrid designs carry per-group cell state a shared single-flavor
-		// Evaluator cannot memoize; evaluate them standalone.
-		return e.fw.Evaluate(flavor, d, act)
-	}
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	k := batchEvalKey{flavor: flavor, alpha: act.Alpha, beta: act.Beta}
-	ev, ok := e.m[k]
-	if !ok {
-		tech, err := e.fw.Core().ArrayTech(flavor)
-		if err != nil {
-			return nil, err
-		}
-		if ev, err = array.NewEvaluator(tech, act); err != nil {
-			return nil, err
-		}
-		e.m[k] = ev
-	}
-	if err := ev.Prepare(d.Geom, d.VDDC, d.VSSC, d.VWL); err != nil {
-		return nil, err
-	}
-	return ev.Eval(d.Geom.Npre, d.Geom.Nwr)
-}
-
 // handleBatch answers POST /v1/batch: many optimize/evaluate/pareto items
 // in one NDJSON body, results streamed back as NDJSON in completion order,
 // flushed per line so callers read early results while later chunks still
 // compute. Each item goes through the same catalog → cache → coalesced-fill
 // path as its standalone endpoint and carries its own status; the HTTP
-// status of the stream itself is 200 once decoding succeeds. Evaluate items
-// run sequentially on shared prepared Evaluators; optimize/pareto items fan
-// out onto the worker pool. One admit spans the whole batch, so draining
-// waits for it like any other request.
+// status of the stream itself is 200 once decoding succeeds. Every item
+// fans out onto the worker pool. One admit spans the whole batch, so
+// draining waits for it like any other request.
 func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	mRequests.Inc()
 	if r.Method != http.MethodPost {
@@ -250,17 +192,15 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 
 	results := make(chan batchResult, len(items))
 	var wg sync.WaitGroup
-	var evalIdx []int
 	for i, it := range items {
-		if it.op == "evaluate" {
-			evalIdx = append(evalIdx, i)
-			continue
-		}
 		wg.Add(1)
 		go func(i int, it batchItem) {
 			defer wg.Done()
 			fill := func(ctx context.Context) (any, error) {
-				if it.op == "pareto" {
+				switch it.op {
+				case "evaluate":
+					return s.evaluateResult(*it.ev)
+				case "pareto":
 					return s.paretoResult(ctx, *it.opt)
 				}
 				return s.optimizeResult(ctx, *it.opt)
@@ -269,32 +209,6 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 			res, state, err := s.respond(batchCtx, it.key(), fill)
 			results <- toBatchResult(i, it.op, res, state, err, time.Since(t0))
 		}(i, it)
-	}
-	if len(evalIdx) > 0 {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			ev := newBatchEvaluator(s.fw, s.evalHook)
-			for n, i := range evalIdx {
-				// Once the batch deadline has passed, respond returns early
-				// while its fill keeps running on the flightGroup goroutine;
-				// launching the next item's fill would then contend on the
-				// shared evaluator behind that straggler. Answer the remaining
-				// items with the deadline error instead.
-				if batchCtx.Err() != nil {
-					for _, j := range evalIdx[n:] {
-						results <- toBatchResult(j, items[j].op, cached{}, "", context.Cause(batchCtx), 0)
-					}
-					return
-				}
-				it := items[i]
-				t0 := time.Now()
-				res, state, err := s.respond(batchCtx, it.key(), func(ctx context.Context) (any, error) {
-					return s.evaluateResult(*it.ev, ev)
-				})
-				results <- toBatchResult(i, it.op, res, state, err, time.Since(t0))
-			}
-		}()
 	}
 	go func() {
 		wg.Wait()

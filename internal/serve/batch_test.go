@@ -226,57 +226,52 @@ func TestBatchRejectsMalformedInput(t *testing.T) {
 	}
 }
 
-// TestBatchDeadlineStopsEvalFills pins the evaluate-loop deadline
-// semantics: once the batch deadline passes mid-item, the handler must not
-// launch fills for the remaining evaluate items (the expired item's fill is
-// still running on its flightGroup goroutine — a new fill would share the
-// batchEvaluator with it) but answer them with the deadline error. The
-// pre-fix code started a fill per remaining item, which this test observes
-// as extra evalHook entries (and, under -race, as a data race on the
-// evaluator map).
-func TestBatchDeadlineStopsEvalFills(t *testing.T) {
-	// Several worker slots, so a stray post-deadline fill would reach the
-	// shared evaluator instead of parking on the pool semaphore behind the
-	// gated straggler.
-	s := New(framework(t), Config{Timeout: 100 * time.Millisecond, Workers: 4})
+// TestBatchDeadlineAnswersEveryItem pins the batch deadline on the
+// per-item path every op shares: once the deadline passes, every item still
+// waiting answers 504, both those whose fill is stuck and those queued
+// behind them for a worker slot, and the stream ends instead of waiting for
+// the fills.
+func TestBatchDeadlineAnswersEveryItem(t *testing.T) {
+	// Two worker slots for four items, so two fills hold the slots and two
+	// items queue behind them.
+	s := New(framework(t), Config{Timeout: 100 * time.Millisecond, Workers: 2})
 	gate := make(chan struct{})
 	var fills atomic.Int32
-	s.evalHook = func() {
+	s.optimizeFn = func(ctx context.Context, opts sramco.Options) (*sramco.Optimum, error) {
 		fills.Add(1)
-		<-gate
+		<-gate // ignores ctx: the fill outlives the batch deadline
+		return nil, context.Cause(ctx)
 	}
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
-	// Three distinct (uncached) evaluate items; the first blocks in the
-	// hook until well past the 100ms batch deadline.
+	// Four distinct (uncached) optimize items.
 	batch := strings.Join([]string{
-		`{"op":"evaluate","flavor":"hvt","nr":32,"nc":32,"npre":1,"nwr":1}`,
-		`{"op":"evaluate","flavor":"hvt","nr":64,"nc":32,"npre":1,"nwr":1}`,
-		`{"op":"evaluate","flavor":"hvt","nr":128,"nc":32,"npre":1,"nwr":1}`,
+		`{"op":"optimize","capacity_bytes":128,"flavor":"hvt"}`,
+		`{"op":"optimize","capacity_bytes":256,"flavor":"hvt"}`,
+		`{"op":"optimize","capacity_bytes":512,"flavor":"hvt"}`,
+		`{"op":"optimize","capacity_bytes":1024,"flavor":"hvt"}`,
 	}, "\n")
 	code, results := readBatch(t, ts.URL, batch+"\n")
-	defer close(gate) // let straggler fills finish and unwind
+	defer close(gate) // let the stuck fills finish and unwind
 
 	if code != http.StatusOK {
 		t.Fatalf("batch status %d", code)
 	}
-	if len(results) != 3 {
-		t.Fatalf("got %d results, want 3", len(results))
+	if len(results) != 4 {
+		t.Fatalf("got %d results, want 4", len(results))
 	}
 	for _, r := range results {
 		if r.Status != http.StatusGatewayTimeout {
 			t.Errorf("item %d: status %d, want 504 after batch deadline", r.Index, r.Status)
 		}
 	}
-
-	// Count fills with the gate still closed, so any stray post-deadline
-	// fill is parked in the hook where it stays countable; the grace sleep
-	// gives such strays time to get scheduled before the assertion.
-	waitFor(t, "first fill to start", func() bool { return fills.Load() >= 1 })
+	// The queued items never reach optimizeFn: their slots stay held past
+	// their own server-capped deadline.
+	waitFor(t, "both slot holders to start", func() bool { return fills.Load() >= 2 })
 	time.Sleep(50 * time.Millisecond)
-	if n := fills.Load(); n != 1 {
-		t.Errorf("%d evaluate fills started, want 1 (no new fills after the deadline)", n)
+	if n := fills.Load(); n != 2 {
+		t.Errorf("%d fills started, want 2 (one per worker slot)", n)
 	}
 }
 

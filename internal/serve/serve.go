@@ -127,12 +127,9 @@ type Server struct {
 	handler http.Handler // mux wrapped in the observability middleware
 
 	// Test seams: the concurrency tests gate these to hold fills open.
-	// evalHook, when set, runs at the top of every shared-Evaluator batch
-	// eval so tests can hold an evaluate fill open past the batch deadline.
 	optimizeFn func(context.Context, sramco.Options) (*sramco.Optimum, error)
 	paretoFn   func(context.Context, sramco.Options) (*sramco.ParetoResult, error)
 	yieldFn    func(context.Context, sramco.MCConfig, func(sramco.MCCheckpoint) error) (*sramco.MCResult, error)
-	evalHook   func()
 }
 
 // New builds a Server over a characterized framework.
@@ -401,26 +398,19 @@ func (s *Server) handleEvaluate(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.serveCached(w, r, req.key(), 0, func(ctx context.Context) (any, error) {
-		return s.evaluateResult(req, nil)
+		return s.evaluateResult(req)
 	})
 }
 
 // evaluateResult evaluates one explicit design point and builds the
-// response value. When ev is non-nil the point runs through the shared
-// prepared Evaluator instead of a fresh array.Evaluate — bit-identical by
-// the Evaluator contract (DESIGN.md §7), so /v1/batch and /v1/evaluate can
-// populate the same cache entries.
-func (s *Server) evaluateResult(req EvaluateRequest, ev *batchEvaluator) (any, error) {
+// response value. Shared by the /v1/evaluate handler and /v1/batch items,
+// so both populate the same cache entries with the same bytes.
+func (s *Server) evaluateResult(req EvaluateRequest) (any, error) {
 	flavor, design, act, err := req.design(s.fw)
 	if err != nil {
 		return nil, err
 	}
-	var res *sramco.Result
-	if ev != nil {
-		res, err = ev.eval(flavor, design, act)
-	} else {
-		res, err = s.fw.Evaluate(flavor, design, act)
-	}
+	res, err := s.fw.Evaluate(flavor, design, act)
 	if err != nil {
 		// The model rejects structurally invalid points with plain
 		// errors; surface them as client errors, not 500s.
