@@ -268,31 +268,83 @@ func BenchmarkMonteCarloYield(b *testing.B) {
 // batched Monte Carlo hot path: full-sim HSNM characterization through the
 // reusable per-worker scratch netlists. The samples metric (draws per op)
 // lets benchcompare normalize to ns per sample, so a change in the
-// benchmark's N is not misread as a latency shift.
+// benchmark's N is not misread as a latency shift. The run has a fixed N,
+// so its solver work per sample (see solverWork) repeats exactly.
 func BenchmarkMonteCarloYieldBatched(b *testing.B) {
 	const n = 32
 	cfg := MCConfig{Flavor: HVT, N: n, Seed: 7, Metrics: 1 /* HSNM */}
+	work := startSolverWork()
 	for i := 0; i < b.N; i++ {
 		if _, err := MonteCarloYield(context.Background(), cfg, nil); err != nil {
 			b.Fatal(err)
 		}
 	}
 	b.ReportMetric(n, "samples")
+	work.report(b, n)
 }
 
 // BenchmarkMonteCarloWriteMargin measures the per-sample cost of Monte Carlo
 // write margin: the certified write-trip bisection on the reusable
 // per-worker scratch netlist. The samples metric lets benchcompare
-// normalize to ns per sample.
+// normalize to ns per sample; the solver work per sample repeats exactly.
 func BenchmarkMonteCarloWriteMargin(b *testing.B) {
 	const n = 8
 	cfg := MCConfig{Flavor: HVT, N: n, Seed: 7, Metrics: 4 /* WM */}
+	work := startSolverWork()
 	for i := 0; i < b.N; i++ {
 		if _, err := MonteCarloYield(context.Background(), cfg, nil); err != nil {
 			b.Fatal(err)
 		}
 	}
 	b.ReportMetric(n, "samples")
+	work.report(b, n)
+}
+
+// BenchmarkNewFramework measures framework set-up, the characterization
+// every process pays before its first search, in both calibration modes,
+// with its solver work per set-up.
+func BenchmarkNewFramework(b *testing.B) {
+	for _, m := range []struct {
+		name string
+		mode Mode
+	}{{"paper", TechPaper}, {"simulated", TechSimulated}} {
+		b.Run(m.name, func(b *testing.B) {
+			work := startSolverWork()
+			for i := 0; i < b.N; i++ {
+				if _, err := NewFramework(m.mode); err != nil {
+					b.Fatal(err)
+				}
+			}
+			work.report(b, 1)
+		})
+	}
+}
+
+// solverWork holds the circuit solver's work counters at the start of a
+// benchmark loop: Newton iterations, transient steps and DC sweep points.
+// They count the same for the same work on any host and at any
+// GOMAXPROCS, so a change in them is a change in the work, not noise.
+type solverWork [3]int64
+
+var solverWorkMetrics = [3]struct{ counter, unit string }{
+	{"circuit.newton.iterations", "newton-its"},
+	{"circuit.tran.steps", "tran-steps"},
+	{"circuit.dc.sweep_points", "sweep-points"},
+}
+
+func startSolverWork() (w solverWork) {
+	for i, m := range solverWorkMetrics {
+		w[i] = obs.Default().CounterValue(m.counter)
+	}
+	return w
+}
+
+// report adds each counter's growth since the start, per op and per unit of
+// the op (per sample for a Monte Carlo run), as a metric.
+func (w solverWork) report(b *testing.B, perOp float64) {
+	for i, m := range solverWorkMetrics {
+		b.ReportMetric(float64(obs.Default().CounterValue(m.counter)-w[i])/(float64(b.N)*perOp), m.unit)
+	}
 }
 
 // BenchmarkAblationFinFreeze quantifies the value of the N_pre/N_wr fin

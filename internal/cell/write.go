@@ -40,6 +40,8 @@ func (c *Cell) WriteMargin(b WriteBias) (float64, error) {
 // WriteDelay returns the cell-level write delay (s): the time from the
 // wordline reaching 50 % of Vdd until Q and QB cross, writing a '0' over a
 // stored '1' (paper §3.2 definition; ≈1.5 ps for 6T-HVT with no assist).
+// The transient watches both crossings as it runs and stops at the step in
+// which Q falls through QB, in place of integrating the rest of the window.
 func (c *Cell) WriteDelay(b WriteBias) (float64, error) {
 	const (
 		tStart = 2e-12  // WL step start
@@ -47,38 +49,19 @@ func (c *Cell) WriteDelay(b WriteBias) (float64, error) {
 		tStop  = 60e-12 // simulation window
 		dt     = 0.05e-12
 	)
-	ckt := c.writeCell(circuit.Step(0, b.VWL, tStart, tRise), b.Vdd, b.VBL)
-	res, err := ckt.Transient(circuit.TranOpts{TStop: tStop, DT: dt})
-	if err != nil {
+	tr := c.writeCell(circuit.Step(0, b.VWL, tStart, tRise), b.Vdd, b.VBL).NewTranRunner()
+	wl := tr.Watch("WL", circuit.Ground, 0.5*b.Vdd, circuit.RisingEdge)
+	cross := tr.Watch("Q", "QB", 0, circuit.FallingEdge)
+	if err := tr.Run(circuit.TranOpts{TStop: tStop, DT: dt}, circuit.Chain(wl, cross)); err != nil {
 		return 0, fmt.Errorf("cell: write-delay transient: %w", err)
 	}
-	tWL, err := res.CrossTime("WL", 0.5*b.Vdd, circuit.RisingEdge, 0)
-	if err != nil {
+	if err := wl.Err(); err != nil {
 		return 0, fmt.Errorf("cell: WL never reached 50%%: %w", err)
 	}
-	tCross, err := crossEachOther(res, "Q", "QB", tWL)
-	if err != nil {
-		return 0, err
+	if !cross.Found {
+		return 0, errors.New("cell: Q and QB never crossed (write did not complete)")
 	}
-	return tCross - tWL, nil
-}
-
-// crossEachOther returns the first time after tMin at which trace a drops
-// below trace b.
-func crossEachOther(res *circuit.TranResult, a, b string, tMin float64) (float64, error) {
-	va, vb := res.V(a), res.V(b)
-	for i := 1; i < len(va); i++ {
-		if res.Times[i] < tMin {
-			continue
-		}
-		d0 := va[i-1] - vb[i-1]
-		d1 := va[i] - vb[i]
-		if d0 > 0 && d1 <= 0 {
-			frac := d0 / (d0 - d1)
-			return res.Times[i-1] + frac*(res.Times[i]-res.Times[i-1]), nil
-		}
-	}
-	return 0, fmt.Errorf("cell: %s and %s never crossed (write did not complete)", a, b)
+	return cross.At - wl.At, nil
 }
 
 // MinVDDCForReadSNM returns the smallest VDDC (searched on a 10 mV grid like

@@ -43,40 +43,6 @@ func (r *TranResult) AtTime(node string, t float64) float64 {
 	return v[lo] + frac*(v[hi]-v[lo])
 }
 
-// Edge selects a crossing direction for CrossTime.
-type Edge int
-
-const (
-	EitherEdge Edge = iota
-	RisingEdge
-	FallingEdge
-)
-
-// CrossTime returns the first time after tMin at which the node crosses
-// level in the given direction, or an error if it never does.
-func (r *TranResult) CrossTime(node string, level float64, edge Edge, tMin float64) (float64, error) {
-	v := r.V(node)
-	for i := 1; i < len(v); i++ {
-		if r.Times[i] < tMin {
-			continue
-		}
-		a, b := v[i-1], v[i]
-		rising := a < level && b >= level
-		falling := a > level && b <= level
-		hit := (edge == EitherEdge && (rising || falling)) ||
-			(edge == RisingEdge && rising) || (edge == FallingEdge && falling)
-		if !hit {
-			continue
-		}
-		if a == b {
-			return r.Times[i], nil
-		}
-		frac := (level - a) / (b - a)
-		return r.Times[i-1] + frac*(r.Times[i]-r.Times[i-1]), nil
-	}
-	return 0, fmt.Errorf("circuit: node %q never crosses %g after %g", node, level, tMin)
-}
-
 // Final returns the last value of a node's trace.
 func (r *TranResult) Final(node string) float64 {
 	v := r.V(node)

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"math"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -277,6 +278,38 @@ func TestSimulatedFrameworkShape(t *testing.T) {
 	// Negative Gnd must boost the simulated read current substantially.
 	if gain := hvt.IRead(0.55, -0.24) / hvt.IRead(0.55, 0); gain < 2 {
 		t.Errorf("simulated VSSC=-240mV read-current gain %.2f, want ≥2", gain)
+	}
+}
+
+// TestNewFrameworkIndependentOfGOMAXPROCS checks that the concurrent
+// set-up characterizes the same technology on one thread as on four: the
+// fingerprint, which hashes every characterized number, is equal in both
+// modes.
+func TestNewFrameworkIndependentOfGOMAXPROCS(t *testing.T) {
+	for _, mode := range []Mode{TechPaper, TechSimulated} {
+		var fps [2][32]byte
+		for i, procs := range []int{1, 4} {
+			prev := runtime.GOMAXPROCS(procs)
+			f, err := NewFramework(mode, FrameworkOpts{})
+			runtime.GOMAXPROCS(prev)
+			if err != nil {
+				t.Fatalf("%v, GOMAXPROCS %d: %v", mode, procs, err)
+			}
+			fps[i] = f.Fingerprint()
+		}
+		if fps[0] != fps[1] {
+			t.Errorf("%v: fingerprint %x at GOMAXPROCS 1, %x at 4", mode, fps[0][:8], fps[1][:8])
+		}
+	}
+}
+
+// TestNewFrameworkReportsLVTErrorFirst checks the error order of the
+// concurrent set-up: when both flavors fail, the LVT error is reported,
+// whichever finishes first.
+func TestNewFrameworkReportsLVTErrorFirst(t *testing.T) {
+	_, err := NewFramework(Mode(7), FrameworkOpts{})
+	if want := "core: characterizing 6T-LVT: core: unknown mode 7"; err == nil || err.Error() != want {
+		t.Fatalf("err = %v, want %q", err, want)
 	}
 }
 

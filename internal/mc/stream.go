@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math"
 	"runtime"
-	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -199,10 +198,6 @@ func Run(ctx context.Context, cfg Config, emit func(Checkpoint) error) (*Result,
 	blockSize, nBlocks := planBlocks(cfg.N)
 	cpBlocks := (checkpointEvery + blockSize - 1) / blockSize
 
-	samples := make([]Sample, cfg.N)
-	errs := make([]error, cfg.N)
-	blockOK := make([]bool, nBlocks) // block fully evaluated (no cancellation mid-block)
-
 	mRuns.Inc()
 	// The gauge is a shared in-flight total: delta it rather than Set it, so
 	// two overlapping runs (e.g. concurrent /v1/yield requests) report
@@ -224,21 +219,25 @@ func Run(ctx context.Context, cfg Config, emit func(Checkpoint) error) (*Result,
 	// Workers take block indices from queue. A run without an early-stop
 	// target queues every block up front; an early-stop run queues the first
 	// window, and the reducer queues the next blocks up to one window past
-	// each undecided checkpoint. finish closes the queue.
+	// each undecided checkpoint. finish closes the queue. Every block queued
+	// but not yet merged is in one of the two channels at most once, and
+	// there are at most window of them, so neither channel fills.
 	window := nBlocks
 	if cfg.RelCI > 0 {
-		window = max(cpBlocks, streamWindow)
+		window = min(max(cpBlocks, streamWindow), nBlocks)
 	}
-	queue := make(chan int, nBlocks)
+	store := newBlockStore(cfg.N, window*blockSize, cpBlocks*blockSize)
+	queue := make(chan int, window)
 	queued := 0
 	admit := func(limit int) {
 		for ; queued < min(limit, nBlocks); queued++ {
+			store.alloc(queued * blockSize)
 			queue <- queued
 		}
 	}
 	admit(window)
 
-	doneCh := make(chan int, nBlocks)
+	doneCh := make(chan int, window)
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func() {
@@ -265,17 +264,20 @@ func Run(ctx context.Context, cfg Config, emit func(Checkpoint) error) (*Result,
 						break
 					}
 					t0 := time.Now()
-					samples[i], errs[i] = ev.sample(i)
+					smp, err := store.at(i)
+					*smp, *err = ev.sample(i)
 					done.Add(1)
 					mSamplesDone.Inc()
 					hSampleDur.Observe(time.Since(t0))
-					if errs[i] != nil {
+					if *err != nil {
 						mSampleFails.Inc()
 					} else if obs.Enabled() {
-						obs.PointCtx(ctx, "mc.sample", obs.I64("i", int64(i)), obs.F64("min_margin", samples[i].Min()))
+						obs.PointCtx(ctx, "mc.sample", obs.I64("i", int64(i)), obs.F64("min_margin", smp.Min()))
 					}
 				}
-				blockOK[b] = ok
+				if !ok {
+					b = ^b // cut short by cancellation
+				}
 				doneCh <- b
 			}
 		}()
@@ -294,7 +296,16 @@ func Run(ctx context.Context, cfg Config, emit func(Checkpoint) error) (*Result,
 	}
 
 	acc := newStreamAcc(&cfg)
-	ready := make([]bool, nBlocks)
+	// ready[b] is 1 once block b is evaluated in full and −1 once a
+	// cancellation cut it short: doneCh carries b or ^b.
+	ready := make([]int8, nBlocks)
+	markReady := func(b int) {
+		if b < 0 {
+			ready[^b] = -1
+		} else {
+			ready[b] = 1
+		}
+	}
 	frontier := 0 // blocks merged so far
 	merged := 0   // samples merged so far
 	emitted := 0  // checkpoints emitted
@@ -305,8 +316,8 @@ func Run(ctx context.Context, cfg Config, emit func(Checkpoint) error) (*Result,
 	// block-aligned intervals. It returns false when the run should stop
 	// (converged, sample error, emit error, or an incomplete block).
 	advance := func() bool {
-		for frontier < nBlocks && ready[frontier] {
-			if !blockOK[frontier] {
+		for frontier < nBlocks && ready[frontier] != 0 {
+			if ready[frontier] < 0 {
 				return false // cancellation landed mid-block
 			}
 			lo, hi := frontier*blockSize, (frontier+1)*blockSize
@@ -314,10 +325,11 @@ func Run(ctx context.Context, cfg Config, emit func(Checkpoint) error) (*Result,
 				hi = cfg.N
 			}
 			for i := lo; i < hi; i++ {
-				if errs[i] != nil {
+				smp, err := store.at(i)
+				if *err != nil {
 					return false
 				}
-				acc.add(&samples[i])
+				acc.add(smp)
 			}
 			merged = hi
 			frontier++
@@ -350,7 +362,7 @@ loop:
 	for frontier < nBlocks {
 		select {
 		case b := <-doneCh:
-			ready[b] = true
+			markReady(b)
 			if !advance() {
 				break loop
 			}
@@ -359,7 +371,7 @@ loop:
 			for {
 				select {
 				case b := <-doneCh:
-					ready[b] = true
+					markReady(b)
 				default:
 					advance()
 					break loop
@@ -380,19 +392,19 @@ loop:
 		// The reducer stopped short of a final checkpoint: a sample failed,
 		// the context fired, or both. Every sample below the merge frontier
 		// succeeded, so the lowest-index error is the one that stopped it.
-		i := slices.IndexFunc(errs, func(err error) bool { return err != nil })
+		i, err := store.firstErr()
 		switch {
 		case i >= 0 && ctx.Err() != nil:
 			return nil, fmt.Errorf("mc: sample %d: %w (run canceled after %d of %d samples: %w)",
-				i, errs[i], done.Load(), cfg.N, context.Cause(ctx))
+				i, err, done.Load(), cfg.N, context.Cause(ctx))
 		case i >= 0:
-			return nil, fmt.Errorf("mc: sample %d: %w", i, errs[i])
+			return nil, fmt.Errorf("mc: sample %d: %w", i, err)
 		case ctx.Err() != nil:
 			return nil, fmt.Errorf("mc: run canceled after %d of %d samples: %w", done.Load(), cfg.N, context.Cause(ctx))
 		}
 		return nil, fmt.Errorf("mc: run ended after %d of %d samples without a final checkpoint", merged, cfg.N)
 	}
-	samples = samples[:merged]
+	samples := store.merged(merged)
 	return &Result{
 		Config:      cfg,
 		Samples:     samples,
@@ -403,4 +415,91 @@ loop:
 		Final:       *final,
 		Checkpoints: emitted,
 	}, nil
+}
+
+// blockStore holds the samples and sample errors of the blocks a run
+// queues, allocated as admit queues them: the first window in one slice,
+// then one slice per checkpoint interval past it, the blocks an
+// early-stopping run queues at each undecided checkpoint. A fixed-N run,
+// whose window is every block, fills one contiguous slice; an
+// early-stopping run pays only for the intervals it queues and, if it
+// merges past its first window, copies its merged samples into one slice
+// at the end. Only the reducer allocates; a worker reaches a block's
+// storage after taking the block from the queue.
+type blockStore struct {
+	n, head, span int // samples: the budget, the first window, each later interval
+	first         storePart
+	later         []*storePart // the checkpoint intervals past the window
+}
+
+type storePart struct {
+	samples []Sample
+	errs    []error
+}
+
+func newPart(n int) storePart { return storePart{make([]Sample, n), make([]error, n)} }
+
+// newBlockStore allocates the first head samples; alloc allocates the rest.
+func newBlockStore(n, head, span int) *blockStore {
+	head = min(head, n)
+	return &blockStore{n: n, head: head, span: span,
+		first: newPart(head), later: make([]*storePart, (n-head+span-1)/span)}
+}
+
+// locate returns the part holding sample i and i's index in it.
+func (s *blockStore) locate(i int) (*storePart, int) {
+	if i < s.head {
+		return &s.first, i
+	}
+	k := (i - s.head) / s.span
+	return s.later[k], i - s.head - k*s.span
+}
+
+// alloc gives the part holding sample i its storage, once.
+func (s *blockStore) alloc(i int) {
+	if i < s.head {
+		return
+	}
+	k := (i - s.head) / s.span
+	if s.later[k] == nil {
+		p := newPart(min(s.span, s.n-s.head-k*s.span))
+		s.later[k] = &p
+	}
+}
+
+// at returns the slots of sample i, whose part must have been allocated.
+func (s *blockStore) at(i int) (*Sample, *error) {
+	p, j := s.locate(i)
+	return &p.samples[j], &p.errs[j]
+}
+
+// merged returns the first n samples in index order: a prefix of the first
+// window's slice when they all lie in it, else a copy of the parts'.
+func (s *blockStore) merged(n int) []Sample {
+	if n <= s.head {
+		return s.first.samples[:n]
+	}
+	out := append(make([]Sample, 0, n), s.first.samples...)
+	for _, p := range s.later {
+		if len(out) == n {
+			break
+		}
+		out = append(out, p.samples[:min(len(p.samples), n-len(out))]...)
+	}
+	return out
+}
+
+// firstErr returns the lowest-index sample error and its index, or −1.
+// Allocated parts are a prefix of the index space.
+func (s *blockStore) firstErr() (int, error) {
+	for i := range s.n {
+		p, j := s.locate(i)
+		if p == nil {
+			break
+		}
+		if p.errs[j] != nil {
+			return i, p.errs[j]
+		}
+	}
+	return -1, nil
 }

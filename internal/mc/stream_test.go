@@ -166,6 +166,39 @@ func TestEarlyStopComputesOnlyMergedSamples(t *testing.T) {
 	}
 }
 
+// TestEarlyStopAllocatesQueuedBlocksOnly checks that an early-stopping run
+// allocates sample storage for the blocks it queues, not for its budget.
+// The hold-SNM stream of the yield smoke converges after 32 samples with a
+// budget of 1 024 samples or of 20 000, in 32-sample blocks either way, so
+// both queue the same blocks. The larger budget may cost 32 bytes of
+// bookkeeping per extra block, a hundredth of a block's sample storage; a
+// run that sized its storage by the budget allocates ~1.8 MB more.
+func TestEarlyStopAllocatesQueuedBlocksOnly(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	alloc := func(n int) uint64 {
+		cfg := Config{Flavor: device.HVT, N: n, Seed: 2, Metrics: HSNM, Sampler: SamplerSobol, RelCI: 0.1}
+		least := uint64(math.MaxUint64)
+		for range 3 {
+			var m0, m1 runtime.MemStats
+			runtime.ReadMemStats(&m0)
+			res, err := Run(context.Background(), cfg, nil)
+			runtime.ReadMemStats(&m1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Stats.Samples != 32 {
+				t.Fatalf("N=%d: merged %d samples, want a stop after 32", n, res.Stats.Samples)
+			}
+			least = min(least, m1.TotalAlloc-m0.TotalAlloc)
+		}
+		return least
+	}
+	small, large := alloc(1024), alloc(20000)
+	if extra := uint64(20000/32 - 1024/32); large > small+32*extra {
+		t.Errorf("N=20000 allocated %d B, N=1024 %d B: %d B more, want ≤ %d B", large, small, large-small, 32*extra)
+	}
+}
+
 // TestStreamWriteFailsCountedInFailFraction routes a fraction of samples
 // through ErrWriteFail and asserts they enter the fail-fraction estimate
 // (zero margin < δ) with a Wilson CI bracketing the point estimate.

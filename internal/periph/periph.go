@@ -99,7 +99,9 @@ func (t *Tech) unitInputCap() float64 {
 }
 
 // inverterDelay simulates a 1-fin LVT inverter driving h unit loads and
-// returns the average of the rising and falling 50%-to-50% delays.
+// returns the average of the rising and falling 50%-to-50% delays. The
+// transient watches the four crossings in turn and stops at the last: out
+// rising after in falls.
 func (t *Tech) inverterDelay(h float64) (float64, error) {
 	const (
 		tEdge = 20e-12
@@ -121,34 +123,30 @@ func (t *Tech) inverterDelay(h float64) (float64, error) {
 	// Load: h unit gate caps plus the inverter's own drain parasitics.
 	ckt.AddC("cload", "out", circuit.Ground, h*t.unitInputCap())
 	ckt.AddC("cpar", "out", circuit.Ground, t.Lib.NLVT.CdFin+t.Lib.PLVT.CdFin)
-	res, err := ckt.Transient(circuit.TranOpts{TStop: tStop, DT: dt})
-	if err != nil {
-		return 0, err
-	}
+	tr := ckt.NewTranRunner()
 	half := t.Vdd / 2
-	inRise, err := res.CrossTime("in", half, circuit.RisingEdge, 0)
-	if err != nil {
+	inRise := tr.Watch("in", circuit.Ground, half, circuit.RisingEdge)
+	outFall := tr.Watch("out", circuit.Ground, half, circuit.FallingEdge)
+	inFall := tr.Watch("in", circuit.Ground, half, circuit.FallingEdge)
+	outRise := tr.Watch("out", circuit.Ground, half, circuit.RisingEdge)
+	edges := []*circuit.Watcher{inRise, outFall, inFall, outRise}
+	if err := tr.Run(circuit.TranOpts{TStop: tStop, DT: dt}, circuit.Chain(edges...)); err != nil {
 		return 0, err
 	}
-	outFall, err := res.CrossTime("out", half, circuit.FallingEdge, inRise)
-	if err != nil {
-		return 0, err
+	for _, w := range edges {
+		if err := w.Err(); err != nil {
+			return 0, err
+		}
 	}
-	inFall, err := res.CrossTime("in", half, circuit.FallingEdge, outFall)
-	if err != nil {
-		return 0, err
-	}
-	outRise, err := res.CrossTime("out", half, circuit.RisingEdge, inFall)
-	if err != nil {
-		return 0, err
-	}
-	return ((outFall - inRise) + (outRise - inFall)) / 2, nil
+	return ((outFall.At - inRise.At) + (outRise.At - inFall.At)) / 2, nil
 }
 
 // characterizeSenseAmp simulates a latch-type sense amplifier: a
 // cross-coupled inverter pair (2-fin devices) whose internal nodes start at
 // the precharge level split by ΔVs, enabled through a 2-fin footer. The
-// delay is the time for the low-going node to fall below 10% of Vdd.
+// delay is the time for the low-going node to fall below 10% of Vdd. The
+// transient watches both crossings but runs its whole window, whose final
+// state the resolution check reads.
 func (t *Tech) characterizeSenseAmp(deltaV float64) error {
 	const (
 		tEn   = 2e-12
@@ -173,22 +171,27 @@ func (t *Tech) characterizeSenseAmp(deltaV float64) error {
 	ckt.SetIC("sa", t.Vdd-deltaV) // the side sensing the discharged bitline
 	ckt.SetIC("sb", t.Vdd)
 	ckt.SetIC("foot", t.Vdd-deltaV)
-	res, err := ckt.Transient(circuit.TranOpts{TStop: tStop, DT: dt, UIC: true})
+	tr := ckt.NewTranRunner()
+	enHalf := tr.Watch("en", circuit.Ground, t.Vdd/2, circuit.RisingEdge)
+	low := tr.Watch("sa", circuit.Ground, 0.1*t.Vdd, circuit.FallingEdge)
+	watch := circuit.Chain(enHalf, low)
+	err := tr.Run(circuit.TranOpts{TStop: tStop, DT: dt, UIC: true}, func(tr *circuit.TranRunner) bool {
+		watch(tr)
+		return false
+	})
 	if err != nil {
 		return fmt.Errorf("periph: sense-amp transient: %w", err)
 	}
-	tEnHalf, err := res.CrossTime("en", t.Vdd/2, circuit.RisingEdge, 0)
-	if err != nil {
+	if err := enHalf.Err(); err != nil {
 		return fmt.Errorf("periph: sense-amp enable edge: %w", err)
 	}
-	tLow, err := res.CrossTime("sa", 0.1*t.Vdd, circuit.FallingEdge, tEnHalf)
-	if err != nil {
+	if err := low.Err(); err != nil {
 		return fmt.Errorf("periph: sense amp did not resolve: %w", err)
 	}
-	if hi := res.Final("sb"); hi < 0.9*t.Vdd {
+	if hi := tr.V(tr.Node("sb")); hi < 0.9*t.Vdd {
 		return fmt.Errorf("periph: sense amp resolved wrong: sb=%g", hi)
 	}
-	t.SADelay = tLow - tEnHalf
+	t.SADelay = low.At - enHalf.At
 	// Energy: one internal node plus the foot swing ~ full rail.
 	t.SAEnergy = (cNode + 4*t.Lib.NLVT.CdFin) * t.Vdd * t.Vdd
 	return nil
