@@ -50,6 +50,7 @@ fuzz-smoke:
 	$(GO) test -fuzz=FuzzConfigNormalize -fuzztime=$(FUZZTIME) ./internal/mc/
 	$(GO) test -fuzz=FuzzRunMatchesOracle -fuzztime=$(FUZZTIME) ./internal/mc/
 	$(GO) test -fuzz=FuzzOptionsNormalize -fuzztime=$(FUZZTIME) ./internal/core/
+	$(GO) test -fuzz=FuzzFrontMatchesOracle -fuzztime=$(FUZZTIME) ./internal/core/
 	$(GO) test -fuzz=FuzzLinearMatchesOracle -fuzztime=$(FUZZTIME) ./internal/num/
 
 # loadtest-smoke drives a short closed-loop load burst through an in-process

@@ -375,18 +375,26 @@ func BenchmarkAblationFinFreeze(b *testing.B) {
 
 // BenchmarkParetoFront measures full energy-delay frontier extraction for
 // the 4 KB HVT-M2 space (extension beyond the paper's single-objective
-// search). Reported metric: frontier size.
+// search). Reported metrics: frontier size, and the work counts
+// BenchmarkExhaustiveSearch16KB reports — space-points stays constant
+// whether or not pruning fires, and model-evals, pruned-bound and
+// bound-eff show how much of it the prune front removed.
 func BenchmarkParetoFront(b *testing.B) {
 	fw := benchFramework(b)
 	var size float64
+	var stats SearchStats
 	for i := 0; i < b.N; i++ {
 		res, err := fw.Pareto(context.Background(), Options{CapacityBits: 4 * 1024 * 8, Flavor: HVT, Method: M2})
 		if err != nil {
 			b.Fatal(err)
 		}
-		size = float64(len(res.Front))
+		size, stats = float64(len(res.Front)), res.Stats
 	}
 	b.ReportMetric(size, "frontier-points")
+	b.ReportMetric(float64(stats.Evaluated+stats.SkippedRSNM+stats.PrunedBound), "space-points")
+	b.ReportMetric(float64(stats.Evaluated), "model-evals")
+	b.ReportMetric(float64(stats.PrunedBound), "pruned-bound")
+	b.ReportMetric(stats.BoundEfficiency(), "bound-eff")
 }
 
 // BenchmarkExtCornerAnalysis characterizes the paper's HVT-M2 operating

@@ -1,8 +1,9 @@
 // Command prunestats prints the branch-and-bound breakdown for the golden
-// capacity grid and two 8-group hybrid points: per search, how many
-// candidate points it evaluated, how many the lower bound pruned, how many
-// each constraint skipped, the resulting bound efficiency, and how many
-// units (chunk × segmentation × mux × mask rectangles) it prepared. Run it when
+// capacity grid and two 8-group hybrid points, then for four Pareto
+// searches: per search, how many candidate points it evaluated, how many
+// the lower bound pruned, how many each constraint skipped, the resulting
+// bound efficiency, how many units (chunk × segmentation × mux × mask
+// rectangles) it prepared, and for a Pareto search the front's size. Run it when
 // touching the bound (internal/array/bound.go) or the searcher
 // (internal/core/walk.go) — a correctness-preserving change that loosens the
 // bound shows up here as an efficiency drop long before it shows up as a
@@ -42,19 +43,25 @@ func main() {
 		cliutil.Fatalf("%v", err)
 	}
 
-	fmt.Printf("%-8s %-6s %-6s %12s %12s %12s %10s %9s %10s\n",
-		"capacity", "flavor", "method", "evaluated", "pruned", "skipped", "bound-eff", "prepared", "wall")
+	header := func(first, last string) {
+		fmt.Printf("%-8s %-6s %-6s %12s %12s %12s %10s %9s %10s\n",
+			first, "flavor", "method", "evaluated", "pruned", "skipped", "bound-eff", "prepared", last)
+	}
+	header("capacity", "wall")
 	var totalEval, totalPruned, totalSkipped int
 	var totalPrepared int64
+	// A search prepared the units the core.search.units_prepared counter
+	// advanced by.
+	unitsPrepared := func() int64 { return obs.Default().CounterValue("core.search.units_prepared") }
 	// row runs one search and prints its breakdown, with the units it
-	// prepared (the advance of the core.search.units_prepared counter).
+	// prepared.
 	row := func(capacity, flavor, method string, opts core.Options) {
-		before := obs.Default().CounterValue("core.search.units_prepared")
+		before := unitsPrepared()
 		opt, err := fw.Optimize(context.Background(), opts)
 		if err != nil {
 			cliutil.Fatalf("%s %s %s: %v", capacity, flavor, method, err)
 		}
-		prepared := obs.Default().CounterValue("core.search.units_prepared") - before
+		prepared := unitsPrepared() - before
 		st := opt.Stats
 		fmt.Printf("%-8s %-6s %-6s %12d %12d %12d %9.1f%% %9d %10s\n",
 			capacity, flavor, method, st.Evaluated, st.PrunedBound, st.SkippedTotal(),
@@ -106,4 +113,39 @@ func main() {
 	}
 	fmt.Printf("%-8s %-6s %-6s %12d %12d %12d %9.1f%% %9d\n",
 		"total", "", "", totalEval, totalPruned, totalSkipped, 100*eff, totalPrepared)
+
+	// Pareto searches prune against each chunk's prune front instead of an
+	// objective threshold (DESIGN.md §11), so their counts move with the
+	// front's size: the paper's 4 KB and 16 KB cells, a segmented and
+	// muxed 1 KB cell, and the 4 KB 8-group hybrid above.
+	fmt.Println()
+	header("pareto", "front")
+	pareto := func(capacity, flavor, method string, opts core.Options) {
+		before := unitsPrepared()
+		res, err := fw.Pareto(context.Background(), opts)
+		if err != nil {
+			cliutil.Fatalf("%s %s %s pareto: %v", capacity, flavor, method, err)
+		}
+		st := res.Stats
+		fmt.Printf("%-8s %-6s %-6s %12d %12d %12d %9.1f%% %9d %10d\n",
+			capacity, flavor, method, st.Evaluated, st.PrunedBound, st.SkippedTotal(),
+			100*st.BoundEfficiency(), unitsPrepared()-before, len(res.Front))
+	}
+	for _, kb := range []int{4, 16} {
+		pareto(unit.Bytes(kb*1024*8), "HVT", "M2", core.Options{CapacityBits: kb * 1024 * 8, Flavor: device.HVT, Method: core.M2})
+	}
+	pareto("1KB+", "HVT", "M2", core.Options{
+		CapacityBits: 1024 * 8,
+		Flavor:       device.HVT,
+		Method:       core.M2,
+		SearchWLSegs: true,
+		Space:        sp,
+	})
+	pareto("4KB*", "hyb8", "m2", core.Options{
+		CapacityBits: 4 * 1024 * 8,
+		Flavor:       device.LVT,
+		Method:       core.M2,
+		HybridGroups: 8,
+		Space:        sp,
+	})
 }

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"sramco/internal/device"
+	"sramco/internal/obs"
 )
 
 const vdd = device.Vdd
@@ -416,5 +417,49 @@ func TestTransistorString(t *testing.T) {
 func TestStorageNodeCapPositive(t *testing.T) {
 	if c := New(device.LVT).StorageNodeCap(); c <= 0 || c > 1e-15 {
 		t.Errorf("storage node cap = %g, want sub-fF positive", c)
+	}
+}
+
+// TestVDDCStarSNMFromProbe checks the read SNM MinVDDCForReadSNM returns:
+// bit-identical to a fresh extraction at the returned VDDC, and, where the
+// search probed that level, taken from the probe without extracting it
+// again. With vMax off the 10 mV grid and a target only vMax meets, the
+// returned level (the grid's top) was never probed, and its SNM is
+// extracted once more.
+func TestVDDCStarSNMFromProbe(t *testing.T) {
+	extractions := func() int64 { return obs.Default().CounterValue("cell.snm.extractions") }
+	probes := func() int64 { return obs.Default().CounterValue("cell.rail.search_probes") }
+	for _, flavor := range []device.Flavor{device.LVT, device.HVT} {
+		c := New(flavor)
+		b := NominalRead(vdd)
+		top, err := c.ReadSNM(ReadBias{Vdd: vdd, VDDC: vdd + 0.305, VWL: vdd})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, tc := range []struct {
+			target, vMax float64
+			extra        int64
+		}{
+			{0.35 * vdd, vdd + 0.30, 0},
+			{top, vdd + 0.305, 1},
+		} {
+			e0, p0 := extractions(), probes()
+			vddc, snm, err := c.MinVDDCForReadSNM(b, tc.target, tc.vMax)
+			if err != nil {
+				t.Fatalf("%v target %g: %v", flavor, tc.target, err)
+			}
+			if got, want := extractions()-e0, probes()-p0+tc.extra; got != want {
+				t.Errorf("%v target %g: %d extractions, want %d", flavor, tc.target, got, want)
+			}
+			bb := b
+			bb.VDDC = vddc
+			want, err := c.ReadSNM(bb)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if math.Float64bits(snm) != math.Float64bits(want) || snm < tc.target {
+				t.Errorf("%v target %g: SNM %v at VDDC %v, fresh extraction %v", flavor, tc.target, snm, vddc, want)
+			}
+		}
 	}
 }

@@ -66,20 +66,37 @@ func (c *Cell) WriteDelay(b WriteBias) (float64, error) {
 
 // MinVDDCForReadSNM returns the smallest VDDC (searched on a 10 mV grid like
 // the paper's rail granularity) at which the read SNM meets target, with the
-// other read-bias fields taken from b. Every grid level runs on one
-// workspace. It returns an error if even vMax fails.
-func (c *Cell) MinVDDCForReadSNM(b ReadBias, target, vMax float64) (float64, error) {
+// other read-bias fields taken from b, and the read SNM at that VDDC. Every
+// grid level runs on one workspace. The SNM is that of the probe that found
+// the returned level passing; only a returned level the search never
+// probed (the grid's top level, when it is not bit-identical to vMax) is
+// extracted once more. It returns an error if even vMax fails.
+func (c *Cell) MinVDDCForReadSNM(b ReadBias, target, vMax float64) (vddc, snm float64, err error) {
 	s := c.scratch()
-	meets := func(vddc float64) (bool, error) {
+	readSNM := func(vddc float64) (float64, error) {
 		bb := b
 		bb.VDDC = vddc
-		snm, err := s.ReadSNM(c.DVt, bb)
+		return s.ReadSNM(c.DVt, bb)
+	}
+	passV, passSNM := math.NaN(), 0.0 // the last passing probe
+	meets := func(vddc float64) (bool, error) {
+		snm, err := readSNM(vddc)
 		if err != nil {
 			return false, err
 		}
+		if snm >= target {
+			passV, passSNM = vddc, snm
+		}
 		return snm >= target, nil
 	}
-	return minRailSearch(meets, b.Vdd, vMax, "VDDC")
+	if vddc, err = minRailSearch(meets, b.Vdd, vMax, "VDDC"); err != nil {
+		return 0, 0, err
+	}
+	if vddc == passV {
+		return vddc, passSNM, nil
+	}
+	snm, err = readSNM(vddc)
+	return vddc, snm, err
 }
 
 // MinVWLForWriteMargin returns the smallest write-assist VWL (10 mV grid) at

@@ -231,7 +231,9 @@ func characterizeCell(lib *device.Library, flavor device.Flavor, mode Mode, vdd,
 			return nil, err
 		}
 		cc.Leak = leak
-		vddcStar, err := c.MinVDDCForReadSNM(cell.NominalRead(vdd), delta, vdd+0.30)
+		// The rail search returns the read SNM at (VDDC*, VSSC = 0), the
+		// RSNM table's top point below, from the probe that found VDDC*.
+		vddcStar, rsnmStar, err := c.MinVDDCForReadSNM(cell.NominalRead(vdd), delta, vdd+0.30)
 		if err != nil {
 			return nil, err
 		}
@@ -257,6 +259,9 @@ func characterizeCell(lib *device.Library, flavor device.Flavor, mode Mode, vdd,
 		rsnmTab, err := lut.Build1D(fmt.Sprintf("rsnm-%v", flavor),
 			[]float64{-0.26, -0.13, 0},
 			func(vssc float64) (float64, error) {
+				if vssc == 0 {
+					return rsnmStar, nil
+				}
 				b := cell.ReadBias{Vdd: vdd, VDDC: cc.VDDCStar, VSSC: vssc, VWL: vdd}
 				return c.ReadSNM(b)
 			})

@@ -4,9 +4,8 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
-
-	"sramco/internal/array"
 )
 
 // ParetoResult pairs the energy-delay frontier with the search statistics of
@@ -43,7 +42,7 @@ func (f *Framework) Pareto(ctx context.Context, opts Options) (*ParetoResult, er
 	}
 	var candidates []DesignPoint
 	for i := range slots {
-		candidates = append(candidates, slots[i].front...)
+		candidates = append(candidates, slots[i].front.pts...)
 	}
 	return mergePareto(candidates, st, s.opts.CapacityBits)
 }
@@ -52,92 +51,143 @@ func (f *Framework) Pareto(ctx context.Context, opts Options) (*ParetoResult, er
 // non-dominated point survives every worker-local reduction, so the union of
 // local fronts contains the global frontier regardless of how chunks were
 // distributed. Inserting the union in canonical design order makes metric
-// ties order-free too; the result is sorted by increasing delay.
+// ties order-free too; the staircase already holds the result sorted by
+// increasing delay.
 func mergePareto(candidates []DesignPoint, stats SearchStats, capacityBits int) (*ParetoResult, error) {
 	sort.Slice(candidates, func(i, j int) bool {
 		return designLess(candidates[i].Design, candidates[j].Design)
 	})
-	var merged []DesignPoint
+	var merged front
 	for _, p := range candidates {
-		merged = insertPareto(merged, p)
+		merged.insert(p)
 	}
-	if len(merged) == 0 {
+	if len(merged.pts) == 0 {
 		return nil, &SearchError{
 			Stats: stats,
 			Cause: fmt.Errorf("%w: empty Pareto front for %d bits", ErrInfeasible, capacityBits),
 		}
 	}
-	sort.Slice(merged, func(i, j int) bool {
-		di, dj := merged[i].Result, merged[j].Result
-		if di.DArray != dj.DArray {
-			return di.DArray < dj.DArray
-		}
-		if di.EArray != dj.EArray {
-			return di.EArray < dj.EArray
-		}
-		return designLess(merged[i].Design, merged[j].Design)
-	})
-	return &ParetoResult{Front: merged, Stats: stats}, nil
+	return &ParetoResult{Front: merged.pts, Stats: stats}, nil
 }
 
-// insertPareto inserts p into a non-dominated set, dropping p if dominated
-// and evicting any points p dominates. Domination is on (DArray, EArray),
-// minimizing both; exact metric ties keep the canonically smaller design so
-// the front does not depend on insertion order.
-func insertPareto(front []DesignPoint, p DesignPoint) []DesignPoint {
-	pd, pe := p.Result.DArray, p.Result.EArray
-	for i, q := range front {
-		qd, qe := q.Result.DArray, q.Result.EArray
-		if qd == pd && qe == pe {
-			if designLess(p.Design, q.Design) {
-				front[i] = p
-			}
-			return front
-		}
-		if qd <= pd && qe <= pe {
-			// q dominates p: keep the existing front unchanged.
-			return front
-		}
-	}
-	keep := front[:0]
-	for _, q := range front {
-		if !(pd <= q.Result.DArray && pe <= q.Result.EArray) {
-			keep = append(keep, q)
-		}
-	}
-	return append(keep, p)
+// front is an energy-delay Pareto front kept as a staircase: its members
+// sorted by strictly increasing delay D, which makes their energy E
+// strictly decreasing, in dense D and E lanes. Domination is on (D, E),
+// minimizing both, so the members with D ≤ some d form a prefix whose last
+// member has the lowest E, and every test against the front is a binary
+// search for that member. The searched D and E are finite EvalSweep lanes;
+// the binary search relies on it, since a NaN member would break the order.
+//
+// A worker's front and the merged front keep each member's design and
+// Result in pts, aligned with the lanes; exact (D, E) ties keep the
+// canonically smaller design, so the front does not depend on insertion
+// order. A prune front (DESIGN.md §11) keeps the lanes alone.
+type front struct {
+	d, e []float64
+	pts  []DesignPoint
 }
 
-// frontDominatesRect reports whether a front member proves every point of a
-// rectangle with metric lower bounds (bD, bE) redundant: some q is ≤ the
-// bound in both metrics and strictly below in at least one. Strictness in
-// one coordinate protects exact metric ties, whose canonical replacement in
-// insertPareto must still see the candidate.
-func frontDominatesRect(front []DesignPoint, bD, bE float64) bool {
-	for i := range front { // by index: a DesignPoint copy per member costs more than the test
-		qd, qe := front[i].Result.DArray, front[i].Result.EArray
-		if (qd <= bD && qe < bE) || (qd < bD && qe <= bE) {
-			return true
+// standing is how a point stands against a front.
+type standing uint8
+
+const (
+	enters    standing = iota // no member weakly dominates the point
+	ties                      // a member has exactly the point's (D, E)
+	dominated                 // a member weakly dominates the point without tying it
+)
+
+// floor returns the index of the last member with D ≤ d, or −1.
+func (f *front) floor(d float64) int {
+	lo, hi := 0, len(f.d)
+	for lo < hi {
+		m := int(uint(lo+hi) >> 1)
+		if f.d[m] <= d {
+			lo = m + 1
+		} else {
+			hi = m
 		}
 	}
-	return false
+	return lo - 1
 }
 
-// paretoWouldChange mirrors insertPareto's decision for a point with metrics
-// (d, e) and design cand without materializing its Result: false when an
-// existing member weakly dominates it (and an exact tie would keep the
-// canonical incumbent), true when inserting would alter the front.
-func paretoWouldChange(front []DesignPoint, d, e float64, cand array.Design) bool {
-	for i := range front { // by index, as in frontDominatesRect
-		qd, qe := front[i].Result.DArray, front[i].Result.EArray
-		if qd == d && qe == e {
-			return designLess(cand, front[i].Design)
-		}
-		if qd <= d && qe <= e {
-			return false
-		}
+// locate returns how the point (d, e) stands against the front, with the
+// index of the last member with D ≤ d (−1 if none): the only member that
+// can tie or weakly dominate the point.
+func (f *front) locate(d, e float64) (int, standing) {
+	k := f.floor(d)
+	switch {
+	case k < 0 || f.e[k] > e:
+		return k, enters
+	case f.d[k] == d && f.e[k] == e:
+		return k, ties
 	}
-	return true
+	return k, dominated
+}
+
+// dominatesRect reports whether a member proves every point of a rectangle
+// with metric lower bounds (bD, bE) redundant: some q is ≤ the bound in
+// both metrics and strictly below in at least one. Strictness in one
+// coordinate protects exact metric ties, whose canonical replacement must
+// still see the candidate. Only the last member with D ≤ bD can qualify:
+// those before it have higher E.
+func (f *front) dominatesRect(bD, bE float64) bool {
+	k := f.floor(bD)
+	if k < 0 {
+		return false
+	}
+	if f.d[k] < bD {
+		return f.e[k] <= bE
+	}
+	return f.e[k] < bE
+}
+
+// add folds the point (d, e) into the lanes and returns how it stood: only
+// a point that enters changes the front.
+func (f *front) add(d, e float64) standing {
+	k, st := f.locate(d, e)
+	if st == enters {
+		f.place(k, d, e)
+	}
+	return st
+}
+
+// insert folds p into the front: dropped if a member weakly dominates it,
+// replacing an exact tie if its design is canonically smaller, otherwise
+// taking its place on the staircase and evicting the members it dominates.
+func (f *front) insert(p DesignPoint) {
+	d, e := p.Result.DArray, p.Result.EArray
+	switch k, st := f.locate(d, e); st {
+	case ties:
+		if designLess(p.Design, f.pts[k].Design) {
+			f.pts[k] = p
+		}
+	case enters:
+		lo, hi := f.place(k, d, e)
+		f.pts = slices.Replace(f.pts, lo, hi, p)
+	}
+}
+
+// place puts a point (d, e) that enters after member k on the lanes in
+// place of the members [lo, hi) it weakly dominates, and returns that run:
+// member k itself when it has the same D (its E is higher), and the
+// members after it whose E is not below e.
+func (f *front) place(k int, d, e float64) (lo, hi int) {
+	lo, hi = k+1, k+1
+	if k >= 0 && f.d[k] == d {
+		lo = k
+	}
+	for hi < len(f.e) && f.e[hi] >= e {
+		hi++
+	}
+	f.d = slices.Replace(f.d, lo, hi, d)
+	f.e = slices.Replace(f.e, lo, hi, e)
+	return lo, hi
+}
+
+// reset makes f a copy of src's lanes, reusing f's storage.
+func (f *front) reset(src *front) {
+	f.d = append(f.d[:0], src.d...)
+	f.e = append(f.e[:0], src.e...)
 }
 
 // KneePoint returns the index of the frontier point closest (in normalized

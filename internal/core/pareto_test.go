@@ -2,10 +2,17 @@ package core
 
 import (
 	"context"
+	"fmt"
+	"math"
+	"math/rand"
+	"slices"
+	"sort"
+	"strings"
 	"testing"
 
 	"sramco/internal/array"
 	"sramco/internal/device"
+	"sramco/internal/wire"
 )
 
 func TestParetoFrontProperties(t *testing.T) {
@@ -96,20 +103,204 @@ func TestInsertPareto(t *testing.T) {
 	mk := func(d, e float64) DesignPoint {
 		return DesignPoint{Result: &array.Result{DArray: d, EArray: e}}
 	}
-	var front []DesignPoint
-	front = insertPareto(front, mk(2, 2))
-	front = insertPareto(front, mk(1, 3)) // incomparable: stays
-	front = insertPareto(front, mk(3, 3)) // dominated by (2,2): dropped
-	if len(front) != 2 {
-		t.Fatalf("front size %d, want 2", len(front))
+	var f front
+	f.insert(mk(2, 2))
+	f.insert(mk(1, 3)) // incomparable: stays
+	f.insert(mk(3, 3)) // dominated by (2,2): dropped
+	if len(f.pts) != 2 {
+		t.Fatalf("front size %d, want 2", len(f.pts))
 	}
-	front = insertPareto(front, mk(1, 1)) // dominates everything
-	if len(front) != 1 || front[0].Result.DArray != 1 || front[0].Result.EArray != 1 {
-		t.Fatalf("front after dominator: %+v", front)
+	f.insert(mk(1, 1)) // dominates everything
+	if len(f.pts) != 1 || f.pts[0].Result.DArray != 1 || f.pts[0].Result.EArray != 1 {
+		t.Fatalf("front after dominator: %+v", f.pts)
 	}
 	// Duplicate of an existing point is rejected (treated as dominated).
-	front = insertPareto(front, mk(1, 1))
-	if len(front) != 1 {
-		t.Fatalf("duplicate inflated front to %d", len(front))
+	f.insert(mk(1, 1))
+	if len(f.pts) != 1 {
+		t.Fatalf("duplicate inflated front to %d", len(f.pts))
 	}
+}
+
+// insertPareto is the linear-scan front the staircase replaced, kept as the
+// oracle: it inserts p into a non-dominated set, dropping p if dominated
+// and evicting any points p dominates. Domination is on (DArray, EArray),
+// minimizing both; exact metric ties keep the canonically smaller design so
+// the front does not depend on insertion order.
+func insertPareto(front []DesignPoint, p DesignPoint) []DesignPoint {
+	pd, pe := p.Result.DArray, p.Result.EArray
+	for i, q := range front {
+		qd, qe := q.Result.DArray, q.Result.EArray
+		if qd == pd && qe == pe {
+			if designLess(p.Design, q.Design) {
+				front[i] = p
+			}
+			return front
+		}
+		if qd <= pd && qe <= pe {
+			// q dominates p: keep the existing front unchanged.
+			return front
+		}
+	}
+	keep := front[:0]
+	for _, q := range front {
+		if !(pd <= q.Result.DArray && pe <= q.Result.EArray) {
+			keep = append(keep, q)
+		}
+	}
+	return append(keep, p)
+}
+
+// frontDominatesRect reports whether a front member proves every point of a
+// rectangle with metric lower bounds (bD, bE) redundant: some q is ≤ the
+// bound in both metrics and strictly below in at least one. Strictness in
+// one coordinate protects exact metric ties, whose canonical replacement in
+// insertPareto must still see the candidate.
+func frontDominatesRect(front []DesignPoint, bD, bE float64) bool {
+	for i := range front { // by index: a DesignPoint copy per member costs more than the test
+		qd, qe := front[i].Result.DArray, front[i].Result.EArray
+		if (qd <= bD && qe < bE) || (qd < bD && qe <= bE) {
+			return true
+		}
+	}
+	return false
+}
+
+// paretoWouldChange mirrors insertPareto's decision for a point with metrics
+// (d, e) and design cand without materializing its Result: false when an
+// existing member weakly dominates it (and an exact tie would keep the
+// canonical incumbent), true when inserting would alter the front.
+func paretoWouldChange(front []DesignPoint, d, e float64, cand array.Design) bool {
+	for i := range front { // by index, as in frontDominatesRect
+		qd, qe := front[i].Result.DArray, front[i].Result.EArray
+		if qd == d && qe == e {
+			return designLess(cand, front[i].Design)
+		}
+		if qd <= d && qe <= e {
+			return false
+		}
+	}
+	return true
+}
+
+// decodeFrontCase turns fuzz bytes into a sequence of front candidates, two
+// bytes each, on a small grid: D ∈ 0…7 with E on a band around 7 − D, so
+// fronts grow up to eight members long, and one of 16 designs. Equal D,
+// equal E and exact (D, E) ties between different designs are all common.
+// The sequence stops at 128 candidates.
+func decodeFrontCase(data []byte) []DesignPoint {
+	var pts []DesignPoint
+	for ; len(data) >= 2 && len(pts) < 128; data = data[2:] {
+		d := int(data[0] & 7)
+		e := 7 - d + int(data[0]>>3&3) - 1
+		pts = append(pts, DesignPoint{
+			Design: array.Design{Geom: wire.Geometry{Npre: 1 + int(data[1]&3), Nwr: 1 + int(data[1]>>2&3)}},
+			Result: &array.Result{DArray: float64(d), EArray: float64(e)},
+		})
+	}
+	return pts
+}
+
+// frontProbes are the probe coordinates checkFrontMatchesOracle tries in
+// each metric: every grid value decodeFrontCase can produce, the midpoints
+// around them, and both infinities.
+var frontProbes = func() []float64 {
+	v := []float64{math.Inf(-1), math.Inf(1)}
+	for x := -1.5; x <= 10.5; x += 0.5 {
+		v = append(v, x)
+	}
+	return v
+}()
+
+// checkFrontMatchesOracle inserts pts into a staircase front, a lanes-only
+// front and the oracle's linear front, and after every insert requires:
+// the staircase holds the oracle's members (the same designs and Results,
+// so the same design holds each tie); D strictly increases and E strictly
+// decreases along it, its lanes match its Results and the lanes-only
+// front's lanes; and on every probe (d, e) of the grid — members' exact
+// coordinates in one or both metrics among them — the rectangle prune
+// test and the would-change decision for three candidate designs agree
+// with the oracle's.
+func checkFrontMatchesOracle(t *testing.T, pts []DesignPoint) {
+	t.Helper()
+	cands := []array.Design{
+		{Geom: wire.Geometry{Npre: 1, Nwr: 1}},
+		{Geom: wire.Geometry{Npre: 2, Nwr: 3}},
+		{Geom: wire.Geometry{Npre: 4, Nwr: 4}},
+	}
+	var f, lanes front
+	var oracle []DesignPoint
+	for n, p := range pts {
+		oracle = insertPareto(oracle, p)
+		f.insert(p)
+		lanes.add(p.Result.DArray, p.Result.EArray)
+
+		want := slices.Clone(oracle)
+		sort.Slice(want, func(i, j int) bool { return want[i].Result.DArray < want[j].Result.DArray })
+		if !slices.Equal(f.pts, want) {
+			t.Fatalf("insert %d (%v): front %v, oracle %v", n, describePoint(p), describeFront(f.pts), describeFront(want))
+		}
+		for i, q := range f.pts {
+			if f.d[i] != q.Result.DArray || f.e[i] != q.Result.EArray {
+				t.Fatalf("insert %d: lanes (%g, %g) at %d disagree with member %v", n, f.d[i], f.e[i], i, describePoint(q))
+			}
+			if i > 0 && (f.d[i] <= f.d[i-1] || f.e[i] >= f.e[i-1]) {
+				t.Fatalf("insert %d: not a staircase: %v", n, describeFront(f.pts))
+			}
+		}
+		if !slices.Equal(lanes.d, f.d) || !slices.Equal(lanes.e, f.e) {
+			t.Fatalf("insert %d: lanes-only front D %v E %v, front D %v E %v", n, lanes.d, lanes.e, f.d, f.e)
+		}
+		for _, d := range frontProbes {
+			for _, e := range frontProbes {
+				if got, want := f.dominatesRect(d, e), frontDominatesRect(oracle, d, e); got != want {
+					t.Fatalf("insert %d: dominatesRect(%g, %g) = %v, oracle %v over %v", n, d, e, got, want, describeFront(f.pts))
+				}
+				for _, c := range cands {
+					if got, want := frontWouldChange(&f, d, e, c), paretoWouldChange(oracle, d, e, c); got != want {
+						t.Fatalf("insert %d: would-change (%g, %g) %d/%d = %v, oracle %v over %v",
+							n, d, e, c.Geom.Npre, c.Geom.Nwr, got, want, describeFront(f.pts))
+					}
+				}
+			}
+		}
+	}
+}
+
+// frontWouldChange is rowSweep.paretoChanges' worker-front decision for a
+// point (d, e) with design cand.
+func frontWouldChange(f *front, d, e float64, cand array.Design) bool {
+	k, st := f.locate(d, e)
+	return st == enters || st == ties && designLess(cand, f.pts[k].Design)
+}
+
+func describePoint(p DesignPoint) string {
+	return fmt.Sprintf("(%g, %g) %d/%d", p.Result.DArray, p.Result.EArray, p.Design.Geom.Npre, p.Design.Geom.Nwr)
+}
+
+func describeFront(pts []DesignPoint) string {
+	s := make([]string, len(pts))
+	for i, p := range pts {
+		s[i] = describePoint(p)
+	}
+	return "[" + strings.Join(s, " ") + "]"
+}
+
+// TestFrontMatchesOracle checks the staircase front against the linear
+// oracle on random insert sequences.
+func TestFrontMatchesOracle(t *testing.T) {
+	rng := rand.New(rand.NewSource(22))
+	for c := 0; c < 100; c++ {
+		data := make([]byte, 2*(1+rng.Intn(64)))
+		rng.Read(data)
+		checkFrontMatchesOracle(t, decodeFrontCase(data))
+	}
+}
+
+// FuzzFrontMatchesOracle fuzzes the insert sequences of
+// TestFrontMatchesOracle, seeded by the corpus under
+// testdata/fuzz/FuzzFrontMatchesOracle.
+func FuzzFrontMatchesOracle(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		checkFrontMatchesOracle(t, decodeFrontCase(data))
+	})
 }

@@ -331,30 +331,46 @@ func TestOptimizeShardsFinerThanRows(t *testing.T) {
 }
 
 // TestParetoFrontDeterministic: the frontier merge must also be
-// schedule-independent.
+// schedule-independent, and so must every count. The Pareto counts depend
+// on each chunk's prune front (the frozen seed front plus the points the
+// chunk has swept), which one goroutine builds in unit order, so they may
+// not move with the worker count either. The 8-worker search runs three
+// times: on a small search one worker may take every chunk in order, as
+// the single worker does. The 4 KB case is BenchmarkParetoFront's; the
+// 8-group mux-4 case adds equivalent masks and muxed units.
 func TestParetoFrontDeterministic(t *testing.T) {
 	f := paperFramework(t)
-	opts := Options{
-		CapacityBits: 4096,
-		Flavor:       device.HVT,
-		Method:       M2,
-		Space:        SearchSpace{VSSCMin: -0.06, VSSCStep: 0.02, NRMax: 1024, NCMax: 1024, NpreMax: 6, NwrMax: 4},
-	}
-	var ref []DesignPoint
-	for i, procs := range []int{1, 8} {
-		prev := runtime.GOMAXPROCS(procs)
-		res, err := f.Pareto(context.Background(), opts)
-		runtime.GOMAXPROCS(prev)
-		if err != nil {
-			t.Fatalf("GOMAXPROCS=%d: %v", procs, err)
+	sp := SearchSpace{VSSCMin: -0.06, VSSCStep: 0.02, NRMax: 1024, NCMax: 1024, NpreMax: 6, NwrMax: 4}
+	hyb := SearchSpace{VSSCMin: -0.24, VSSCStep: 0.12, NRMax: 1024, NCMax: 1024, NpreMax: 3, NwrMax: 8, MuxMax: 4}
+	for _, opts := range []Options{
+		{CapacityBits: 4096, Flavor: device.HVT, Method: M2, Space: sp},
+		{CapacityBits: 4 * 1024 * 8, Flavor: device.HVT, Method: M2},
+		{CapacityBits: 2048, Flavor: device.LVT, Method: M2, HybridGroups: 8, Space: hyb},
+	} {
+		name := describeOptions(opts)
+		var ref *ParetoResult
+		for _, procs := range []int{1, 8, 8, 8} {
+			prev := runtime.GOMAXPROCS(procs)
+			res, err := f.Pareto(context.Background(), opts)
+			runtime.GOMAXPROCS(prev)
+			if err != nil {
+				t.Fatalf("%s GOMAXPROCS=%d: %v", name, procs, err)
+			}
+			if ref == nil {
+				ref = res
+				continue
+			}
+			if !reflect.DeepEqual(ref.Front, res.Front) {
+				t.Errorf("%s: Pareto front is schedule-dependent: %d vs %d points", name, len(ref.Front), len(res.Front))
+			}
+			a, b := ref.Stats, res.Stats
+			a.Workers, a.Wall, b.Workers, b.Wall = 0, 0, 0, 0
+			if a != b {
+				t.Errorf("%s: Pareto counts are schedule-dependent:\nGOMAXPROCS=1 %+v\nGOMAXPROCS=8 %+v", name, a, b)
+			}
 		}
-		front := res.Front
-		if i == 0 {
-			ref = front
-			continue
-		}
-		if !reflect.DeepEqual(ref, front) {
-			t.Errorf("Pareto front is schedule-dependent: %d vs %d points", len(ref), len(front))
+		if ref.Stats.PrunedBound == 0 {
+			t.Errorf("%s: nothing pruned, so the counts cannot tell schedules apart", name)
 		}
 	}
 }

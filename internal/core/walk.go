@@ -46,8 +46,10 @@ import (
 //     first, alone, and its result freezes the global threshold (the best
 //     objective T, or the front f0);
 //  3. the remaining chunks are sharded over workers, each pruning against
-//     the frozen threshold refined by its own chunk-local incumbent — both
-//     independent of which worker runs the chunk or in what order.
+//     the frozen threshold refined by its own chunk-local incumbent (the
+//     chunk's best objective, or its prune front: f0 plus every point the
+//     chunk has swept) — both independent of which worker runs the chunk
+//     or in what order.
 //
 // Units that survive their record's bound are prepared again on the
 // sweeping worker's Evaluator. Prepare is a pure function of the unit, so
@@ -338,7 +340,11 @@ type walkWorker struct {
 	scratch array.Result
 	best    *DesignPoint
 	obj     float64
-	front   []DesignPoint
+	front   front
+	// prune is the Pareto reducer's prune front: reset to the frozen seed
+	// front's lanes at the start of each chunk, it takes in every point the
+	// chunk sweeps, and the chunk's prune tests read it alone.
+	prune front
 	// prepared counts the units this worker prepared, in the bound pass and
 	// in the sweep.
 	prepared int
@@ -362,11 +368,12 @@ func (s *search) walk() ([]walkWorker, SearchStats, error) {
 	s.boundPass(slots)
 
 	T, seed := math.Inf(1), -1
-	var f0 []DesignPoint
-	if ci, ok := s.pickSeed(); ok && s.processChunk(ci, T, nil, &slots[0]) {
-		// Freeze a copy of the front: insertPareto mutates fronts in place,
-		// and the seed slot keeps accumulating below.
-		seed, T, f0 = ci, slots[0].obj, slices.Clone(slots[0].front)
+	var f0 front // the seed chunk's front, lanes only; empty while it is swept
+	if ci, ok := s.pickSeed(); ok && s.processChunk(ci, T, &f0, &slots[0]) {
+		// Freeze a copy of the lanes: the seed slot's front keeps
+		// accumulating below, in place.
+		seed, T = ci, slots[0].obj
+		f0.reset(&slots[0].front)
 	}
 	jobs := make(chan int, len(s.chunks))
 	for ci := range s.chunks {
@@ -381,7 +388,7 @@ func (s *search) walk() ([]walkWorker, SearchStats, error) {
 		go func(slot *walkWorker) {
 			defer wg.Done()
 			for ci := range jobs {
-				if !s.processChunk(ci, T, f0, slot) {
+				if !s.processChunk(ci, T, &f0, slot) {
 					return
 				}
 			}
@@ -499,12 +506,13 @@ func (s *search) pickSeed() (int, bool) {
 
 // processChunk sweeps one chunk's units into slot. Under branch-and-bound
 // the minimum reducer prunes against min(T, chunk-local best) and the
-// Pareto reducer against the frozen seed front f0; the chunk is processed
-// by exactly one goroutine, so the chunk-local incumbent is deterministic.
-// Per-point Pareto insertion consults the worker-local front only to avoid
-// materializing dominated Results and never affects the counts. Returns
-// false on cancellation or error.
-func (s *search) processChunk(ci int, T float64, f0 []DesignPoint, slot *walkWorker) bool {
+// Pareto reducer against the chunk's prune front, which starts as the
+// frozen seed front f0 and takes in every point the chunk sweeps; the
+// chunk is processed by exactly one goroutine, so both chunk-local
+// incumbents are deterministic. Per-point Pareto insertion consults the
+// worker-local front only to avoid materializing dominated Results and
+// never affects the counts. Returns false on cancellation or error.
+func (s *search) processChunk(ci int, T float64, f0 *front, slot *walkWorker) bool {
 	if s.canceled() {
 		return false
 	}
@@ -535,7 +543,10 @@ func (s *search) processChunk(ci int, T float64, f0 []DesignPoint, slot *walkWor
 		return completed
 	}
 
-	r := rowSweep{s: s, slot: slot, c: c, width: accessWidth(s.opts.W, c.rc.nc), T: T, f0: f0, local: math.Inf(1)}
+	if s.pareto {
+		slot.prune.reset(f0)
+	}
+	r := rowSweep{s: s, slot: slot, c: c, width: accessWidth(s.opts.W, c.rc.nc), T: T, local: math.Inf(1)}
 	for ui := range s.units[ci] {
 		u := &s.units[ci][ui]
 		if s.canceled() {
@@ -571,7 +582,7 @@ func (s *search) processChunk(ci int, T float64, f0 []DesignPoint, slot *walkWor
 		if s.prunes {
 			var pruned bool
 			if s.pareto {
-				pruned = frontDominatesRect(f0, u.d, u.e)
+				pruned = slot.prune.dominatesRect(u.d, u.e)
 			} else {
 				pruned = u.obj > min(T, r.local)
 			}
@@ -598,15 +609,15 @@ func (s *search) processChunk(ci int, T float64, f0 []DesignPoint, slot *walkWor
 }
 
 // rowSweep is the state of one chunk's sweep that the row bisection reads:
-// the unit and N_pre row being swept, the frozen thresholds and the
-// chunk-local incumbent objective.
+// the unit and N_pre row being swept, the frozen threshold and the
+// chunk-local incumbent objective (the Pareto reducer's chunk-local state
+// is the worker's prune front).
 type rowSweep struct {
 	s     *search
 	slot  *walkWorker
 	c     chunk
 	width int
 	T     float64
-	f0    []DesignPoint
 	local float64
 	u     *searchUnit
 	npre  int
@@ -629,7 +640,7 @@ func (r *rowSweep) refine(lo, hi int) bool {
 		}
 		var pruned bool
 		if s.pareto {
-			pruned = frontDominatesRect(r.f0, rb.DArray, rb.EArray)
+			pruned = slot.prune.dominatesRect(rb.DArray, rb.EArray)
 		} else {
 			pruned = s.objBound(rb) > min(r.T, r.local)
 		}
@@ -665,8 +676,7 @@ func (r *rowSweep) refine(lo, hi int) bool {
 	for i, v := range lane {
 		nwr := lo + i
 		if s.pareto {
-			cand := s.unitDesign(r.u, r.c, r.width, r.npre, nwr)
-			if !paretoWouldChange(slot.front, slot.sweep.DArray[i], slot.sweep.EArray[i], cand) {
+			if !r.paretoChanges(i, nwr) {
 				continue
 			}
 		} else {
@@ -688,10 +698,32 @@ func (r *rowSweep) refine(lo, hi int) bool {
 		}
 		rc := slot.scratch
 		if s.pareto {
-			slot.front = insertPareto(slot.front, DesignPoint{Design: rc.Design, Result: &rc})
+			slot.front.insert(DesignPoint{Design: rc.Design, Result: &rc})
 		} else {
 			slot.best, slot.obj = &DesignPoint{Design: rc.Design, Result: &rc}, v
 		}
+	}
+	return true
+}
+
+// paretoChanges folds swept point i (N_wr = nwr) of the current range into
+// the prune front and reports whether inserting it would change the
+// worker's front. A point some prune-front member weakly dominates without
+// tying it is dominated, strictly in one coordinate, by an evaluated point:
+// it is neither a front point nor an exact tie of one, and skips the
+// worker-front check. Exact ties still go to the worker front, where the
+// canonical design wins; the candidate design is built only for them.
+func (r *rowSweep) paretoChanges(i, nwr int) bool {
+	slot := r.slot
+	d, e := slot.sweep.DArray[i], slot.sweep.EArray[i]
+	if slot.prune.add(d, e) == dominated {
+		return false
+	}
+	switch k, st := slot.front.locate(d, e); st {
+	case dominated:
+		return false
+	case ties:
+		return designLess(r.s.unitDesign(r.u, r.c, r.width, r.npre, nwr), slot.front.pts[k].Design)
 	}
 	return true
 }
