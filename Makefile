@@ -52,6 +52,8 @@ fuzz-smoke:
 	$(GO) test -fuzz=FuzzOptionsNormalize -fuzztime=$(FUZZTIME) ./internal/core/
 	$(GO) test -fuzz=FuzzFrontMatchesOracle -fuzztime=$(FUZZTIME) ./internal/core/
 	$(GO) test -fuzz=FuzzLinearMatchesOracle -fuzztime=$(FUZZTIME) ./internal/num/
+	$(GO) test -fuzz=FuzzBoundBelowPoints -fuzztime=$(FUZZTIME) ./internal/array/
+	$(GO) test -fuzz=FuzzSearchDifferential -fuzztime=$(FUZZTIME) ./internal/core/
 
 # loadtest-smoke drives a short closed-loop load burst through an in-process
 # sramd with the real request mix; -check fails the target on zero recorded
@@ -88,7 +90,9 @@ bench:
 # written to a name the baseline glob cannot match, so an aborted run never
 # becomes the next baseline. Each benchmark runs -count=3 and benchcompare
 # keeps the fastest run, so one slow iteration on a loaded machine does not
-# fail the gate.
+# fail the gate. The work gate is exact: any increase of a deterministic work
+# count both logs report (model-evals, units-prepared, bounds, newton-its,
+# tran-steps, sweep-points) fails at once, naming the benchmark and counter.
 BENCH_BASELINE = $(shell ls BENCH_2*.json 2>/dev/null | sort | tail -n 1)
 bench-compare:
 	@test -n "$(BENCH_BASELINE)" || { echo "bench-compare: no BENCH_<yyyymmdd>T<hhmmss>_<short-sha>.json baseline; run 'make bench' first"; exit 1; }

@@ -157,12 +157,14 @@ func BenchmarkFig7DelayEnergyEDP(b *testing.B) {
 // branch-and-bound path. The space-points metric is the full candidate
 // space (Evaluated + SkippedRSNM + PrunedBound) — constant whether or not
 // pruning fires — so benchcompare can normalize to ns per candidate point
-// instead of misreading a pruning change as a latency shift, and bound-eff
+// instead of misreading a pruning change as a latency shift, bound-eff
 // shows a bound going loose — pruning less while staying correct — as an
-// efficiency drop.
+// efficiency drop, and units-prepared and bounds count the units prepared
+// and the unit and row bounds per search.
 func BenchmarkExhaustiveSearch16KB(b *testing.B) {
 	fw := benchFramework(b)
 	var stats SearchStats
+	work := startWork(searchWorkMetrics)
 	for i := 0; i < b.N; i++ {
 		opt, err := fw.Optimize(context.Background(), Options{CapacityBits: 16 * 1024 * 8, Flavor: HVT, Method: M2})
 		if err != nil {
@@ -176,6 +178,7 @@ func BenchmarkExhaustiveSearch16KB(b *testing.B) {
 	b.ReportMetric(stats.BoundEfficiency(), "bound-eff")
 	b.ReportMetric(float64(stats.Chunks), "chunks")
 	b.ReportMetric(float64(stats.Workers), "workers")
+	work.report(b, 1)
 }
 
 // BenchmarkAblationGreedyVsExhaustive compares the greedy coordinate-descent
@@ -269,11 +272,11 @@ func BenchmarkMonteCarloYield(b *testing.B) {
 // reusable per-worker scratch netlists. The samples metric (draws per op)
 // lets benchcompare normalize to ns per sample, so a change in the
 // benchmark's N is not misread as a latency shift. The run has a fixed N,
-// so its solver work per sample (see solverWork) repeats exactly.
+// so its solver work per sample (see solverWorkMetrics) repeats exactly.
 func BenchmarkMonteCarloYieldBatched(b *testing.B) {
 	const n = 32
 	cfg := MCConfig{Flavor: HVT, N: n, Seed: 7, Metrics: 1 /* HSNM */}
-	work := startSolverWork()
+	work := startWork(solverWorkMetrics)
 	for i := 0; i < b.N; i++ {
 		if _, err := MonteCarloYield(context.Background(), cfg, nil); err != nil {
 			b.Fatal(err)
@@ -290,7 +293,7 @@ func BenchmarkMonteCarloYieldBatched(b *testing.B) {
 func BenchmarkMonteCarloWriteMargin(b *testing.B) {
 	const n = 8
 	cfg := MCConfig{Flavor: HVT, N: n, Seed: 7, Metrics: 4 /* WM */}
-	work := startSolverWork()
+	work := startWork(solverWorkMetrics)
 	for i := 0; i < b.N; i++ {
 		if _, err := MonteCarloYield(context.Background(), cfg, nil); err != nil {
 			b.Fatal(err)
@@ -309,7 +312,7 @@ func BenchmarkNewFramework(b *testing.B) {
 		mode Mode
 	}{{"paper", TechPaper}, {"simulated", TechSimulated}} {
 		b.Run(m.name, func(b *testing.B) {
-			work := startSolverWork()
+			work := startWork(solverWorkMetrics)
 			for i := 0; i < b.N; i++ {
 				if _, err := NewFramework(m.mode); err != nil {
 					b.Fatal(err)
@@ -320,30 +323,47 @@ func BenchmarkNewFramework(b *testing.B) {
 	}
 }
 
-// solverWork holds the circuit solver's work counters at the start of a
-// benchmark loop: Newton iterations, transient steps and DC sweep points.
-// They count the same for the same work on any host and at any
-// GOMAXPROCS, so a change in them is a change in the work, not noise.
-type solverWork [3]int64
+// workMetric names a deterministic work counter and the benchmark metric
+// that reports its growth. Such counters count the same for the same work on
+// any host and at any GOMAXPROCS, so a change in them is a change in the
+// work, not noise; make bench-compare fails on any increase.
+type workMetric struct{ counter, unit string }
 
-var solverWorkMetrics = [3]struct{ counter, unit string }{
-	{"circuit.newton.iterations", "newton-its"},
-	{"circuit.tran.steps", "tran-steps"},
-	{"circuit.dc.sweep_points", "sweep-points"},
+var (
+	// solverWorkMetrics are the circuit solver's: Newton iterations,
+	// transient steps and DC sweep points.
+	solverWorkMetrics = []workMetric{
+		{"circuit.newton.iterations", "newton-its"},
+		{"circuit.tran.steps", "tran-steps"},
+		{"circuit.dc.sweep_points", "sweep-points"},
+	}
+	// searchWorkMetrics are the unit walker's: the units it prepared and the
+	// bounds it computed, unit and row.
+	searchWorkMetrics = []workMetric{
+		{"core.search.units_prepared", "units-prepared"},
+		{"core.search.bounds", "bounds"},
+	}
+)
+
+// work holds work counters at the start of a benchmark loop.
+type work struct {
+	metrics []workMetric
+	start   []int64
 }
 
-func startSolverWork() (w solverWork) {
-	for i, m := range solverWorkMetrics {
-		w[i] = obs.Default().CounterValue(m.counter)
+func startWork(metrics []workMetric) work {
+	w := work{metrics: metrics, start: make([]int64, len(metrics))}
+	for i, m := range metrics {
+		w.start[i] = obs.Default().CounterValue(m.counter)
 	}
 	return w
 }
 
 // report adds each counter's growth since the start, per op and per unit of
 // the op (per sample for a Monte Carlo run), as a metric.
-func (w solverWork) report(b *testing.B, perOp float64) {
-	for i, m := range solverWorkMetrics {
-		b.ReportMetric(float64(obs.Default().CounterValue(m.counter)-w[i])/(float64(b.N)*perOp), m.unit)
+func (w work) report(b *testing.B, perOp float64) {
+	for i, m := range w.metrics {
+		b.ReportMetric(float64(obs.Default().CounterValue(m.counter)-w.start[i])/(float64(b.N)*perOp), m.unit)
 	}
 }
 
@@ -377,12 +397,14 @@ func BenchmarkAblationFinFreeze(b *testing.B) {
 // the 4 KB HVT-M2 space (extension beyond the paper's single-objective
 // search). Reported metrics: frontier size, and the work counts
 // BenchmarkExhaustiveSearch16KB reports — space-points stays constant
-// whether or not pruning fires, and model-evals, pruned-bound and
-// bound-eff show how much of it the prune front removed.
+// whether or not pruning fires, model-evals, pruned-bound and bound-eff
+// show how much of it the prune front removed, and units-prepared and
+// bounds what the removal cost.
 func BenchmarkParetoFront(b *testing.B) {
 	fw := benchFramework(b)
 	var size float64
 	var stats SearchStats
+	work := startWork(searchWorkMetrics)
 	for i := 0; i < b.N; i++ {
 		res, err := fw.Pareto(context.Background(), Options{CapacityBits: 4 * 1024 * 8, Flavor: HVT, Method: M2})
 		if err != nil {
@@ -395,6 +417,7 @@ func BenchmarkParetoFront(b *testing.B) {
 	b.ReportMetric(float64(stats.Evaluated), "model-evals")
 	b.ReportMetric(float64(stats.PrunedBound), "pruned-bound")
 	b.ReportMetric(stats.BoundEfficiency(), "bound-eff")
+	work.report(b, 1)
 }
 
 // BenchmarkExtCornerAnalysis characterizes the paper's HVT-M2 operating
@@ -620,7 +643,8 @@ func BenchmarkModelEvaluationPrepared(b *testing.B) {
 // ratios up to 4. A 4 KB array admits more row organizations that hold 8
 // groups than the 16 KB one, and its optimum prunes less, so it evaluates
 // more points than BenchmarkHybridSearch16KB. units-prepared counts the
-// units the bound pass and the sweep prepared per search.
+// units the bound pass and the sweep prepared per search, and bounds the
+// bounds they computed.
 func BenchmarkHybridSearch4KB(b *testing.B) {
 	fw := benchFramework(b)
 	sp := core.DefaultSpace()
@@ -633,7 +657,7 @@ func BenchmarkHybridSearch4KB(b *testing.B) {
 		Space:        sp,
 	}
 	var stats SearchStats
-	units0 := obs.Default().CounterValue("core.search.units_prepared")
+	work := startWork(searchWorkMetrics)
 	for i := 0; i < b.N; i++ {
 		opt, err := fw.Core().Optimize(context.Background(), opts)
 		if err != nil {
@@ -645,7 +669,7 @@ func BenchmarkHybridSearch4KB(b *testing.B) {
 	b.ReportMetric(float64(stats.Evaluated), "model-evals")
 	b.ReportMetric(float64(stats.PrunedBound), "pruned-bound")
 	b.ReportMetric(stats.BoundEfficiency(), "bound-eff")
-	b.ReportMetric(float64(obs.Default().CounterValue("core.search.units_prepared")-units0)/float64(b.N), "units-prepared")
+	work.report(b, 1)
 }
 
 // BenchmarkHybridSearch16KB measures the enlarged hybrid search: the 16 KB
@@ -673,7 +697,7 @@ func BenchmarkHybridSearch16KB(b *testing.B) {
 		Space:        sp,
 	}
 	var stats SearchStats
-	units0 := obs.Default().CounterValue("core.search.units_prepared")
+	work := startWork(searchWorkMetrics)
 	for i := 0; i < b.N; i++ {
 		opt, err := fw.Core().Optimize(context.Background(), opts)
 		if err != nil {
@@ -685,5 +709,5 @@ func BenchmarkHybridSearch16KB(b *testing.B) {
 	b.ReportMetric(float64(stats.Evaluated), "model-evals")
 	b.ReportMetric(float64(stats.PrunedBound), "pruned-bound")
 	b.ReportMetric(stats.BoundEfficiency(), "bound-eff")
-	b.ReportMetric(float64(obs.Default().CounterValue("core.search.units_prepared")-units0)/float64(b.N), "units-prepared")
+	work.report(b, 1)
 }

@@ -1,7 +1,8 @@
 // Command benchcompare guards against performance regressions: it compares
 // named benchmarks between two benchmark logs and exits non-zero when the
 // current run is slower than the baseline by more than the allowed fraction,
-// or when a required benchmark is missing from either log.
+// when it does more deterministic work, or when a required benchmark is
+// missing from either log.
 //
 // Benchmarks that report the searchers' "space-points" metric (the candidate
 // space covered, including bound-pruned points) in both logs are compared on
@@ -9,10 +10,20 @@
 // that alters how much of the space is evaluated is judged by its effect on
 // total cost per unit of search, not misread as a benchmark-shape change.
 //
+// Benchmarks also report deterministic work counts — model evaluations,
+// units prepared, bounds, Newton iterations, transient steps, DC sweep
+// points — that repeat exactly on any host. benchcompare gates every such
+// count both logs report: any increase fails at once, naming the benchmark
+// and the counter, whatever the timings say. Counts only one log reports
+// are skipped and listed. The pruning and work-size metrics (pruned-bound,
+// bound-eff, samples, space-points) are not gated: the first two rise when
+// pruning improves, and the last two are the normalizers.
+//
 // Both `go test -json` logs (the BENCH_<yyyymmdd>T<hhmmss>_<short-sha>.json
 // archives written by `make bench`) and plain `go test -bench` text output are accepted. When a
 // log repeats a benchmark (`-count=N`), the fastest run is used — noise only
-// ever adds time, so min-of-N is the stable estimate of true cost.
+// ever adds time, so min-of-N is the stable estimate of true cost — and the
+// largest of each work count.
 //
 // Usage:
 //
@@ -25,8 +36,10 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"regexp"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -57,12 +70,35 @@ var benchLine = regexp.MustCompile(`(?m)^(Benchmark\S+?)(?:-\d+)?\s+\d+\s+([0-9]
 // stopping a yield run earlier — is not misread as a latency change.
 var workUnitsMetric = regexp.MustCompile(`([0-9]+(?:\.[0-9]+)?(?:[eE][+-]?[0-9]+)?) (space-points|samples)\b`)
 
+// workMetrics are the deterministic work counts the gate compares: any
+// increase over the baseline fails.
+var workMetrics = []string{"model-evals", "units-prepared", "bounds", "newton-its", "tran-steps", "sweep-points"}
+
+// metricPair matches one "<value> <unit>" custom metric of a result line.
+var metricPair = regexp.MustCompile(`([0-9]+(?:\.[0-9]+)?(?:[eE][+-]?[0-9]+)?) (\S+)`)
+
 // benchResult is one parsed benchmark line: raw ns/op plus the optional
-// work-unit normalizer (0 when the benchmark does not report one).
+// work-unit normalizer (0 when the benchmark does not report one), and the
+// gated work counts it reports.
 type benchResult struct {
 	ns     float64
 	points float64
 	unit   string // "space-points" or "samples" when points > 0
+	work   map[string]float64
+}
+
+// parseWork reads the gated work counts out of a result line's tail.
+func parseWork(tail string) map[string]float64 {
+	w := make(map[string]float64)
+	for _, m := range metricPair.FindAllStringSubmatch(tail, -1) {
+		if !slices.Contains(workMetrics, m[2]) {
+			continue
+		}
+		if v, err := strconv.ParseFloat(m[1], 64); err == nil {
+			w[m[2]] = v
+		}
+	}
+	return w
 }
 
 // normalized returns the comparable metric — ns per work unit when the
@@ -122,16 +158,22 @@ func parseLog(path string) (map[string]benchResult, error) {
 			if err != nil {
 				continue
 			}
-			r := benchResult{ns: ns}
+			r := benchResult{ns: ns, work: parseWork(m[3])}
 			if pm := workUnitsMetric.FindStringSubmatch(m[3]); pm != nil {
 				if p, err := strconv.ParseFloat(pm[1], 64); err == nil {
 					r.points = p
 					r.unit = pm[2]
 				}
 			}
-			if prev, seen := results[m[1]]; !seen || r.normalized(true) < prev.normalized(true) {
-				results[m[1]] = r
+			if prev, seen := results[m[1]]; seen {
+				for k, v := range prev.work {
+					r.work[k] = max(r.work[k], v)
+				}
+				if prev.normalized(true) <= r.normalized(true) {
+					r.ns, r.points, r.unit = prev.ns, prev.points, prev.unit
+				}
 			}
+			results[m[1]] = r
 		}
 	}
 	for _, pkg := range order {
@@ -172,7 +214,19 @@ func main() {
 		os.Exit(1)
 	}
 
-	names := flag.Args()
+	if compare(os.Stdout, base, curr, flag.Args(), *maxRegress) {
+		fmt.Fprintf(os.Stderr, "benchcompare: regression beyond %.0f%%, work increase or missing benchmark vs %s\n",
+			*maxRegress*100, *baseline)
+		os.Exit(1)
+	}
+}
+
+// compare writes the time table and the work table of the named benchmarks
+// (every benchmark both logs hold when names is empty; named ones must be in
+// both) to w, and reports whether the gate fails: a normalized time more
+// than maxRegress above the baseline, any increase of a work count, or a
+// missing named benchmark.
+func compare(w io.Writer, base, curr map[string]benchResult, names []string, maxRegress float64) (failed bool) {
 	required := len(names) > 0
 	if !required {
 		for name := range base {
@@ -183,26 +237,27 @@ func main() {
 		sort.Strings(names)
 	}
 	if len(names) == 0 {
-		fmt.Fprintln(os.Stderr, "benchcompare: no common benchmarks between the two logs")
-		os.Exit(1)
+		fmt.Fprintln(w, "no common benchmarks between the two logs")
+		return true
 	}
 
-	fmt.Printf("%-40s %14s %14s %9s %10s\n", "benchmark", "baseline", "current", "delta", "unit")
-	failed := false
+	fmt.Fprintf(w, "%-40s %14s %14s %9s %10s\n", "benchmark", "baseline", "current", "delta", "unit")
+	var both []string
 	for _, name := range names {
 		b, okB := base[name]
 		c, okC := curr[name]
 		if !okB || !okC {
 			if required {
-				missing := *baseline
+				missing := "baseline"
 				if okB {
-					missing = *current
+					missing = "current"
 				}
-				fmt.Printf("%-40s missing from %s\n", name, missing)
+				fmt.Fprintf(w, "%-40s missing from the %s log\n", name, missing)
 				failed = true
 			}
 			continue
 		}
+		both = append(both, name)
 		// Normalize only when both runs report the same work-size metric; a
 		// log from before the metric existed still compares on raw ns/op.
 		usePoints := b.points > 0 && c.points > 0 && b.unit == c.unit
@@ -217,15 +272,37 @@ func main() {
 		bv, cv := b.normalized(usePoints), c.normalized(usePoints)
 		delta := (cv - bv) / bv
 		mark := ""
-		if delta > *maxRegress {
+		if delta > maxRegress {
 			mark = "  REGRESSION"
 			failed = true
 		}
-		fmt.Printf("%-40s %14.2f %14.2f %8.1f%% %10s%s\n", name, bv, cv, delta*100, unit, mark)
+		fmt.Fprintf(w, "%-40s %14.2f %14.2f %8.1f%% %10s%s\n", name, bv, cv, delta*100, unit, mark)
 	}
-	if failed {
-		fmt.Fprintf(os.Stderr, "benchcompare: regression beyond %.0f%% (or missing benchmark) vs %s\n",
-			*maxRegress*100, *baseline)
-		os.Exit(1)
+
+	fmt.Fprintf(w, "\n%-40s %14s %14s %14s\n", "work", "baseline", "current", "counter")
+	for _, name := range both {
+		b, c := base[name], curr[name]
+		var skipped []string
+		for _, m := range workMetrics {
+			bv, okB := b.work[m]
+			cv, okC := c.work[m]
+			switch {
+			case okB && okC:
+				mark := ""
+				if cv > bv {
+					mark = "  WORK INCREASE"
+					failed = true
+				}
+				fmt.Fprintf(w, "%-40s %14.0f %14.0f %14s%s\n", name, bv, cv, m, mark)
+			case okB:
+				skipped = append(skipped, m+" (missing from current)")
+			case okC:
+				skipped = append(skipped, m+" (missing from baseline)")
+			}
+		}
+		if len(skipped) > 0 {
+			fmt.Fprintf(w, "%-40s skipped: %s\n", name, strings.Join(skipped, ", "))
+		}
 	}
+	return failed
 }

@@ -3,7 +3,8 @@
 // searches: per search, how many candidate points it evaluated, how many
 // the lower bound pruned, how many each constraint skipped, the resulting
 // bound efficiency, how many units (chunk × segmentation × mux × mask
-// rectangles) it prepared, and for a Pareto search the front's size. Run it when
+// rectangles) it prepared, how many bounds (unit and row) it computed, and
+// for a Pareto search the front's size. Run it when
 // touching the bound (internal/array/bound.go) or the searcher
 // (internal/core/walk.go) — a correctness-preserving change that loosens the
 // bound shows up here as an efficiency drop long before it shows up as a
@@ -44,32 +45,41 @@ func main() {
 	}
 
 	header := func(first, last string) {
-		fmt.Printf("%-8s %-6s %-6s %12s %12s %12s %10s %9s %10s\n",
-			first, "flavor", "method", "evaluated", "pruned", "skipped", "bound-eff", "prepared", last)
+		fmt.Printf("%-8s %-6s %-6s %12s %12s %12s %10s %9s %10s %10s\n",
+			first, "flavor", "method", "evaluated", "pruned", "skipped", "bound-eff", "prepared", "bounds", last)
 	}
 	header("capacity", "wall")
 	var totalEval, totalPruned, totalSkipped int
-	var totalPrepared int64
-	// A search prepared the units the core.search.units_prepared counter
-	// advanced by.
-	unitsPrepared := func() int64 { return obs.Default().CounterValue("core.search.units_prepared") }
+	var totalPrepared, totalBounds int64
+	// A search prepared the units and computed the bounds the
+	// core.search.units_prepared and core.search.bounds counters advanced by.
+	type work struct{ prepared, bounds int64 }
+	counters := func() work {
+		reg := obs.Default()
+		return work{reg.CounterValue("core.search.units_prepared"), reg.CounterValue("core.search.bounds")}
+	}
+	since := func(w0 work) work {
+		w := counters()
+		return work{w.prepared - w0.prepared, w.bounds - w0.bounds}
+	}
 	// row runs one search and prints its breakdown, with the units it
-	// prepared.
+	// prepared and the bounds it computed.
 	row := func(capacity, flavor, method string, opts core.Options) {
-		before := unitsPrepared()
+		w0 := counters()
 		opt, err := fw.Optimize(context.Background(), opts)
 		if err != nil {
 			cliutil.Fatalf("%s %s %s: %v", capacity, flavor, method, err)
 		}
-		prepared := unitsPrepared() - before
+		w := since(w0)
 		st := opt.Stats
-		fmt.Printf("%-8s %-6s %-6s %12d %12d %12d %9.1f%% %9d %10s\n",
+		fmt.Printf("%-8s %-6s %-6s %12d %12d %12d %9.1f%% %9d %10d %10s\n",
 			capacity, flavor, method, st.Evaluated, st.PrunedBound, st.SkippedTotal(),
-			100*st.BoundEfficiency(), prepared, st.Wall.Round(10_000))
+			100*st.BoundEfficiency(), w.prepared, w.bounds, st.Wall.Round(10_000))
 		totalEval += st.Evaluated
 		totalPruned += st.PrunedBound
 		totalSkipped += st.SkippedTotal()
-		totalPrepared += prepared
+		totalPrepared += w.prepared
+		totalBounds += w.bounds
 	}
 	for _, kb := range []int{1, 2, 4, 8, 16} {
 		for _, flavor := range []device.Flavor{device.LVT, device.HVT} {
@@ -111,8 +121,8 @@ func main() {
 	if total := totalEval + totalPruned; total > 0 {
 		eff = float64(totalPruned) / float64(total)
 	}
-	fmt.Printf("%-8s %-6s %-6s %12d %12d %12d %9.1f%% %9d\n",
-		"total", "", "", totalEval, totalPruned, totalSkipped, 100*eff, totalPrepared)
+	fmt.Printf("%-8s %-6s %-6s %12d %12d %12d %9.1f%% %9d %10d\n",
+		"total", "", "", totalEval, totalPruned, totalSkipped, 100*eff, totalPrepared, totalBounds)
 
 	// Pareto searches prune against each chunk's prune front instead of an
 	// objective threshold (DESIGN.md §11), so their counts move with the
@@ -121,15 +131,16 @@ func main() {
 	fmt.Println()
 	header("pareto", "front")
 	pareto := func(capacity, flavor, method string, opts core.Options) {
-		before := unitsPrepared()
+		w0 := counters()
 		res, err := fw.Pareto(context.Background(), opts)
 		if err != nil {
 			cliutil.Fatalf("%s %s %s pareto: %v", capacity, flavor, method, err)
 		}
+		w := since(w0)
 		st := res.Stats
-		fmt.Printf("%-8s %-6s %-6s %12d %12d %12d %9.1f%% %9d %10d\n",
+		fmt.Printf("%-8s %-6s %-6s %12d %12d %12d %9.1f%% %9d %10d %10d\n",
 			capacity, flavor, method, st.Evaluated, st.PrunedBound, st.SkippedTotal(),
-			100*st.BoundEfficiency(), unitsPrepared()-before, len(res.Front))
+			100*st.BoundEfficiency(), w.prepared, w.bounds, len(res.Front))
 	}
 	for _, kb := range []int{4, 16} {
 		pareto(unit.Bytes(kb*1024*8), "HVT", "M2", core.Options{CapacityBits: kb * 1024 * 8, Flavor: device.HVT, Method: core.M2})

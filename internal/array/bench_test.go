@@ -35,7 +35,7 @@ func BenchmarkEvalSweep(b *testing.B) {
 }
 
 // BenchmarkBoundRect measures the per-rectangle cost of the lower bound the
-// searcher pays before deciding to prune or sweep.
+// searcher pays before deciding to prune or sweep a unit.
 func BenchmarkBoundRect(b *testing.B) {
 	ev := benchEvaluator(b)
 	b.ReportAllocs()
@@ -44,6 +44,28 @@ func BenchmarkBoundRect(b *testing.B) {
 		if _, err := ev.BoundRect(1, 50, 1, 20); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkRowBound measures the row bisection's bound: one N_wr range of
+// one N_pre row from the bound kernel, over the ranges a 20-point row
+// bisects into.
+func BenchmarkRowBound(b *testing.B) {
+	ev := benchEvaluator(b)
+	ranges := [][2]int{{1, 20}, {1, 10}, {11, 20}, {1, 5}, {6, 10}, {11, 15}, {16, 20}}
+	var sink float64
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		rb := ev.Row(1 + i%50)
+		for _, r := range ranges {
+			d, e := rb.Bound(r[0], r[1])
+			sink += d + e
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(ranges)), "ns/bound")
+	if sink == 0 {
+		b.Fatal("zero bounds")
 	}
 }
 

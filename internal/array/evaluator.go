@@ -142,6 +142,15 @@ type Evaluator struct {
 	soaDCOL  []float64 // column-select delay component
 	soaECOL  []float64 // column-select energy component
 	soaIBLwr []float64 // write-buffer drain current coefBLwr·fnwr·I_TG
+	soaBwK   []float64 // V_dd/I_BLwr, the bound kernel's write-bitline delay per farad
+
+	// The bound kernel's unit constants (bound.go), folded on first use
+	// after each Prepare.
+	bk boundConsts
+
+	// evals counts the points EvalSweep evaluated since the last publish to
+	// the array.evaluations counter (Flush, or the next Prepare).
+	evals int
 }
 
 // NewEvaluator validates the technology and activity once and returns an
@@ -184,8 +193,21 @@ func (e *Evaluator) Clone() *Evaluator {
 	c := *e
 	c.prepared = false
 	c.soaN = 0
-	c.soaBL, c.soaDCOL, c.soaECOL, c.soaIBLwr = nil, nil, nil, nil
+	c.soaBL, c.soaDCOL, c.soaECOL, c.soaIBLwr, c.soaBwK = nil, nil, nil, nil, nil
+	c.bk.ok = false
+	c.evals = 0
 	return &c
+}
+
+// Flush publishes the evaluations EvalSweep counted since the last Flush or
+// Prepare to the array.evaluations counter. The sweep counts per Evaluator
+// instead of per call, so a searcher flushes when it finishes a chunk; the
+// next Prepare flushes too.
+func (e *Evaluator) Flush() {
+	if e.evals != 0 {
+		mEvals.Add(int64(e.evals))
+		e.evals = 0
+	}
 }
 
 // RailStage is the rail stage of a staged Prepare: every quantity that
@@ -314,7 +336,9 @@ func (e *Evaluator) decoders(g wire.Geometry) (row, col periph.DecoderResult) {
 // result is bit-identical to the wrapper it stands in for. It does not
 // memoize the chunk; a failure leaves the Evaluator unprepared.
 func (e *Evaluator) PrepareStaged(g wire.Geometry, rs *RailStage, groups int, mask uint32) error {
+	e.Flush()
 	e.prepared = false
+	e.bk.ok = false
 	if e.tech == nil {
 		return fmt.Errorf("array: Prepare on zero Evaluator (use NewEvaluator)")
 	}

@@ -34,9 +34,9 @@ func (s *SweepBlock) grow(n int) {
 
 // ensureSoA fills the chunk-invariant per-N_wr arrays up to n entries
 // (index i ↔ N_wr = i+1): the N_wr term of C_BL, the column-select
-// component, and the write-buffer drain current. They depend only on the
-// prepared chunk, so Prepare invalidates them and every row of the sweep
-// reuses them.
+// component, the write-buffer drain current and the bound kernel's V_dd
+// over it. They depend only on the prepared chunk, so Prepare invalidates
+// them and every row of the sweep reuses them.
 func (e *Evaluator) ensureSoA(n int) {
 	if e.soaN >= n {
 		return
@@ -46,12 +46,14 @@ func (e *Evaluator) ensureSoA(n int) {
 		e.soaDCOL = make([]float64, n)
 		e.soaECOL = make([]float64, n)
 		e.soaIBLwr = make([]float64, n)
+		e.soaBwK = make([]float64, n)
 		e.soaN = 0
 	} else {
 		e.soaBL = e.soaBL[:n]
 		e.soaDCOL = e.soaDCOL[:n]
 		e.soaECOL = e.soaECOL[:n]
 		e.soaIBLwr = e.soaIBLwr[:n]
+		e.soaBwK = e.soaBwK[:n]
 	}
 	for i := e.soaN; i < n; i++ {
 		fnwr := float64(i + 1)
@@ -64,6 +66,7 @@ func (e *Evaluator) ensureSoA(n int) {
 			e.soaDCOL[i], e.soaECOL[i] = 0, 0
 		}
 		e.soaIBLwr[i] = coefBLwr * fnwr * e.iTG
+		e.soaBwK[i] = e.vdd / e.soaIBLwr[i]
 	}
 	e.soaN = n
 }
@@ -73,7 +76,9 @@ func (e *Evaluator) ensureSoA(n int) {
 // This is the branch-and-bound searcher's hot loop: the N_pre-independent
 // terms come from the cached struct-of-arrays lanes, the row-invariant
 // precharge terms are hoisted, and the inner loop indexes equal-length
-// slices so the compiler drops the bounds checks.
+// slices so the compiler drops the bounds checks. Its points count toward
+// array.evaluations when the Evaluator flushes (Flush, or the next
+// Prepare), not per call.
 func (e *Evaluator) EvalSweep(npre, nwrLo, nwrHi int, out *SweepBlock) error {
 	if !e.prepared {
 		return fmt.Errorf("array: Eval before a successful Prepare")
@@ -87,7 +92,7 @@ func (e *Evaluator) EvalSweep(npre, nwrLo, nwrHi int, out *SweepBlock) error {
 	n := nwrHi - nwrLo + 1
 	e.ensureSoA(nwrHi)
 	out.grow(n)
-	mEvals.Add(int64(n))
+	e.evals += n
 
 	// Row-invariant per-point terms (exact EvalInto expressions).
 	blBase := e.blFixed + float64(npre+1)*e.cdp

@@ -421,35 +421,47 @@ func TestStorageNodeCapPositive(t *testing.T) {
 }
 
 // TestVDDCStarSNMFromProbe checks the read SNM MinVDDCForReadSNM returns:
-// bit-identical to a fresh extraction at the returned VDDC, and, where the
-// search probed that level, taken from the probe without extracting it
-// again. With vMax off the 10 mV grid and a target only vMax meets, the
-// returned level (the grid's top) was never probed, and its SNM is
-// extracted once more.
+// bit-identical to a fresh extraction at the returned VDDC, and taken from
+// the search's last passing probe with no extraction besides the probes.
+// It is also the regression test of the off-grid vMax: with vMax 5 mV above
+// the top 10 mV level, the search returns that level when it meets the
+// target, and errors when only vMax itself does — it used to round the
+// level count up and return a level above vMax that it never probed.
 func TestVDDCStarSNMFromProbe(t *testing.T) {
 	extractions := func() int64 { return obs.Default().CounterValue("cell.snm.extractions") }
 	probes := func() int64 { return obs.Default().CounterValue("cell.rail.search_probes") }
 	for _, flavor := range []device.Flavor{device.LVT, device.HVT} {
 		c := New(flavor)
 		b := NominalRead(vdd)
-		top, err := c.ReadSNM(ReadBias{Vdd: vdd, VDDC: vdd + 0.305, VWL: vdd})
-		if err != nil {
-			t.Fatal(err)
+		snmAt := func(vddc float64) float64 {
+			snm, err := c.ReadSNM(ReadBias{Vdd: vdd, VDDC: vddc, VWL: vdd})
+			if err != nil {
+				t.Fatal(err)
+			}
+			return snm
+		}
+		top := vdd + 0.30 // the grid's top level below an off-grid vdd + 0.305
+		atTop, atVMax := snmAt(top), snmAt(vdd+0.305)
+		if !(atVMax > atTop) {
+			t.Fatalf("%v: read SNM %v at vMax not above %v at the top grid level", flavor, atVMax, atTop)
 		}
 		for _, tc := range []struct {
 			target, vMax float64
-			extra        int64
+			want         float64 // the returned VDDC; 0: any level up to vMax
 		}{
 			{0.35 * vdd, vdd + 0.30, 0},
-			{top, vdd + 0.305, 1},
+			{atTop, vdd + 0.305, top},
 		} {
 			e0, p0 := extractions(), probes()
 			vddc, snm, err := c.MinVDDCForReadSNM(b, tc.target, tc.vMax)
 			if err != nil {
 				t.Fatalf("%v target %g: %v", flavor, tc.target, err)
 			}
-			if got, want := extractions()-e0, probes()-p0+tc.extra; got != want {
-				t.Errorf("%v target %g: %d extractions, want %d", flavor, tc.target, got, want)
+			if got, want := extractions()-e0, probes()-p0; got != want {
+				t.Errorf("%v target %g: %d extractions for %d probes", flavor, tc.target, got, want)
+			}
+			if vddc > tc.vMax || (tc.want != 0 && vddc != tc.want) {
+				t.Errorf("%v target %g: VDDC %v, want %v (vMax %v)", flavor, tc.target, vddc, tc.want, tc.vMax)
 			}
 			bb := b
 			bb.VDDC = vddc
@@ -460,6 +472,54 @@ func TestVDDCStarSNMFromProbe(t *testing.T) {
 			if math.Float64bits(snm) != math.Float64bits(want) || snm < tc.target {
 				t.Errorf("%v target %g: SNM %v at VDDC %v, fresh extraction %v", flavor, tc.target, snm, vddc, want)
 			}
+		}
+		if vddc, _, err := c.MinVDDCForReadSNM(b, atVMax, vdd+0.305); err == nil {
+			t.Errorf("%v: a target only the off-grid vMax meets returned VDDC %v", flavor, vddc)
+		}
+	}
+}
+
+// TestMinRailSearchGrid pins the grid of minRailSearch on a synthetic
+// predicate (v ≥ threshold): an on-grid vMax = vMin + 0.30 has 30 steps and
+// its top level is vMax itself, though (0.75 − 0.45)/0.01 truncates to 29;
+// an off-grid vMax keeps every level at or below it. Every returned level
+// is a probed one, and no probe exceeds vMax.
+func TestMinRailSearchGrid(t *testing.T) {
+	const vMin = 0.45
+	level := func(i int) float64 { return vMin + float64(i)*0.010 }
+	for _, tc := range []struct {
+		vMax, threshold float64
+		want            float64 // 0: the search errors
+	}{
+		{vMin + 0.30, 0.40, vMin},
+		{vMin + 0.30, level(17) - 1e-9, level(17)},
+		{vMin + 0.30, level(29) + 1e-9, level(30)},
+		{vMin + 0.30, vMin + 0.30, vMin + 0.30},
+		{vMin + 0.30, vMin + 0.30 + 1e-9, 0},
+		{vMin + 0.305, level(30), level(30)},
+		{vMin + 0.305, level(30) + 1e-9, 0},
+		{vMin + 0.305, level(3), level(3)},
+		{vMin, vMin, vMin},
+		{vMin + 0.004, vMin + 0.001, 0},
+		{vMin - 0.01, vMin, 0},
+	} {
+		probed := map[float64]bool{}
+		meets := func(v float64) (bool, error) {
+			if v > tc.vMax {
+				t.Errorf("vMax %v: probed %v", tc.vMax, v)
+			}
+			probed[v] = true
+			return v >= tc.threshold, nil
+		}
+		got, err := minRailSearch(meets, vMin, tc.vMax, "test")
+		if tc.want == 0 {
+			if err == nil {
+				t.Errorf("vMax %v threshold %v: returned %v, want an error", tc.vMax, tc.threshold, got)
+			}
+			continue
+		}
+		if err != nil || got != tc.want || !probed[got] {
+			t.Errorf("vMax %v threshold %v: %v (probed %v), %v; want %v", tc.vMax, tc.threshold, got, probed[got], err, tc.want)
 		}
 	}
 }

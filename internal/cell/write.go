@@ -65,38 +65,30 @@ func (c *Cell) WriteDelay(b WriteBias) (float64, error) {
 }
 
 // MinVDDCForReadSNM returns the smallest VDDC (searched on a 10 mV grid like
-// the paper's rail granularity) at which the read SNM meets target, with the
-// other read-bias fields taken from b, and the read SNM at that VDDC. Every
-// grid level runs on one workspace. The SNM is that of the probe that found
-// the returned level passing; only a returned level the search never
-// probed (the grid's top level, when it is not bit-identical to vMax) is
-// extracted once more. It returns an error if even vMax fails.
+// the paper's rail granularity, no level above vMax) at which the read SNM
+// meets target, with the other read-bias fields taken from b, and the read
+// SNM at that VDDC. Every grid level runs on one workspace. The search
+// returns only levels it probed, and its last passing probe is the level it
+// returns, so the SNM is that probe's. It returns an error if even the top
+// grid level fails.
 func (c *Cell) MinVDDCForReadSNM(b ReadBias, target, vMax float64) (vddc, snm float64, err error) {
 	s := c.scratch()
-	readSNM := func(vddc float64) (float64, error) {
+	meets := func(vddc float64) (bool, error) {
 		bb := b
 		bb.VDDC = vddc
-		return s.ReadSNM(c.DVt, bb)
-	}
-	passV, passSNM := math.NaN(), 0.0 // the last passing probe
-	meets := func(vddc float64) (bool, error) {
-		snm, err := readSNM(vddc)
+		v, err := s.ReadSNM(c.DVt, bb)
 		if err != nil {
 			return false, err
 		}
-		if snm >= target {
-			passV, passSNM = vddc, snm
+		if v >= target {
+			snm = v
 		}
-		return snm >= target, nil
+		return v >= target, nil
 	}
 	if vddc, err = minRailSearch(meets, b.Vdd, vMax, "VDDC"); err != nil {
 		return 0, 0, err
 	}
-	if vddc == passV {
-		return vddc, passSNM, nil
-	}
-	snm, err = readSNM(vddc)
-	return vddc, snm, err
+	return vddc, snm, nil
 }
 
 // MinVWLForWriteMargin returns the smallest write-assist VWL (10 mV grid) at
@@ -112,8 +104,10 @@ func (c *Cell) MinVWLForWriteMargin(b WriteBias, target, vMax float64) (float64,
 	return minRailSearch(meets, b.Vdd, vMax, "VWL")
 }
 
-// minRailSearch finds the smallest voltage on a 10 mV grid in [vMin, vMax]
-// satisfying a monotone predicate.
+// minRailSearch finds the smallest level vMin + i·10 mV ≤ vMax satisfying a
+// monotone predicate. It probes the top level first, as the existence
+// check, then bisects; every level it returns is one it probed, and the
+// last probe the predicate passed.
 func minRailSearch(meetsRaw func(float64) (bool, error), vMin, vMax float64, what string) (float64, error) {
 	sp := obs.StartSpan("cell.rail_search")
 	probes := 0
@@ -123,23 +117,32 @@ func minRailSearch(meetsRaw func(float64) (bool, error), vMin, vMax float64, wha
 		return meetsRaw(v)
 	}
 	const grid = 0.010
-	n := int((vMax-vMin)/grid + 0.5)
-	lo, hi := 0, n // grid indices; predicate assumed false below lo-1... binary search
-	ok, err := meets(vMax)
+	// n is the top level's index. Rounding first keeps the level a
+	// truncation would drop: (0.75 − 0.45)/0.01 is 29.999999999999996.
+	n := int(math.Round((vMax - vMin) / grid))
+	if vMin+float64(n)*grid > vMax {
+		n--
+	}
+	if n < 0 {
+		return 0, fmt.Errorf("cell: %s search: no grid level in [%gV, %gV]", what, vMin, vMax)
+	}
+	lo, hi := 0, n // grid indices: the predicate passes at hi and, unless hi = 0, fails at lo
+	vTop := vMin + float64(n)*grid
+	ok, err := meets(vTop)
 	if err != nil {
 		return 0, err
 	}
 	if !ok {
-		return 0, fmt.Errorf("cell: %s search: target unmet even at %gV", what, vMax)
+		return 0, fmt.Errorf("cell: %s search: target unmet even at %gV", what, vTop)
 	}
-	if ok0, err := meets(vMin); err != nil {
-		return 0, err
-	} else if ok0 {
-		sp.Str("rail", what)
-		sp.Int("probes", int64(probes))
-		sp.Float("v", vMin)
-		sp.End()
-		return vMin, nil
+	if n > 0 {
+		ok, err := meets(vMin)
+		if err != nil {
+			return 0, err
+		}
+		if ok {
+			hi = 0
+		}
 	}
 	for hi-lo > 1 {
 		mid := (lo + hi) / 2

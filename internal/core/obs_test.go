@@ -28,7 +28,10 @@ func attrInt(t *testing.T, ev obs.Event, key string) int64 {
 // with the counts as units_prepared·N_pre·N_wr = 2·Evaluated − SkippedRails.
 // Branch-and-bound prepares fewer units, and an 8-group search prepares and
 // sweeps one mask per class: the paper technology's 256 masks fall into 94.
-// No span drops an attribute past its cap.
+// The run span's bounds equals the core.search.bounds counter's advance;
+// full enumeration bounds each live unit once, in the bound pass, so there
+// bounds·N_pre·N_wr = Evaluated. No span drops an attribute past its cap,
+// though the run span fills all ten slots.
 func TestSearchTraceReconciles(t *testing.T) {
 	f := paperFramework(t)
 	space := SearchSpace{VSSCMin: -0.04, VSSCStep: 0.02, NRMax: 1024, NCMax: 1024, NpreMax: 4, NwrMax: 3}
@@ -48,6 +51,7 @@ func TestSearchTraceReconciles(t *testing.T) {
 		col := &obs.CollectorSink{}
 		prev := obs.SetSink(col)
 		before := obs.Default().CounterValue("core.search.units_prepared")
+		bounds0 := searchBounds()
 		dropped := obs.Default().CounterValue("obs.span.attrs_dropped")
 		opt, err := f.Optimize(context.Background(), tc.opts)
 		obs.SetSink(prev)
@@ -60,7 +64,7 @@ func TestSearchTraceReconciles(t *testing.T) {
 		st := opt.Stats
 
 		var chunkSpans int
-		var chunkSum, runTotal, units, classes int64
+		var chunkSum, runTotal, units, classes, bounds int64
 		runSpans := 0
 		for _, ev := range col.Events() {
 			switch ev.Name {
@@ -72,6 +76,7 @@ func TestSearchTraceReconciles(t *testing.T) {
 				runTotal = attrInt(t, ev, "evaluated")
 				units = attrInt(t, ev, "units_prepared")
 				classes = attrInt(t, ev, "mask_classes")
+				bounds = attrInt(t, ev, "bounds")
 			}
 		}
 		if runSpans != 1 {
@@ -88,6 +93,15 @@ func TestSearchTraceReconciles(t *testing.T) {
 		}
 		if got := obs.Default().CounterValue("core.search.units_prepared") - before; got != units {
 			t.Errorf("%s: units_prepared counter advanced by %d, run span reports %d", tc.name, got, units)
+		}
+		if got := searchBounds() - bounds0; got != bounds {
+			t.Errorf("%s: bounds counter advanced by %d, run span reports %d", tc.name, got, bounds)
+		}
+		if pts := int64(space.NpreMax * space.NwrMax); tc.opts.DisableBounds && bounds*pts != int64(st.Evaluated) {
+			t.Errorf("%s: %d bounds × %d points ≠ Evaluated (%d)", tc.name, bounds, pts, st.Evaluated)
+		}
+		if !tc.opts.DisableBounds && bounds <= units {
+			t.Errorf("%s: %d bounds for %d units prepared: the rows were never bounded", tc.name, bounds, units)
 		}
 		if classes != tc.classes {
 			t.Errorf("%s: %d mask classes, want %d", tc.name, classes, tc.classes)

@@ -135,82 +135,142 @@ func oracleSearch(t *testing.T, f *Framework, opts Options) oracleRun {
 	return run
 }
 
+// walkerCase is one search of the walker's differential test: the raw
+// choices TestWalkerMatchesOracle draws and FuzzSearchDifferential fuzzes.
+// build maps any values into the drawn ranges.
+type walkerCase struct {
+	cliff                          float64 // the HVT read-stability cutoff when negative: pruningFramework
+	obj, capLog, flavor, method, w uint8
+	groups, step, npre, nwr, mux   uint8
+	segs, shared                   bool // SearchWLSegs; for 8 groups, sharedLeakFramework
+}
+
+// walkerObjectives are the objectives a case picks from; "custom" has no
+// bound.
+var walkerObjectives = []string{"edp", "delay", "energy", "area", "padp", "custom"}
+
+// drawWalkerCase draws a case over capacities, flavors, methods,
+// objectives, hybrid groups 0/2/4/8, mux ratios, segmentation and
+// read-stability cliffs. 8-group spaces are narrower: 256 masks per
+// geometry.
+func drawWalkerCase(rng *rand.Rand) walkerCase {
+	var c walkerCase
+	if rng.Intn(3) == 0 {
+		c.cliff = -0.02 - 0.1*rng.Float64()
+	}
+	c.obj = uint8(rng.Intn(len(walkerObjectives)))
+	c.capLog = uint8(rng.Intn(9))
+	c.flavor = uint8(rng.Intn(2))
+	c.method = uint8(rng.Intn(2))
+	c.w = uint8(rng.Intn(3))
+	c.groups = uint8(rng.Intn(4))
+	c.segs = rng.Intn(2) == 0
+	c.step = uint8(rng.Intn(3))
+	c.npre = uint8(rng.Intn(6))
+	c.nwr = uint8(rng.Intn(8))
+	c.mux = uint8(rng.Intn(3))
+	if c.groups == 3 {
+		c.capLog = uint8(3 + rng.Intn(3))
+		c.npre = uint8(rng.Intn(2))
+		c.shared = rng.Intn(2) == 0
+	}
+	return c
+}
+
+// build returns the case's framework, name, options and whether its
+// objective is the custom one. ok is false when the oracle would cover
+// more points than the budget: 12 000, or 120 000 for 8 groups.
+func (c walkerCase) build(t *testing.T) (f *Framework, name string, opts Options, custom, ok bool) {
+	f = paperFramework(t)
+	if c.cliff < 0 {
+		f = pruningFramework(t, c.cliff)
+		name = "hvt-rsnm-cliff "
+	}
+	objName := walkerObjectives[int(c.obj)%len(walkerObjectives)]
+	obj, found := ObjectiveByName(objName)
+	if !found {
+		// The custom objective, which has no bound: energy²·delay rounded
+		// to two significant digits, so ties exercise designLess.
+		obj = func(r *array.Result) float64 {
+			v := r.EArray * r.EArray * r.DArray
+			q := math.Pow(10, math.Floor(math.Log10(v))-1)
+			return math.Round(v/q) * q
+		}
+	}
+	opts = Options{
+		CapacityBits: 64 << (c.capLog % 9), // 64 b … 2 KB
+		Flavor:       []device.Flavor{device.LVT, device.HVT}[c.flavor%2],
+		Method:       []Method{M1, M2}[c.method%2],
+		W:            []int{8, 16, 64}[c.w%3],
+		Objective:    obj,
+		HybridGroups: []int{0, 2, 4, 8}[c.groups%4],
+		SearchWLSegs: c.segs,
+		Space: SearchSpace{
+			VSSCMin:  -0.24,
+			VSSCStep: []float64{0.08, 0.12, 0.24}[c.step%3],
+			NRMax:    1024,
+			NCMax:    1024,
+			NpreMax:  1 + int(c.npre%6),
+			NwrMax:   5 + int(c.nwr%8),
+			MuxMax:   []int{0, 2, 4}[c.mux%3],
+		},
+	}
+	budget := 12000 // oracle points per case, to keep the test fast
+	if opts.HybridGroups == 8 {
+		opts.CapacityBits = 512 << (c.capLog % 3) // 512 b … 2 KB
+		opts.Space.NpreMax = 1 + int(c.npre%2)
+		opts.Space.VSSCStep = 0.24
+		budget = 120000
+		if c.shared {
+			f = sharedLeakFramework(f)
+			name += "shared-leak "
+		}
+	}
+	norm := opts
+	if err := norm.normalize(); err != nil {
+		t.Fatal(err)
+	}
+	levels := len(vsscCandidates(norm.Method, norm.Space))
+	ok = levels*validCombosPerLevel(&norm, rowCandidates(norm.CapacityBits, norm.Space)) <= budget
+	return f, name + objName + " " + describeOptions(opts), opts, objName == "custom", ok
+}
+
 // TestWalkerMatchesOracle is the seeded differential test of the unit
-// walker: over random small search spaces — capacities, flavors, methods,
-// objectives (one custom), hybrid groups, mux ratios, segmentation and
-// read-stability cliffs — the bounded and the full-enumeration optima must
-// equal the oracle's bit for bit, both policies' Pareto fronts must equal
-// the oracle's front, the full enumeration's counts must equal the
-// oracle's, and the bounded counts must reconcile with them. Only 8-group
-// searches have equivalent masks (DESIGN.md §13.7), so they are drawn too,
-// in narrower spaces under a larger point budget.
+// walker: over 40 random small search spaces (drawWalkerCase) the bounded
+// and the full-enumeration optima must equal the oracle's bit for bit, both
+// policies' Pareto fronts must equal the oracle's front, the full
+// enumeration's counts must equal the oracle's, and the bounded counts must
+// reconcile with them. Only 8-group searches have equivalent masks
+// (DESIGN.md §13.7), so they are drawn too, in narrower spaces under a
+// larger point budget.
 func TestWalkerMatchesOracle(t *testing.T) {
-	const cases = 40
-	const maxPoints = 12000   // oracle points per case, to keep the test fast
-	const maxPoints8 = 120000 // the same for 8 groups: 256 masks per geometry
-	objectives := []string{"edp", "delay", "energy", "area", "padp", "custom"}
 	rng := rand.New(rand.NewSource(1))
-	for i := 0; i < cases; {
-		f := paperFramework(t)
-		cliff := ""
-		if rng.Intn(3) == 0 {
-			cutoff := -0.02 - 0.1*rng.Float64()
-			f = pruningFramework(t, cutoff)
-			cliff = "hvt-rsnm-cliff "
-		}
-		objName := objectives[rng.Intn(len(objectives))]
-		obj, ok := ObjectiveByName(objName)
+	for i := 0; i < 40; {
+		f, name, opts, custom, ok := drawWalkerCase(rng).build(t)
 		if !ok {
-			// The custom objective, which has no bound: energy²·delay rounded
-			// to two significant digits, so ties exercise designLess.
-			obj = func(r *array.Result) float64 {
-				v := r.EArray * r.EArray * r.DArray
-				q := math.Pow(10, math.Floor(math.Log10(v))-1)
-				return math.Round(v/q) * q
-			}
-		}
-		opts := Options{
-			CapacityBits: 64 << rng.Intn(9), // 64 b … 2 KB
-			Flavor:       []device.Flavor{device.LVT, device.HVT}[rng.Intn(2)],
-			Method:       []Method{M1, M2}[rng.Intn(2)],
-			W:            []int{8, 16, 64}[rng.Intn(3)],
-			Objective:    obj,
-			HybridGroups: []int{0, 2, 4, 8}[rng.Intn(4)],
-			SearchWLSegs: rng.Intn(2) == 0,
-			Space: SearchSpace{
-				VSSCMin:  -0.24,
-				VSSCStep: []float64{0.08, 0.12, 0.24}[rng.Intn(3)],
-				NRMax:    1024,
-				NCMax:    1024,
-				NpreMax:  1 + rng.Intn(6),
-				NwrMax:   5 + rng.Intn(8),
-				MuxMax:   []int{0, 2, 4}[rng.Intn(3)],
-			},
-		}
-		budget := maxPoints
-		if opts.HybridGroups == 8 {
-			opts.CapacityBits = 512 << rng.Intn(3) // 512 b … 2 KB
-			opts.Space.NpreMax = 1 + rng.Intn(2)
-			opts.Space.VSSCStep = 0.24
-			budget = maxPoints8
-			if rng.Intn(2) == 0 {
-				f = sharedLeakFramework(f)
-				cliff += "shared-leak "
-			}
-		}
-		norm := opts
-		if err := norm.normalize(); err != nil {
-			t.Fatal(err)
-		}
-		levels := len(vsscCandidates(norm.Method, norm.Space))
-		if levels*validCombosPerLevel(&norm, rowCandidates(norm.CapacityBits, norm.Space)) > budget {
 			continue // redraw: the oracle costs microseconds per point
 		}
-		name := cliff + objName + " " + describeOptions(opts)
 		i++
-
-		checkWalker(t, f, name, opts, objName == "custom")
+		checkWalker(t, f, name, opts, custom)
 	}
+}
+
+// FuzzSearchDifferential fuzzes the cases of TestWalkerMatchesOracle under
+// the same point budgets: the walker's optima and fronts must equal the
+// oracle's under both policies, and the counts must reconcile. A bound that
+// is too high prunes an optimum or a front point, and fails here. The
+// committed corpus under testdata/fuzz covers 0/2/4/8 groups, every
+// objective and the read-stability cliff.
+func FuzzSearchDifferential(f *testing.F) {
+	f.Fuzz(func(t *testing.T, cliff float64, obj, capLog, flavor, method, w, groups, step, npre, nwr, mux uint8, segs, shared bool) {
+		c := walkerCase{cliff: cliff, obj: obj, capLog: capLog, flavor: flavor, method: method, w: w,
+			groups: groups, step: step, npre: npre, nwr: nwr, mux: mux, segs: segs, shared: shared}
+		fw, name, opts, custom, ok := c.build(t)
+		if !ok {
+			t.Skip("over the oracle's point budget")
+		}
+		checkWalker(t, fw, name, opts, custom)
+	})
 }
 
 // checkWalker runs both policies' Optimize and Pareto on opts and compares

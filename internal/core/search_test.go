@@ -12,8 +12,12 @@ import (
 
 	"sramco/internal/array"
 	"sramco/internal/device"
+	"sramco/internal/obs"
 	"sramco/internal/wire"
 )
+
+// searchBounds reads the core.search.bounds counter.
+func searchBounds() int64 { return obs.Default().CounterValue("core.search.bounds") }
 
 func wireGeom(nr, nc, segs, npre, nwr int) wire.Geometry {
 	return wire.Geometry{NR: nr, NC: nc, W: 64, Npre: npre, Nwr: nwr, WLSegs: segs}
@@ -32,8 +36,9 @@ func normalizeOptimum(o *Optimum) Optimum {
 // deterministic reduction: the 4 KB HVT/M2 search, plain and hybrid with
 // muxing (whose workers share rail stages carrying both flavors), must
 // return a bit-identical Optimum — design, result and counts — for any
-// worker count, and across repeated runs. The 8-group search also sweeps
-// one mask per equivalence class (DESIGN.md §13.7).
+// worker count, and across repeated runs, and compute the same number of
+// bounds. The 8-group search also sweeps one mask per equivalence class
+// (DESIGN.md §13.7).
 func TestOptimizeDeterministicAcrossGOMAXPROCS(t *testing.T) {
 	f := paperFramework(t)
 	hybrid := Options{CapacityBits: 4 * 1024 * 8, Flavor: device.HVT, Method: M2, HybridGroups: 4,
@@ -43,17 +48,23 @@ func TestOptimizeDeterministicAcrossGOMAXPROCS(t *testing.T) {
 	hybrid8.Flavor, hybrid8.HybridGroups = device.LVT, 8
 	for _, opts := range []Options{{CapacityBits: 4 * 1024 * 8, Flavor: device.HVT, Method: M2}, hybrid, hybrid8} {
 		var ref Optimum
+		var refBounds int64
 		for i, procs := range []int{1, 2, 8, 8} {
 			prev := runtime.GOMAXPROCS(procs)
+			bounds := searchBounds()
 			opt, err := f.Optimize(context.Background(), opts)
+			bounds = searchBounds() - bounds
 			runtime.GOMAXPROCS(prev)
 			if err != nil {
 				t.Fatalf("groups=%d GOMAXPROCS=%d: %v", opts.HybridGroups, procs, err)
 			}
 			got := normalizeOptimum(opt)
 			if i == 0 {
-				ref = got
+				ref, refBounds = got, bounds
 				continue
+			}
+			if bounds != refBounds {
+				t.Errorf("groups=%d GOMAXPROCS=%d run %d: %d bounds, %d at GOMAXPROCS=1", opts.HybridGroups, procs, i, bounds, refBounds)
 			}
 			if !reflect.DeepEqual(ref, got) {
 				t.Errorf("groups=%d GOMAXPROCS=%d run %d: Optimum differs from GOMAXPROCS=1 baseline:\n  base %+v\n  got  %+v",
@@ -334,10 +345,11 @@ func TestOptimizeShardsFinerThanRows(t *testing.T) {
 // schedule-independent, and so must every count. The Pareto counts depend
 // on each chunk's prune front (the frozen seed front plus the points the
 // chunk has swept), which one goroutine builds in unit order, so they may
-// not move with the worker count either. The 8-worker search runs three
-// times: on a small search one worker may take every chunk in order, as
-// the single worker does. The 4 KB case is BenchmarkParetoFront's; the
-// 8-group mux-4 case adds equivalent masks and muxed units.
+// not move with the worker count either, and neither may the number of
+// bounds. The 8-worker search runs three times: on a small search one
+// worker may take every chunk in order, as the single worker does. The 4 KB
+// case is BenchmarkParetoFront's; the 8-group mux-4 case adds equivalent
+// masks and muxed units.
 func TestParetoFrontDeterministic(t *testing.T) {
 	f := paperFramework(t)
 	sp := SearchSpace{VSSCMin: -0.06, VSSCStep: 0.02, NRMax: 1024, NCMax: 1024, NpreMax: 6, NwrMax: 4}
@@ -349,16 +361,22 @@ func TestParetoFrontDeterministic(t *testing.T) {
 	} {
 		name := describeOptions(opts)
 		var ref *ParetoResult
+		var refBounds int64
 		for _, procs := range []int{1, 8, 8, 8} {
 			prev := runtime.GOMAXPROCS(procs)
+			bounds := searchBounds()
 			res, err := f.Pareto(context.Background(), opts)
+			bounds = searchBounds() - bounds
 			runtime.GOMAXPROCS(prev)
 			if err != nil {
 				t.Fatalf("%s GOMAXPROCS=%d: %v", name, procs, err)
 			}
 			if ref == nil {
-				ref = res
+				ref, refBounds = res, bounds
 				continue
+			}
+			if bounds != refBounds {
+				t.Errorf("%s: %d bounds at GOMAXPROCS=%d, %d at GOMAXPROCS=1", name, bounds, procs, refBounds)
 			}
 			if !reflect.DeepEqual(ref.Front, res.Front) {
 				t.Errorf("%s: Pareto front is schedule-dependent: %d vs %d points", name, len(ref.Front), len(res.Front))

@@ -21,8 +21,9 @@ import (
 // them for both reducers — the minimum objective (ties broken by
 // designLess) and the energy-delay Pareto front — under one of two pruning
 // policies. Branch-and-bound skips a rectangle, or a single N_pre row of
-// it, when a cheap certified lower bound (array.BoundRect) cannot beat the
-// incumbent, charging the skipped points to SearchStats.PrunedBound. It
+// it, when a cheap certified lower bound (array.BoundRect for a unit, the
+// bound kernel's array.Row for a row) cannot beat the incumbent, charging
+// the skipped points to SearchStats.PrunedBound. It
 // also prepares, bounds and sweeps one group mask per equivalence class
 // (DESIGN.md §13.7): masks sharing a rail class and an array.MaskKey
 // prepare chunks that differ only in the GroupMask stamped on each Result,
@@ -57,13 +58,18 @@ import (
 // Every Prepare draws its rail-dependent currents from a rail stage built
 // once per (rail class × VSSC level) before the bound pass and shared
 // read-only by all workers. The core.search.units_prepared counter and the
-// run span's units_prepared attribute count the Prepares of both passes.
+// run span's units_prepared attribute count the Prepares of both passes;
+// core.search.bounds and the bounds attribute count the bounds of both.
 
 // bnbMinRun is the N_wr range width below which the searcher sweeps the
-// points instead of bisecting further: a BoundRect costs about as much as
-// sweeping three points (sramperf's traced search-hybrid run measures ~86 ns
-// per BoundRect against ~26 ns per swept point on a 2-vCPU x86-64 VM), so
-// the two bounds of a split range of this width cost more than sweeping it.
+// points instead of bisecting further. A row bound from the bound kernel
+// costs less than sweeping one point (BenchmarkRowBound against
+// BenchmarkEvalSweep: 11–14 against 20–22 ns per point on a 2-vCPU x86-64
+// VM), yet a floor of 2, which evaluates 4× fewer points of the 4 KB 8-group
+// hybrid search (598 556 → 144 454) for 19 % more bounds, read equal in
+// time: a split range pays for two bounds, which rarely prune a short range.
+// Floors of 8 and 16 were slower than 4. The floor sets every count the
+// search reports.
 const bnbMinRun = 4
 
 // unitStatus classifies a searchUnit after the bound pass.
@@ -346,13 +352,27 @@ type walkWorker struct {
 	// chunk sweeps, and the chunk's prune tests read it alone.
 	prune front
 	// prepared counts the units this worker prepared, in the bound pass and
-	// in the sweep.
+	// in the sweep; bounds counts the bounds it computed, unit and row.
 	prepared int
+	bounds   int
+	// pubEvals and pubBounds are the Evaluated and bounds counts publish
+	// last added to the live counters.
+	pubEvals, pubBounds int
 
 	// The workers' slots are adjacent in one slice: the pad keeps this
 	// slot's obj and best, read at every swept point, off the cache line
 	// holding the next slot's stats, written at every swept range.
 	_ [64]byte
+}
+
+// publish adds the worker's evaluations and bounds since its last publish
+// to the live counters. The walker publishes once per swept unit and once
+// per chunk, never from the row loop: the counters are cache lines every
+// worker writes, and a search sweeps millions of rows.
+func (w *walkWorker) publish() {
+	mSearchEvaluated.Add(int64(w.stats.Evaluated - w.pubEvals))
+	mSearchBounds.Add(int64(w.bounds - w.pubBounds))
+	w.pubEvals, w.pubBounds = w.stats.Evaluated, w.bounds
 }
 
 // walk runs the search: the bound pass, the seed chunk swept alone to
@@ -397,10 +417,12 @@ func (s *search) walk() ([]walkWorker, SearchStats, error) {
 	wg.Wait()
 
 	st := s.stats
-	prepared := 0
+	prepared, bounds := 0, 0
 	for i := range slots {
+		slots[i].publish() // what an aborted bound pass left
 		st.addWorker(slots[i].stats)
 		prepared += slots[i].prepared
+		bounds += slots[i].bounds
 	}
 	st = finishStats(st, s.start, s.workers)
 	mUnitsPrepared.Add(int64(prepared))
@@ -409,6 +431,7 @@ func (s *search) walk() ([]walkWorker, SearchStats, error) {
 	s.span.Float("bound_efficiency", st.BoundEfficiency())
 	s.span.Int("units_prepared", int64(prepared))
 	s.span.Int("mask_classes", int64(s.nClasses))
+	s.span.Int("bounds", int64(bounds))
 	s.span.End()
 	if cause := context.Cause(s.sctx); cause != nil {
 		return nil, st, &SearchError{Stats: st, Cause: cause}
@@ -465,6 +488,7 @@ func (s *search) boundPass(slots []walkWorker) {
 					}
 				}
 				s.units[ci] = us
+				slot.publish()
 			}
 		}(w)
 	}
@@ -481,6 +505,7 @@ func (s *search) boundUnit(slot *walkWorker, c chunk, u *searchUnit) error {
 	if err != nil {
 		return err
 	}
+	slot.bounds++
 	u.obj, u.d, u.e = s.objBound(b), b.DArray, b.EArray
 	if !b.RailsSettleInTime {
 		u.status = unitUnsettled
@@ -524,12 +549,12 @@ func (s *search) processChunk(ci int, T float64, f0 *front, slot *walkWorker) bo
 	chunkStart := time.Now()
 	sp := obs.StartSpanCtx(s.sctx, "core.search.chunk")
 	evals0, pruned0 := st.Evaluated, st.PrunedBound
-	flushed := evals0
-	// endChunk publishes the chunk's evaluation count to the live counter
-	// and closes its trace span; it runs on every exit from the chunk,
-	// including cancellation and error.
+	// endChunk publishes the chunk's counts to the live counters and closes
+	// its trace span; it runs on every exit from the chunk, including
+	// cancellation and error.
 	endChunk := func(completed bool) bool {
-		mSearchEvaluated.Add(int64(st.Evaluated - flushed))
+		slot.publish()
+		slot.ev.Flush()
 		if completed {
 			mSearchChunks.Inc()
 			hChunkDur.Observe(time.Since(chunkStart))
@@ -596,22 +621,22 @@ func (s *search) processChunk(ci int, T float64, f0 *front, slot *walkWorker) bo
 		}
 		r.u = u
 		for r.npre = 1; r.npre <= space.NpreMax; r.npre++ {
+			if s.prunes {
+				r.row = slot.ev.Row(r.npre)
+			}
 			if s.canceled() || !r.refine(1, space.NwrMax) {
 				return endChunk(false)
 			}
-			// Flush the live counter once per N_pre row — cheap enough for
-			// the hot loop, fresh enough for -progress.
-			mSearchEvaluated.Add(int64(st.Evaluated - flushed))
-			flushed = st.Evaluated
 		}
+		slot.publish()
 	}
 	return endChunk(true)
 }
 
 // rowSweep is the state of one chunk's sweep that the row bisection reads:
-// the unit and N_pre row being swept, the frozen threshold and the
-// chunk-local incumbent objective (the Pareto reducer's chunk-local state
-// is the worker's prune front).
+// the unit and N_pre row being swept with the row's bound kernel, the
+// frozen threshold and the chunk-local incumbent objective (the Pareto
+// reducer's chunk-local state is the worker's prune front).
 type rowSweep struct {
 	s     *search
 	slot  *walkWorker
@@ -621,28 +646,45 @@ type rowSweep struct {
 	local float64
 	u     *searchUnit
 	npre  int
+	row   array.Row
+}
+
+// objBound returns the row bound matching the built-in objective over
+// N_wr ≥ lo, from the kernel's delay and energy bounds d and e: products of
+// lower bounds are lower bounds.
+func (r *rowSweep) objBound(d, e float64, lo int) float64 {
+	switch r.s.kind {
+	case objDelay:
+		return d
+	case objEnergy:
+		return e
+	case objArea:
+		return r.row.Area(lo)
+	case objPADP:
+		return d * e * r.row.Area(lo)
+	}
+	return d * e
 }
 
 // refine sweeps N_wr ∈ [lo, hi] of the current row into the worker's
 // reduction. Branch-and-bound bisects the range: the bound's write-buffer
 // current is taken at the range's high end, so its slack on a full row is
-// ~NwrMax×; each halving tightens it 2×, down to bnbMinRun points.
-// Recursion is sequential within the chunk, so the counts and the incumbent
-// updates stay deterministic. The never-prune policy sweeps the row whole.
-// Returns false on error.
+// ~NwrMax×; each halving tightens it 2×, down to bnbMinRun points. The
+// bounds come from the row's bound kernel, which reads the unit's sweep
+// lanes and divides nowhere. Recursion is sequential within the chunk, so
+// the counts and the incumbent updates stay deterministic. The never-prune
+// policy sweeps the row whole. Returns false on error.
 func (r *rowSweep) refine(lo, hi int) bool {
 	s, slot, ev := r.s, r.slot, r.slot.ev
 	n := hi - lo + 1
 	if s.prunes {
-		rb, err := ev.BoundRect(r.npre, r.npre, lo, hi)
-		if err != nil {
-			return s.fail(r.c, r.npre, lo, err)
-		}
+		d, e := r.row.Bound(lo, hi)
+		slot.bounds++
 		var pruned bool
 		if s.pareto {
-			pruned = slot.prune.dominatesRect(rb.DArray, rb.EArray)
+			pruned = slot.prune.dominatesRect(d, e)
 		} else {
-			pruned = s.objBound(rb) > min(r.T, r.local)
+			pruned = r.objBound(d, e, lo) > min(r.T, r.local)
 		}
 		if pruned {
 			slot.stats.PrunedBound += n

@@ -125,9 +125,9 @@ func Enabled() bool { return globalSink.Load() != nil }
 
 // maxSpanAttrs is the fixed attribute capacity of a Span. Instrumentation
 // sites use at most this many annotations; the cap keeps Span stack-only.
-// (The core.search run span is the widest user: capacity/method/chunks/
-// workers at start plus evaluated/pruned_bound/bound_efficiency/
-// units_prepared/mask_classes at end.)
+// (The core.search run span is the widest user and fills every slot:
+// capacity/method/chunks/workers at start plus evaluated/pruned_bound/
+// bound_efficiency/units_prepared/mask_classes/bounds at end.)
 const maxSpanAttrs = 10
 
 // mSpanAttrsDropped counts annotations a live span dropped because it
