@@ -4,7 +4,7 @@ GO ?= go
 # the commit the benchmarked tree was built from.
 BENCH_STAMP := $(shell date +%Y%m%dT%H%M%S)_$(shell git rev-parse --short HEAD 2>/dev/null || echo nogit)
 
-.PHONY: build test check race-core race-serve vet-obs fuzz-smoke loadtest-smoke yieldstream-smoke bench bench-compare bench-prune catalog loc
+.PHONY: build test check race-core race-serve vet-obs vet-sramperf fuzz-smoke loadtest-smoke yieldstream-smoke bench bench-compare bench-prune catalog loc
 
 build:
 	$(GO) build ./...
@@ -20,12 +20,15 @@ test:
 # formatting gate fails on any file gofmt would rewrite. The branch-and-bound
 # parity gates run first and verbosely under the race detector, so a pruning
 # correctness break is named in the output, not buried in ./... The fuzz
-# targets then run briefly past their committed corpora.
+# targets then run briefly past their committed corpora. The benchmark
+# module is vetted and tested too, so a break in the API it imports fails
+# here rather than when the benchmark runs.
 check: vet-obs
 	test -z "$$(gofmt -l .)"
 	$(GO) vet ./...
 	$(GO) test -race -run 'TestBranchAndBound' -v ./internal/core/
 	$(GO) test -race ./...
+	$(MAKE) vet-sramperf
 	$(MAKE) loadtest-smoke
 	$(MAKE) yieldstream-smoke
 	$(MAKE) fuzz-smoke FUZZTIME=3s
@@ -73,6 +76,13 @@ yieldstream-smoke:
 vet-obs:
 	$(GO) vet ./internal/obs/... ./internal/cliutil/...
 	$(GO) test -race ./internal/obs/...
+
+# vet-sramperf vets and tests the sramperf benchmark, a separate module that
+# imports internal/serve, array, cell, device, num and obs through a
+# replace of ../ — ./... of this module does not reach it. -mod=readonly
+# keeps the step from rewriting sramperf/go.mod.
+vet-sramperf:
+	cd sramperf && GOFLAGS=-mod=readonly $(GO) vet ./... && GOFLAGS=-mod=readonly $(GO) test ./...
 
 # bench runs every benchmark across the module and archives the machine-
 # readable log as BENCH_<yyyymmdd>T<hhmmss>_<short-sha>.json for regression

@@ -14,7 +14,6 @@ import (
 	"log"
 	"os"
 	"path/filepath"
-	"strings"
 
 	"sramco/internal/cell"
 	"sramco/internal/core"
@@ -33,11 +32,9 @@ func main() {
 	extVdd := flag.Bool("ext-vdd", false, "also run the Vdd-scaling extension (slow: re-characterizes per supply)")
 	flag.Parse()
 
-	mode := core.TechPaper
-	if strings.EqualFold(*modeStr, "simulated") {
-		mode = core.TechSimulated
-	} else if !strings.EqualFold(*modeStr, "paper") {
-		log.Fatalf("unknown mode %q", *modeStr)
+	mode, err := core.ParseMode(*modeStr)
+	if err != nil {
+		log.Fatal(err)
 	}
 
 	emit := func(name string, t *exp.Table) {

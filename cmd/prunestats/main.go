@@ -19,7 +19,6 @@ import (
 	"context"
 	"flag"
 	"fmt"
-	"strings"
 
 	"sramco/internal/cliutil"
 	"sramco/internal/core"
@@ -33,11 +32,9 @@ func main() {
 	modeStr := flag.String("mode", "paper", "calibration mode: paper or simulated")
 	flag.Parse()
 
-	mode := core.TechPaper
-	if strings.EqualFold(*modeStr, "simulated") {
-		mode = core.TechSimulated
-	} else if !strings.EqualFold(*modeStr, "paper") {
-		cliutil.Fatalf("unknown mode %q", *modeStr)
+	mode, err := core.ParseMode(*modeStr)
+	if err != nil {
+		cliutil.Fatalf("%v", err)
 	}
 	fw, err := core.NewFramework(mode, core.FrameworkOpts{})
 	if err != nil {

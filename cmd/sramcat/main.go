@@ -52,18 +52,6 @@ func usage() {
 	os.Exit(2)
 }
 
-// parseMode maps the -mode flag to a calibration mode.
-func parseMode(s string) sramco.Mode {
-	switch {
-	case strings.EqualFold(s, "paper"):
-		return sramco.TechPaper
-	case strings.EqualFold(s, "simulated"):
-		return sramco.TechSimulated
-	}
-	cliutil.Fatalf("unknown mode %q (want paper or simulated)", s)
-	panic("unreachable")
-}
-
 func splitList(s string) []string {
 	var out []string
 	for _, f := range strings.Split(s, ",") {
@@ -109,7 +97,10 @@ func build(args []string) {
 		cliutil.Fatalf("empty grid: every dimension needs at least one value")
 	}
 
-	mode := parseMode(*modeStr)
+	mode, err := sramco.ParseMode(*modeStr)
+	if err != nil {
+		cliutil.Fatalf("%v", err)
+	}
 	fmt.Fprintf(os.Stderr, "sramcat: characterizing technology (%v mode)...\n", mode)
 	fw, err := sramco.NewFramework(mode)
 	if err != nil {
@@ -168,7 +159,10 @@ func verify(args []string) {
 		cliutil.Fatalf("%v", err)
 	}
 
-	mode := parseMode(*modeStr)
+	mode, err := sramco.ParseMode(*modeStr)
+	if err != nil {
+		cliutil.Fatalf("%v", err)
+	}
 	fmt.Fprintf(os.Stderr, "sramcat: characterizing technology (%v mode)...\n", mode)
 	fw, err := sramco.NewFramework(mode)
 	if err != nil {

@@ -74,11 +74,9 @@ func main() {
 		cliutil.Fatalf("unexpected arguments %q (a boolean flag like -access-log takes =false, not a value)", flag.Args())
 	}
 
-	mode := sramco.TechPaper
-	if strings.EqualFold(*modeStr, "simulated") {
-		mode = sramco.TechSimulated
-	} else if !strings.EqualFold(*modeStr, "paper") {
-		cliutil.Fatalf("unknown mode %q", *modeStr)
+	mode, err := sramco.ParseMode(*modeStr)
+	if err != nil {
+		cliutil.Fatalf("%v", err)
 	}
 	if err := obsFlags.Start(); err != nil {
 		cliutil.Fatalf("%v", err)

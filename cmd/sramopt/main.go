@@ -19,7 +19,6 @@ import (
 	"io"
 	"os"
 	"os/signal"
-	"strings"
 	"syscall"
 
 	"sramco/internal/array"
@@ -87,11 +86,9 @@ func main() {
 	if err != nil {
 		cliutil.Fatalf("%v", err)
 	}
-	mode := core.TechPaper
-	if strings.EqualFold(*modeStr, "simulated") {
-		mode = core.TechSimulated
-	} else if !strings.EqualFold(*modeStr, "paper") {
-		cliutil.Fatalf("unknown mode %q", *modeStr)
+	mode, err := core.ParseMode(*modeStr)
+	if err != nil {
+		cliutil.Fatalf("%v", err)
 	}
 	objective, ok := core.ObjectiveByName(*objectiveStr)
 	if !ok {

@@ -4,6 +4,7 @@ import (
 	"context"
 	"math"
 	"runtime"
+	"strings"
 	"sync"
 	"testing"
 
@@ -310,6 +311,21 @@ func TestNewFrameworkReportsLVTErrorFirst(t *testing.T) {
 	_, err := NewFramework(Mode(7), FrameworkOpts{})
 	if want := "core: characterizing 6T-LVT: core: unknown mode 7"; err == nil || err.Error() != want {
 		t.Fatalf("err = %v, want %q", err, want)
+	}
+}
+
+// TestParseMode checks the -mode names every CLI accepts, in any letter
+// case, and the named error for anything else.
+func TestParseMode(t *testing.T) {
+	for s, want := range map[string]Mode{"paper": TechPaper, "PAPER": TechPaper, "simulated": TechSimulated, "Simulated": TechSimulated} {
+		if got, err := ParseMode(s); err != nil || got != want {
+			t.Errorf("ParseMode(%q) = %v, %v; want %v", s, got, err, want)
+		}
+	}
+	for _, s := range []string{"", "paper-calibrated", "sim"} {
+		if _, err := ParseMode(s); err == nil || !strings.Contains(err.Error(), "want paper or simulated") {
+			t.Errorf("ParseMode(%q) error = %v, want a named error", s, err)
+		}
 	}
 }
 

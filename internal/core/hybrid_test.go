@@ -147,7 +147,7 @@ func TestBranchAndBoundParityHybrid(t *testing.T) {
 			t.Fatalf("%s pruned: %v", tc.name, err)
 		}
 		full := opts
-		full.DisableBounds = true
+		full.disableBounds = true
 		ref, err := f.Optimize(context.Background(), full)
 		if err != nil {
 			t.Fatalf("%s full: %v", tc.name, err)
@@ -176,7 +176,7 @@ func TestBranchAndBoundParityHybrid(t *testing.T) {
 			t.Errorf("%s: bounded search evaluated %d rail-infeasible points", tc.name, st.SkippedRails)
 		}
 		if ref.Stats.PrunedBound != 0 {
-			t.Errorf("%s: DisableBounds still pruned %d points", tc.name, ref.Stats.PrunedBound)
+			t.Errorf("%s: disableBounds still pruned %d points", tc.name, ref.Stats.PrunedBound)
 		}
 		// Full enumeration covers the identical candidate space.
 		rst := ref.Stats
@@ -206,7 +206,7 @@ func TestBranchAndBoundParityHybridPareto(t *testing.T) {
 		t.Fatalf("pruned: %v", err)
 	}
 	full := opts
-	full.DisableBounds = true
+	full.disableBounds = true
 	ref, err := f.Pareto(context.Background(), full)
 	if err != nil {
 		t.Fatalf("full: %v", err)

@@ -97,16 +97,16 @@ func TestSearchTraceReconciles(t *testing.T) {
 		if got := searchBounds() - bounds0; got != bounds {
 			t.Errorf("%s: bounds counter advanced by %d, run span reports %d", tc.name, got, bounds)
 		}
-		if pts := int64(space.NpreMax * space.NwrMax); tc.opts.DisableBounds && bounds*pts != int64(st.Evaluated) {
+		if pts := int64(space.NpreMax * space.NwrMax); tc.opts.disableBounds && bounds*pts != int64(st.Evaluated) {
 			t.Errorf("%s: %d bounds × %d points ≠ Evaluated (%d)", tc.name, bounds, pts, st.Evaluated)
 		}
-		if !tc.opts.DisableBounds && bounds <= units {
+		if !tc.opts.disableBounds && bounds <= units {
 			t.Errorf("%s: %d bounds for %d units prepared: the rows were never bounded", tc.name, bounds, units)
 		}
 		if classes != tc.classes {
 			t.Errorf("%s: %d mask classes, want %d", tc.name, classes, tc.classes)
 		}
-		if pts := int64(space.NpreMax * space.NwrMax); tc.opts.DisableBounds && units*pts != int64(2*st.Evaluated-st.SkippedRails) {
+		if pts := int64(space.NpreMax * space.NwrMax); tc.opts.disableBounds && units*pts != int64(2*st.Evaluated-st.SkippedRails) {
 			t.Errorf("%s: %d units prepared × %d points ≠ 2·Evaluated (%d) − SkippedRails (%d)",
 				tc.name, units, pts, st.Evaluated, st.SkippedRails)
 		}
@@ -120,7 +120,7 @@ func TestSearchTraceReconciles(t *testing.T) {
 }
 
 func withFullEnumeration(o Options) Options {
-	o.DisableBounds = true
+	o.disableBounds = true
 	return o
 }
 

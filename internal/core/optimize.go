@@ -47,6 +47,19 @@ func ParseMethod(s string) (Method, error) {
 	return 0, fmt.Errorf("core: unknown method %q (want m1 or m2)", s)
 }
 
+// ParseMode parses a calibration mode name ("paper" or "simulated",
+// case-insensitive): the -mode flag of every CLI. It is not the inverse of
+// Mode.String, which names TechPaper "paper-calibrated" in printed output.
+func ParseMode(s string) (Mode, error) {
+	switch {
+	case strings.EqualFold(s, "paper"):
+		return TechPaper, nil
+	case strings.EqualFold(s, "simulated"):
+		return TechSimulated, nil
+	}
+	return 0, fmt.Errorf("core: unknown mode %q (want paper or simulated)", s)
+}
+
 // SearchSpace bounds the exhaustive search (§5 defaults).
 type SearchSpace struct {
 	VSSCMin  float64 // most negative VSSC (default -0.240)
@@ -159,14 +172,14 @@ type Options struct {
 	// Both the exhaustive and the greedy searcher honor it.
 	SearchWLSegs bool
 
-	// DisableBounds turns off the branch-and-bound rectangle pruning of the
+	// disableBounds turns off the branch-and-bound rectangle pruning of the
 	// exhaustive searchers, forcing a full enumeration of the candidate
-	// space. The optimum, Pareto front and infeasibility outcomes are
-	// bit-identical either way (the parity tests enforce it) — only
-	// SearchStats.Evaluated/PrunedBound and the wall time change. Pruning is
-	// also disabled automatically for custom Objective functions, for which
-	// no lower bound is known.
-	DisableBounds bool
+	// space: the never-prune reference of the parity tests, which enforce
+	// that the optimum, Pareto front and infeasibility outcomes are
+	// bit-identical either way — only SearchStats.Evaluated/PrunedBound and
+	// the wall time change. Custom Objective functions, for which no lower
+	// bound is known, select the same policy.
+	disableBounds bool
 }
 
 func (o *Options) normalize() error {

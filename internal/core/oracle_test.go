@@ -284,10 +284,10 @@ func checkWalker(t *testing.T, f *Framework, name string, opts Options, custom b
 	}
 	t.Logf("%s: %d oracle evaluations, %d-point front", name, ref.stats.Evaluated, len(ref.front))
 	full := opts
-	full.DisableBounds = true
+	full.disableBounds = true
 	for _, o := range []Options{opts, full} {
 		policy := "bounded"
-		if o.DisableBounds {
+		if o.disableBounds {
 			policy = "full"
 		}
 		opt, err := f.Optimize(context.Background(), o)
@@ -307,8 +307,8 @@ func checkWalker(t *testing.T, f *Framework, name string, opts Options, custom b
 				name, policy, len(front.Front), len(ref.front))
 		}
 		// The front ignores the objective.
-		checkOracleCounts(t, name+" "+policy+" Optimize", opt.Stats, ref.stats, o.DisableBounds || custom)
-		checkOracleCounts(t, name+" "+policy+" Pareto", front.Stats, ref.stats, o.DisableBounds)
+		checkOracleCounts(t, name+" "+policy+" Optimize", opt.Stats, ref.stats, o.disableBounds || custom)
+		checkOracleCounts(t, name+" "+policy+" Pareto", front.Stats, ref.stats, o.disableBounds)
 	}
 	return ref
 }

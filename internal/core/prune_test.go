@@ -12,7 +12,7 @@ import (
 // tentpole: across the standard capacity grid, both flavors and both rail
 // methods, the pruned search must return the exact DesignPoint — design and
 // every Result field bit-identical — that full enumeration
-// (Options.DisableBounds) finds, while satisfying the accounting invariant
+// (Options.disableBounds) finds, while satisfying the accounting invariant
 //
 //	Evaluated + SkippedRSNM + PrunedBound == levels × validCombosPerLevel.
 func TestBranchAndBoundParity(t *testing.T) {
@@ -26,7 +26,7 @@ func TestBranchAndBoundParity(t *testing.T) {
 					t.Fatalf("%dKB %v %v pruned: %v", kb, flavor, method, err)
 				}
 				full := opts
-				full.DisableBounds = true
+				full.disableBounds = true
 				ref, err := f.Optimize(context.Background(), full)
 				if err != nil {
 					t.Fatalf("%dKB %v %v full: %v", kb, flavor, method, err)
@@ -60,7 +60,7 @@ func TestBranchAndBoundParity(t *testing.T) {
 				}
 				// Full enumeration must not have pruned anything.
 				if ref.Stats.PrunedBound != 0 {
-					t.Errorf("%dKB %v %v: DisableBounds still pruned %d points",
+					t.Errorf("%dKB %v %v: disableBounds still pruned %d points",
 						kb, flavor, method, ref.Stats.PrunedBound)
 				}
 			}
@@ -88,7 +88,7 @@ func TestBranchAndBoundParityPareto(t *testing.T) {
 			t.Fatalf("%dKB %v %v pruned: %v", tc.kb, tc.flavor, tc.method, err)
 		}
 		full := opts
-		full.DisableBounds = true
+		full.disableBounds = true
 		ref, err := f.Pareto(context.Background(), full)
 		if err != nil {
 			t.Fatalf("%dKB %v %v full: %v", tc.kb, tc.flavor, tc.method, err)
@@ -127,7 +127,7 @@ func TestBranchAndBoundParityInfeasible(t *testing.T) {
 		t.Fatal("pruned search of an infeasible space succeeded")
 	}
 	full := opts
-	full.DisableBounds = true
+	full.disableBounds = true
 	if _, err := f.Optimize(context.Background(), full); err == nil {
 		t.Fatal("full search of an infeasible space succeeded")
 	}

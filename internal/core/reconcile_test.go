@@ -297,7 +297,7 @@ func TestParetoHonorsSearchWLSegs(t *testing.T) {
 	// evaluation counts — not just the frontiers — compare 1:1.
 	segOpts := opts
 	segOpts.SearchWLSegs = true
-	segOpts.DisableBounds = true
+	segOpts.disableBounds = true
 	full, err := f.Pareto(context.Background(), segOpts)
 	if err != nil {
 		t.Fatalf("segmented Pareto: %v", err)

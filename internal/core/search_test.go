@@ -229,7 +229,7 @@ func TestGreedyPropagatesModelError(t *testing.T) {
 	})
 	opts := Options{CapacityBits: 8192, Flavor: device.HVT, Method: M2}
 	full := opts
-	full.DisableBounds = true
+	full.disableBounds = true
 	searches := map[string]func() error{
 		"bounded": func() error { _, err := f.Optimize(context.Background(), opts); return err },
 		"full":    func() error { _, err := f.Optimize(context.Background(), full); return err },

@@ -28,10 +28,10 @@ import (
 // (DESIGN.md §13.7): masks sharing a rail class and an array.MaskKey
 // prepare chunks that differ only in the GroupMask stamped on each Result,
 // so the class's smallest mask answers for the others, whose rectangles
-// are charged to PrunedBound unprepared. Full enumeration
-// (Options.DisableBounds, or a custom objective, which has no bound and may
-// read GroupMask) is the policy that never prunes: it walks every unit and
-// sweeps every point.
+// are charged to PrunedBound unprepared. Full enumeration (a custom
+// objective, which has no bound and may read GroupMask, or the parity
+// tests' Options.disableBounds) is the policy that never prunes: it walks
+// every unit and sweeps every point.
 //
 // Determinism: SearchStats documents that every count is bit-identical for a
 // given Options regardless of GOMAXPROCS, and the serving layer's catalog
@@ -216,12 +216,12 @@ func (f *Framework) newSearch(ctx context.Context, opts Options, pareto bool) (*
 	s.workers = min(runtime.GOMAXPROCS(0), len(s.chunks))
 
 	// The front seeds on EDP; a custom objective has no lower bound, so it
-	// runs under the never-prune policy like DisableBounds.
+	// runs under the never-prune policy, like the tests' disableBounds.
 	s.kind = objEDP
 	if !pareto {
 		s.kind = objectiveKind(opts.Objective)
 	}
-	s.prunes = !opts.DisableBounds && s.kind != objCustom
+	s.prunes = !opts.disableBounds && s.kind != objCustom
 
 	var altp *array.FlavorTerms
 	if opts.hybridOn() {

@@ -8,6 +8,7 @@ import (
 	"io"
 	"net/http"
 	"strconv"
+	"strings"
 	"sync"
 	"time"
 
@@ -25,17 +26,46 @@ var mBatchItems = obs.NewCounter("serve.batch.items")
 
 // batchItem is one decoded, normalized line of a /v1/batch request.
 type batchItem struct {
-	op  string
-	opt *OptimizeRequest // op == "optimize" | "pareto"
-	ev  *EvaluateRequest // op == "evaluate"
+	op  *op
+	req request
 }
 
+// batchOp returns the operation a batch line's op tag names, or nil when
+// /v1/batch does not take it.
+func batchOp(name string) *op {
+	for _, o := range ops {
+		if o.name == name && o.newLine != nil {
+			return o
+		}
+	}
+	return nil
+}
+
+// batchWant names the ops /v1/batch takes, for its error messages:
+// "optimize, evaluate or pareto".
+var batchWant = func() string {
+	var names []string
+	for _, o := range ops {
+		if o.newLine != nil {
+			names = append(names, o.name)
+		}
+	}
+	last := len(names) - 1
+	if last == 0 {
+		return names[0]
+	}
+	return strings.Join(names[:last], ", ") + " or " + names[last]
+}()
+
 // decodeBatch parses an NDJSON batch body: one request object per line,
-// each tagged with an "op" field naming the endpoint ("optimize",
-// "evaluate" or "pareto") next to that endpoint's ordinary request fields.
-// Blank lines are skipped. Every line is strict-decoded and normalized up
-// front — any malformed line fails the whole batch with a 400 before
-// anything streams, so a batch response is always a clean NDJSON stream.
+// each tagged with an "op" field naming one of the batchWant operations
+// next to that operation's ordinary request fields. Blank lines are
+// skipped. Every line is strict-decoded and normalized up front — any
+// malformed line fails the whole batch with a 400 before anything
+// streams, so a batch response is always a clean NDJSON stream. Per-item
+// deadlines do not exist in a batch: the whole batch shares one deadline
+// (the ?timeout_ms query parameter, capped by the server), and keys never
+// include deadlines anyway.
 func decodeBatch(r io.Reader) ([]batchItem, *apiError) {
 	// Read one byte past the limit so a body of exactly maxBatchBytes is
 	// accepted and anything larger is detected without buffering it all.
@@ -65,42 +95,21 @@ func decodeBatch(r io.Reader) ([]batchItem, *apiError) {
 		if err := json.Unmarshal(raw, &env); err != nil {
 			return nil, badRequest("batch line %d: %v", line, err)
 		}
-		switch env.Op {
-		case "optimize", "pareto":
-			var it struct {
-				Op string `json:"op"`
-				OptimizeRequest
+		o := batchOp(env.Op)
+		if o == nil {
+			if env.Op == "" {
+				return nil, badRequest("batch line %d: missing op (want %s)", line, batchWant)
 			}
-			if aerr := decodeJSON(bytes.NewReader(raw), &it); aerr != nil {
-				return nil, badRequest("batch line %d: %s", line, aerr.Message)
-			}
-			req := it.OptimizeRequest
-			if aerr := req.normalize(); aerr != nil {
-				return nil, badRequest("batch line %d: %s", line, aerr.Message)
-			}
-			// Per-item deadlines do not exist in a batch: the whole batch
-			// shares one deadline (the ?timeout_ms query parameter, capped
-			// by the server), and keys never include deadlines anyway.
-			req.TimeoutMS = 0
-			items = append(items, batchItem{op: env.Op, opt: &req})
-		case "evaluate":
-			var it struct {
-				Op string `json:"op"`
-				EvaluateRequest
-			}
-			if aerr := decodeJSON(bytes.NewReader(raw), &it); aerr != nil {
-				return nil, badRequest("batch line %d: %s", line, aerr.Message)
-			}
-			req := it.EvaluateRequest
-			if aerr := req.normalize(); aerr != nil {
-				return nil, badRequest("batch line %d: %s", line, aerr.Message)
-			}
-			items = append(items, batchItem{op: env.Op, ev: &req})
-		case "":
-			return nil, badRequest("batch line %d: missing op (want optimize, evaluate or pareto)", line)
-		default:
-			return nil, badRequest("batch line %d: unknown op %q (want optimize, evaluate or pareto)", line, env.Op)
+			return nil, badRequest("batch line %d: unknown op %q (want %s)", line, env.Op, batchWant)
 		}
+		req, dst := o.newLine()
+		if aerr := decodeJSON(bytes.NewReader(raw), dst); aerr != nil {
+			return nil, badRequest("batch line %d: %s", line, aerr.Message)
+		}
+		if aerr := req.normalize(); aerr != nil {
+			return nil, badRequest("batch line %d: %s", line, aerr.Message)
+		}
+		items = append(items, batchItem{op: o, req: req})
 	}
 	if err := sc.Err(); err != nil {
 		return nil, badRequest("batch body: %v", err)
@@ -109,14 +118,6 @@ func decodeBatch(r io.Reader) ([]batchItem, *apiError) {
 		return nil, badRequest("batch body is empty")
 	}
 	return items, nil
-}
-
-// key returns the item's canonical cache key.
-func (it batchItem) key() string {
-	if it.ev != nil {
-		return it.ev.key()
-	}
-	return it.opt.key(it.op)
 }
 
 // batchResult is one streamed NDJSON line of a /v1/batch response: the
@@ -140,14 +141,14 @@ func toBatchResult(idx int, op string, res cached, state string, err error, d ti
 	if err != nil {
 		aerr := asAPIError(err)
 		mErrors.Inc()
-		observeRED("/v1/batch:"+op, outcomeFor(aerr.Status, state), d)
+		observeRED(batchLabel(op), outcomeFor(aerr.Status, state), d)
 		b, _ := json.Marshal(errorEnvelope{Error: *aerr})
 		return batchResult{Index: idx, Op: op, Status: aerr.Status, Body: b}
 	}
 	if res.status != http.StatusOK {
 		mErrors.Inc()
 	}
-	observeRED("/v1/batch:"+op, outcomeFor(res.status, state), d)
+	observeRED(batchLabel(op), outcomeFor(res.status, state), d)
 	return batchResult{Index: idx, Op: op, Status: res.status, Cache: state, Body: res.body}
 }
 
@@ -196,18 +197,10 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		wg.Add(1)
 		go func(i int, it batchItem) {
 			defer wg.Done()
-			fill := func(ctx context.Context) (any, error) {
-				switch it.op {
-				case "evaluate":
-					return s.evaluateResult(*it.ev)
-				case "pareto":
-					return s.paretoResult(ctx, *it.opt)
-				}
-				return s.optimizeResult(ctx, *it.opt)
-			}
 			t0 := time.Now()
-			res, state, err := s.respond(batchCtx, it.key(), fill)
-			results <- toBatchResult(i, it.op, res, state, err, time.Since(t0))
+			key, _, fill := it.req.call(s, it.op)
+			res, state, err := s.respond(batchCtx, key, fill)
+			results <- toBatchResult(i, it.op.name, res, state, err, time.Since(t0))
 		}(i, it)
 	}
 	go func() {

@@ -2,12 +2,10 @@ package serve
 
 import (
 	"context"
-	"encoding/json"
-	"errors"
 	"fmt"
+	"net/http"
 	"time"
 
-	"sramco"
 	"sramco/internal/catalog"
 	"sramco/internal/obs"
 )
@@ -77,56 +75,42 @@ func (s *Server) BuildCatalog(ctx context.Context, grid CatalogGrid) (*catalog.C
 	defer func() { sp.End(); hCatalogBuild.Observe(time.Since(start)) }()
 
 	b := catalog.NewBuilder(s.fw.Fingerprint())
-	add := func(key string, v any) error {
-		body, err := json.Marshal(v)
-		if err != nil {
-			return fmt.Errorf("serve: catalog entry %s: %w", key, err)
+	// add precomputes one grid cell through the live fill and encoder.
+	// Infeasible cells are skipped: the live path caches their 422s on
+	// demand.
+	add := func(o *op, req *OptimizeRequest) error {
+		if err := ctx.Err(); err != nil {
+			return err
 		}
-		return b.Add(key, body)
+		if aerr := req.normalize(); aerr != nil {
+			return fmt.Errorf("serve: catalog grid cell invalid: %s", aerr.Message)
+		}
+		key, _, fill := req.call(s, o)
+		res, err := render(ctx, fill)
+		if err != nil {
+			return fmt.Errorf("serve: catalog fill %s: %w", key, err)
+		}
+		if res.status != http.StatusOK {
+			return nil
+		}
+		return b.Add(key, res.body)
 	}
 	for _, capBytes := range grid.CapacitiesBytes {
 		for _, flavor := range grid.Flavors {
 			for _, method := range grid.Methods {
 				for _, obj := range grid.Objectives {
 					for _, groups := range append([]int{0}, grid.Groups...) {
-						if err := ctx.Err(); err != nil {
-							return nil, err
-						}
-						req := OptimizeRequest{CapacityBytes: capBytes, Flavor: flavor, Method: method, Objective: obj, Groups: groups}
-						if aerr := req.normalize(); aerr != nil {
-							return nil, fmt.Errorf("serve: catalog grid cell invalid: %s", aerr.Message)
-						}
-						v, err := s.optimizeResult(ctx, req)
-						if errors.Is(err, sramco.ErrInfeasible) {
-							continue
-						}
-						if err != nil {
-							return nil, fmt.Errorf("serve: catalog fill %s: %w", req.key("optimize"), err)
-						}
-						if err := add(req.key("optimize"), v); err != nil {
+						req := &OptimizeRequest{CapacityBytes: capBytes, Flavor: flavor, Method: method, Objective: obj, Groups: groups}
+						if err := add(opOptimize, req); err != nil {
 							return nil, err
 						}
 					}
 				}
-				if !grid.Pareto {
-					continue
-				}
-				if err := ctx.Err(); err != nil {
-					return nil, err
-				}
-				req := OptimizeRequest{CapacityBytes: capBytes, Flavor: flavor, Method: method}
-				if aerr := req.normalize(); aerr != nil {
-					return nil, fmt.Errorf("serve: catalog grid cell invalid: %s", aerr.Message)
-				}
-				v, err := s.paretoResult(ctx, req)
-				if errors.Is(err, sramco.ErrInfeasible) {
-					continue
-				}
-				if err != nil {
-					return nil, fmt.Errorf("serve: catalog fill %s: %w", req.key("pareto"), err)
-				}
-				if err := add(req.key("pareto"), v); err != nil {
-					return nil, err
+				if grid.Pareto {
+					req := &OptimizeRequest{CapacityBytes: capBytes, Flavor: flavor, Method: method}
+					if err := add(opPareto, req); err != nil {
+						return nil, err
+					}
 				}
 			}
 		}

@@ -163,3 +163,74 @@ func TestCatalogMatchesGoldenOptima(t *testing.T) {
 		}
 	}
 }
+
+// TestCatalogEntriesMatchLiveBodies checks every entry of a catalog built
+// over one capacity, both flavors and methods, every objective, hybrid
+// groups and the Pareto fronts: each must equal, byte for byte, the body a
+// catalog-less server writes for the same request on its own endpoint.
+func TestCatalogEntriesMatchLiveBodies(t *testing.T) {
+	fw := framework(t)
+	grid := CatalogGrid{
+		CapacitiesBytes: []int{128},
+		Flavors:         []string{"lvt", "hvt"},
+		Methods:         []string{"m1", "m2"},
+		Objectives:      []string{"edp", "delay", "energy", "area", "padp"},
+		Pareto:          true,
+		Groups:          []int{2},
+	}
+	withCat := New(fw, Config{})
+	cat, err := withCat.BuildCatalog(context.Background(), grid)
+	if err != nil {
+		t.Fatal(err)
+	}
+	withCat.SetCatalog(cat)
+	tsCat := httptest.NewServer(withCat.Handler())
+	defer tsCat.Close()
+	tsLive := httptest.NewServer(New(fw, Config{}).Handler())
+	defer tsLive.Close()
+
+	// Every cell of this grid is feasible, so each one is an entry.
+	type cell struct {
+		path string
+		o    *op
+		body string
+	}
+	var cells []cell
+	for _, fl := range grid.Flavors {
+		for _, m := range grid.Methods {
+			for _, obj := range grid.Objectives {
+				for _, g := range []int{0, 2} {
+					cells = append(cells, cell{"/v1/optimize", opOptimize,
+						fmt.Sprintf(`{"capacity_bytes":128,"flavor":%q,"method":%q,"objective":%q,"groups":%d}`, fl, m, obj, g)})
+				}
+			}
+			cells = append(cells, cell{"/v1/pareto", opPareto,
+				fmt.Sprintf(`{"capacity_bytes":128,"flavor":%q,"method":%q}`, fl, m)})
+		}
+	}
+	if cat.Len() != len(cells) {
+		t.Fatalf("catalog holds %d entries for %d grid cells", cat.Len(), len(cells))
+	}
+	for _, c := range cells {
+		req := c.o.newRequest()
+		if aerr := decodeJSON(strings.NewReader(c.body), req); aerr != nil {
+			t.Fatal(aerr)
+		}
+		if aerr := req.normalize(); aerr != nil {
+			t.Fatal(aerr)
+		}
+		key, _, _ := req.call(withCat, c.o)
+		entry, ok := cat.Lookup(key)
+		if !ok {
+			t.Fatalf("%s %s: no catalog entry under %s", c.path, c.body, key)
+		}
+		code, hdr, got := postJSON(t, tsCat.URL+c.path, c.body)
+		codeLive, _, want := postJSON(t, tsLive.URL+c.path, c.body)
+		if code != http.StatusOK || hdr.Get("X-Cache") != "catalog" || !bytes.Equal(got, entry) {
+			t.Errorf("%s %s: status %d X-Cache %q, want the catalog entry", c.path, c.body, code, hdr.Get("X-Cache"))
+		}
+		if codeLive != http.StatusOK || !bytes.Equal(entry, want) {
+			t.Errorf("%s %s: catalog entry differs from the live body (live status %d)", c.path, c.body, codeLive)
+		}
+	}
+}

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 
 	"sramco"
@@ -25,15 +26,11 @@ func fuzzServer(f *testing.F) *Server {
 	if aerr := oreq.normalize(); aerr != nil {
 		f.Fatalf("seed optimize request: %v", aerr)
 	}
-	opts, err := oreq.options()
-	if err != nil {
-		f.Fatal(err)
-	}
-	opt, err := fw.Optimize(context.Background(), opts)
+	opt, err := fw.Optimize(context.Background(), oreq.opts)
 	if err != nil {
 		f.Fatalf("seed optimize: %v", err)
 	}
-	pareto, err := fw.Pareto(context.Background(), opts)
+	pareto, err := fw.Pareto(context.Background(), oreq.opts)
 	if err != nil {
 		f.Fatalf("seed pareto: %v", err)
 	}
@@ -41,11 +38,7 @@ func fuzzServer(f *testing.F) *Server {
 	if aerr := yreq.normalize(); aerr != nil {
 		f.Fatalf("seed yield request: %v", aerr)
 	}
-	ycfg, err := yreq.config()
-	if err != nil {
-		f.Fatal(err)
-	}
-	yres, err := sramco.MonteCarloYield(context.Background(), ycfg, nil)
+	yres, err := sramco.MonteCarloYield(context.Background(), yreq.cfg, nil)
 	if err != nil {
 		f.Fatalf("seed yield: %v", err)
 	}
@@ -144,8 +137,10 @@ func FuzzDecodeRequest(f *testing.F) {
 // FuzzDecodeBatch throws arbitrary NDJSON bodies at the /v1/batch decoder.
 // The contract: decodeBatch never panics; it either rejects the whole batch
 // with a 400 apiError or returns at least one item, and every returned item
-// is internally consistent — op-tagged with exactly the matching request
-// populated, and a canonical key that is stable under re-normalization.
+// is a batch op of the table whose canonical key equals the key the same
+// request gets on its own endpoint — the line without its op tag, decoded
+// and normalized as that endpoint's body — and no per-item deadline in the
+// canonical request.
 func FuzzDecodeBatch(f *testing.F) {
 	seeds := []string{
 		`{"op":"optimize","capacity_bytes":128,"flavor":"hvt"}`,
@@ -184,30 +179,65 @@ func FuzzDecodeBatch(f *testing.F) {
 		if len(items) == 0 {
 			t.Fatal("nil error with zero items")
 		}
+		var lines [][]byte
+		for _, l := range bytes.Split(body, []byte("\n")) {
+			if l = bytes.TrimSpace(l); len(l) > 0 {
+				lines = append(lines, l)
+			}
+		}
+		if len(lines) != len(items) {
+			t.Fatalf("%d items from %d non-blank lines", len(items), len(lines))
+		}
 		for i, it := range items {
-			switch it.op {
-			case "optimize", "pareto":
-				if it.opt == nil || it.ev != nil {
-					t.Fatalf("item %d: op %q with wrong request population", i, it.op)
-				}
-				if it.opt.TimeoutMS != 0 {
-					t.Fatalf("item %d: per-item deadline survived decode", i)
-				}
-				req := *it.opt
-				if aerr := req.normalize(); aerr != nil || req.key(it.op) != it.key() {
-					t.Fatalf("item %d: key not stable under re-normalization (%v)", i, aerr)
-				}
-			case "evaluate":
-				if it.ev == nil || it.opt != nil {
-					t.Fatalf("item %d: op %q with wrong request population", i, it.op)
-				}
-				req := *it.ev
-				if aerr := req.normalize(); aerr != nil || req.key() != it.key() {
-					t.Fatalf("item %d: key not stable under re-normalization (%v)", i, aerr)
-				}
-			default:
-				t.Fatalf("item %d: unexpected op %q", i, it.op)
+			if batchOp(it.op.name) != it.op {
+				t.Fatalf("item %d: op %q is not a batch op of the table", i, it.op.name)
+			}
+			if o, ok := it.req.(*OptimizeRequest); ok && o.TimeoutMS != 0 {
+				t.Fatalf("item %d: per-item deadline left in the canonical request", i)
+			}
+			req := it.op.newRequest()
+			if aerr := decodeJSON(bytes.NewReader(endpointBody(t, lines[i])), req); aerr != nil {
+				t.Fatalf("item %d: own endpoint rejects the line: %s", i, aerr.Message)
+			}
+			if aerr := req.normalize(); aerr != nil {
+				t.Fatalf("item %d: own endpoint rejects the line: %s", i, aerr.Message)
+			}
+			got, _, _ := it.req.call(nil, it.op)
+			want, _, _ := req.call(nil, it.op)
+			if got != want {
+				t.Fatalf("item %d: batch key %q, own endpoint key %q", i, got, want)
 			}
 		}
 	})
+}
+
+// endpointBody returns a batch line as its op's own endpoint receives it:
+// the same members in the same order, without the op tag (in any letter
+// case, as the decoder matches it).
+func endpointBody(t *testing.T, line []byte) []byte {
+	t.Helper()
+	dec := json.NewDecoder(bytes.NewReader(line))
+	if _, err := dec.Token(); err != nil {
+		t.Fatal(err)
+	}
+	out := []byte{'{'}
+	for dec.More() {
+		k, err := dec.Token()
+		if err != nil {
+			t.Fatal(err)
+		}
+		var v json.RawMessage
+		if err := dec.Decode(&v); err != nil {
+			t.Fatal(err)
+		}
+		if strings.EqualFold(k.(string), "op") {
+			continue
+		}
+		if len(out) > 1 {
+			out = append(out, ',')
+		}
+		kb, _ := json.Marshal(k)
+		out = append(append(append(out, kb...), ':'), v...)
+	}
+	return append(out, '}')
 }

@@ -30,14 +30,10 @@ const (
 	outcomeTimeout   = "timeout"
 )
 
-var redEndpoints = []string{
-	"/v1/optimize", "/v1/evaluate", "/v1/pareto", "/v1/yield", "/v1/batch",
-	// Per-line accounting inside a batch: each NDJSON item is recorded
-	// under its op's sub-endpoint, next to the batch envelope itself.
-	"/v1/batch:optimize", "/v1/batch:evaluate", "/v1/batch:pareto",
-	"/healthz", "/metrics", "/debug/trace",
-	"other",
-}
+// batchLabel is the RED endpoint label of one /v1/batch line of op name:
+// each NDJSON item is recorded under its op's sub-endpoint, next to the
+// batch envelope itself.
+func batchLabel(name string) string { return "/v1/batch:" + name }
 
 var redOutcomes = []string{
 	outcomeOK, outcomeCatalog, outcomeHit, outcomeMiss, outcomeCoalesced,
@@ -51,7 +47,17 @@ var (
 )
 
 func init() {
-	for _, ep := range redEndpoints {
+	// The endpoint labels: each operation's endpoint and, for the ops
+	// /v1/batch takes, its batch sub-endpoint; then the batch envelope,
+	// the probes and the catch-all.
+	eps := []string{"/v1/batch", "/healthz", "/metrics", "/debug/trace", "other"}
+	for _, o := range ops {
+		eps = append(eps, "/v1/"+o.name)
+		if o.newLine != nil {
+			eps = append(eps, batchLabel(o.name))
+		}
+	}
+	for _, ep := range eps {
 		byOutcome := make(map[string]*obs.Histogram, len(redOutcomes))
 		for _, oc := range redOutcomes {
 			byOutcome[oc] = obs.NewHistogram(obs.LabeledName("serve.request_duration", "endpoint", ep, "outcome", oc))

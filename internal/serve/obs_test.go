@@ -297,19 +297,46 @@ func TestPromExposesLabeledSeriesAndRuntimeGauges(t *testing.T) {
 	}
 }
 
-// TestBatchItemsLandInSubEndpointSeries verifies per-line batch accounting:
-// items are recorded under /v1/batch:<op>, separate from the envelope.
+// TestBatchItemsLandInSubEndpointSeries verifies per-line batch accounting
+// for every op /v1/batch takes: items are recorded under /v1/batch:<op>,
+// separate from the envelope.
 func TestBatchItemsLandInSubEndpointSeries(t *testing.T) {
 	s := New(framework(t), Config{})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
-	evBefore := redCount("/v1/batch:evaluate", "miss")
+	// Two lines per op, each its own miss.
+	lines := map[string][]string{
+		"evaluate": {
+			`{"op":"evaluate","flavor":"hvt","nr":64,"nc":128,"npre":2,"nwr":2}`,
+			`{"op":"evaluate","flavor":"hvt","nr":64,"nc":128,"npre":2,"nwr":4}`,
+		},
+		"optimize": {
+			`{"op":"optimize","capacity_bytes":128,"flavor":"hvt"}`,
+			`{"op":"optimize","capacity_bytes":128,"flavor":"lvt"}`,
+		},
+		"pareto": {
+			`{"op":"pareto","capacity_bytes":128,"flavor":"hvt"}`,
+			`{"op":"pareto","capacity_bytes":128,"flavor":"lvt"}`,
+		},
+	}
+	var body strings.Builder
+	before := map[string]int64{}
+	for _, o := range ops {
+		if o.newLine == nil {
+			continue
+		}
+		if len(lines[o.name]) == 0 {
+			t.Fatalf("no test lines for batch op %q", o.name)
+		}
+		for _, l := range lines[o.name] {
+			body.WriteString(l + "\n")
+		}
+		before[o.name] = redCount(batchLabel(o.name), "miss")
+	}
 	envBefore := redCount("/v1/batch", "ok")
 
-	body := `{"op":"evaluate","flavor":"hvt","nr":64,"nc":128,"npre":2,"nwr":2}` + "\n" +
-		`{"op":"evaluate","flavor":"hvt","nr":64,"nc":128,"npre":2,"nwr":4}` + "\n"
-	resp, err := http.Post(ts.URL+"/v1/batch", "application/x-ndjson", strings.NewReader(body))
+	resp, err := http.Post(ts.URL+"/v1/batch", "application/x-ndjson", strings.NewReader(body.String()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -320,9 +347,11 @@ func TestBatchItemsLandInSubEndpointSeries(t *testing.T) {
 		t.Fatalf("batch status %d: %s", resp.StatusCode, sink.String())
 	}
 
-	waitFor(t, "batch items in the sub-endpoint series", func() bool {
-		return redCount("/v1/batch:evaluate", "miss")-evBefore == 2
-	})
+	for name, n := range before {
+		waitFor(t, "batch "+name+" items in the sub-endpoint series", func() bool {
+			return redCount(batchLabel(name), "miss")-n == int64(len(lines[name]))
+		})
+	}
 	waitFor(t, "batch envelope in its own series", func() bool {
 		return redCount("/v1/batch", "ok")-envBefore == 1
 	})

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -24,6 +25,68 @@ const (
 	maxCapacityBytes = 1 << 20 // 1 MB array: largest capacity the search serves
 	maxYieldSamples  = 20000   // Monte Carlo sample ceiling per request
 )
+
+// request is the body of one /v1 operation. Every entry point — the
+// operation's own endpoint, a /v1/batch line and the catalog builder — runs
+// the same two steps on it, so all three answer a request with the same key
+// and the same bytes.
+type request interface {
+	// normalize validates the request and canonicalizes it in place, so
+	// that two requests meaning the same computation get the same cache
+	// key. It also keeps the typed values the fill needs: request strings
+	// are parsed here and nowhere else.
+	normalize() *apiError
+	// call returns, for a normalized request served as operation o, its
+	// canonical cache key, the caller's requested deadline in milliseconds
+	// (0 leaves the server's cap) and the fill that computes the response.
+	call(s *Server, o *op) (key string, timeoutMS int, fill fillFunc)
+}
+
+// fillFunc computes one response value; render encodes it.
+type fillFunc func(ctx context.Context) (any, error)
+
+// op is one /v1 operation. Its name is the endpoint /v1/<name>, the "op"
+// tag of a /v1/batch line, the cache-key prefix and the RED endpoint label.
+type op struct {
+	name       string
+	newRequest func() request // a zero request of the operation's body type
+	// newLine returns a zero request with its /v1/batch line view: the "op"
+	// tag next to the request's own fields, so one strict decode reads the
+	// whole line. nil for the operations /v1/batch does not take.
+	newLine func() (request, any)
+}
+
+// String returns the operation's name. Cache keys format the op itself:
+// passing a string to fmt costs an allocation that a pointer does not.
+func (o *op) String() string { return o.name }
+
+// The operation table. An operation is one entry here plus its request
+// type; its endpoint, batch acceptance, RED labels and error texts follow
+// from the table.
+var (
+	opOptimize = &op{name: "optimize", newRequest: func() request { return new(OptimizeRequest) }, newLine: optimizeLine}
+	opEvaluate = &op{name: "evaluate", newRequest: func() request { return new(EvaluateRequest) }, newLine: evaluateLine}
+	opPareto   = &op{name: "pareto", newRequest: func() request { return new(OptimizeRequest) }, newLine: optimizeLine}
+	opYield    = &op{name: "yield", newRequest: func() request { return new(YieldRequest) }}
+
+	ops = []*op{opOptimize, opEvaluate, opPareto, opYield}
+)
+
+func optimizeLine() (request, any) {
+	l := new(struct {
+		Op string `json:"op"`
+		OptimizeRequest
+	})
+	return &l.OptimizeRequest, l
+}
+
+func evaluateLine() (request, any) {
+	l := new(struct {
+		Op string `json:"op"`
+		EvaluateRequest
+	})
+	return &l.EvaluateRequest, l
+}
 
 // apiError is a structured client-visible failure: Status is the HTTP code,
 // Message the body. It implements error so the handlers can return it
@@ -76,6 +139,11 @@ type OptimizeRequest struct {
 	W     int      `json:"w,omitempty"`     // access width in bits, default 64
 
 	TimeoutMS int `json:"timeout_ms,omitempty"` // per-request deadline; capped by the server's
+
+	// Kept by normalize: the search options, and the deadline, which leaves
+	// the canonical request because it shapes the wait, not the result.
+	opts      sramco.Options
+	timeoutMS int
 }
 
 // normalize validates the request and fills defaults in place, so that two
@@ -105,7 +173,8 @@ func (r *OptimizeRequest) normalize() *apiError {
 		return badRequest("%v", err)
 	}
 	r.Method = strings.ToLower(method.String())
-	if _, ok := sramco.ObjectiveByName(r.Objective); !ok {
+	obj, ok := sramco.ObjectiveByName(r.Objective)
+	if !ok {
 		return badRequest("unknown objective %q (want edp, delay, energy, area or padp)", r.Objective)
 	}
 	if r.Objective == "" {
@@ -158,33 +227,9 @@ func (r *OptimizeRequest) normalize() *apiError {
 	if r.TimeoutMS < 0 {
 		return badRequest("timeout_ms must be non-negative, got %d", r.TimeoutMS)
 	}
-	return nil
-}
-
-// key returns the canonical cache key of a normalized request under the
-// given endpoint prefix. The per-request deadline is deliberately excluded:
-// it shapes how long a caller waits, not what is computed.
-func (r *OptimizeRequest) key(endpoint string) string {
-	return fmt.Sprintf("%s|cap=%d|flavor=%s|method=%s|obj=%s|dwl=%t|alpha=%g|beta=%g|w=%d|groups=%d|mux=%d",
-		endpoint, r.CapacityBytes, r.Flavor, r.Method, r.Objective, r.DWL, *r.Alpha, *r.Beta, r.W, r.Groups, r.Mux)
-}
-
-// options maps a normalized request onto the search options.
-func (r *OptimizeRequest) options() (sramco.Options, error) {
-	flavor, err := sramco.ParseFlavor(r.Flavor)
-	if err != nil {
-		return sramco.Options{}, err
-	}
-	method, err := sramco.ParseMethod(r.Method)
-	if err != nil {
-		return sramco.Options{}, err
-	}
-	obj, ok := sramco.ObjectiveByName(r.Objective)
-	if !ok {
-		return sramco.Options{}, fmt.Errorf("serve: unknown objective %q", r.Objective)
-	}
-	o := sramco.Options{
-		CapacityBits: r.CapacityBytes * 8,
+	r.timeoutMS, r.TimeoutMS = r.TimeoutMS, 0
+	r.opts = sramco.Options{
+		CapacityBits: bits,
 		Flavor:       flavor,
 		Method:       method,
 		Objective:    obj,
@@ -198,9 +243,49 @@ func (r *OptimizeRequest) options() (sramco.Options, error) {
 		// bound therefore starts from the full default space.
 		sp := sramco.DefaultSearchSpace()
 		sp.MuxMax = r.Mux
-		o.Space = sp
+		r.opts.Space = sp
 	}
-	return o, nil
+	return nil
+}
+
+// key returns the canonical cache key of a normalized request under the
+// given operation name. The per-request deadline is deliberately excluded:
+// it shapes how long a caller waits, not what is computed.
+func (r *OptimizeRequest) key(name string) string {
+	return fmt.Sprintf("%s|cap=%d|flavor=%s|method=%s|obj=%s|dwl=%t|alpha=%g|beta=%g|w=%d|groups=%d|mux=%d",
+		name, r.CapacityBytes, r.Flavor, r.Method, r.Objective, r.DWL, *r.Alpha, *r.Beta, r.W, r.Groups, r.Mux)
+}
+
+// call answers /v1/pareto with the full frontier and /v1/optimize with the
+// minimum-objective design. Each fill captures the request itself, not a
+// copy, so building it costs one closure.
+func (r *OptimizeRequest) call(s *Server, o *op) (string, int, fillFunc) {
+	if o == opPareto {
+		return r.key(o.name), r.timeoutMS, func(ctx context.Context) (any, error) {
+			res, err := s.paretoFn(ctx, r.opts)
+			if err != nil {
+				return nil, err
+			}
+			scrubStats(&res.Stats)
+			return &ParetoResponse{Request: *r, Front: res.Front, Stats: res.Stats}, nil
+		}
+	}
+	return r.key(o.name), r.timeoutMS, func(ctx context.Context) (any, error) {
+		opt, err := s.optimizeFn(ctx, r.opts)
+		if err != nil {
+			return nil, err
+		}
+		scrubStats(&opt.Stats)
+		return &OptimizeResponse{
+			Request: *r,
+			Design:  opt.Best.Design,
+			EDP:     opt.Best.Result.EDP,
+			DelayS:  opt.Best.Result.DArray,
+			EnergyJ: opt.Best.Result.EArray,
+			Result:  opt.Best.Result,
+			Stats:   opt.Stats,
+		}, nil
+	}
 }
 
 // EvaluateRequest is the body of /v1/evaluate: one explicit design point.
@@ -230,6 +315,10 @@ type EvaluateRequest struct {
 
 	Alpha *float64 `json:"alpha,omitempty"`
 	Beta  *float64 `json:"beta,omitempty"`
+
+	// Kept by normalize for the fill.
+	flavor sramco.Flavor
+	method sramco.Method
 }
 
 func (r *EvaluateRequest) normalize() *apiError {
@@ -237,7 +326,7 @@ func (r *EvaluateRequest) normalize() *apiError {
 	if err != nil {
 		return badRequest("%v", err)
 	}
-	r.Flavor = strings.ToLower(flavor.String())
+	r.flavor, r.Flavor = flavor, strings.ToLower(flavor.String())
 	if r.Method == "" {
 		r.Method = "m2"
 	}
@@ -245,12 +334,19 @@ func (r *EvaluateRequest) normalize() *apiError {
 	if err != nil {
 		return badRequest("%v", err)
 	}
-	r.Method = strings.ToLower(method.String())
+	r.method, r.Method = method, strings.ToLower(method.String())
 	if r.NR <= 0 || r.NC <= 0 {
 		return badRequest("nr=%d nc=%d must be positive", r.NR, r.NC)
 	}
-	if r.NR*r.NC > maxCapacityBytes*8 {
-		return badRequest("nr·nc = %d bits exceeds the %d limit", r.NR*r.NC, maxCapacityBytes*8)
+	// Each factor is checked before the product: two positive factors
+	// within the limit cannot overflow it, and either one beyond the limit
+	// puts the true product beyond it too.
+	const maxBits = maxCapacityBytes * 8
+	if r.NR > maxBits || r.NC > maxBits {
+		return badRequest("nr=%d nc=%d: nr·nc exceeds the %d bit limit", r.NR, r.NC, maxBits)
+	}
+	if r.NR*r.NC > maxBits {
+		return badRequest("nr·nc = %d bits exceeds the %d limit", r.NR*r.NC, maxBits)
 	}
 	if r.W == 0 {
 		r.W = 64
@@ -264,8 +360,7 @@ func (r *EvaluateRequest) normalize() *apiError {
 	if r.Mux == 1 {
 		r.Mux = 0 // canonical "no sharing" spelling
 	}
-	geom := wire.Geometry{NR: r.NR, NC: r.NC, W: r.W, Npre: r.Npre, Nwr: r.Nwr, WLSegs: r.WLSegs, Mux: r.Mux}
-	if err := geom.Validate(); err != nil {
+	if err := r.geometry().Validate(); err != nil {
 		return badRequest("%v", err)
 	}
 	if r.Groups < 0 {
@@ -303,39 +398,47 @@ func (r *EvaluateRequest) normalize() *apiError {
 	return nil
 }
 
-func (r *EvaluateRequest) key() string {
-	return fmt.Sprintf("evaluate|flavor=%s|method=%s|geom=%dx%d:%d:%d:%d:%d|vddc=%s|vssc=%g|vwl=%s|alpha=%g|beta=%g|groups=%d|mask=%d|mux=%d",
-		r.Flavor, r.Method, r.NR, r.NC, r.W, r.Npre, r.Nwr, r.WLSegs,
-		optF(r.VDDC), r.VSSC, optF(r.VWL), *r.Alpha, *r.Beta, r.Groups, r.GroupMask, r.Mux)
+func (r *EvaluateRequest) geometry() wire.Geometry {
+	return wire.Geometry{NR: r.NR, NC: r.NC, W: r.W, Npre: r.Npre, Nwr: r.Nwr, WLSegs: r.WLSegs, Mux: r.Mux}
 }
 
-// design assembles the array design, pinning unspecified rails from the
-// framework's (flavor, method) characterization.
-func (r *EvaluateRequest) design(fw *sramco.Framework) (sramco.Flavor, sramco.Design, sramco.Activity, error) {
-	flavor, err := sramco.ParseFlavor(r.Flavor)
-	if err != nil {
-		return 0, sramco.Design{}, sramco.Activity{}, err
+// call evaluates the one design point, pinning unspecified rails from the
+// framework's (flavor, method) characterization. It has no deadline of its
+// own: one model evaluation takes microseconds.
+func (r *EvaluateRequest) call(s *Server, o *op) (string, int, fillFunc) {
+	key := fmt.Sprintf("%s|flavor=%s|method=%s|geom=%dx%d:%d:%d:%d:%d|vddc=%s|vssc=%g|vwl=%s|alpha=%g|beta=%g|groups=%d|mask=%d|mux=%d",
+		o, r.Flavor, r.Method, r.NR, r.NC, r.W, r.Npre, r.Nwr, r.WLSegs,
+		optF(r.VDDC), r.VSSC, optF(r.VWL), *r.Alpha, *r.Beta, r.Groups, r.GroupMask, r.Mux)
+	return key, 0, func(context.Context) (any, error) {
+		vddc, vwl, err := s.fw.Rails(r.flavor, r.method)
+		if err != nil {
+			return nil, err
+		}
+		if r.VDDC != nil {
+			vddc = *r.VDDC
+		}
+		if r.VWL != nil {
+			vwl = *r.VWL
+		}
+		d := sramco.Design{
+			Geom: r.geometry(),
+			VDDC: vddc, VSSC: r.VSSC, VWL: vwl,
+			Groups: r.Groups, GroupMask: r.GroupMask,
+		}
+		res, err := s.fw.Evaluate(r.flavor, d, sramco.Activity{Alpha: *r.Alpha, Beta: *r.Beta})
+		if err != nil {
+			// The model rejects structurally invalid points with plain
+			// errors; surface them as client errors, not 500s.
+			return nil, badRequest("%v", err)
+		}
+		return &EvaluateResponse{
+			Request: *r,
+			EDP:     res.EDP,
+			DelayS:  res.DArray,
+			EnergyJ: res.EArray,
+			Result:  res,
+		}, nil
 	}
-	method, err := sramco.ParseMethod(r.Method)
-	if err != nil {
-		return 0, sramco.Design{}, sramco.Activity{}, err
-	}
-	vddc, vwl, err := fw.Rails(flavor, method)
-	if err != nil {
-		return 0, sramco.Design{}, sramco.Activity{}, err
-	}
-	if r.VDDC != nil {
-		vddc = *r.VDDC
-	}
-	if r.VWL != nil {
-		vwl = *r.VWL
-	}
-	d := sramco.Design{
-		Geom: wire.Geometry{NR: r.NR, NC: r.NC, W: r.W, Npre: r.Npre, Nwr: r.Nwr, WLSegs: r.WLSegs, Mux: r.Mux},
-		VDDC: vddc, VSSC: r.VSSC, VWL: vwl,
-		Groups: r.Groups, GroupMask: r.GroupMask,
-	}
-	return flavor, d, sramco.Activity{Alpha: *r.Alpha, Beta: *r.Beta}, nil
 }
 
 // YieldRequest is the body of /v1/yield: a Monte Carlo margin run. With
@@ -359,7 +462,19 @@ type YieldRequest struct {
 	RelCI float64 `json:"rel_ci,omitempty"`
 
 	TimeoutMS int `json:"timeout_ms,omitempty"`
+
+	// Kept by normalize: the Monte Carlo configuration, and the deadline,
+	// which leaves the canonical request.
+	cfg       sramco.MCConfig
+	timeoutMS int
 }
+
+// yieldMetrics lists the margins a yield run can compute, in canonical
+// order.
+var yieldMetrics = []struct {
+	name string
+	bit  mc.Metric
+}{{"hsnm", mc.HSNM}, {"rsnm", mc.RSNM}, {"wm", mc.WM}}
 
 func (r *YieldRequest) normalize() *apiError {
 	flavor, err := sramco.ParseFlavor(r.Flavor)
@@ -379,27 +494,29 @@ func (r *YieldRequest) normalize() *apiError {
 	if r.SigmaVt == 0 {
 		r.SigmaVt = mc.DefaultSigmaVt
 	}
-	if len(r.Metrics) == 0 {
-		r.Metrics = []string{"hsnm", "rsnm", "wm"}
-	}
-	seen := map[string]bool{}
-	for _, m := range r.Metrics {
-		m = strings.ToLower(m)
-		switch m {
-		case "hsnm", "rsnm", "wm":
-			seen[m] = true
-		default:
-			return badRequest("unknown metric %q (want hsnm, rsnm or wm)", m)
+	var metrics mc.Metric
+	for _, name := range r.Metrics {
+		name = strings.ToLower(name)
+		known := false
+		for _, m := range yieldMetrics {
+			if m.name == name {
+				metrics, known = metrics|m.bit, true
+			}
 		}
+		if !known {
+			return badRequest("unknown metric %q (want hsnm, rsnm or wm)", name)
+		}
+	}
+	if metrics == 0 {
+		metrics = mc.AllMetrics
 	}
 	// Canonical metric order is fixed, independent of request order.
-	ordered := make([]string, 0, 3)
-	for _, m := range []string{"hsnm", "rsnm", "wm"} {
-		if seen[m] {
-			ordered = append(ordered, m)
+	r.Metrics = make([]string, 0, len(yieldMetrics))
+	for _, m := range yieldMetrics {
+		if metrics&m.bit != 0 {
+			r.Metrics = append(r.Metrics, m.name)
 		}
 	}
-	r.Metrics = ordered
 	if r.Sampler == "" {
 		r.Sampler = "mc"
 	}
@@ -420,38 +537,8 @@ func (r *YieldRequest) normalize() *apiError {
 	if r.TimeoutMS < 0 {
 		return badRequest("timeout_ms must be non-negative, got %d", r.TimeoutMS)
 	}
-	return nil
-}
-
-func (r *YieldRequest) key() string {
-	return fmt.Sprintf("yield|flavor=%s|n=%d|seed=%d|sigma=%g|metrics=%s|sampler=%s|tilt=%g|relci=%g",
-		r.Flavor, r.N, r.Seed, r.SigmaVt, strings.Join(r.Metrics, ","), r.Sampler, r.Tilt, r.RelCI)
-}
-
-// config maps a normalized request onto the Monte Carlo configuration.
-func (r *YieldRequest) config() (sramco.MCConfig, error) {
-	flavor, err := sramco.ParseFlavor(r.Flavor)
-	if err != nil {
-		return sramco.MCConfig{}, err
-	}
-	var metrics mc.Metric
-	for _, m := range r.Metrics {
-		switch m {
-		case "hsnm":
-			metrics |= mc.HSNM
-		case "rsnm":
-			metrics |= mc.RSNM
-		case "wm":
-			metrics |= mc.WM
-		}
-	}
-	var sampler sramco.MCSampler
-	if r.Sampler != "" { // zero value (plain MC) for requests built in code
-		if sampler, err = sramco.ParseMCSampler(r.Sampler); err != nil {
-			return sramco.MCConfig{}, err
-		}
-	}
-	return sramco.MCConfig{
+	r.timeoutMS, r.TimeoutMS = r.TimeoutMS, 0
+	r.cfg = sramco.MCConfig{
 		Flavor:  flavor,
 		N:       r.N,
 		Seed:    r.Seed,
@@ -460,7 +547,22 @@ func (r *YieldRequest) config() (sramco.MCConfig, error) {
 		Sampler: sampler,
 		Tilt:    r.Tilt,
 		RelCI:   r.RelCI,
-	}, nil
+	}
+	return nil
+}
+
+// call runs the Monte Carlo engine to completion and answers with the
+// summary (the ?stream=1 form never reaches it: streams are not cached).
+func (r *YieldRequest) call(s *Server, o *op) (string, int, fillFunc) {
+	key := fmt.Sprintf("%s|flavor=%s|n=%d|seed=%d|sigma=%g|metrics=%s|sampler=%s|tilt=%g|relci=%g",
+		o, r.Flavor, r.N, r.Seed, r.SigmaVt, strings.Join(r.Metrics, ","), r.Sampler, r.Tilt, r.RelCI)
+	return key, r.timeoutMS, func(ctx context.Context) (any, error) {
+		res, err := s.yieldFn(ctx, r.cfg, nil)
+		if err != nil {
+			return nil, err
+		}
+		return yieldResponse(r, res), nil
+	}
 }
 
 func ptr[T any](v T) *T { return &v }

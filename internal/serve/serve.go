@@ -149,10 +149,9 @@ func New(fw *sramco.Framework, cfg Config) *Server {
 		yieldFn:    sramco.MonteCarloYield,
 	}
 	s.mux = http.NewServeMux()
-	s.mux.HandleFunc("/v1/optimize", s.handleOptimize)
-	s.mux.HandleFunc("/v1/evaluate", s.handleEvaluate)
-	s.mux.HandleFunc("/v1/pareto", s.handlePareto)
-	s.mux.HandleFunc("/v1/yield", s.handleYield)
+	for _, o := range ops {
+		s.mux.HandleFunc("/v1/"+o.name, s.handle(o))
+	}
 	s.mux.HandleFunc("/v1/batch", s.handleBatch)
 	s.mux.HandleFunc("/healthz", s.handleHealthz)
 	s.mux.HandleFunc("/metrics", s.handleMetrics)
@@ -244,7 +243,7 @@ func (s *Server) effectiveTimeout(timeoutMS int) time.Duration {
 // cap — a coalesced fill may outlive the client that started it, and a
 // client's short deadline must never poison the fill for patient waiters
 // (DESIGN.md §8).
-func (s *Server) respond(waitCtx context.Context, key string, fill func(ctx context.Context) (any, error)) (cached, string, error) {
+func (s *Server) respond(waitCtx context.Context, key string, fill fillFunc) (cached, string, error) {
 	if cat := s.cat.Load(); cat != nil {
 		if body, ok := cat.Lookup(key); ok {
 			mCatalogHit.Inc()
@@ -272,26 +271,10 @@ func (s *Server) respond(waitCtx context.Context, key string, fill func(ctx cont
 			return cached{}, err
 		}
 		defer s.release()
-		v, err := fill(runCtx)
+		res, err := render(runCtx, fill)
 		if err != nil {
-			if errors.Is(err, sramco.ErrInfeasible) {
-				// Infeasibility is a deterministic property of the canonical
-				// request: cache the structured 422 envelope exactly like a
-				// success so identical requests never re-run the search.
-				aerr := asAPIError(err)
-				if b, merr := json.Marshal(errorEnvelope{Error: *aerr}); merr == nil {
-					res := cached{status: aerr.Status, body: b}
-					s.cache.Put(key, res)
-					return res, nil
-				}
-			}
 			return cached{}, err
 		}
-		b, err := json.Marshal(v)
-		if err != nil {
-			return cached{}, fmt.Errorf("serve: encoding response: %w", err)
-		}
-		res := cached{status: http.StatusOK, body: b}
 		s.cache.Put(key, res)
 		return res, nil
 	})
@@ -303,26 +286,70 @@ func (s *Server) respond(waitCtx context.Context, key string, fill func(ctx cont
 	return res, state, err
 }
 
-// serveCached is the shared request path of every single-item /v1/*
-// endpoint: admit, resolve through respond, write the result.
-func (s *Server) serveCached(w http.ResponseWriter, r *http.Request, key string, timeoutMS int, fill func(ctx context.Context) (any, error)) {
-	mRequests.Inc()
-	release, err := s.admit()
-	if err != nil {
-		writeError(w, asAPIError(err))
-		return
+// render runs a fill and encodes its value as the response bytes. It is
+// the one encoder behind live fills and catalog entries, which makes
+// catalog hits bit-identical to live answers by construction.
+// Infeasibility is a deterministic property of the canonical request, so
+// it renders as the structured 422 envelope and caches exactly like a
+// success: identical requests never re-run the search.
+func render(ctx context.Context, fill fillFunc) (cached, error) {
+	v, err := fill(ctx)
+	status := http.StatusOK
+	if errors.Is(err, sramco.ErrInfeasible) {
+		aerr := asAPIError(err)
+		v, status, err = errorEnvelope{Error: *aerr}, aerr.Status, nil
 	}
-	defer release()
-
-	waitCtx, cancelWait := context.WithTimeout(r.Context(), s.effectiveTimeout(timeoutMS))
-	defer cancelWait()
-
-	res, state, err := s.respond(waitCtx, key, fill)
 	if err != nil {
-		writeError(w, asAPIError(err))
-		return
+		return cached{}, err
 	}
-	writeCached(w, res, state)
+	b, err := json.Marshal(v)
+	if err != nil {
+		return cached{}, fmt.Errorf("serve: encoding response: %w", err)
+	}
+	return cached{status: status, body: b}, nil
+}
+
+// handle serves operation o's own endpoint: decode and normalize the body,
+// then answer through the read path — or, for /v1/yield?stream=1, stream
+// the run's checkpoints uncached.
+func (s *Server) handle(o *op) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		if r.Method != http.MethodPost {
+			writeError(w, &apiError{Status: http.StatusMethodNotAllowed, Message: "use POST with a JSON body"})
+			return
+		}
+		req := o.newRequest()
+		aerr := decodeJSON(r.Body, req)
+		if aerr == nil {
+			aerr = req.normalize()
+		}
+		if aerr != nil {
+			writeError(w, aerr)
+			return
+		}
+		mRequests.Inc()
+		release, err := s.admit()
+		if err != nil {
+			writeError(w, asAPIError(err))
+			return
+		}
+		defer release()
+		if y, ok := req.(*YieldRequest); ok && r.URL.Query().Get("stream") == "1" {
+			s.handleYieldStream(w, r, y)
+			return
+		}
+
+		key, timeoutMS, fill := req.call(s, o)
+		waitCtx, cancelWait := context.WithTimeout(r.Context(), s.effectiveTimeout(timeoutMS))
+		defer cancelWait()
+
+		res, state, err := s.respond(waitCtx, key, fill)
+		if err != nil {
+			writeError(w, asAPIError(err))
+			return
+		}
+		writeCached(w, res, state)
+	}
 }
 
 // OptimizeResponse is the body of a successful /v1/optimize call. Request
@@ -338,47 +365,6 @@ type OptimizeResponse struct {
 	Stats   sramco.SearchStats `json:"search_stats"`
 }
 
-// optimizeResult runs the design search for a canonical request and builds
-// the response value. Shared by the /v1/optimize handler, /v1/batch items
-// and the catalog builder, which guarantees catalog entries are built by
-// the exact code path a live miss would take.
-func (s *Server) optimizeResult(ctx context.Context, req OptimizeRequest) (any, error) {
-	opts, err := req.options()
-	if err != nil {
-		return nil, err
-	}
-	opt, err := s.optimizeFn(ctx, opts)
-	if err != nil {
-		return nil, err
-	}
-	scrubStats(&opt.Stats)
-	return &OptimizeResponse{
-		Request: req,
-		Design:  opt.Best.Design,
-		EDP:     opt.Best.Result.EDP,
-		DelayS:  opt.Best.Result.DArray,
-		EnergyJ: opt.Best.Result.EArray,
-		Result:  opt.Best.Result,
-		Stats:   opt.Stats,
-	}, nil
-}
-
-func (s *Server) handleOptimize(w http.ResponseWriter, r *http.Request) {
-	var req OptimizeRequest
-	if !decodePost(w, r, &req) {
-		return
-	}
-	if aerr := req.normalize(); aerr != nil {
-		writeError(w, aerr)
-		return
-	}
-	timeoutMS := req.TimeoutMS
-	req.TimeoutMS = 0 // the deadline shapes the wait, not the computation
-	s.serveCached(w, r, req.key("optimize"), timeoutMS, func(ctx context.Context) (any, error) {
-		return s.optimizeResult(ctx, req)
-	})
-}
-
 // EvaluateResponse is the body of a successful /v1/evaluate call.
 type EvaluateResponse struct {
 	Request EvaluateRequest `json:"request"`
@@ -388,79 +374,11 @@ type EvaluateResponse struct {
 	Result  *sramco.Result  `json:"result"`
 }
 
-func (s *Server) handleEvaluate(w http.ResponseWriter, r *http.Request) {
-	var req EvaluateRequest
-	if !decodePost(w, r, &req) {
-		return
-	}
-	if aerr := req.normalize(); aerr != nil {
-		writeError(w, aerr)
-		return
-	}
-	s.serveCached(w, r, req.key(), 0, func(ctx context.Context) (any, error) {
-		return s.evaluateResult(req)
-	})
-}
-
-// evaluateResult evaluates one explicit design point and builds the
-// response value. Shared by the /v1/evaluate handler and /v1/batch items,
-// so both populate the same cache entries with the same bytes.
-func (s *Server) evaluateResult(req EvaluateRequest) (any, error) {
-	flavor, design, act, err := req.design(s.fw)
-	if err != nil {
-		return nil, err
-	}
-	res, err := s.fw.Evaluate(flavor, design, act)
-	if err != nil {
-		// The model rejects structurally invalid points with plain
-		// errors; surface them as client errors, not 500s.
-		return nil, badRequest("%v", err)
-	}
-	return &EvaluateResponse{
-		Request: req,
-		EDP:     res.EDP,
-		DelayS:  res.DArray,
-		EnergyJ: res.EArray,
-		Result:  res,
-	}, nil
-}
-
 // ParetoResponse is the body of a successful /v1/pareto call.
 type ParetoResponse struct {
 	Request OptimizeRequest      `json:"request"`
 	Front   []sramco.DesignPoint `json:"front"`
 	Stats   sramco.SearchStats   `json:"search_stats"`
-}
-
-func (s *Server) handlePareto(w http.ResponseWriter, r *http.Request) {
-	var req OptimizeRequest
-	if !decodePost(w, r, &req) {
-		return
-	}
-	if aerr := req.normalize(); aerr != nil {
-		writeError(w, aerr)
-		return
-	}
-	timeoutMS := req.TimeoutMS
-	req.TimeoutMS = 0
-	s.serveCached(w, r, req.key("pareto"), timeoutMS, func(ctx context.Context) (any, error) {
-		return s.paretoResult(ctx, req)
-	})
-}
-
-// paretoResult sweeps the full frontier for a canonical request; shared by
-// the /v1/pareto handler, /v1/batch items and the catalog builder.
-func (s *Server) paretoResult(ctx context.Context, req OptimizeRequest) (any, error) {
-	opts, err := req.options()
-	if err != nil {
-		return nil, err
-	}
-	res, err := s.paretoFn(ctx, opts)
-	if err != nil {
-		return nil, err
-	}
-	scrubStats(&res.Stats)
-	return &ParetoResponse{Request: req, Front: res.Front, Stats: res.Stats}, nil
 }
 
 // scrubStats zeroes the environmental search-stats fields (wall-clock time,
@@ -498,34 +416,6 @@ type YieldResponse struct {
 	FailHi    *float64 `json:"fail_ci_hi,omitempty"`
 }
 
-func (s *Server) handleYield(w http.ResponseWriter, r *http.Request) {
-	var req YieldRequest
-	if !decodePost(w, r, &req) {
-		return
-	}
-	if aerr := req.normalize(); aerr != nil {
-		writeError(w, aerr)
-		return
-	}
-	if r.URL.Query().Get("stream") == "1" {
-		s.handleYieldStream(w, r, req)
-		return
-	}
-	timeoutMS := req.TimeoutMS
-	req.TimeoutMS = 0
-	s.serveCached(w, r, req.key(), timeoutMS, func(ctx context.Context) (any, error) {
-		cfg, err := req.config()
-		if err != nil {
-			return nil, err
-		}
-		res, err := s.yieldFn(ctx, cfg, nil)
-		if err != nil {
-			return nil, err
-		}
-		return yieldResponse(req, res), nil
-	})
-}
-
 // yieldResponse builds the body of a non-streaming /v1/yield answer. The
 // summaries describe the drawn values. A request that set rel_ci or a tilt
 // gets the final checkpoint's weighted estimators: μ−3σ, the fail fraction
@@ -533,10 +423,10 @@ func (s *Server) handleYield(w http.ResponseWriter, r *http.Request) {
 // gets μ−3σ from the summary and the plain fail fraction; the checkpoint's
 // Welford μ−3σ differs from the summary's two-pass value by a few ulps, so
 // those answers keep the two-pass value.
-func yieldResponse(req YieldRequest, res *sramco.MCResult) *YieldResponse {
+func yieldResponse(req *YieldRequest, res *sramco.MCResult) *YieldResponse {
 	final := res.Final
 	resp := &YieldResponse{
-		Request:       req,
+		Request:       *req,
 		Samples:       res.Stats.Samples,
 		MuMinus3Sigma: map[string]float64{},
 		DeltaV:        final.Delta,
@@ -572,19 +462,10 @@ func yieldResponse(req YieldRequest, res *sramco.MCResult) *YieldResponse {
 // or coalesced — each request runs its own engine under the client's
 // deadline — so two identical streams emit identical lines but compute
 // independently. A mid-stream failure becomes a trailing {"error": ...}
-// line, since the 200 header is already on the wire.
-func (s *Server) handleYieldStream(w http.ResponseWriter, r *http.Request, req YieldRequest) {
-	mRequests.Inc()
-	release, err := s.admit()
-	if err != nil {
-		writeError(w, asAPIError(err))
-		return
-	}
-	defer release()
-
-	timeoutMS := req.TimeoutMS
-	req.TimeoutMS = 0
-	ctx, cancel := context.WithTimeout(r.Context(), s.effectiveTimeout(timeoutMS))
+// line, since the 200 header is already on the wire. The caller has
+// admitted the request.
+func (s *Server) handleYieldStream(w http.ResponseWriter, r *http.Request, req *YieldRequest) {
+	ctx, cancel := context.WithTimeout(r.Context(), s.effectiveTimeout(req.timeoutMS))
 	defer cancel()
 	if err := s.acquire(ctx); err != nil {
 		writeError(w, asAPIError(err))
@@ -592,17 +473,11 @@ func (s *Server) handleYieldStream(w http.ResponseWriter, r *http.Request, req Y
 	}
 	defer s.release()
 
-	cfg, err := req.config()
-	if err != nil {
-		writeError(w, badRequest("%v", err))
-		return
-	}
-
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	w.WriteHeader(http.StatusOK)
 	flusher, _ := w.(http.Flusher)
 	enc := json.NewEncoder(w)
-	_, err = s.yieldFn(ctx, cfg, func(cp sramco.MCCheckpoint) error {
+	_, err := s.yieldFn(ctx, req.cfg, func(cp sramco.MCCheckpoint) error {
 		if err := enc.Encode(cp); err != nil {
 			return err
 		}
@@ -665,20 +540,6 @@ func (s *Server) handleDebugTrace(w http.ResponseWriter, r *http.Request) {
 	if err := enc.Encode(s.cfg.Recorder.Traces(limit)); err != nil {
 		mErrors.Inc()
 	}
-}
-
-// decodePost enforces POST and strict-decodes the body into dst, writing
-// the error response itself when it returns false.
-func decodePost(w http.ResponseWriter, r *http.Request, dst any) bool {
-	if r.Method != http.MethodPost {
-		writeError(w, &apiError{Status: http.StatusMethodNotAllowed, Message: "use POST with a JSON body"})
-		return false
-	}
-	if aerr := decodeJSON(r.Body, dst); aerr != nil {
-		writeError(w, aerr)
-		return false
-	}
-	return true
 }
 
 // errorEnvelope is the structured body of every non-2xx response.

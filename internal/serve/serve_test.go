@@ -426,6 +426,11 @@ func TestRequestValidation(t *testing.T) {
 		{"negative timeout", "/v1/optimize", `{"capacity_bytes":128,"flavor":"hvt","timeout_ms":-1}`},
 		{"bad geometry", "/v1/evaluate", `{"flavor":"hvt","nr":65,"nc":16,"npre":4,"nwr":4}`},
 		{"positive vssc", "/v1/evaluate", `{"flavor":"hvt","nr":64,"nc":16,"npre":4,"nwr":4,"vssc":0.1}`},
+		// nr·nc beyond the capacity limit whose product wraps int64: to 0
+		// (2^32·2^32 and 2^62·4) and negative (2·2^62).
+		{"capacity product wraps to zero", "/v1/evaluate", `{"flavor":"hvt","nr":4294967296,"nc":4294967296,"npre":1,"nwr":1}`},
+		{"capacity product wraps to zero with tall rows", "/v1/evaluate", `{"flavor":"hvt","nr":4611686018427387904,"nc":4,"npre":1,"nwr":1}`},
+		{"capacity product wraps negative", "/v1/evaluate", `{"flavor":"hvt","nr":2,"nc":4611686018427387904,"npre":1,"nwr":1,"w":64}`},
 		{"yield n too small", "/v1/yield", `{"flavor":"hvt","n":1}`},
 		{"yield n too large", "/v1/yield", fmt.Sprintf(`{"flavor":"hvt","n":%d}`, maxYieldSamples+1)},
 		{"yield bad metric", "/v1/yield", `{"flavor":"hvt","n":16,"metrics":["snm"]}`},

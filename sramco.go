@@ -127,6 +127,9 @@ func ParseFlavor(s string) (Flavor, error) { return device.ParseFlavor(s) }
 // ParseMethod parses "m1"/"m2" (case-insensitive) into a Method.
 func ParseMethod(s string) (Method, error) { return core.ParseMethod(s) }
 
+// ParseMode parses "paper"/"simulated" (case-insensitive) into a Mode.
+func ParseMode(s string) (Mode, error) { return core.ParseMode(s) }
+
 // ObjectiveByName maps "edp" (or ""), "delay", "energy", "area" and "padp"
 // to the built-in search objectives. The name, not the function, is the
 // canonical form used in serialized requests and cache keys.
