@@ -173,20 +173,17 @@ func main() {
 	}
 
 	if *compare != "" {
-		cd, err := parseDesign(*compare, *bytes*8, d)
+		cr, err := compareDesign(fw, flavor, *compare, *bytes*8, opt.Best)
 		if err != nil {
 			cliutil.Fatalf("%v", err)
 		}
-		tech, err := fw.ArrayTech(flavor)
-		if err != nil {
-			cliutil.Fatalf("%v", err)
-		}
-		cr, err := array.Evaluate(tech, cd, r.Activity)
-		if err != nil {
-			cliutil.Fatalf("%v", err)
-		}
-		fmt.Printf("comparison design n_r=%d n_c=%d N_pre=%d N_wr=%d VSSC=%s:\n",
+		cd := cr.Design
+		fmt.Printf("comparison design n_r=%d n_c=%d N_pre=%d N_wr=%d VSSC=%s",
 			cd.Geom.NR, cd.Geom.NC, cd.Geom.Npre, cd.Geom.Nwr, unit.Volts(cd.VSSC))
+		if cd.Groups > 0 {
+			fmt.Printf(" groups=%d mask=%#x", cd.Groups, cd.GroupMask)
+		}
+		fmt.Println(":")
 		printResult(cr)
 		if *breakdown {
 			printBreakdown(cr)
@@ -285,7 +282,28 @@ func printBreakdown(r *array.Result) {
 		unit.Seconds(b.DCVDD), unit.Seconds(b.DCVSS), r.RailsSettleInTime)
 }
 
-// parseDesign parses "NRxNC:Npre:Nwr:VSSCmV", inheriting rails from base.
+// compareDesign evaluates the -compare design spec against the optimum
+// best: the spec's organization on best's rails and row-group assignment,
+// under best's activity, with the flavor's alternate cell terms for the
+// groups a hybrid assignment gives the other flavor.
+func compareDesign(fw *core.Framework, flavor device.Flavor, spec string, bits int, best core.DesignPoint) (*array.Result, error) {
+	cd, err := parseDesign(spec, bits, best.Design)
+	if err != nil {
+		return nil, err
+	}
+	tech, err := fw.ArrayTech(flavor)
+	if err != nil {
+		return nil, err
+	}
+	alt, err := fw.HybridAltTerms(flavor)
+	if err != nil {
+		return nil, err
+	}
+	return array.EvaluateHybrid(tech, cd, best.Result.Activity, alt)
+}
+
+// parseDesign parses "NRxNC:Npre:Nwr:VSSCmV", inheriting the rails and the
+// row-group assignment from base.
 func parseDesign(s string, bits int, base array.Design) (array.Design, error) {
 	var nr, nc, npre, nwr, vsscMV int
 	if _, err := fmt.Sscanf(s, "%dx%d:%d:%d:%d", &nr, &nc, &npre, &nwr, &vsscMV); err != nil {

@@ -5,6 +5,8 @@ import (
 	"context"
 	"encoding/json"
 	"flag"
+	"fmt"
+	"math"
 	"os"
 	"testing"
 
@@ -69,5 +71,41 @@ func TestRunJSONGolden(t *testing.T) {
 	if !bytes.Equal(got, want) {
 		t.Errorf("sramopt -json output drifted from %s.\ngot:\n%s\nwant:\n%s\n(regenerate with -update if the change is intended)",
 			goldenJSON, got, want)
+	}
+}
+
+// TestCompareDesignReproducesHybridOptimum runs a hybrid search and passes
+// the optimum's own organization to -compare. The comparison design inherits
+// the optimum's rails and row-group assignment, so its evaluation must
+// reproduce the optimum's delay, energy and EDP bit for bit.
+func TestCompareDesignReproducesHybridOptimum(t *testing.T) {
+	fw, err := core.NewFramework(core.TechPaper, core.FrameworkOpts{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const capBytes = 4096
+	opt, err := fw.Optimize(context.Background(), core.Options{
+		CapacityBits: capBytes * 8, Flavor: device.LVT, Method: core.M2, HybridGroups: 2,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	d, want := opt.Best.Design, opt.Best.Result
+	if d.Groups != 2 || d.GroupMask == 0 {
+		t.Fatalf("optimum groups=%d mask=%#x: the case needs alternate-flavor groups", d.Groups, d.GroupMask)
+	}
+	mv := int(math.Round(d.VSSC * 1000))
+	if float64(mv)/1000 != d.VSSC {
+		t.Fatalf("optimum VSSC %v is not a whole millivolt", d.VSSC)
+	}
+	spec := fmt.Sprintf("%dx%d:%d:%d:%d", d.Geom.NR, d.Geom.NC, d.Geom.Npre, d.Geom.Nwr, mv)
+	got, err := compareDesign(fw, device.LVT, spec, capBytes*8, opt.Best)
+	if err != nil {
+		t.Fatalf("compareDesign(%s): %v", spec, err)
+	}
+	if got.DArray != want.DArray || got.EArray != want.EArray || got.EDP != want.EDP {
+		t.Errorf("-compare %s (groups=%d mask=%#x): D=%x E=%x EDP=%x, optimum D=%x E=%x EDP=%x",
+			spec, got.Design.Groups, got.Design.GroupMask, got.DArray, got.EArray, got.EDP,
+			want.DArray, want.EArray, want.EDP)
 	}
 }

@@ -279,37 +279,22 @@ func component(c, v, dv, i float64) (delay, energy float64) {
 // work of every search (one per candidate design point).
 var mEvals = obs.NewCounter("array.evaluations")
 
-// Evaluate computes the full array model for one design point. It is a thin
-// wrapper over the Evaluator engine: one Prepare for the point's chunk plus
-// one Eval, after the full historical validation sequence. Search loops that
-// sweep (N_pre, N_wr) inside a fixed chunk should hold an Evaluator instead
-// and amortize the Prepare.
+// Evaluate computes the full array model for one single-flavor design
+// point: EvaluateHybrid without alternate flavor terms, so a hybrid design
+// (Groups ≥ 2) is an error here.
 func Evaluate(t *Tech, d Design, act Activity) (*Result, error) {
-	if err := t.Validate(); err != nil {
-		return nil, err
-	}
-	if err := d.Validate(t); err != nil {
-		return nil, err
-	}
-	if err := act.Validate(); err != nil {
-		return nil, err
-	}
-	var e Evaluator
-	e.init(t, act)
-	if err := e.Prepare(d.Geom, d.VDDC, d.VSSC, d.VWL); err != nil {
-		return nil, err
-	}
-	return e.Eval(d.Geom.Npre, d.Geom.Nwr)
+	return EvaluateHybrid(t, d, act, FlavorTerms{})
 }
 
-// EvaluateHybrid computes the full array model for one hybrid design point:
-// the design's Groups/GroupMask assignment over the base flavor in t and the
-// alternate flavor terms in alt. A design with Groups == 0 degenerates to
-// Evaluate.
+// EvaluateHybrid computes the full array model for one explicit design
+// point. It validates the technology, the design and the activity, prepares
+// the point's chunk on a fresh Evaluator and evaluates the point: the one
+// body behind every single-point evaluation. A hybrid design assigns the
+// row groups its GroupMask selects to the alternate flavor terms in alt; a
+// design with Groups == 0 ignores alt. Search loops that sweep (N_pre, N_wr)
+// inside a fixed chunk should hold an Evaluator instead and amortize the
+// Prepare.
 func EvaluateHybrid(t *Tech, d Design, act Activity, alt FlavorTerms) (*Result, error) {
-	if d.Groups == 0 {
-		return Evaluate(t, d, act)
-	}
 	if err := t.Validate(); err != nil {
 		return nil, err
 	}

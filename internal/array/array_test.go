@@ -239,6 +239,9 @@ func TestValidationErrors(t *testing.T) {
 		{"positive VSSC", func(d *Design) { d.VSSC = 0.05 }},
 		{"VWL below Vdd", func(d *Design) { d.VWL = 0.40 }},
 		{"bad geometry", func(d *Design) { d.Geom.NR = 3 }},
+		// Evaluate has no alternate flavor terms to give a hybrid design.
+		{"hybrid design, uniform base mask", func(d *Design) { d.Groups = 2 }},
+		{"hybrid design, mixed mask", func(d *Design) { d.Groups, d.GroupMask = 4, 0x5 }},
 	}
 	for _, c := range cases {
 		d := good

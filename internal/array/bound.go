@@ -206,17 +206,12 @@ func (e *Evaluator) BoundRect(npreLo, npreHi, nwrLo, nwrHi int) (Bound, error) {
 		return Bound{}, fmt.Errorf("array: BoundRect: invalid rectangle N_pre ∈ [%d,%d], N_wr ∈ [%d,%d]",
 			npreLo, npreHi, nwrLo, nwrHi)
 	}
-	// The N_wr corner terms, in ensureSoA's expressions.
-	fLo := float64(nwrLo)
-	blN := fLo * e.sumCd
-	var dCOL, eCOL float64
-	if e.muxed {
-		blN = 2 * fLo * e.sumCd
-		dCOL, eCOL = component(e.colBase+e.colW*fLo*e.sumCg, e.vdd, e.vdd, e.iCol)
-	}
-	bwK := e.vdd / (coefBLwr * float64(nwrHi) * e.iTG)
+	// The N_wr corner terms: C_BL and the column component at the low
+	// corner, the write-buffer current at the high one.
+	blN, dCOL, eCOL, _ := e.nwrTerms(nwrLo)
+	_, _, _, iBLwr := e.nwrTerms(nwrHi)
 	inc, preRK, preWK := e.rowTerms(npreLo, npreHi)
-	d, en := e.kernel(inc+blN, preRK, preWK, dCOL, eCOL, bwK)
+	d, en := e.kernel(inc+blN, preRK, preWK, dCOL, eCOL, e.vdd/iBLwr)
 
 	// Area is exactly monotone increasing in both fin counts, so the low
 	// corner is its minimum.

@@ -18,15 +18,16 @@ import (
 // them once per Prepare and lets Eval fill in only the per-point terms and
 // the Eq. (2)-(5) totals.
 //
-// Bit-identity contract: for any design accepted by both paths,
+// Evaluate and EvaluateHybrid are this engine on a fresh Evaluator:
+// validate, PrepareHybrid (Prepare for a single flavor), Eval. So for any
+// design,
 //
 //	Evaluate(t, d, act)  ==  ev.Prepare(d.Geom, rails); ev.Eval(Npre, Nwr)
 //
-// field for field, at the == level — not within a tolerance. This holds
-// because every precomputed value is produced by the exact expression (same
-// floating-point operation order) Evaluate used inline, and Eval re-applies
-// the remaining per-point operations in Evaluate's order. The property test
-// in evaluator_test.go enforces this on randomized designs.
+// field for field, at the == level — not within a tolerance — however
+// ev's memo was left by earlier chunks. The property test in
+// evaluator_test.go checks both against oracleEvalInto, the point model
+// written out expression by expression.
 //
 // Prepare is staged (DESIGN.md §13.6): technology constants are computed
 // once at construction, the rail-dependent currents live in a RailStage
@@ -169,9 +170,9 @@ func NewEvaluator(t *Tech, act Activity) (*Evaluator, error) {
 	return e, nil
 }
 
-// init is the unchecked constructor shared by NewEvaluator and the Evaluate
-// wrapper (which performs its own validation in the historical order). It
-// computes the technology constants every Prepare reuses.
+// init is the unchecked constructor shared by NewEvaluator and
+// EvaluateHybrid (which validates the design between the technology and the
+// activity). It computes the technology constants every Prepare reuses.
 func (e *Evaluator) init(t *Tech, act Activity) {
 	e.tech = t
 	e.act = act
@@ -476,7 +477,7 @@ func (e *Evaluator) PrepareStaged(g wire.Geometry, rs *RailStage, groups int, ma
 		e.hNear, e.hNearN = mt.near, mt.nearN
 	}
 
-	// --- Partial Table-3 sums (prefixes of Evaluate's left-associative
+	// --- Partial Table-3 sums (prefixes of EvalInto's left-associative
 	// chains, so completing them per point reproduces the full sums
 	// bit-for-bit) ---
 	e.dReadRow = b.DRowDec + b.DRowDrv + b.DWLRead
@@ -631,6 +632,22 @@ func (e *Evaluator) hybridBLDelay(cBL float64) float64 {
 	return d
 }
 
+// nwrTerms returns the N_wr-dependent terms of the prepared chunk at one
+// N_wr: the N_wr term of C_BL (wire.BL's (2·)N_wr·ΣCd), the column-select
+// component (zero without a column mux) and the write-buffer drain current
+// coefBLwr·N_wr·I_TG. EvalInto, the sweep lanes and BoundRect's corners all
+// read them here.
+func (e *Evaluator) nwrTerms(nwr int) (bl, dCOL, eCOL, iBLwr float64) {
+	fnwr := float64(nwr)
+	if e.muxed {
+		bl = 2 * fnwr * e.sumCd
+		dCOL, eCOL = component(e.colBase+e.colW*fnwr*e.sumCg, e.vdd, e.vdd, e.iCol)
+	} else {
+		bl = fnwr * e.sumCd
+	}
+	return bl, dCOL, eCOL, coefBLwr * fnwr * e.iTG
+}
+
 // Eval evaluates one (N_pre, N_wr) point of the prepared chunk, allocating
 // the Result. See EvalInto for the allocation-free form.
 func (e *Evaluator) Eval(npre, nwr int) (*Result, error) {
@@ -656,26 +673,23 @@ func (e *Evaluator) EvalInto(npre, nwr int, res *Result) error {
 	}
 	mEvals.Inc()
 	b := e.parts
-	fnwr := float64(nwr)
 
-	// --- Table 1, per-point: BL and COL (wire.BL / wire.COL op order; the
-	// mux drain term is an exact zero add in the degenerate organization) ---
-	blBase := e.blFixed + float64(npre+1)*e.cdp
-	var cBL, cCOL float64
-	if e.muxed {
-		cBL = blBase + 2*fnwr*e.sumCd + e.blMuxCd
-		cCOL = e.colBase + e.colW*fnwr*e.sumCg
-	} else {
-		cBL = blBase + fnwr*e.sumCd + e.cdp + e.blMuxCd
+	// --- Table 1, per-point: BL (wire.BL op order; the mux drain term is an
+	// exact zero add in the degenerate organization) and the N_wr terms ---
+	var bl, iBLwr float64
+	bl, b.DCOL, b.ECOL, iBLwr = e.nwrTerms(nwr)
+	cBL := e.blFixed + float64(npre+1)*e.cdp + bl
+	if !e.muxed {
+		cBL += e.cdp
 	}
+	cBL += e.blMuxCd
 
-	// --- Table 2, per-point components (Evaluate's order) ---
-	b.DCOL, b.ECOL = component(cCOL, e.vdd, e.vdd, e.iCol)
+	// --- Table 2, per-point components ---
 	b.DBLRead, b.EBLRead = component(cBL, e.dvBLRd, e.deltaVS, e.iRead)
 	if e.hGroups > 1 {
 		b.DBLRead = e.hybridBLDelay(cBL)
 	}
-	b.DBLWrite, b.EBLWrite = component(cBL, e.vdd, e.vdd, coefBLwr*fnwr*e.iTG)
+	b.DBLWrite, b.EBLWrite = component(cBL, e.vdd, e.vdd, iBLwr)
 	iPre := coefPRE * float64(npre) * e.ionP
 	b.DPreRead, b.EPreRead = component(cBL, e.vdd, e.deltaVS, iPre)
 	b.DPreWrite, b.EPreWrite = component(cBL, e.vdd, e.vdd, iPre)

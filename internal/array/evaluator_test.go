@@ -32,17 +32,123 @@ func evaluatorTechs(t *testing.T) []*Tech {
 	return []*Tech{base, &hvtWC, &lvtAC, &lvtWC}
 }
 
+// oracleEvalInto is the reference point model: EvalInto's arithmetic written
+// out expression by expression, with the N_wr terms inline and the hybrid
+// read delay taken over every row group. It reads only the prepared chunk of
+// e, so it checks EvalInto's per-point arithmetic, not Prepare.
+func oracleEvalInto(e *Evaluator, npre, nwr int) Result {
+	b := e.parts
+	fnwr := float64(nwr)
+
+	blBase := e.blFixed + float64(npre+1)*e.cdp
+	var cBL, cCOL float64
+	if e.muxed {
+		cBL = blBase + 2*fnwr*e.sumCd + e.blMuxCd
+		cCOL = e.colBase + e.colW*fnwr*e.sumCg
+	} else {
+		cBL = blBase + fnwr*e.sumCd + e.cdp + e.blMuxCd
+	}
+
+	b.DCOL, b.ECOL = component(cCOL, e.vdd, e.vdd, e.iCol)
+	b.DBLRead, b.EBLRead = component(cBL, e.dvBLRd, e.deltaVS, e.iRead)
+	if e.hGroups > 1 {
+		b.DBLRead = hybridBLDelayAllGroups(e, cBL)
+	}
+	b.DBLWrite, b.EBLWrite = component(cBL, e.vdd, e.vdd, coefBLwr*fnwr*e.iTG)
+	iPre := coefPRE * float64(npre) * e.ionP
+	b.DPreRead, b.EPreRead = component(cBL, e.vdd, e.deltaVS, iPre)
+	b.DPreWrite, b.EPreWrite = component(cBL, e.vdd, e.vdd, iPre)
+
+	readRow := e.dReadRow + b.DBLRead
+	readCol := e.dColBase + b.DCOL
+	dRead := max(readRow, readCol) + b.DSenseAmp + b.DPreRead + e.dMuxExtra
+	writeCol := e.dColBase + b.DCOL + b.DBLWrite
+	dWrite := max(e.dWriteRow, writeCol) + b.DWriteCell + b.DPreWrite
+
+	preWrE := b.EPreWrite
+	if e.allCols {
+		preWrE = e.wMult*b.EPreWrite + e.acMinusW*b.EPreRead
+	}
+	eRead := e.eReadBase + e.blRdMult*b.EBLRead +
+		b.EColDec + b.EColDrv + b.ECOL +
+		e.saE + e.preRdMult*b.EPreRead +
+		e.railE + e.eMuxExtra
+	eWrite := e.eWriteBase + b.ECOL +
+		e.wrMult*b.EBLWrite + e.wrCellE + preWrE
+
+	dArray := max(dRead, dWrite)
+	eSw := e.beta*eRead + e.oneMinusBeta*eWrite
+	eLeak := e.leakCoef * dArray
+	eArray := e.alpha*eSw + eLeak
+	edp := eArray * dArray
+	area := (e.area0 + float64(npre)*e.areaPre) + float64(nwr)*e.areaWr
+
+	g := e.geom
+	g.Npre, g.Nwr = npre, nwr
+	return Result{
+		Design: Design{Geom: g, VDDC: e.vddc, VSSC: e.vssc, VWL: e.vwl,
+			Groups: e.hGroups, GroupMask: e.hMask},
+		Activity: e.act,
+		DRead:    dRead, DWrite: dWrite, DArray: dArray,
+		ESwRead: eRead, ESwWrite: eWrite, ESw: eSw, ELeak: eLeak, EArray: eArray,
+		EDP: edp, Area: area, PADP: edp * area,
+		RailsSettleInTime: e.settles,
+		Parts:             b,
+	}
+}
+
 // TestEvaluatorBitIdenticalToEvaluate is the contract test of the evaluation
 // engine: over a randomized sample of designs spanning flat and divided
-// wordlines, both energy accountings and both flavors, Evaluator.Eval must
-// reproduce array.Evaluate field for field at the == level (reflect.DeepEqual
-// on the Result structs — no tolerance). A single Evaluator per (tech,
-// activity) is reused across the whole sample, so Prepare's memoization and
-// chunk transitions are exercised, and each design is additionally evaluated
-// at a neighbor point of the same chunk to hit the memo fast path.
+// wordlines, column-muxed and unmuxed organizations, sense-amp sharing, 2-,
+// 4- and 8-group masks, both energy accountings and both flavors, the
+// Evaluator's Eval and the one-shot Evaluate/EvaluateHybrid must reproduce
+// oracleEvalInto on the same chunk, every Result field at the == level — no
+// tolerance. A single Evaluator per (tech, activity) is reused across the
+// whole sample, so Prepare's memoization and chunk transitions are
+// exercised, and each design is additionally evaluated at a neighbor point
+// of the same chunk to hit the memo fast path.
 func TestEvaluatorBitIdenticalToEvaluate(t *testing.T) {
 	rng := rand.New(rand.NewSource(20260806))
+	variants := rand.New(rand.NewSource(20261019))
 	acts := []Activity{{Alpha: 0.5, Beta: 0.5}, {Alpha: 0.31, Beta: 0.82}}
+	alt := altTerms()
+	points := 0
+	check := func(tech *Tech, a Activity, ev *Evaluator, d Design) {
+		t.Helper()
+		points++
+		h := Hybrid{Groups: d.Groups, Mask: d.GroupMask, Alt: alt}
+		if err := ev.PrepareHybrid(d.Geom, d.VDDC, d.VSSC, d.VWL, h); err != nil {
+			t.Fatalf("PrepareHybrid(%+v): %v", d, err)
+		}
+		want := oracleEvalInto(ev, d.Geom.Npre, d.Geom.Nwr)
+		got, err := ev.Eval(d.Geom.Npre, d.Geom.Nwr)
+		if err != nil {
+			t.Fatalf("Eval(%+v): %v", d, err)
+		}
+		if *got != want {
+			t.Fatalf("Eval diverges from the oracle at %+v:\n  want %+v\n  got  %+v", d, want, *got)
+		}
+		one, err := EvaluateHybrid(tech, d, a, alt)
+		if err != nil {
+			t.Fatalf("EvaluateHybrid(%+v): %v", d, err)
+		}
+		if *one != want {
+			t.Fatalf("EvaluateHybrid diverges from the oracle at %+v:\n  want %+v\n  got  %+v", d, want, *one)
+		}
+		plain, err := Evaluate(tech, d, a)
+		if d.Groups > 0 {
+			if err == nil {
+				t.Fatalf("Evaluate accepted the hybrid design %+v", d)
+			}
+			return
+		}
+		if err != nil {
+			t.Fatalf("Evaluate(%+v): %v", d, err)
+		}
+		if *plain != want {
+			t.Fatalf("Evaluate diverges from the oracle at %+v:\n  want %+v\n  got  %+v", d, want, *plain)
+		}
+	}
 	for _, tech := range evaluatorTechs(t) {
 		for _, a := range acts {
 			ev, err := NewEvaluator(tech, a)
@@ -70,42 +176,33 @@ func TestEvaluatorBitIdenticalToEvaluate(t *testing.T) {
 					continue
 				}
 				checked++
-				want, err := Evaluate(tech, d, a)
-				if err != nil {
-					t.Fatalf("Evaluate(%+v): %v", d, err)
+				designs := []Design{d}
+				shared := d
+				shared.Geom.Mux = 2 << variants.Intn(3) // sense-amp sharing 2, 4 or 8
+				if shared.Geom.Validate() == nil {
+					designs = append(designs, shared)
 				}
-				if err := ev.Prepare(d.Geom, d.VDDC, d.VSSC, d.VWL); err != nil {
-					t.Fatalf("Prepare(%+v): %v", d, err)
+				for _, groups := range []int{2, 4, 8} {
+					if nr%groups == 0 {
+						v := d
+						v.Groups, v.GroupMask = groups, uint32(variants.Intn(1<<groups))
+						designs = append(designs, v)
+					}
 				}
-				got, err := ev.Eval(d.Geom.Npre, d.Geom.Nwr)
-				if err != nil {
-					t.Fatalf("Eval(%+v): %v", d, err)
-				}
-				if !reflect.DeepEqual(want, got) {
-					t.Fatalf("Evaluator diverges from Evaluate at %+v:\n  want %+v\n  got  %+v", d, want, got)
-				}
-				// A neighbor inside the same chunk: Prepare memo-hits, the
-				// per-point terms are recomputed from the cached invariants.
-				n := d
-				n.Geom.Npre = 1 + d.Geom.Npre%50
-				n.Geom.Nwr = 1 + d.Geom.Nwr%20
-				want2, err := Evaluate(tech, n, a)
-				if err != nil {
-					t.Fatalf("Evaluate(%+v): %v", n, err)
-				}
-				if err := ev.Prepare(n.Geom, n.VDDC, n.VSSC, n.VWL); err != nil {
-					t.Fatalf("Prepare memo(%+v): %v", n, err)
-				}
-				got2, err := ev.Eval(n.Geom.Npre, n.Geom.Nwr)
-				if err != nil {
-					t.Fatalf("Eval(%+v): %v", n, err)
-				}
-				if !reflect.DeepEqual(want2, got2) {
-					t.Fatalf("memoized Evaluator diverges at %+v:\n  want %+v\n  got  %+v", n, want2, got2)
+				for _, v := range designs {
+					check(tech, a, ev, v)
+					// A neighbor inside the same chunk: a single-flavor
+					// Prepare memo-hits, and the per-point terms are
+					// recomputed from the cached invariants.
+					n := v
+					n.Geom.Npre = 1 + v.Geom.Npre%50
+					n.Geom.Nwr = 1 + v.Geom.Nwr%20
+					check(tech, a, ev, n)
 				}
 			}
 		}
 	}
+	t.Logf("%d points equal to the oracle", points)
 }
 
 // TestEvaluatorEvalIntoMatchesEval proves the allocation-free form fills the

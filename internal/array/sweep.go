@@ -56,16 +56,7 @@ func (e *Evaluator) ensureSoA(n int) {
 		e.soaBwK = e.soaBwK[:n]
 	}
 	for i := e.soaN; i < n; i++ {
-		fnwr := float64(i + 1)
-		if e.muxed {
-			e.soaBL[i] = 2 * fnwr * e.sumCd
-			cCOL := e.colBase + e.colW*fnwr*e.sumCg
-			e.soaDCOL[i], e.soaECOL[i] = component(cCOL, e.vdd, e.vdd, e.iCol)
-		} else {
-			e.soaBL[i] = fnwr * e.sumCd
-			e.soaDCOL[i], e.soaECOL[i] = 0, 0
-		}
-		e.soaIBLwr[i] = coefBLwr * fnwr * e.iTG
+		e.soaBL[i], e.soaDCOL[i], e.soaECOL[i], e.soaIBLwr[i] = e.nwrTerms(i + 1)
 		e.soaBwK[i] = e.vdd / e.soaIBLwr[i]
 	}
 	e.soaN = n

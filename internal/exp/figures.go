@@ -3,6 +3,7 @@ package exp
 import (
 	"fmt"
 
+	"sramco/internal/assist"
 	"sramco/internal/cell"
 	"sramco/internal/device"
 	"sramco/internal/wire"
@@ -105,15 +106,15 @@ type AssistRow struct {
 	BLDelay float64 // C_BL(64 rows)·ΔVs / I_read
 }
 
-// readAssistSweep evaluates a read bias builder over knob values.
-func readAssistSweep(flavor device.Flavor, vdd float64, knobs []float64, bias func(v float64) cell.ReadBias) ([]AssistRow, error) {
+// readAssistSweep evaluates a read-assist technique over its knob values.
+func readAssistSweep(flavor device.Flavor, vdd float64, tech assist.Technique, knobs []float64) ([]AssistRow, error) {
 	c := cell.New(flavor)
 	caps := deviceCaps()
 	geom := wire.Geometry{NR: fig3Column, NC: 64, W: 64, Npre: 1, Nwr: 1}
 	cbl := wire.BL(geom, caps)
 	rows := make([]AssistRow, 0, len(knobs))
 	for _, v := range knobs {
-		b := bias(v)
+		b := tech.ApplyRead(vdd, v)
 		row := AssistRow{V: v}
 		var err error
 		if row.RSNM, err = c.ReadSNM(b); err != nil {
@@ -130,29 +131,17 @@ func readAssistSweep(flavor device.Flavor, vdd float64, knobs []float64, bias fu
 
 // Fig3b sweeps the Vdd-boost level VDDC (Fig. 3(b)).
 func Fig3b(flavor device.Flavor, vdd float64, vddcs []float64) ([]AssistRow, error) {
-	return readAssistSweep(flavor, vdd, vddcs, func(v float64) cell.ReadBias {
-		b := cell.NominalRead(vdd)
-		b.VDDC = v
-		return b
-	})
+	return readAssistSweep(flavor, vdd, assist.VddBoost, vddcs)
 }
 
 // Fig3c sweeps the negative-Gnd level VSSC (Fig. 3(c)).
 func Fig3c(flavor device.Flavor, vdd float64, vsscs []float64) ([]AssistRow, error) {
-	return readAssistSweep(flavor, vdd, vsscs, func(v float64) cell.ReadBias {
-		b := cell.NominalRead(vdd)
-		b.VSSC = v
-		return b
-	})
+	return readAssistSweep(flavor, vdd, assist.NegativeGnd, vsscs)
 }
 
 // Fig3d sweeps the wordline underdrive level VWL (Fig. 3(d)).
 func Fig3d(flavor device.Flavor, vdd float64, vwls []float64) ([]AssistRow, error) {
-	return readAssistSweep(flavor, vdd, vwls, func(v float64) cell.ReadBias {
-		b := cell.NominalRead(vdd)
-		b.VWL = v
-		return b
-	})
+	return readAssistSweep(flavor, vdd, assist.WLUnderdrive, vwls)
 }
 
 // AssistTable renders a read-assist sweep.
@@ -176,27 +165,20 @@ type WriteAssistRow struct {
 
 // Fig5a sweeps the wordline-overdrive level (Fig. 5(a)).
 func Fig5a(flavor device.Flavor, vdd float64, vwls []float64) ([]WriteAssistRow, error) {
-	return writeAssistSweep(flavor, vwls, func(v float64) cell.WriteBias {
-		b := cell.NominalWrite(vdd)
-		b.VWL = v
-		return b
-	})
+	return writeAssistSweep(flavor, vdd, assist.WLOverdrive, vwls)
 }
 
 // Fig5b sweeps the negative-BL level (Fig. 5(b)).
 func Fig5b(flavor device.Flavor, vdd float64, vbls []float64) ([]WriteAssistRow, error) {
-	return writeAssistSweep(flavor, vbls, func(v float64) cell.WriteBias {
-		b := cell.NominalWrite(vdd)
-		b.VBL = v
-		return b
-	})
+	return writeAssistSweep(flavor, vdd, assist.NegativeBL, vbls)
 }
 
-func writeAssistSweep(flavor device.Flavor, knobs []float64, bias func(v float64) cell.WriteBias) ([]WriteAssistRow, error) {
+// writeAssistSweep evaluates a write-assist technique over its knob values.
+func writeAssistSweep(flavor device.Flavor, vdd float64, tech assist.Technique, knobs []float64) ([]WriteAssistRow, error) {
 	c := cell.New(flavor)
 	rows := make([]WriteAssistRow, 0, len(knobs))
 	for _, v := range knobs {
-		b := bias(v)
+		b := tech.ApplyWrite(vdd, v)
 		row := WriteAssistRow{V: v}
 		var err error
 		if row.WM, err = c.WriteMargin(b); err != nil {

@@ -221,17 +221,6 @@ func (sp *Span) End() {
 	})
 }
 
-// Point emits an instantaneous event with the given attributes. When
-// tracing is disabled the variadic slice is the only cost; guard call
-// sites with Enabled() where that matters.
-func Point(name string, attrs ...Attr) {
-	b := globalSink.Load()
-	if b == nil {
-		return
-	}
-	b.s.Emit(Event{Time: time.Now(), Name: name, Kind: KindPoint, Attrs: attrs})
-}
-
 // PointCtx emits an instantaneous event tagged with the trace ID carried by
 // ctx, correlating the point with the request whose work produced it.
 func PointCtx(ctx context.Context, name string, attrs ...Attr) {

@@ -2,6 +2,7 @@ package obs
 
 import (
 	"bytes"
+	"context"
 	"strings"
 	"sync"
 	"testing"
@@ -136,7 +137,7 @@ func TestSpanThroughCollector(t *testing.T) {
 	sp.Float("x", 1.5)
 	sp.Str("tag", "t")
 	sp.End()
-	Point("tick", I64("i", 1))
+	PointCtx(context.Background(), "tick", I64("i", 1))
 
 	evs := col.Events()
 	if len(evs) != 2 {

@@ -185,18 +185,6 @@ func (r *Registry) GaugeValue(name string) float64 {
 	return g.Value()
 }
 
-// HistogramCount returns the named histogram's observation count, or 0 if
-// it does not exist. Reporting helper (tests asserting on labeled series).
-func (r *Registry) HistogramCount(name string) int64 {
-	r.mu.RLock()
-	h := r.hists[name]
-	r.mu.RUnlock()
-	if h == nil {
-		return 0
-	}
-	return h.Count()
-}
-
 // Reset zeroes every registered metric (the metrics stay registered).
 // Intended for tests that compare runs.
 func (r *Registry) Reset() {
@@ -497,16 +485,4 @@ func (r *Registry) StatsLine(names ...string) string {
 		fmt.Fprintf(&b, "%s=%d", name, c.Value())
 	}
 	return b.String()
-}
-
-// CounterNames returns the sorted names of all registered counters.
-func (r *Registry) CounterNames() []string {
-	r.mu.RLock()
-	names := make([]string, 0, len(r.counters))
-	for name := range r.counters {
-		names = append(names, name)
-	}
-	r.mu.RUnlock()
-	sort.Strings(names)
-	return names
 }

@@ -60,9 +60,6 @@ func (s *JSONLSink) Emit(ev Event) {
 // human-readable text sink behind the CLIs' -debug flag.
 type SlogSink struct{ l *slog.Logger }
 
-// NewSlogSink returns a sink logging through l.
-func NewSlogSink(l *slog.Logger) *SlogSink { return &SlogSink{l: l} }
-
 // NewTextSink returns a slog-backed sink writing logfmt-style text to w.
 func NewTextSink(w io.Writer) *SlogSink {
 	h := slog.NewTextHandler(w, &slog.HandlerOptions{Level: slog.LevelDebug})

@@ -136,8 +136,8 @@ func TestTraceEndToEnd(t *testing.T) {
 
 // redCount reads the per-endpoint × outcome request-duration series.
 func redCount(endpoint, outcome string) int64 {
-	return obs.Default().HistogramCount(
-		obs.LabeledName("serve.request_duration", "endpoint", endpoint, "outcome", outcome))
+	return obs.Default().Histogram(
+		obs.LabeledName("serve.request_duration", "endpoint", endpoint, "outcome", outcome)).Count()
 }
 
 // TestREDSeriesPerEndpointOutcome drives one endpoint through its outcomes

@@ -363,6 +363,12 @@ func (r *EvaluateRequest) normalize() *apiError {
 	if err := r.geometry().Validate(); err != nil {
 		return badRequest("%v", err)
 	}
+	// Fin counts stop where the search space does: every optimize answer
+	// lies inside it, and no request can widen it.
+	if sp := sramco.DefaultSearchSpace(); r.Npre > sp.NpreMax || r.Nwr > sp.NwrMax {
+		return badRequest("npre=%d nwr=%d: the search space allows at most npre=%d and nwr=%d",
+			r.Npre, r.Nwr, sp.NpreMax, sp.NwrMax)
+	}
 	if r.Groups < 0 {
 		return badRequest("groups must be non-negative, got %d", r.Groups)
 	}

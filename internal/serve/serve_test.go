@@ -431,6 +431,12 @@ func TestRequestValidation(t *testing.T) {
 		{"capacity product wraps to zero", "/v1/evaluate", `{"flavor":"hvt","nr":4294967296,"nc":4294967296,"npre":1,"nwr":1}`},
 		{"capacity product wraps to zero with tall rows", "/v1/evaluate", `{"flavor":"hvt","nr":4611686018427387904,"nc":4,"npre":1,"nwr":1}`},
 		{"capacity product wraps negative", "/v1/evaluate", `{"flavor":"hvt","nr":2,"nc":4611686018427387904,"npre":1,"nwr":1,"w":64}`},
+		// Fin counts past the search space's maxima (N_pre 50, N_wr 20).
+		{"npre above the search space", "/v1/evaluate", `{"flavor":"hvt","nr":64,"nc":64,"npre":51,"nwr":1}`},
+		{"nwr above the search space", "/v1/evaluate", `{"flavor":"hvt","nr":64,"nc":64,"npre":1,"nwr":21}`},
+		{"huge npre", "/v1/evaluate", `{"flavor":"hvt","nr":64,"nc":64,"npre":1000000000000000000,"nwr":1}`},
+		{"huge nwr", "/v1/evaluate", `{"flavor":"hvt","nr":64,"nc":64,"npre":1,"nwr":1000000000000000000}`},
+		{"batch line npre above the search space", "/v1/batch", `{"op":"evaluate","flavor":"hvt","nr":64,"nc":64,"npre":51,"nwr":1}`},
 		{"yield n too small", "/v1/yield", `{"flavor":"hvt","n":1}`},
 		{"yield n too large", "/v1/yield", fmt.Sprintf(`{"flavor":"hvt","n":%d}`, maxYieldSamples+1)},
 		{"yield bad metric", "/v1/yield", `{"flavor":"hvt","n":16,"metrics":["snm"]}`},
@@ -453,6 +459,11 @@ func TestRequestValidation(t *testing.T) {
 				t.Errorf("bad envelope: %+v", env)
 			}
 		})
+	}
+
+	// The search space's maxima themselves are valid fin counts.
+	if code, _, body := postJSON(t, ts.URL+"/v1/evaluate", `{"flavor":"hvt","nr":64,"nc":64,"npre":50,"nwr":20}`); code != http.StatusOK {
+		t.Errorf("npre=50 nwr=20: status %d, body %s, want 200", code, body)
 	}
 
 	// Non-POST on a /v1/* endpoint.
