@@ -100,18 +100,20 @@ bench:
 # written to a name the baseline glob cannot match, so an aborted run never
 # becomes the next baseline. Each benchmark runs -count=3 and benchcompare
 # keeps the fastest run, so one slow iteration on a loaded machine does not
-# fail the gate. The work gate is exact: any increase of a deterministic work
+# fail the gate. Allocations repeat run to run, so allocs/op is gated at the
+# same 10% with no slack for noise (none at all over a zero-allocation
+# baseline). The work gate is exact: any increase of a deterministic work
 # count both logs report (model-evals, units-prepared, bounds, newton-its,
 # tran-steps, sweep-points) fails at once, naming the benchmark and counter.
 BENCH_BASELINE = $(shell ls BENCH_2*.json 2>/dev/null | sort | tail -n 1)
 bench-compare:
 	@test -n "$(BENCH_BASELINE)" || { echo "bench-compare: no BENCH_<yyyymmdd>T<hhmmss>_<short-sha>.json baseline; run 'make bench' first"; exit 1; }
-	$(GO) test -json -bench='^(BenchmarkExhaustiveSearch16KB|BenchmarkHybridSearch16KB|BenchmarkModelEvaluation|BenchmarkMonteCarloYieldBatched|BenchmarkMonteCarloWriteMargin)$$' -benchmem -run='^$$'  -count=3 . > bench_current.tmp.json || { rm -f bench_current.tmp.json; exit 1; }
+	$(GO) test -json -bench='^(BenchmarkExhaustiveSearch16KB|BenchmarkParetoFront|BenchmarkHybridSearch16KB|BenchmarkModelEvaluation|BenchmarkMonteCarloYieldBatched|BenchmarkMonteCarloWriteMargin)$$' -benchmem -run='^$$'  -count=3 . > bench_current.tmp.json || { rm -f bench_current.tmp.json; exit 1; }
 	$(GO) test -json -bench='^(BenchmarkServeOptimizeCached|BenchmarkServeOptimizeCatalogHit|BenchmarkBatch64)$$' -benchmem -run='^$$'  -count=3 ./internal/serve/ >> bench_current.tmp.json || { rm -f bench_current.tmp.json; exit 1; }
 	$(GO) test -json -bench='^BenchmarkCatalogLookup$$' -benchmem -run='^$$'  -count=3 ./internal/catalog/ >> bench_current.tmp.json || { rm -f bench_current.tmp.json; exit 1; }
 	$(GO) test -json -bench='^BenchmarkEvalSweep$$' -benchmem -run='^$$'  -count=3 ./internal/array/ >> bench_current.tmp.json || { rm -f bench_current.tmp.json; exit 1; }
 	$(GO) run ./cmd/benchcompare -baseline $(BENCH_BASELINE) -current bench_current.tmp.json \
-		BenchmarkExhaustiveSearch16KB BenchmarkHybridSearch16KB BenchmarkModelEvaluation \
+		BenchmarkExhaustiveSearch16KB BenchmarkParetoFront BenchmarkHybridSearch16KB BenchmarkModelEvaluation \
 		BenchmarkMonteCarloYieldBatched BenchmarkMonteCarloWriteMargin \
 		BenchmarkServeOptimizeCached BenchmarkServeOptimizeCatalogHit BenchmarkBatch64 \
 		BenchmarkCatalogLookup BenchmarkEvalSweep; \

@@ -1,8 +1,9 @@
 // Command benchcompare guards against performance regressions: it compares
 // named benchmarks between two benchmark logs and exits non-zero when the
 // current run is slower than the baseline by more than the allowed fraction,
-// when it does more deterministic work, or when a required benchmark is
-// missing from either log.
+// when it allocates more objects per op by more than the same fraction, when
+// it does more deterministic work, or when a required benchmark is missing
+// from either log.
 //
 // Benchmarks that report the searchers' "space-points" metric (the candidate
 // space covered, including bound-pruned points) in both logs are compared on
@@ -19,11 +20,17 @@
 // bound-eff, samples, space-points) are not gated: the first two rise when
 // pruning improves, and the last two are the normalizers.
 //
+// Allocation counts (allocs/op, reported under -benchmem) repeat within a
+// fraction of a percent run to run, so unlike times they need no paired
+// runs: an allocs/op more than the allowed fraction above the baseline
+// fails. A benchmark whose allocs/op only one log reports is skipped and
+// listed.
+//
 // Both `go test -json` logs (the BENCH_<yyyymmdd>T<hhmmss>_<short-sha>.json
 // archives written by `make bench`) and plain `go test -bench` text output are accepted. When a
 // log repeats a benchmark (`-count=N`), the fastest run is used — noise only
 // ever adds time, so min-of-N is the stable estimate of true cost — and the
-// largest of each work count.
+// largest of each work count and of allocs/op.
 //
 // Usage:
 //
@@ -74,12 +81,16 @@ var workUnitsMetric = regexp.MustCompile(`([0-9]+(?:\.[0-9]+)?(?:[eE][+-]?[0-9]+
 // increase over the baseline fails.
 var workMetrics = []string{"model-evals", "units-prepared", "bounds", "newton-its", "tran-steps", "sweep-points"}
 
+// allocsMetric is the allocation count the gate compares at the allowed
+// fraction; parseWork keeps it beside the work counts.
+const allocsMetric = "allocs/op"
+
 // metricPair matches one "<value> <unit>" custom metric of a result line.
 var metricPair = regexp.MustCompile(`([0-9]+(?:\.[0-9]+)?(?:[eE][+-]?[0-9]+)?) (\S+)`)
 
 // benchResult is one parsed benchmark line: raw ns/op plus the optional
 // work-unit normalizer (0 when the benchmark does not report one), and the
-// gated work counts it reports.
+// gated work counts and allocs/op it reports.
 type benchResult struct {
 	ns     float64
 	points float64
@@ -87,11 +98,12 @@ type benchResult struct {
 	work   map[string]float64
 }
 
-// parseWork reads the gated work counts out of a result line's tail.
+// parseWork reads the gated work counts and allocs/op out of a result
+// line's tail.
 func parseWork(tail string) map[string]float64 {
 	w := make(map[string]float64)
 	for _, m := range metricPair.FindAllStringSubmatch(tail, -1) {
-		if !slices.Contains(workMetrics, m[2]) {
+		if m[2] != allocsMetric && !slices.Contains(workMetrics, m[2]) {
 			continue
 		}
 		if v, err := strconv.ParseFloat(m[1], 64); err == nil {
@@ -189,7 +201,7 @@ func parseLog(path string) (map[string]benchResult, error) {
 func main() {
 	baseline := flag.String("baseline", "", "baseline benchmark log (required)")
 	current := flag.String("current", "", "current benchmark log (required)")
-	maxRegress := flag.Float64("max-regress", 0.10, "maximum allowed ns/op increase as a fraction of the baseline")
+	maxRegress := flag.Float64("max-regress", 0.10, "maximum allowed ns/op and allocs/op increase as a fraction of the baseline")
 	flag.Usage = func() {
 		fmt.Fprintf(flag.CommandLine.Output(),
 			"usage: benchcompare -baseline FILE -current FILE [-max-regress 0.10] [Benchmark...]\n\n"+
@@ -221,11 +233,11 @@ func main() {
 	}
 }
 
-// compare writes the time table and the work table of the named benchmarks
-// (every benchmark both logs hold when names is empty; named ones must be in
-// both) to w, and reports whether the gate fails: a normalized time more
-// than maxRegress above the baseline, any increase of a work count, or a
-// missing named benchmark.
+// compare writes the time, allocation and work tables of the named
+// benchmarks (every benchmark both logs hold when names is empty; named ones
+// must be in both) to w, and reports whether the gate fails: a normalized
+// time or an allocs/op more than maxRegress above the baseline, any
+// increase of a work count, or a missing named benchmark.
 func compare(w io.Writer, base, curr map[string]benchResult, names []string, maxRegress float64) (failed bool) {
 	required := len(names) > 0
 	if !required {
@@ -277,6 +289,30 @@ func compare(w io.Writer, base, curr map[string]benchResult, names []string, max
 			failed = true
 		}
 		fmt.Fprintf(w, "%-40s %14.2f %14.2f %8.1f%% %10s%s\n", name, bv, cv, delta*100, unit, mark)
+	}
+
+	fmt.Fprintf(w, "\n%-40s %14s %14s %9s\n", "allocations", "baseline", "current", "delta")
+	var noAllocs []string
+	for _, name := range both {
+		bv, okB := base[name].work[allocsMetric]
+		cv, okC := curr[name].work[allocsMetric]
+		if !okB || !okC {
+			noAllocs = append(noAllocs, name)
+			continue
+		}
+		delta, mark := "", ""
+		if bv > 0 {
+			delta = fmt.Sprintf("%.1f%%", (cv-bv)/bv*100)
+		}
+		// Of a zero-allocation baseline, the allowed fraction is zero.
+		if cv > bv*(1+maxRegress) {
+			mark = "  ALLOC REGRESSION"
+			failed = true
+		}
+		fmt.Fprintf(w, "%-40s %14.0f %14.0f %9s %10s%s\n", name, bv, cv, delta, allocsMetric, mark)
+	}
+	if len(noAllocs) > 0 {
+		fmt.Fprintf(w, "skipped, %s missing from a log: %s\n", allocsMetric, strings.Join(noAllocs, ", "))
 	}
 
 	fmt.Fprintf(w, "\n%-40s %14s %14s %14s\n", "work", "baseline", "current", "counter")

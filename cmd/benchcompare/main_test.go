@@ -102,6 +102,100 @@ BenchmarkSolver-2   	10	2000000 ns/op	32.00 samples	36348 newton-its	7861 tran-s
 	}
 }
 
+// TestAllocGate checks the allocation gate: an allocs/op more than the
+// allowed fraction above the baseline fails and names the benchmark,
+// whatever the timing says; within the fraction, or lower, passes; a
+// zero-allocation baseline allows none; a benchmark whose allocs/op only
+// one log reports is skipped and listed; repeated runs keep the largest
+// count.
+func TestAllocGate(t *testing.T) {
+	const base = `BenchmarkSearch-2   	10	1000000 ns/op	13672 bounds	  209352 B/op	     786 allocs/op
+BenchmarkLookup-2   	10	100 ns/op	       0 B/op	       0 allocs/op
+`
+	for _, tc := range []struct {
+		name    string
+		current string
+		fail    bool
+		want    []string // substrings of the report
+	}{
+		{
+			name: "fewer allocations",
+			current: `BenchmarkSearch-2   	10	1000000 ns/op	13672 bounds	   26227 B/op	     163 allocs/op
+BenchmarkLookup-2   	10	100 ns/op	       0 B/op	       0 allocs/op
+`,
+			want: []string{"786            163    -79.3%  allocs/op"},
+		},
+		{
+			name: "within the fraction",
+			current: `BenchmarkSearch-2   	10	1000000 ns/op	13672 bounds	  209352 B/op	     864 allocs/op
+BenchmarkLookup-2   	10	100 ns/op	       0 B/op	       0 allocs/op
+`,
+		},
+		{
+			name: "past the fraction, faster",
+			current: `BenchmarkSearch-2   	10	500000 ns/op	13672 bounds	  209352 B/op	     865 allocs/op
+BenchmarkLookup-2   	10	100 ns/op	       0 B/op	       0 allocs/op
+`,
+			fail: true,
+			want: []string{"BenchmarkSearch", "865     10.1%  allocs/op  ALLOC REGRESSION"},
+		},
+		{
+			name: "one allocation over a zero baseline",
+			current: `BenchmarkSearch-2   	10	1000000 ns/op	13672 bounds	  209352 B/op	     786 allocs/op
+BenchmarkLookup-2   	10	100 ns/op	       8 B/op	       1 allocs/op
+`,
+			fail: true,
+			want: []string{"allocs/op  ALLOC REGRESSION"},
+		},
+		{
+			name: "allocations missing from one log are skipped",
+			current: `BenchmarkSearch-2   	10	1000000 ns/op	13672 bounds
+BenchmarkLookup-2   	10	100 ns/op	       0 B/op	       0 allocs/op
+`,
+			want: []string{"skipped, allocs/op missing from a log: BenchmarkSearch"},
+		},
+		{
+			name: "the largest count of repeated runs",
+			current: `BenchmarkSearch-2   	10	900000 ns/op	13672 bounds	  209352 B/op	     786 allocs/op
+BenchmarkSearch-2   	10	1000000 ns/op	13672 bounds	  309352 B/op	     900 allocs/op
+BenchmarkLookup-2   	10	100 ns/op	       0 B/op	       0 allocs/op
+`,
+			fail: true,
+			want: []string{"900     14.5%  allocs/op  ALLOC REGRESSION"},
+		},
+	} {
+		dir := t.TempDir()
+		bp, cp := filepath.Join(dir, "base.txt"), filepath.Join(dir, "current.txt")
+		if err := os.WriteFile(bp, []byte(base), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(cp, []byte(tc.current), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		b, err := parseLog(bp)
+		if err != nil {
+			t.Fatal(err)
+		}
+		c, err := parseLog(cp)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var out strings.Builder
+		failed := compare(&out, b, c, []string{"BenchmarkSearch", "BenchmarkLookup"}, 0.10)
+		if failed != tc.fail {
+			t.Errorf("%s: failed = %v, want %v\n%s", tc.name, failed, tc.fail, out.String())
+		}
+		for _, w := range tc.want {
+			if !strings.Contains(out.String(), w) {
+				t.Errorf("%s: report lacks %q:\n%s", tc.name, w, out.String())
+			}
+		}
+		if strings.Contains(out.String(), "allocs/op  WORK INCREASE") {
+			t.Errorf("%s: allocs/op gated as an exact work count:\n%s", tc.name, out.String())
+		}
+	}
+}
+
 // TestTimeGate keeps the time gate: a normalized time past the allowed
 // fraction fails, and a named benchmark missing from a log fails.
 func TestTimeGate(t *testing.T) {

@@ -19,6 +19,7 @@ import (
 	"io"
 	"os"
 	"os/signal"
+	"strings"
 	"syscall"
 
 	"sramco/internal/array"
@@ -27,7 +28,6 @@ import (
 	"sramco/internal/device"
 	"sramco/internal/obs"
 	"sramco/internal/unit"
-	"sramco/internal/wire"
 )
 
 // jsonReport is the -json output: the optimum design point with its
@@ -144,19 +144,9 @@ func main() {
 	fmt.Printf("%s 6T-%v-%v (%s mode): optimum over %d evaluations\n",
 		unit.Bytes(*bytes*8), flavor, method, mode, opt.Evaluated)
 	fmt.Printf("  search: %s\n", opt.Stats)
-	fmt.Printf("  n_r=%d n_c=%d N_pre=%d N_wr=%d VDDC=%s VSSC=%s VWL=%s",
+	fmt.Printf("  n_r=%d n_c=%d N_pre=%d N_wr=%d VDDC=%s VSSC=%s VWL=%s%s\n",
 		d.Geom.NR, d.Geom.NC, d.Geom.Npre, d.Geom.Nwr,
-		unit.Volts(d.VDDC), unit.Volts(d.VSSC), unit.Volts(d.VWL))
-	if s := d.Geom.Segments(); s > 1 {
-		fmt.Printf(" WLsegs=%d", s)
-	}
-	if m := d.Geom.MuxRatio(); m > 1 {
-		fmt.Printf(" mux=%d", m)
-	}
-	if d.Groups > 0 {
-		fmt.Printf(" groups=%d mask=%#x", d.Groups, d.GroupMask)
-	}
-	fmt.Println()
+		unit.Volts(d.VDDC), unit.Volts(d.VSSC), unit.Volts(d.VWL), organization(d))
 	printResult(r)
 	if *breakdown {
 		printBreakdown(r)
@@ -178,18 +168,31 @@ func main() {
 			cliutil.Fatalf("%v", err)
 		}
 		cd := cr.Design
-		fmt.Printf("comparison design n_r=%d n_c=%d N_pre=%d N_wr=%d VSSC=%s",
-			cd.Geom.NR, cd.Geom.NC, cd.Geom.Npre, cd.Geom.Nwr, unit.Volts(cd.VSSC))
-		if cd.Groups > 0 {
-			fmt.Printf(" groups=%d mask=%#x", cd.Groups, cd.GroupMask)
-		}
-		fmt.Println(":")
+		fmt.Printf("comparison design n_r=%d n_c=%d N_pre=%d N_wr=%d VSSC=%s%s:\n",
+			cd.Geom.NR, cd.Geom.NC, cd.Geom.Npre, cd.Geom.Nwr, unit.Volts(cd.VSSC), organization(cd))
 		printResult(cr)
 		if *breakdown {
 			printBreakdown(cr)
 		}
 	}
 	cliutil.Shutdown()
+}
+
+// organization returns the design-line fields a flat, unshared,
+// single-flavor array leaves out: the wordline segments, the mux ratio and
+// the row-group assignment.
+func organization(d array.Design) string {
+	var b strings.Builder
+	if s := d.Geom.Segments(); s > 1 {
+		fmt.Fprintf(&b, " WLsegs=%d", s)
+	}
+	if m := d.Geom.MuxRatio(); m > 1 {
+		fmt.Fprintf(&b, " mux=%d", m)
+	}
+	if d.Groups > 0 {
+		fmt.Fprintf(&b, " groups=%d mask=%#x", d.Groups, d.GroupMask)
+	}
+	return b.String()
 }
 
 // buildJSONReport assembles the -json report for an already-completed
@@ -283,9 +286,10 @@ func printBreakdown(r *array.Result) {
 }
 
 // compareDesign evaluates the -compare design spec against the optimum
-// best: the spec's organization on best's rails and row-group assignment,
-// under best's activity, with the flavor's alternate cell terms for the
-// groups a hybrid assignment gives the other flavor.
+// best: the spec's organization on best's rails, wordline segmentation,
+// mux ratio and row-group assignment, under best's activity, with the
+// flavor's alternate cell terms for the groups a hybrid assignment gives
+// the other flavor.
 func compareDesign(fw *core.Framework, flavor device.Flavor, spec string, bits int, best core.DesignPoint) (*array.Result, error) {
 	cd, err := parseDesign(spec, bits, best.Design)
 	if err != nil {
@@ -302,8 +306,9 @@ func compareDesign(fw *core.Framework, flavor device.Flavor, spec string, bits i
 	return array.EvaluateHybrid(tech, cd, best.Result.Activity, alt)
 }
 
-// parseDesign parses "NRxNC:Npre:Nwr:VSSCmV", inheriting the rails and the
-// row-group assignment from base.
+// parseDesign parses "NRxNC:Npre:Nwr:VSSCmV", inheriting everything else
+// from base: the rails, the wordline segmentation, the mux ratio and the
+// row-group assignment.
 func parseDesign(s string, bits int, base array.Design) (array.Design, error) {
 	var nr, nc, npre, nwr, vsscMV int
 	if _, err := fmt.Sscanf(s, "%dx%d:%d:%d:%d", &nr, &nc, &npre, &nwr, &vsscMV); err != nil {
@@ -317,7 +322,7 @@ func parseDesign(s string, bits int, base array.Design) (array.Design, error) {
 		w = nc
 	}
 	d := base
-	d.Geom = wire.Geometry{NR: nr, NC: nc, W: w, Npre: npre, Nwr: nwr}
+	d.Geom.NR, d.Geom.NC, d.Geom.W, d.Geom.Npre, d.Geom.Nwr = nr, nc, w, npre, nwr
 	d.VSSC = float64(vsscMV) / 1000
 	return d, nil
 }

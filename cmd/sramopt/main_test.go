@@ -10,6 +10,7 @@ import (
 	"os"
 	"testing"
 
+	"sramco/internal/array"
 	"sramco/internal/core"
 	"sramco/internal/device"
 )
@@ -79,33 +80,58 @@ func TestRunJSONGolden(t *testing.T) {
 // the optimum's rails and row-group assignment, so its evaluation must
 // reproduce the optimum's delay, energy and EDP bit for bit.
 func TestCompareDesignReproducesHybridOptimum(t *testing.T) {
+	checkCompareReproducesOptimum(t, 4096, core.Options{Flavor: device.LVT, Method: core.M2, HybridGroups: 2},
+		"alternate-flavor groups", func(d array.Design) bool { return d.Groups == 2 && d.GroupMask != 0 })
+}
+
+// TestCompareDesignReproducesDWLAndMuxOptima does the same for a
+// divided-wordline optimum and a sense-amp-sharing one: the comparison
+// design inherits the optimum's wordline segments and mux ratio, which the
+// -compare spec does not name.
+func TestCompareDesignReproducesDWLAndMuxOptima(t *testing.T) {
+	t.Run("dwl", func(t *testing.T) {
+		checkCompareReproducesOptimum(t, 16384, core.Options{Flavor: device.HVT, Method: core.M2, SearchWLSegs: true},
+			"wordline segments", func(d array.Design) bool { return d.Geom.Segments() > 1 })
+	})
+	t.Run("mux", func(t *testing.T) {
+		area, _ := core.ObjectiveByName("area")
+		sp := core.DefaultSpace()
+		sp.MuxMax = 4
+		checkCompareReproducesOptimum(t, 2048, core.Options{Flavor: device.LVT, Method: core.M2, Objective: area, Space: sp},
+			"shared sense amps", func(d array.Design) bool { return d.Geom.MuxRatio() > 1 })
+	})
+}
+
+// checkCompareReproducesOptimum searches capBytes under opts, checks the
+// optimum has what the case is about (need), and passes the optimum's own
+// organization to -compare: the evaluation must reproduce the optimum's
+// delay, energy and EDP bit for bit.
+func checkCompareReproducesOptimum(t *testing.T, capBytes int, opts core.Options, need string, has func(array.Design) bool) {
+	t.Helper()
 	fw, err := core.NewFramework(core.TechPaper, core.FrameworkOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	const capBytes = 4096
-	opt, err := fw.Optimize(context.Background(), core.Options{
-		CapacityBits: capBytes * 8, Flavor: device.LVT, Method: core.M2, HybridGroups: 2,
-	})
+	opts.CapacityBits = capBytes * 8
+	opt, err := fw.Optimize(context.Background(), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	d, want := opt.Best.Design, opt.Best.Result
-	if d.Groups != 2 || d.GroupMask == 0 {
-		t.Fatalf("optimum groups=%d mask=%#x: the case needs alternate-flavor groups", d.Groups, d.GroupMask)
+	if !has(d) {
+		t.Fatalf("optimum %+v: the case needs %s", d, need)
 	}
 	mv := int(math.Round(d.VSSC * 1000))
 	if float64(mv)/1000 != d.VSSC {
 		t.Fatalf("optimum VSSC %v is not a whole millivolt", d.VSSC)
 	}
 	spec := fmt.Sprintf("%dx%d:%d:%d:%d", d.Geom.NR, d.Geom.NC, d.Geom.Npre, d.Geom.Nwr, mv)
-	got, err := compareDesign(fw, device.LVT, spec, capBytes*8, opt.Best)
+	got, err := compareDesign(fw, opts.Flavor, spec, opts.CapacityBits, opt.Best)
 	if err != nil {
 		t.Fatalf("compareDesign(%s): %v", spec, err)
 	}
 	if got.DArray != want.DArray || got.EArray != want.EArray || got.EDP != want.EDP {
-		t.Errorf("-compare %s (groups=%d mask=%#x): D=%x E=%x EDP=%x, optimum D=%x E=%x EDP=%x",
-			spec, got.Design.Groups, got.Design.GroupMask, got.DArray, got.EArray, got.EDP,
-			want.DArray, want.EArray, want.EDP)
+		t.Errorf("-compare %s (%+v): D=%x E=%x EDP=%x, optimum (%+v) D=%x E=%x EDP=%x",
+			spec, got.Design, got.DArray, got.EArray, got.EDP, d, want.DArray, want.EArray, want.EDP)
 	}
 }

@@ -5,7 +5,8 @@ import (
 	"fmt"
 	"math"
 	"slices"
-	"sort"
+
+	"sramco/internal/array"
 )
 
 // ParetoResult pairs the energy-delay frontier with the search statistics of
@@ -40,34 +41,28 @@ func (f *Framework) Pareto(ctx context.Context, opts Options) (*ParetoResult, er
 	if err != nil {
 		return nil, err
 	}
-	var candidates []DesignPoint
-	for i := range slots {
-		candidates = append(candidates, slots[i].front.pts...)
-	}
-	return mergePareto(candidates, st, s.opts.CapacityBits)
-}
-
-// mergePareto reduces worker-local fronts to the global frontier. A globally
-// non-dominated point survives every worker-local reduction, so the union of
-// local fronts contains the global frontier regardless of how chunks were
-// distributed. Inserting the union in canonical design order makes metric
-// ties order-free too; the staircase already holds the result sorted by
-// increasing delay.
-func mergePareto(candidates []DesignPoint, stats SearchStats, capacityBits int) (*ParetoResult, error) {
-	sort.Slice(candidates, func(i, j int) bool {
-		return designLess(candidates[i].Design, candidates[j].Design)
-	})
+	// A globally non-dominated point survives every worker-local reduction,
+	// so the union of the worker fronts contains the global frontier however
+	// the chunks were distributed, and an exact metric tie keeps the
+	// canonically smaller design whatever the order of insertion; the
+	// staircase holds the frontier sorted by increasing delay.
 	var merged front
-	for _, p := range candidates {
-		merged.insert(p)
+	for i := range slots {
+		for _, m := range slots[i].front.pts {
+			merged.insert(m.res)
+		}
 	}
 	if len(merged.pts) == 0 {
 		return nil, &SearchError{
-			Stats: stats,
-			Cause: fmt.Errorf("%w: empty Pareto front for %d bits", ErrInfeasible, capacityBits),
+			Stats: st,
+			Cause: fmt.Errorf("%w: empty Pareto front for %d bits", ErrInfeasible, s.opts.CapacityBits),
 		}
 	}
-	return &ParetoResult{Front: merged.pts, Stats: stats}, nil
+	pts := make([]DesignPoint, len(merged.pts))
+	for i, m := range merged.pts {
+		pts[i] = DesignPoint{Design: m.res.Design, Result: m.res}
+	}
+	return &ParetoResult{Front: pts, Stats: st}, nil
 }
 
 // front is an energy-delay Pareto front kept as a staircase: its members
@@ -78,13 +73,22 @@ func mergePareto(candidates []DesignPoint, stats SearchStats, capacityBits int) 
 // search for that member. The searched D and E are finite EvalSweep lanes;
 // the binary search relies on it, since a NaN member would break the order.
 //
-// A worker's front and the merged front keep each member's design and
-// Result in pts, aligned with the lanes; exact (D, E) ties keep the
+// A worker's front and the merged front keep one member reference per
+// member in pts, aligned with the lanes; exact (D, E) ties keep the
 // canonically smaller design, so the front does not depend on insertion
 // order. A prune front (DESIGN.md §11) keeps the lanes alone.
 type front struct {
 	d, e []float64
-	pts  []DesignPoint
+	pts  []member
+}
+
+// member refers to a front member's point: its Result once built, or, while
+// the unit it entered in is swept, its (N_pre, N_wr) in that unit. A worker
+// builds the Results of the members still standing at the end of each
+// unit (search.endUnit), so a merged front holds built members only.
+type member struct {
+	res       *array.Result
+	npre, nwr int32
 }
 
 // standing is how a point stands against a front.
@@ -151,20 +155,27 @@ func (f *front) add(d, e float64) standing {
 	return st
 }
 
-// insert folds p into the front: dropped if a member weakly dominates it,
-// replacing an exact tie if its design is canonically smaller, otherwise
-// taking its place on the staircase and evicting the members it dominates.
-func (f *front) insert(p DesignPoint) {
-	d, e := p.Result.DArray, p.Result.EArray
-	switch k, st := f.locate(d, e); st {
-	case ties:
-		if designLess(p.Design, f.pts[k].Design) {
-			f.pts[k] = p
-		}
-	case enters:
-		lo, hi := f.place(k, d, e)
-		f.pts = slices.Replace(f.pts, lo, hi, p)
+// insert folds a built point into the front: dropped if a member weakly
+// dominates it, replacing an exact tie if its design is canonically
+// smaller, otherwise taking its place on the staircase and evicting the
+// members it dominates.
+func (f *front) insert(res *array.Result) {
+	k, st := f.locate(res.DArray, res.EArray)
+	if st == enters || st == ties && designLess(res.Design, f.pts[k].res.Design) {
+		f.put(k, st, res.DArray, res.EArray, member{res: res})
 	}
+}
+
+// put folds the point (d, e), which stands st at locate's index k and
+// changes the front, in as m: in place of the member it ties, or on the
+// staircase in place of the members it dominates.
+func (f *front) put(k int, st standing, d, e float64, m member) {
+	if st == ties {
+		f.pts[k] = m
+		return
+	}
+	lo, hi := f.place(k, d, e)
+	f.pts = slices.Replace(f.pts, lo, hi, m)
 }
 
 // place puts a point (d, e) that enters after member k on the lanes in

@@ -100,24 +100,30 @@ func TestKneePoint(t *testing.T) {
 }
 
 func TestInsertPareto(t *testing.T) {
-	mk := func(d, e float64) DesignPoint {
-		return DesignPoint{Result: &array.Result{DArray: d, EArray: e}}
+	mk := func(d, e float64, nwr int) *array.Result {
+		return &array.Result{Design: array.Design{Geom: wire.Geometry{Npre: 1, Nwr: nwr}}, DArray: d, EArray: e}
 	}
 	var f front
-	f.insert(mk(2, 2))
-	f.insert(mk(1, 3)) // incomparable: stays
-	f.insert(mk(3, 3)) // dominated by (2,2): dropped
+	f.insert(mk(2, 2, 1))
+	f.insert(mk(1, 3, 1)) // incomparable: stays
+	f.insert(mk(3, 3, 1)) // dominated by (2,2): dropped
 	if len(f.pts) != 2 {
 		t.Fatalf("front size %d, want 2", len(f.pts))
 	}
-	f.insert(mk(1, 1)) // dominates everything
-	if len(f.pts) != 1 || f.pts[0].Result.DArray != 1 || f.pts[0].Result.EArray != 1 {
+	one := mk(1, 1, 2)
+	f.insert(one) // dominates everything
+	if len(f.pts) != 1 || f.pts[0].res != one {
 		t.Fatalf("front after dominator: %+v", f.pts)
 	}
-	// Duplicate of an existing point is rejected (treated as dominated).
-	f.insert(mk(1, 1))
-	if len(f.pts) != 1 {
-		t.Fatalf("duplicate inflated front to %d", len(f.pts))
+	// An exact tie keeps the canonically smaller design, whatever the order.
+	f.insert(mk(1, 1, 3))
+	if len(f.pts) != 1 || f.pts[0].res != one {
+		t.Fatalf("a tie with a larger design replaced the member: %+v", f.pts)
+	}
+	smaller := mk(1, 1, 1)
+	f.insert(smaller)
+	if len(f.pts) != 1 || f.pts[0].res != smaller {
+		t.Fatalf("a tie with a smaller design did not replace the member: %+v", f.pts)
 	}
 }
 
@@ -192,9 +198,10 @@ func decodeFrontCase(data []byte) []DesignPoint {
 	for ; len(data) >= 2 && len(pts) < 128; data = data[2:] {
 		d := int(data[0] & 7)
 		e := 7 - d + int(data[0]>>3&3) - 1
+		design := array.Design{Geom: wire.Geometry{Npre: 1 + int(data[1]&3), Nwr: 1 + int(data[1]>>2&3)}}
 		pts = append(pts, DesignPoint{
-			Design: array.Design{Geom: wire.Geometry{Npre: 1 + int(data[1]&3), Nwr: 1 + int(data[1]>>2&3)}},
-			Result: &array.Result{DArray: float64(d), EArray: float64(e)},
+			Design: design,
+			Result: &array.Result{Design: design, DArray: float64(d), EArray: float64(e)},
 		})
 	}
 	return pts
@@ -212,14 +219,17 @@ var frontProbes = func() []float64 {
 }()
 
 // checkFrontMatchesOracle inserts pts into a staircase front, a lanes-only
-// front and the oracle's linear front, and after every insert requires:
-// the staircase holds the oracle's members (the same designs and Results,
-// so the same design holds each tie); D strictly increases and E strictly
-// decreases along it, its lanes match its Results and the lanes-only
-// front's lanes; and on every probe (d, e) of the grid — members' exact
-// coordinates in one or both metrics among them — the rectangle prune
-// test and the would-change decision for three candidate designs agree
-// with the oracle's.
+// front and the oracle's linear front, and folds them into a worker front
+// through rowSweep.foldPareto, as the sweep does, and after every insert
+// requires: the staircase holds the oracle's members (the same Results, so
+// the same design holds each tie), all of them built; the worker front
+// holds the same members by position, none built yet, so its ties compare
+// designs stamped from positions; D strictly increases and E strictly
+// decreases along it, its lanes match its Results, the lanes-only front's
+// and the worker front's; and on every probe (d, e) of the grid — members'
+// exact coordinates in one or both metrics among them — the rectangle
+// prune test and the would-change decision for three candidate designs
+// agree with the oracle's.
 func checkFrontMatchesOracle(t *testing.T, pts []DesignPoint) {
 	t.Helper()
 	cands := []array.Design{
@@ -229,23 +239,41 @@ func checkFrontMatchesOracle(t *testing.T, pts []DesignPoint) {
 	}
 	var f, lanes front
 	var oracle []DesignPoint
+	// A zero search, chunk and unit stamp the position (N_pre, N_wr) as the
+	// design decodeFrontCase builds for it.
+	slot := &walkWorker{}
+	r := rowSweep{s: &search{specs: make([]maskSpec, 1)}, slot: slot, u: &searchUnit{}}
 	for n, p := range pts {
 		oracle = insertPareto(oracle, p)
-		f.insert(p)
+		f.insert(p.Result)
 		lanes.add(p.Result.DArray, p.Result.EArray)
+		slot.sweep.DArray, slot.sweep.EArray = []float64{p.Result.DArray}, []float64{p.Result.EArray}
+		r.npre = p.Design.Geom.Npre
+		r.foldPareto(0, p.Design.Geom.Nwr)
 
 		want := slices.Clone(oracle)
 		sort.Slice(want, func(i, j int) bool { return want[i].Result.DArray < want[j].Result.DArray })
-		if !slices.Equal(f.pts, want) {
-			t.Fatalf("insert %d (%v): front %v, oracle %v", n, describePoint(p), describeFront(f.pts), describeFront(want))
+		got := frontPoints(&f)
+		if !slices.Equal(got, want) {
+			t.Fatalf("insert %d (%v): front %v, oracle %v", n, describePoint(p), describeFront(got), describeFront(want))
 		}
-		for i, q := range f.pts {
+		for i, q := range got {
+			if f.pts[i] != (member{res: q.Result}) {
+				t.Fatalf("insert %d: member %d %+v is not a built reference to %v", n, i, f.pts[i], describePoint(q))
+			}
+			g := q.Design.Geom
+			if len(slot.front.pts) != len(got) || slot.front.pts[i] != (member{npre: int32(g.Npre), nwr: int32(g.Nwr)}) {
+				t.Fatalf("insert %d: worker front %+v does not hold %v by position at %d", n, slot.front.pts, describePoint(q), i)
+			}
 			if f.d[i] != q.Result.DArray || f.e[i] != q.Result.EArray {
 				t.Fatalf("insert %d: lanes (%g, %g) at %d disagree with member %v", n, f.d[i], f.e[i], i, describePoint(q))
 			}
 			if i > 0 && (f.d[i] <= f.d[i-1] || f.e[i] >= f.e[i-1]) {
-				t.Fatalf("insert %d: not a staircase: %v", n, describeFront(f.pts))
+				t.Fatalf("insert %d: not a staircase: %v", n, describeFront(got))
 			}
+		}
+		if !slices.Equal(slot.front.d, f.d) || !slices.Equal(slot.front.e, f.e) {
+			t.Fatalf("insert %d: worker front D %v E %v, front D %v E %v", n, slot.front.d, slot.front.e, f.d, f.e)
 		}
 		if !slices.Equal(lanes.d, f.d) || !slices.Equal(lanes.e, f.e) {
 			t.Fatalf("insert %d: lanes-only front D %v E %v, front D %v E %v", n, lanes.d, lanes.e, f.d, f.e)
@@ -253,12 +281,12 @@ func checkFrontMatchesOracle(t *testing.T, pts []DesignPoint) {
 		for _, d := range frontProbes {
 			for _, e := range frontProbes {
 				if got, want := f.dominatesRect(d, e), frontDominatesRect(oracle, d, e); got != want {
-					t.Fatalf("insert %d: dominatesRect(%g, %g) = %v, oracle %v over %v", n, d, e, got, want, describeFront(f.pts))
+					t.Fatalf("insert %d: dominatesRect(%g, %g) = %v, oracle %v over %v", n, d, e, got, want, describeFront(frontPoints(&f)))
 				}
 				for _, c := range cands {
 					if got, want := frontWouldChange(&f, d, e, c), paretoWouldChange(oracle, d, e, c); got != want {
 						t.Fatalf("insert %d: would-change (%g, %g) %d/%d = %v, oracle %v over %v",
-							n, d, e, c.Geom.Npre, c.Geom.Nwr, got, want, describeFront(f.pts))
+							n, d, e, c.Geom.Npre, c.Geom.Nwr, got, want, describeFront(frontPoints(&f)))
 					}
 				}
 			}
@@ -266,11 +294,24 @@ func checkFrontMatchesOracle(t *testing.T, pts []DesignPoint) {
 	}
 }
 
-// frontWouldChange is rowSweep.paretoChanges' worker-front decision for a
-// point (d, e) with design cand.
+// frontWouldChange is rowSweep.foldPareto's worker-front decision for a
+// point (d, e) with design cand, on a front of built members.
 func frontWouldChange(f *front, d, e float64, cand array.Design) bool {
 	k, st := f.locate(d, e)
-	return st == enters || st == ties && designLess(cand, f.pts[k].Design)
+	return st == enters || st == ties && designLess(cand, f.pts[k].res.Design)
+}
+
+// frontPoints returns a front's members as design points, each with its
+// Result's design.
+func frontPoints(f *front) []DesignPoint {
+	pts := make([]DesignPoint, len(f.pts))
+	for i, m := range f.pts {
+		pts[i] = DesignPoint{Result: m.res}
+		if m.res != nil {
+			pts[i].Design = m.res.Design
+		}
+	}
+	return pts
 }
 
 func describePoint(p DesignPoint) string {

@@ -152,18 +152,30 @@ func designLess(a, b array.Design) bool {
 	return a.Geom.Nwr < b.Geom.Nwr
 }
 
-// betterPoint reports whether the candidate beats the incumbent: strictly
-// lower objective, or an equal objective with a canonically smaller design
-// tuple. The comparison is a total order, so folding points in any order —
-// any worker count, any scheduling — reaches the same minimum.
-func betterPoint(cand *DesignPoint, candObj float64, inc *DesignPoint, incObj float64) bool {
-	if inc == nil {
+// incumbent is a minimum reduction: the lowest objective folded in and the
+// design holding it (ok once a point has been folded in), with that
+// design's Result. A worker builds the Result at the end of the unit the
+// point won in (search.endUnit).
+type incumbent struct {
+	obj    float64
+	design array.Design
+	res    *array.Result
+	ok     bool
+}
+
+// beats reports whether a point with objective obj and design d beats the
+// incumbent: there is none yet, or obj is strictly lower, or it is equal
+// and d is the canonically smaller design tuple. The comparison is a total
+// order, so folding points in any order — any worker count, any
+// scheduling — reaches the same minimum.
+func (in *incumbent) beats(obj float64, d array.Design) bool {
+	if !in.ok {
 		return true
 	}
-	if candObj != incObj {
-		return candObj < incObj
+	if obj != in.obj {
+		return obj < in.obj
 	}
-	return designLess(cand.Design, inc.Design)
+	return designLess(d, in.design)
 }
 
 // Optimize exhaustively searches (V_SSC, n_r, N_pre, N_wr) — plus wordline
@@ -186,18 +198,17 @@ func (f *Framework) Optimize(ctx context.Context, opts Options) (*Optimum, error
 	if err != nil {
 		return nil, err
 	}
-	var best *DesignPoint
-	obj := math.Inf(1)
+	var best incumbent
 	for i := range slots {
-		if slots[i].best != nil && betterPoint(slots[i].best, slots[i].obj, best, obj) {
-			best, obj = slots[i].best, slots[i].obj
+		if in := &slots[i].best; in.ok && best.beats(in.obj, in.design) {
+			best = *in
 		}
 	}
-	if best == nil {
+	if !best.ok {
 		return nil, fmt.Errorf("core: %w for %d bits (all %d candidates rejected)",
 			ErrInfeasible, s.opts.CapacityBits, st.SkippedTotal()+st.PrunedBound)
 	}
-	return &Optimum{Best: *best, Evaluated: st.Evaluated, Skipped: st.SkippedTotal(), Stats: st}, nil
+	return &Optimum{Best: DesignPoint{Design: best.design, Result: best.res}, Evaluated: st.Evaluated, Skipped: st.SkippedTotal(), Stats: st}, nil
 }
 
 func finishStats(s SearchStats, start time.Time, workers int) SearchStats {

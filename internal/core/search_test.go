@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math"
 	"reflect"
 	"runtime"
@@ -74,6 +75,110 @@ func TestOptimizeDeterministicAcrossGOMAXPROCS(t *testing.T) {
 	}
 }
 
+// TestResultsBuiltAtUnitEndMatchFreshEvaluations checks the Results a search
+// builds at the end of each unit, by position, against the per-point model:
+// Optimize's Best.Result and every Pareto front member's Result must equal
+// array.EvaluateHybrid of its Design field by field. A Result built from
+// the wrong unit or position still evaluates its own design, so the test
+// also holds each Result to what the walker tracked: the optimum's Design
+// is the one the incumbent recorded when it won, and every member of every
+// worker front must carry the position it entered at and the delay and
+// energy its lanes recorded from the sweep. The spaces are the default one,
+// past the oracle's point budget: 1–64 KB under M1 and M2, wordline
+// segmentation, mux 4 (also fully enumerated, which prepares every unit of
+// a chunk after the incumbent's), 2- and 8-group hybrids and every built-in
+// objective, each at GOMAXPROCS 1 and 4. The front ignores the objective,
+// so only the EDP cases run Pareto.
+func TestResultsBuiltAtUnitEndMatchFreshEvaluations(t *testing.T) {
+	f := paperFramework(t)
+	const kb = 1024 * 8
+	mux4 := DefaultSpace()
+	mux4.MuxMax = 4
+	var cases []Options
+	for _, bits := range []int{1 * kb, 4 * kb, 16 * kb, 64 * kb} {
+		for _, m := range []Method{M1, M2} {
+			cases = append(cases, Options{CapacityBits: bits, Flavor: device.HVT, Method: m})
+		}
+	}
+	cases = append(cases,
+		Options{CapacityBits: 16 * kb, Flavor: device.HVT, Method: M2, SearchWLSegs: true},
+		Options{CapacityBits: 4 * kb, Flavor: device.LVT, Method: M2, Space: mux4},
+		Options{CapacityBits: 4 * kb, Flavor: device.LVT, Method: M2, Space: mux4, disableBounds: true},
+		Options{CapacityBits: 4 * kb, Flavor: device.LVT, Method: M2, HybridGroups: 2},
+		Options{CapacityBits: 1 * kb, Flavor: device.LVT, Method: M2, HybridGroups: 8})
+	for _, name := range []string{"delay", "energy", "area", "padp"} {
+		obj, _ := ObjectiveByName(name)
+		cases = append(cases, Options{CapacityBits: 4 * kb, Flavor: device.HVT, Method: M2, Objective: obj})
+	}
+	for _, opts := range cases {
+		tech, err := f.ArrayTech(opts.Flavor)
+		if err != nil {
+			t.Fatal(err)
+		}
+		alt, err := f.HybridAltTerms(opts.Flavor)
+		if err != nil {
+			t.Fatal(err)
+		}
+		norm := opts
+		if err := norm.normalize(); err != nil {
+			t.Fatal(err)
+		}
+		check := func(what string, d array.Design, res *array.Result) {
+			t.Helper()
+			fresh, err := array.EvaluateHybrid(tech, d, norm.Activity, alt)
+			if err != nil {
+				t.Fatalf("%s: evaluating %+v: %v", what, d, err)
+			}
+			if !reflect.DeepEqual(res, fresh) {
+				t.Errorf("%s: Result built at unit end differs from a fresh evaluation of %+v:\n  built %+v\n  fresh %+v",
+					what, d, *res, *fresh)
+			}
+		}
+		for _, procs := range []int{1, 4} {
+			name := fmt.Sprintf("%s full=%v GOMAXPROCS=%d", describeOptions(opts), opts.disableBounds, procs)
+			func() {
+				defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+				opt, err := f.Optimize(context.Background(), opts)
+				if err != nil {
+					t.Fatalf("%s: %v", name, err)
+				}
+				check(name+" optimum", opt.Best.Design, opt.Best.Result)
+				if opts.Objective != nil {
+					return
+				}
+				front, err := f.Pareto(context.Background(), opts)
+				if err != nil {
+					t.Fatalf("%s: %v", name, err)
+				}
+				for i, p := range front.Front {
+					check(fmt.Sprintf("%s front member %d of %d", name, i, len(front.Front)), p.Design, p.Result)
+				}
+				s, err := f.newSearch(context.Background(), opts, true)
+				if err != nil {
+					t.Fatal(err)
+				}
+				slots, _, err := s.walk()
+				if err != nil {
+					t.Fatalf("%s: %v", name, err)
+				}
+				members := 0
+				for w := range slots {
+					wf := &slots[w].front
+					for i, m := range wf.pts {
+						g := m.res.Design.Geom
+						if g.Npre != int(m.npre) || g.Nwr != int(m.nwr) || m.res.DArray != wf.d[i] || m.res.EArray != wf.e[i] {
+							t.Errorf("%s: worker %d member %d entered at N_pre=%d N_wr=%d with D=%g E=%g; its Result is N_pre=%d N_wr=%d D=%g E=%g",
+								name, w, i, m.npre, m.nwr, wf.d[i], wf.e[i], g.Npre, g.Nwr, m.res.DArray, m.res.EArray)
+						}
+					}
+					members += len(wf.pts)
+				}
+				t.Logf("%s: optimum, %d front members, %d worker-front members", name, len(front.Front), members)
+			}()
+		}
+	}
+}
+
 // TestOptimizeTieBreakOnObjectiveTies forces every feasible point to tie and
 // checks the winner is schedule-independent.
 func TestOptimizeTieBreakOnObjectiveTies(t *testing.T) {
@@ -113,45 +218,53 @@ func TestOptimizeTieBreakOnObjectiveTies(t *testing.T) {
 }
 
 func TestBetterPointTotalOrder(t *testing.T) {
-	mk := func(nr, nc, segs, npre, nwr int, vssc float64) *DesignPoint {
-		return &DesignPoint{Design: array.Design{
-			Geom: wireGeom(nr, nc, segs, npre, nwr),
-			VSSC: vssc,
-		}}
+	mk := func(nr, nc, segs, npre, nwr int, vssc float64) array.Design {
+		return array.Design{Geom: wireGeom(nr, nc, segs, npre, nwr), VSSC: vssc}
+	}
+	// better reports whether (aObj, a) beats the incumbent (bObj, b).
+	better := func(a array.Design, aObj float64, b array.Design, bObj float64) bool {
+		in := incumbent{obj: bObj, design: b, ok: true}
+		return in.beats(aObj, a)
 	}
 	a := mk(32, 1024, 1, 1, 1, 0)
 	b := mk(64, 512, 1, 1, 1, 0)
-	if !betterPoint(a, 1, b, 2) {
+	if !better(a, 1, b, 2) {
 		t.Error("lower objective must win regardless of design order")
 	}
-	if betterPoint(b, 2, a, 1) {
+	if better(b, 2, a, 1) {
 		t.Error("higher objective must lose")
 	}
 	// Ties: fewer rows first.
-	if !betterPoint(a, 1, b, 1) || betterPoint(b, 1, a, 1) {
+	if !better(a, 1, b, 1) || better(b, 1, a, 1) {
 		t.Error("tie must prefer fewer rows")
 	}
 	// Ties at equal rows: weaker (less negative) VSSC first.
 	c := mk(32, 1024, 1, 1, 1, -0.05)
-	if !betterPoint(a, 1, c, 1) || betterPoint(c, 1, a, 1) {
+	if !better(a, 1, c, 1) || better(c, 1, a, 1) {
 		t.Error("tie must prefer the weaker VSSC assist")
 	}
 	// Then fewer segments, fewer Npre, fewer Nwr.
-	for _, pair := range [][2]*DesignPoint{
+	for _, pair := range [][2]array.Design{
 		{mk(32, 1024, 1, 5, 5, 0), mk(32, 1024, 2, 1, 1, 0)},
 		{mk(32, 1024, 1, 1, 9, 0), mk(32, 1024, 1, 2, 1, 0)},
 		{mk(32, 1024, 1, 1, 1, 0), mk(32, 1024, 1, 1, 2, 0)},
 	} {
-		if !betterPoint(pair[0], 1, pair[1], 1) || betterPoint(pair[1], 1, pair[0], 1) {
-			t.Errorf("tie order violated for %+v vs %+v", pair[0].Design.Geom, pair[1].Design.Geom)
+		if !better(pair[0], 1, pair[1], 1) || better(pair[1], 1, pair[0], 1) {
+			t.Errorf("tie order violated for %+v vs %+v", pair[0].Geom, pair[1].Geom)
 		}
-		if !designLess(pair[0].Design, pair[1].Design) || designLess(pair[1].Design, pair[0].Design) {
-			t.Errorf("designLess not a strict order for %+v vs %+v", pair[0].Design.Geom, pair[1].Design.Geom)
+		if !designLess(pair[0], pair[1]) || designLess(pair[1], pair[0]) {
+			t.Errorf("designLess not a strict order for %+v vs %+v", pair[0].Geom, pair[1].Geom)
 		}
 	}
-	// A nil incumbent always loses.
-	if !betterPoint(a, math.Inf(1), nil, math.Inf(1)) {
-		t.Error("first candidate must beat the nil incumbent")
+	// An equal design at an equal objective does not win: the fold keeps
+	// the first of two identical points.
+	if better(a, 1, a, 1) {
+		t.Error("an identical point must not beat the incumbent")
+	}
+	// An empty incumbent loses to any point, even an infinite or NaN one.
+	var empty incumbent
+	if !empty.beats(math.Inf(1), a) || !empty.beats(math.NaN(), a) {
+		t.Error("the first candidate must beat the empty incumbent")
 	}
 }
 

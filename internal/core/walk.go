@@ -337,16 +337,21 @@ func (s *search) objLane(sw *array.SweepBlock) []float64 {
 }
 
 // walkWorker is one worker's Evaluator, scratch buffers and partial
-// reduction: the minimum (best, obj) or the front, by the search's reducer.
+// reduction: the minimum or the front, by the search's reducer. Both track
+// a point that changes them by its position until the end of its unit
+// (endUnit), which builds the Results of the points still standing.
 type walkWorker struct {
 	ev      *array.Evaluator // re-prepared for each unit the sweep enters
 	stats   SearchStats
 	sweep   array.SweepBlock
-	custom  []float64 // a custom objective's values over one swept range
-	scratch array.Result
-	best    *DesignPoint
-	obj     float64
+	custom  []float64    // a custom objective's values over one swept range
+	scratch array.Result // a custom objective's point
+	best    incumbent
 	front   front
+	// won marks an incumbent that won during the unit being swept, whose
+	// best.res still holds the Result of the point it beat; pending marks
+	// members without a Result in front, which entered it during that unit.
+	won, pending bool
 	// prune is the Pareto reducer's prune front: reset to the frozen seed
 	// front's lanes at the start of each chunk, it takes in every point the
 	// chunk sweeps, and the chunk's prune tests read it alone.
@@ -359,9 +364,10 @@ type walkWorker struct {
 	// last added to the live counters.
 	pubEvals, pubBounds int
 
-	// The workers' slots are adjacent in one slice: the pad keeps this
-	// slot's obj and best, read at every swept point, off the cache line
-	// holding the next slot's stats, written at every swept range.
+	// The workers' slots are adjacent in one slice: the pad keeps the
+	// fields read at every swept point — the incumbent's objective best.obj,
+	// and the lane headers of prune and front — off the cache line holding
+	// the next slot's stats, written at every swept range.
 	_ [64]byte
 }
 
@@ -383,7 +389,7 @@ func (s *search) walk() ([]walkWorker, SearchStats, error) {
 	defer s.cancel(nil)
 	slots := make([]walkWorker, s.workers)
 	for i := range slots {
-		slots[i].ev, slots[i].obj = s.evProto.Clone(), math.Inf(1)
+		slots[i].ev, slots[i].best.obj = s.evProto.Clone(), math.Inf(1)
 	}
 	s.boundPass(slots)
 
@@ -392,7 +398,7 @@ func (s *search) walk() ([]walkWorker, SearchStats, error) {
 	if ci, ok := s.pickSeed(); ok && s.processChunk(ci, T, &f0, &slots[0]) {
 		// Freeze a copy of the lanes: the seed slot's front keeps
 		// accumulating below, in place.
-		seed, T = ci, slots[0].obj
+		seed, T = ci, slots[0].best.obj
 		f0.reset(&slots[0].front)
 	}
 	jobs := make(chan int, len(s.chunks))
@@ -534,9 +540,8 @@ func (s *search) pickSeed() (int, bool) {
 // Pareto reducer against the chunk's prune front, which starts as the
 // frozen seed front f0 and takes in every point the chunk sweeps; the
 // chunk is processed by exactly one goroutine, so both chunk-local
-// incumbents are deterministic. Per-point Pareto insertion consults the
-// worker-local front only to avoid materializing dominated Results and
-// never affects the counts. Returns false on cancellation or error.
+// incumbents are deterministic. The worker's own reduction never affects
+// the counts. Returns false on cancellation or error.
 func (s *search) processChunk(ci int, T float64, f0 *front, slot *walkWorker) bool {
 	if s.canceled() {
 		return false
@@ -628,6 +633,9 @@ func (s *search) processChunk(ci int, T float64, f0 *front, slot *walkWorker) bo
 				return endChunk(false)
 			}
 		}
+		if !s.endUnit(slot, c) {
+			return endChunk(false)
+		}
 		slot.publish()
 	}
 	return endChunk(true)
@@ -718,54 +726,85 @@ func (r *rowSweep) refine(lo, hi int) bool {
 	for i, v := range lane {
 		nwr := lo + i
 		if s.pareto {
-			if !r.paretoChanges(i, nwr) {
-				continue
-			}
-		} else {
-			if v < r.local {
-				r.local = v
-			}
-			win := slot.best == nil || v < slot.obj
-			if !win && v == slot.obj {
-				win = designLess(s.unitDesign(r.u, r.c, r.width, r.npre, nwr), slot.best.Design)
-			}
-			if !win {
-				continue
-			}
+			r.foldPareto(i, nwr)
+			continue
 		}
-		// Materialize the point once it changes the reduction; the lane
-		// value v matches its Result exactly.
-		if err := ev.EvalInto(r.npre, nwr, &slot.scratch); err != nil {
-			return s.fail(r.c, r.npre, nwr, err)
+		if v < r.local {
+			r.local = v
 		}
-		rc := slot.scratch
-		if s.pareto {
-			slot.front.insert(DesignPoint{Design: rc.Design, Result: &rc})
-		} else {
-			slot.best, slot.obj = &DesignPoint{Design: rc.Design, Result: &rc}, v
+		if v > slot.best.obj {
+			continue // a loss, decided without the design
+		}
+		if d := s.unitDesign(r.u, r.c, r.width, r.npre, nwr); slot.best.beats(v, d) {
+			slot.best.obj, slot.best.design, slot.best.ok = v, d, true
+			slot.won = true
 		}
 	}
 	return true
 }
 
-// paretoChanges folds swept point i (N_wr = nwr) of the current range into
-// the prune front and reports whether inserting it would change the
-// worker's front. A point some prune-front member weakly dominates without
-// tying it is dominated, strictly in one coordinate, by an evaluated point:
-// it is neither a front point nor an exact tie of one, and skips the
-// worker-front check. Exact ties still go to the worker front, where the
-// canonical design wins; the candidate design is built only for them.
-func (r *rowSweep) paretoChanges(i, nwr int) bool {
+// foldPareto folds swept point i (N_wr = nwr) of the current range into the
+// prune front and the worker's front. A point some prune-front member weakly
+// dominates without tying it is dominated, strictly in one coordinate, by an
+// evaluated point: it is neither a front point nor an exact tie of one, and
+// skips the worker front. Exact ties still go to the worker front, where
+// the canonical design wins; the designs are built only for them. A point
+// that enters the worker front is held by its position until endUnit.
+func (r *rowSweep) foldPareto(i, nwr int) {
 	slot := r.slot
 	d, e := slot.sweep.DArray[i], slot.sweep.EArray[i]
 	if slot.prune.add(d, e) == dominated {
-		return false
+		return
 	}
-	switch k, st := slot.front.locate(d, e); st {
-	case dominated:
-		return false
-	case ties:
-		return designLess(r.s.unitDesign(r.u, r.c, r.width, r.npre, nwr), slot.front.pts[k].Design)
+	f := &slot.front
+	k, st := f.locate(d, e)
+	if st == dominated || st == ties && !designLess(r.s.unitDesign(r.u, r.c, r.width, r.npre, nwr), r.memberDesign(f.pts[k])) {
+		return
+	}
+	f.put(k, st, d, e, member{npre: int32(r.npre), nwr: int32(nwr)})
+	slot.pending = true
+}
+
+// memberDesign returns the design of a worker-front member: its Result's,
+// or the current unit's at its position while it has none.
+func (r *rowSweep) memberDesign(m member) array.Design {
+	if m.res != nil {
+		return m.res.Design
+	}
+	return r.s.unitDesign(r.u, r.c, r.width, int(m.npre), int(m.nwr))
+}
+
+// endUnit builds the Results of the points that changed the worker's
+// reduction during the unit just swept and still stand in it: the
+// incumbent if it won there, into the Result of the point it beat, which
+// nothing else refers to, and the front members without a Result, each in
+// its own allocation, which no later growth of the front copies. It runs
+// while the Evaluator still holds the unit: a Result built later would
+// need the unit prepared again. Returns false on error.
+func (s *search) endUnit(slot *walkWorker, c chunk) bool {
+	if slot.won {
+		slot.won = false
+		in := &slot.best
+		if in.res == nil {
+			in.res = new(array.Result)
+		}
+		npre, nwr := in.design.Geom.Npre, in.design.Geom.Nwr
+		if err := slot.ev.EvalInto(npre, nwr, in.res); err != nil {
+			return s.fail(c, npre, nwr, err)
+		}
+	}
+	if slot.pending {
+		slot.pending = false
+		for i := range slot.front.pts {
+			m := &slot.front.pts[i]
+			if m.res != nil {
+				continue
+			}
+			m.res = new(array.Result)
+			if err := slot.ev.EvalInto(int(m.npre), int(m.nwr), m.res); err != nil {
+				return s.fail(c, int(m.npre), int(m.nwr), err)
+			}
+		}
 	}
 	return true
 }
