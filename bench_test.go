@@ -262,7 +262,7 @@ func BenchmarkMonteCarloYield(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		fail = r.FailFraction(Delta())
+		fail = r.Final.FailFraction
 	}
 	b.ReportMetric(fail*100, "RSNM-fail-%")
 }

@@ -26,7 +26,6 @@ import (
 
 	"sramco/internal/cell"
 	"sramco/internal/cliutil"
-	"sramco/internal/core"
 	"sramco/internal/device"
 	"sramco/internal/mc"
 	"sramco/internal/num"
@@ -72,14 +71,9 @@ func main() {
 	obsFlags := cliutil.ObsFlags()
 	flag.Parse()
 
-	var flavor device.Flavor
-	switch strings.ToLower(*flavorStr) {
-	case "lvt":
-		flavor = device.LVT
-	case "hvt":
-		flavor = device.HVT
-	default:
-		cliutil.Fatalf("unknown flavor %q", *flavorStr)
+	flavor, err := device.ParseFlavor(*flavorStr)
+	if err != nil {
+		cliutil.Fatalf("%v", err)
 	}
 	metrics, err := parseMetrics(*metricStr)
 	if err != nil {
@@ -117,7 +111,6 @@ func main() {
 		return fmt.Sprintf("mc: sample %d/%d", reg.CounterValue("mc.samples.done"), *n)
 	})
 
-	delta := core.DefaultDelta(device.Vdd)
 	fmt.Printf("6T-%v, %d samples, σVt=%s, sampler=%v tilt=%g, VDDC=%s VSSC=%s VWL=%s\n",
 		flavor, *n, unit.Volts(*sigma), sampler, *tilt,
 		unit.Volts(*vddc), unit.Volts(*vssc), unit.Volts(*vwl))
@@ -152,7 +145,7 @@ func main() {
 	report("HSNM", res.HSNM)
 	report("RSNM", res.RSNM)
 	report("WM", res.WM)
-	fmt.Printf("  fraction with min margin < δ=%s: %.1f%%\n", unit.Volts(delta), res.FailFraction(delta)*100)
+	fmt.Printf("  fraction with min margin < δ=%s: %.1f%%\n", unit.Volts(res.Final.Delta), res.Final.FailFraction*100)
 	cliutil.Shutdown()
 }
 

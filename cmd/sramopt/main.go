@@ -61,38 +61,71 @@ type jsonMargins struct {
 	VWLStar    float64 `json:"vwl_star_v"`  // minimum write wordline meeting yield
 }
 
+// searchFlags are the flags that select sramopt's search.
+type searchFlags struct {
+	bytes                           int
+	flavor, method, mode, objective string
+	dwl                             bool
+	groups, mux                     int
+}
+
+// register defines the search flags on fs.
+func (sf *searchFlags) register(fs *flag.FlagSet) {
+	fs.IntVar(&sf.bytes, "bytes", 4096, "array capacity in bytes (power of two)")
+	fs.StringVar(&sf.flavor, "flavor", "hvt", "cell flavor: lvt or hvt")
+	fs.StringVar(&sf.method, "method", "m2", "rail method: m1 (one extra rail) or m2 (unrestricted)")
+	fs.StringVar(&sf.mode, "mode", "paper", "calibration mode: paper or simulated")
+	fs.BoolVar(&sf.dwl, "dwl", false, "also search divided-wordline segmentation (extension)")
+	fs.StringVar(&sf.objective, "objective", "edp", "search objective: edp, delay, energy, area or padp")
+	fs.IntVar(&sf.groups, "groups", 0, "hybrid cell-assignment row groups (power of two ≤ 8; 0 = single flavor)")
+	fs.IntVar(&sf.mux, "mux", 0, "max column-mux ratio searched (power of two; 0 = one SA per column pair)")
+}
+
+// options resolves the parsed flags into the calibration mode and the
+// search options.
+func (sf *searchFlags) options() (core.Mode, core.Options, error) {
+	flavor, err := device.ParseFlavor(sf.flavor)
+	if err != nil {
+		return 0, core.Options{}, err
+	}
+	method, err := core.ParseMethod(sf.method)
+	if err != nil {
+		return 0, core.Options{}, err
+	}
+	mode, err := core.ParseMode(sf.mode)
+	if err != nil {
+		return 0, core.Options{}, err
+	}
+	objective, ok := core.ObjectiveByName(sf.objective)
+	if !ok {
+		return 0, core.Options{}, fmt.Errorf("unknown objective %q (want edp, delay, energy, area or padp)", sf.objective)
+	}
+	opts := core.Options{
+		CapacityBits: sf.bytes * 8, Flavor: flavor, Method: method,
+		SearchWLSegs: sf.dwl, Objective: objective, HybridGroups: sf.groups,
+	}
+	if sf.mux > 1 {
+		sp := core.DefaultSpace()
+		sp.MuxMax = sf.mux
+		opts.Space = sp
+	}
+	return mode, opts, nil
+}
+
 func main() {
 	cliutil.SetName("sramopt")
-	bytes := flag.Int("bytes", 4096, "array capacity in bytes (power of two)")
-	flavorStr := flag.String("flavor", "hvt", "cell flavor: lvt or hvt")
-	methodStr := flag.String("method", "m2", "rail method: m1 (one extra rail) or m2 (unrestricted)")
-	modeStr := flag.String("mode", "paper", "calibration mode: paper or simulated")
+	var sf searchFlags
+	sf.register(flag.CommandLine)
 	breakdown := flag.Bool("breakdown", false, "print the full component breakdown")
 	compare := flag.String("compare", "", "also evaluate a fixed design NRxNC:Npre:Nwr:VSSCmV")
 	sensitivity := flag.Bool("sensitivity", false, "print the neighbor sensitivity of the optimum")
-	dwl := flag.Bool("dwl", false, "also search divided-wordline segmentation (extension)")
-	objectiveStr := flag.String("objective", "edp", "search objective: edp, delay, energy, area or padp")
-	groups := flag.Int("groups", 0, "hybrid cell-assignment row groups (power of two ≤ 8; 0 = single flavor)")
-	mux := flag.Int("mux", 0, "max column-mux ratio searched (power of two; 0 = one SA per column pair)")
 	asJSON := flag.Bool("json", false, "emit the optimum as JSON on stdout instead of text")
 	obsFlags := cliutil.ObsFlags()
 	flag.Parse()
 
-	flavor, err := device.ParseFlavor(*flavorStr)
+	mode, opts, err := sf.options()
 	if err != nil {
 		cliutil.Fatalf("%v", err)
-	}
-	method, err := core.ParseMethod(*methodStr)
-	if err != nil {
-		cliutil.Fatalf("%v", err)
-	}
-	mode, err := core.ParseMode(*modeStr)
-	if err != nil {
-		cliutil.Fatalf("%v", err)
-	}
-	objective, ok := core.ObjectiveByName(*objectiveStr)
-	if !ok {
-		cliutil.Fatalf("unknown objective %q (want edp, delay, energy, area or padp)", *objectiveStr)
 	}
 	if err := obsFlags.Start(); err != nil {
 		cliutil.Fatalf("%v", err)
@@ -105,15 +138,6 @@ func main() {
 	fw, err := core.NewFramework(mode, core.FrameworkOpts{})
 	if err != nil {
 		cliutil.Fatalf("%v", err)
-	}
-	opts := core.Options{
-		CapacityBits: *bytes * 8, Flavor: flavor, Method: method,
-		SearchWLSegs: *dwl, Objective: objective, HybridGroups: *groups,
-	}
-	if *mux > 1 {
-		sp := core.DefaultSpace()
-		sp.MuxMax = *mux
-		opts.Space = sp
 	}
 	reg := obs.Default()
 	stopProgress := obsFlags.StartProgress(func() string {
@@ -134,7 +158,7 @@ func main() {
 	d, r := opt.Best.Design, opt.Best.Result
 
 	if *asJSON {
-		if err := writeJSONReport(os.Stdout, buildJSONReport(fw, mode, *bytes, flavor, method, opt)); err != nil {
+		if err := writeJSON(os.Stdout, fw, mode, opts, opt); err != nil {
 			cliutil.Fatalf("encoding JSON: %v", err)
 		}
 		cliutil.Shutdown()
@@ -142,7 +166,7 @@ func main() {
 	}
 
 	fmt.Printf("%s 6T-%v-%v (%s mode): optimum over %d evaluations\n",
-		unit.Bytes(*bytes*8), flavor, method, mode, opt.Evaluated)
+		unit.Bytes(opts.CapacityBits), opts.Flavor, opts.Method, mode, opt.Evaluated)
 	fmt.Printf("  search: %s\n", opt.Stats)
 	fmt.Printf("  n_r=%d n_c=%d N_pre=%d N_wr=%d VDDC=%s VSSC=%s VWL=%s%s\n",
 		d.Geom.NR, d.Geom.NC, d.Geom.Npre, d.Geom.Nwr,
@@ -163,7 +187,7 @@ func main() {
 	}
 
 	if *compare != "" {
-		cr, err := compareDesign(fw, flavor, *compare, *bytes*8, opt.Best)
+		cr, err := compareDesign(fw, opts.Flavor, *compare, opts.CapacityBits, opt.Best)
 		if err != nil {
 			cliutil.Fatalf("%v", err)
 		}
@@ -195,16 +219,16 @@ func organization(d array.Design) string {
 	return b.String()
 }
 
-// buildJSONReport assembles the -json report for an already-completed
-// search. Factored out of main so the CLI's JSON contract is testable
-// end-to-end without forking the binary.
-func buildJSONReport(fw *core.Framework, mode core.Mode, capacityBytes int, flavor device.Flavor, method core.Method, opt *core.Optimum) jsonReport {
+// writeJSON writes the -json report of a completed search to w.
+func writeJSON(w io.Writer, fw *core.Framework, mode core.Mode, opts core.Options, opt *core.Optimum) error {
 	d, r := opt.Best.Design, opt.Best.Result
-	cc := fw.Cells[flavor]
-	return jsonReport{
-		CapacityBytes: capacityBytes,
-		Flavor:        flavor.String(),
-		Method:        method.String(),
+	cc := fw.Cells[opts.Flavor]
+	enc := json.NewEncoder(w)
+	enc.SetIndent("", "  ")
+	return enc.Encode(jsonReport{
+		CapacityBytes: opts.CapacityBits / 8,
+		Flavor:        opts.Flavor.String(),
+		Method:        opts.Method.String(),
 		Mode:          mode.String(),
 		Design:        d,
 		EDP:           r.EDP,
@@ -220,32 +244,7 @@ func buildJSONReport(fw *core.Framework, mode core.Mode, capacityBytes int, flav
 		Result:   r,
 		Stats:    opt.Stats,
 		BoundEff: opt.Stats.BoundEfficiency(),
-	}
-}
-
-func writeJSONReport(w io.Writer, rep jsonReport) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(rep)
-}
-
-// runJSON is the whole `sramopt -json` pipeline — characterize, optimize,
-// report — against a caller-supplied writer.
-func runJSON(ctx context.Context, w io.Writer, mode core.Mode, capacityBytes int, flavor device.Flavor, method core.Method, dwl bool) error {
-	fw, err := core.NewFramework(mode, core.FrameworkOpts{})
-	if err != nil {
-		return err
-	}
-	opt, err := fw.Optimize(ctx, core.Options{
-		CapacityBits: capacityBytes * 8,
-		Flavor:       flavor,
-		Method:       method,
-		SearchWLSegs: dwl,
 	})
-	if err != nil {
-		return err
-	}
-	return writeJSONReport(w, buildJSONReport(fw, mode, capacityBytes, flavor, method, opt))
 }
 
 func relStr(v float64) string {
@@ -295,15 +294,7 @@ func compareDesign(fw *core.Framework, flavor device.Flavor, spec string, bits i
 	if err != nil {
 		return nil, err
 	}
-	tech, err := fw.ArrayTech(flavor)
-	if err != nil {
-		return nil, err
-	}
-	alt, err := fw.HybridAltTerms(flavor)
-	if err != nil {
-		return nil, err
-	}
-	return array.EvaluateHybrid(tech, cd, best.Result.Activity, alt)
+	return fw.Evaluate(flavor, cd, best.Result.Activity)
 }
 
 // parseDesign parses "NRxNC:Npre:Nwr:VSSCmV", inheriting everything else

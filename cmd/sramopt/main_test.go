@@ -41,15 +41,33 @@ func normalizeReport(t *testing.T, raw []byte) []byte {
 	return append(out, '\n')
 }
 
-// TestRunJSONGolden runs the full `sramopt -json` pipeline (characterize,
-// optimize, report) on a small capacity and diffs the emitted JSON against
-// the committed golden, so the CLI's machine-readable contract — field
-// names, units, and the optimum itself — cannot drift silently.
+// TestRunJSONGolden runs what `sramopt -bytes 128 -json` runs — the search
+// flags parsed into options, characterize, optimize, report — and diffs the
+// emitted JSON against the committed golden, so the CLI's machine-readable
+// contract — field names, units, and the optimum itself — cannot drift
+// silently.
 func TestRunJSONGolden(t *testing.T) {
-	var buf bytes.Buffer
-	err := runJSON(context.Background(), &buf, core.TechPaper, 128, device.HVT, core.M2, false)
+	var sf searchFlags
+	fs := flag.NewFlagSet("sramopt", flag.ContinueOnError)
+	sf.register(fs)
+	if err := fs.Parse([]string{"-bytes", "128"}); err != nil {
+		t.Fatal(err)
+	}
+	mode, opts, err := sf.options()
 	if err != nil {
-		t.Fatalf("runJSON: %v", err)
+		t.Fatal(err)
+	}
+	fw, err := core.NewFramework(mode, core.FrameworkOpts{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	opt, err := fw.Optimize(context.Background(), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := writeJSON(&buf, fw, mode, opts, opt); err != nil {
+		t.Fatal(err)
 	}
 	got := normalizeReport(t, buf.Bytes())
 

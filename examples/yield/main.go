@@ -46,7 +46,7 @@ func main() {
 		s := res.RSNM
 		fmt.Printf("%-26s mean=%.0fmV σ=%.1fmV min=%.0fmV μ-3σ=%.0fmV fail(δ)=%.0f%%  [%s]\n",
 			pt.name, s.Mean*1e3, s.Std*1e3, s.Min*1e3, (s.Mean-3*s.Std)*1e3,
-			res.FailFraction(delta)*100, res.Stats)
+			res.Final.FailFraction*100, res.Stats)
 	}
 
 	fmt.Println("\nThe boost lifts μ-3σ above δ, which is exactly why the paper pins")

@@ -152,6 +152,12 @@ type Evaluator struct {
 	// evals counts the points EvalSweep evaluated since the last publish to
 	// the array.evaluations counter (Flush, or the next Prepare).
 	evals int
+
+	// Rail memo: Prepare's rail stage depends only on (VDDC, VSSC, VWL), so
+	// a chunk on the last chunk's rails reuses it. It sits last, after the
+	// fields the sweep reads.
+	railOK bool
+	rails  RailStage
 }
 
 // NewEvaluator validates the technology and activity once and returns an
@@ -273,7 +279,8 @@ func (e *Evaluator) Rails(vddc, vssc, vwl float64, alt *FlavorTerms) (RailStage,
 // and the base geometry structurally (with N_pre = N_wr = 1, since validity
 // of the base does not depend on the swept fin counts), and rejects a
 // non-positive read current exactly as Evaluate does. Repeated calls with
-// the same chunk return immediately. A failed Prepare leaves the Evaluator
+// the same chunk return immediately, and a chunk on the previous chunk's
+// rails reuses their rail stage. A failed Prepare leaves the Evaluator
 // unprepared.
 func (e *Evaluator) Prepare(g wire.Geometry, vddc, vssc, vwl float64) error {
 	if e.tech == nil {
@@ -284,12 +291,15 @@ func (e *Evaluator) Prepare(g wire.Geometry, vddc, vssc, vwl float64) error {
 		vddc == e.vddc && vssc == e.vssc && vwl == e.vwl {
 		return nil
 	}
-	rs, err := e.Rails(vddc, vssc, vwl, nil)
-	if err != nil {
-		e.prepared = false
-		return err
+	if !e.railOK || vddc != e.rails.vddc || vssc != e.rails.vssc || vwl != e.rails.vwl {
+		rs, err := e.Rails(vddc, vssc, vwl, nil)
+		if err != nil {
+			e.prepared = false
+			return err
+		}
+		e.rails, e.railOK = rs, true
 	}
-	return e.PrepareStaged(g, &rs, 0, 0)
+	return e.PrepareStaged(g, &e.rails, 0, 0)
 }
 
 // PrepareHybrid is Prepare for a per-row-group flavor assignment: the chunk

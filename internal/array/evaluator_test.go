@@ -105,8 +105,10 @@ func oracleEvalInto(e *Evaluator, npre, nwr int) Result {
 // oracleEvalInto on the same chunk, every Result field at the == level — no
 // tolerance. A single Evaluator per (tech, activity) is reused across the
 // whole sample, so Prepare's memoization and chunk transitions are
-// exercised, and each design is additionally evaluated at a neighbor point
-// of the same chunk to hit the memo fast path.
+// exercised (a design's sense-amp-sharing variant keeps its rails, so its
+// Prepare reuses their rail stage), and each design is additionally
+// evaluated at a neighbor point of the same chunk to hit the memo fast
+// path.
 func TestEvaluatorBitIdenticalToEvaluate(t *testing.T) {
 	rng := rand.New(rand.NewSource(20260806))
 	variants := rand.New(rand.NewSource(20261019))

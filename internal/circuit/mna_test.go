@@ -155,12 +155,13 @@ func (r *mna) residual(x []float64, t, srcScale float64, tc *tranCtx) float64 {
 
 // newton runs damped Newton in place on x.
 func (r *mna) newton(x []float64, t, gmin, srcScale float64, tc *tranCtx, clamp float64) error {
+	lu, xn := num.NewLU(r.dim), make([]float64, r.dim)
 	for it := 0; it < maxNewton; it++ {
 		a, rhs := r.assemble(x, t, gmin, srcScale, tc)
-		xn, err := num.SolveLinear(a, rhs)
-		if err != nil {
+		if err := lu.Refactor(a); err != nil {
 			return fmt.Errorf("mna: singular Jacobian at iteration %d: %w", it, err)
 		}
+		lu.SolveInto(xn, rhs)
 		var maxDx float64
 		for i := 0; i < r.nn-1; i++ {
 			dx := xn[i] - x[i]

@@ -98,6 +98,11 @@ type CellChar struct {
 	RSNMAt func(vssc float64) float64
 }
 
+// readStable reports whether the cell reads stably at vssc: its read SNM
+// there meets δ, less 1 nV of slack for levels that meet it exactly. It is
+// the read-stability rule of every searcher.
+func (cc *CellChar) readStable(vssc, delta float64) bool { return cc.RSNMAt(vssc) >= delta-1e-9 }
+
 // Framework is a fully characterized co-optimization context.
 type Framework struct {
 	Mode    Mode
@@ -294,4 +299,22 @@ func (f *Framework) ArrayTech(flavor device.Flavor) (*array.Tech, error) {
 		DCDCFactor:      f.DCDC,
 		Accounting:      f.Accounting,
 	}, nil
+}
+
+// Evaluate runs the array model on one explicit design point of flavor. A
+// hybrid design (Design.Groups set) assigns the row groups its GroupMask
+// selects to flavor's alternate (LVT↔HVT) and evaluates the array under the
+// per-group cell model.
+func (f *Framework) Evaluate(flavor device.Flavor, d array.Design, act array.Activity) (*array.Result, error) {
+	tech, err := f.ArrayTech(flavor)
+	if err != nil {
+		return nil, err
+	}
+	var alt array.FlavorTerms
+	if d.Groups != 0 {
+		if alt, err = f.HybridAltTerms(flavor); err != nil {
+			return nil, err
+		}
+	}
+	return array.EvaluateHybrid(tech, d, act, alt)
 }

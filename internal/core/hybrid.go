@@ -128,13 +128,7 @@ func (f *Framework) HybridAltTerms(base device.Flavor) (array.FlavorTerms, error
 // own characterization, as in the pure searches; altCC may be nil when the
 // class never needs it).
 func specRSNMOK(s maskSpec, vssc float64, baseCC, altCC *CellChar, delta float64) bool {
-	if s.needBase && baseCC.RSNMAt(vssc) < delta-1e-9 {
-		return false
-	}
-	if s.needAlt && altCC.RSNMAt(vssc) < delta-1e-9 {
-		return false
-	}
-	return true
+	return (!s.needBase || baseCC.readStable(vssc, delta)) && (!s.needAlt || altCC.readStable(vssc, delta))
 }
 
 // muxCandidates enumerates the sense-amp sharing ratios searched for one

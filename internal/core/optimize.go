@@ -259,11 +259,12 @@ func (f *Framework) Rails(flavor device.Flavor, m Method) (vddc, vwl float64, er
 
 // GreedyOptimize is the coordinate-descent ablation searcher: starting from
 // a balanced square-ish organization with minimum fins and no negative Gnd,
-// it repeatedly sweeps one variable at a time (n_r, V_SSC, wordline
-// segmentation when enabled, N_pre, N_wr) keeping the others fixed, until no
-// single-variable move improves the objective. It typically needs orders of
-// magnitude fewer evaluations than the exhaustive search but may land in a
-// local minimum.
+// it repeatedly sweeps one variable at a time along the exhaustive search's
+// candidate lists (n_r, V_SSC, wordline segmentation when enabled, N_pre,
+// N_wr) keeping the others fixed, until no single-variable move improves
+// the objective. Each point is judged by the exhaustive search's rule
+// (pointSearch.eval). It typically needs orders of magnitude fewer
+// evaluations than the exhaustive search but may land in a local minimum.
 //
 // A model-evaluation error aborts the search and is propagated (wrapped in a
 // *SearchError carrying the counts so far), as is a ctx cancellation;
@@ -276,19 +277,7 @@ func (f *Framework) GreedyOptimize(ctx context.Context, opts Options) (*Optimum,
 	if opts.hybridOn() {
 		return nil, fmt.Errorf("core: greedy search does not support hybrid groups (HybridGroups=%d)", opts.HybridGroups)
 	}
-	tech, err := f.ArrayTech(opts.Flavor)
-	if err != nil {
-		return nil, err
-	}
-	cc := f.Cells[opts.Flavor]
-	vddc, vwl, err := f.Rails(opts.Flavor, opts.Method)
-	if err != nil {
-		return nil, err
-	}
-	// Coordinate descent uses the chunk-amortized Evaluator: the N_pre and
-	// N_wr sweeps revisit one (geometry, rails) chunk, so Prepare memo-hits
-	// and each step costs only the per-point terms.
-	ev, err := array.NewEvaluator(tech, opts.Activity)
+	p, err := f.newPointSearch(&opts)
 	if err != nil {
 		return nil, err
 	}
@@ -298,106 +287,72 @@ func (f *Framework) GreedyOptimize(ctx context.Context, opts Options) (*Optimum,
 	sp.Int("capacity_bits", int64(opts.CapacityBits))
 	sp.Str("method", opts.Method.String())
 
-	var stats SearchStats
-	// evalAt returns (nil, nil) for points outside the space or failing a
-	// constraint, and a non-nil error only for cancellation or a genuine
-	// model failure — which must surface, not masquerade as infeasibility.
-	evalAt := func(nrI int, vssc float64, segs, npre, nwr int) (*array.Result, error) {
-		if ctx.Err() != nil {
-			return nil, context.Cause(ctx)
-		}
-		if nrI < 2 || nrI > opts.Space.NRMax || opts.CapacityBits%nrI != 0 {
-			return nil, nil
-		}
-		nc := opts.CapacityBits / nrI
-		if nc < 1 || nc > opts.Space.NCMax {
-			return nil, nil
-		}
-		width := accessWidth(opts.W, nc)
-		if segs > 1 && nc/segs < width {
-			return nil, nil
-		}
-		if cc.RSNMAt(vssc) < f.Delta-1e-9 {
-			stats.SkippedRSNM++
-			return nil, nil
-		}
-		g := wire.Geometry{NR: nrI, NC: nc, W: width, Npre: npre, Nwr: nwr, WLSegs: segs}
-		if g.Validate() != nil {
-			stats.SkippedGeom++
-			return nil, nil
-		}
-		err := ev.Prepare(g, vddc, vssc, vwl)
-		var r *array.Result
-		if err == nil {
-			r, err = ev.Eval(npre, nwr)
-		}
-		if err != nil {
-			return nil, fmt.Errorf("core: greedy evaluating n_r=%d N_pre=%d N_wr=%d VSSC=%g: %w", nrI, npre, nwr, vssc, err)
-		}
-		stats.Evaluated++
-		mSearchEvaluated.Inc()
-		if !r.RailsSettleInTime {
-			stats.SkippedRails++
-			return nil, nil
-		}
-		return r, nil
-	}
-
 	// Start: square-ish organization, flat wordline, no assists beyond the
-	// pinned rails.
+	// pinned rails. The start may lie outside the space, which only the
+	// n_r sweep then leaves.
 	nr := 2
 	for nr*nr < opts.CapacityBits && nr < opts.Space.NRMax {
 		nr *= 2
 	}
-	vssc, segs, npre, nwr := 0.0, 1, 1, 1
+	cur := p.withRows(array.Design{Geom: wire.Geometry{Npre: 1, Nwr: 1, WLSegs: 1}, VDDC: p.vddc, VWL: p.vwl},
+		rowCand{nr, opts.CapacityBits / nr})
 	var bestR *array.Result
 	bestObj := math.Inf(1)
 	var evalErr error
 	changed := false
 	// try evaluates one move and takes it when it improves the objective;
 	// after the first error every further move is a no-op.
-	try := func(nrI int, vs float64, sg, np, nw int) {
+	try := func(d array.Design) {
 		if evalErr != nil {
 			return
 		}
+		if ctx.Err() != nil {
+			evalErr = context.Cause(ctx)
+			return
+		}
 		var r *array.Result
-		if r, evalErr = evalAt(nrI, vs, sg, np, nw); r == nil {
+		if r, evalErr = p.eval(d); r == nil {
 			return
 		}
 		if v := opts.Objective(r); v < bestObj {
-			bestObj, bestR = v, r
-			nr, vssc, segs, npre, nwr = nrI, vs, sg, np, nw
+			bestObj, bestR, cur = v, r, d
 			changed = true
 		}
 	}
-	try(nr, vssc, segs, npre, nwr)
+	try(cur)
 	for pass := 0; pass < 20 && evalErr == nil; pass++ {
 		changed = false
-		for cand := 2; cand <= opts.Space.NRMax; cand *= 2 {
-			try(cand, vssc, segs, npre, nwr)
+		for _, rc := range p.rows {
+			try(p.withRows(cur, rc))
 		}
-		// The shared index-based candidate helper keeps the greedy sweep on
-		// exactly the levels the exhaustive search visits (a lone zero level
-		// under M1) — no accumulated float drift, no divergent copies.
-		for _, v := range vsscCandidates(opts.Method, opts.Space) {
-			try(nr, v, segs, npre, nwr)
+		for _, v := range p.vssc {
+			d := cur
+			d.VSSC = v
+			try(d)
 		}
 		if opts.SearchWLSegs {
-			for sg := 1; sg <= 8; sg *= 2 {
-				try(nr, vssc, sg, npre, nwr)
+			for _, sg := range segCandidates(&opts, cur.Geom.NC, cur.Geom.W) {
+				d := cur
+				d.Geom.WLSegs = sg
+				try(d)
 			}
 		}
 		for np := 1; np <= opts.Space.NpreMax; np++ {
-			try(nr, vssc, segs, np, nwr)
+			d := cur
+			d.Geom.Npre = np
+			try(d)
 		}
 		for nw := 1; nw <= opts.Space.NwrMax; nw++ {
-			try(nr, vssc, segs, npre, nw)
+			d := cur
+			d.Geom.Nwr = nw
+			try(d)
 		}
 		if !changed {
 			break
 		}
 	}
-	stats = finishStats(stats, start, 1)
+	stats := finishStats(p.stats, start, 1)
+	mSearchEvaluated.Add(int64(stats.Evaluated))
 	sp.Int("evaluated", int64(stats.Evaluated))
 	sp.End()
 	if evalErr != nil {

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"math/bits"
 	"time"
 
 	"sramco/internal/array"
@@ -84,7 +85,7 @@ func validCombosPerLevel(opts *Options, rows []rowCand) int {
 // rowCandidates enumerates the power-of-two organizations of a capacity
 // within the search space, in increasing row count.
 func rowCandidates(capacityBits int, s SearchSpace) []rowCand {
-	var rows []rowCand
+	rows := make([]rowCand, 0, bits.Len(uint(s.NRMax)))
 	for nr := 2; nr <= s.NRMax; nr *= 2 {
 		if capacityBits%nr != 0 {
 			continue

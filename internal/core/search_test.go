@@ -327,9 +327,10 @@ func TestOptimizePreCancelledContext(t *testing.T) {
 }
 
 // TestGreedyPropagatesModelError: a model bug must surface as an error, not
-// masquerade as an infeasible search space — in every searcher. The HVT
-// read current collapses to zero below VSSC = -0.1 V, which Prepare
-// rejects.
+// masquerade as an infeasible search space — in every searcher, and in
+// SensitivityAt, whose point at VSSC = -0.1 V has its down V_SSC neighbor
+// below. The HVT read current collapses to zero below VSSC = -0.1 V, which
+// Prepare rejects.
 func TestGreedyPropagatesModelError(t *testing.T) {
 	f := hvtVariant(t, func(hvt *CellChar) {
 		iRead := hvt.IRead
@@ -348,6 +349,24 @@ func TestGreedyPropagatesModelError(t *testing.T) {
 		"full":    func() error { _, err := f.Optimize(context.Background(), full); return err },
 		"pareto":  func() error { _, err := f.Pareto(context.Background(), opts); return err },
 		"greedy":  func() error { _, err := f.GreedyOptimize(context.Background(), opts); return err },
+		"sensitivity": func() error {
+			opt, err := paperFramework(t).Optimize(context.Background(), opts)
+			if err != nil {
+				return err
+			}
+			tech, err := f.ArrayTech(device.HVT)
+			if err != nil {
+				return err
+			}
+			d := opt.Best.Design
+			d.VSSC = vsscCandidates(M2, DefaultSpace())[10] // -0.1 V
+			r, err := array.Evaluate(tech, d, array.Activity{Alpha: DefaultAlpha, Beta: DefaultBeta})
+			if err != nil {
+				return err
+			}
+			_, err = f.SensitivityAt(opts, DesignPoint{Design: d, Result: r})
+			return err
+		},
 	}
 	for name, search := range searches {
 		err := search()

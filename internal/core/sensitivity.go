@@ -3,8 +3,6 @@ package core
 import (
 	"fmt"
 	"math"
-
-	"sramco/internal/array"
 )
 
 // Sensitivity reports how the objective responds to a unit move of one
@@ -22,18 +20,15 @@ type Sensitivity struct {
 }
 
 // SensitivityAt evaluates the four search variables' neighbors around a
-// design point under the given options (objective, activity, space).
+// design point under the given options (objective, activity, space). A
+// neighbor lies one position along the exhaustive search's candidate list
+// of its variable and keeps the point's rails, wordline segmentation and
+// mux ratio; it is judged by the searches' rule (pointSearch.eval). A point
+// off the search grid is an error, and so is a neighbor's model error,
+// returned as a *SearchError.
 func (f *Framework) SensitivityAt(opts Options, at DesignPoint) ([]Sensitivity, error) {
 	if err := opts.normalize(); err != nil {
 		return nil, err
-	}
-	tech, err := f.ArrayTech(opts.Flavor)
-	if err != nil {
-		return nil, err
-	}
-	cc, ok := f.Cells[opts.Flavor]
-	if !ok {
-		return nil, fmt.Errorf("core: flavor %v not characterized", opts.Flavor)
 	}
 	if opts.hybridOn() || at.Design.Groups != 0 {
 		// The neighborhood evaluator prepares a single-flavor chunk; a hybrid
@@ -44,103 +39,35 @@ func (f *Framework) SensitivityAt(opts Options, at DesignPoint) ([]Sensitivity, 
 	if base <= 0 {
 		return nil, fmt.Errorf("core: non-positive base objective %g", base)
 	}
-	// One validated engine for the whole neighborhood; neighbors along the
-	// N_pre/N_wr axes share the center's chunk, so Prepare memo-hits.
-	ev, err := array.NewEvaluator(tech, opts.Activity)
+	p, err := f.newPointSearch(&opts)
 	if err != nil {
 		return nil, err
 	}
-
-	eval := func(mutate func(*array.Design) bool) float64 {
-		d := at.Design
-		if !mutate(&d) {
-			return math.NaN()
-		}
-		// Re-derive the access width for the mutated column count.
-		w := opts.W
-		if d.Geom.NC < w {
-			w = d.Geom.NC
-		}
-		d.Geom.W = w
-		if d.Geom.Validate() != nil {
-			return math.NaN()
-		}
-		if cc.RSNMAt(d.VSSC) < f.Delta-1e-9 {
-			return math.NaN()
-		}
-		if ev.Prepare(d.Geom, d.VDDC, d.VSSC, d.VWL) != nil {
-			return math.NaN()
-		}
-		r, err := ev.Eval(d.Geom.Npre, d.Geom.Nwr)
-		if err != nil || !r.RailsSettleInTime {
-			return math.NaN()
-		}
-		return opts.Objective(r) / base
+	pos, ok := p.position(at.Design)
+	if !ok {
+		return nil, fmt.Errorf("core: sensitivity point %+v is off the search grid", at.Design)
 	}
-
-	bits := at.Design.Geom.Bits()
-	out := []Sensitivity{
-		{
-			Variable: "n_r",
-			DownRel: eval(func(d *array.Design) bool {
-				if d.Geom.NR/2 < 2 {
-					return false
-				}
-				d.Geom.NR /= 2
-				d.Geom.NC = bits / d.Geom.NR
-				return d.Geom.NC <= opts.Space.NCMax
-			}),
-			UpRel: eval(func(d *array.Design) bool {
-				if d.Geom.NR*2 > opts.Space.NRMax {
-					return false
-				}
-				d.Geom.NR *= 2
-				if bits%d.Geom.NR != 0 {
-					return false
-				}
-				d.Geom.NC = bits / d.Geom.NR
-				return d.Geom.NC >= 1
-			}),
-		},
-		{
-			Variable: "V_SSC",
-			DownRel: eval(func(d *array.Design) bool {
-				if opts.Method == M1 {
-					return false // VSSC is not a free variable under M1
-				}
-				d.VSSC -= opts.Space.VSSCStep
-				return d.VSSC >= opts.Space.VSSCMin-1e-9
-			}),
-			UpRel: eval(func(d *array.Design) bool {
-				if opts.Method == M1 {
-					return false
-				}
-				d.VSSC += opts.Space.VSSCStep
-				return d.VSSC <= 1e-9
-			}),
-		},
-		{
-			Variable: "N_pre",
-			DownRel: eval(func(d *array.Design) bool {
-				d.Geom.Npre--
-				return d.Geom.Npre >= 1
-			}),
-			UpRel: eval(func(d *array.Design) bool {
-				d.Geom.Npre++
-				return d.Geom.Npre <= opts.Space.NpreMax
-			}),
-		},
-		{
-			Variable: "N_wr",
-			DownRel: eval(func(d *array.Design) bool {
-				d.Geom.Nwr--
-				return d.Geom.Nwr >= 1
-			}),
-			UpRel: eval(func(d *array.Design) bool {
-				d.Geom.Nwr++
-				return d.Geom.Nwr <= opts.Space.NwrMax
-			}),
-		},
+	sizes := p.sizes()
+	out := []Sensitivity{{Variable: "n_r"}, {Variable: "V_SSC"}, {Variable: "N_pre"}, {Variable: "N_wr"}}
+	// V_SSC moves last: every other move keeps the point's rails, whose rail
+	// stage the Evaluator then reuses.
+	for _, k := range [...]int{0, 2, 3, 1} {
+		rel := [2]float64{math.NaN(), math.NaN()}
+		for j, q := range [2]int{pos[k] - 1, pos[k] + 1} {
+			if q < 0 || q >= sizes[k] {
+				continue
+			}
+			moved := pos
+			moved[k] = q
+			r, err := p.eval(p.moveTo(at.Design, moved))
+			if err != nil {
+				return nil, &SearchError{Stats: p.stats, Cause: err}
+			}
+			if r != nil {
+				rel[j] = opts.Objective(r) / base
+			}
+		}
+		out[k].DownRel, out[k].UpRel = rel[0], rel[1]
 	}
 	return out, nil
 }

@@ -154,7 +154,7 @@ type Sample struct {
 
 // Min returns the smallest computed margin of the sample. It is
 // allocation-free: it sits on the per-sample observability path and in the
-// FailFraction loop.
+// stream accumulator's fail count.
 func (s Sample) Min() float64 {
 	m := math.Inf(1)
 	if !math.IsNaN(s.HSNM) && s.HSNM < m {
@@ -284,18 +284,3 @@ func summarize(samples []Sample, get func(*Sample) float64) num.Summary {
 
 // MuMinusKSigma returns μ − k·σ for a summary — the paper's yield statistic.
 func MuMinusKSigma(s num.Summary, k float64) float64 { return s.Mean - k*s.Std }
-
-// FailFraction returns the weighted fraction of samples whose minimum
-// computed margin falls below delta. For unit weights this is the plain
-// count fraction.
-func (r *Result) FailFraction(delta float64) float64 {
-	var wf, wt float64
-	for _, s := range r.Samples {
-		w := s.weight()
-		wt += w
-		if s.Min() < delta {
-			wf += w
-		}
-	}
-	return wf / wt
-}

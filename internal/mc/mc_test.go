@@ -87,17 +87,28 @@ func TestMuMinusKSigma(t *testing.T) {
 	}
 }
 
+// TestFailFraction folds hand-built samples into the stream accumulator and
+// reads the checkpoint's fail fraction: the weighted share of samples whose
+// smallest computed margin falls below δ = 0.35·Vdd.
 func TestFailFraction(t *testing.T) {
-	r := &Result{Samples: []Sample{
+	samples := []Sample{
 		{HSNM: 0.20, RSNM: 0.18, WM: math.NaN()},
 		{HSNM: 0.10, RSNM: 0.30, WM: math.NaN()},
 		{HSNM: 0.25, RSNM: 0.05, WM: math.NaN()},
-	}}
-	if f := r.FailFraction(0.15); math.Abs(f-2.0/3.0) > 1e-12 {
-		t.Errorf("FailFraction = %g, want 2/3", f)
 	}
-	if f := r.FailFraction(0.01); f != 0 {
-		t.Errorf("FailFraction = %g, want 0", f)
+	for _, c := range []struct {
+		vdd, want float64 // δ = 0.35·vdd
+	}{
+		{0.4, 2.0 / 3.0}, // δ = 0.14: the second and third samples fail
+		{0.03, 0},        // δ = 0.0105: none fails
+	} {
+		a := newStreamAcc(&Config{Vdd: c.vdd, Metrics: HSNM | RSNM})
+		for i := range samples {
+			a.add(&samples[i])
+		}
+		if f := a.checkpoint(len(samples), true).FailFraction; math.Abs(f-c.want) > 1e-12 {
+			t.Errorf("Vdd %g: FailFraction = %g, want %g", c.vdd, f, c.want)
+		}
 	}
 }
 

@@ -47,30 +47,6 @@ func (m *Matrix) Zero() {
 	}
 }
 
-// Clone returns a deep copy.
-func (m *Matrix) Clone() *Matrix {
-	c := NewMatrix(m.Rows, m.Cols)
-	copy(c.Data, m.Data)
-	return c
-}
-
-// MulVec computes y = M·x. It panics if dimensions disagree.
-func (m *Matrix) MulVec(x []float64) []float64 {
-	if len(x) != m.Cols {
-		panic(fmt.Sprintf("num: MulVec dim mismatch: %d×%d times %d", m.Rows, m.Cols, len(x)))
-	}
-	y := make([]float64, m.Rows)
-	for i := 0; i < m.Rows; i++ {
-		row := m.Data[i*m.Cols : (i+1)*m.Cols]
-		var s float64
-		for j, a := range row {
-			s += a * x[j]
-		}
-		y[i] = s
-	}
-	return y
-}
-
 // LU holds an in-place LU factorization with partial pivoting.
 type LU struct {
 	n   int
@@ -78,9 +54,9 @@ type LU struct {
 	piv []int
 }
 
-// NewLU allocates factorization storage for n×n systems, for use with
-// Refactor/SolveInto on hot paths that factor the same-sized matrix
-// repeatedly (the Newton loop re-factors the Jacobian every iteration).
+// NewLU allocates factorization storage for n×n systems. Refactor factors a
+// matrix into it and SolveInto solves with the factors, without allocating:
+// the Newton loop re-factors its Jacobian every iteration.
 func NewLU(n int) *LU {
 	if n < 0 {
 		panic(fmt.Sprintf("num: invalid LU size %d", n))
@@ -88,23 +64,10 @@ func NewLU(n int) *LU {
 	return &LU{n: n, lu: make([]float64, n*n), piv: make([]int, n)}
 }
 
-// Factor computes the LU factorization of a square matrix. The input is not
-// modified. Factor returns ErrSingular if a pivot underflows the tolerance
+// Refactor computes the LU factorization of m into f's storage, without
+// allocating; m is not modified and must be square, of the size f was
+// created with. It returns ErrSingular if a pivot underflows the tolerance
 // relative to the matrix scale.
-func Factor(m *Matrix) (*LU, error) {
-	if m.Rows != m.Cols {
-		return nil, fmt.Errorf("num: Factor requires square matrix, got %d×%d", m.Rows, m.Cols)
-	}
-	f := NewLU(m.Rows)
-	if err := f.Refactor(m); err != nil {
-		return nil, err
-	}
-	return f, nil
-}
-
-// Refactor recomputes the factorization of m into f's existing storage —
-// identical arithmetic to Factor, zero allocation. m must match the size f
-// was created with.
 func (f *LU) Refactor(m *Matrix) error {
 	if m.Rows != m.Cols || m.Rows != f.n {
 		return fmt.Errorf("num: Refactor size mismatch: LU n=%d, matrix %d×%d", f.n, m.Rows, m.Cols)
@@ -158,13 +121,6 @@ func (f *LU) Refactor(m *Matrix) error {
 	return nil
 }
 
-// Solve solves A·x = b using the factorization. b is not modified.
-func (f *LU) Solve(b []float64) []float64 {
-	x := make([]float64, f.n)
-	f.SolveInto(x, b)
-	return x
-}
-
 // SolveInto solves A·x = b into dst without allocating. dst and b must both
 // have length n and must not alias.
 func (f *LU) SolveInto(dst, b []float64) {
@@ -193,15 +149,6 @@ func (f *LU) SolveInto(dst, b []float64) {
 		}
 		x[i] = (x[i] - s) / a[i*n+i]
 	}
-}
-
-// SolveLinear is a convenience wrapper: factor A and solve A·x = b.
-func SolveLinear(a *Matrix, b []float64) ([]float64, error) {
-	f, err := Factor(a)
-	if err != nil {
-		return nil, err
-	}
-	return f.Solve(b), nil
 }
 
 // NormInf returns the infinity norm (max absolute value) of a vector.

@@ -7,6 +7,18 @@ import (
 	"testing/quick"
 )
 
+// solve factors a with Refactor and solves a·x = b with SolveInto: the
+// path the Newton kernel takes.
+func solve(a *Matrix, b []float64) ([]float64, error) {
+	f := NewLU(a.Rows)
+	if err := f.Refactor(a); err != nil {
+		return nil, err
+	}
+	x := make([]float64, len(b))
+	f.SolveInto(x, b)
+	return x, nil
+}
+
 func TestSolveLinearKnownSystem(t *testing.T) {
 	// 2x + y = 5; x + 3y = 10  ->  x = 1, y = 3.
 	a := NewMatrix(2, 2)
@@ -14,9 +26,9 @@ func TestSolveLinearKnownSystem(t *testing.T) {
 	a.Set(0, 1, 1)
 	a.Set(1, 0, 1)
 	a.Set(1, 1, 3)
-	x, err := SolveLinear(a, []float64{5, 10})
+	x, err := solve(a, []float64{5, 10})
 	if err != nil {
-		t.Fatalf("SolveLinear: %v", err)
+		t.Fatalf("solve: %v", err)
 	}
 	if math.Abs(x[0]-1) > 1e-12 || math.Abs(x[1]-3) > 1e-12 {
 		t.Fatalf("got x=%v, want [1 3]", x)
@@ -31,9 +43,9 @@ func TestSolveLinearIdentity(t *testing.T) {
 		a.Set(i, i, 1)
 		b[i] = float64(i) - 2.5
 	}
-	x, err := SolveLinear(a, b)
+	x, err := solve(a, b)
 	if err != nil {
-		t.Fatalf("SolveLinear: %v", err)
+		t.Fatalf("solve: %v", err)
 	}
 	for i := range b {
 		if x[i] != b[i] {
@@ -48,18 +60,18 @@ func TestFactorSingular(t *testing.T) {
 	a.Set(0, 1, 2)
 	a.Set(1, 0, 2)
 	a.Set(1, 1, 4)
-	if _, err := Factor(a); err == nil {
+	if err := NewLU(2).Refactor(a); err == nil {
 		t.Fatal("expected ErrSingular for rank-1 matrix")
 	}
 	z := NewMatrix(3, 3)
-	if _, err := Factor(z); err == nil {
+	if err := NewLU(3).Refactor(z); err == nil {
 		t.Fatal("expected ErrSingular for zero matrix")
 	}
 }
 
 func TestFactorNonSquare(t *testing.T) {
 	a := NewMatrix(2, 3)
-	if _, err := Factor(a); err == nil {
+	if err := NewLU(2).Refactor(a); err == nil {
 		t.Fatal("expected error for non-square matrix")
 	}
 }
@@ -71,9 +83,9 @@ func TestPivotingHandlesZeroDiagonal(t *testing.T) {
 	a.Set(0, 1, 1)
 	a.Set(1, 0, 1)
 	a.Set(1, 1, 0)
-	x, err := SolveLinear(a, []float64{2, 3})
+	x, err := solve(a, []float64{2, 3})
 	if err != nil {
-		t.Fatalf("SolveLinear: %v", err)
+		t.Fatalf("solve: %v", err)
 	}
 	if math.Abs(x[0]-3) > 1e-12 || math.Abs(x[1]-2) > 1e-12 {
 		t.Fatalf("got %v, want [3 2]", x)
@@ -98,12 +110,15 @@ func TestSolveRandomResidual(t *testing.T) {
 		for i := range b {
 			b[i] = rng.NormFloat64()
 		}
-		x, err := SolveLinear(a, b)
+		x, err := solve(a, b)
 		if err != nil {
 			return false
 		}
-		r := a.MulVec(x)
+		r := make([]float64, n)
 		for i := range r {
+			for j := range x {
+				r[i] += a.At(i, j) * x[j]
+			}
 			r[i] -= b[i]
 		}
 		return NormInf(r) < 1e-9
@@ -113,13 +128,13 @@ func TestSolveRandomResidual(t *testing.T) {
 	}
 }
 
-func TestMulVecDimPanic(t *testing.T) {
+func TestSolveIntoDimPanic(t *testing.T) {
 	defer func() {
 		if recover() == nil {
 			t.Fatal("expected panic on dimension mismatch")
 		}
 	}()
-	NewMatrix(2, 2).MulVec([]float64{1})
+	NewLU(2).SolveInto(make([]float64, 2), []float64{1})
 }
 
 func TestNorms(t *testing.T) {

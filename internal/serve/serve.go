@@ -417,12 +417,13 @@ type YieldResponse struct {
 }
 
 // yieldResponse builds the body of a non-streaming /v1/yield answer. The
-// summaries describe the drawn values. A request that set rel_ci or a tilt
-// gets the final checkpoint's weighted estimators: μ−3σ, the fail fraction
-// with its Wilson bounds, and whether the run converged. Any other request
-// gets μ−3σ from the summary and the plain fail fraction; the checkpoint's
-// Welford μ−3σ differs from the summary's two-pass value by a few ulps, so
-// those answers keep the two-pass value.
+// summaries describe the drawn values, and the fail fraction is the final
+// checkpoint's (the plain count fraction under unit weights). A request
+// that set rel_ci or a tilt also gets the checkpoint's other weighted
+// estimators: μ−3σ, the Wilson bounds on the fail fraction, and whether the
+// run converged. Any other request gets μ−3σ from the summary; the
+// checkpoint's Welford μ−3σ differs from the summary's two-pass value by a
+// few ulps, so those answers keep the two-pass value.
 func yieldResponse(req *YieldRequest, res *sramco.MCResult) *YieldResponse {
 	final := res.Final
 	resp := &YieldResponse{
@@ -430,14 +431,12 @@ func yieldResponse(req *YieldRequest, res *sramco.MCResult) *YieldResponse {
 		Samples:       res.Stats.Samples,
 		MuMinus3Sigma: map[string]float64{},
 		DeltaV:        final.Delta,
+		FailFraction:  final.FailFraction,
 	}
 	weighted := req.RelCI > 0 || req.Tilt > 1
 	if weighted {
-		resp.FailFraction = final.FailFraction
 		resp.Converged = final.Converged
 		resp.FailLo, resp.FailHi = &final.FailLo, &final.FailHi
-	} else {
-		resp.FailFraction = res.FailFraction(final.Delta)
 	}
 	metric := func(name string, sum num.Summary, stat *sramco.MCMetricStat) *num.Summary {
 		if stat == nil {

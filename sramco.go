@@ -204,18 +204,7 @@ func (f *Framework) Optimize(ctx context.Context, opts Options) (*Optimum, error
 // Design.GroupMask to flavor's alternate (LVT↔HVT) and evaluates the array
 // under the per-group cell model.
 func (f *Framework) Evaluate(flavor Flavor, d Design, act Activity) (*Result, error) {
-	tech, err := f.core.ArrayTech(flavor)
-	if err != nil {
-		return nil, err
-	}
-	if d.Groups != 0 {
-		alt, err := f.core.HybridAltTerms(flavor)
-		if err != nil {
-			return nil, err
-		}
-		return array.EvaluateHybrid(tech, d, act, alt)
-	}
-	return array.Evaluate(tech, d, act)
+	return f.core.Evaluate(flavor, d, act)
 }
 
 // Rails returns the assist rail voltages (VDDC, VWL) the method pins for a
