@@ -180,7 +180,7 @@ func main() {
 		if err != nil {
 			cliutil.Fatalf("%v", err)
 		}
-		fmt.Println("  neighbor sensitivity (objective relative to optimum; n/a = outside space):")
+		fmt.Println("  neighbor sensitivity (objective relative to optimum; n/a = outside the space or infeasible):")
 		for _, s := range sens {
 			fmt.Printf("    %-6s down %-8s up %s\n", s.Variable, relStr(s.DownRel), relStr(s.UpRel))
 		}

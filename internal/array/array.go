@@ -306,8 +306,18 @@ func EvaluateHybrid(t *Tech, d Design, act Activity, alt FlavorTerms) (*Result, 
 	}
 	var e Evaluator
 	e.init(t, act)
-	h := Hybrid{Groups: d.Groups, Mask: d.GroupMask, Alt: alt}
-	if err := e.PrepareHybrid(d.Geom, d.VDDC, d.VSSC, d.VWL, h); err != nil {
+	// One evaluation builds its rail stage here, as Prepare and
+	// PrepareHybrid would, without the memo Prepare allocates for later
+	// chunks.
+	var altTerms *FlavorTerms
+	if d.Groups > 1 {
+		altTerms = &alt
+	}
+	rs, err := e.Rails(d.VDDC, d.VSSC, d.VWL, altTerms)
+	if err != nil {
+		return nil, err
+	}
+	if err := e.PrepareStaged(d.Geom, &rs, d.Groups, d.GroupMask); err != nil {
 		return nil, err
 	}
 	return e.Eval(d.Geom.Npre, d.Geom.Nwr)

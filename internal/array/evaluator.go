@@ -154,10 +154,11 @@ type Evaluator struct {
 	evals int
 
 	// Rail memo: Prepare's rail stage depends only on (VDDC, VSSC, VWL), so
-	// a chunk on the last chunk's rails reuses it. It sits last, after the
-	// fields the sweep reads.
-	railOK bool
-	rails  RailStage
+	// a chunk on the last chunk's rails reuses it. The first Prepare
+	// allocates it and Clone leaves it nil, so clones that prepare from
+	// staged rails only never carry one. It sits last, after the fields the
+	// sweep reads.
+	rails *RailStage
 }
 
 // NewEvaluator validates the technology and activity once and returns an
@@ -203,6 +204,7 @@ func (e *Evaluator) Clone() *Evaluator {
 	c.soaBL, c.soaDCOL, c.soaECOL, c.soaIBLwr, c.soaBwK = nil, nil, nil, nil, nil
 	c.bk.ok = false
 	c.evals = 0
+	c.rails = nil
 	return &c
 }
 
@@ -291,15 +293,18 @@ func (e *Evaluator) Prepare(g wire.Geometry, vddc, vssc, vwl float64) error {
 		vddc == e.vddc && vssc == e.vssc && vwl == e.vwl {
 		return nil
 	}
-	if !e.railOK || vddc != e.rails.vddc || vssc != e.rails.vssc || vwl != e.rails.vwl {
+	if e.rails == nil || vddc != e.rails.vddc || vssc != e.rails.vssc || vwl != e.rails.vwl {
 		rs, err := e.Rails(vddc, vssc, vwl, nil)
 		if err != nil {
 			e.prepared = false
 			return err
 		}
-		e.rails, e.railOK = rs, true
+		if e.rails == nil {
+			e.rails = new(RailStage)
+		}
+		*e.rails = rs
 	}
-	return e.PrepareStaged(g, &e.rails, 0, 0)
+	return e.PrepareStaged(g, e.rails, 0, 0)
 }
 
 // PrepareHybrid is Prepare for a per-row-group flavor assignment: the chunk

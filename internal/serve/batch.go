@@ -1,7 +1,6 @@
 package serve
 
 import (
-	"bufio"
 	"bytes"
 	"context"
 	"encoding/json"
@@ -9,7 +8,6 @@ import (
 	"net/http"
 	"strconv"
 	"strings"
-	"sync"
 	"time"
 
 	"sramco/internal/obs"
@@ -76,13 +74,17 @@ func decodeBatch(r io.Reader) ([]batchItem, *apiError) {
 	if len(body) > maxBatchBytes {
 		return nil, badRequest("batch body exceeds the %d byte limit", maxBatchBytes)
 	}
-	sc := bufio.NewScanner(bytes.NewReader(body))
-	sc.Buffer(make([]byte, 0, 64*1024), maxBodyBytes)
 	var items []batchItem
 	line := 0
-	for sc.Scan() {
+	for rest := body; len(rest) > 0; {
+		var raw []byte
+		raw, rest, _ = bytes.Cut(rest, []byte{'\n'})
 		line++
-		raw := bytes.TrimSpace(sc.Bytes())
+		// A line and its newline fit in the single-request body budget.
+		if len(raw) >= maxBodyBytes {
+			return nil, badRequest("batch line %d: longer than the %d byte line limit", line, maxBodyBytes-1)
+		}
+		raw = bytes.TrimSpace(raw)
 		if len(raw) == 0 {
 			continue
 		}
@@ -110,9 +112,6 @@ func decodeBatch(r io.Reader) ([]batchItem, *apiError) {
 			return nil, badRequest("batch line %d: %s", line, aerr.Message)
 		}
 		items = append(items, batchItem{op: o, req: req})
-	}
-	if err := sc.Err(); err != nil {
-		return nil, badRequest("batch body: %v", err)
 	}
 	if len(items) == 0 {
 		return nil, badRequest("batch body is empty")
@@ -152,14 +151,65 @@ func toBatchResult(idx int, op string, res cached, state string, err error, d ti
 	return batchResult{Index: idx, Op: op, Status: res.status, Cache: state, Body: res.body}
 }
 
+// lineWriter writes the result lines of one /v1/batch response. A line is
+// its envelope, appended by hand, then the stored body bytes, then "}\n":
+// byte for byte json.Encoder's line for the batchResult, provided the body
+// is compact, HTML-escaped JSON, which the encoder copies unchanged. Every
+// body the server stores is json.Marshal output, so it is; op names and
+// tier names need no escaping.
+type lineWriter struct {
+	w         io.Writer
+	flusher   http.Flusher // nil when w cannot flush
+	head      []byte       // the envelope of the line being written
+	unflushed bool         // a line was written since the last flush
+}
+
+// flush sends the lines written since the last flush.
+func (lw *lineWriter) flush() {
+	if lw.unflushed && lw.flusher != nil {
+		lw.flusher.Flush()
+		lw.unflushed = false
+	}
+}
+
+func (lw *lineWriter) write(r batchResult) error {
+	b := append(lw.head[:0], `{"index":`...)
+	b = strconv.AppendInt(b, int64(r.Index), 10)
+	b = append(append(append(b, `,"op":"`...), r.Op...), `","status":`...)
+	b = strconv.AppendInt(b, int64(r.Status), 10)
+	if r.Cache != "" {
+		b = append(append(append(b, `,"cache":"`...), r.Cache...), '"')
+	}
+	lw.head = append(b, `,"body":`...)
+	lw.unflushed = true
+	if _, err := lw.w.Write(lw.head); err != nil {
+		return err
+	}
+	if _, err := lw.w.Write(r.Body); err != nil {
+		return err
+	}
+	_, err := io.WriteString(lw.w, "}\n")
+	return err
+}
+
+// batchMiss is a batch item no tier held: it waits for a fill.
+type batchMiss struct {
+	idx  int
+	op   *op
+	key  string
+	fill fillFunc
+	t0   time.Time
+}
+
 // handleBatch answers POST /v1/batch: many optimize/evaluate/pareto items
-// in one NDJSON body, results streamed back as NDJSON in completion order,
-// flushed per line so callers read early results while later chunks still
-// compute. Each item goes through the same catalog → cache → coalesced-fill
-// path as its standalone endpoint and carries its own status; the HTTP
-// status of the stream itself is 200 once decoding succeeds. Every item
-// fans out onto the worker pool. One admit spans the whole batch, so
-// draining waits for it like any other request.
+// in one NDJSON body, results streamed back as NDJSON in completion order.
+// Each item goes through the same catalog → cache → coalesced-fill path as
+// its standalone endpoint and carries its own status; the HTTP status of
+// the stream itself is 200 once decoding succeeds. Hits are answered at
+// once, before a wait context or goroutine exists; misses fan out onto the
+// worker pool, and lines are flushed whenever no further line is ready, so
+// callers read early results while later items still compute. One admit
+// spans the whole batch, so draining waits for it like any other request.
 func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	mRequests.Inc()
 	if r.Method != http.MethodPost {
@@ -188,37 +238,44 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	defer release()
 	mBatchItems.Add(int64(len(items)))
 
-	batchCtx, cancel := context.WithTimeout(r.Context(), s.effectiveTimeout(timeoutMS))
-	defer cancel()
-
-	results := make(chan batchResult, len(items))
-	var wg sync.WaitGroup
-	for i, it := range items {
-		wg.Add(1)
-		go func(i int, it batchItem) {
-			defer wg.Done()
-			t0 := time.Now()
-			key, _, fill := it.req.call(s, it.op)
-			res, state, err := s.respond(batchCtx, key, fill)
-			results <- toBatchResult(i, it.op.name, res, state, err, time.Since(t0))
-		}(i, it)
-	}
-	go func() {
-		wg.Wait()
-		close(results)
-	}()
-
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	w.WriteHeader(http.StatusOK)
 	flusher, _ := w.(http.Flusher)
-	enc := json.NewEncoder(w)
-	for res := range results {
-		if err := enc.Encode(res); err != nil {
+	lw := lineWriter{w: w, flusher: flusher}
+	var misses []batchMiss
+	for i, it := range items {
+		t0 := time.Now()
+		key, _, fill := it.req.call(s, it.op)
+		res, state, ok := s.lookup(key)
+		if !ok {
+			misses = append(misses, batchMiss{idx: i, op: it.op, key: key, fill: fill, t0: t0})
+			continue
+		}
+		if err := lw.write(toBatchResult(i, it.op.name, res, state, nil, time.Since(t0))); err != nil {
+			mErrors.Inc()
+			return // client went away
+		}
+	}
+	if len(misses) == 0 {
+		return
+	}
+
+	batchCtx, cancel := context.WithTimeout(r.Context(), s.effectiveTimeout(timeoutMS))
+	defer cancel()
+	results := make(chan batchResult, len(misses))
+	for _, m := range misses {
+		go func() {
+			res, state, err := s.fill(batchCtx, m.key, m.fill)
+			results <- toBatchResult(m.idx, m.op.name, res, state, err, time.Since(m.t0))
+		}()
+	}
+	for range misses {
+		if len(results) == 0 {
+			lw.flush() // no further line is ready
+		}
+		if err := lw.write(<-results); err != nil {
 			mErrors.Inc()
 			return // client went away; producers unwind via batchCtx
-		}
-		if flusher != nil {
-			flusher.Flush()
 		}
 	}
 }

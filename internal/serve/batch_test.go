@@ -6,6 +6,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -332,10 +333,184 @@ func TestBatchItemLimit(t *testing.T) {
 	}
 }
 
+// TestBatchLineLimit pins the longest batch line: a line and its newline
+// fit in maxBodyBytes, with or without the newline present.
+func TestBatchLineLimit(t *testing.T) {
+	for _, end := range []string{"", "\n"} {
+		fits := evalLine + strings.Repeat(" ", maxBodyBytes-1-len(evalLine)) + end
+		if items, aerr := decodeBatch(strings.NewReader(fits)); aerr != nil || len(items) != 1 {
+			t.Errorf("line of %d bytes (end %q): %d items, error %v; want one item", maxBodyBytes-1, end, len(items), aerr)
+		}
+		long := evalLine + strings.Repeat(" ", maxBodyBytes-len(evalLine)) + end
+		if _, aerr := decodeBatch(strings.NewReader(long)); aerr == nil || aerr.Status != http.StatusBadRequest {
+			t.Errorf("line of %d bytes (end %q): error %v, want a 400", maxBodyBytes, end, aerr)
+		}
+	}
+}
+
+// TestDecodeBatchAllocs pins what decoding a small batch allocates:
+// decodeBatch splits the body it has read in place, so three lines cost a
+// few kilobytes. A 64 KB line buffer per batch made it ~70 KB.
+func TestDecodeBatchAllocs(t *testing.T) {
+	body := strings.Join([]string{
+		`{"op":"optimize","capacity_bytes":128,"flavor":"hvt"}`,
+		evalLine,
+		`{"op":"pareto","capacity_bytes":128,"flavor":"hvt"}`,
+	}, "\n") + "\n"
+	if items, aerr := decodeBatch(strings.NewReader(body)); aerr != nil || len(items) != 3 {
+		t.Fatalf("decodeBatch: %d items, error %v; want 3 items", len(items), aerr)
+	}
+	res := testing.Benchmark(func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			decodeBatch(strings.NewReader(body))
+		}
+	})
+	if res.N == 0 {
+		t.Fatal("benchmark did not run")
+	}
+	if got := res.AllocedBytesPerOp(); got >= 8<<10 {
+		t.Errorf("decodeBatch of 3 lines: %d B/op, want under %d", got, 8<<10)
+	}
+}
+
+// TestBatchLinesAreEncoderBytes pins the hand-written batch line to
+// json.Encoder's. A batch of catalog optimize and pareto hits, an evaluate
+// fill, a fill's 400 and a cached 422 envelope must come back with every
+// line exactly as the encoder writes its batchResult. The writer copies
+// each stored body unchanged, which equals the encoder only when the body
+// is compact and HTML-escaped, so every body the batch returned and every
+// catalog entry must re-compact to itself; a body holding a raw '<', which
+// the encoder escapes, shows the two writers differ.
+func TestBatchLinesAreEncoderBytes(t *testing.T) {
+	s := catalogServer(t, CatalogGrid{
+		CapacitiesBytes: []int{128},
+		Flavors:         []string{"hvt"},
+		Methods:         []string{"m2"},
+		Objectives:      []string{"edp"},
+		Pareto:          true,
+	})
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	infeasible := `{"capacity_bytes":262144,"flavor":"hvt"}`
+	if code, _, _ := postJSON(t, ts.URL+"/v1/optimize", infeasible); code != http.StatusUnprocessableEntity {
+		t.Fatalf("infeasible optimize: status %d, want 422", code)
+	}
+
+	batch := strings.Join([]string{
+		`{"op":"optimize","capacity_bytes":128,"flavor":"hvt"}`,
+		`{"op":"pareto","capacity_bytes":128,"flavor":"hvt"}`,
+		evalLine,
+		`{"op":"evaluate","flavor":"hvt","nr":32,"nc":32,"npre":1,"nwr":1,"vddc":0.1}`, // the model rejects the rail
+		`{"op":"optimize","capacity_bytes":262144,"flavor":"hvt"}`,
+	}, "\n")
+	resp, err := http.Post(ts.URL+"/v1/batch", "application/x-ndjson", strings.NewReader(batch))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	raw, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := map[string]bool{
+		"optimize 200 catalog": true,
+		"pareto 200 catalog":   true,
+		"evaluate 200 miss":    true,
+		"evaluate 400 ":        true,
+		"optimize 422 hit":     true,
+	}
+	for _, line := range bytes.SplitAfter(raw, []byte("\n")) {
+		if len(line) == 0 {
+			continue
+		}
+		var r batchResult
+		if err := json.Unmarshal(line, &r); err != nil {
+			t.Fatalf("batch line %q: %v", line, err)
+		}
+		var enc bytes.Buffer
+		if err := json.NewEncoder(&enc).Encode(r); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(line, enc.Bytes()) {
+			t.Errorf("line differs from json.Encoder's:\n got %s\nwant %s", line, enc.Bytes())
+		}
+		checkRecompacts(t, r.Op, r.Body)
+		name := fmt.Sprintf("%s %d %s", r.Op, r.Status, r.Cache)
+		if !want[name] {
+			t.Errorf("unexpected line %s", name)
+		}
+		delete(want, name)
+	}
+	for name := range want {
+		t.Errorf("no line %s", name)
+	}
+	for _, key := range s.Catalog().Keys() {
+		body, _ := s.Catalog().Lookup(key)
+		checkRecompacts(t, key, body)
+	}
+
+	unescaped := batchResult{Index: 0, Op: "evaluate", Status: http.StatusOK, Cache: "hit", Body: json.RawMessage(`{"note":"<"}`)}
+	var hand, enc bytes.Buffer
+	if err := (&lineWriter{w: &hand}).write(unescaped); err != nil {
+		t.Fatal(err)
+	}
+	if err := json.NewEncoder(&enc).Encode(unescaped); err != nil {
+		t.Fatal(err)
+	}
+	if bytes.Equal(hand.Bytes(), enc.Bytes()) {
+		t.Errorf("a body holding a raw '<' wrote the encoder's bytes %s; the encoder escapes it", enc.Bytes())
+	}
+}
+
+// checkRecompacts fails unless body is compact, HTML-escaped JSON: the form
+// json.Marshal writes and json.Encoder leaves unchanged.
+func checkRecompacts(t *testing.T, what string, body []byte) {
+	t.Helper()
+	var compact, escaped bytes.Buffer
+	if err := json.Compact(&compact, body); err != nil {
+		t.Fatalf("%s: body is not JSON: %v", what, err)
+	}
+	json.HTMLEscape(&escaped, compact.Bytes())
+	if !bytes.Equal(escaped.Bytes(), body) {
+		t.Errorf("%s: body does not re-compact to itself", what)
+	}
+}
+
+// BenchmarkBatchCatalogHits measures a batch of three catalog optimize hits
+// through the full handler stack: the path the small batches of sramperf's
+// serve-hot workload take, which BenchmarkBatch64's fills never reach.
+func BenchmarkBatchCatalogHits(b *testing.B) {
+	s := catalogServer(b, CatalogGrid{
+		CapacitiesBytes: []int{128},
+		Flavors:         []string{"hvt"},
+		Methods:         []string{"m2"},
+		Objectives:      []string{"edp", "delay", "energy"},
+	})
+	body := strings.Join([]string{
+		`{"op":"optimize","capacity_bytes":128,"flavor":"hvt"}`,
+		`{"op":"optimize","capacity_bytes":128,"flavor":"hvt","objective":"delay"}`,
+		`{"op":"optimize","capacity_bytes":128,"flavor":"hvt","objective":"energy"}`,
+	}, "\n") + "\n"
+	h := s.Handler()
+	run := func() {
+		req := httptest.NewRequest(http.MethodPost, "/v1/batch", strings.NewReader(body))
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, req)
+		if rec.Code != http.StatusOK || bytes.Count(rec.Body.Bytes(), []byte(`"cache":"catalog"`)) != 3 {
+			b.Fatalf("status %d: %s", rec.Code, rec.Body.String())
+		}
+	}
+	run()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		run()
+	}
+}
+
 // BenchmarkBatch64 measures a 64-item evaluate batch through the full HTTP
-// handler, shared-Evaluator path included. Items vary by geometry so the
-// batch is real work, not 64 cache hits; the cache is disabled to keep every
-// iteration on the fill path.
+// handler. Items vary by geometry so the batch is real work, not 64 cache
+// hits; the cache is disabled to keep every iteration on the fill path.
 func BenchmarkBatch64(b *testing.B) {
 	s := New(framework(b), Config{CacheSize: -1})
 	var sb strings.Builder

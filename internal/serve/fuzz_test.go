@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -14,9 +15,9 @@ import (
 
 // fuzzServer builds a Server whose heavy compute functions are replaced by
 // canned results from one real tiny run each, so the fuzzer exercises the
-// full decode → normalize → canonical-key → respond path at decoder speed.
-// The /v1/evaluate path stays fully real (a single model evaluation is
-// microseconds).
+// full decode → normalize → canonical-key → lookup → fill path at decoder
+// speed. The /v1/evaluate path stays fully real (a single model evaluation
+// is microseconds).
 func fuzzServer(f *testing.F) *Server {
 	f.Helper()
 	fw := framework(f)
@@ -51,15 +52,39 @@ func fuzzServer(f *testing.F) *Server {
 	return s
 }
 
+// oracleKey formats a normalized request's cache key with the fmt formats
+// the keys were written with before keyBuf. A key is also a catalog key, so
+// keyBuf must write the same bytes for every request an endpoint accepts.
+func oracleKey(req request, o *op) string {
+	switch r := req.(type) {
+	case *OptimizeRequest:
+		return fmt.Sprintf("%s|cap=%d|flavor=%s|method=%s|obj=%s|dwl=%t|alpha=%g|beta=%g|w=%d|groups=%d|mux=%d",
+			o.name, r.CapacityBytes, r.Flavor, r.Method, r.Objective, r.DWL, *r.Alpha, *r.Beta, r.W, r.Groups, r.Mux)
+	case *EvaluateRequest:
+		optF := func(v *float64) string {
+			if v == nil {
+				return "-"
+			}
+			return fmt.Sprintf("%g", *v)
+		}
+		return fmt.Sprintf("%s|flavor=%s|method=%s|geom=%dx%d:%d:%d:%d:%d|vddc=%s|vssc=%g|vwl=%s|alpha=%g|beta=%g|groups=%d|mask=%d|mux=%d",
+			o.name, r.Flavor, r.Method, r.NR, r.NC, r.W, r.Npre, r.Nwr, r.WLSegs,
+			optF(r.VDDC), r.VSSC, optF(r.VWL), *r.Alpha, *r.Beta, r.Groups, r.GroupMask, r.Mux)
+	case *YieldRequest:
+		return fmt.Sprintf("%s|flavor=%s|n=%d|seed=%d|sigma=%g|metrics=%s|sampler=%s|tilt=%g|relci=%g",
+			o.name, r.Flavor, r.N, r.Seed, r.SigmaVt, strings.Join(r.Metrics, ","), r.Sampler, r.Tilt, r.RelCI)
+	}
+	panic(fmt.Sprintf("oracleKey: no key format for %T", req))
+}
+
 // FuzzDecodeRequest throws arbitrary bodies at every /v1/* endpoint. The
 // contract under fuzz: the handler stack never panics, success responses are
 // valid JSON, and every rejection is a structured error envelope with a
 // 4xx/5xx status — malformed input must surface as a 400-class error, not a
-// crash.
+// crash. Every body the endpoint accepts gets oracleKey's key.
 func FuzzDecodeRequest(f *testing.F) {
 	s := fuzzServer(f)
 	h := s.Handler()
-	paths := []string{"/v1/optimize", "/v1/evaluate", "/v1/pareto", "/v1/yield"}
 
 	seeds := []struct {
 		which uint8
@@ -95,13 +120,25 @@ func FuzzDecodeRequest(f *testing.F) {
 		{1, `{"nr":32,"nc":64,"w":32,"flavor":"lvt","method":"m2","mux":2,"groups":4,"group_mask":5}`},
 		{1, `{"nr":32,"nc":64,"w":32,"flavor":"lvt","method":"m2","group_mask":3}`}, // mask without groups
 		{1, `{"nr":36,"nc":64,"w":32,"flavor":"lvt","method":"m2","groups":8}`},     // rows not divisible by groups
+		// Keys of values %g writes in exponent form, with 17 digits or as -0.
+		{0, `{"capacity_bytes":2048,"flavor":"lvt","dwl":true,"alpha":1e-7,"beta":0.30000000000000004,"w":16}`},
+		{2, `{"capacity_bytes":128,"flavor":"hvt","alpha":0.000123456789,"beta":1}`},
+		{1, `{"nr":32,"nc":64,"w":32,"npre":4,"nwr":2,"flavor":"lvt","vddc":1.0000001,"vssc":-0,"vwl":123456789012,"alpha":0}`},
+		{1, `{"nr":16,"nc":16,"npre":1,"nwr":1,"flavor":"hvt","vssc":-1e-300,"beta":0.1}`},
+		{3, `{"flavor":"lvt","n":16,"seed":-9223372036854775808,"sigma_vt":1e-21,"tilt":1.5,"rel_ci":0.05,"sampler":"sobol"}`},
 	}
 	for _, s := range seeds {
 		f.Add(s.which, []byte(s.body))
 	}
 
 	f.Fuzz(func(t *testing.T, which uint8, body []byte) {
-		path := paths[int(which)%len(paths)]
+		o := ops[int(which)%len(ops)]
+		path := "/v1/" + o.name
+		if req := o.newRequest(); decodeJSON(bytes.NewReader(body), req) == nil && req.normalize() == nil {
+			if got, _, _ := req.call(s, o); got != oracleKey(req, o) {
+				t.Fatalf("%s: key %q, oracle key %q", path, got, oracleKey(req, o))
+			}
+		}
 		req := httptest.NewRequest(http.MethodPost, path, bytes.NewReader(body))
 		rec := httptest.NewRecorder()
 		h.ServeHTTP(rec, req) // a panic here is a fuzz failure
@@ -139,8 +176,8 @@ func FuzzDecodeRequest(f *testing.F) {
 // with a 400 apiError or returns at least one item, and every returned item
 // is a batch op of the table whose canonical key equals the key the same
 // request gets on its own endpoint — the line without its op tag, decoded
-// and normalized as that endpoint's body — and no per-item deadline in the
-// canonical request.
+// and normalized as that endpoint's body — and oracleKey's key, and no
+// per-item deadline in the canonical request.
 func FuzzDecodeBatch(f *testing.F) {
 	seeds := []string{
 		`{"op":"optimize","capacity_bytes":128,"flavor":"hvt"}`,
@@ -163,6 +200,8 @@ func FuzzDecodeBatch(f *testing.F) {
 		`{"op":"evaluate","flavor":"lvt","nr":32,"nc":32,"npre":1,"nwr":1,"groups":2,"group_mask":1,"mux":2}`,
 		`{"op":"optimize","capacity_bytes":128,"flavor":"hvt","groups":3}`,
 		`{"op":"evaluate","flavor":"lvt","nr":32,"nc":32,"npre":1,"nwr":1,"group_mask":7}`,
+		"{\"op\":\"pareto\",\"capacity_bytes\":4096,\"flavor\":\"hvt\",\"alpha\":1e-7,\"beta\":0.9999999999999999}\r\n" +
+			`{"op":"evaluate","flavor":"lvt","nr":64,"nc":16,"npre":2,"nwr":3,"vddc":0.55,"vssc":-0.000001,"vwl":1e21,"mux":1}`,
 	}
 	for _, s := range seeds {
 		f.Add([]byte(s))
@@ -206,6 +245,9 @@ func FuzzDecodeBatch(f *testing.F) {
 			want, _, _ := req.call(nil, it.op)
 			if got != want {
 				t.Fatalf("item %d: batch key %q, own endpoint key %q", i, got, want)
+			}
+			if oracle := oracleKey(it.req, it.op); got != oracle {
+				t.Fatalf("item %d: key %q, oracle key %q", i, got, oracle)
 			}
 		}
 	})

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"strconv"
 	"strings"
 
 	"sramco"
@@ -55,10 +56,6 @@ type op struct {
 	// whole line. nil for the operations /v1/batch does not take.
 	newLine func() (request, any)
 }
-
-// String returns the operation's name. Cache keys format the op itself:
-// passing a string to fmt costs an allocation that a pointer does not.
-func (o *op) String() string { return o.name }
 
 // The operation table. An operation is one entry here plus its request
 // type; its endpoint, batch acceptance, RED labels and error texts follow
@@ -252,8 +249,11 @@ func (r *OptimizeRequest) normalize() *apiError {
 // given operation name. The per-request deadline is deliberately excluded:
 // it shapes how long a caller waits, not what is computed.
 func (r *OptimizeRequest) key(name string) string {
-	return fmt.Sprintf("%s|cap=%d|flavor=%s|method=%s|obj=%s|dwl=%t|alpha=%g|beta=%g|w=%d|groups=%d|mux=%d",
-		name, r.CapacityBytes, r.Flavor, r.Method, r.Objective, r.DWL, *r.Alpha, *r.Beta, r.W, r.Groups, r.Mux)
+	k := append(make(keyBuf, 0, 256), name...).
+		d("|cap=", int64(r.CapacityBytes)).s("|flavor=", r.Flavor).s("|method=", r.Method).s("|obj=", r.Objective).
+		t("|dwl=", r.DWL).g("|alpha=", *r.Alpha).g("|beta=", *r.Beta).
+		d("|w=", int64(r.W)).d("|groups=", int64(r.Groups)).d("|mux=", int64(r.Mux))
+	return string(k)
 }
 
 // call answers /v1/pareto with the full frontier and /v1/optimize with the
@@ -412,10 +412,11 @@ func (r *EvaluateRequest) geometry() wire.Geometry {
 // framework's (flavor, method) characterization. It has no deadline of its
 // own: one model evaluation takes microseconds.
 func (r *EvaluateRequest) call(s *Server, o *op) (string, int, fillFunc) {
-	key := fmt.Sprintf("%s|flavor=%s|method=%s|geom=%dx%d:%d:%d:%d:%d|vddc=%s|vssc=%g|vwl=%s|alpha=%g|beta=%g|groups=%d|mask=%d|mux=%d",
-		o, r.Flavor, r.Method, r.NR, r.NC, r.W, r.Npre, r.Nwr, r.WLSegs,
-		optF(r.VDDC), r.VSSC, optF(r.VWL), *r.Alpha, *r.Beta, r.Groups, r.GroupMask, r.Mux)
-	return key, 0, func(context.Context) (any, error) {
+	k := append(make(keyBuf, 0, 256), o.name...).s("|flavor=", r.Flavor).s("|method=", r.Method).
+		d("|geom=", int64(r.NR)).d("x", int64(r.NC)).d(":", int64(r.W)).d(":", int64(r.Npre)).d(":", int64(r.Nwr)).d(":", int64(r.WLSegs)).
+		optG("|vddc=", r.VDDC).g("|vssc=", r.VSSC).optG("|vwl=", r.VWL).g("|alpha=", *r.Alpha).g("|beta=", *r.Beta).
+		d("|groups=", int64(r.Groups)).d("|mask=", int64(r.GroupMask)).d("|mux=", int64(r.Mux))
+	return string(k), 0, func(context.Context) (any, error) {
 		vddc, vwl, err := s.fw.Rails(r.flavor, r.method)
 		if err != nil {
 			return nil, err
@@ -560,9 +561,10 @@ func (r *YieldRequest) normalize() *apiError {
 // call runs the Monte Carlo engine to completion and answers with the
 // summary (the ?stream=1 form never reaches it: streams are not cached).
 func (r *YieldRequest) call(s *Server, o *op) (string, int, fillFunc) {
-	key := fmt.Sprintf("%s|flavor=%s|n=%d|seed=%d|sigma=%g|metrics=%s|sampler=%s|tilt=%g|relci=%g",
-		o, r.Flavor, r.N, r.Seed, r.SigmaVt, strings.Join(r.Metrics, ","), r.Sampler, r.Tilt, r.RelCI)
-	return key, r.timeoutMS, func(ctx context.Context) (any, error) {
+	k := append(make(keyBuf, 0, 256), o.name...).s("|flavor=", r.Flavor).d("|n=", int64(r.N)).d("|seed=", r.Seed).
+		g("|sigma=", r.SigmaVt).s("|metrics=", strings.Join(r.Metrics, ",")).s("|sampler=", r.Sampler).
+		g("|tilt=", r.Tilt).g("|relci=", r.RelCI)
+	return string(k), r.timeoutMS, func(ctx context.Context) (any, error) {
 		res, err := s.yieldFn(ctx, r.cfg, nil)
 		if err != nil {
 			return nil, err
@@ -573,12 +575,28 @@ func (r *YieldRequest) call(s *Server, o *op) (string, int, fillFunc) {
 
 func ptr[T any](v T) *T { return &v }
 
-// optF renders an optional float for a cache key: "-" when unset.
-func optF(v *float64) string {
+// keyBuf appends the fields of a canonical cache key, which is also the
+// catalog key. Each method appends a literal separator, then a value
+// written as the fmt verb it is named after writes it (%s, %d, %t, %g;
+// optG writes "-" for an unset value), so a key reads the same bytes as the
+// fmt format it replaced.
+type keyBuf []byte
+
+func (k keyBuf) s(sep, v string) keyBuf { return append(append(k, sep...), v...) }
+
+func (k keyBuf) d(sep string, v int64) keyBuf { return strconv.AppendInt(append(k, sep...), v, 10) }
+
+func (k keyBuf) t(sep string, v bool) keyBuf { return strconv.AppendBool(append(k, sep...), v) }
+
+func (k keyBuf) g(sep string, v float64) keyBuf {
+	return strconv.AppendFloat(append(k, sep...), v, 'g', -1, 64)
+}
+
+func (k keyBuf) optG(sep string, v *float64) keyBuf {
 	if v == nil {
-		return "-"
+		return k.s(sep, "-")
 	}
-	return fmt.Sprintf("%g", *v)
+	return k.g(sep, *v)
 }
 
 // asAPIError maps any handler error to its client-visible form.

@@ -235,26 +235,31 @@ func (s *Server) effectiveTimeout(timeoutMS int) time.Duration {
 	return d
 }
 
-// respond resolves one canonical request through the full read path:
-// catalog, LRU cache, then a coalesced fill on the worker pool. The
-// returned state names the tier that answered ("catalog", "hit", "miss" or
-// "coalesced"). waitCtx governs only how long this caller waits for a
-// result; the fill itself runs under the server's base context and compute
-// cap — a coalesced fill may outlive the client that started it, and a
-// client's short deadline must never poison the fill for patient waiters
-// (DESIGN.md §8).
-func (s *Server) respond(waitCtx context.Context, key string, fill fillFunc) (cached, string, error) {
+// lookup answers key from the tiers that hold finished bytes: the catalog,
+// then the LRU cache. state names the tier that answered ("catalog" or
+// "hit"); ok is false on a miss, which fill answers.
+func (s *Server) lookup(key string) (res cached, state string, ok bool) {
 	if cat := s.cat.Load(); cat != nil {
 		if body, ok := cat.Lookup(key); ok {
 			mCatalogHit.Inc()
-			return cached{status: http.StatusOK, body: body}, "catalog", nil
+			return cached{status: http.StatusOK, body: body}, "catalog", true
 		}
 	}
 	if res, ok := s.cache.Get(key); ok {
 		mCacheHit.Inc()
-		return res, "hit", nil
+		return res, "hit", true
 	}
+	return cached{}, "", false
+}
 
+// fill answers a key lookup missed: a coalesced fill on the worker pool,
+// cached on success. The returned state is "miss", or "coalesced" when
+// this caller attached to another request's fill. waitCtx governs only how
+// long this caller waits for a result; the fill itself runs under the
+// server's base context and compute cap — a coalesced fill may outlive the
+// client that started it, and a client's short deadline must never poison
+// the fill for patient waiters (DESIGN.md §8).
+func (s *Server) fill(waitCtx context.Context, key string, fill fillFunc) (cached, string, error) {
 	res, shared, err := s.flight.Do(waitCtx, key, func() (cached, error) {
 		mCacheMiss.Inc()
 		// The fill's deadline is the server cap, never the first caller's
@@ -310,8 +315,9 @@ func render(ctx context.Context, fill fillFunc) (cached, error) {
 }
 
 // handle serves operation o's own endpoint: decode and normalize the body,
-// then answer through the read path — or, for /v1/yield?stream=1, stream
-// the run's checkpoints uncached.
+// then answer through the read path — a hit from the bytes a tier holds, a
+// miss by a fill under the caller's deadline — or, for /v1/yield?stream=1,
+// stream the run's checkpoints uncached.
 func (s *Server) handle(o *op) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		if r.Method != http.MethodPost {
@@ -340,13 +346,14 @@ func (s *Server) handle(o *op) http.HandlerFunc {
 		}
 
 		key, timeoutMS, fill := req.call(s, o)
-		waitCtx, cancelWait := context.WithTimeout(r.Context(), s.effectiveTimeout(timeoutMS))
-		defer cancelWait()
-
-		res, state, err := s.respond(waitCtx, key, fill)
-		if err != nil {
-			writeError(w, asAPIError(err))
-			return
+		res, state, ok := s.lookup(key)
+		if !ok {
+			waitCtx, cancelWait := context.WithTimeout(r.Context(), s.effectiveTimeout(timeoutMS))
+			defer cancelWait()
+			if res, state, err = s.fill(waitCtx, key, fill); err != nil {
+				writeError(w, asAPIError(err))
+				return
+			}
 		}
 		writeCached(w, res, state)
 	}
