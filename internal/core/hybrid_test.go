@@ -314,3 +314,32 @@ func TestHybridSearchAllocsDoNotScaleWithUnits(t *testing.T) {
 		t.Errorf("8-group hybrid search allocates %.0f times, more than twice the 2-group search's %.0f", a8, a2)
 	}
 }
+
+// TestHybridSearchAllocatesUnderBound pins the bytes one 8-group hybrid
+// search allocates, with BenchmarkHybridSearch16KB's options (~1 MB): the
+// bound pass keeps a record only of the units the sweep can sweep or
+// prune on a bound, all in one allocation, and counts the others. A record
+// of every (segmentation, mux, mask) unit, most of them equivalent masks
+// the sweep only counts, took 2.5 MB and fails the pin.
+func TestHybridSearchAllocatesUnderBound(t *testing.T) {
+	f := paperFramework(t)
+	padp, _ := ObjectiveByName("padp")
+	sp := DefaultSpace()
+	sp.MuxMax = 4
+	opts := Options{CapacityBits: 16 * 1024 * 8, Flavor: device.LVT, Method: M2,
+		Objective: padp, HybridGroups: 8, Space: sp}
+	var err error
+	res := testing.Benchmark(func(b *testing.B) {
+		for i := 0; i < b.N && err == nil; i++ {
+			_, err = f.Optimize(context.Background(), opts)
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const limit = 1_500_000
+	if got := res.AllocedBytesPerOp(); got >= limit {
+		t.Errorf("8-group 16 KB hybrid search: %d B/op, want under %d", got, limit)
+	}
+	t.Logf("8-group 16 KB hybrid search: %d B/op over %d searches", res.AllocedBytesPerOp(), res.N)
+}

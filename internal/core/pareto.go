@@ -85,7 +85,8 @@ type front struct {
 // member refers to a front member's point: its Result once built, or, while
 // the unit it entered in is swept, its (N_pre, N_wr) in that unit. A worker
 // builds the Results of the members still standing at the end of each
-// unit (search.endUnit), so a merged front holds built members only.
+// unit (search.endUnit), reusing those of the built members its front
+// dropped, so a merged front holds built members only.
 type member struct {
 	res       *array.Result
 	npre, nwr int32
@@ -162,19 +163,28 @@ func (f *front) add(d, e float64) standing {
 func (f *front) insert(res *array.Result) {
 	k, st := f.locate(res.DArray, res.EArray)
 	if st == enters || st == ties && designLess(res.Design, f.pts[k].res.Design) {
-		f.put(k, st, res.DArray, res.EArray, member{res: res})
+		f.put(k, st, res.DArray, res.EArray, member{res: res}, nil)
 	}
 }
 
 // put folds the point (d, e), which stands st at locate's index k and
 // changes the front, in as m: in place of the member it ties, or on the
-// staircase in place of the members it dominates.
-func (f *front) put(k int, st standing, d, e float64, m member) {
-	if st == ties {
-		f.pts[k] = m
-		return
+// staircase in place of the members it dominates. A worker front passes
+// spare, which takes the built Results of the members put drops, for the
+// worker to build later members into; the merged front's dropped members
+// are other workers' final Results, and it passes nil.
+func (f *front) put(k int, st standing, d, e float64, m member, spare *[]*array.Result) {
+	lo, hi := k, k+1
+	if st != ties {
+		lo, hi = f.place(k, d, e)
 	}
-	lo, hi := f.place(k, d, e)
+	if spare != nil {
+		for _, old := range f.pts[lo:hi] {
+			if old.res != nil {
+				*spare = append(*spare, old.res)
+			}
+		}
+	}
 	f.pts = slices.Replace(f.pts, lo, hi, m)
 }
 

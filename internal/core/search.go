@@ -20,9 +20,17 @@ type rowCand struct{ nr, nc int }
 // alone keeps every core busy — a 16 KB capacity has only four row
 // candidates but ~100 chunks.
 type chunk struct {
-	rc    rowCand
-	vssc  float64
-	level int // index of vssc among the search's feasible VSSC levels
+	rc   rowCand
+	vssc float64
+	// level indexes vssc among the search's feasible VSSC levels, and org
+	// indexes rc among its row organizations (search.orgs).
+	level, org int32
+}
+
+// rowOrg holds the unit lists every VSSC level of one row organization
+// shares: the wordline segmentations and mux ratios searched for it.
+type rowOrg struct {
+	segs, mux []int
 }
 
 // vsscCandidates enumerates the negative-Gnd sweep (a single zero level

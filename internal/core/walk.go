@@ -41,8 +41,11 @@ import (
 // schedule-independent state (DESIGN.md §11):
 //
 //  1. a bound pass prepares every unit (under branch-and-bound, every
-//     class representative) on its worker's Evaluator, bounds its full
-//     rectangle and keeps only a compact record (searchUnit);
+//     class representative) on its worker's Evaluator and bounds its full
+//     rectangle. It keeps a compact record (searchUnit) only of the units
+//     it found settling, the ones the sweep can sweep or prune on a bound,
+//     all chunks' records in one allocation, and counts the others per
+//     chunk by kind (chunkUnits), which the sweep charges by count;
 //  2. the unit with the best bound seeds the search: its chunk is swept
 //     first, alone, and its result freezes the global threshold (the best
 //     objective T, or the front f0);
@@ -72,29 +75,28 @@ import (
 // search reports.
 const bnbMinRun = 4
 
-// unitStatus classifies a searchUnit after the bound pass.
-type unitStatus uint8
-
-const (
-	unitLive      unitStatus = iota // prepared and bounded: sweep, or prune on the bound
-	unitGeom                        // invalid base geometry: charged to SkippedGeom
-	unitRSNM                        // RSNM-infeasible mask class: charged to SkippedRSNM
-	unitUnsettled                   // rails cannot settle in time: no point is feasible
-	unitEquiv                       // a mask equivalent to an earlier unit's (§13.7): charged to PrunedBound
-)
-
-// searchUnit is the bound pass's record of one (chunk, segmentation, mux,
-// group-mask) rectangle: which unit it is, how the pass classified it, and
-// the lower bounds over its full (N_pre, N_wr) range that the prune tests
-// and pickSeed read. It holds no Evaluator: the sweep re-prepares its own
-// for the units that survive the bound.
+// searchUnit is the bound pass's record of one live (chunk, segmentation,
+// mux, group-mask) rectangle, one it prepared, bounded and found settling:
+// which unit it is and the lower bounds over its full (N_pre, N_wr) range
+// that the prune tests and pickSeed read. It holds no Evaluator: the sweep
+// re-prepares its own for the units that survive the bound.
 type searchUnit struct {
-	spec   uint16 // index into search.specs
-	segs   uint8
-	status unitStatus
-	mux    int32
-	obj    float64 // objective bound (the Pareto search seeds on EDP)
-	d, e   float64 // DArray and EArray bounds (Pareto pruning)
+	spec uint16 // index into search.specs
+	segs uint8
+	mux  int32
+	obj  float64 // objective bound (the Pareto search seeds on EDP)
+	d, e float64 // DArray and EArray bounds (Pareto pruning)
+}
+
+// chunkUnits is the bound pass's account of one chunk: where its live
+// records lie in search.units, in enumeration order, and how many of its
+// other units fall in each kind the sweep only charges.
+type chunkUnits struct {
+	off, n    int32 // the live records: search.units[off : off+n]
+	geom      int32 // invalid base geometry: charged to SkippedGeom
+	rsnm      int32 // RSNM-infeasible mask class: charged to SkippedRSNM
+	equiv     int32 // a mask equivalent to an earlier unit's (§13.7): charged to PrunedBound
+	unsettled int32 // rails cannot settle in time: no point is feasible
 }
 
 // railEntry is one shared rail stage, or the error building it returned;
@@ -119,7 +121,9 @@ type search struct {
 	delta     float64
 	evProto   *array.Evaluator
 	chunks    []chunk
-	units     [][]searchUnit // aligned with chunks
+	orgs      []rowOrg     // indexed by chunk.org
+	units     []searchUnit // every chunk's live records, chunk by chunk
+	tally     []chunkUnits // aligned with chunks
 
 	// rails[level*nClass + specClass[spec]] is the rail stage of a spec at a
 	// VSSC level. A rail class is the set of specs sharing (VDDC, VWL): a
@@ -185,8 +189,9 @@ func (f *Framework) newSearch(ctx context.Context, opts Options, pareto bool) (*
 	// global-flavor search has one class). Levels where only some classes
 	// fail are kept and the infeasible classes are skipped — and counted —
 	// per unit.
-	var feasVSSC []float64
-	for _, v := range vsscCandidates(opts.Method, opts.Space) {
+	levels := vsscCandidates(opts.Method, opts.Space)
+	feasVSSC := levels[:0]
+	for _, v := range levels {
 		if slices.ContainsFunc(specs, func(sp maskSpec) bool { return specRSNMOK(sp, v, s.cc, altCC, f.Delta) }) {
 			feasVSSC = append(feasVSSC, v)
 		} else {
@@ -207,9 +212,12 @@ func (f *Framework) newSearch(ctx context.Context, opts Options, pareto bool) (*
 		}
 	}
 	s.chunks = make([]chunk, 0, len(rows)*len(feasVSSC))
-	for _, rc := range rows {
+	s.orgs = make([]rowOrg, len(rows))
+	for ri, rc := range rows {
+		width := accessWidth(opts.W, rc.nc)
+		s.orgs[ri] = rowOrg{segs: segCandidates(&opts, rc.nc, width), mux: muxCandidates(opts.Space, width)}
 		for li, vssc := range feasVSSC {
-			s.chunks = append(s.chunks, chunk{rc: rc, vssc: vssc, level: li})
+			s.chunks = append(s.chunks, chunk{rc: rc, vssc: vssc, level: int32(li), org: int32(ri)})
 		}
 	}
 	s.stats.Chunks = len(s.chunks)
@@ -286,7 +294,7 @@ func (s *search) fail(c chunk, npre, nwr int, err error) bool {
 // shared rail stage, counting the prepare.
 func (s *search) prepareUnit(slot *walkWorker, c chunk, u *searchUnit) error {
 	slot.prepared++
-	r := &s.rails[c.level*s.nClass+s.specClass[u.spec]]
+	r := &s.rails[int(c.level)*s.nClass+s.specClass[u.spec]]
 	if r.err != nil {
 		return r.err
 	}
@@ -352,6 +360,9 @@ type walkWorker struct {
 	// best.res still holds the Result of the point it beat; pending marks
 	// members without a Result in front, which entered it during that unit.
 	won, pending bool
+	// spare holds the Results of the built members front dropped, which
+	// nothing else refers to: endUnit builds pending members into them.
+	spare []*array.Result
 	// prune is the Pareto reducer's prune front: reset to the frozen seed
 	// front's lanes at the start of each chunk, it takes in every point the
 	// chunk sweeps, and the chunk's prune tests read it alone.
@@ -446,13 +457,20 @@ func (s *search) walk() ([]walkWorker, SearchStats, error) {
 }
 
 // boundPass prepares every unit on its worker's Evaluator, bounds its full
-// rectangle and records the result, striping chunks over workers. Under
-// branch-and-bound a unit whose mask is not its class representative is
-// recorded as unitEquiv without a Prepare. Unit construction is pure
-// per-chunk work, so the stripe assignment cannot affect the result. A
-// Prepare error cancels the search here, before any point is swept.
+// rectangle and records the live ones, striping chunks over workers. All
+// chunks' records share one allocation: chunk i owns a fixed region of
+// s.units, sized by the most live units it can hold, and the units the pass
+// only counts take no record. Unit construction is pure per-chunk work, so
+// the stripe assignment cannot affect the result. A Prepare error cancels
+// the search here, before any point is swept.
 func (s *search) boundPass(slots []walkWorker) {
-	s.units = make([][]searchUnit, len(s.chunks))
+	s.tally = make([]chunkUnits, len(s.chunks))
+	n := 0
+	for ci, c := range s.chunks {
+		s.tally[ci].off = int32(n)
+		n += s.regionCap(c)
+	}
+	s.units = make([]searchUnit, n)
 	var wg sync.WaitGroup
 	for w := range slots {
 		wg.Add(1)
@@ -460,40 +478,9 @@ func (s *search) boundPass(slots []walkWorker) {
 			defer wg.Done()
 			slot := &slots[w]
 			for ci := w; ci < len(s.chunks); ci += len(slots) {
-				if s.canceled() {
+				if s.canceled() || !s.boundChunk(slot, ci) {
 					return
 				}
-				c := s.chunks[ci]
-				width := accessWidth(s.opts.W, c.rc.nc)
-				segsList := segCandidates(s.opts, c.rc.nc, width)
-				muxList := muxCandidates(s.opts.Space, width)
-				us := make([]searchUnit, 0, len(segsList)*len(muxList)*len(s.specs))
-				for _, segs := range segsList {
-					for _, mux := range muxList {
-						base := wire.Geometry{NR: c.rc.nr, NC: c.rc.nc, W: width, Npre: 1, Nwr: 1, WLSegs: segs, Mux: mux}
-						status := unitLive
-						if base.Validate() != nil || (s.opts.hybridOn() && c.rc.nr%s.opts.HybridGroups != 0) {
-							status = unitGeom
-						}
-						for si, sp := range s.specs {
-							u := searchUnit{spec: uint16(si), segs: uint8(segs), mux: int32(mux), status: status}
-							if u.status == unitLive && !specRSNMOK(sp, c.vssc, s.cc, s.altCC, s.delta) {
-								u.status = unitRSNM
-							}
-							if u.status == unitLive && s.prunes && s.rep[si] != u.spec {
-								u.status = unitEquiv // the class representative is an earlier unit of this block
-							}
-							if u.status == unitLive {
-								if err := s.boundUnit(slot, c, &u); err != nil {
-									s.fail(c, 1, 1, err)
-									return
-								}
-							}
-							us = append(us, u)
-						}
-					}
-				}
-				s.units[ci] = us
 				slot.publish()
 			}
 		}(w)
@@ -501,33 +488,93 @@ func (s *search) boundPass(slots []walkWorker) {
 	wg.Wait()
 }
 
-// boundUnit prepares a live unit and records the bounds over its full
-// rectangle, demoting it to unitUnsettled when its rails cannot settle.
-func (s *search) boundUnit(slot *walkWorker, c chunk, u *searchUnit) error {
+// regionCap is the most live records chunk c can hold: every (segmentation,
+// mux) pair of its row organization times the units one pair prepares, one
+// per mask class under branch-and-bound, else one per spec.
+func (s *search) regionCap(c chunk) int {
+	o := &s.orgs[c.org]
+	perPair := len(s.specs)
+	if s.prunes {
+		perPair = s.nClasses
+	}
+	return len(o.segs) * len(o.mux) * perPair
+}
+
+// boundChunk runs the bound pass over chunk ci: it records each unit it
+// prepares, bounds and finds settling in the chunk's region of s.units, and
+// counts every other unit by kind. Under branch-and-bound a unit whose mask
+// is not its class representative is counted without a Prepare. Returns
+// false on error.
+func (s *search) boundChunk(slot *walkWorker, ci int) bool {
+	c, t := s.chunks[ci], s.tally[ci]
+	o := &s.orgs[c.org]
+	width := accessWidth(s.opts.W, c.rc.nc)
+	// The three-index slice keeps the records inside the chunk's region.
+	lo := int(t.off)
+	us := s.units[lo : lo : lo+s.regionCap(c)]
+	for _, segs := range o.segs {
+		for _, mux := range o.mux {
+			base := wire.Geometry{NR: c.rc.nr, NC: c.rc.nc, W: width, Npre: 1, Nwr: 1, WLSegs: segs, Mux: mux}
+			if base.Validate() != nil || (s.opts.hybridOn() && c.rc.nr%s.opts.HybridGroups != 0) {
+				t.geom += int32(len(s.specs))
+				continue
+			}
+			for si, sp := range s.specs {
+				switch {
+				case !specRSNMOK(sp, c.vssc, s.cc, s.altCC, s.delta):
+					t.rsnm++
+				case s.prunes && s.rep[si] != uint16(si):
+					t.equiv++ // the class representative is an earlier unit of this pair
+				default:
+					u := searchUnit{spec: uint16(si), segs: uint8(segs), mux: int32(mux)}
+					settles, err := s.boundUnit(slot, c, &u)
+					if err != nil {
+						return s.fail(c, 1, 1, err)
+					}
+					if !settles {
+						t.unsettled++
+						continue
+					}
+					us = append(us, u)
+				}
+			}
+		}
+	}
+	t.n = int32(len(us))
+	s.tally[ci] = t
+	return true
+}
+
+// boundUnit prepares a unit and records the bounds over its full rectangle
+// in u, reporting whether its rails settle in time.
+func (s *search) boundUnit(slot *walkWorker, c chunk, u *searchUnit) (bool, error) {
 	if err := s.prepareUnit(slot, c, u); err != nil {
-		return err
+		return false, err
 	}
 	b, err := slot.ev.BoundRect(1, s.opts.Space.NpreMax, 1, s.opts.Space.NwrMax)
 	if err != nil {
-		return err
+		return false, err
 	}
 	slot.bounds++
 	u.obj, u.d, u.e = s.objBound(b), b.DArray, b.EArray
-	if !b.RailsSettleInTime {
-		u.status = unitUnsettled
-	}
-	return nil
+	return b.RailsSettleInTime, nil
 }
 
-// pickSeed returns the chunk containing the unit with the smallest objective
-// bound among rail-feasible units (ties: lowest chunk index, then unit
-// order) — the rectangle most likely to contain the global optimum, so the
-// threshold frozen after sweeping it prunes aggressively everywhere else.
+// live returns chunk ci's live records.
+func (s *search) live(ci int) []searchUnit {
+	t := &s.tally[ci]
+	return s.units[t.off : t.off+t.n]
+}
+
+// pickSeed returns the chunk containing the live unit with the smallest
+// objective bound (ties: lowest chunk index, then unit order) — the
+// rectangle most likely to contain the global optimum, so the threshold
+// frozen after sweeping it prunes aggressively everywhere else.
 func (s *search) pickSeed() (int, bool) {
 	best, ci := math.Inf(1), -1
-	for i, us := range s.units {
-		for _, u := range us {
-			if u.status == unitLive && u.obj < best {
+	for i := range s.tally {
+		for _, u := range s.live(i) {
+			if u.obj < best {
 				best, ci = u.obj, i
 			}
 		}
@@ -573,41 +620,34 @@ func (s *search) processChunk(ci int, T float64, f0 *front, slot *walkWorker) bo
 		return completed
 	}
 
+	// The units the bound pass only counted never touch a reduction: charge
+	// their rectangles by kind. An equivalent mask's representative, the
+	// smallest of its class, is an earlier unit of the same (segmentation,
+	// mux) pair with the same values, and the mask would come after it,
+	// against a threshold no higher, so no point of the mask can win or
+	// enter a front (DESIGN.md §13.7). Rail settling is unit-invariant (§4):
+	// no point of an unsettled rectangle is feasible. Branch-and-bound
+	// prunes it unevaluated; full enumeration charges every point as an
+	// evaluated rail failure, as the per-point model reports it.
+	t := &s.tally[ci]
+	st.SkippedGeom += int(t.geom) * pts
+	st.SkippedRSNM += int(t.rsnm) * pts
+	st.PrunedBound += int(t.equiv) * pts
+	if s.prunes {
+		st.PrunedBound += int(t.unsettled) * pts
+	} else {
+		st.Evaluated += int(t.unsettled) * pts
+		st.SkippedRails += int(t.unsettled) * pts
+	}
 	if s.pareto {
 		slot.prune.reset(f0)
 	}
 	r := rowSweep{s: s, slot: slot, c: c, width: accessWidth(s.opts.W, c.rc.nc), T: T, local: math.Inf(1)}
-	for ui := range s.units[ci] {
-		u := &s.units[ci][ui]
+	live := s.live(ci)
+	for ui := range live {
+		u := &live[ui]
 		if s.canceled() {
 			return endChunk(false)
-		}
-		switch u.status {
-		case unitRSNM:
-			st.SkippedRSNM += pts
-			continue
-		case unitGeom:
-			st.SkippedGeom += pts
-			continue
-		case unitEquiv:
-			// Its representative, the smallest equivalent mask, is the same
-			// block's earlier unit: it swept the same values against a
-			// threshold that has only fallen since, so no point here can
-			// win or enter a front (DESIGN.md §13.7).
-			st.PrunedBound += pts
-			continue
-		case unitUnsettled:
-			// Rail settling is unit-invariant (§4): no point of the
-			// rectangle is feasible. Branch-and-bound prunes it unevaluated;
-			// full enumeration charges every point as an evaluated rail
-			// failure, as the per-point model reports it.
-			if s.prunes {
-				st.PrunedBound += pts
-			} else {
-				st.Evaluated += pts
-				st.SkippedRails += pts
-			}
-			continue
 		}
 		if s.prunes {
 			var pruned bool
@@ -761,7 +801,7 @@ func (r *rowSweep) foldPareto(i, nwr int) {
 	if st == dominated || st == ties && !designLess(r.s.unitDesign(r.u, r.c, r.width, r.npre, nwr), r.memberDesign(f.pts[k])) {
 		return
 	}
-	f.put(k, st, d, e, member{npre: int32(r.npre), nwr: int32(nwr)})
+	f.put(k, st, d, e, member{npre: int32(r.npre), nwr: int32(nwr)}, &slot.spare)
 	slot.pending = true
 }
 
@@ -777,10 +817,11 @@ func (r *rowSweep) memberDesign(m member) array.Design {
 // endUnit builds the Results of the points that changed the worker's
 // reduction during the unit just swept and still stand in it: the
 // incumbent if it won there, into the Result of the point it beat, which
-// nothing else refers to, and the front members without a Result, each in
-// its own allocation, which no later growth of the front copies. It runs
-// while the Evaluator still holds the unit: a Result built later would
-// need the unit prepared again. Returns false on error.
+// nothing else refers to, and the front members without a Result, each
+// into the Result of a member the front dropped (slot.spare) or, when none
+// is left, its own allocation; no later growth of the front copies a
+// Result. It runs while the Evaluator still holds the unit: a Result built
+// later would need the unit prepared again. Returns false on error.
 func (s *search) endUnit(slot *walkWorker, c chunk) bool {
 	if slot.won {
 		slot.won = false
@@ -800,7 +841,11 @@ func (s *search) endUnit(slot *walkWorker, c chunk) bool {
 			if m.res != nil {
 				continue
 			}
-			m.res = new(array.Result)
+			if n := len(slot.spare); n > 0 {
+				m.res, slot.spare = slot.spare[n-1], slot.spare[:n-1]
+			} else {
+				m.res = new(array.Result)
+			}
 			if err := slot.ev.EvalInto(int(m.npre), int(m.nwr), m.res); err != nil {
 				return s.fail(c, int(m.npre), int(m.nwr), err)
 			}
