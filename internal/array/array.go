@@ -143,10 +143,7 @@ func (d Design) Validate(t *Tech) error {
 // validateHybrid checks the per-row-group assignment fields on their own.
 func (d Design) validateHybrid() error {
 	if d.Groups == 0 {
-		if d.GroupMask != 0 {
-			return fmt.Errorf("array: GroupMask=%#x requires Groups ≥ 2", d.GroupMask)
-		}
-		return nil
+		return checkMask(0, d.GroupMask)
 	}
 	if d.Groups < 2 || d.Groups > MaxGroups || d.Groups&(d.Groups-1) != 0 {
 		return fmt.Errorf("array: Groups=%d must be a power of two in [2,%d]", d.Groups, MaxGroups)
@@ -154,8 +151,17 @@ func (d Design) validateHybrid() error {
 	if d.Geom.NR%d.Groups != 0 || d.Geom.NR < d.Groups {
 		return fmt.Errorf("array: Groups=%d must divide n_r=%d", d.Groups, d.Geom.NR)
 	}
-	if d.GroupMask >= 1<<uint(d.Groups) {
-		return fmt.Errorf("array: GroupMask=%#x has bits beyond Groups=%d", d.GroupMask, d.Groups)
+	return checkMask(d.Groups, d.GroupMask)
+}
+
+// checkMask checks a group mask against a valid group count (0, or a power
+// of two in [2, MaxGroups]).
+func checkMask(groups int, mask uint32) error {
+	if groups == 0 && mask != 0 {
+		return fmt.Errorf("array: GroupMask=%#x requires Groups ≥ 2", mask)
+	}
+	if groups > 0 && mask >= 1<<uint(groups) {
+		return fmt.Errorf("array: GroupMask=%#x has bits beyond Groups=%d", mask, groups)
 	}
 	return nil
 }
@@ -317,7 +323,8 @@ func EvaluateHybrid(t *Tech, d Design, act Activity, alt FlavorTerms) (*Result, 
 	if err != nil {
 		return nil, err
 	}
-	if err := e.PrepareStaged(d.Geom, &rs, d.Groups, d.GroupMask); err != nil {
+	m := NewMask(d.Geom.Bits(), d.Groups, d.GroupMask, t.LeakCell, alt.LeakCell)
+	if err := e.PrepareStaged(d.Geom, &rs, &m); err != nil {
 		return nil, err
 	}
 	return e.Eval(d.Geom.Npre, d.Geom.Nwr)

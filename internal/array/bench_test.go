@@ -1,6 +1,7 @@
 package array
 
 import (
+	"slices"
 	"testing"
 
 	"sramco/internal/wire"
@@ -70,11 +71,17 @@ func BenchmarkRowBound(b *testing.B) {
 }
 
 // BenchmarkPrepareHybrid measures one hybrid chunk Prepare — 8 row groups,
-// a mixed mask, a muxed divided-wordline organization — through the
-// PrepareHybrid wrapper, which rebuilds the rail stage (device I–V
-// evaluations) on every call, and through PrepareStaged on a prebuilt
-// stage, the form the branch-and-bound searcher pays per unit. Geometries
-// alternate so the decoder memo does not hide the per-organization cost.
+// a mixed mask, a muxed divided-wordline organization — three ways. wrapper
+// goes through PrepareHybrid, which rebuilds the rail stage (device I–V
+// evaluations) and the mask terms on every call; staged goes through
+// PrepareStaged on a prebuilt stage, the mask terms still derived per call.
+// Both alternate geometries, so neither the geometry memo nor the decoder
+// memo hides the per-organization cost: each is a full prepare. sibling
+// prepares one geometry from one stage, cycling the class representatives
+// of the 8-group mask partition (100 with this fixture's leakage; 94 with
+// the paper's flavors) with each Mask built once, as the search's bound pass
+// prepares the units of one (chunk, segmentation, mux) pair: every call is
+// a memo hit that stamps only its mask.
 func BenchmarkPrepareHybrid(b *testing.B) {
 	ev, err := NewEvaluator(testTech(b), Activity{Alpha: 0.5, Beta: 0.5})
 	if err != nil {
@@ -95,15 +102,37 @@ func BenchmarkPrepareHybrid(b *testing.B) {
 			}
 		}
 	})
+	rs, err := ev.Rails(vddc, vssc, vwl, &alt)
+	if err != nil {
+		b.Fatal(err)
+	}
 	b.Run("staged", func(b *testing.B) {
-		rs, err := ev.Rails(vddc, vssc, vwl, &alt)
-		if err != nil {
-			b.Fatal(err)
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			g := geoms[i&1]
+			m := NewMask(g.Bits(), 8, mask, ev.tech.LeakCell, alt.LeakCell)
+			if err := ev.PrepareStaged(g, &rs, &m); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("sibling", func(b *testing.B) {
+		g := geoms[0]
+		var reps []Mask
+		var keys []MaskKey
+		for m := uint32(0); m < 1<<8; m++ {
+			mk := NewMask(g.Bits(), 8, m, ev.tech.LeakCell, alt.LeakCell)
+			// Pure masks are classes of their own: a search pins each
+			// flavor's rails, so they share no rail class with a mixed one.
+			if k := mk.Key(); m == 0 || m == 1<<8-1 || !slices.Contains(keys, k) {
+				keys = append(keys, k)
+				reps = append(reps, mk)
+			}
 		}
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if err := ev.PrepareStaged(geoms[i&1], &rs, 8, mask); err != nil {
+			if err := ev.PrepareStaged(g, &rs, &reps[i%len(reps)]); err != nil {
 				b.Fatal(err)
 			}
 		}

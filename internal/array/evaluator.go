@@ -30,10 +30,13 @@ import (
 // written out expression by expression.
 //
 // Prepare is staged (DESIGN.md §13.6): technology constants are computed
-// once at construction, the rail-dependent currents live in a RailStage
-// that callers may build once and share, and the decoder blocks are
-// memoized on (n_r, n_c, W). Prepare and PrepareHybrid build a private rail
-// stage and call PrepareStaged, so there is exactly one prepare path.
+// once at construction; the rail-dependent currents live in a RailStage
+// that callers may build once and share; the geometry stage, every chunk
+// term that reads no group mask, is memoized on (base geometry, rail values,
+// group count), and its decoder blocks on (n_r, n_c, W); and a Mask carries
+// the terms of one group assignment, which the last step, the mask stamp,
+// writes in. Prepare and PrepareHybrid build a private rail stage and a
+// Mask and call PrepareStaged, so there is exactly one prepare path.
 //
 // An Evaluator is NOT safe for concurrent use: Prepare mutates its memo
 // state. Give each goroutine its own Evaluator by calling Clone; clones
@@ -59,12 +62,13 @@ type Evaluator struct {
 	decNR, decNC, decW int
 	rowDec, colDec     periph.DecoderResult
 
-	// Prepared-chunk key: Prepare is memoized on the last (geometry base,
-	// rails) so repeated calls inside one chunk cost a few comparisons.
-	prepared             bool
-	nr, nc, w, segs, mux int
-	vddc, vssc, vwl      float64
-	geom                 wire.Geometry // base geometry stamped into results
+	// Geometry memo: the key of the geometry stage the Evaluator holds, its
+	// base geometry (N_pre = N_wr = 1), the bits of its rails and its group
+	// count (hGroups). staged marks the stage valid, prepared a mask stamped
+	// on it.
+	staged, prepared bool
+	vddc, vssc, vwl  float64
+	geom             wire.Geometry // base geometry stamped into results
 
 	// Chunk-invariant Table-2 components, ready to copy into each Result.
 	parts Breakdown
@@ -135,9 +139,10 @@ type Evaluator struct {
 	settles bool
 
 	// Struct-of-arrays lanes of the N_wr-dependent per-point terms, filled
-	// lazily by ensureSoA (index i ↔ N_wr = i+1) and invalidated whenever
-	// Prepare switches chunks. EvalSweep's inner loop reads them instead of
-	// recomputing the column/write-buffer terms per point.
+	// lazily by ensureSoA (index i ↔ N_wr = i+1) and invalidated by the
+	// geometry stage; they read no mask, so a stamp keeps them. EvalSweep's
+	// inner loop reads them instead of recomputing the column/write-buffer
+	// terms per point.
 	soaN     int
 	soaBL    []float64 // N_wr term of C_BL: fnwr·ΣCd (muxed: (2·fnwr)·ΣCd)
 	soaDCOL  []float64 // column-select delay component
@@ -195,8 +200,11 @@ func (e *Evaluator) init(t *Tech, act Activity) {
 	e.driveDrv = p.Driver(driveFins)
 }
 
-// Clone returns a fresh unprepared Evaluator sharing the validated *Tech.
-// Each search worker should own a clone; the shared Tech is read-only.
+// Clone returns an unprepared Evaluator sharing the validated *Tech. Each
+// search worker should own a clone; the shared Tech is read-only. The clone
+// keeps e's geometry memo, whose terms are plain values it copies, so its
+// first prepare on e's key stamps only the mask; it drops the sweep lanes,
+// the bound constants and Prepare's rail stage.
 func (e *Evaluator) Clone() *Evaluator {
 	c := *e
 	c.prepared = false
@@ -280,18 +288,13 @@ func (e *Evaluator) Rails(vddc, vssc, vwl float64, alt *FlavorTerms) (RailStage,
 // inner (N_pre, N_wr) sweep. It validates the rails against the technology
 // and the base geometry structurally (with N_pre = N_wr = 1, since validity
 // of the base does not depend on the swept fin counts), and rejects a
-// non-positive read current exactly as Evaluate does. Repeated calls with
-// the same chunk return immediately, and a chunk on the previous chunk's
-// rails reuses their rail stage. A failed Prepare leaves the Evaluator
-// unprepared.
+// non-positive read current exactly as Evaluate does. A chunk on the
+// previous chunk's rails reuses their rail stage, and a repeated chunk the
+// geometry memo, so it costs a few comparisons and a single-flavor stamp. A
+// failed Prepare leaves the Evaluator unprepared.
 func (e *Evaluator) Prepare(g wire.Geometry, vddc, vssc, vwl float64) error {
 	if e.tech == nil {
 		return fmt.Errorf("array: Prepare on zero Evaluator (use NewEvaluator)")
-	}
-	if e.prepared && e.hGroups == 0 &&
-		g.NR == e.nr && g.NC == e.nc && g.W == e.w && g.WLSegs == e.segs && g.Mux == e.mux &&
-		vddc == e.vddc && vssc == e.vssc && vwl == e.vwl {
-		return nil
 	}
 	if e.rails == nil || vddc != e.rails.vddc || vssc != e.rails.vssc || vwl != e.rails.vwl {
 		rs, err := e.Rails(vddc, vssc, vwl, nil)
@@ -304,15 +307,17 @@ func (e *Evaluator) Prepare(g wire.Geometry, vddc, vssc, vwl float64) error {
 		}
 		*e.rails = rs
 	}
-	return e.PrepareStaged(g, e.rails, 0, 0)
+	m := NewMask(g.Bits(), 0, 0, e.tech.LeakCell, 0)
+	return e.PrepareStaged(g, e.rails, &m)
 }
 
 // PrepareHybrid is Prepare for a per-row-group flavor assignment: the chunk
 // additionally fixes (Groups, Mask, alternate flavor terms). Groups ≤ 1
 // degenerates to the global-flavor Prepare (Mask must then be zero). The
 // alternate terms cannot be part of a memo key, so every call rebuilds the
-// rail stage (only the decoders are memoized); a caller preparing many
-// units on the same rails should build the stage once with Rails and call
+// rail stage and the mask terms (the geometry stage is memoized on the rail
+// values); a caller preparing many units on the same rails should build the
+// stage once with Rails, each Mask once with NewMask, and call
 // PrepareStaged instead.
 func (e *Evaluator) PrepareHybrid(g wire.Geometry, vddc, vssc, vwl float64, h Hybrid) error {
 	if e.tech == nil {
@@ -329,7 +334,8 @@ func (e *Evaluator) PrepareHybrid(g wire.Geometry, vddc, vssc, vwl float64, h Hy
 		e.prepared = false
 		return err
 	}
-	return e.PrepareStaged(g, &rs, h.Groups, h.Mask)
+	m := NewMask(g.Bits(), h.Groups, h.Mask, e.tech.LeakCell, h.Alt.LeakCell)
+	return e.PrepareStaged(g, &rs, &m)
 }
 
 // decoders returns the row and column decoder blocks of g, recomputing them
@@ -344,39 +350,66 @@ func (e *Evaluator) decoders(g wire.Geometry) (row, col periph.DecoderResult) {
 	return e.rowDec, e.colDec
 }
 
-// PrepareStaged is the staged entry behind Prepare and PrepareHybrid: it
-// fixes the chunk from a geometry base, a rail stage built by Rails on this
-// Evaluator's Tech, and a group assignment with Design's encoding (groups 0
-// selects the single global flavor; otherwise a power of two in
-// [2, MaxGroups], which requires a stage built with alternate terms). The
-// result is bit-identical to the wrapper it stands in for. It does not
-// memoize the chunk; a failure leaves the Evaluator unprepared.
-func (e *Evaluator) PrepareStaged(g wire.Geometry, rs *RailStage, groups int, mask uint32) error {
+// PrepareStaged is the one prepare path behind Prepare, PrepareHybrid and
+// EvaluateHybrid: it fixes the chunk from a geometry base, a rail stage
+// built by Rails on this Evaluator's Tech, and a group assignment m built by
+// NewMask for g's capacity and the stage's flavor pair (a hybrid m requires
+// a stage built with alternate terms). It runs in two steps. The geometry
+// stage computes every term that reads no mask; it is memoized on (base
+// geometry, rail values, group count), so a prepare on the last prepare's
+// key skips it and the checks the key implies. The mask stamp then writes
+// what the mask changes. The result is bit-identical to a prepare on a
+// fresh Evaluator. A failure leaves the Evaluator unprepared.
+func (e *Evaluator) PrepareStaged(g wire.Geometry, rs *RailStage, m *Mask) error {
 	e.Flush()
 	e.prepared = false
-	e.bk.ok = false
 	if e.tech == nil {
 		return fmt.Errorf("array: Prepare on zero Evaluator (use NewEvaluator)")
 	}
 	if rs.tech != e.tech {
 		return fmt.Errorf("array: rail stage built for a different technology")
 	}
-	if err := (Design{Geom: g, Groups: groups, GroupMask: mask}).validateHybrid(); err != nil {
+	// The key: every geometry field but the swept fin counts, the group
+	// count, and the rails by value, bit for bit, rather than the stage's
+	// address: Prepare rewrites its stage in place, and a callee that kept
+	// a pointer to a caller's stage would move it to the heap.
+	k := &e.geom
+	hit := e.staged && g.NR == k.NR && g.NC == k.NC && g.W == k.W && g.WLSegs == k.WLSegs && g.Mux == k.Mux &&
+		m.groups == e.hGroups &&
+		math.Float64bits(rs.vddc) == math.Float64bits(e.vddc) &&
+		math.Float64bits(rs.vssc) == math.Float64bits(e.vssc) &&
+		math.Float64bits(rs.vwl) == math.Float64bits(e.vwl)
+	var err error
+	if hit {
+		// The key implies a valid base geometry and group count.
+		err = checkMask(m.groups, m.mask)
+	} else {
+		err = (Design{Geom: g, Groups: m.groups, GroupMask: m.mask}).validateHybrid()
+	}
+	if err != nil {
 		return err
 	}
-	if groups > 1 && !rs.hasAlt {
-		return fmt.Errorf("array: Groups=%d requires a rail stage with alternate flavor terms", groups)
+	if m.groups > 1 && !rs.hasAlt {
+		return fmt.Errorf("array: Groups=%d requires a rail stage with alternate flavor terms", m.groups)
 	}
+	if !hit {
+		base := g
+		base.Npre, base.Nwr = 1, 1
+		if err := base.Validate(); err != nil {
+			return err
+		}
+		e.stageGeometry(base, rs, m.groups)
+	}
+	return e.stamp(rs, m)
+}
 
+// stageGeometry is PrepareStaged's geometry stage: every chunk term that
+// reads no group mask, from a validated base geometry g, the rail stage's
+// rails and rail-driver currents, and the group count. It records the memo
+// key and invalidates the sweep lanes.
+func (e *Evaluator) stageGeometry(g wire.Geometry, rs *RailStage, groups int) {
 	t := e.tech
 	vddc, vssc, vwl := rs.vddc, rs.vssc, rs.vwl
-	base := g
-	base.Npre, base.Nwr = 1, 1
-	if err := base.Validate(); err != nil {
-		return err
-	}
-	hybrid := groups > 1
-
 	p := t.Periph
 	var b Breakdown
 
@@ -407,32 +440,8 @@ func (e *Evaluator) PrepareStaged(g wire.Geometry, rs *RailStage, groups int, ma
 		b.DWLRead, b.EWLRead = component(cWL, t.Vdd, t.Vdd, coefWLrd*driveFins*e.ionP)
 		b.DWLWrite, b.EWLWrite = component(cWL, t.Vdd, vwl, coefWLwr*driveFins*rs.iWL)
 	}
-	e.hGroups, e.hMask = 0, 0
-	var mt maskTerms // a global-flavor chunk keeps the zero value: base write terms
-	var iRead float64
-	if !hybrid {
-		iRead = rs.iRead
-		if iRead <= 0 {
-			return fmt.Errorf("array: non-positive read current %g at VDDC=%g VSSC=%g", iRead, vddc, vssc)
-		}
-	} else {
-		mt = hybridMaskTerms(g.Bits(), groups, mask, t.LeakCell, rs.alt.LeakCell)
-		for gi := 0; gi < groups; gi++ {
-			v := rs.iRead
-			if mask>>uint(gi)&1 == 1 {
-				v = rs.altIRead
-			}
-			if v <= 0 {
-				return fmt.Errorf("array: non-positive read current %g at VDDC=%g VSSC=%g (group %d)", v, vddc, vssc, gi)
-			}
-			e.hIRead[gi] = v
-		}
-		// The far group sees the full bitline; its current feeds the shared
-		// component call, which the hybrid max in EvalInto then refines.
-		iRead = e.hIRead[groups-1]
-	}
 
-	// --- Peripheral blocks ---
+	// --- Peripheral blocks (the write cell is the stamp's) ---
 	rowDec, colDec := e.decoders(g)
 	b.DRowDec, b.ERowDec = rowDec.Delay, rowDec.Energy
 	b.DRowDrv, b.ERowDrv = e.driveDrv.Delay, e.driveDrv.Energy
@@ -441,19 +450,6 @@ func (e *Evaluator) PrepareStaged(g wire.Geometry, rs *RailStage, groups int, ma
 		b.DColDrv, b.EColDrv = e.driveDrv.Delay, e.driveDrv.Energy
 	}
 	b.DSenseAmp, b.ESenseAmp = p.SADelay, p.SAEnergy
-	b.DWriteCell = rs.wrDelay
-	b.EWriteCell = t.WriteEnergyCell
-	switch mt.write {
-	case writeAlt:
-		b.DWriteCell = rs.altWrDelay
-		b.EWriteCell = rs.alt.WriteEnergyCell
-	case writeSlower:
-		// Mixed: the slower flavor's write dominates the cell flip.
-		if ad := rs.altWrDelay; ad > b.DWriteCell {
-			b.DWriteCell = ad
-			b.EWriteCell = rs.alt.WriteEnergyCell
-		}
-	}
 
 	// --- Per-point builders (Table 1 factorization) ---
 	e.muxed = g.Muxed()
@@ -463,7 +459,6 @@ func (e *Evaluator) PrepareStaged(g wire.Geometry, rs *RailStage, groups int, ma
 	e.colBase = wire.COLFixed(g, t.Caps)
 	e.colW = 2 * float64(g.W)
 	e.sumCg = t.Caps.Cgn + t.Caps.Cgp
-	e.iRead = iRead
 	e.dvBLRd = vddc - vssc
 
 	// --- Output mux (sense-amp sharing) ---
@@ -483,13 +478,13 @@ func (e *Evaluator) PrepareStaged(g wire.Geometry, rs *RailStage, groups int, ma
 	e.areaWr = wire.AreaWrUnit(g)
 
 	// --- Hybrid per-group effective bitline capacitances ---
-	if hybrid {
-		e.hGroups, e.hMask = groups, mask
+	e.hGroups = 0
+	if groups > 1 {
+		e.hGroups = groups
 		for gi := 0; gi < groups-1; gi++ {
 			e.hBLFix[gi] = e.blFixed * (float64(gi+1) / float64(groups))
 		}
 		e.hBLFix[groups-1] = e.blFixed
-		e.hNear, e.hNearN = mt.near, mt.nearN
 	}
 
 	// --- Partial Table-3 sums (prefixes of EvalInto's left-associative
@@ -518,12 +513,6 @@ func (e *Evaluator) PrepareStaged(g wire.Geometry, rs *RailStage, groups int, ma
 	e.saE = saMult * b.ESenseAmp
 	e.railE = dcdc * (b.ECVDD + b.ECVSS)
 	e.eWriteBase = b.ERowDec + b.ERowDrv + dcdc*b.EWLWrite + b.EColDec + b.EColDrv
-	e.wrCellE = wrMult * b.EWriteCell
-
-	e.leakCoef = float64(g.Bits()) * t.LeakCell
-	if hybrid {
-		e.leakCoef = mt.leakCoef
-	}
 
 	// Rails must settle before WL reaches 50% (§4) — invariant, as neither
 	// the rail components nor the WL path depend on N_pre or N_wr.
@@ -531,10 +520,60 @@ func (e *Evaluator) PrepareStaged(g wire.Geometry, rs *RailStage, groups int, ma
 	e.settles = math.Max(b.DCVDD, b.DCVSS) <= wlHalf
 
 	e.parts = b
-	e.soaN = 0 // the SoA lanes belong to the previous chunk
-	e.nr, e.nc, e.w, e.segs, e.mux = g.NR, g.NC, g.W, g.WLSegs, g.Mux
+	e.soaN = 0 // the SoA lanes belong to the previous geometry stage
 	e.vddc, e.vssc, e.vwl = vddc, vssc, vwl
 	e.geom = g
+	e.staged = true
+}
+
+// stamp is PrepareStaged's mask stamp: on the staged geometry it writes what
+// the group assignment m changes — the per-group read currents and the read
+// current of the far group, the near groups, the mask, the write-cell terms
+// and the leakage weight — rejecting a non-positive read current exactly as
+// Evaluate does, and drops the bound constants, which read them. It keeps the
+// sweep lanes, which read no mask.
+func (e *Evaluator) stamp(rs *RailStage, m *Mask) error {
+	e.bk.ok = false
+	k := &m.terms
+	if groups := e.hGroups; groups == 0 {
+		if rs.iRead <= 0 {
+			return fmt.Errorf("array: non-positive read current %g at VDDC=%g VSSC=%g", rs.iRead, rs.vddc, rs.vssc)
+		}
+		e.iRead = rs.iRead
+	} else {
+		// Indexed by the mask bit rather than branched on it: a search's
+		// masks follow no pattern a branch predictor learns.
+		flavor := [2]float64{rs.iRead, rs.altIRead}
+		for gi := 0; gi < groups; gi++ {
+			v := flavor[m.mask>>uint(gi)&1]
+			if v <= 0 {
+				return fmt.Errorf("array: non-positive read current %g at VDDC=%g VSSC=%g (group %d)", v, rs.vddc, rs.vssc, gi)
+			}
+			e.hIRead[gi] = v
+		}
+		// The far group sees the full bitline; its current feeds the shared
+		// component call, which the hybrid max in EvalInto then refines.
+		e.iRead = e.hIRead[groups-1]
+	}
+	e.hMask = m.mask
+	e.hNear, e.hNearN = [2]int{int(k.near[0]), int(k.near[1])}, int(k.nearN)
+
+	b := &e.parts
+	b.DWriteCell = rs.wrDelay
+	b.EWriteCell = e.tech.WriteEnergyCell
+	switch k.write {
+	case writeAlt:
+		b.DWriteCell = rs.altWrDelay
+		b.EWriteCell = rs.alt.WriteEnergyCell
+	case writeSlower:
+		// Mixed: the slower flavor's write dominates the cell flip.
+		if ad := rs.altWrDelay; ad > b.DWriteCell {
+			b.DWriteCell = ad
+			b.EWriteCell = rs.alt.WriteEnergyCell
+		}
+	}
+	e.wrCellE = e.wrMult * b.EWriteCell
+	e.leakCoef = math.Float64frombits(k.leak)
 	e.prepared = true
 	return nil
 }
@@ -548,66 +587,19 @@ const (
 	writeSlower                  // mixed: the slower flavor's write dominates the cell flip
 )
 
-// maskTerms is everything PrepareStaged derives from a hybrid group mask
-// except the per-group read currents, which follow the mask bit by bit and
-// are read only through far and near: the flavor of the far group, the
-// farthest lower group of each flavor present below it (hNear), the
-// write-cell terms and the leakage weight. PrepareStaged takes its hybrid
-// state from hybridMaskTerms and HybridMaskKey keys on the same value, so
-// the key cannot drift from Prepare.
-type maskTerms struct {
-	farAlt   bool    // the far group holds the alternate flavor
-	near     [2]int  // hNear, farthest first
-	nearAlt  [2]bool // the flavor of each near group
-	nearN    int
-	write    writeCell
-	leakCoef float64 // Σ_g (Bits/Groups)·LeakCell_g; a pure mask keeps the global Bits·LeakCell
-}
-
-// hybridMaskTerms computes the mask terms of an array of bits cells in
-// groups row groups, from the base and alternate flavors' cell leakage.
-func hybridMaskTerms(bits, groups int, mask uint32, leakBase, leakAlt float64) maskTerms {
-	m := maskTerms{farAlt: mask>>uint(groups-1)&1 == 1}
-	switch full := uint32(1)<<uint(groups) - 1; mask {
-	case 0:
-		// Uniform base flavor: the global path's single multiply is exact.
-		m.leakCoef = float64(bits) * leakBase
-	case full:
-		m.write = writeAlt
-		m.leakCoef = float64(bits) * leakAlt
-	default:
-		m.write = writeSlower
-		perGroup := float64(bits / groups)
-		for gi := 0; gi < groups; gi++ {
-			lk := leakBase
-			if mask>>uint(gi)&1 == 1 {
-				lk = leakAlt
-			}
-			m.leakCoef += perGroup * lk
-		}
-	}
-	// Within one flavor a lower group's delay term never exceeds that of
-	// the farthest lower group of the same flavor, so only the farthest
-	// lower group of each flavor can set the max (DESIGN.md §13.6).
-	var taken [2]bool
-	for gi := groups - 2; gi >= 0; gi-- {
-		if f := mask >> uint(gi) & 1; !taken[f] {
-			taken[f] = true
-			m.near[m.nearN], m.nearAlt[m.nearN] = gi, f == 1
-			m.nearN++
-		}
-	}
-	return m
-}
-
-// MaskKey identifies a hybrid group mask up to equivalence (DESIGN.md
-// §13.7): two masks of one capacity and group count whose keys are equal,
-// prepared on the same geometry base and rail stage, give EvalInto Results
-// that are == apart from Design.GroupMask, and == EvalSweep lanes and
-// BoundRect bounds. It holds the mask terms, with the exact bits of the
-// leakage weight.
+// MaskKey holds the mask terms of a group assignment: everything the mask
+// stamp derives from the mask except the per-group read currents, which
+// follow the mask bit by bit and are read only through the far group and
+// the near ones — the flavor of the far group, the farthest lower group of
+// each flavor present below it (hNear) with its flavor, the write-cell terms
+// and the exact bits of the leakage weight. It also identifies a hybrid mask
+// up to equivalence (DESIGN.md §13.7): two masks of one capacity and group
+// count whose keys are equal, prepared on the same geometry base and rail
+// stage, give EvalInto Results that are == apart from Design.GroupMask, and
+// == EvalSweep lanes and BoundRect bounds. The stamp and the key read one
+// value, so the key cannot drift from the prepare.
 type MaskKey struct {
-	leak    uint64
+	leak    uint64 // Σ_g (Bits/Groups)·LeakCell_g; a pure mask keeps the global Bits·LeakCell
 	near    [2]int8
 	nearAlt [2]bool
 	nearN   int8
@@ -615,14 +607,64 @@ type MaskKey struct {
 	write   writeCell
 }
 
-// HybridMaskKey returns the equivalence key of mask for an array of bits
-// cells in groups row groups, whose base and alternate flavors leak
-// leakBase (Tech.LeakCell) and leakAlt (FlavorTerms.LeakCell) per cell.
-func HybridMaskKey(bits, groups int, mask uint32, leakBase, leakAlt float64) MaskKey {
-	m := hybridMaskTerms(bits, groups, mask, leakBase, leakAlt)
-	return MaskKey{leak: math.Float64bits(m.leakCoef), near: [2]int8{int8(m.near[0]), int8(m.near[1])},
-		nearAlt: m.nearAlt, nearN: int8(m.nearN), farAlt: m.farAlt, write: m.write}
+// Mask is a group assignment as PrepareStaged stamps it: Design's (Groups,
+// GroupMask) encoding — groups 0 selects the single global flavor — with
+// its mask terms. A searcher that prepares each mask on many units builds
+// its Masks once.
+type Mask struct {
+	terms  MaskKey
+	groups int
+	mask   uint32
 }
+
+// NewMask returns the group assignment (groups, mask) of an array of bits
+// cells whose base and alternate flavors leak leakBase (Tech.LeakCell) and
+// leakAlt (FlavorTerms.LeakCell) per cell. It checks nothing: PrepareStaged
+// validates the assignment, and a Mask must be prepared only on geometries
+// of its capacity, from rail stages of its flavor pair.
+func NewMask(bits, groups int, mask uint32, leakBase, leakAlt float64) Mask {
+	// The single global flavor and a uniform base mask share the global
+	// path's single multiply, which is exact. Group counts PrepareStaged
+	// rejects stop at these base terms, so none loops past MaxGroups or
+	// divides by zero.
+	leak := float64(bits) * leakBase
+	if groups < 2 || groups > MaxGroups {
+		return Mask{terms: MaskKey{leak: math.Float64bits(leak)}, groups: groups, mask: mask}
+	}
+	var k MaskKey
+	k.farAlt = mask>>uint(groups-1)&1 == 1
+	if full := uint32(1)<<uint(groups) - 1; mask == full {
+		k.write = writeAlt
+		leak = float64(bits) * leakAlt
+	} else if mask != 0 {
+		k.write = writeSlower
+		leak = 0
+		perGroup := float64(bits / groups)
+		for gi := 0; gi < groups; gi++ {
+			lk := leakBase
+			if mask>>uint(gi)&1 == 1 {
+				lk = leakAlt
+			}
+			leak += perGroup * lk
+		}
+	}
+	k.leak = math.Float64bits(leak)
+	// Within one flavor a lower group's delay term never exceeds that of
+	// the farthest lower group of the same flavor, so only the farthest
+	// lower group of each flavor can set the max (DESIGN.md §13.6).
+	var taken [2]bool
+	for gi := groups - 2; gi >= 0; gi-- {
+		if f := mask >> uint(gi) & 1; !taken[f] {
+			taken[f] = true
+			k.near[k.nearN], k.nearAlt[k.nearN] = int8(gi), f == 1
+			k.nearN++
+		}
+	}
+	return Mask{terms: k, groups: groups, mask: mask}
+}
+
+// Key returns the equivalence key of a hybrid mask (groups ≥ 2).
+func (m Mask) Key() MaskKey { return m.terms }
 
 // hybridBLDelay returns the read bitline delay of a hybrid chunk: the worst
 // group, each seeing the bitline wire and drains up to its own rows plus the

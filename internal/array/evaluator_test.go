@@ -345,7 +345,8 @@ func TestEvaluatorClonesShareTechConcurrently(t *testing.T) {
 			if worker == 5 {
 				prepares = append(prepares, func() error { return ev.Prepare(g, 0.55, -0.12, 0.55) })
 			}
-			prepares = append(prepares, func() error { return ev.PrepareStaged(g, &shared, 0, 0) })
+			global := NewMask(g.Bits(), 0, 0, tech.LeakCell, 0)
+			prepares = append(prepares, func() error { return ev.PrepareStaged(g, &shared, &global) })
 			for _, prepare := range prepares {
 				if err := prepare(); err != nil {
 					errs <- err

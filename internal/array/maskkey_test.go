@@ -8,7 +8,7 @@ import (
 	"sramco/internal/wire"
 )
 
-// TestHybridMaskKeyEquivalence is the contract of HybridMaskKey: on random
+// TestHybridMaskKeyEquivalence is the contract of Mask.Key: on random
 // 8-group chunks (muxed and segmented geometries, random VSSC levels and
 // rails, both flavors as base), every mask whose key equals that of the
 // smallest mask with its key — its class representative — must prepare a
@@ -19,19 +19,8 @@ import (
 // fails on the first chunk that reads the difference.
 func TestHybridMaskKeyEquivalence(t *testing.T) {
 	const groups = 8
-	base := testTech(t)
-	other := altTerms()
-	swapped := *base
-	swapped.LeakCell, swapped.IRead = other.LeakCell, other.IRead
-	swapped.WriteDelayCell, swapped.WriteEnergyCell = other.WriteDelayCell, other.WriteEnergyCell
-	baseTerms := FlavorTerms{LeakCell: base.LeakCell, IRead: base.IRead,
-		WriteDelayCell: base.WriteDelayCell, WriteEnergyCell: base.WriteEnergyCell}
-
 	rng := rand.New(rand.NewSource(20261018))
-	for _, fl := range []struct {
-		tech *Tech
-		alt  FlavorTerms
-	}{{base, other}, {&swapped, baseTerms}} {
+	for _, fl := range flavorPairs(t) {
 		repEv, err := NewEvaluator(fl.tech, act)
 		if err != nil {
 			t.Fatal(err)
@@ -59,7 +48,7 @@ func TestHybridMaskKeyEquivalence(t *testing.T) {
 			keys := make([]MaskKey, 0, 1<<groups)
 			members := 0
 			for mask := uint32(0); mask < 1<<groups; mask++ {
-				key := HybridMaskKey(g.Bits(), groups, mask, fl.tech.LeakCell, fl.alt.LeakCell)
+				key := NewMask(g.Bits(), groups, mask, fl.tech.LeakCell, fl.alt.LeakCell).Key()
 				rep := uint32(len(keys))
 				for i, k := range keys {
 					if k == key {
@@ -75,10 +64,12 @@ func TestHybridMaskKeyEquivalence(t *testing.T) {
 
 				// The representative and the member on separate Evaluators
 				// prepared from one rail stage.
-				if err := repEv.PrepareStaged(g, &rs, groups, rep); err != nil {
+				repMask := NewMask(g.Bits(), groups, rep, fl.tech.LeakCell, fl.alt.LeakCell)
+				if err := repEv.PrepareStaged(g, &rs, &repMask); err != nil {
 					t.Fatal(err)
 				}
-				if err := ev.PrepareStaged(g, &rs, groups, mask); err != nil {
+				m := NewMask(g.Bits(), groups, mask, fl.tech.LeakCell, fl.alt.LeakCell)
+				if err := ev.PrepareStaged(g, &rs, &m); err != nil {
 					t.Fatal(err)
 				}
 				name := func() string { return fmt.Sprintf("%s masks %#x/%#x", chunk, rep, mask) }

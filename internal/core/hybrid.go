@@ -11,13 +11,15 @@ import (
 
 // maskSpec is one hybrid group-assignment class of a search: the group mask
 // plus everything that depends only on which flavors are present — the
-// pinned rails and the per-flavor read-stability needs. A global-flavor
-// search has exactly one spec, the all-clear mask with the base flavor's
-// rails, so the degenerate search walks literally the same (rails, mask)
-// unit the pre-hybrid engine did.
+// pinned rails and the per-flavor read-stability needs — and the mask with
+// its terms, which every prepare of the spec stamps. A global-flavor search
+// has exactly one spec, the all-clear mask with the base flavor's rails, so
+// the degenerate search walks literally the same (rails, mask) unit the
+// pre-hybrid engine did.
 type maskSpec struct {
-	mask      uint32
+	m         array.Mask // set by maskClasses
 	vddc, vwl float64
+	mask      uint32
 	needBase  bool // base flavor populates at least one group
 	needAlt   bool // alternate flavor populates at least one group
 }
@@ -79,13 +81,14 @@ func (f *Framework) maskSpecs(opts *Options) ([]maskSpec, array.FlavorTerms, *Ce
 	return specs, altTerms(altCC), altCC, nil
 }
 
-// maskClasses partitions a search's specs into mask classes: specs sharing
-// a rail class and an array.MaskKey, so their prepared units differ only in
-// the GroupMask stamped on each Result (DESIGN.md §13.7). It returns each
+// maskClasses derives each spec's mask terms (maskSpec.m), once per search,
+// and partitions the specs into mask classes: specs sharing a rail class
+// and an array.MaskKey, so their prepared units differ only in the
+// GroupMask stamped on each Result (DESIGN.md §13.7). It returns each
 // spec's representative — the class's smallest mask, which specs list
 // first — and the number of classes. Every unit of a search has the same
-// capacity, so one partition serves every chunk. A global-flavor search
-// has one class.
+// capacity, so one set of terms and one partition serve every chunk. A
+// global-flavor search has one class.
 func maskClasses(specs []maskSpec, specClass []int, bits, groups int, leakBase, leakAlt float64) ([]uint16, int) {
 	type classKey struct {
 		mask array.MaskKey
@@ -96,10 +99,12 @@ func maskClasses(specs []maskSpec, specClass []int, bits, groups int, leakBase, 
 	var firstBuf [1 << array.MaxGroups]uint16
 	keys, first := keyBuf[:0], firstBuf[:0]
 	rep := make([]uint16, len(specs))
-	for i, sp := range specs {
+	for i := range specs {
+		sp := &specs[i]
+		sp.m = array.NewMask(bits, groups, sp.mask, leakBase, leakAlt)
 		k := classKey{rail: specClass[i]}
 		if groups > 1 {
-			k.mask = array.HybridMaskKey(bits, groups, sp.mask, leakBase, leakAlt)
+			k.mask = sp.m.Key()
 		}
 		j := slices.Index(keys, k)
 		if j < 0 {

@@ -60,9 +60,14 @@ import (
 // the re-prepared chunk is bit-identical to the one the bound pass saw.
 // Every Prepare draws its rail-dependent currents from a rail stage built
 // once per (rail class × VSSC level) before the bound pass and shared
-// read-only by all workers. The core.search.units_prepared counter and the
-// run span's units_prepared attribute count the Prepares of both passes;
-// core.search.bounds and the bounds attribute count the bounds of both.
+// read-only by all workers, and its mask terms from its spec's array.Mask,
+// derived once per search (maskClasses). A worker's consecutive units of
+// one (chunk, segmentation, mux) pair and rail class share its Evaluator's
+// geometry stage, so their prepares only stamp their masks (DESIGN.md
+// §13.6). The core.search.units_prepared counter and the run span's
+// units_prepared attribute count the Prepares of both passes, memo hits
+// included; core.search.bounds and the bounds attribute count the bounds of
+// both.
 
 // bnbMinRun is the N_wr range width below which the searcher sweeps the
 // points instead of bisecting further. A row bound from the bound kernel
@@ -300,7 +305,7 @@ func (s *search) prepareUnit(slot *walkWorker, c chunk, u *searchUnit) error {
 	}
 	base := wire.Geometry{NR: c.rc.nr, NC: c.rc.nc, W: accessWidth(s.opts.W, c.rc.nc), Npre: 1, Nwr: 1,
 		WLSegs: int(u.segs), Mux: int(u.mux)}
-	return slot.ev.PrepareStaged(base, &r.stage, s.groups, s.specs[u.spec].mask)
+	return slot.ev.PrepareStaged(base, &r.stage, &s.specs[u.spec].m)
 }
 
 // unitDesign materializes the Design identity of one point of a unit, with
