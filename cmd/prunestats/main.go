@@ -97,12 +97,11 @@ func main() {
 	// costliest cell of the sramperf search-hybrid workload.
 	sp := core.DefaultSpace()
 	sp.MuxMax = 4
-	padp, _ := core.ObjectiveByName("padp")
 	row("16KB*", "hyb8", "m2", core.Options{
 		CapacityBits: 16 * 1024 * 8,
 		Flavor:       device.LVT,
 		Method:       core.M2,
-		Objective:    padp,
+		Objective:    core.ObjectivePADP,
 		HybridGroups: 8,
 		Space:        sp,
 	})

@@ -7,8 +7,7 @@
 //
 //	sramd [-addr :8347] [-mode paper] [-cache 256] [-workers N]
 //	      [-timeout 60s] [-drain-timeout 30s] [-catalog catalog.bin]
-//	      [-access-log] [-trace-buf 4096] [-trace-log spans.jsonl]
-//	      [-debug-addr :6060]
+//	      [-access-log] [-trace-buf 4096] [-debug-addr :6060]
 //	      [-trace out.jsonl] [-metrics] [-debug]
 //	      [-cpuprofile cpu.pprof] [-memprofile mem.pprof]
 //
@@ -16,7 +15,7 @@
 // traceparent header, minted otherwise), echoed as X-Request-Id, stamped on
 // every span the request's work emits, logged in the structured access log,
 // and buffered in an in-memory ring recorder dumped by GET /debug/trace
-// (?limit=N traces). -trace-log additionally mirrors every span to a JSONL
+// (?limit=N traces). -trace additionally mirrors every span to a JSONL
 // file; -trace-buf sizes the ring. -debug-addr starts a second listener
 // serving net/http/pprof under /debug/pprof/.
 //
@@ -63,7 +62,6 @@ func main() {
 	catalogGroups := flag.String("catalog-groups", "", "comma-separated hybrid group counts to precompute per catalog cell (e.g. \"4,8\")")
 	accessLog := flag.Bool("access-log", true, "log one structured line per request to stderr")
 	traceBuf := flag.Int("trace-buf", 0, "span ring-buffer capacity behind /debug/trace (0 = default)")
-	traceLog := flag.String("trace-log", "", "mirror every span/point to a JSON-lines `file`")
 	debugAddr := flag.String("debug-addr", "", "optional second listener serving net/http/pprof under /debug/pprof/")
 	obsFlags := cliutil.ObsFlags()
 	flag.Parse()
@@ -83,20 +81,11 @@ func main() {
 	}
 
 	// The span recorder backs /debug/trace and is always on: it joins
-	// whatever sinks the -trace/-debug flags installed, plus the optional
-	// -trace-log JSONL mirror.
+	// whatever sinks the -trace/-debug flags installed.
 	recorder := obs.NewRecorder(*traceBuf)
 	sinks := obs.MultiSink{recorder}
 	if prev := obs.CurrentSink(); prev != nil {
 		sinks = append(sinks, prev)
-	}
-	if *traceLog != "" {
-		f, err := os.Create(*traceLog)
-		if err != nil {
-			cliutil.Fatalf("-trace-log: %v", err)
-		}
-		cliutil.OnExit(func() { f.Close() })
-		sinks = append(sinks, obs.NewJSONLSink(f))
 	}
 	obs.SetSink(sinks)
 	cliutil.OnExit(func() { obs.SetSink(nil) })

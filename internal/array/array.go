@@ -87,17 +87,34 @@ func (t *Tech) Validate() error {
 	if err := t.Caps.Validate(); err != nil {
 		return err
 	}
-	if t.Vdd <= 0 || t.DeltaVS <= 0 || t.DeltaVS >= t.Vdd {
+	// The comparisons are inverted so that a NaN fails them.
+	if !(t.Vdd > 0 && t.DeltaVS > 0 && t.DeltaVS < t.Vdd) {
 		return fmt.Errorf("array: invalid Vdd=%g / ΔVs=%g", t.Vdd, t.DeltaVS)
 	}
-	if t.LeakCell < 0 {
+	if !(t.LeakCell >= 0) {
 		return fmt.Errorf("array: negative cell leakage %g", t.LeakCell)
 	}
 	if t.IRead == nil || t.WriteDelayCell == nil {
 		return fmt.Errorf("array: missing IRead/WriteDelayCell providers")
 	}
-	if t.DCDCFactor < 1 {
+	if !(t.DCDCFactor >= 1) {
 		return fmt.Errorf("array: DC-DC factor %g must be ≥ 1", t.DCDCFactor)
+	}
+	return nil
+}
+
+// validateRails checks the assist rails against the supply: VDDC and VWL
+// at or above Vdd (boost and overdrive only), VSSC at or below 0. The
+// comparisons are inverted so that a NaN rail fails them.
+func validateRails(vdd, vddc, vssc, vwl float64) error {
+	if !(vddc >= vdd) {
+		return fmt.Errorf("array: VDDC=%g below Vdd=%g", vddc, vdd)
+	}
+	if !(vssc <= 0) {
+		return fmt.Errorf("array: VSSC=%g must be ≤ 0", vssc)
+	}
+	if !(vwl >= vdd) {
+		return fmt.Errorf("array: VWL=%g below Vdd=%g (WLOD only)", vwl, vdd)
 	}
 	return nil
 }
@@ -125,14 +142,8 @@ func (d Design) Validate(t *Tech) error {
 	if err := d.Geom.Validate(); err != nil {
 		return err
 	}
-	if d.VDDC < t.Vdd {
-		return fmt.Errorf("array: VDDC=%g below Vdd=%g", d.VDDC, t.Vdd)
-	}
-	if d.VSSC > 0 {
-		return fmt.Errorf("array: VSSC=%g must be ≤ 0", d.VSSC)
-	}
-	if d.VWL < t.Vdd {
-		return fmt.Errorf("array: VWL=%g below Vdd=%g (WLOD only)", d.VWL, t.Vdd)
+	if err := validateRails(t.Vdd, d.VDDC, d.VSSC, d.VWL); err != nil {
+		return err
 	}
 	if err := d.validateHybrid(); err != nil {
 		return err
@@ -183,7 +194,7 @@ type FlavorTerms struct {
 
 // Validate reports structural problems in the flavor terms.
 func (ft FlavorTerms) Validate() error {
-	if ft.LeakCell < 0 {
+	if !(ft.LeakCell >= 0) { // inverted so that a NaN fails
 		return fmt.Errorf("array: negative alt cell leakage %g", ft.LeakCell)
 	}
 	if ft.IRead == nil || ft.WriteDelayCell == nil {
@@ -328,20 +339,4 @@ func EvaluateHybrid(t *Tech, d Design, act Activity, alt FlavorTerms) (*Result, 
 		return nil, err
 	}
 	return e.Eval(d.Geom.Npre, d.Geom.Nwr)
-}
-
-// BLDelay returns just the read bitline delay of a design (used by the
-// Fig. 3 assist sweeps and the Fig. 7(d) breakdown).
-func BLDelay(t *Tech, d Design) (float64, error) {
-	if err := t.Validate(); err != nil {
-		return 0, err
-	}
-	if err := d.Validate(t); err != nil {
-		return 0, err
-	}
-	i := t.IRead(d.VDDC, d.VSSC)
-	if i <= 0 {
-		return 0, fmt.Errorf("array: non-positive read current %g", i)
-	}
-	return wire.BL(d.Geom, t.Caps) * t.DeltaVS / i, nil
 }

@@ -212,22 +212,6 @@ func TestWorstCasePathBelowAllColumns(t *testing.T) {
 	}
 }
 
-func TestBLDelayMatchesBreakdown(t *testing.T) {
-	tech := testTech(t)
-	d := design(512, 64, 8, 2, 0.55, -0.2, 0.55)
-	r, err := Evaluate(tech, d, act)
-	if err != nil {
-		t.Fatal(err)
-	}
-	bl, err := BLDelay(tech, d)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(bl-r.Parts.DBLRead) > 1e-18 {
-		t.Errorf("BLDelay (%g) disagrees with breakdown (%g)", bl, r.Parts.DBLRead)
-	}
-}
-
 func TestValidationErrors(t *testing.T) {
 	tech := testTech(t)
 	good := design(128, 64, 8, 2, 0.55, -0.1, 0.55)
@@ -267,6 +251,26 @@ func TestValidationErrors(t *testing.T) {
 	zeroI.IRead = func(a, b float64) float64 { return 0 }
 	if _, err := Evaluate(&zeroI, good, act); err == nil {
 		t.Error("zero read current accepted")
+	}
+	for _, tc := range []struct {
+		field string
+		set   func(*Tech)
+	}{
+		{"Vdd", func(t *Tech) { t.Vdd = math.NaN() }},
+		{"DeltaVS", func(t *Tech) { t.DeltaVS = math.NaN() }},
+		{"LeakCell", func(t *Tech) { t.LeakCell = math.NaN() }},
+		{"DCDCFactor", func(t *Tech) { t.DCDCFactor = math.NaN() }},
+	} {
+		nan := *tech
+		tc.set(&nan)
+		if _, err := Evaluate(&nan, good, act); err == nil {
+			t.Errorf("Tech.%s = NaN accepted", tc.field)
+		}
+	}
+	alt := altTerms()
+	alt.LeakCell = math.NaN()
+	if _, err := EvaluateHybrid(tech, hybridDesign(256, 128, 8, 2, 0.55, -0.1, 0.55, 2, 1), act, alt); err == nil {
+		t.Error("FlavorTerms.LeakCell = NaN accepted")
 	}
 }
 

@@ -259,14 +259,8 @@ func (e *Evaluator) Rails(vddc, vssc, vwl float64, alt *FlavorTerms) (RailStage,
 			return RailStage{}, err
 		}
 	}
-	if vddc < t.Vdd {
-		return RailStage{}, fmt.Errorf("array: VDDC=%g below Vdd=%g", vddc, t.Vdd)
-	}
-	if vssc > 0 {
-		return RailStage{}, fmt.Errorf("array: VSSC=%g must be ≤ 0", vssc)
-	}
-	if vwl < t.Vdd {
-		return RailStage{}, fmt.Errorf("array: VWL=%g below Vdd=%g (WLOD only)", vwl, t.Vdd)
+	if err := validateRails(t.Vdd, vddc, vssc, vwl); err != nil {
+		return RailStage{}, err
 	}
 	p := t.Periph
 	rs := RailStage{

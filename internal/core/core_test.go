@@ -253,6 +253,56 @@ func TestOptimizeValidation(t *testing.T) {
 	}
 }
 
+// TestNaNRailsAreErrors puts a NaN in each assist rail of a valid design:
+// array.Evaluate, Evaluator.Rails and Framework.Evaluate must each reject
+// it, as they accept the design itself.
+func TestNaNRailsAreErrors(t *testing.T) {
+	f := paperFramework(t)
+	tech, err := f.ArrayTech(device.HVT)
+	if err != nil {
+		t.Fatal(err)
+	}
+	act := array.Activity{Alpha: DefaultAlpha, Beta: DefaultBeta}
+	ev, err := array.NewEvaluator(tech, act)
+	if err != nil {
+		t.Fatal(err)
+	}
+	vddc, vwl, err := f.Rails(device.HVT, M2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	good := array.Design{Geom: wireGeom(128, 64, 1, 2, 2), VDDC: vddc, VSSC: -0.05, VWL: vwl}
+	paths := map[string]func(array.Design) error{
+		"array.Evaluate": func(d array.Design) error { _, err := array.Evaluate(tech, d, act); return err },
+		"Evaluator.Rails": func(d array.Design) error {
+			_, err := ev.Rails(d.VDDC, d.VSSC, d.VWL, nil)
+			return err
+		},
+		"Framework.Evaluate": func(d array.Design) error { _, err := f.Evaluate(device.HVT, d, act); return err },
+	}
+	for path, eval := range paths {
+		if err := eval(good); err != nil {
+			t.Fatalf("%s rejects the valid design: %v", path, err)
+		}
+	}
+	for _, tc := range []struct {
+		rail string
+		set  func(*array.Design)
+	}{
+		{"VDDC", func(d *array.Design) { d.VDDC = math.NaN() }},
+		{"VSSC", func(d *array.Design) { d.VSSC = math.NaN() }},
+		{"VWL", func(d *array.Design) { d.VWL = math.NaN() }},
+	} {
+		d := good
+		tc.set(&d)
+		for path, eval := range paths {
+			if err := eval(d); err == nil {
+				t.Errorf("%s accepts %s = NaN", path, tc.rail)
+			}
+		}
+	}
+}
+
 func TestModeAndMethodStrings(t *testing.T) {
 	if TechPaper.String() == TechSimulated.String() {
 		t.Error("mode strings collide")

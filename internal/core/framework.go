@@ -119,11 +119,10 @@ type Framework struct {
 }
 
 // FrameworkOpts tunes framework construction; zero values select the
-// paper's defaults. The sense voltage ΔVs and the DC-DC factor are always
-// DefaultDeltaVS and DefaultDCDC.
+// paper's defaults. The sense voltage ΔVs, the minimum margin δ and the
+// DC-DC factor are always DefaultDeltaVS, DefaultDelta(Vdd) and DefaultDCDC.
 type FrameworkOpts struct {
 	Vdd        float64
-	Delta      float64
 	Accounting array.EnergyAccounting
 }
 
@@ -139,10 +138,7 @@ func NewFramework(mode Mode, opts FrameworkOpts) (*Framework, error) {
 	if vdd == 0 {
 		vdd = DefaultVdd
 	}
-	delta := opts.Delta
-	if delta == 0 {
-		delta = DefaultDelta(vdd)
-	}
+	delta := DefaultDelta(vdd)
 	flavors := [2]device.Flavor{device.LVT, device.HVT}
 	var cells [2]*CellChar
 	var cellErrs [2]error

@@ -129,8 +129,8 @@ func TestBranchAndBoundParityHybrid(t *testing.T) {
 		name   string
 	}{
 		{2, device.LVT, M2, 4, 4, padp, "2KB-lvt-m2-g4-mux4-padp"},
-		{4, device.HVT, M1, 2, 2, nil, "4KB-hvt-m1-g2-mux2-edp"},
-		{1, device.LVT, M2, 8, 0, nil, "1KB-lvt-m2-g8-edp"},
+		{4, device.HVT, M1, 2, 2, ObjectiveEDP, "4KB-hvt-m1-g2-mux2-edp"},
+		{1, device.LVT, M2, 8, 0, ObjectiveEDP, "1KB-lvt-m2-g8-edp"},
 	} {
 		sp := DefaultSpace()
 		sp.MuxMax = tc.muxMax
@@ -253,11 +253,11 @@ func TestHybridNeverWorseThanPure(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s groups=%d: %v", objName, groups, err)
 			}
-			bestPure := obj(lvt.Best.Result)
-			if v := obj(hvt.Best.Result); v < bestPure {
+			bestPure := obj.Of(lvt.Best.Result)
+			if v := obj.Of(hvt.Best.Result); v < bestPure {
 				bestPure = v
 			}
-			if got := obj(hyb.Best.Result); got > bestPure {
+			if got := obj.Of(hyb.Best.Result); got > bestPure {
 				t.Errorf("%s groups=%d: hybrid optimum %g worse than best pure optimum %g",
 					objName, groups, got, bestPure)
 			}

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"reflect"
 	"strings"
 	"time"
 
@@ -81,23 +80,37 @@ func DefaultSpace() SearchSpace {
 	return SearchSpace{VSSCMin: -0.240, VSSCStep: 0.010, NRMax: 1024, NCMax: 1024, NpreMax: 50, NwrMax: 20}
 }
 
-// Objective maps an evaluated design to the scalar being minimized.
-type Objective func(*array.Result) float64
+// Objective names the metric of an evaluated design that a search
+// minimizes. The zero value is EDP, the paper's metric (Eqs. 2–5).
+type Objective uint8
 
-// Built-in objectives.
-var (
-	ObjectiveEDP    Objective = func(r *array.Result) float64 { return r.EDP }
-	ObjectiveDelay  Objective = func(r *array.Result) float64 { return r.DArray }
-	ObjectiveEnergy Objective = func(r *array.Result) float64 { return r.EArray }
-	ObjectiveArea   Objective = func(r *array.Result) float64 { return r.Area }
-	ObjectivePADP   Objective = func(r *array.Result) float64 { return r.PADP }
+// The five objectives.
+const (
+	ObjectiveEDP Objective = iota
+	ObjectiveDelay
+	ObjectiveEnergy
+	ObjectiveArea
+	ObjectivePADP
 )
 
-// ObjectiveByName maps the canonical objective names ("edp", "delay",
-// "energy", "area", "padp") to the built-in objectives. Objectives are
-// functions and so cannot appear in a serialized request; callers that key
-// caches on a request pass the name through this table and keep the name as
-// the canonical form.
+// Of returns the objective's value on r.
+func (o Objective) Of(r *array.Result) float64 {
+	switch o {
+	case ObjectiveDelay:
+		return r.DArray
+	case ObjectiveEnergy:
+		return r.EArray
+	case ObjectiveArea:
+		return r.Area
+	case ObjectivePADP:
+		return r.PADP
+	}
+	return r.EDP
+}
+
+// ObjectiveByName maps the canonical objective names ("edp" or "",
+// "delay", "energy", "area", "padp") to the objectives. Callers that key
+// caches on a request keep the name as the canonical form.
 func ObjectiveByName(name string) (Objective, bool) {
 	switch strings.ToLower(name) {
 	case "", "edp":
@@ -111,38 +124,7 @@ func ObjectiveByName(name string) (Objective, bool) {
 	case "padp":
 		return ObjectivePADP, true
 	}
-	return nil, false
-}
-
-// objKind identifies which built-in metric an Objective minimizes, so the
-// branch-and-bound searcher can read the matching lower bound off an
-// array.Bound. Custom objective functions are opaque — no bound is known —
-// and map to objCustom, which disables pruning.
-type objKind int
-
-const (
-	objCustom objKind = iota
-	objEDP
-	objDelay
-	objEnergy
-	objArea
-	objPADP
-)
-
-func objectiveKind(o Objective) objKind {
-	switch reflect.ValueOf(o).Pointer() {
-	case reflect.ValueOf(ObjectiveEDP).Pointer():
-		return objEDP
-	case reflect.ValueOf(ObjectiveDelay).Pointer():
-		return objDelay
-	case reflect.ValueOf(ObjectiveEnergy).Pointer():
-		return objEnergy
-	case reflect.ValueOf(ObjectiveArea).Pointer():
-		return objArea
-	case reflect.ValueOf(ObjectivePADP).Pointer():
-		return objPADP
-	}
-	return objCustom
+	return 0, false
 }
 
 // Options configures one optimization run.
@@ -154,7 +136,7 @@ type Options struct {
 	Activity  array.Activity // zero value selects α = β = 0.5
 	W         int            // access width in bits; 0 selects 64
 	Space     SearchSpace    // zero value selects DefaultSpace
-	Objective Objective      // nil selects EDP
+	Objective Objective      // zero value selects EDP
 
 	// HybridGroups enables the hybrid cell-assignment dimension: the rows
 	// are split into this many contiguous groups (ordered from the
@@ -177,8 +159,7 @@ type Options struct {
 	// space: the never-prune reference of the parity tests, which enforce
 	// that the optimum, Pareto front and infeasibility outcomes are
 	// bit-identical either way — only SearchStats.Evaluated/PrunedBound and
-	// the wall time change. Custom Objective functions, for which no lower
-	// bound is known, select the same policy.
+	// the wall time change.
 	disableBounds bool
 }
 
@@ -213,8 +194,8 @@ func (o *Options) normalize() error {
 	if g := o.HybridGroups; g < 0 || g > array.MaxGroups || (g > 1 && g&(g-1) != 0) {
 		return fmt.Errorf("core: HybridGroups %d must be 0, 1 or a power of two ≤ %d", g, array.MaxGroups)
 	}
-	if o.Objective == nil {
-		o.Objective = ObjectiveEDP
+	if o.Objective > ObjectivePADP {
+		return fmt.Errorf("core: unknown objective %d", o.Objective)
 	}
 	return nil
 }
@@ -314,7 +295,7 @@ func (f *Framework) GreedyOptimize(ctx context.Context, opts Options) (*Optimum,
 		if r, evalErr = p.eval(d); r == nil {
 			return
 		}
-		if v := opts.Objective(r); v < bestObj {
+		if v := opts.Objective.Of(r); v < bestObj {
 			bestObj, bestR, cur = v, r, d
 			changed = true
 		}

@@ -100,7 +100,7 @@ func oracleSearch(t *testing.T, f *Framework, opts Options) oracleRun {
 								}
 								p := DesignPoint{Design: d, Result: r}
 								feasible = append(feasible, p)
-								if v := opts.Objective(r); run.best == nil || v < bestObj ||
+								if v := opts.Objective.Of(r); run.best == nil || v < bestObj ||
 									(v == bestObj && designLess(d, run.best.Design)) {
 									run.best, bestObj = &p, v
 								}
@@ -145,9 +145,9 @@ type walkerCase struct {
 	segs, shared                   bool // SearchWLSegs; for 8 groups, sharedLeakFramework
 }
 
-// walkerObjectives are the objectives a case picks from; "custom" has no
-// bound.
-var walkerObjectives = []string{"edp", "delay", "energy", "area", "padp", "custom"}
+// walkerObjectives are the objectives a case picks from. Area ties across
+// VSSC levels, so its cases exercise designLess.
+var walkerObjectives = []string{"edp", "delay", "energy", "area", "padp"}
 
 // drawWalkerCase draws a case over capacities, flavors, methods,
 // objectives, hybrid groups 0/2/4/8, mux ratios, segmentation and
@@ -177,26 +177,17 @@ func drawWalkerCase(rng *rand.Rand) walkerCase {
 	return c
 }
 
-// build returns the case's framework, name, options and whether its
-// objective is the custom one. ok is false when the oracle would cover
-// more points than the budget: 12 000, or 120 000 for 8 groups.
-func (c walkerCase) build(t *testing.T) (f *Framework, name string, opts Options, custom, ok bool) {
+// build returns the case's framework, name and options. ok is false when
+// the oracle would cover more points than the budget: 12 000, or 120 000
+// for 8 groups.
+func (c walkerCase) build(t *testing.T) (f *Framework, name string, opts Options, ok bool) {
 	f = paperFramework(t)
 	if c.cliff < 0 {
 		f = pruningFramework(t, c.cliff)
 		name = "hvt-rsnm-cliff "
 	}
 	objName := walkerObjectives[int(c.obj)%len(walkerObjectives)]
-	obj, found := ObjectiveByName(objName)
-	if !found {
-		// The custom objective, which has no bound: energy²·delay rounded
-		// to two significant digits, so ties exercise designLess.
-		obj = func(r *array.Result) float64 {
-			v := r.EArray * r.EArray * r.DArray
-			q := math.Pow(10, math.Floor(math.Log10(v))-1)
-			return math.Round(v/q) * q
-		}
-	}
+	obj, _ := ObjectiveByName(objName)
 	opts = Options{
 		CapacityBits: 64 << (c.capLog % 9), // 64 b … 2 KB
 		Flavor:       []device.Flavor{device.LVT, device.HVT}[c.flavor%2],
@@ -232,7 +223,7 @@ func (c walkerCase) build(t *testing.T) (f *Framework, name string, opts Options
 	}
 	levels := len(vsscCandidates(norm.Method, norm.Space))
 	ok = levels*validCombosPerLevel(&norm, rowCandidates(norm.CapacityBits, norm.Space)) <= budget
-	return f, name + objName + " " + describeOptions(opts), opts, objName == "custom", ok
+	return f, name + objName + " " + describeOptions(opts), opts, ok
 }
 
 // TestWalkerMatchesOracle is the seeded differential test of the unit
@@ -246,12 +237,12 @@ func (c walkerCase) build(t *testing.T) (f *Framework, name string, opts Options
 func TestWalkerMatchesOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	for i := 0; i < 40; {
-		f, name, opts, custom, ok := drawWalkerCase(rng).build(t)
+		f, name, opts, ok := drawWalkerCase(rng).build(t)
 		if !ok {
 			continue // redraw: the oracle costs microseconds per point
 		}
 		i++
-		checkWalker(t, f, name, opts, custom)
+		checkWalker(t, f, name, opts)
 	}
 }
 
@@ -265,18 +256,17 @@ func FuzzSearchDifferential(f *testing.F) {
 	f.Fuzz(func(t *testing.T, cliff float64, obj, capLog, flavor, method, w, groups, step, npre, nwr, mux uint8, segs, shared bool) {
 		c := walkerCase{cliff: cliff, obj: obj, capLog: capLog, flavor: flavor, method: method, w: w,
 			groups: groups, step: step, npre: npre, nwr: nwr, mux: mux, segs: segs, shared: shared}
-		fw, name, opts, custom, ok := c.build(t)
+		fw, name, opts, ok := c.build(t)
 		if !ok {
 			t.Skip("over the oracle's point budget")
 		}
-		checkWalker(t, fw, name, opts, custom)
+		checkWalker(t, fw, name, opts)
 	})
 }
 
 // checkWalker runs both policies' Optimize and Pareto on opts and compares
-// them with the oracle, which it returns. custom marks an objective without
-// a bound, whose Optimize never prunes.
-func checkWalker(t *testing.T, f *Framework, name string, opts Options, custom bool) oracleRun {
+// them with the oracle, which it returns.
+func checkWalker(t *testing.T, f *Framework, name string, opts Options) oracleRun {
 	t.Helper()
 	ref := oracleSearch(t, f, opts)
 	if ref.best == nil {
@@ -307,7 +297,7 @@ func checkWalker(t *testing.T, f *Framework, name string, opts Options, custom b
 				name, policy, len(front.Front), len(ref.front))
 		}
 		// The front ignores the objective.
-		checkOracleCounts(t, name+" "+policy+" Optimize", opt.Stats, ref.stats, o.disableBounds || custom)
+		checkOracleCounts(t, name+" "+policy+" Optimize", opt.Stats, ref.stats, o.disableBounds)
 		checkOracleCounts(t, name+" "+policy+" Pareto", front.Stats, ref.stats, o.disableBounds)
 	}
 	return ref
@@ -352,7 +342,7 @@ func TestWalkerMatchesOracleInMaskClasses(t *testing.T) {
 		for _, r := range s.rep {
 			members[r]++
 		}
-		ref := checkWalker(t, f, name, opts, false)
+		ref := checkWalker(t, f, name, opts)
 		if m := ref.best.Design.GroupMask; members[s.rep[m]] < 2 {
 			t.Errorf("%s: the optimum's mask %#x is alone in its class", name, m)
 		}
@@ -403,10 +393,8 @@ func describeOptions(o Options) string {
 // base-flavor check and return designs violating min(HSNM, RSNM, WM) ≥ δ.
 // An every-level read-stability failure reads the same from both searches.
 func TestParetoRejectsHSNMBelowDelta(t *testing.T) {
-	f, err := NewFramework(TechPaper, FrameworkOpts{Delta: 0.23})
-	if err != nil {
-		t.Fatal(err)
-	}
+	f := *paperFramework(t)
+	f.Delta = 0.23
 	opts := Options{CapacityBits: 8192, Flavor: device.HVT, Method: M2}
 	if _, err := f.Optimize(context.Background(), opts); err == nil || !strings.Contains(err.Error(), "below δ") {
 		t.Errorf("Optimize error = %v, want HSNM below δ", err)

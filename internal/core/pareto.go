@@ -22,7 +22,8 @@ type ParetoResult struct {
 // the single minimum-objective point: every feasible design for which no
 // other feasible design is both faster and lower-energy. Points are
 // returned sorted by increasing delay (hence decreasing energy), together
-// with the same SearchStats Optimize reports. Options.Objective is ignored.
+// with the same SearchStats Optimize reports. Options.Objective does not
+// change the front.
 //
 // The frontier exposes the trade-off the EDP scalarization hides — e.g. how
 // much energy a delay-critical cache bank must pay to match LVT speed.

@@ -143,7 +143,7 @@ func TestResultsBuiltAtUnitEndMatchFreshEvaluations(t *testing.T) {
 					t.Fatalf("%s: %v", name, err)
 				}
 				check(name+" optimum", opt.Best.Design, opt.Best.Result)
-				if opts.Objective != nil {
+				if opts.Objective != ObjectiveEDP {
 					return
 				}
 				front, err := f.Pareto(context.Background(), opts)
@@ -179,8 +179,9 @@ func TestResultsBuiltAtUnitEndMatchFreshEvaluations(t *testing.T) {
 	}
 }
 
-// TestOptimizeTieBreakOnObjectiveTies forces every feasible point to tie and
-// checks the winner is schedule-independent.
+// TestOptimizeTieBreakOnObjectiveTies forces objective ties with the area
+// objective, which no VSSC level changes, and checks the winner is
+// schedule-independent and the canonical one of its ties.
 func TestOptimizeTieBreakOnObjectiveTies(t *testing.T) {
 	f := paperFramework(t)
 	opts := Options{
@@ -188,7 +189,7 @@ func TestOptimizeTieBreakOnObjectiveTies(t *testing.T) {
 		Flavor:       device.HVT,
 		Method:       M2,
 		Space:        SearchSpace{VSSCMin: -0.04, VSSCStep: 0.02, NRMax: 1024, NCMax: 1024, NpreMax: 4, NwrMax: 3},
-		Objective:    func(*array.Result) float64 { return 1 },
+		Objective:    ObjectiveArea,
 	}
 	var ref Optimum
 	for i, procs := range []int{1, 8} {
@@ -207,13 +208,33 @@ func TestOptimizeTieBreakOnObjectiveTies(t *testing.T) {
 			t.Errorf("all-ties search is schedule-dependent: %+v vs %+v", ref.Best.Design, got.Best.Design)
 		}
 	}
-	// With every objective equal, no feasible design may precede the winner
-	// in the canonical order within its own (row, VSSC) block.
+	// The winner's geometry ties at every VSSC level; the canonical winner
+	// is the weakest assist among the feasible ones, the oracle's pick.
 	d := ref.Best.Design
-	if d.Geom.Npre != 1 || d.Geom.Nwr != 1 {
-		// Npre/Nwr do not affect feasibility gates ahead of evaluation, so
-		// the canonical minimum of a tied block always has 1/1 fins.
-		t.Errorf("tie-break winner has N_pre=%d N_wr=%d, want the canonical 1/1", d.Geom.Npre, d.Geom.Nwr)
+	tech, err := f.ArrayTech(opts.Flavor)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ties := 0
+	for _, v := range vsscCandidates(opts.Method, opts.Space) {
+		tied := d
+		tied.VSSC = v
+		r, err := array.Evaluate(tech, tied, array.Activity{Alpha: DefaultAlpha, Beta: DefaultBeta})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if r.Area != ref.Best.Result.Area {
+			t.Errorf("area at VSSC=%g is %g, at VSSC=%g %g: no tie", v, r.Area, d.VSSC, ref.Best.Result.Area)
+		}
+		if r.RailsSettleInTime && f.Cells[opts.Flavor].readStable(v, f.Delta) {
+			ties++
+		}
+	}
+	if ties < 2 {
+		t.Fatalf("the optimum ties at %d feasible VSSC levels, want ≥ 2", ties)
+	}
+	if want := oracleSearch(t, f, opts).best.Design; d != want {
+		t.Errorf("tie-break winner %+v, want the canonical %+v", d, want)
 	}
 }
 
@@ -268,44 +289,70 @@ func TestBetterPointTotalOrder(t *testing.T) {
 	}
 }
 
-// TestOptimizeErrorCancelsWithAccurateCounts cancels the search from inside
-// a custom objective at its 50th call and checks the search aborts with the
-// cause and with Evaluated equal to the number of points the objective
-// actually saw — including those of workers that were cancelled rather than
-// cancelling themselves.
+// cancelAtChunk is a sink that cancels a search when the n-th
+// core.search.chunk span ends, and sums the evaluated attribute of every
+// chunk span.
+type cancelAtChunk struct {
+	n      int64
+	cancel context.CancelFunc
+	spans  atomic.Int64
+	evals  atomic.Int64
+}
+
+func (c *cancelAtChunk) Emit(ev obs.Event) {
+	if ev.Name != "core.search.chunk" {
+		return
+	}
+	for _, a := range ev.Attrs {
+		if a.Key == "evaluated" {
+			c.evals.Add(a.I)
+		}
+	}
+	if c.spans.Add(1) == c.n {
+		c.cancel()
+	}
+}
+
+// TestOptimizeErrorCancelsWithAccurateCounts cancels the search from a
+// sink when its 16th chunk ends, while the workers share the chunks after
+// the seed, and checks under both policies that the search aborts with the
+// cause and with Evaluated equal to the core.search.evaluated counter's
+// advance and to the chunk spans' sum — including the partial counts of
+// workers the cancel reaches mid-chunk.
 func TestOptimizeErrorCancelsWithAccurateCounts(t *testing.T) {
 	f := paperFramework(t)
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	var calls atomic.Int64
-	opts := Options{
-		CapacityBits: 4 * 1024 * 8,
-		Flavor:       device.HVT,
-		Method:       M2,
-		Space:        SearchSpace{VSSCMin: -0.240, VSSCStep: 0.010, NRMax: 1024, NCMax: 1024, NpreMax: 10, NwrMax: 10},
-		Objective: func(r *array.Result) float64 {
-			if calls.Add(1) == 50 {
-				cancel()
-			}
-			return r.EDP
-		},
-	}
+	opts := Options{CapacityBits: 4 * 1024 * 8, Flavor: device.HVT, Method: M2}
 	prev := runtime.GOMAXPROCS(4)
 	defer runtime.GOMAXPROCS(prev)
-	_, err := f.Optimize(ctx, opts)
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("Optimize error = %v, want context.Canceled", err)
-	}
-	var serr *SearchError
-	if !errors.As(err, &serr) {
-		t.Fatalf("Optimize error %T does not carry SearchStats", err)
-	}
-	if got, want := serr.Stats.Evaluated, int(calls.Load()); got != want {
-		t.Errorf("aborted search reports %d evaluations, the objective saw %d", got, want)
-	}
-	full := 6 * 25 * 10 * 10 // rows × VSSC levels × Npre × Nwr
-	if serr.Stats.Evaluated >= full {
-		t.Errorf("search ran to completion (%d evals) despite the cancellation", serr.Stats.Evaluated)
+	for _, o := range []Options{opts, withFullEnumeration(opts)} {
+		policy := map[bool]string{false: "bounded", true: "full"}[o.disableBounds]
+		ctx, cancel := context.WithCancel(context.Background())
+		sink := &cancelAtChunk{n: 16, cancel: cancel}
+		prevSink := obs.SetSink(sink)
+		before := obs.Default().CounterValue("core.search.evaluated")
+		_, err := f.Optimize(ctx, o)
+		counted := obs.Default().CounterValue("core.search.evaluated") - before
+		obs.SetSink(prevSink)
+		cancel()
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("%s: Optimize error = %v, want context.Canceled", policy, err)
+		}
+		var serr *SearchError
+		if !errors.As(err, &serr) {
+			t.Fatalf("%s: Optimize error %T does not carry SearchStats", policy, err)
+		}
+		got := serr.Stats.Evaluated
+		if int64(got) != counted {
+			t.Errorf("%s: aborted search reports %d evaluations, the core.search.evaluated counter advanced %d", policy, got, counted)
+		}
+		if int64(got) != sink.evals.Load() {
+			t.Errorf("%s: aborted search reports %d evaluations, its %d chunk spans %d", policy, got, sink.spans.Load(), sink.evals.Load())
+		}
+		full := 6 * 25 * 50 * 20 // rows × VSSC levels × Npre × Nwr
+		if got == 0 || got >= full {
+			t.Errorf("%s: aborted search evaluated %d of %d points", policy, got, full)
+		}
+		t.Logf("%s: canceled after %d evaluations in %d chunks", policy, got, sink.spans.Load())
 	}
 }
 
@@ -404,11 +451,13 @@ func TestInfeasibleSpaceIsClassified(t *testing.T) {
 
 // TestGreedyHonorsSearchWLSegs: the greedy searcher must explore the same
 // divided-wordline axis as the exhaustive one when SearchWLSegs is set, and
-// stay flat otherwise.
+// stay flat otherwise. In this space a divided wordline wins, so greedy
+// must reach the exhaustive DWL optimum's segmentation with more
+// evaluations than its flat run, and a lower EDP.
 func TestGreedyHonorsSearchWLSegs(t *testing.T) {
 	f := paperFramework(t)
-	for _, dwl := range []bool{false, true} {
-		maxSegs := 0
+	var runs [2]*Optimum
+	for i, dwl := range []bool{false, true} {
 		opts := Options{
 			CapacityBits: 32768,
 			Flavor:       device.HVT,
@@ -416,22 +465,28 @@ func TestGreedyHonorsSearchWLSegs(t *testing.T) {
 			W:            8,
 			Space:        SearchSpace{VSSCMin: -0.02, VSSCStep: 0.01, NRMax: 1024, NCMax: 1024, NpreMax: 5, NwrMax: 5},
 			SearchWLSegs: dwl,
-			Objective: func(r *array.Result) float64 {
-				if s := r.Design.Geom.Segments(); s > maxSegs {
-					maxSegs = s
-				}
-				return r.EDP
-			},
 		}
-		if _, err := f.GreedyOptimize(context.Background(), opts); err != nil {
+		opt, err := f.GreedyOptimize(context.Background(), opts)
+		if err != nil {
 			t.Fatalf("SearchWLSegs=%v: %v", dwl, err)
 		}
-		if dwl && maxSegs < 2 {
-			t.Errorf("SearchWLSegs=true but greedy never evaluated a divided wordline (max segments %d)", maxSegs)
+		ex, err := f.Optimize(context.Background(), opts)
+		if err != nil {
+			t.Fatalf("SearchWLSegs=%v: %v", dwl, err)
 		}
-		if !dwl && maxSegs > 1 {
-			t.Errorf("SearchWLSegs=false but greedy evaluated %d-segment wordlines", maxSegs)
+		if got, want := opt.Best.Design.Geom.Segments(), ex.Best.Design.Geom.Segments(); got != want {
+			t.Errorf("SearchWLSegs=%v: greedy optimum has %d wordline segments, the exhaustive one %d", dwl, got, want)
 		}
+		runs[i] = opt
+	}
+	flat, dwl := runs[0], runs[1]
+	if flat.Best.Design.Geom.Segments() != 1 || dwl.Best.Design.Geom.Segments() < 2 {
+		t.Errorf("greedy optimum segments: %d flat, %d with SearchWLSegs; want 1 and ≥ 2",
+			flat.Best.Design.Geom.Segments(), dwl.Best.Design.Geom.Segments())
+	}
+	if dwl.Evaluated <= flat.Evaluated || dwl.Best.Result.EDP >= flat.Best.Result.EDP {
+		t.Errorf("SearchWLSegs=true: %d evaluations, EDP %g; flat: %d, EDP %g",
+			dwl.Evaluated, dwl.Best.Result.EDP, flat.Evaluated, flat.Best.Result.EDP)
 	}
 }
 

@@ -35,7 +35,7 @@ func (f *Framework) SensitivityAt(opts Options, at DesignPoint) ([]Sensitivity, 
 		// point would silently evaluate under the wrong cell model.
 		return nil, fmt.Errorf("core: sensitivity analysis does not support hybrid designs")
 	}
-	base := opts.Objective(at.Result)
+	base := opts.Objective.Of(at.Result)
 	if base <= 0 {
 		return nil, fmt.Errorf("core: non-positive base objective %g", base)
 	}
@@ -64,7 +64,7 @@ func (f *Framework) SensitivityAt(opts Options, at DesignPoint) ([]Sensitivity, 
 				return nil, &SearchError{Stats: p.stats, Cause: err}
 			}
 			if r != nil {
-				rel[j] = opts.Objective(r) / base
+				rel[j] = opts.Objective.Of(r) / base
 			}
 		}
 		out[k].DownRel, out[k].UpRel = rel[0], rel[1]

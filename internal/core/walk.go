@@ -28,8 +28,7 @@ import (
 // (DESIGN.md §13.7): masks sharing a rail class and an array.MaskKey
 // prepare chunks that differ only in the GroupMask stamped on each Result,
 // so the class's smallest mask answers for the others, whose rectangles
-// are charged to PrunedBound unprepared. Full enumeration (a custom
-// objective, which has no bound and may read GroupMask, or the parity
+// are charged to PrunedBound unprepared. Full enumeration (the parity
 // tests' Options.disableBounds) is the policy that never prunes: it walks
 // every unit and sweeps every point.
 //
@@ -116,10 +115,9 @@ type railEntry struct {
 // normalized options, the enumerated chunks, the unit records and rail
 // stages, the reducer and the pruning policy.
 type search struct {
-	opts      *Options
-	pareto    bool    // reducer: the energy-delay front instead of the minimum objective
-	prunes    bool    // policy: branch-and-bound; false sweeps every point
-	kind      objKind // the minimized objective (objEDP for the front, which seeds on it)
+	opts      *Options // normalized; the front's Objective is EDP, which it seeds on
+	pareto    bool     // reducer: the energy-delay front instead of the minimum objective
+	prunes    bool     // policy: branch-and-bound; false sweeps every point
 	specs     []maskSpec
 	groups    int // Design.Groups of every unit: 0, or HybridGroups when hybrid
 	cc, altCC *CellChar
@@ -228,13 +226,10 @@ func (f *Framework) newSearch(ctx context.Context, opts Options, pareto bool) (*
 	s.stats.Chunks = len(s.chunks)
 	s.workers = min(runtime.GOMAXPROCS(0), len(s.chunks))
 
-	// The front seeds on EDP; a custom objective has no lower bound, so it
-	// runs under the never-prune policy, like the tests' disableBounds.
-	s.kind = objEDP
-	if !pareto {
-		s.kind = objectiveKind(opts.Objective)
+	if pareto {
+		opts.Objective = ObjectiveEDP // the front seeds on EDP
 	}
-	s.prunes = !opts.disableBounds && s.kind != objCustom
+	s.prunes = !opts.disableBounds
 
 	var altp *array.FlavorTerms
 	if opts.hybridOn() {
@@ -319,31 +314,31 @@ func (s *search) unitDesign(u *searchUnit, c chunk, width, npre, nwr int) array.
 	}
 }
 
-// objBound reads the lower bound matching the built-in objective.
+// objBound reads the lower bound matching the objective.
 func (s *search) objBound(b array.Bound) float64 {
-	switch s.kind {
-	case objDelay:
+	switch s.opts.Objective {
+	case ObjectiveDelay:
 		return b.DArray
-	case objEnergy:
+	case ObjectiveEnergy:
 		return b.EArray
-	case objArea:
+	case ObjectiveArea:
 		return b.Area
-	case objPADP:
+	case ObjectivePADP:
 		return b.PADP
 	}
 	return b.EDP
 }
 
-// objLane returns the sweep lane matching the built-in objective.
+// objLane returns the sweep lane matching the objective.
 func (s *search) objLane(sw *array.SweepBlock) []float64 {
-	switch s.kind {
-	case objDelay:
+	switch s.opts.Objective {
+	case ObjectiveDelay:
 		return sw.DArray
-	case objEnergy:
+	case ObjectiveEnergy:
 		return sw.EArray
-	case objArea:
+	case ObjectiveArea:
 		return sw.Area
-	case objPADP:
+	case ObjectivePADP:
 		return sw.PADP
 	}
 	return sw.EDP
@@ -354,13 +349,11 @@ func (s *search) objLane(sw *array.SweepBlock) []float64 {
 // a point that changes them by its position until the end of its unit
 // (endUnit), which builds the Results of the points still standing.
 type walkWorker struct {
-	ev      *array.Evaluator // re-prepared for each unit the sweep enters
-	stats   SearchStats
-	sweep   array.SweepBlock
-	custom  []float64    // a custom objective's values over one swept range
-	scratch array.Result // a custom objective's point
-	best    incumbent
-	front   front
+	ev    *array.Evaluator // re-prepared for each unit the sweep enters
+	stats SearchStats
+	sweep array.SweepBlock
+	best  incumbent
+	front front
 	// won marks an incumbent that won during the unit being swept, whose
 	// best.res still holds the Result of the point it beat; pending marks
 	// members without a Result in front, which entered it during that unit.
@@ -702,18 +695,18 @@ type rowSweep struct {
 	row   array.Row
 }
 
-// objBound returns the row bound matching the built-in objective over
-// N_wr ≥ lo, from the kernel's delay and energy bounds d and e: products of
-// lower bounds are lower bounds.
+// objBound returns the row bound matching the objective over N_wr ≥ lo,
+// from the kernel's delay and energy bounds d and e: products of lower
+// bounds are lower bounds.
 func (r *rowSweep) objBound(d, e float64, lo int) float64 {
-	switch r.s.kind {
-	case objDelay:
+	switch r.s.opts.Objective {
+	case ObjectiveDelay:
 		return d
-	case objEnergy:
+	case ObjectiveEnergy:
 		return e
-	case objArea:
+	case ObjectiveArea:
 		return r.row.Area(lo)
-	case objPADP:
+	case ObjectivePADP:
 		return d * e * r.row.Area(lo)
 	}
 	return d * e
@@ -748,27 +741,13 @@ func (r *rowSweep) refine(lo, hi int) bool {
 			return r.refine(lo, mid) && r.refine(mid+1, hi)
 		}
 	}
-	// A custom objective reads each point's Result, exactly once; the
-	// built-in objectives and the front read the sweep lanes, bit-identical
-	// to EvalInto.
-	var lane []float64
-	if s.kind == objCustom {
-		lane = slot.custom[:0]
-		for nwr := lo; nwr <= hi; nwr++ {
-			if err := ev.EvalInto(r.npre, nwr, &slot.scratch); err != nil {
-				return s.fail(r.c, r.npre, nwr, err)
-			}
-			lane = append(lane, s.opts.Objective(&slot.scratch))
-		}
-		slot.custom = lane
-	} else {
-		if err := ev.EvalSweep(r.npre, lo, hi, &slot.sweep); err != nil {
-			return s.fail(r.c, r.npre, lo, err)
-		}
-		lane = s.objLane(&slot.sweep)[:n]
+	// The objective and the front read the sweep lanes, bit-identical to
+	// EvalInto.
+	if err := ev.EvalSweep(r.npre, lo, hi, &slot.sweep); err != nil {
+		return s.fail(r.c, r.npre, lo, err)
 	}
 	slot.stats.Evaluated += n
-	for i, v := range lane {
+	for i, v := range s.objLane(&slot.sweep)[:n] {
 		nwr := lo + i
 		if s.pareto {
 			r.foldPareto(i, nwr)

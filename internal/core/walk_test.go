@@ -104,7 +104,7 @@ func TestBoundPassRecordsLiveUnits(t *testing.T) {
 	kinds := [4]string{"invalid-geometry", "RSNM-infeasible", "equivalent-mask", "unsettled"}
 	var seen [2][4]int
 	for _, tc := range cases {
-		ref := checkWalker(t, tc.f, tc.name, tc.opts, false)
+		ref := checkWalker(t, tc.f, tc.name, tc.opts)
 		pts := tc.opts.Space.NpreMax * tc.opts.Space.NwrMax
 		for fi, full := range []bool{false, true} {
 			o := tc.opts

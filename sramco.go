@@ -64,7 +64,8 @@ type (
 	Options = core.Options
 	// SearchSpace bounds the exhaustive search (§5 ranges).
 	SearchSpace = core.SearchSpace
-	// Objective maps an evaluated design to the scalar being minimized.
+	// Objective names the metric a search minimizes: EDP (the zero
+	// value), delay, energy, area or PADP.
 	Objective = core.Objective
 	// Optimum is the outcome of an optimization run.
 	Optimum = core.Optimum
@@ -131,8 +132,8 @@ func ParseMethod(s string) (Method, error) { return core.ParseMethod(s) }
 func ParseMode(s string) (Mode, error) { return core.ParseMode(s) }
 
 // ObjectiveByName maps "edp" (or ""), "delay", "energy", "area" and "padp"
-// to the built-in search objectives. The name, not the function, is the
-// canonical form used in serialized requests and cache keys.
+// to the search objectives. The name is the canonical form used in
+// serialized requests and cache keys.
 func ObjectiveByName(name string) (Objective, bool) { return core.ObjectiveByName(name) }
 
 // ErrInfeasible is wrapped by every "no feasible design" search failure;
@@ -178,8 +179,8 @@ func Default() (*Framework, error) {
 	return defaultFW, defaultErr
 }
 
-// Core exposes the underlying core framework for advanced use (custom
-// objectives, search spaces, greedy ablation).
+// Core exposes the underlying core framework for advanced use (search
+// spaces, greedy ablation).
 func (f *Framework) Core() *core.Framework { return f.core }
 
 // Fingerprint digests every model input that shapes a search result —
@@ -189,7 +190,7 @@ func (f *Framework) Core() *core.Framework { return f.core }
 func (f *Framework) Fingerprint() [32]byte { return f.core.Fingerprint() }
 
 // Optimize runs the exhaustive design search: the minimum of
-// opts.Objective (EDP when nil) under the yield constraint. Zero fields
+// opts.Objective (EDP when zero) under the yield constraint. Zero fields
 // select the paper's defaults (α = β = 0.5, W = 64, δ = 0.35·Vdd, §5 search
 // ranges). The search is deterministic — the returned Optimum is
 // bit-identical for any GOMAXPROCS — and stops at the first model error or
