@@ -198,7 +198,7 @@ func BenchmarkAblationGreedyVsExhaustive(b *testing.B) {
 			b.Fatal(err)
 		}
 		ratio = greedy.Best.Result.EDP / full.Best.Result.EDP
-		gEvals = float64(greedy.Evaluated)
+		gEvals = float64(greedy.Stats.Evaluated)
 	}
 	b.ReportMetric(ratio, "greedy/exhaustive-EDP")
 	b.ReportMetric(gEvals, "greedy-evals")

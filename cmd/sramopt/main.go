@@ -166,7 +166,7 @@ func main() {
 	}
 
 	fmt.Printf("%s 6T-%v-%v (%s mode): optimum over %d evaluations\n",
-		unit.Bytes(opts.CapacityBits), opts.Flavor, opts.Method, mode, opt.Evaluated)
+		unit.Bytes(opts.CapacityBits), opts.Flavor, opts.Method, mode, opt.Stats.Evaluated)
 	fmt.Printf("  search: %s\n", opt.Stats)
 	fmt.Printf("  n_r=%d n_c=%d N_pre=%d N_wr=%d VDDC=%s VSSC=%s VWL=%s%s\n",
 		d.Geom.NR, d.Geom.NC, d.Geom.Npre, d.Geom.Nwr,

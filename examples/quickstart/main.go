@@ -39,6 +39,6 @@ func main() {
 	fmt.Printf("  delay:         %.1f ps (read %.1f / write %.1f)\n", r.DArray*1e12, r.DRead*1e12, r.DWrite*1e12)
 	fmt.Printf("  energy:        %.2f fJ per cycle (leakage share %.0f%%)\n", r.EArray*1e15, 100*r.ELeak/r.EArray)
 	fmt.Printf("  EDP:           %.3g J*s\n", r.EDP)
-	fmt.Printf("  search cost:   %d analytical model evaluations\n", best.Evaluated)
+	fmt.Printf("  search cost:   %d analytical model evaluations\n", best.Stats.Evaluated)
 	fmt.Printf("  search stats:  %s\n", best.Stats)
 }

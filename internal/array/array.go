@@ -52,8 +52,8 @@ func (e EnergyAccounting) String() string {
 }
 
 // Tech carries everything the analytical model consults about the
-// technology and the chosen cell flavor. Build one via the core package (or
-// assemble it directly in tests).
+// technology and the chosen cell flavor, whose cell terms it embeds. Build
+// one via the core package (or assemble it directly in tests).
 type Tech struct {
 	Periph *periph.Tech    // characterized LVT peripherals
 	Caps   wire.DeviceCaps // per-fin device capacitances entering Table 1
@@ -61,16 +61,7 @@ type Tech struct {
 	Vdd     float64 // nominal supply (V)
 	DeltaVS float64 // bitline sense voltage ΔVs (V)
 
-	LeakCell float64 // P_leak,sram: standby leakage power per cell (W)
-
-	// IRead is the cell read current as a function of the read-assist rails
-	// (characterized LUT or the paper's fitted law).
-	IRead func(vddc, vssc float64) float64
-	// WriteDelayCell is the cell-level write delay as a function of the
-	// write wordline voltage.
-	WriteDelayCell func(vwl float64) float64
-	// WriteEnergyCell is the cell-internal switching energy of one write.
-	WriteEnergyCell float64
+	FlavorTerms // the base cell flavor
 
 	// DCDCFactor scales assist-rail energies for DC-DC converter
 	// inefficiency ("multiplied by a scaling factor", §5).
@@ -91,11 +82,8 @@ func (t *Tech) Validate() error {
 	if !(t.Vdd > 0 && t.DeltaVS > 0 && t.DeltaVS < t.Vdd) {
 		return fmt.Errorf("array: invalid Vdd=%g / ΔVs=%g", t.Vdd, t.DeltaVS)
 	}
-	if !(t.LeakCell >= 0) {
-		return fmt.Errorf("array: negative cell leakage %g", t.LeakCell)
-	}
-	if t.IRead == nil || t.WriteDelayCell == nil {
-		return fmt.Errorf("array: missing IRead/WriteDelayCell providers")
+	if err := t.FlavorTerms.Validate(); err != nil {
+		return err
 	}
 	if !(t.DCDCFactor >= 1) {
 		return fmt.Errorf("array: DC-DC factor %g must be ≥ 1", t.DCDCFactor)
@@ -183,22 +171,23 @@ func checkMask(groups int, mask uint32) error {
 const MaxGroups = 8
 
 // FlavorTerms carries the cell-level quantities of one flavor that the
-// hybrid evaluator needs per row group. The base flavor's terms live in
-// Tech; an alternate flavor supplies its own via Hybrid.
+// model reads: the characterized leakage, read-current law, WLOD write
+// delay and write energy. Tech embeds the base flavor's; a hybrid array's
+// alternate flavor supplies its own via Hybrid.
 type FlavorTerms struct {
-	LeakCell        float64                          // standby leakage power per cell (W)
-	IRead           func(vddc, vssc float64) float64 // read current under the assist rails
-	WriteDelayCell  func(vwl float64) float64        // cell write delay under WLOD
-	WriteEnergyCell float64                          // cell-internal write switching energy
+	LeakCell        float64                          // P_leak,sram: standby leakage power per cell (W)
+	IRead           func(vddc, vssc float64) float64 // read current under the assist rails (A)
+	WriteDelayCell  func(vwl float64) float64        // cell write delay under WLOD (s)
+	WriteEnergyCell float64                          // cell-internal switching energy of one write (J)
 }
 
 // Validate reports structural problems in the flavor terms.
 func (ft FlavorTerms) Validate() error {
 	if !(ft.LeakCell >= 0) { // inverted so that a NaN fails
-		return fmt.Errorf("array: negative alt cell leakage %g", ft.LeakCell)
+		return fmt.Errorf("array: negative cell leakage %g", ft.LeakCell)
 	}
 	if ft.IRead == nil || ft.WriteDelayCell == nil {
-		return fmt.Errorf("array: missing alt IRead/WriteDelayCell providers")
+		return fmt.Errorf("array: missing IRead/WriteDelayCell providers")
 	}
 	return nil
 }
@@ -296,21 +285,14 @@ func component(c, v, dv, i float64) (delay, energy float64) {
 // work of every search (one per candidate design point).
 var mEvals = obs.NewCounter("array.evaluations")
 
-// Evaluate computes the full array model for one single-flavor design
-// point: EvaluateHybrid without alternate flavor terms, so a hybrid design
-// (Groups ≥ 2) is an error here.
-func Evaluate(t *Tech, d Design, act Activity) (*Result, error) {
-	return EvaluateHybrid(t, d, act, FlavorTerms{})
-}
-
 // EvaluateHybrid computes the full array model for one explicit design
 // point. It validates the technology, the design and the activity, prepares
-// the point's chunk on a fresh Evaluator and evaluates the point: the one
-// body behind every single-point evaluation. A hybrid design assigns the
-// row groups its GroupMask selects to the alternate flavor terms in alt; a
-// design with Groups == 0 ignores alt. Search loops that sweep (N_pre, N_wr)
-// inside a fixed chunk should hold an Evaluator instead and amortize the
-// Prepare.
+// the point's chunk on a fresh Evaluator (PrepareHybrid) and evaluates the
+// point: the one body behind every single-point evaluation. A hybrid design
+// assigns the row groups its GroupMask selects to the alternate flavor
+// terms in alt; a design with Groups == 0 ignores alt, so a single-flavor
+// design passes FlavorTerms{}. Search loops that sweep (N_pre, N_wr) inside
+// a fixed chunk should hold an Evaluator instead and amortize the prepare.
 func EvaluateHybrid(t *Tech, d Design, act Activity, alt FlavorTerms) (*Result, error) {
 	if err := t.Validate(); err != nil {
 		return nil, err
@@ -323,20 +305,13 @@ func EvaluateHybrid(t *Tech, d Design, act Activity, alt FlavorTerms) (*Result, 
 	}
 	var e Evaluator
 	e.init(t, act)
-	// One evaluation builds its rail stage here, as Prepare and
-	// PrepareHybrid would, without the memo Prepare allocates for later
-	// chunks.
-	var altTerms *FlavorTerms
-	if d.Groups > 1 {
-		altTerms = &alt
-	}
-	rs, err := e.Rails(d.VDDC, d.VSSC, d.VWL, altTerms)
-	if err != nil {
+	h := Hybrid{Groups: d.Groups, Mask: d.GroupMask, Alt: alt}
+	if err := e.PrepareHybrid(d.Geom, d.VDDC, d.VSSC, d.VWL, h); err != nil {
 		return nil, err
 	}
-	m := NewMask(d.Geom.Bits(), d.Groups, d.GroupMask, t.LeakCell, alt.LeakCell)
-	if err := e.PrepareStaged(d.Geom, &rs, &m); err != nil {
+	res := new(Result)
+	if err := e.EvalInto(d.Geom.Npre, d.Geom.Nwr, res); err != nil {
 		return nil, err
 	}
-	return e.Eval(d.Geom.Npre, d.Geom.Nwr)
+	return res, nil
 }

@@ -38,14 +38,16 @@ func testTech(t testing.TB) *Tech {
 				Cdn: lib.NLVT.CdFin, Cdp: lib.PLVT.CdFin,
 				Cgn: lib.NLVT.CgFin, Cgp: lib.PLVT.CgFin,
 			},
-			Vdd:             device.Vdd,
-			DeltaVS:         0.120,
-			LeakCell:        0.082e-9,
-			IRead:           paperIRead,
-			WriteDelayCell:  func(vwl float64) float64 { return 3e-12 * 0.55 / vwl },
-			WriteEnergyCell: 5e-18,
-			DCDCFactor:      1.25,
-			Accounting:      AllColumns,
+			Vdd:     device.Vdd,
+			DeltaVS: 0.120,
+			FlavorTerms: FlavorTerms{
+				LeakCell:        0.082e-9,
+				IRead:           paperIRead,
+				WriteDelayCell:  func(vwl float64) float64 { return 3e-12 * 0.55 / vwl },
+				WriteEnergyCell: 5e-18,
+			},
+			DCDCFactor: 1.25,
+			Accounting: AllColumns,
 		}
 	})
 	if fixErr != nil {
@@ -69,7 +71,7 @@ var act = Activity{Alpha: 0.5, Beta: 0.5}
 
 func TestEvaluateBasicInvariants(t *testing.T) {
 	tech := testTech(t)
-	r, err := Evaluate(tech, design(128, 64, 12, 2, 0.55, -0.24, 0.55), act)
+	r, err := EvaluateHybrid(tech, design(128, 64, 12, 2, 0.55, -0.24, 0.55), act, FlavorTerms{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,7 +103,7 @@ func TestEvaluateBasicInvariants(t *testing.T) {
 
 func TestDelayComponentsComposition(t *testing.T) {
 	tech := testTech(t)
-	r, err := Evaluate(tech, design(256, 128, 8, 2, 0.55, -0.1, 0.55), act)
+	r, err := EvaluateHybrid(tech, design(256, 128, 8, 2, 0.55, -0.1, 0.55), act, FlavorTerms{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,7 +124,7 @@ func TestDelayComponentsComposition(t *testing.T) {
 
 func TestUnmuxedArrayHasNoColumnPath(t *testing.T) {
 	tech := testTech(t)
-	r, err := Evaluate(tech, design(128, 64, 8, 2, 0.55, 0, 0.55), act)
+	r, err := EvaluateHybrid(tech, design(128, 64, 8, 2, 0.55, 0, 0.55), act, FlavorTerms{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,11 +138,11 @@ func TestNegativeGndCutsBLDelay(t *testing.T) {
 	tech := testTech(t)
 	d0 := design(512, 64, 8, 2, 0.55, 0, 0.55)
 	d1 := design(512, 64, 8, 2, 0.55, -0.24, 0.55)
-	r0, err := Evaluate(tech, d0, act)
+	r0, err := EvaluateHybrid(tech, d0, act, FlavorTerms{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	r1, err := Evaluate(tech, d1, act)
+	r1, err := EvaluateHybrid(tech, d1, act, FlavorTerms{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,11 +160,11 @@ func TestNegativeGndCutsBLDelay(t *testing.T) {
 
 func TestMorePrechargerFinsTradeoff(t *testing.T) {
 	tech := testTech(t)
-	small, err := Evaluate(tech, design(512, 64, 2, 2, 0.55, -0.1, 0.55), act)
+	small, err := EvaluateHybrid(tech, design(512, 64, 2, 2, 0.55, -0.1, 0.55), act, FlavorTerms{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	big, err := Evaluate(tech, design(512, 64, 30, 2, 0.55, -0.1, 0.55), act)
+	big, err := EvaluateHybrid(tech, design(512, 64, 30, 2, 0.55, -0.1, 0.55), act, FlavorTerms{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -176,11 +178,11 @@ func TestMorePrechargerFinsTradeoff(t *testing.T) {
 
 func TestLeakageScalesWithBits(t *testing.T) {
 	tech := testTech(t)
-	r1, err := Evaluate(tech, design(128, 64, 8, 2, 0.55, 0, 0.55), act)
+	r1, err := EvaluateHybrid(tech, design(128, 64, 8, 2, 0.55, 0, 0.55), act, FlavorTerms{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	r2, err := Evaluate(tech, design(512, 256, 8, 2, 0.55, 0, 0.55), act)
+	r2, err := EvaluateHybrid(tech, design(512, 256, 8, 2, 0.55, 0, 0.55), act, FlavorTerms{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -194,13 +196,13 @@ func TestLeakageScalesWithBits(t *testing.T) {
 func TestWorstCasePathBelowAllColumns(t *testing.T) {
 	tech := testTech(t)
 	d := design(256, 256, 8, 2, 0.55, -0.1, 0.55)
-	all, err := Evaluate(tech, d, act)
+	all, err := EvaluateHybrid(tech, d, act, FlavorTerms{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	wcTech := *tech
 	wcTech.Accounting = WorstCasePath
-	wc, err := Evaluate(&wcTech, d, act)
+	wc, err := EvaluateHybrid(&wcTech, d, act, FlavorTerms{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -230,26 +232,26 @@ func TestValidationErrors(t *testing.T) {
 	for _, c := range cases {
 		d := good
 		c.mutate(&d)
-		if _, err := Evaluate(tech, d, act); err == nil {
+		if _, err := EvaluateHybrid(tech, d, act, FlavorTerms{}); err == nil {
 			t.Errorf("%s: expected error", c.name)
 		}
 	}
-	if _, err := Evaluate(tech, good, Activity{Alpha: 2, Beta: 0.5}); err == nil {
+	if _, err := EvaluateHybrid(tech, good, Activity{Alpha: 2, Beta: 0.5}, FlavorTerms{}); err == nil {
 		t.Error("alpha > 1 accepted")
 	}
 	badTech := *tech
 	badTech.IRead = nil
-	if _, err := Evaluate(&badTech, good, act); err == nil {
+	if _, err := EvaluateHybrid(&badTech, good, act, FlavorTerms{}); err == nil {
 		t.Error("nil IRead accepted")
 	}
 	badTech2 := *tech
 	badTech2.DCDCFactor = 0.5
-	if _, err := Evaluate(&badTech2, good, act); err == nil {
+	if _, err := EvaluateHybrid(&badTech2, good, act, FlavorTerms{}); err == nil {
 		t.Error("DC-DC factor < 1 accepted")
 	}
 	zeroI := *tech
 	zeroI.IRead = func(a, b float64) float64 { return 0 }
-	if _, err := Evaluate(&zeroI, good, act); err == nil {
+	if _, err := EvaluateHybrid(&zeroI, good, act, FlavorTerms{}); err == nil {
 		t.Error("zero read current accepted")
 	}
 	for _, tc := range []struct {
@@ -263,7 +265,7 @@ func TestValidationErrors(t *testing.T) {
 	} {
 		nan := *tech
 		tc.set(&nan)
-		if _, err := Evaluate(&nan, good, act); err == nil {
+		if _, err := EvaluateHybrid(&nan, good, act, FlavorTerms{}); err == nil {
 			t.Errorf("Tech.%s = NaN accepted", tc.field)
 		}
 	}
@@ -291,7 +293,7 @@ func TestEDPPositivity(t *testing.T) {
 		if d.Geom.Validate() != nil {
 			return true // outside the structural space
 		}
-		r, err := Evaluate(tech, d, act)
+		r, err := EvaluateHybrid(tech, d, act, FlavorTerms{})
 		if err != nil {
 			return false
 		}
@@ -314,11 +316,11 @@ func TestDividedWordlineCutsDisturbEnergy(t *testing.T) {
 	flat := design(256, 512, 8, 2, 0.55, -0.1, 0.55)
 	dwl := flat
 	dwl.Geom.WLSegs = 8
-	rFlat, err := Evaluate(tech, flat, act)
+	rFlat, err := EvaluateHybrid(tech, flat, act, FlavorTerms{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	rDWL, err := Evaluate(tech, dwl, act)
+	rDWL, err := EvaluateHybrid(tech, dwl, act, FlavorTerms{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -346,11 +348,11 @@ func TestDividedWordlineWorstCaseAccounting(t *testing.T) {
 	flat := design(256, 512, 8, 2, 0.55, -0.1, 0.55)
 	dwl := flat
 	dwl.Geom.WLSegs = 4
-	rFlat, err := Evaluate(&wcTech, flat, act)
+	rFlat, err := EvaluateHybrid(&wcTech, flat, act, FlavorTerms{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	rDWL, err := Evaluate(&wcTech, dwl, act)
+	rDWL, err := EvaluateHybrid(&wcTech, dwl, act, FlavorTerms{})
 	if err != nil {
 		t.Fatal(err)
 	}

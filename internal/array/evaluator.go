@@ -8,35 +8,35 @@ import (
 	"sramco/internal/wire"
 )
 
-// Evaluator is the chunk-amortized form of Evaluate, built for the search
-// hot path. The paper's exhaustive search fixes a (geometry base, assist
+// Evaluator is the chunk-amortized form of EvaluateHybrid, built for the
+// search hot path. The paper's exhaustive search fixes a (geometry base, assist
 // rails) chunk and sweeps only the precharger and write-buffer fin counts
 // inside it; every Table-1 wire capacitance except the N_pre/N_wr drain
 // terms, both rail components, the WL read/write and COL components, the
 // decoder/driver blocks, the sense amplifier, and the cell write
 // delay/energy are invariant across that inner sweep. The Evaluator computes
-// them once per Prepare and lets Eval fill in only the per-point terms and
-// the Eq. (2)-(5) totals.
+// them once per prepare and lets EvalInto fill in only the per-point terms
+// and the Eq. (2)-(5) totals.
 //
-// Evaluate and EvaluateHybrid are this engine on a fresh Evaluator:
-// validate, PrepareHybrid (Prepare for a single flavor), Eval. So for any
-// design,
+// EvaluateHybrid is this engine on a fresh Evaluator: validate,
+// PrepareHybrid, EvalInto. So for any design,
 //
-//	Evaluate(t, d, act)  ==  ev.Prepare(d.Geom, rails); ev.Eval(Npre, Nwr)
+//	EvaluateHybrid(t, d, act, alt)  ==  ev.PrepareHybrid(d.Geom, rails, h); ev.EvalInto(Npre, Nwr, r)
 //
 // field for field, at the == level — not within a tolerance — however
 // ev's memo was left by earlier chunks. The property test in
 // evaluator_test.go checks both against oracleEvalInto, the point model
 // written out expression by expression.
 //
-// Prepare is staged (DESIGN.md §13.6): technology constants are computed
+// A prepare is staged (DESIGN.md §13.6): technology constants are computed
 // once at construction; the rail-dependent currents live in a RailStage
 // that callers may build once and share; the geometry stage, every chunk
 // term that reads no group mask, is memoized on (base geometry, rail values,
 // group count), and its decoder blocks on (n_r, n_c, W); and a Mask carries
 // the terms of one group assignment, which the last step, the mask stamp,
-// writes in. Prepare and PrepareHybrid build a private rail stage and a
-// Mask and call PrepareStaged, so there is exactly one prepare path.
+// writes in. PrepareHybrid (and Prepare, its single-flavor call) builds a
+// rail stage and a Mask on its frame and calls PrepareStaged, so there is
+// exactly one prepare path.
 //
 // An Evaluator is NOT safe for concurrent use: Prepare mutates its memo
 // state. Give each goroutine its own Evaluator by calling Clone; clones
@@ -155,15 +155,8 @@ type Evaluator struct {
 	bk boundConsts
 
 	// evals counts the points EvalSweep evaluated since the last publish to
-	// the array.evaluations counter (Flush, or the next Prepare).
+	// the array.evaluations counter (Flush, or the next prepare).
 	evals int
-
-	// Rail memo: Prepare's rail stage depends only on (VDDC, VSSC, VWL), so
-	// a chunk on the last chunk's rails reuses it. The first Prepare
-	// allocates it and Clone leaves it nil, so clones that prepare from
-	// staged rails only never carry one. It sits last, after the fields the
-	// sweep reads.
-	rails *RailStage
 }
 
 // NewEvaluator validates the technology and activity once and returns an
@@ -203,8 +196,8 @@ func (e *Evaluator) init(t *Tech, act Activity) {
 // Clone returns an unprepared Evaluator sharing the validated *Tech. Each
 // search worker should own a clone; the shared Tech is read-only. The clone
 // keeps e's geometry memo, whose terms are plain values it copies, so its
-// first prepare on e's key stamps only the mask; it drops the sweep lanes,
-// the bound constants and Prepare's rail stage.
+// first prepare on e's key stamps only the mask; it drops the sweep lanes
+// and the bound constants.
 func (e *Evaluator) Clone() *Evaluator {
 	c := *e
 	c.prepared = false
@@ -212,7 +205,6 @@ func (e *Evaluator) Clone() *Evaluator {
 	c.soaBL, c.soaDCOL, c.soaECOL, c.soaIBLwr, c.soaBwK = nil, nil, nil, nil, nil
 	c.bk.ok = false
 	c.evals = 0
-	c.rails = nil
 	return &c
 }
 
@@ -227,23 +219,23 @@ func (e *Evaluator) Flush() {
 	}
 }
 
-// RailStage is the rail stage of a staged Prepare: every quantity that
+// RailStage is the rail stage of a staged prepare: every quantity that
 // depends only on the assist rails (VDDC, VSSC, VWL) and the flavor pair —
-// the unit currents of the CVDD, CVSS and WL drivers, and the base and
-// alternate flavors' cell read current and write delay. These are device
-// I–V evaluations, by far the costliest part of a Prepare, yet a search
-// shares one set of rails across every organization, segmentation, mux
-// ratio and group mask of a VSSC level. Build the stage once with
-// Evaluator.Rails and pass it to PrepareStaged for each such unit. A
-// RailStage is immutable: any number of goroutines may prepare from it.
+// the unit currents of the CVDD, CVSS and WL drivers, and each flavor's
+// cell read current, write delay and write energy. These are device I–V
+// evaluations, by far the costliest part of a prepare, yet a search shares
+// one set of rails across every organization, segmentation, mux ratio and
+// group mask of a VSSC level. Build the stage once with Evaluator.Rails and
+// pass it to PrepareStaged for each such unit. A RailStage is immutable:
+// any number of goroutines may prepare from it.
 type RailStage struct {
-	tech                 *Tech
-	vddc, vssc, vwl      float64
-	iCVDD, iCVSS, iWL    float64 // rail-driver unit currents
-	iRead, wrDelay       float64 // base flavor (Tech)
-	hasAlt               bool
-	alt                  FlavorTerms
-	altIRead, altWrDelay float64
+	tech              *Tech
+	vddc, vssc, vwl   float64
+	iCVDD, iCVSS, iWL float64 // rail-driver unit currents
+	// The cell terms of the flavor pair, indexed by a group's mask bit:
+	// [0] the base flavor (Tech), [1] the alternate one (hasAlt).
+	iRead, wrDelay, wrEnergy [2]float64
+	hasAlt                   bool
 }
 
 // Rails validates the assist rails against the technology and builds their
@@ -266,64 +258,55 @@ func (e *Evaluator) Rails(vddc, vssc, vwl float64, alt *FlavorTerms) (RailStage,
 	rs := RailStage{
 		tech: t, vddc: vddc, vssc: vssc, vwl: vwl,
 		iCVDD: p.ICVDD(vddc), iCVSS: p.ICVSS(vssc), iWL: p.IWL(vwl),
-		iRead: t.IRead(vddc, vssc), wrDelay: t.WriteDelayCell(vwl),
 	}
+	rs.cell(0, &t.FlavorTerms)
 	if alt != nil {
 		rs.hasAlt = true
-		rs.alt = *alt
-		rs.altIRead = alt.IRead(vddc, vssc)
-		rs.altWrDelay = alt.WriteDelayCell(vwl)
+		rs.cell(1, alt)
 	}
 	return rs, nil
 }
 
-// Prepare fixes the chunk: the geometry base (N_pre and N_wr in g are
-// ignored) and the assist rails, computing everything invariant across the
-// inner (N_pre, N_wr) sweep. It validates the rails against the technology
-// and the base geometry structurally (with N_pre = N_wr = 1, since validity
-// of the base does not depend on the swept fin counts), and rejects a
-// non-positive read current exactly as Evaluate does. A chunk on the
-// previous chunk's rails reuses their rail stage, and a repeated chunk the
-// geometry memo, so it costs a few comparisons and a single-flavor stamp. A
-// failed Prepare leaves the Evaluator unprepared.
-func (e *Evaluator) Prepare(g wire.Geometry, vddc, vssc, vwl float64) error {
-	if e.tech == nil {
-		return fmt.Errorf("array: Prepare on zero Evaluator (use NewEvaluator)")
-	}
-	if e.rails == nil || vddc != e.rails.vddc || vssc != e.rails.vssc || vwl != e.rails.vwl {
-		rs, err := e.Rails(vddc, vssc, vwl, nil)
-		if err != nil {
-			e.prepared = false
-			return err
-		}
-		if e.rails == nil {
-			e.rails = new(RailStage)
-		}
-		*e.rails = rs
-	}
-	m := NewMask(g.Bits(), 0, 0, e.tech.LeakCell, 0)
-	return e.PrepareStaged(g, e.rails, &m)
+// cell fills flavor f's cell terms at the stage's rails.
+func (rs *RailStage) cell(f int, ft *FlavorTerms) {
+	rs.iRead[f] = ft.IRead(rs.vddc, rs.vssc)
+	rs.wrDelay[f] = ft.WriteDelayCell(rs.vwl)
+	rs.wrEnergy[f] = ft.WriteEnergyCell
 }
 
-// PrepareHybrid is Prepare for a per-row-group flavor assignment: the chunk
-// additionally fixes (Groups, Mask, alternate flavor terms). Groups ≤ 1
-// degenerates to the global-flavor Prepare (Mask must then be zero). The
-// alternate terms cannot be part of a memo key, so every call rebuilds the
-// rail stage and the mask terms (the geometry stage is memoized on the rail
-// values); a caller preparing many units on the same rails should build the
-// stage once with Rails, each Mask once with NewMask, and call
-// PrepareStaged instead.
+// Prepare is PrepareHybrid for a single global flavor.
+func (e *Evaluator) Prepare(g wire.Geometry, vddc, vssc, vwl float64) error {
+	return e.PrepareHybrid(g, vddc, vssc, vwl, Hybrid{})
+}
+
+// PrepareHybrid fixes the chunk: the geometry base (N_pre and N_wr in g are
+// ignored), the assist rails and the per-row-group flavor assignment
+// (Groups, Mask, alternate flavor terms), computing everything invariant
+// across the inner (N_pre, N_wr) sweep. Groups ≤ 1 selects the single
+// global flavor (Mask must then be zero, and Alt is ignored). It validates
+// the rails against the technology and the base geometry structurally
+// (with N_pre = N_wr = 1, since validity of the base does not depend on the
+// swept fin counts), and rejects a non-positive read current. It builds the
+// rail stage and the Mask on its frame on every call (the geometry stage is
+// memoized on the rail values); a caller preparing many units on the same
+// rails should build the stage once with Rails, each Mask once with
+// NewMask, and call PrepareStaged instead. A failed prepare leaves the
+// Evaluator unprepared.
 func (e *Evaluator) PrepareHybrid(g wire.Geometry, vddc, vssc, vwl float64, h Hybrid) error {
 	if e.tech == nil {
 		return fmt.Errorf("array: Prepare on zero Evaluator (use NewEvaluator)")
 	}
-	if h.Groups <= 1 {
+	var alt *FlavorTerms
+	if h.Groups > 1 {
+		alt = &h.Alt
+	} else {
 		if h.Mask != 0 {
+			e.prepared = false
 			return fmt.Errorf("array: GroupMask=%#x requires Groups ≥ 2", h.Mask)
 		}
-		return e.Prepare(g, vddc, vssc, vwl)
+		h.Groups = 0
 	}
-	rs, err := e.Rails(vddc, vssc, vwl, &h.Alt)
+	rs, err := e.Rails(vddc, vssc, vwl, alt)
 	if err != nil {
 		e.prepared = false
 		return err
@@ -344,16 +327,17 @@ func (e *Evaluator) decoders(g wire.Geometry) (row, col periph.DecoderResult) {
 	return e.rowDec, e.colDec
 }
 
-// PrepareStaged is the one prepare path behind Prepare, PrepareHybrid and
-// EvaluateHybrid: it fixes the chunk from a geometry base, a rail stage
-// built by Rails on this Evaluator's Tech, and a group assignment m built by
-// NewMask for g's capacity and the stage's flavor pair (a hybrid m requires
-// a stage built with alternate terms). It runs in two steps. The geometry
-// stage computes every term that reads no mask; it is memoized on (base
-// geometry, rail values, group count), so a prepare on the last prepare's
-// key skips it and the checks the key implies. The mask stamp then writes
-// what the mask changes. The result is bit-identical to a prepare on a
-// fresh Evaluator. A failure leaves the Evaluator unprepared.
+// PrepareStaged is the one prepare path: PrepareHybrid (and so Prepare and
+// EvaluateHybrid) and every searcher call it. It fixes the chunk from a
+// geometry base, a rail stage built by Rails on this Evaluator's Tech, and
+// a group assignment m built by NewMask for g's capacity and the stage's
+// flavor pair (a hybrid m requires a stage built with alternate terms).
+// It runs in two steps. The geometry stage computes every term that reads
+// no mask; it is memoized on (base geometry, rail values, group count), so
+// a prepare on the last prepare's key skips it and the checks the key
+// implies. The mask stamp then writes what the mask changes. The result is
+// bit-identical to a prepare on a fresh Evaluator. A failure leaves the
+// Evaluator unprepared.
 func (e *Evaluator) PrepareStaged(g wire.Geometry, rs *RailStage, m *Mask) error {
 	e.Flush()
 	e.prepared = false
@@ -365,8 +349,8 @@ func (e *Evaluator) PrepareStaged(g wire.Geometry, rs *RailStage, m *Mask) error
 	}
 	// The key: every geometry field but the swept fin counts, the group
 	// count, and the rails by value, bit for bit, rather than the stage's
-	// address: Prepare rewrites its stage in place, and a callee that kept
-	// a pointer to a caller's stage would move it to the heap.
+	// address: PrepareHybrid's stage lives on its frame, and a callee that
+	// kept a pointer to a caller's stage would move it to the heap.
 	k := &e.geom
 	hit := e.staged && g.NR == k.NR && g.NC == k.NC && g.W == k.W && g.WLSegs == k.WLSegs && g.Mux == k.Mux &&
 		m.groups == e.hGroups &&
@@ -523,23 +507,22 @@ func (e *Evaluator) stageGeometry(g wire.Geometry, rs *RailStage, groups int) {
 // stamp is PrepareStaged's mask stamp: on the staged geometry it writes what
 // the group assignment m changes — the per-group read currents and the read
 // current of the far group, the near groups, the mask, the write-cell terms
-// and the leakage weight — rejecting a non-positive read current exactly as
-// Evaluate does, and drops the bound constants, which read them. It keeps the
-// sweep lanes, which read no mask.
+// and the leakage weight — rejecting a non-positive read current, and drops
+// the bound constants, which read them. It keeps the sweep lanes, which read
+// no mask. The stage's cell terms are indexed by the flavor a mask bit
+// selects rather than branched on: a search's masks follow no pattern a
+// branch predictor learns.
 func (e *Evaluator) stamp(rs *RailStage, m *Mask) error {
 	e.bk.ok = false
 	k := &m.terms
 	if groups := e.hGroups; groups == 0 {
-		if rs.iRead <= 0 {
-			return fmt.Errorf("array: non-positive read current %g at VDDC=%g VSSC=%g", rs.iRead, rs.vddc, rs.vssc)
+		if rs.iRead[0] <= 0 {
+			return fmt.Errorf("array: non-positive read current %g at VDDC=%g VSSC=%g", rs.iRead[0], rs.vddc, rs.vssc)
 		}
-		e.iRead = rs.iRead
+		e.iRead = rs.iRead[0]
 	} else {
-		// Indexed by the mask bit rather than branched on it: a search's
-		// masks follow no pattern a branch predictor learns.
-		flavor := [2]float64{rs.iRead, rs.altIRead}
 		for gi := 0; gi < groups; gi++ {
-			v := flavor[m.mask>>uint(gi)&1]
+			v := rs.iRead[m.mask>>uint(gi)&1]
 			if v <= 0 {
 				return fmt.Errorf("array: non-positive read current %g at VDDC=%g VSSC=%g (group %d)", v, rs.vddc, rs.vssc, gi)
 			}
@@ -552,20 +535,18 @@ func (e *Evaluator) stamp(rs *RailStage, m *Mask) error {
 	e.hMask = m.mask
 	e.hNear, e.hNearN = [2]int{int(k.near[0]), int(k.near[1])}, int(k.nearN)
 
-	b := &e.parts
-	b.DWriteCell = rs.wrDelay
-	b.EWriteCell = e.tech.WriteEnergyCell
+	var f int // the flavor whose write sets the cell flip
 	switch k.write {
 	case writeAlt:
-		b.DWriteCell = rs.altWrDelay
-		b.EWriteCell = rs.alt.WriteEnergyCell
+		f = 1
 	case writeSlower:
 		// Mixed: the slower flavor's write dominates the cell flip.
-		if ad := rs.altWrDelay; ad > b.DWriteCell {
-			b.DWriteCell = ad
-			b.EWriteCell = rs.alt.WriteEnergyCell
+		if rs.wrDelay[1] > rs.wrDelay[0] {
+			f = 1
 		}
 	}
+	b := &e.parts
+	b.DWriteCell, b.EWriteCell = rs.wrDelay[f], rs.wrEnergy[f]
 	e.wrCellE = e.wrMult * b.EWriteCell
 	e.leakCoef = math.Float64frombits(k.leak)
 	e.prepared = true
@@ -699,22 +680,12 @@ func (e *Evaluator) nwrTerms(nwr int) (bl, dCOL, eCOL, iBLwr float64) {
 	return bl, dCOL, eCOL, coefBLwr * fnwr * e.iTG
 }
 
-// Eval evaluates one (N_pre, N_wr) point of the prepared chunk, allocating
-// the Result. See EvalInto for the allocation-free form.
-func (e *Evaluator) Eval(npre, nwr int) (*Result, error) {
-	res := new(Result)
-	if err := e.EvalInto(npre, nwr, res); err != nil {
-		return nil, err
-	}
-	return res, nil
-}
-
 // EvalInto evaluates one (N_pre, N_wr) point of the prepared chunk into res,
 // overwriting it completely. Search loops reuse one scratch Result and copy
 // it only when a candidate wins, keeping the hot loop allocation-free.
 func (e *Evaluator) EvalInto(npre, nwr int, res *Result) error {
 	if !e.prepared {
-		return fmt.Errorf("array: Eval before a successful Prepare")
+		return fmt.Errorf("array: EvalInto before a successful Prepare")
 	}
 	if npre < 1 {
 		return fmt.Errorf("wire: N_pre = %d must be ≥ 1", npre)

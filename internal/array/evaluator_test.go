@@ -101,20 +101,22 @@ func oracleEvalInto(e *Evaluator, npre, nwr int) Result {
 // engine: over a randomized sample of designs spanning flat and divided
 // wordlines, column-muxed and unmuxed organizations, sense-amp sharing, 2-,
 // 4- and 8-group masks, both energy accountings and both flavors, the
-// Evaluator's Eval and the one-shot Evaluate/EvaluateHybrid must reproduce
+// Evaluator's EvalInto and the one-shot EvaluateHybrid (with the alternate
+// terms, and for a single flavor without them) must reproduce
 // oracleEvalInto on the same chunk, every Result field at the == level — no
 // tolerance. A single Evaluator per (tech, activity) is reused across the
-// whole sample, so Prepare's memoization and chunk transitions are
-// exercised (a design's sense-amp-sharing variant keeps its rails, so its
-// Prepare reuses their rail stage), and each design is additionally
-// evaluated at a neighbor point of the same chunk to hit the memo fast
-// path.
+// whole sample, so the geometry and decoder memos and chunk transitions are
+// exercised, and each design is additionally evaluated at a neighbor point
+// of the same chunk to hit the geometry memo. EvalInto writes into one
+// Result for the whole sample, so a field it left from the previous point
+// would show.
 func TestEvaluatorBitIdenticalToEvaluate(t *testing.T) {
 	rng := rand.New(rand.NewSource(20260806))
 	variants := rand.New(rand.NewSource(20261019))
 	acts := []Activity{{Alpha: 0.5, Beta: 0.5}, {Alpha: 0.31, Beta: 0.82}}
 	alt := altTerms()
 	points := 0
+	var got Result
 	check := func(tech *Tech, a Activity, ev *Evaluator, d Design) {
 		t.Helper()
 		points++
@@ -123,12 +125,11 @@ func TestEvaluatorBitIdenticalToEvaluate(t *testing.T) {
 			t.Fatalf("PrepareHybrid(%+v): %v", d, err)
 		}
 		want := oracleEvalInto(ev, d.Geom.Npre, d.Geom.Nwr)
-		got, err := ev.Eval(d.Geom.Npre, d.Geom.Nwr)
-		if err != nil {
-			t.Fatalf("Eval(%+v): %v", d, err)
+		if err := ev.EvalInto(d.Geom.Npre, d.Geom.Nwr, &got); err != nil {
+			t.Fatalf("EvalInto(%+v): %v", d, err)
 		}
-		if *got != want {
-			t.Fatalf("Eval diverges from the oracle at %+v:\n  want %+v\n  got  %+v", d, want, *got)
+		if got != want {
+			t.Fatalf("EvalInto diverges from the oracle at %+v:\n  want %+v\n  got  %+v", d, want, got)
 		}
 		one, err := EvaluateHybrid(tech, d, a, alt)
 		if err != nil {
@@ -137,18 +138,18 @@ func TestEvaluatorBitIdenticalToEvaluate(t *testing.T) {
 		if *one != want {
 			t.Fatalf("EvaluateHybrid diverges from the oracle at %+v:\n  want %+v\n  got  %+v", d, want, *one)
 		}
-		plain, err := Evaluate(tech, d, a)
+		plain, err := EvaluateHybrid(tech, d, a, FlavorTerms{})
 		if d.Groups > 0 {
 			if err == nil {
-				t.Fatalf("Evaluate accepted the hybrid design %+v", d)
+				t.Fatalf("EvaluateHybrid accepted the hybrid design %+v without alternate terms", d)
 			}
 			return
 		}
 		if err != nil {
-			t.Fatalf("Evaluate(%+v): %v", d, err)
+			t.Fatalf("EvaluateHybrid(%+v) without alternate terms: %v", d, err)
 		}
 		if *plain != want {
-			t.Fatalf("Evaluate diverges from the oracle at %+v:\n  want %+v\n  got  %+v", d, want, *plain)
+			t.Fatalf("EvaluateHybrid without alternate terms diverges from the oracle at %+v:\n  want %+v\n  got  %+v", d, want, *plain)
 		}
 	}
 	for _, tech := range evaluatorTechs(t) {
@@ -193,9 +194,9 @@ func TestEvaluatorBitIdenticalToEvaluate(t *testing.T) {
 				}
 				for _, v := range designs {
 					check(tech, a, ev, v)
-					// A neighbor inside the same chunk: a single-flavor
-					// Prepare memo-hits, and the per-point terms are
-					// recomputed from the cached invariants.
+					// A neighbor inside the same chunk: the geometry stage
+					// memo-hits, and the per-point terms are recomputed
+					// from the cached invariants.
 					n := v
 					n.Geom.Npre = 1 + v.Geom.Npre%50
 					n.Geom.Nwr = 1 + v.Geom.Nwr%20
@@ -207,9 +208,10 @@ func TestEvaluatorBitIdenticalToEvaluate(t *testing.T) {
 	t.Logf("%d points equal to the oracle", points)
 }
 
-// TestEvaluatorEvalIntoMatchesEval proves the allocation-free form fills the
-// caller's Result identically to Eval.
-func TestEvaluatorEvalIntoMatchesEval(t *testing.T) {
+// TestEvaluatorEvalIntoMatchesEvaluateHybrid proves that EvalInto on a
+// prepared Evaluator overwrites the caller's stale Result completely and
+// fills it identically to the one-shot EvaluateHybrid of the same point.
+func TestEvaluatorEvalIntoMatchesEvaluateHybrid(t *testing.T) {
 	tech := testTech(t)
 	ev, err := NewEvaluator(tech, act)
 	if err != nil {
@@ -219,22 +221,22 @@ func TestEvaluatorEvalIntoMatchesEval(t *testing.T) {
 	if err := ev.Prepare(g, 0.55, -0.1, 0.55); err != nil {
 		t.Fatal(err)
 	}
-	want, err := ev.Eval(7, 3)
+	want, err := EvaluateHybrid(tech, design(256, 64, 7, 3, 0.55, -0.1, 0.55), act, FlavorTerms{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	var got Result
-	got.EDP = math.NaN() // stale garbage EvalInto must fully overwrite
+	// Stale garbage EvalInto must fully overwrite.
+	got := Result{Design: Design{Groups: 4, GroupMask: 0x3}, EDP: math.NaN(), Parts: Breakdown{DWLGlobal: math.NaN()}}
 	if err := ev.EvalInto(7, 3, &got); err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(*want, got) {
-		t.Fatalf("EvalInto diverges from Eval:\n  want %+v\n  got  %+v", *want, got)
+		t.Fatalf("EvalInto diverges from EvaluateHybrid:\n  want %+v\n  got  %+v", *want, got)
 	}
 }
 
-// TestEvaluatorErrors covers the guard paths: unprepared Eval, invalid fin
-// counts, invalid rails and geometry in Prepare, zero Evaluator, and a
+// TestEvaluatorErrors covers the guard paths: unprepared EvalInto, invalid
+// fin counts, invalid rails and geometry in Prepare, zero Evaluator, and a
 // non-positive read current.
 func TestEvaluatorErrors(t *testing.T) {
 	tech := testTech(t)
@@ -242,8 +244,9 @@ func TestEvaluatorErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ev.Eval(1, 1); err == nil {
-		t.Error("Eval before Prepare accepted")
+	var r Result
+	if err := ev.EvalInto(1, 1, &r); err == nil {
+		t.Error("EvalInto before Prepare accepted")
 	}
 	g := wire.Geometry{NR: 128, NC: 64, W: 64, Npre: 1, Nwr: 1}
 	if err := ev.Prepare(g, 0.40, 0, 0.55); err == nil {
@@ -263,10 +266,10 @@ func TestEvaluatorErrors(t *testing.T) {
 	if err := ev.Prepare(g, 0.55, 0, 0.55); err != nil {
 		t.Fatalf("valid Prepare after failures: %v", err)
 	}
-	if _, err := ev.Eval(0, 1); err == nil {
+	if err := ev.EvalInto(0, 1, &r); err == nil {
 		t.Error("N_pre = 0 accepted")
 	}
-	if _, err := ev.Eval(1, 0); err == nil {
+	if err := ev.EvalInto(1, 0, &r); err == nil {
 		t.Error("N_wr = 0 accepted")
 	}
 	if _, err := NewEvaluator(tech, Activity{Alpha: 2}); err == nil {
@@ -290,8 +293,8 @@ func TestEvaluatorErrors(t *testing.T) {
 	if err := ev2.Prepare(g, 0.55, 0, 0.55); err == nil {
 		t.Error("zero read current accepted")
 	}
-	if _, err := ev2.Eval(1, 1); err == nil {
-		t.Error("Eval after failed Prepare accepted")
+	if err := ev2.EvalInto(1, 1, &r); err == nil {
+		t.Error("EvalInto after failed Prepare accepted")
 	}
 }
 
@@ -306,7 +309,7 @@ func TestEvaluatorClonesShareTechConcurrently(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref, err := Evaluate(tech, design(512, 64, 5, 2, 0.55, -0.12, 0.55), act)
+	ref, err := EvaluateHybrid(tech, design(512, 64, 5, 2, 0.55, -0.12, 0.55), act, FlavorTerms{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -352,12 +355,12 @@ func TestEvaluatorClonesShareTechConcurrently(t *testing.T) {
 					errs <- err
 					return
 				}
-				got, err := ev.Eval(5, 2)
-				if err != nil {
+				var got Result
+				if err := ev.EvalInto(5, 2, &got); err != nil {
 					errs <- err
 					return
 				}
-				if !reflect.DeepEqual(ref, got) {
+				if !reflect.DeepEqual(*ref, got) {
 					t.Errorf("concurrent clone diverges from Evaluate")
 				}
 			}
@@ -367,5 +370,26 @@ func TestEvaluatorClonesShareTechConcurrently(t *testing.T) {
 	close(errs)
 	for err := range errs {
 		t.Fatal(err)
+	}
+}
+
+// TestEvaluateHybridAllocatesOnlyItsResult: the one-shot evaluation keeps its
+// Evaluator, rail stage and Mask on its own frame, so a single-flavor and a
+// hybrid evaluation each allocate only the Result they return.
+func TestEvaluateHybridAllocatesOnlyItsResult(t *testing.T) {
+	tech := testTech(t)
+	alt := altTerms()
+	for _, d := range []Design{
+		design(256, 128, 8, 2, 0.55, -0.1, 0.55),
+		hybridDesign(256, 128, 8, 2, 0.55, -0.1, 0.55, 8, 0x5a),
+	} {
+		var err error
+		n := testing.AllocsPerRun(100, func() { _, err = EvaluateHybrid(tech, d, act, alt) })
+		if err != nil {
+			t.Fatalf("groups=%d: %v", d.Groups, err)
+		}
+		if n != 1 {
+			t.Errorf("groups=%d: EvaluateHybrid allocates %v times per call, want 1 (its Result)", d.Groups, n)
+		}
 	}
 }

@@ -43,7 +43,7 @@ func TestHybridUniformMaskBitIdentity(t *testing.T) {
 		if err != nil {
 			t.Fatalf("groups=%d mask=0: %v", groups, err)
 		}
-		plain, err := Evaluate(tech, design(256, 128, 8, 2, 0.55, -0.1, 0.55), act)
+		plain, err := EvaluateHybrid(tech, design(256, 128, 8, 2, 0.55, -0.1, 0.55), act, FlavorTerms{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -60,11 +60,8 @@ func TestHybridUniformMaskBitIdentity(t *testing.T) {
 			t.Fatalf("groups=%d mask=%#x: %v", groups, full, err)
 		}
 		altTech := *tech
-		altTech.LeakCell = alt.LeakCell
-		altTech.IRead = alt.IRead
-		altTech.WriteDelayCell = alt.WriteDelayCell
-		altTech.WriteEnergyCell = alt.WriteEnergyCell
-		ref, err := Evaluate(&altTech, design(256, 128, 8, 2, 0.55, -0.1, 0.55), act)
+		altTech.FlavorTerms = alt
+		ref, err := EvaluateHybrid(&altTech, design(256, 128, 8, 2, 0.55, -0.1, 0.55), act, FlavorTerms{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -206,13 +203,13 @@ func TestBoundRectDominatesHybridMux(t *testing.T) {
 func TestMuxDegenerateBitIdentity(t *testing.T) {
 	tech := testTech(t)
 	base := design(256, 128, 8, 2, 0.55, -0.1, 0.55)
-	plain, err := Evaluate(tech, base, act)
+	plain, err := EvaluateHybrid(tech, base, act, FlavorTerms{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	muxed := base
 	muxed.Geom.Mux = 4
-	r, err := Evaluate(tech, muxed, act)
+	r, err := EvaluateHybrid(tech, muxed, act, FlavorTerms{})
 	if err != nil {
 		t.Fatal(err)
 	}

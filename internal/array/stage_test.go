@@ -134,11 +134,8 @@ func flavorPairs(t *testing.T) []flavorPair {
 	base := testTech(t)
 	other := altTerms()
 	swapped := *base
-	swapped.LeakCell, swapped.IRead = other.LeakCell, other.IRead
-	swapped.WriteDelayCell, swapped.WriteEnergyCell = other.WriteDelayCell, other.WriteEnergyCell
-	baseTerms := FlavorTerms{LeakCell: base.LeakCell, IRead: base.IRead,
-		WriteDelayCell: base.WriteDelayCell, WriteEnergyCell: base.WriteEnergyCell}
-	return []flavorPair{{base, other}, {&swapped, baseTerms}}
+	swapped.FlavorTerms = other
+	return []flavorPair{{base, other}, {&swapped, base.FlavorTerms}}
 }
 
 type flavorPair struct {
@@ -371,8 +368,9 @@ func TestStagedPrepareReuse(t *testing.T) {
 		if err == nil || !strings.Contains(err.Error(), want) {
 			t.Fatalf("%s: PrepareStaged returned %v, want an error containing %q", name, err, want)
 		}
-		if _, err := ev.Eval(1, 1); err == nil {
-			t.Fatalf("%s: Eval succeeded after a failed prepare", name)
+		var r Result
+		if err := ev.EvalInto(1, 1, &r); err == nil {
+			t.Fatalf("%s: EvalInto succeeded after a failed prepare", name)
 		}
 	}
 	sibling("first", ev, fl, &rs, 0x5a)

@@ -72,7 +72,7 @@ func (e *Evaluator) ensureSoA(n int) {
 // Prepare), not per call.
 func (e *Evaluator) EvalSweep(npre, nwrLo, nwrHi int, out *SweepBlock) error {
 	if !e.prepared {
-		return fmt.Errorf("array: Eval before a successful Prepare")
+		return fmt.Errorf("array: EvalSweep before a successful Prepare")
 	}
 	if npre < 1 {
 		return fmt.Errorf("wire: N_pre = %d must be ≥ 1", npre)

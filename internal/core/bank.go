@@ -130,8 +130,8 @@ func (f *Framework) BankSweep(ctx context.Context, opts Options, maxBanks int) (
 		if err != nil {
 			return nil, err
 		}
-		cand := f.assembleBanked(banks, opt.Best, cc.Leak, opts)
-		cand.Evaluated = opt.Evaluated
+		cand := f.assembleBanked(banks, opt.Best, cc.LeakCell, opts)
+		cand.Evaluated = opt.Stats.Evaluated
 		out = append(out, *cand)
 	}
 	if len(out) == 0 {

@@ -52,8 +52,8 @@ func TestPaperFrameworkAnchors(t *testing.T) {
 	if hvt.VDDCStar != 0.550 || hvt.VWLStar != 0.540 {
 		t.Errorf("HVT rails = %g/%g, want 0.550/0.540", hvt.VDDCStar, hvt.VWLStar)
 	}
-	if lvt.Leak != 1.692e-9 || hvt.Leak != 0.082e-9 {
-		t.Errorf("leakage anchors = %g/%g", lvt.Leak, hvt.Leak)
+	if lvt.LeakCell != 1.692e-9 || hvt.LeakCell != 0.082e-9 {
+		t.Errorf("leakage anchors = %g/%g", lvt.LeakCell, hvt.LeakCell)
 	}
 	// The paper's HVT read-current law at VDDC=550mV, VSSC=0.
 	want := 9.5e-5 * math.Pow(0.55-0.335, 1.3)
@@ -65,7 +65,7 @@ func TestPaperFrameworkAnchors(t *testing.T) {
 		t.Errorf("LVT/HVT nominal read-current ratio = %g, want 2", r)
 	}
 	// Write-delay LUT decreases with overdrive.
-	if !(hvt.WriteDelay(0.65) < hvt.WriteDelay(0.45)) {
+	if !(hvt.WriteDelayCell(0.65) < hvt.WriteDelayCell(0.45)) {
 		t.Error("write delay must fall with WL overdrive")
 	}
 }
@@ -118,7 +118,7 @@ func TestOptimize4KBHVTM2(t *testing.T) {
 	}
 	// Branch-and-bound skips most points, but evaluated + bound-pruned must
 	// still cover the full candidate space.
-	if covered := opt.Evaluated + opt.Stats.PrunedBound; covered < 10000 {
+	if covered := opt.Stats.Evaluated + opt.Stats.PrunedBound; covered < 10000 {
 		t.Errorf("exhaustive search covered only %d points", covered)
 	}
 }
@@ -205,8 +205,8 @@ func TestGreedyMatchesOrApproachesExhaustive(t *testing.T) {
 	// The exhaustive search prunes by bound, so compare greedy's cost
 	// against the space the exhaustive sweep had to cover, not just the
 	// points its bound let through.
-	if covered := full.Evaluated + full.Stats.PrunedBound; greedy.Evaluated >= covered {
-		t.Errorf("greedy used %d evals, exhaustive covered %d — greedy must be cheaper", greedy.Evaluated, covered)
+	if covered := full.Stats.Evaluated + full.Stats.PrunedBound; greedy.Stats.Evaluated >= covered {
+		t.Errorf("greedy used %d evals, exhaustive covered %d — greedy must be cheaper", greedy.Stats.Evaluated, covered)
 	}
 	if ratio := greedy.Best.Result.EDP / full.Best.Result.EDP; ratio > 1.25 {
 		t.Errorf("greedy EDP %.2f× the exhaustive optimum, want ≤1.25×", ratio)
@@ -254,7 +254,7 @@ func TestOptimizeValidation(t *testing.T) {
 }
 
 // TestNaNRailsAreErrors puts a NaN in each assist rail of a valid design:
-// array.Evaluate, Evaluator.Rails and Framework.Evaluate must each reject
+// array.EvaluateHybrid, Evaluator.Rails and Framework.Evaluate must each reject
 // it, as they accept the design itself.
 func TestNaNRailsAreErrors(t *testing.T) {
 	f := paperFramework(t)
@@ -273,7 +273,10 @@ func TestNaNRailsAreErrors(t *testing.T) {
 	}
 	good := array.Design{Geom: wireGeom(128, 64, 1, 2, 2), VDDC: vddc, VSSC: -0.05, VWL: vwl}
 	paths := map[string]func(array.Design) error{
-		"array.Evaluate": func(d array.Design) error { _, err := array.Evaluate(tech, d, act); return err },
+		"array.EvaluateHybrid": func(d array.Design) error {
+			_, err := array.EvaluateHybrid(tech, d, act, array.FlavorTerms{})
+			return err
+		},
 		"Evaluator.Rails": func(d array.Design) error {
 			_, err := ev.Rails(d.VDDC, d.VSSC, d.VWL, nil)
 			return err
@@ -317,8 +320,8 @@ func TestSimulatedFrameworkShape(t *testing.T) {
 	lvt, hvt := f.Cells[device.LVT], f.Cells[device.HVT]
 	// Ordering relations the paper establishes must hold in the fully
 	// simulated mode too.
-	if !(hvt.Leak < lvt.Leak/10) {
-		t.Errorf("simulated leakage: HVT %g should be ≫ lower than LVT %g", hvt.Leak, lvt.Leak)
+	if !(hvt.LeakCell < lvt.LeakCell/10) {
+		t.Errorf("simulated leakage: HVT %g should be ≫ lower than LVT %g", hvt.LeakCell, lvt.LeakCell)
 	}
 	if !(hvt.VWLStar > lvt.VWLStar) {
 		t.Errorf("simulated VWL*: HVT %g should exceed LVT %g", hvt.VWLStar, lvt.VWLStar)

@@ -8,7 +8,6 @@ import (
 	"math"
 
 	"sramco/internal/device"
-	"sramco/internal/num"
 )
 
 // Fingerprint returns a stable digest of every model input that shapes a
@@ -37,8 +36,7 @@ func (f *Framework) Fingerprint() [32]byte {
 	// Sample the per-flavor model functions on the grids the framework was
 	// characterized over; the closures themselves cannot be hashed, but on
 	// these grids they determine the LUT (or law) everywhere.
-	vddcGrid := num.Linspace(f.Vdd, f.Vdd+0.25, 6)
-	vsscGrid := num.Linspace(-0.26, 0, 7)
+	grids := gridsAt(f.Vdd)
 	for _, flavor := range []device.Flavor{device.LVT, device.HVT} {
 		cc, ok := f.Cells[flavor]
 		if !ok {
@@ -46,16 +44,17 @@ func (f *Framework) Fingerprint() [32]byte {
 			continue
 		}
 		fmt.Fprintf(h, "|cell=%v|", flavor)
-		writeF(cc.VDDCStar, cc.VWLStar, cc.HSNM, cc.Leak, cc.WriteEnergy)
-		for _, vddc := range vddcGrid {
-			for _, vssc := range vsscGrid {
+		writeF(cc.VDDCStar, cc.VWLStar, cc.HSNM, cc.LeakCell, cc.WriteEnergyCell)
+		for _, vddc := range grids.rail {
+			for _, vssc := range grids.vssc {
 				writeF(cc.IRead(vddc, vssc))
 			}
 		}
-		for _, vwl := range vddcGrid {
-			writeF(cc.WriteDelay(vwl))
+		for _, vwl := range grids.rail {
+			writeF(cc.WriteDelayCell(vwl))
 		}
-		for _, vssc := range vsscGrid {
+		// The read-current VSSC levels hold every RSNM knot.
+		for _, vssc := range grids.vssc {
 			writeF(cc.RSNMAt(vssc))
 		}
 	}

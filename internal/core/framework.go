@@ -76,7 +76,9 @@ const (
 func DefaultDelta(vdd float64) float64 { return 0.35 * vdd }
 
 // CellChar holds the characterized (or paper-anchored) cell quantities for
-// one flavor.
+// one flavor. It embeds the four terms the array model reads (LeakCell,
+// IRead, WriteDelayCell, WriteEnergyCell), which ArrayTech and
+// HybridAltTerms hand on as they are.
 type CellChar struct {
 	Flavor device.Flavor
 
@@ -84,14 +86,8 @@ type CellChar struct {
 	VWLStar  float64 // minimum write VWL meeting the WM yield requirement
 
 	HSNM float64 // hold SNM at nominal Vdd
-	Leak float64 // standby leakage power per cell (W)
 
-	// IRead(vddc, vssc) in amperes.
-	IRead func(vddc, vssc float64) float64
-	// WriteDelay(vwl) in seconds.
-	WriteDelay func(vwl float64) float64
-	// WriteEnergy is the cell-internal energy of one write (J).
-	WriteEnergy float64
+	array.FlavorTerms
 
 	// RSNMAt reports the read SNM at (VDDCStar, vssc); used for the
 	// feasibility constraint across the VSSC sweep.
@@ -176,11 +172,30 @@ func NewFramework(mode Mode, opts FrameworkOpts) (*Framework, error) {
 	}, nil
 }
 
+// cellGrids holds the knots of a flavor's characterization LUTs at one
+// supply: characterizeCell builds each LUT on them, and Fingerprint samples
+// each surface there.
+type cellGrids struct {
+	rail []float64 // VDDC of the read-current LUT, VWL of the write-delay LUT
+	vssc []float64 // VSSC of the read-current LUT; it holds every RSNM knot
+	rsnm []float64 // VSSC of the RSNM LUT (at VDDC*)
+}
+
+// gridsAt returns the characterization grids at supply vdd.
+func gridsAt(vdd float64) cellGrids {
+	return cellGrids{
+		rail: num.Linspace(vdd, vdd+0.25, 6),
+		vssc: num.Linspace(-0.26, 0, 7),
+		rsnm: []float64{-0.26, -0.13, 0},
+	}
+}
+
 // characterizeCell builds the CellChar for one flavor under a mode, supply
 // and minimum margin δ.
 func characterizeCell(lib *device.Library, flavor device.Flavor, mode Mode, vdd, delta float64) (*CellChar, error) {
 	c := &cell.Cell{Lib: lib, Flavor: flavor}
 	cc := &CellChar{Flavor: flavor}
+	grids := gridsAt(vdd)
 
 	hsnm, err := c.HoldSNM(vdd)
 	if err != nil {
@@ -190,8 +205,7 @@ func characterizeCell(lib *device.Library, flavor device.Flavor, mode Mode, vdd,
 
 	// Cell write delay LUT (simulated in both modes; the paper publishes
 	// only the single 1.5 ps no-assist number).
-	wdGrid := num.Linspace(vdd, vdd+0.25, 6)
-	wdTab, err := lut.Build1D(fmt.Sprintf("writeDelay-%v", flavor), wdGrid, func(vwl float64) (float64, error) {
+	wdTab, err := lut.Build1D(fmt.Sprintf("writeDelay-%v", flavor), grids.rail, func(vwl float64) (float64, error) {
 		b := cell.NominalWrite(vdd)
 		b.VWL = vwl
 		return c.WriteDelay(b)
@@ -199,13 +213,13 @@ func characterizeCell(lib *device.Library, flavor device.Flavor, mode Mode, vdd,
 	if err != nil {
 		return nil, err
 	}
-	cc.WriteDelay = wdTab.Eval
-	cc.WriteEnergy = 2 * c.StorageNodeCap() * vdd * vdd
+	cc.WriteDelayCell = wdTab.Eval
+	cc.WriteEnergyCell = 2 * c.StorageNodeCap() * vdd * vdd
 
 	switch mode {
 	case TechPaper:
 		if flavor == device.LVT {
-			cc.VDDCStar, cc.VWLStar, cc.Leak = paperVDDCStarLVT, paperVWLStarLVT, paperLeakLVT
+			cc.VDDCStar, cc.VWLStar, cc.LeakCell = paperVDDCStarLVT, paperVWLStarLVT, paperLeakLVT
 			// The paper publishes no LVT current law; use the paper's
 			// functional form with the calibrated LVT threshold, scaled to
 			// the library's 2× ION relation at the nominal read condition.
@@ -216,7 +230,7 @@ func characterizeCell(lib *device.Library, flavor device.Flavor, mode Mode, vdd,
 				return bL * math.Pow(math.Max(vddc-vssc-vtL, 1e-6), paperIReadA)
 			}
 		} else {
-			cc.VDDCStar, cc.VWLStar, cc.Leak = paperVDDCStarHVT, paperVWLStarHVT, paperLeakHVT
+			cc.VDDCStar, cc.VWLStar, cc.LeakCell = paperVDDCStarHVT, paperVWLStarHVT, paperLeakHVT
 			cc.IRead = func(vddc, vssc float64) float64 {
 				return paperIReadB * math.Pow(math.Max(vddc-vssc-paperIReadVt, 1e-6), paperIReadA)
 			}
@@ -231,7 +245,7 @@ func characterizeCell(lib *device.Library, flavor device.Flavor, mode Mode, vdd,
 		if err != nil {
 			return nil, err
 		}
-		cc.Leak = leak
+		cc.LeakCell = leak
 		// The rail search returns the read SNM at (VDDC*, VSSC = 0), the
 		// RSNM table's top point below, from the probe that found VDDC*.
 		vddcStar, rsnmStar, err := c.MinVDDCForReadSNM(cell.NominalRead(vdd), delta, vdd+0.30)
@@ -245,9 +259,7 @@ func characterizeCell(lib *device.Library, flavor device.Flavor, mode Mode, vdd,
 		}
 		cc.VWLStar = vwlStar
 
-		iTab, err := lut.Build2D(fmt.Sprintf("iread-%v", flavor),
-			num.Linspace(vdd, vdd+0.25, 6),
-			num.Linspace(-0.26, 0, 7),
+		iTab, err := lut.Build2D(fmt.Sprintf("iread-%v", flavor), grids.rail, grids.vssc,
 			func(vddc, vssc float64) (float64, error) {
 				b := cell.ReadBias{Vdd: vdd, VDDC: vddc, VSSC: vssc, VWL: vdd}
 				return c.ReadCurrent(b)
@@ -257,8 +269,7 @@ func characterizeCell(lib *device.Library, flavor device.Flavor, mode Mode, vdd,
 		}
 		cc.IRead = iTab.Eval
 
-		rsnmTab, err := lut.Build1D(fmt.Sprintf("rsnm-%v", flavor),
-			[]float64{-0.26, -0.13, 0},
+		rsnmTab, err := lut.Build1D(fmt.Sprintf("rsnm-%v", flavor), grids.rsnm,
 			func(vssc float64) (float64, error) {
 				if vssc == 0 {
 					return rsnmStar, nil
@@ -284,16 +295,13 @@ func (f *Framework) ArrayTech(flavor device.Flavor) (*array.Tech, error) {
 		return nil, fmt.Errorf("core: flavor %v not characterized", flavor)
 	}
 	return &array.Tech{
-		Periph:          f.Periph,
-		Caps:            f.Caps,
-		Vdd:             f.Vdd,
-		DeltaVS:         f.DeltaVS,
-		LeakCell:        cc.Leak,
-		IRead:           cc.IRead,
-		WriteDelayCell:  cc.WriteDelay,
-		WriteEnergyCell: cc.WriteEnergy,
-		DCDCFactor:      f.DCDC,
-		Accounting:      f.Accounting,
+		Periph:      f.Periph,
+		Caps:        f.Caps,
+		Vdd:         f.Vdd,
+		DeltaVS:     f.DeltaVS,
+		FlavorTerms: cc.FlavorTerms,
+		DCDCFactor:  f.DCDC,
+		Accounting:  f.Accounting,
 	}, nil
 }
 

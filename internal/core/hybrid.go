@@ -24,19 +24,6 @@ type maskSpec struct {
 	needAlt   bool // alternate flavor populates at least one group
 }
 
-// otherFlavor returns the hybrid search's alternate flavor.
-func otherFlavor(fl device.Flavor) device.Flavor { return fl.Other() }
-
-// altTerms assembles the alternate flavor's cell terms for the evaluator.
-func altTerms(cc *CellChar) array.FlavorTerms {
-	return array.FlavorTerms{
-		LeakCell:        cc.Leak,
-		IRead:           cc.IRead,
-		WriteDelayCell:  cc.WriteDelay,
-		WriteEnergyCell: cc.WriteEnergy,
-	}
-}
-
 // maskSpecs enumerates the group-assignment classes of a search in
 // deterministic mask order (0 … 2^G−1), together with the alternate
 // flavor's terms and characterization (nil for a global-flavor search).
@@ -54,12 +41,11 @@ func (f *Framework) maskSpecs(opts *Options) ([]maskSpec, array.FlavorTerms, *Ce
 	if !opts.hybridOn() {
 		return []maskSpec{{mask: 0, vddc: vddc, vwl: vwl, needBase: true}}, array.FlavorTerms{}, nil, nil
 	}
-	alt := otherFlavor(opts.Flavor)
-	altCC, ok := f.Cells[alt]
-	if !ok {
-		return nil, array.FlavorTerms{}, nil, fmt.Errorf("core: hybrid alternate flavor %v not characterized", alt)
+	altCC, err := f.hybridAlt(opts.Flavor)
+	if err != nil {
+		return nil, array.FlavorTerms{}, nil, err
 	}
-	altVDDC, altVWL, err := f.Rails(alt, opts.Method)
+	altVDDC, altVWL, err := f.Rails(opts.Flavor.Other(), opts.Method)
 	if err != nil {
 		return nil, array.FlavorTerms{}, nil, err
 	}
@@ -78,7 +64,7 @@ func (f *Framework) maskSpecs(opts *Options) ([]maskSpec, array.FlavorTerms, *Ce
 		}
 		specs = append(specs, s)
 	}
-	return specs, altTerms(altCC), altCC, nil
+	return specs, altCC.FlavorTerms, altCC, nil
 }
 
 // maskClasses derives each spec's mask terms (maskSpec.m), once per search,
@@ -117,15 +103,24 @@ func maskClasses(specs []maskSpec, specClass []int, bits, groups int, leakBase, 
 	return rep, len(keys)
 }
 
+// hybridAlt returns the characterization of base's hybrid alternate flavor
+// (LVT↔HVT).
+func (f *Framework) hybridAlt(base device.Flavor) (*CellChar, error) {
+	cc, ok := f.Cells[base.Other()]
+	if !ok {
+		return nil, fmt.Errorf("core: hybrid alternate flavor %v not characterized", base.Other())
+	}
+	return cc, nil
+}
+
 // HybridAltTerms returns the evaluator cell terms of base's hybrid alternate
 // flavor, for evaluating an explicit hybrid design point outside a search.
 func (f *Framework) HybridAltTerms(base device.Flavor) (array.FlavorTerms, error) {
-	alt := otherFlavor(base)
-	altCC, ok := f.Cells[alt]
-	if !ok {
-		return array.FlavorTerms{}, fmt.Errorf("core: hybrid alternate flavor %v not characterized", alt)
+	cc, err := f.hybridAlt(base)
+	if err != nil {
+		return array.FlavorTerms{}, err
 	}
-	return altTerms(altCC), nil
+	return cc.FlavorTerms, nil
 }
 
 // specRSNMOK reports whether every flavor present in the class meets the

@@ -210,13 +210,12 @@ type DesignPoint struct {
 	Result *array.Result
 }
 
-// Optimum is the outcome of a search. Evaluated and Skipped mirror
-// Stats.Evaluated and Stats.SkippedTotal().
+// Optimum is the outcome of a search: the best design point and the
+// search's counts (Stats.Evaluated model evaluations, Stats.SkippedTotal()
+// candidate points rejected by constraints).
 type Optimum struct {
-	Best      DesignPoint
-	Evaluated int // model evaluations performed
-	Skipped   int // candidate points rejected by constraints
-	Stats     SearchStats
+	Best  DesignPoint
+	Stats SearchStats
 }
 
 // Rails returns the rail voltages (VDDC, VWL) the method assigns before the
@@ -342,10 +341,5 @@ func (f *Framework) GreedyOptimize(ctx context.Context, opts Options) (*Optimum,
 	if bestR == nil {
 		return nil, fmt.Errorf("core: greedy search: %w for %d bits", ErrInfeasible, opts.CapacityBits)
 	}
-	return &Optimum{
-		Best:      DesignPoint{Design: bestR.Design, Result: bestR},
-		Evaluated: stats.Evaluated,
-		Skipped:   stats.SkippedTotal(),
-		Stats:     stats,
-	}, nil
+	return &Optimum{Best: DesignPoint{Design: bestR.Design, Result: bestR}, Stats: stats}, nil
 }

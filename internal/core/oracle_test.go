@@ -311,10 +311,10 @@ func checkWalker(t *testing.T, f *Framework, name string, opts Options) oracleRu
 // classes of many masks, where only the smallest may answer. In the paper
 // technology they keep to masks alone in their class.
 func sharedLeakFramework(f *Framework) *Framework {
-	leak := f.Cells[device.LVT].Leak
+	leak := f.Cells[device.LVT].LeakCell
 	return withHVT(f, func(hvt *CellChar) {
 		iRead := hvt.IRead
-		hvt.Leak = leak
+		hvt.LeakCell = leak
 		hvt.IRead = func(vddc, vssc float64) float64 { return 0.5 * iRead(vddc, vssc) }
 	})
 }

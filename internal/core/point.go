@@ -12,7 +12,8 @@ import (
 // rails, the exhaustive search's own candidate lists (rowCandidates,
 // vsscCandidates, segCandidates, muxCandidates and the fin ranges) and the
 // skip counts of the points it judged. It judges a point by the exhaustive
-// search's rule, in its order (eval).
+// search's rule, in its order (eval), and prepares it as the walker
+// prepares a unit: a rail stage, the search's Mask and PrepareStaged.
 type pointSearch struct {
 	opts      *Options
 	cc        *CellChar
@@ -21,7 +22,14 @@ type pointSearch struct {
 	vddc, vwl float64 // the method's pinned rails
 	rows      []rowCand
 	vssc      []float64
+	mask      array.Mask // the single global flavor at the search's capacity
 	stats     SearchStats
+
+	// The last evaluated point's rail stage and its (VDDC, VSSC, VWL):
+	// moves that keep the rails reuse it.
+	rails   array.RailStage
+	railsAt [3]float64
+	railsOK bool
 }
 
 // newPointSearch builds the point evaluator for normalized single-flavor
@@ -36,8 +44,9 @@ func (f *Framework) newPointSearch(opts *Options) (pointSearch, error) {
 		return pointSearch{}, err
 	}
 	// Moves along the N_pre and N_wr lists stay in one (geometry, rails)
-	// chunk, so Prepare memo-hits and each step costs only the per-point
-	// terms; moves that keep the rails reuse their rail stage.
+	// chunk, so the geometry stage memo-hits and each step costs only the
+	// mask stamp and the per-point terms; moves that keep the rails reuse
+	// their rail stage.
 	ev, err := array.NewEvaluator(tech, opts.Activity)
 	if err != nil {
 		return pointSearch{}, err
@@ -45,6 +54,7 @@ func (f *Framework) newPointSearch(opts *Options) (pointSearch, error) {
 	return pointSearch{
 		opts: opts, cc: f.Cells[opts.Flavor], delta: f.Delta, ev: ev, vddc: vddc, vwl: vwl,
 		rows: rowCandidates(opts.CapacityBits, opts.Space), vssc: vsscCandidates(opts.Method, opts.Space),
+		mask: array.NewMask(opts.CapacityBits, 0, 0, tech.LeakCell, 0),
 	}, nil
 }
 
@@ -114,10 +124,17 @@ func (p *pointSearch) eval(d array.Design) (*array.Result, error) {
 		p.stats.SkippedGeom++
 		return nil, nil
 	}
-	err := p.ev.Prepare(g, d.VDDC, d.VSSC, d.VWL)
-	var r *array.Result
+	var err error
+	if rails := [3]float64{d.VDDC, d.VSSC, d.VWL}; !p.railsOK || rails != p.railsAt {
+		p.rails, err = p.ev.Rails(d.VDDC, d.VSSC, d.VWL, nil)
+		p.railsAt, p.railsOK = rails, err == nil
+	}
+	r := new(array.Result)
 	if err == nil {
-		r, err = p.ev.Eval(g.Npre, g.Nwr)
+		err = p.ev.PrepareStaged(g, &p.rails, &p.mask)
+	}
+	if err == nil {
+		err = p.ev.EvalInto(g.Npre, g.Nwr, r)
 	}
 	if err != nil {
 		return nil, fmt.Errorf("core: evaluating n_r=%d n_c=%d N_pre=%d N_wr=%d VSSC=%g: %w", g.NR, g.NC, g.Npre, g.Nwr, d.VSSC, err)

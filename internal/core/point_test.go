@@ -52,7 +52,7 @@ func greedyPin(opt *Optimum, err error) string {
 		"evaluated=%d skipped=%d rsnm=%d geom=%d rails=%d vssc=%d bound=%d chunks=%d",
 		d.Geom.NR, d.Geom.NC, d.Geom.W, d.Geom.WLSegs, d.Geom.Mux, d.Geom.Npre, d.Geom.Nwr, d.VDDC, d.VSSC, d.VWL,
 		r.DArray, r.EArray, r.EDP,
-		opt.Evaluated, opt.Skipped, s.SkippedRSNM, s.SkippedGeom, s.SkippedRails, s.PrunedVSSC, s.PrunedBound, s.Chunks)
+		s.Evaluated, s.SkippedTotal(), s.SkippedRSNM, s.SkippedGeom, s.SkippedRails, s.PrunedVSSC, s.PrunedBound, s.Chunks)
 }
 
 // TestGreedyPinnedResults pins GreedyOptimize's optimum and every
@@ -345,7 +345,7 @@ func checkSensitivityOnGrid(t *testing.T, f *Framework, opts Options, act array.
 			nd, onList := neighbor(k, 2*j-1)
 			var r *array.Result
 			if onList {
-				r, err = array.Evaluate(tech, nd, act)
+				r, err = array.EvaluateHybrid(tech, nd, act, array.FlavorTerms{})
 			}
 			switch {
 			case !math.IsNaN(rel) && !onList:

@@ -217,7 +217,7 @@ func (f *Framework) Optimize(ctx context.Context, opts Options) (*Optimum, error
 		return nil, fmt.Errorf("core: %w for %d bits (all %d candidates rejected)",
 			ErrInfeasible, s.opts.CapacityBits, st.SkippedTotal()+st.PrunedBound)
 	}
-	return &Optimum{Best: DesignPoint{Design: best.design, Result: best.res}, Evaluated: st.Evaluated, Skipped: st.SkippedTotal(), Stats: st}, nil
+	return &Optimum{Best: DesignPoint{Design: best.design, Result: best.res}, Stats: st}, nil
 }
 
 func finishStats(s SearchStats, start time.Time, workers int) SearchStats {

@@ -9,6 +9,28 @@ import (
 	"sramco/internal/device"
 )
 
+// TestSensitivityAllocs pins SensitivityAt's allocations on a 4 KB HVT
+// optimum at 12 per call: it prepares every neighbor from a rail stage and
+// a Mask held in its point evaluator, so only the per-call set-up and the
+// neighbors' Results allocate. It was 13 while the Evaluator allocated a
+// rail memo on its first prepare.
+func TestSensitivityAllocs(t *testing.T) {
+	f := paperFramework(t)
+	opts := Options{CapacityBits: 4 * 1024 * 8, Flavor: device.HVT, Method: M2}
+	opt, err := f.Optimize(context.Background(), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := testing.AllocsPerRun(20, func() {
+		if _, err = f.SensitivityAt(opts, opt.Best); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if n > 12 {
+		t.Errorf("SensitivityAt allocates %v times per call, want ≤ 12", n)
+	}
+}
+
 // TestSensitivityCertifiesLocalOptimality: every finite neighbor of the
 // exhaustive optimum must have a relative objective ≥ 1 — the strongest
 // direct check that the search really found a (local, hence with exhaustive
@@ -76,7 +98,7 @@ func TestSensitivityDetectsNonOptimum(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, err := array.Evaluate(tech, d, array.Activity{Alpha: DefaultAlpha, Beta: DefaultBeta})
+	r, err := array.EvaluateHybrid(tech, d, array.Activity{Alpha: DefaultAlpha, Beta: DefaultBeta}, array.FlavorTerms{})
 	if err != nil {
 		t.Fatal(err)
 	}

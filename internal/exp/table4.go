@@ -81,7 +81,7 @@ func Table4(ctx context.Context, fw *core.Framework, capacities []int) ([]Table4
 				Energy:    r.EArray,
 				EDP:       r.EDP,
 				BLDelay:   r.Parts.DBLRead,
-				Evaluated: opt.Evaluated,
+				Evaluated: opt.Stats.Evaluated,
 			})
 		}
 	}

@@ -49,7 +49,7 @@ func VddScaling(ctx context.Context, capacityBits int, vdds []float64) ([]VddSca
 			r := opt.Best.Result
 			rows = append(rows, VddScaleRow{
 				Vdd: vdd, Flavor: flavor,
-				VDDCStar: cc.VDDCStar, VWLStar: cc.VWLStar, LeakCell: cc.Leak,
+				VDDCStar: cc.VDDCStar, VWLStar: cc.VWLStar, LeakCell: cc.LeakCell,
 				Delay: r.DArray, Energy: r.EArray, EDP: r.EDP,
 			})
 		}

@@ -120,6 +120,7 @@ func FuzzDecodeRequest(f *testing.F) {
 		{1, `{"nr":32,"nc":64,"w":32,"flavor":"lvt","method":"m2","mux":2,"groups":4,"group_mask":5}`},
 		{1, `{"nr":32,"nc":64,"w":32,"flavor":"lvt","method":"m2","group_mask":3}`}, // mask without groups
 		{1, `{"nr":36,"nc":64,"w":32,"flavor":"lvt","method":"m2","groups":8}`},     // rows not divisible by groups
+		{1, `{"flavor":"hvt","nr":64,"nc":64,"npre":1,"nwr":1,"wl_segs":-4}`},       // negative wordline segmentation
 		// Keys of values %g writes in exponent form, with 17 digits or as -0.
 		{0, `{"capacity_bytes":2048,"flavor":"lvt","dwl":true,"alpha":1e-7,"beta":0.30000000000000004,"w":16}`},
 		{2, `{"capacity_bytes":128,"flavor":"hvt","alpha":0.000123456789,"beta":1}`},

@@ -405,6 +405,44 @@ func TestYieldEndpoint(t *testing.T) {
 	}
 }
 
+// TestEvaluateRejectsNegativeWLSegs: a negative wl_segs is a named 400 on
+// /v1/evaluate and as a batch line, not a flat wordline under a cache key
+// of its own, while 0 and 1 both spell the flat wordline.
+func TestEvaluateRejectsNegativeWLSegs(t *testing.T) {
+	s := New(framework(t), Config{})
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	const geom = `"flavor":"hvt","nr":64,"nc":64,"npre":1,"nwr":1`
+	for path, body := range map[string]string{
+		"/v1/evaluate": `{` + geom + `,"wl_segs":-4}`,
+		"/v1/batch":    `{"op":"evaluate",` + geom + `,"wl_segs":-4}`,
+	} {
+		code, _, body := postJSON(t, ts.URL+path, body)
+		if code != http.StatusBadRequest {
+			t.Fatalf("%s wl_segs=-4: status %d, body %s, want 400", path, code, body)
+		}
+		var env errorEnvelope
+		if err := json.Unmarshal(body, &env); err != nil || !strings.Contains(env.Error.Message, "WLSegs = -4") {
+			t.Errorf("%s wl_segs=-4: envelope %s does not name WLSegs = -4 (%v)", path, body, err)
+		}
+	}
+
+	var results [2]EvaluateResponse
+	for i, segs := range []string{"0", "1"} {
+		code, _, body := postJSON(t, ts.URL+"/v1/evaluate", `{`+geom+`,"wl_segs":`+segs+`}`)
+		if code != http.StatusOK {
+			t.Fatalf("wl_segs=%s: status %d, body %s", segs, code, body)
+		}
+		if err := json.Unmarshal(body, &results[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if results[0].EDP != results[1].EDP || results[0].Request.WLSegs != 1 {
+		t.Errorf("wl_segs 0 and 1 differ: EDP %g vs %g, canonical wl_segs %d", results[0].EDP, results[1].EDP, results[0].Request.WLSegs)
+	}
+}
+
 func TestRequestValidation(t *testing.T) {
 	s := New(framework(t), Config{})
 	ts := httptest.NewServer(s.Handler())

@@ -53,7 +53,8 @@ func (d DeviceCaps) Validate() error {
 // WLSegs extends the paper's flat wordline with a divided-wordline (DWL)
 // hierarchy: a global wordline spans the row and per-segment AND gates
 // drive local wordlines, so only n_c/WLSegs cells see the access disturb.
-// WLSegs ≤ 1 selects the paper's flat organization.
+// WLSegs 0 or 1 selects the paper's flat organization; Validate rejects a
+// negative count.
 type Geometry struct {
 	NR   int // number of rows (power of two)
 	NC   int // number of columns (power of two)
@@ -113,6 +114,9 @@ func (g Geometry) Validate() error {
 	}
 	if g.Nwr < 1 {
 		return fmt.Errorf("wire: N_wr = %d must be ≥ 1", g.Nwr)
+	}
+	if g.WLSegs < 0 {
+		return fmt.Errorf("wire: WLSegs = %d must be ≥ 0", g.WLSegs)
 	}
 	if s := g.Segments(); s > 1 {
 		if bits.OnesCount(uint(s)) != 1 {

@@ -170,6 +170,11 @@ func TestDividedWordlineGeometry(t *testing.T) {
 	if err := bad.Validate(); err == nil {
 		t.Error("WLSegs=3 accepted")
 	}
+	negative := g
+	negative.WLSegs = -4 // Segments reads it as flat, but no count is negative
+	if err := negative.Validate(); err == nil {
+		t.Error("WLSegs=-4 accepted")
+	}
 	narrow := g
 	narrow.NC = 128
 	narrow.WLSegs = 4 // segment width 32 < W=64

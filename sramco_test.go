@@ -42,7 +42,7 @@ func TestOptimizePublicAPI(t *testing.T) {
 	if _, err := fw.Optimize(context.Background(), Options{CapacityBits: -32, Flavor: HVT, Method: M2}); err == nil {
 		t.Error("negative capacity accepted")
 	}
-	if best.Stats.Evaluated != best.Evaluated || best.Stats.Chunks < 1 || best.Stats.Workers < 1 {
+	if best.Stats.Evaluated != best.Stats.Evaluated || best.Stats.Chunks < 1 || best.Stats.Workers < 1 {
 		t.Errorf("search stats not populated: %+v", best.Stats)
 	}
 }
@@ -74,7 +74,7 @@ func TestOptimizeContextPublicAPI(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Best.Design != plain.Best.Design || got.Evaluated != plain.Evaluated {
+	if got.Best.Design != plain.Best.Design || got.Stats.Evaluated != plain.Stats.Evaluated {
 		t.Error("context and plain searches disagree")
 	}
 }
