@@ -18,15 +18,16 @@ test:
 # is also the service e2e gate. The core search engine and the server are
 # explicitly concurrent — run this before every commit touching either. The
 # formatting gate fails on any file gofmt would rewrite. The branch-and-bound
-# parity gates run first and verbosely under the race detector, so a pruning
-# correctness break is named in the output, not buried in ./... The fuzz
+# parity gates and the walker-against-oracle comparison run first and
+# verbosely under the race detector, so a pruning correctness break is
+# named in the output, not buried in ./... The fuzz
 # targets then run briefly past their committed corpora. The benchmark
 # module is vetted and tested too, so a break in the API it imports fails
 # here rather than when the benchmark runs.
 check: vet-obs
 	test -z "$$(gofmt -l .)"
 	$(GO) vet ./...
-	$(GO) test -race -run 'TestBranchAndBound' -v ./internal/core/
+	$(GO) test -race -run '^(TestBranchAndBound.*|TestWalkerMatchesOracle)$$' -v ./internal/core/
 	$(GO) test -race ./...
 	$(MAKE) vet-sramperf
 	$(MAKE) loadtest-smoke

@@ -303,8 +303,8 @@ func EvaluateHybrid(t *Tech, d Design, act Activity, alt FlavorTerms) (*Result, 
 	if err := act.Validate(); err != nil {
 		return nil, err
 	}
-	var e Evaluator
-	e.init(t, act)
+	e := Evaluator{tech: t}
+	e.init(act)
 	h := Hybrid{Groups: d.Groups, Mask: d.GroupMask, Alt: alt}
 	if err := e.PrepareHybrid(d.Geom, d.VDDC, d.VSSC, d.VWL, h); err != nil {
 		return nil, err

@@ -48,23 +48,25 @@ func BenchmarkBoundRect(b *testing.B) {
 	}
 }
 
-// BenchmarkRowBound measures the row bisection's bound: one N_wr range of
-// one N_pre row from the bound kernel, over the ranges a 20-point row
-// bisects into.
-func BenchmarkRowBound(b *testing.B) {
+// BenchmarkRectBound measures the sweep's rectangle bound: SweepBound over
+// the sub-rectangles a 50×20 unit bisects into, N_wr first, on its way to
+// the first point, and the upper N_wr half, with the lanes filled once.
+func BenchmarkRectBound(b *testing.B) {
 	ev := benchEvaluator(b)
-	ranges := [][2]int{{1, 20}, {1, 10}, {11, 20}, {1, 5}, {6, 10}, {11, 15}, {16, 20}}
+	ev.FillLanes(20)
+	rects := [][4]int{{1, 50, 1, 10}, {1, 50, 11, 20}, {1, 50, 1, 5}, {1, 50, 6, 10}, {1, 50, 1, 3}, {1, 50, 4, 5},
+		{1, 50, 1, 2}, {1, 50, 3, 3}, {1, 50, 1, 1}, {1, 50, 2, 2}, {1, 25, 1, 1}, {26, 50, 1, 1}, {1, 13, 1, 1}}
+	var bd Bound
 	var sink float64
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		rb := ev.Row(1 + i%50)
-		for _, r := range ranges {
-			d, e := rb.Bound(r[0], r[1])
-			sink += d + e
+		for _, r := range rects {
+			ev.SweepBound(r[0], r[1], r[2], r[3], &bd)
+			sink += bd.EDP
 		}
 	}
-	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(ranges)), "ns/bound")
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(rects)), "ns/bound")
 	if sink == 0 {
 		b.Fatal("zero bounds")
 	}

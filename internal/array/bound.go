@@ -36,8 +36,9 @@ type Bound struct {
 const boundSlack = 1 - 1e-12
 
 // boundConsts are the bound kernel's per-unit constants, folded from the
-// prepared chunk on first use after each Prepare. With them and a Row, a
-// bound over one N_wr range costs a handful of multiplies and no division.
+// prepared chunk on first use after each Prepare. With them and the sweep
+// lanes, a bound over one sub-rectangle costs a handful of multiplies and
+// two divisions (rowTerms).
 type boundConsts struct {
 	ok bool
 
@@ -84,29 +85,10 @@ func (e *Evaluator) foldBound() {
 	k.ok = true
 }
 
-// Row is the bound kernel's view of one N_pre row of a prepared chunk: the
-// row's bitline capacitance above blFixed without the N_wr term, and the
-// precharge delays per farad (rowTerms; BoundRect takes the same terms over
-// an N_pre range). A Row is valid until its Evaluator's next Prepare.
-type Row struct {
-	e            *Evaluator
-	npre         int
-	inc          float64 // (N_pre+1)·C_dp + the shared-precharger drain + the mux drains
-	preRK, preWK float64 // ΔV_S/I_pre and V_dd/I_pre
-}
-
-// Row returns the bound kernel's row npre of the prepared chunk; its Bound
-// is the row bisection's lower bound. Neither the Evaluator's state nor npre
-// is checked: the Evaluator must be prepared, and 1 ≤ npre.
-func (e *Evaluator) Row(npre int) Row {
-	r := Row{e: e, npre: npre}
-	r.inc, r.preRK, r.preWK = e.rowTerms(npre, npre)
-	return r
-}
-
-// rowTerms returns the row terms of N_pre ∈ [lo, hi], folding the unit's
-// constants first if this is the unit's first bound: the bitline increment
-// at lo and the precharge delays per farad at hi.
+// rowTerms returns the N_pre terms of the rectangles over N_pre ∈ [lo, hi],
+// folding the unit's constants first if this is the unit's first bound: the
+// bitline increment above blFixed without the N_wr term at lo, and the
+// precharge delays per farad, ΔV_S/I_pre and V_dd/I_pre, at hi.
 func (e *Evaluator) rowTerms(lo, hi int) (inc, preRK, preWK float64) {
 	if !e.bk.ok {
 		e.foldBound()
@@ -119,25 +101,29 @@ func (e *Evaluator) rowTerms(lo, hi int) (inc, preRK, preWK float64) {
 	return float64(lo+1)*e.cdp + extra + e.blMuxCd, e.deltaVS / iPre, e.vdd / iPre
 }
 
-// Bound returns lower bounds on DArray and EArray over N_wr ∈ [lo, hi] of the
-// row: BoundRect's DArray and EArray of that rectangle, bit for bit, with the
-// N_wr terms read from the sweep lanes. The range is not checked:
-// 1 ≤ lo ≤ hi. The products of the returned bounds with each other and with
-// Area are lower bounds on EDP and PADP.
-func (r *Row) Bound(lo, hi int) (d, e float64) {
-	ev := r.e
-	if hi > ev.soaN {
-		ev.ensureSoA(hi)
-	}
-	d, e = ev.kernel(r.inc+ev.soaBL[lo-1], r.preRK, r.preWK, ev.soaDCOL[lo-1], ev.soaECOL[lo-1], ev.soaBwK[hi-1])
-	return d * boundSlack, e * boundSlack
+// FillLanes fills the prepared unit's sweep lanes for N_wr ≤ n, which
+// EvalSweep and SweepBound read and fill on demand. A searcher that bounds
+// sub-rectangles of a unit fills them to the unit's largest N_wr first, so
+// a narrower first bound does not size them short and make the next wider
+// one allocate them again.
+func (e *Evaluator) FillLanes(n int) {
+	e.ensureSoA(n)
 }
 
-// Area returns the lower bound on Area over N_wr ≥ lo of the row: the area at
-// (npre, lo), which Area increases from in both fin counts.
-func (r *Row) Area(lo int) float64 {
-	ev := r.e
-	return ((ev.area0 + float64(r.npre)*ev.areaPre) + float64(lo)*ev.areaWr) * boundSlack
+// SweepBound writes BoundRect of the rectangle N_pre ∈ [npreLo, npreHi],
+// N_wr ∈ [nwrLo, nwrHi] into out, bit for bit, with the N_wr corner terms
+// read from the unit's sweep lanes: the bound of the searcher's bisection
+// inside a unit it sweeps. Like EvalSweep it writes into the caller's
+// storage, which the caller then reads field by field (see bound). Neither
+// the Evaluator's state nor the rectangle is checked: the Evaluator must be
+// prepared, 1 ≤ npreLo ≤ npreHi and 1 ≤ nwrLo ≤ nwrHi.
+func (e *Evaluator) SweepBound(npreLo, npreHi, nwrLo, nwrHi int, out *Bound) {
+	if nwrHi > e.soaN {
+		e.ensureSoA(nwrHi)
+	}
+	inc, preRK, preWK := e.rowTerms(npreLo, npreHi)
+	d, en := e.kernel(inc+e.soaBL[nwrLo-1], preRK, preWK, e.soaDCOL[nwrLo-1], e.soaECOL[nwrLo-1], e.soaBwK[nwrHi-1])
+	e.bound(out, npreLo, nwrLo, d, en)
 }
 
 // kernel is the arithmetic core of every bound: the Table-2/3 delay and
@@ -195,9 +181,9 @@ func (e *Evaluator) kernel(inc, preRK, preWK, dCOL, eCOL, bwK float64) (d, en fl
 //
 // Summing per-term minima under the monotone totals of Eq. (2)-(5) yields a
 // valid — if not always tight — bound for the whole rectangle. BoundRect
-// shares the row bisection's kernel but computes its two N_wr corners
-// directly instead of filling the sweep lanes: most units the bound pass
-// bounds are pruned and never swept.
+// shares SweepBound's kernel but computes its two N_wr corners directly
+// instead of filling the sweep lanes: most units the bound pass bounds are
+// pruned and never swept.
 func (e *Evaluator) BoundRect(npreLo, npreHi, nwrLo, nwrHi int) (Bound, error) {
 	if !e.prepared {
 		return Bound{}, fmt.Errorf("array: BoundRect before a successful Prepare")
@@ -212,16 +198,25 @@ func (e *Evaluator) BoundRect(npreLo, npreHi, nwrLo, nwrHi int) (Bound, error) {
 	_, _, _, iBLwr := e.nwrTerms(nwrHi)
 	inc, preRK, preWK := e.rowTerms(npreLo, npreHi)
 	d, en := e.kernel(inc+blN, preRK, preWK, dCOL, eCOL, e.vdd/iBLwr)
+	var b Bound
+	e.bound(&b, npreLo, nwrLo, d, en)
+	return b, nil
+}
 
+// bound writes the kernel's delay and energy bounds d and en of a rectangle
+// with low corner (npreLo, nwrLo) into b, slacked. It inlines, and it
+// stores field by field: a Bound has too many fields to live in registers,
+// and a literal returned through a second call is copied through the stack
+// in 16-byte moves of 8-byte stores, which stall on store forwarding
+// (BenchmarkRectBound: ~33 against ~20 ns per bound).
+func (e *Evaluator) bound(b *Bound, npreLo, nwrLo int, d, en float64) {
 	// Area is exactly monotone increasing in both fin counts, so the low
 	// corner is its minimum.
 	areaMin := (e.area0 + float64(npreLo)*e.areaPre) + float64(nwrLo)*e.areaWr
-	return Bound{
-		DArray:            d * boundSlack,
-		EArray:            en * boundSlack,
-		EDP:               (en * d) * boundSlack,
-		Area:              areaMin * boundSlack,
-		PADP:              ((en * d) * areaMin) * boundSlack,
-		RailsSettleInTime: e.settles,
-	}, nil
+	b.DArray = d * boundSlack
+	b.EArray = en * boundSlack
+	b.EDP = (en * d) * boundSlack
+	b.Area = areaMin * boundSlack
+	b.PADP = ((en * d) * areaMin) * boundSlack
+	b.RailsSettleInTime = e.settles
 }

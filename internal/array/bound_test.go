@@ -121,11 +121,13 @@ func drawBoundCase(rng *rand.Rand) boundCase {
 	return c
 }
 
-// checkBoundCase prepares the case's chunk and checks BoundRect and the row
-// form over its rectangle: every field within 1e-13 relative of
-// oracleBoundRect, the row form bit-identical to BoundRect of its row, and
-// every bound strictly below the DArray, EArray, EDP, Area and PADP of every
-// point of its rectangle. It returns the largest relative deviation from
+// checkBoundCase prepares the case's chunk and checks BoundRect over its
+// rectangle and the sweep's form, SweepBound, over three kinds of rectangle:
+// the drawn one, each of its single rows and each of its single N_wr
+// columns. Every bound must lie within 1e-13 relative of oracleBoundRect in
+// every field and strictly below the DArray, EArray, EDP, Area and PADP of
+// every point of its rectangle, and SweepBound must equal BoundRect of the
+// same rectangle bit for bit. It returns the largest relative deviation from
 // the oracle.
 func checkBoundCase(t *testing.T, techs []*Tech, c boundCase) (dev float64) {
 	t.Helper()
@@ -141,42 +143,54 @@ func checkBoundCase(t *testing.T, techs []*Tech, c boundCase) (dev float64) {
 	if err != nil {
 		t.Fatalf("%v: %v", c, err)
 	}
-	b, err := ev.BoundRect(c.npreLo, c.npreHi, c.nwrLo, c.nwrHi)
-	if err != nil {
-		t.Fatalf("%v: %v", c, err)
-	}
-	dev = checkNear(t, c, "BoundRect", b, oracleBoundRect(ev, c.npreLo, c.npreHi, c.nwrLo, c.nwrHi))
-
-	var r Result
-	for npre := c.npreLo; npre <= c.npreHi; npre++ {
-		rb := ev.Row(npre)
-		d, e := rb.Bound(c.nwrLo, c.nwrHi)
-		area := rb.Area(c.nwrLo)
-		row, err := ev.BoundRect(npre, npre, c.nwrLo, c.nwrHi)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if d != row.DArray || e != row.EArray || area != row.Area {
-			t.Fatalf("%v N_pre=%d: row form (D %x, E %x, Area %x) differs from BoundRect (%x, %x, %x)",
-				c, npre, d, e, area, row.DArray, row.EArray, row.Area)
-		}
-		dev = max(dev, checkNear(t, c, fmt.Sprintf("row %d", npre), row, oracleBoundRect(ev, npre, npre, c.nwrLo, c.nwrHi)))
-		for nwr := c.nwrLo; nwr <= c.nwrHi; nwr++ {
-			if err := ev.EvalInto(npre, nwr, &r); err != nil {
+	// pts[i][j] is the point (npreLo+i, nwrLo+j).
+	pts := make([][]Result, c.npreHi-c.npreLo+1)
+	for i := range pts {
+		pts[i] = make([]Result, c.nwrHi-c.nwrLo+1)
+		for j := range pts[i] {
+			if err := ev.EvalInto(c.npreLo+i, c.nwrLo+j, &pts[i][j]); err != nil {
 				t.Fatal(err)
 			}
-			if b.RailsSettleInTime != r.RailsSettleInTime {
-				t.Fatalf("%v: bound feasibility %v disagrees with point (%d,%d)", c, b.RailsSettleInTime, npre, nwr)
-			}
-			below := func(form string, bd, be, bedp, barea, bpadp float64) {
-				if !(bd < r.DArray && be < r.EArray && bedp < r.EDP && barea < r.Area && bpadp < r.PADP) {
-					t.Fatalf("%v: %s bound not strictly below point (%d,%d):\n  bound D=%g E=%g EDP=%g Area=%g PADP=%g\n  point D=%g E=%g EDP=%g Area=%g PADP=%g",
-						c, form, npre, nwr, bd, be, bedp, barea, bpadp, r.DArray, r.EArray, r.EDP, r.Area, r.PADP)
+		}
+	}
+	// below checks a bound of form over the rectangle q against the oracle
+	// and every point of q.
+	below := func(form string, q [4]int, b Bound) {
+		dev = max(dev, checkNear(t, c, fmt.Sprintf("%s %v", form, q), b, oracleBoundRect(ev, q[0], q[1], q[2], q[3])))
+		for npre := q[0]; npre <= q[1]; npre++ {
+			for nwr := q[2]; nwr <= q[3]; nwr++ {
+				r := &pts[npre-c.npreLo][nwr-c.nwrLo]
+				if b.RailsSettleInTime != r.RailsSettleInTime {
+					t.Fatalf("%v: %s %v feasibility %v disagrees with point (%d,%d)", c, form, q, b.RailsSettleInTime, npre, nwr)
+				}
+				if !(b.DArray < r.DArray && b.EArray < r.EArray && b.EDP < r.EDP && b.Area < r.Area && b.PADP < r.PADP) {
+					t.Fatalf("%v: %s %v bound not strictly below point (%d,%d):\n  bound D=%g E=%g EDP=%g Area=%g PADP=%g\n  point D=%g E=%g EDP=%g Area=%g PADP=%g",
+						c, form, q, npre, nwr, b.DArray, b.EArray, b.EDP, b.Area, b.PADP, r.DArray, r.EArray, r.EDP, r.Area, r.PADP)
 				}
 			}
-			below("BoundRect", b.DArray, b.EArray, b.EDP, b.Area, b.PADP)
-			below("row", d, e, d*e, area, d*e*area)
 		}
+	}
+	rects := [][4]int{{c.npreLo, c.npreHi, c.nwrLo, c.nwrHi}}
+	for npre := c.npreLo; npre <= c.npreHi; npre++ {
+		rects = append(rects, [4]int{npre, npre, c.nwrLo, c.nwrHi})
+	}
+	for nwr := c.nwrLo; nwr <= c.nwrHi; nwr++ {
+		rects = append(rects, [4]int{c.npreLo, c.npreHi, nwr, nwr})
+	}
+	for k, q := range rects {
+		b, err := ev.BoundRect(q[0], q[1], q[2], q[3])
+		if err != nil {
+			t.Fatalf("%v: %v", c, err)
+		}
+		if k == 0 {
+			below("BoundRect", q, b)
+		}
+		var sb Bound
+		ev.SweepBound(q[0], q[1], q[2], q[3], &sb)
+		if sb != b {
+			t.Fatalf("%v: SweepBound %v = %+v differs from BoundRect %+v", c, q, sb, b)
+		}
+		below("SweepBound", q, sb)
 	}
 	return dev
 }
@@ -202,9 +216,10 @@ func checkNear(t *testing.T, c boundCase, form string, got, want Bound) (dev flo
 }
 
 // TestBoundKernelMatchesOracle checks the bound kernel behind BoundRect and
-// the row bisection on 10 000 random cases (drawBoundCase): against the
-// expression-shaped oracle, and against every point of each rectangle. It
-// logs the largest relative deviation from the oracle.
+// the sweep's rectangle bisection (SweepBound) on 10 000 random cases
+// (drawBoundCase): against the expression-shaped oracle, and against every
+// point of each rectangle. It logs the largest relative deviation from the
+// oracle.
 func TestBoundKernelMatchesOracle(t *testing.T) {
 	techs := evaluatorTechs(t)
 	rng := rand.New(rand.NewSource(20261018))

@@ -170,16 +170,18 @@ func NewEvaluator(t *Tech, act Activity) (*Evaluator, error) {
 	if err := act.Validate(); err != nil {
 		return nil, err
 	}
-	e := &Evaluator{}
-	e.init(t, act)
+	e := &Evaluator{tech: t}
+	e.init(act)
 	return e, nil
 }
 
 // init is the unchecked constructor shared by NewEvaluator and
 // EvaluateHybrid (which validates the design between the technology and the
-// activity). It computes the technology constants every Prepare reuses.
-func (e *Evaluator) init(t *Tech, act Activity) {
-	e.tech = t
+// activity). It computes the technology constants every Prepare reuses from
+// e.tech, which the caller sets: storing t through a pointer receiver would
+// move every caller's Tech to the heap, EvaluateHybrid's included.
+func (e *Evaluator) init(act Activity) {
+	t := e.tech
 	e.act = act
 	e.alpha = act.Alpha
 	e.beta = act.Beta

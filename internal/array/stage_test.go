@@ -151,8 +151,8 @@ func (fl flavorPair) mask(c stageCase) *Mask {
 
 // checkFresh holds ev, just prepared for c, to a fresh Evaluator prepared
 // for c through PrepareHybrid and to EvaluateHybrid, at ==: BoundRect over a
-// random rectangle, Row.Bound of its rows over its N_wr range, the EvalSweep
-// lanes of its low row and EvalInto at each of their points.
+// random rectangle, SweepBound over it and over each of its rows, the
+// EvalSweep lanes of its low row and EvalInto at each of their points.
 func checkFresh(t *testing.T, name string, ev *Evaluator, fl flavorPair, c stageCase, rng *rand.Rand) {
 	t.Helper()
 	fresh, err := NewEvaluator(fl.tech, act)
@@ -175,13 +175,18 @@ func checkFresh(t *testing.T, name string, ev *Evaluator, fl flavorPair, c stage
 	if gotB != wantB {
 		t.Fatalf("%s %+v: BoundRect diverges from a fresh Evaluator:\n  got  %+v\n  want %+v", name, c, gotB, wantB)
 	}
+	var got, want Bound
+	ev.SweepBound(npreLo, npreHi, nwrLo, nwrHi, &got)
+	fresh.SweepBound(npreLo, npreHi, nwrLo, nwrHi, &want)
+	if got != want || got != wantB {
+		t.Fatalf("%s %+v: SweepBound diverges from a fresh Evaluator or BoundRect:\n  got  %+v\n  want %+v", name, c, got, want)
+	}
 	for npre := npreLo; npre <= npreHi; npre++ {
-		got, want := ev.Row(npre), fresh.Row(npre)
-		gd, ge := got.Bound(nwrLo, nwrHi)
-		wd, we := want.Bound(nwrLo, nwrHi)
-		if gd != wd || ge != we || got.Area(nwrLo) != want.Area(nwrLo) {
-			t.Fatalf("%s %+v: Row(%d).Bound(%d, %d) diverges from a fresh Evaluator: got (%g, %g), want (%g, %g)",
-				name, c, npre, nwrLo, nwrHi, gd, ge, wd, we)
+		ev.SweepBound(npre, npre, nwrLo, nwrHi, &got)
+		fresh.SweepBound(npre, npre, nwrLo, nwrHi, &want)
+		if got != want {
+			t.Fatalf("%s %+v: SweepBound(%d, %d, %d, %d) diverges from a fresh Evaluator:\n  got  %+v\n  want %+v",
+				name, c, npre, npre, nwrLo, nwrHi, got, want)
 		}
 	}
 

@@ -306,6 +306,31 @@ func TestNaNRailsAreErrors(t *testing.T) {
 	}
 }
 
+// TestFrameworkEvaluateAllocatesOnlyItsResult pins Framework.Evaluate, the
+// path of every /v1/evaluate fill, at one allocation per call, its Result:
+// the flavor's array.Tech stays on the stack, for a single-flavor and an
+// 8-group design.
+func TestFrameworkEvaluateAllocatesOnlyItsResult(t *testing.T) {
+	f := paperFramework(t)
+	vddc, vwl, err := f.Rails(device.HVT, M2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	act := array.Activity{Alpha: DefaultAlpha, Beta: DefaultBeta}
+	d := array.Design{Geom: wireGeom(128, 64, 1, 2, 2), VDDC: vddc, VSSC: -0.05, VWL: vwl}
+	hybrid := d
+	hybrid.Groups, hybrid.GroupMask = 8, 0x5a
+	for _, d := range []array.Design{d, hybrid} {
+		n := testing.AllocsPerRun(100, func() { _, err = f.Evaluate(device.HVT, d, act) })
+		if err != nil {
+			t.Fatalf("groups=%d: %v", d.Groups, err)
+		}
+		if n != 1 {
+			t.Errorf("groups=%d: Framework.Evaluate allocates %v times per call, want 1 (its Result)", d.Groups, n)
+		}
+	}
+}
+
 func TestModeAndMethodStrings(t *testing.T) {
 	if TechPaper.String() == TechSimulated.String() {
 		t.Error("mode strings collide")

@@ -290,11 +290,22 @@ func characterizeCell(lib *device.Library, flavor device.Flavor, mode Mode, vdd,
 
 // ArrayTech assembles the array-model technology view for one flavor.
 func (f *Framework) ArrayTech(flavor device.Flavor) (*array.Tech, error) {
+	t, err := f.arrayTech(flavor)
+	if err != nil {
+		return nil, err
+	}
+	return &t, nil
+}
+
+// arrayTech is ArrayTech by value: a caller whose Tech does not outlive the
+// call keeps it off the heap. The view is built on every call, never kept,
+// so a Framework's fields may change between calls.
+func (f *Framework) arrayTech(flavor device.Flavor) (array.Tech, error) {
 	cc, ok := f.Cells[flavor]
 	if !ok {
-		return nil, fmt.Errorf("core: flavor %v not characterized", flavor)
+		return array.Tech{}, fmt.Errorf("core: flavor %v not characterized", flavor)
 	}
-	return &array.Tech{
+	return array.Tech{
 		Periph:      f.Periph,
 		Caps:        f.Caps,
 		Vdd:         f.Vdd,
@@ -308,9 +319,9 @@ func (f *Framework) ArrayTech(flavor device.Flavor) (*array.Tech, error) {
 // Evaluate runs the array model on one explicit design point of flavor. A
 // hybrid design (Design.Groups set) assigns the row groups its GroupMask
 // selects to flavor's alternate (LVT↔HVT) and evaluates the array under the
-// per-group cell model.
+// per-group cell model. It allocates only its Result.
 func (f *Framework) Evaluate(flavor device.Flavor, d array.Design, act array.Activity) (*array.Result, error) {
-	tech, err := f.ArrayTech(flavor)
+	tech, err := f.arrayTech(flavor)
 	if err != nil {
 		return nil, err
 	}
@@ -320,5 +331,5 @@ func (f *Framework) Evaluate(flavor device.Flavor, d array.Design, act array.Act
 			return nil, err
 		}
 	}
-	return array.EvaluateHybrid(tech, d, act, alt)
+	return array.EvaluateHybrid(&tech, d, act, alt)
 }

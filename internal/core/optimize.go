@@ -280,8 +280,9 @@ func (f *Framework) GreedyOptimize(ctx context.Context, opts Options) (*Optimum,
 	bestObj := math.Inf(1)
 	var evalErr error
 	changed := false
-	// try evaluates one move and takes it when it improves the objective;
-	// after the first error every further move is a no-op.
+	// try evaluates one move and takes it when it improves the objective,
+	// copying the point's Result out of the evaluator's scratch; after the
+	// first error every further move is a no-op.
 	try := func(d array.Design) {
 		if evalErr != nil {
 			return
@@ -295,7 +296,10 @@ func (f *Framework) GreedyOptimize(ctx context.Context, opts Options) (*Optimum,
 			return
 		}
 		if v := opts.Objective.Of(r); v < bestObj {
-			bestObj, bestR, cur = v, r, d
+			if bestR == nil {
+				bestR = new(array.Result)
+			}
+			bestObj, *bestR, cur = v, *r, d
 			changed = true
 		}
 	}

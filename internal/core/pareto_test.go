@@ -220,7 +220,7 @@ var frontProbes = func() []float64 {
 
 // checkFrontMatchesOracle inserts pts into a staircase front, a lanes-only
 // front and the oracle's linear front, and folds them into a worker front
-// through rowSweep.foldPareto, as the sweep does, and after every insert
+// through unitSweep.foldPareto, as the sweep does, and after every insert
 // requires: the staircase holds the oracle's members (the same Results, so
 // the same design holds each tie), all of them built; the worker front
 // holds the same members by position, none built yet, so its ties compare
@@ -242,14 +242,13 @@ func checkFrontMatchesOracle(t *testing.T, pts []DesignPoint) {
 	// A zero search, chunk and unit stamp the position (N_pre, N_wr) as the
 	// design decodeFrontCase builds for it.
 	slot := &walkWorker{}
-	r := rowSweep{s: &search{specs: make([]maskSpec, 1)}, slot: slot, u: &searchUnit{}}
+	r := unitSweep{s: &search{specs: make([]maskSpec, 1)}, slot: slot, u: &searchUnit{}}
 	for n, p := range pts {
 		oracle = insertPareto(oracle, p)
 		f.insert(p.Result)
 		lanes.add(p.Result.DArray, p.Result.EArray)
 		slot.sweep.DArray, slot.sweep.EArray = []float64{p.Result.DArray}, []float64{p.Result.EArray}
-		r.npre = p.Design.Geom.Npre
-		r.foldPareto(0, p.Design.Geom.Nwr)
+		r.foldPareto(0, p.Design.Geom.Npre, p.Design.Geom.Nwr)
 
 		want := slices.Clone(oracle)
 		sort.Slice(want, func(i, j int) bool { return want[i].Result.DArray < want[j].Result.DArray })
@@ -294,7 +293,7 @@ func checkFrontMatchesOracle(t *testing.T, pts []DesignPoint) {
 	}
 }
 
-// frontWouldChange is rowSweep.foldPareto's worker-front decision for a
+// frontWouldChange is unitSweep.foldPareto's worker-front decision for a
 // point (d, e) with design cand, on a front of built members.
 func frontWouldChange(f *front, d, e float64, cand array.Design) bool {
 	k, st := f.locate(d, e)

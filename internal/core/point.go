@@ -24,6 +24,7 @@ type pointSearch struct {
 	vssc      []float64
 	mask      array.Mask // the single global flavor at the search's capacity
 	stats     SearchStats
+	res       array.Result // eval's Result, overwritten by the next eval
 
 	// The last evaluated point's rail stage and its (VDDC, VSSC, VWL):
 	// moves that keep the rails reuse it.
@@ -109,8 +110,8 @@ func (p *pointSearch) moveTo(base array.Design, pos [4]int) array.Design {
 // cannot read stably at its VSSC is SkippedRSNM; a geometry Validate
 // rejects is SkippedGeom; the model then evaluates it (Evaluated), and its
 // error is returned; a point whose rails miss the access cycle is
-// SkippedRails. It returns the Result of a feasible point and nil
-// otherwise.
+// SkippedRails. It returns the Result of a feasible point, valid until the
+// next eval, and nil otherwise.
 func (p *pointSearch) eval(d array.Design) (*array.Result, error) {
 	if _, ok := p.position(d); !ok {
 		return nil, nil
@@ -129,7 +130,7 @@ func (p *pointSearch) eval(d array.Design) (*array.Result, error) {
 		p.rails, err = p.ev.Rails(d.VDDC, d.VSSC, d.VWL, nil)
 		p.railsAt, p.railsOK = rails, err == nil
 	}
-	r := new(array.Result)
+	r := &p.res
 	if err == nil {
 		err = p.ev.PrepareStaged(g, &p.rails, &p.mask)
 	}

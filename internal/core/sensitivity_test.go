@@ -10,10 +10,9 @@ import (
 )
 
 // TestSensitivityAllocs pins SensitivityAt's allocations on a 4 KB HVT
-// optimum at 12 per call: it prepares every neighbor from a rail stage and
-// a Mask held in its point evaluator, so only the per-call set-up and the
-// neighbors' Results allocate. It was 13 while the Evaluator allocated a
-// rail memo on its first prepare.
+// optimum at 5 per call: it prepares every neighbor from a rail stage and
+// a Mask held in its point evaluator and evaluates it into the evaluator's
+// scratch Result, so only the per-call set-up allocates.
 func TestSensitivityAllocs(t *testing.T) {
 	f := paperFramework(t)
 	opts := Options{CapacityBits: 4 * 1024 * 8, Flavor: device.HVT, Method: M2}
@@ -26,8 +25,8 @@ func TestSensitivityAllocs(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	if n > 12 {
-		t.Errorf("SensitivityAt allocates %v times per call, want ≤ 12", n)
+	if n > 5 {
+		t.Errorf("SensitivityAt allocates %v times per call, want ≤ 5", n)
 	}
 }
 

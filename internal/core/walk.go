@@ -20,10 +20,11 @@ import (
 // each an (N_pre, N_wr) rectangle sharing one Prepare. One walker enumerates
 // them for both reducers — the minimum objective (ties broken by
 // designLess) and the energy-delay Pareto front — under one of two pruning
-// policies. Branch-and-bound skips a rectangle, or a single N_pre row of
-// it, when a cheap certified lower bound (array.BoundRect for a unit, the
-// bound kernel's array.Row for a row) cannot beat the incumbent, charging
-// the skipped points to SearchStats.PrunedBound. It
+// policies. Branch-and-bound skips a unit's rectangle, or a sub-rectangle
+// of it down to a single point, when a cheap certified lower bound
+// (array.BoundRect for a unit, the bound kernel's array.SweepBound inside
+// one) cannot beat the incumbent, charging the skipped points to
+// SearchStats.PrunedBound. It
 // also prepares, bounds and sweeps one group mask per equivalence class
 // (DESIGN.md §13.7): masks sharing a rail class and an array.MaskKey
 // prepare chunks that differ only in the GroupMask stamped on each Result,
@@ -67,17 +68,6 @@ import (
 // units_prepared attribute count the Prepares of both passes, memo hits
 // included; core.search.bounds and the bounds attribute count the bounds of
 // both.
-
-// bnbMinRun is the N_wr range width below which the searcher sweeps the
-// points instead of bisecting further. A row bound from the bound kernel
-// costs less than sweeping one point (BenchmarkRowBound against
-// BenchmarkEvalSweep: 11–14 against 20–22 ns per point on a 2-vCPU x86-64
-// VM), yet a floor of 2, which evaluates 4× fewer points of the 4 KB 8-group
-// hybrid search (598 556 → 144 454) for 19 % more bounds, read equal in
-// time: a split range pays for two bounds, which rarely prune a short range.
-// Floors of 8 and 16 were slower than 4. The floor sets every count the
-// search reports.
-const bnbMinRun = 4
 
 // searchUnit is the bound pass's record of one live (chunk, segmentation,
 // mux, group-mask) rectangle, one it prepared, bounded and found settling:
@@ -272,7 +262,7 @@ func (f *Framework) newSearch(ctx context.Context, opts Options, pareto bool) (*
 }
 
 // canceled polls the search context without locking it: ctx.Err takes the
-// context's mutex, and the sweep polls once per unit and per N_pre row.
+// context's mutex, and the sweep polls once per unit.
 func (s *search) canceled() bool {
 	select {
 	case <-s.done:
@@ -315,7 +305,7 @@ func (s *search) unitDesign(u *searchUnit, c chunk, width, npre, nwr int) array.
 }
 
 // objBound reads the lower bound matching the objective.
-func (s *search) objBound(b array.Bound) float64 {
+func (s *search) objBound(b *array.Bound) float64 {
 	switch s.opts.Objective {
 	case ObjectiveDelay:
 		return b.DArray
@@ -366,7 +356,8 @@ type walkWorker struct {
 	// chunk sweeps, and the chunk's prune tests read it alone.
 	prune front
 	// prepared counts the units this worker prepared, in the bound pass and
-	// in the sweep; bounds counts the bounds it computed, unit and row.
+	// in the sweep; bounds counts the bounds it computed, of units and of
+	// their sub-rectangles.
 	prepared int
 	bounds   int
 	// pubEvals and pubBounds are the Evaluated and bounds counts publish
@@ -376,14 +367,14 @@ type walkWorker struct {
 	// The workers' slots are adjacent in one slice: the pad keeps the
 	// fields read at every swept point — the incumbent's objective best.obj,
 	// and the lane headers of prune and front — off the cache line holding
-	// the next slot's stats, written at every swept range.
+	// the next slot's stats, written at every pruned or swept rectangle.
 	_ [64]byte
 }
 
 // publish adds the worker's evaluations and bounds since its last publish
 // to the live counters. The walker publishes once per swept unit and once
-// per chunk, never from the row loop: the counters are cache lines every
-// worker writes, and a search sweeps millions of rows.
+// per chunk, never from the bisection: the counters are cache lines every
+// worker writes, and a search bounds millions of sub-rectangles.
 func (w *walkWorker) publish() {
 	mSearchEvaluated.Add(int64(w.stats.Evaluated - w.pubEvals))
 	mSearchBounds.Add(int64(w.bounds - w.pubBounds))
@@ -554,7 +545,7 @@ func (s *search) boundUnit(slot *walkWorker, c chunk, u *searchUnit) (bool, erro
 		return false, err
 	}
 	slot.bounds++
-	u.obj, u.d, u.e = s.objBound(b), b.DArray, b.EArray
+	u.obj, u.d, u.e = s.objBound(&b), b.DArray, b.EArray
 	return b.RailsSettleInTime, nil
 }
 
@@ -640,7 +631,7 @@ func (s *search) processChunk(ci int, T float64, f0 *front, slot *walkWorker) bo
 	if s.pareto {
 		slot.prune.reset(f0)
 	}
-	r := rowSweep{s: s, slot: slot, c: c, width: accessWidth(s.opts.W, c.rc.nc), T: T, local: math.Inf(1)}
+	r := unitSweep{s: s, slot: slot, c: c, width: accessWidth(s.opts.W, c.rc.nc), T: T, local: math.Inf(1)}
 	live := s.live(ci)
 	for ui := range live {
 		u := &live[ui]
@@ -663,15 +654,7 @@ func (s *search) processChunk(ci int, T float64, f0 *front, slot *walkWorker) bo
 			return endChunk(s.fail(c, 1, 1, err))
 		}
 		r.u = u
-		for r.npre = 1; r.npre <= space.NpreMax; r.npre++ {
-			if s.prunes {
-				r.row = slot.ev.Row(r.npre)
-			}
-			if s.canceled() || !r.refine(1, space.NwrMax) {
-				return endChunk(false)
-			}
-		}
-		if !s.endUnit(slot, c) {
+		if !r.sweepUnit() || !s.endUnit(slot, c) {
 			return endChunk(false)
 		}
 		slot.publish()
@@ -679,11 +662,11 @@ func (s *search) processChunk(ci int, T float64, f0 *front, slot *walkWorker) bo
 	return endChunk(true)
 }
 
-// rowSweep is the state of one chunk's sweep that the row bisection reads:
-// the unit and N_pre row being swept with the row's bound kernel, the
-// frozen threshold and the chunk-local incumbent objective (the Pareto
-// reducer's chunk-local state is the worker's prune front).
-type rowSweep struct {
+// unitSweep is the state of one chunk's sweep that the rectangle bisection
+// reads: the unit being swept, the frozen threshold and the chunk-local
+// incumbent objective (the Pareto reducer's chunk-local state is the
+// worker's prune front).
+type unitSweep struct {
 	s     *search
 	slot  *walkWorker
 	c     chunk
@@ -691,66 +674,84 @@ type rowSweep struct {
 	T     float64
 	local float64
 	u     *searchUnit
-	npre  int
-	row   array.Row
 }
 
-// objBound returns the row bound matching the objective over N_wr ≥ lo,
-// from the kernel's delay and energy bounds d and e: products of lower
-// bounds are lower bounds.
-func (r *rowSweep) objBound(d, e float64, lo int) float64 {
-	switch r.s.opts.Objective {
-	case ObjectiveDelay:
-		return d
-	case ObjectiveEnergy:
-		return e
-	case ObjectiveArea:
-		return r.row.Area(lo)
-	case ObjectivePADP:
-		return d * e * r.row.Area(lo)
+// sweepUnit sweeps the prepared unit into the worker's reduction. The
+// never-prune policy sweeps it row by row. Branch-and-bound bisects its
+// rectangle, whose bound the bound pass already tested, filling the sweep
+// lanes to NwrMax once for every bound and point below it. Returns false on
+// error.
+func (r *unitSweep) sweepUnit() bool {
+	space := r.s.opts.Space
+	if !r.s.prunes {
+		for npre := 1; npre <= space.NpreMax; npre++ {
+			if !r.sweep(npre, 1, space.NwrMax) {
+				return false
+			}
+		}
+		return true
 	}
-	return d * e
+	r.slot.ev.FillLanes(space.NwrMax)
+	return r.split(1, space.NpreMax, 1, space.NwrMax)
 }
 
-// refine sweeps N_wr ∈ [lo, hi] of the current row into the worker's
-// reduction. Branch-and-bound bisects the range: the bound's write-buffer
-// current is taken at the range's high end, so its slack on a full row is
-// ~NwrMax×; each halving tightens it 2×, down to bnbMinRun points. The
-// bounds come from the row's bound kernel, which reads the unit's sweep
-// lanes and divides nowhere. Recursion is sequential within the chunk, so
-// the counts and the incumbent updates stay deterministic. The never-prune
-// policy sweeps the row whole. Returns false on error.
-func (r *rowSweep) refine(lo, hi int) bool {
-	s, slot, ev := r.s, r.slot, r.slot.ev
+// refine sweeps the sub-rectangle N_pre ∈ [pLo, pHi], N_wr ∈ [wLo, wHi] of
+// the unit into the worker's reduction: it prunes the rectangle when its
+// bound cannot beat the chunk's threshold (strict, so exact ties are swept),
+// and splits it otherwise. The bound comes from the bound kernel over the
+// unit's sweep lanes (array.Evaluator.SweepBound). Returns false on error.
+func (r *unitSweep) refine(pLo, pHi, wLo, wHi int) bool {
+	s, slot := r.s, r.slot
+	var b array.Bound
+	slot.ev.SweepBound(pLo, pHi, wLo, wHi, &b)
+	slot.bounds++
+	var pruned bool
+	if s.pareto {
+		pruned = slot.prune.dominatesRect(b.DArray, b.EArray)
+	} else {
+		pruned = s.objBound(&b) > min(r.T, r.local)
+	}
+	if pruned {
+		slot.stats.PrunedBound += (pHi - pLo + 1) * (wHi - wLo + 1)
+		return true
+	}
+	return r.split(pLo, pHi, wLo, wHi)
+}
+
+// split refines the halves of a rectangle that survived its bound, lower
+// half first: N_wr at ⌊(lo+hi)/2⌋ while the rectangle spans more than one
+// N_wr column, then N_pre. The write-buffer drain C_BL·V_dd/(coef·N_wr·I_TG)
+// is the bound's loose term, taken at the rectangle's high N_wr end with
+// C_BL at its low end, so halving N_wr tightens it most (DESIGN.md §11). A
+// single point that survived its own bound is swept. Recursion is
+// sequential within the chunk, so the counts and the incumbent updates stay
+// deterministic.
+func (r *unitSweep) split(pLo, pHi, wLo, wHi int) bool {
+	if wHi > wLo {
+		mid := (wLo + wHi) / 2
+		return r.refine(pLo, pHi, wLo, mid) && r.refine(pLo, pHi, mid+1, wHi)
+	}
+	if pHi > pLo {
+		mid := (pLo + pHi) / 2
+		return r.refine(pLo, mid, wLo, wHi) && r.refine(mid+1, pHi, wLo, wHi)
+	}
+	return r.sweep(pLo, wLo, wHi)
+}
+
+// sweep evaluates N_wr ∈ [lo, hi] of row npre of the unit and folds the
+// points into the worker's reduction. The objective and the front read the
+// sweep lanes, bit-identical to EvalInto. Returns false on error.
+func (r *unitSweep) sweep(npre, lo, hi int) bool {
+	s, slot := r.s, r.slot
+	if err := slot.ev.EvalSweep(npre, lo, hi, &slot.sweep); err != nil {
+		return s.fail(r.c, npre, lo, err)
+	}
 	n := hi - lo + 1
-	if s.prunes {
-		d, e := r.row.Bound(lo, hi)
-		slot.bounds++
-		var pruned bool
-		if s.pareto {
-			pruned = slot.prune.dominatesRect(d, e)
-		} else {
-			pruned = r.objBound(d, e, lo) > min(r.T, r.local)
-		}
-		if pruned {
-			slot.stats.PrunedBound += n
-			return true
-		}
-		if n > bnbMinRun {
-			mid := (lo + hi) / 2
-			return r.refine(lo, mid) && r.refine(mid+1, hi)
-		}
-	}
-	// The objective and the front read the sweep lanes, bit-identical to
-	// EvalInto.
-	if err := ev.EvalSweep(r.npre, lo, hi, &slot.sweep); err != nil {
-		return s.fail(r.c, r.npre, lo, err)
-	}
 	slot.stats.Evaluated += n
 	for i, v := range s.objLane(&slot.sweep)[:n] {
 		nwr := lo + i
 		if s.pareto {
-			r.foldPareto(i, nwr)
+			r.foldPareto(i, npre, nwr)
 			continue
 		}
 		if v < r.local {
@@ -759,7 +760,7 @@ func (r *rowSweep) refine(lo, hi int) bool {
 		if v > slot.best.obj {
 			continue // a loss, decided without the design
 		}
-		if d := s.unitDesign(r.u, r.c, r.width, r.npre, nwr); slot.best.beats(v, d) {
+		if d := s.unitDesign(r.u, r.c, r.width, npre, nwr); slot.best.beats(v, d) {
 			slot.best.obj, slot.best.design, slot.best.ok = v, d, true
 			slot.won = true
 		}
@@ -767,14 +768,15 @@ func (r *rowSweep) refine(lo, hi int) bool {
 	return true
 }
 
-// foldPareto folds swept point i (N_wr = nwr) of the current range into the
-// prune front and the worker's front. A point some prune-front member weakly
-// dominates without tying it is dominated, strictly in one coordinate, by an
-// evaluated point: it is neither a front point nor an exact tie of one, and
-// skips the worker front. Exact ties still go to the worker front, where
-// the canonical design wins; the designs are built only for them. A point
-// that enters the worker front is held by its position until endUnit.
-func (r *rowSweep) foldPareto(i, nwr int) {
+// foldPareto folds swept point i, at (npre, nwr), of the current range into
+// the prune front and the worker's front. A point some prune-front member
+// weakly dominates without tying it is dominated, strictly in one
+// coordinate, by an evaluated point: it is neither a front point nor an
+// exact tie of one, and skips the worker front. Exact ties still go to the
+// worker front, where the canonical design wins; the designs are built only
+// for them. A point that enters the worker front is held by its position
+// until endUnit.
+func (r *unitSweep) foldPareto(i, npre, nwr int) {
 	slot := r.slot
 	d, e := slot.sweep.DArray[i], slot.sweep.EArray[i]
 	if slot.prune.add(d, e) == dominated {
@@ -782,16 +784,16 @@ func (r *rowSweep) foldPareto(i, nwr int) {
 	}
 	f := &slot.front
 	k, st := f.locate(d, e)
-	if st == dominated || st == ties && !designLess(r.s.unitDesign(r.u, r.c, r.width, r.npre, nwr), r.memberDesign(f.pts[k])) {
+	if st == dominated || st == ties && !designLess(r.s.unitDesign(r.u, r.c, r.width, npre, nwr), r.memberDesign(f.pts[k])) {
 		return
 	}
-	f.put(k, st, d, e, member{npre: int32(r.npre), nwr: int32(nwr)}, &slot.spare)
+	f.put(k, st, d, e, member{npre: int32(npre), nwr: int32(nwr)}, &slot.spare)
 	slot.pending = true
 }
 
 // memberDesign returns the design of a worker-front member: its Result's,
 // or the current unit's at its position while it has none.
-func (r *rowSweep) memberDesign(m member) array.Design {
+func (r *unitSweep) memberDesign(m member) array.Design {
 	if m.res != nil {
 		return m.res.Design
 	}
